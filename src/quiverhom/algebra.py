@@ -534,29 +534,17 @@ class AlgebraHom:
     def from_images(source: FiniteDimAlgebra, target: FiniteDimAlgebra, images) -> "AlgebraHom":
         images = tuple(dict(im) for im in images)
         F = target.field
-
-        def apply(x: dict[int, object]) -> dict[int, object]:
-            out: dict[int, object] = {}
-            for i, c in x.items():
-                for k, ck in images[i].items():
-                    v = F.add(out.get(k, F.zero), F.mul(c, ck))
-                    if F.is_zero(v):
-                        out.pop(k, None)
-                    else:
-                        out[k] = v
-            return out
-
         multiplicative = True
         for i in range(source.dim):
             for j in range(source.dim):
-                lhs = apply({k: c for k, c in source.table[i][j]})
+                lhs = _apply_images(images, F, {k: c for k, c in source.table[i][j]})
                 rhs = target.mul(images[i], images[j])
                 if not target.eq(lhs, rhs):
                     multiplicative = False
                     break
             if not multiplicative:
                 break
-        u = apply(source.unit())
+        u = _apply_images(images, F, source.unit())
         unital = target.eq(u, target.unit())
         unit_image_idempotent = target.eq(target.mul(u, u), u)
         mat = [target.dense(im) for im in images]
@@ -568,16 +556,20 @@ class AlgebraHom:
         )
 
     def apply(self, x: dict[int, object]) -> dict[int, object]:
-        F = self.target.field
-        out: dict[int, object] = {}
-        for i, c in x.items():
-            for k, ck in self.images[i].items():
-                v = F.add(out.get(k, F.zero), F.mul(c, ck))
-                if F.is_zero(v):
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-        return out
+        return _apply_images(self.images, self.target.field, x)
+
+
+def _apply_images(images, F, x: dict[int, object]) -> dict[int, object]:
+    """Image of x under the linear map sending basis element i to images[i]."""
+    out: dict[int, object] = {}
+    for i, c in x.items():
+        for k, ck in images[i].items():
+            v = F.add(out.get(k, F.zero), F.mul(c, ck))
+            if F.is_zero(v):
+                out.pop(k, None)
+            else:
+                out[k] = v
+    return out
 
 
 @dataclass(frozen=True)

@@ -182,17 +182,17 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = InstanceSpec(seed=args.seed)
-    if args.suite == "subquiver":
-        report = verify_subquiver_calculus(spec, cases=args.cases or 500)
-    elif args.suite == "epi":
-        report = verify_convex_epi(spec, cases=args.cases or 200, cutoff=args.cutoff or 6)
-    elif args.suite == "heart":
-        report = verify_heart_theorem(spec, cases=args.cases or 100, cutoff=args.cutoff)
-    elif args.suite == "ext":
-        report = verify_ext_cross(spec, cases=args.cases or 100, cutoff=args.cutoff or 3)
-    else:
-        raise InputError(f"unknown suite {args.suite!r}")
+    suite = {
+        "subquiver": verify_subquiver_calculus,
+        "epi": verify_convex_epi,
+        "heart": verify_heart_theorem,
+        "ext": verify_ext_cross,
+    }[args.suite]
+    # unset options fall back to the suite's own defaults
+    kwargs = {} if args.cases is None else {"cases": args.cases}
+    if args.cutoff is not None and args.suite != "subquiver":
+        kwargs["cutoff"] = args.cutoff
+    report = suite(InstanceSpec(seed=args.seed), **kwargs)
     sys.stdout.write(report.render())
     return 0 if report.all_passed else 1
 

@@ -19,13 +19,29 @@ from .errors import InputError
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; the first 12 prime bases decide p < 3.3e24."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= 33 * 10**23:
+        raise InputError(f"field order {p} is too large (the limit is 3.3e24)")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for b in bases:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

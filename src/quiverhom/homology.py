@@ -14,7 +14,9 @@ by the generators of P.  Everything is exact arithmetic over the base field.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
@@ -203,6 +205,18 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     return CoverStep(mults, term, info, cover, syz, incl, minimal)
 
 
+def cover_steps(m: Representation) -> Iterator[CoverStep]:
+    """The cover steps of m, of its first syzygy, of its second, and so on.
+
+    Lazy and endless: each step is computed only when it is asked for, so
+    callers take exactly as many as they need.
+    """
+    while True:
+        step = projective_cover_and_syzygy(m)
+        yield step
+        m = step.syzygy
+
+
 def is_projective_module(m: Representation) -> bool:
     """A module is projective exactly when its cover has zero syzygy."""
     return projective_cover_and_syzygy(m).syzygy.is_zero
@@ -276,38 +290,21 @@ def resolution(m: Representation, k: int, direction: str = "projective") -> Reso
         return _injective_resolution(m, k)
     if direction != "projective":
         raise InputError(f"unknown resolution direction {direction!r}")
-    terms = []
-    reps = []
-    infos = []
-    diffs = []
-    syzygies = []
-    minimal = True
-    prev_incl: ModuleMap | None = None
-    cur = m
-    for _ in range(k + 1):
-        step = projective_cover_and_syzygy(cur)
-        terms.append(step.mults)
-        reps.append(step.term)
-        infos.append(step.info)
-        if prev_incl is None:
-            diffs.append(step.cover)
-        else:
-            diffs.append(step.cover.compose(prev_incl))
-        syzygies.append(step.syzygy)
-        minimal = minimal and step.minimal
-        prev_incl = step.syzygy_inclusion
-        cur = step.syzygy
-    exact = _certify_exact(m, reps, diffs)
+    steps = list(islice(cover_steps(m), k + 1))
+    diffs = [steps[0].cover]
+    for prev, step in zip(steps, steps[1:]):
+        diffs.append(step.cover.compose(prev.syzygy_inclusion))
+    reps = tuple(step.term for step in steps)
     return ResolutionPrefix(
         "projective",
         m,
-        tuple(terms),
-        tuple(reps),
+        tuple(step.mults for step in steps),
+        reps,
         tuple(diffs),
-        tuple(syzygies),
-        tuple(infos),
-        minimal,
-        exact,
+        tuple(step.syzygy for step in steps),
+        tuple(step.info for step in steps),
+        all(step.minimal for step in steps),
+        _certify_exact(m, reps, diffs),
     )
 
 
@@ -468,12 +465,9 @@ def proj_dim(m: Representation, cutoff: int) -> DimBound:
         raise InputError("cutoff must be nonnegative")
     if m.is_zero:
         return DimBound.finite(-1)
-    cur = m
-    for depth in range(cutoff + 1):
-        step = projective_cover_and_syzygy(cur)
+    for depth, step in enumerate(islice(cover_steps(m), cutoff + 1)):
         if step.syzygy.is_zero:
             return DimBound.finite(depth)
-        cur = step.syzygy
     return DimBound.at_least(cutoff)
 
 

@@ -5,10 +5,14 @@ checks per instance, and aggregates a deterministic report: attempted and
 passed counts plus one witness per failed check.  A witness records the
 integer seed that regenerates the exact instance, so every failure replays.
 
-Instance generation is work-bounded: a candidate whose resolutions would
-grow past the width cap is skipped deterministically and the next derived
-seed is tried, keeping suite runtimes at desk scale without touching the
-mathematical content of the checks.
+Instance generation is work-bounded.  The suites that need an algebra share
+one admission loop, ``_admit``: per attempt it derives a seed, generates a
+quiver and an ideal (small ones after half the attempts), builds the
+algebra and drops it past the dimension cap, then lets the suite draw its
+modules and gate them.  A candidate whose resolutions would grow past the
+width cap is skipped deterministically and the next derived seed is tried,
+keeping suite runtimes at desk scale without touching the mathematical
+content of the checks.
 """
 
 from __future__ import annotations
@@ -28,16 +32,16 @@ from .algebra import (
     triangular_blocks,
     verify_convex_isos,
 )
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 from .fields import QQ
 from .homology import (
     check_term_reachability,
+    cover_steps,
     ext_dims,
     gl_dim,
     heart_shift_pair,
     is_projective_module,
     materialize_term,
-    projective_cover_and_syzygy,
     resolution,
     transport_resolution,
 )
@@ -209,18 +213,45 @@ def gen_instance(spec: InstanceSpec):
 
 
 def _widths_ok(m: Representation, depth: int, cap: int = WIDTH_CAP) -> bool:
-    """True when the syzygy chain stays within the width cap to this depth."""
-    cur = m
-    for _ in range(depth):
-        if cur.total_dim > cap:
-            return False
-        step = projective_cover_and_syzygy(cur)
+    """True when the syzygy chain stays within the width cap to this depth.
+
+    Each syzygy is a submodule of its term, so capping m and every term
+    caps the syzygies too.
+    """
+    if m.total_dim > cap:
+        return False
+    for _, step in zip(range(depth), cover_steps(m)):
         if step.term.total_dim > cap:
             return False
-        cur = step.syzygy
-        if cur.is_zero:
-            return True
-    return cur.total_dim <= cap
+        if step.syzygy.is_zero:
+            break
+    return True
+
+
+def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
+    """The attempt loop shared by the suites that need an algebra.
+
+    Each attempt derives its seed, switches to small quivers after half the
+    attempts, generates a quiver and an ideal, builds the algebra and drops
+    it past ALGEBRA_DIM_CAP.  Then draw(rng, q, ideal, lam) draws the rest of
+    the instance and gates it, returning None to retry.  Returns
+    (seed, q, ideal, lam, what draw returned).
+    """
+    for attempt in range(MAX_ATTEMPTS):
+        seed = _derive(spec.seed, idx, attempt)
+        rng = random.Random(seed)
+        small = attempt >= MAX_ATTEMPTS // 2
+        maxv = 3 if small else spec.max_vertices
+        maxa = 4 if small else spec.max_arrows
+        q = _gen_quiver(rng, maxv, maxa)
+        ideal = _gen_ideal(rng, q, spec.relation_style, spec.truncation_bound)
+        lam = build_algebra(q, ideal, QQ)
+        if lam.dim > ALGEBRA_DIM_CAP:
+            continue
+        drawn = draw(rng, q, ideal, lam)
+        if drawn is not None:
+            return seed, q, ideal, lam, drawn
+    raise InvariantViolation(f"no admissible {kind} instance for case {idx}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +259,8 @@ def _widths_ok(m: Representation, depth: int, cap: int = WIDTH_CAP) -> bool:
 
 
 def _run_suite(name: str, spec: InstanceSpec, cases: int, case_fn) -> SuiteReport:
+    if cases < 0:
+        raise InputError(f"case count must be nonnegative, got {cases}")
     witnesses: list[Witness] = []
     passed = 0
     for idx in range(cases):
@@ -350,7 +383,7 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
     left projectivity of the quotient when the plus closure is everything.
     """
     if cutoff < 2:
-        raise InvariantViolation("epi suite cutoff must be at least 2")
+        raise InputError("epi suite cutoff must be at least 2")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _epi_case(spec, idx, cutoff)
@@ -360,16 +393,8 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
 
 def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
     mbound = min(spec.module_size_bound, 6)
-    for attempt in range(MAX_ATTEMPTS):
-        seed = _derive(spec.seed, idx, attempt)
-        rng = random.Random(seed)
-        maxv = spec.max_vertices if attempt < MAX_ATTEMPTS // 2 else 3
-        maxa = spec.max_arrows if attempt < MAX_ATTEMPTS // 2 else 4
-        q = _gen_quiver(rng, maxv, maxa)
-        ideal = _gen_ideal(rng, q, spec.relation_style, spec.truncation_bound)
-        lam = build_algebra(q, ideal, QQ)
-        if lam.dim > ALGEBRA_DIM_CAP:
-            continue
+
+    def draw(rng, q, ideal, lam):
         k = rng.randint(1, max(1, len(q.vertices) // 2))
         seeds = rng.sample(list(q.vertices), k)
         sub = q.convex_closure(seeds)
@@ -377,14 +402,14 @@ def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
         m = _gen_module(rng, gamma, mbound)
         n = _gen_module(rng, gamma, mbound)
         if not _widths_ok(m, cutoff + 2):
-            continue
+            return None
         mi = inflate(m, lam)
         ni = inflate(n, lam)
         if not _widths_ok(mi, cutoff + 2):
-            continue
-        break
-    else:
-        raise InvariantViolation(f"no admissible epi instance for case {idx}")
+            return None
+        return sub, m, n, mi, ni
+
+    seed, q, ideal, lam, (sub, m, n, mi, ni) = _admit(spec, idx, "epi", draw)
     ck = _CaseChecks(seed)
     ck.require("closure_convex", q.is_convex(sub))
     table_g = ext_dims(m, n, cutoff)
@@ -426,43 +451,30 @@ def verify_heart_theorem(
 
 def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witness]:
     mbound = min(spec.module_size_bound, 6)
-    for attempt in range(MAX_ATTEMPTS):
-        seed = _derive(spec.seed, idx, attempt)
-        rng = random.Random(seed)
-        maxv = spec.max_vertices if attempt < MAX_ATTEMPTS // 2 else 3
-        maxa = spec.max_arrows if attempt < MAX_ATTEMPTS // 2 else 4
-        q = _gen_quiver(rng, maxv, maxa)
-        ideal = _gen_ideal(rng, q, spec.relation_style, spec.truncation_bound)
-        lam = build_algebra(q, ideal, QQ)
-        if lam.dim > ALGEBRA_DIM_CAP:
-            continue
+
+    def draw(rng, q, ideal, lam):
         hp = q.homological_heart()
         t = hp.t
         m = _gen_module(rng, lam, mbound)
         n = _gen_module(rng, lam, mbound)
         if hp.heart.is_empty:
-            if not _widths_ok(m, t + 4):
-                continue
-            return _heart_case_acyclic(seed, q, ideal, lam, t, m, n)
+            return (hp, None, m, n) if _widths_ok(m, t + 4) else None
         if t > 2:
-            continue
+            return None
         lmax = 2 * t + 6 if cutoff is None else min(cutoff, 2 * t + 6)
         if lmax < 2 * t + 3:
-            raise InvariantViolation("heart suite cutoff must reach 2t+3")
-        if not _widths_ok(m, lmax + 1):
-            continue
-        if not _widths_ok(dual_module(n), t + 4):
-            continue
-        simple_ok = True
-        for v in lam.vertices:
-            if not _widths_ok(standard_module(lam, "simple", v), 7):
-                simple_ok = False
-                break
-        if not simple_ok:
-            continue
-        break
-    else:
-        raise InvariantViolation(f"no admissible heart instance for case {idx}")
+            raise InputError("heart suite cutoff must reach 2t+3")
+        admitted = (
+            _widths_ok(m, lmax + 1)
+            and _widths_ok(dual_module(n), t + 4)
+            and all(_widths_ok(standard_module(lam, "simple", v), 7) for v in lam.vertices)
+        )
+        return (hp, lmax, m, n) if admitted else None
+
+    seed, q, ideal, lam, (hp, lmax, m, n) = _admit(spec, idx, "heart", draw)
+    t = hp.t
+    if hp.heart.is_empty:
+        return _heart_case_acyclic(seed, q, ideal, lam, t, m, n)
     ck = _CaseChecks(seed)
     heart_set = set(hp.heart.vertex_set)
     split = IdempotentSplit.from_heart(q, hp.heart)
@@ -566,25 +578,15 @@ def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> S
 
 def _ext_cross_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
     mbound = min(spec.module_size_bound, 6)
-    for attempt in range(MAX_ATTEMPTS):
-        seed = _derive(spec.seed, idx, attempt)
-        rng = random.Random(seed)
-        maxv = spec.max_vertices if attempt < MAX_ATTEMPTS // 2 else 3
-        maxa = spec.max_arrows if attempt < MAX_ATTEMPTS // 2 else 4
-        q = _gen_quiver(rng, maxv, maxa)
-        ideal = _gen_ideal(rng, q, spec.relation_style, spec.truncation_bound)
-        lam = build_algebra(q, ideal, QQ)
-        if lam.dim > ALGEBRA_DIM_CAP:
-            continue
+
+    def draw(rng, q, ideal, lam):
         m = _gen_module(rng, lam, mbound)
         n = _gen_module(rng, lam, mbound)
-        if not _widths_ok(m, cutoff + 2):
-            continue
-        if not _widths_ok(dual_module(n), cutoff + 2):
-            continue
-        break
-    else:
-        raise InvariantViolation(f"no admissible ext-cross instance for case {idx}")
+        if _widths_ok(m, cutoff + 2) and _widths_ok(dual_module(n), cutoff + 2):
+            return m, n
+        return None
+
+    seed, _, _, _, (m, n) = _admit(spec, idx, "ext-cross", draw)
     ck = _CaseChecks(seed)
     t_proj = ext_dims(m, n, cutoff, side="projective")
     t_inj = ext_dims(m, n, cutoff, side="injective")
@@ -648,18 +650,6 @@ class DecompositionTree:
         return "\n".join(lines) + "\n"
 
 
-def _is_simple_cycle_quiver(q: Quiver) -> bool:
-    if not q.vertices or len(q.arrows) != len(q.vertices):
-        return False
-    outs = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        outs[a.source] += 1
-    if any(c != 1 for c in outs.values()):
-        return False
-    rep = q.components()
-    return len(rep.components) == 1
-
-
 def decompose(q: Quiver, ideal: IdealSpec, field=QQ) -> DecompositionTree:
     """Peel path-connected blocks off the heart, one triangular split at a time.
 
@@ -690,9 +680,8 @@ def _decompose_stage(q: Quiver, ideal: IdealSpec, field, blocks: list[Block]) ->
     if tb.dim_eprime_e != 0:
         raise InvariantViolation("claimed source block admits incoming paths")
     corner = corner_algebra(heart_alg, split)
-    block = Block(
-        hq.sort_vertices(source), corner.dim, _is_simple_cycle_quiver(sub.as_quiver())
-    )
+    # the source is a nontrivial strongly connected component of hq
+    block = Block(hq.sort_vertices(source), corner.dim, hq._is_simple_cycle(source))
     blocks.append(block)
     rest = hq.full_subquiver(frozenset(hp.heart.vertex_set) - source)
     rest_alg = restricted_algebra(hq, heart_alg.ideal, rest, field)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import PrimeField, Rationals
+from .fields import Rationals
 
 
 def zeros(nrows: int, ncols: int, field) -> list[list]:
@@ -140,6 +140,7 @@ def _rref_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
 
 
 def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    # entries may be ints or Fractions: both carry numerator and denominator
     work = []
     for row in rows:
         den = 1
@@ -195,37 +196,6 @@ def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]
     return [r for r in rows if any(r)], pivots
 
 
-def _rref_generic(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
-    rows = [list(r) for r in rows]
-    rows = [r for r in rows if not all(field.is_zero(v) for v in r)]
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        best = -1
-        for i in range(r, m):
-            if not field.is_zero(rows[i][c]):
-                best = i
-                break
-        if best < 0:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        prow = rows[r]
-        for i in range(m):
-            if i == r:
-                continue
-            q = rows[i][c]
-            if not field.is_zero(q):
-                rows[i] = [field.sub(x, field.mul(q, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return [row for row in rows if not all(field.is_zero(v) for v in row)], pivots
-
-
 def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     """Canonical reduced row echelon form.
 
@@ -234,10 +204,8 @@ def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     output is a canonical basis of the row space.
     """
     if isinstance(field, Rationals):
-        return _rref_over_q([[Fraction(x) for x in r] for r in rows], ncols)
-    if isinstance(field, PrimeField):
-        return _rref_mod(rows, ncols, field.p)
-    return _rref_generic(rows, ncols, field)
+        return _rref_over_q(rows, ncols)
+    return _rref_mod(rows, ncols, field.p)
 
 
 def rank(rows: list[list], ncols: int, field) -> int:
@@ -281,7 +249,8 @@ class RowSpace:
 
     Reduction tracks how each echelon row was built from the original rows,
     so ``coords`` expresses a member as a combination of the rows passed in,
-    and ``kernel`` is the left kernel of the original matrix.
+    and ``kernel`` is the canonical echelon basis of the left kernel of the
+    original matrix, with its pivot columns in ``kernel_pivots``.
     """
 
     def __init__(self, rows: list[list], ncols: int, field):
@@ -299,6 +268,7 @@ class RowSpace:
         self.transform: list[list] = []
         self.kernel: list[list] = []
         self.pivots: list[int] = []
+        self.kernel_pivots: list[int] = []
         for row, c in zip(echelon, pivots):
             if c < ncols:
                 self.basis.append(row[:ncols])
@@ -306,6 +276,7 @@ class RowSpace:
                 self.pivots.append(c)
             else:
                 self.kernel.append(row[ncols:])
+                self.kernel_pivots.append(c - ncols)
 
     @property
     def dim(self) -> int:

@@ -312,26 +312,39 @@ def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation
     """Representation structure on a submodule, with its inclusion map.
 
     The rows must already span a submodule (closed under the arrow actions);
-    a violation surfaces as a coordinate solve failure.
+    an arrow image that leaves a nonzero remainder modulo the target's
+    echelon basis raises ModuleValidationError.
     """
-    q = rep.algebra.quiver
     F = rep.field
-    bases = _canonical(rep, rows_by_vertex)
-    spaces = {v: linalg.RowSpace(bases[v], rep.dims[v], F) for v in q.vertices}
-    dims = {v: len(bases[v]) for v in q.vertices}
+    echelons = {
+        v: linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
+        for v in rep.algebra.quiver.vertices
+    }
+    return _embed_echelon(rep, echelons)
+
+
+def _embed_echelon(rep: Representation, echelons) -> tuple[Representation, ModuleMap]:
+    """embed_submodule for per-vertex (rref basis, pivots) pairs.
+
+    Basis rows have unit pivots and zeros in the other pivot columns, so the
+    coordinates of a member are its entries at the pivot columns.
+    """
+    F = rep.field
     mats = {}
-    for a in q.arrows:
+    for a in rep.algebra.quiver.arrows:
+        basis, pivots = echelons[a.target]
         mat = []
-        for row in bases[a.source]:
+        for row in echelons[a.source][0]:
             img = linalg.vec_mat(row, rep.mats[a.name], rep.dims[a.target], F)
-            co = spaces[a.target].coords(img)
-            if co is None:
+            rest = linalg.reduce_mod_rowspace(img, basis, pivots, F)
+            if any(not F.is_zero(x) for x in rest):
                 raise ModuleValidationError(
                     f"rows are not arrow-stable at {a.name!r}; not a submodule"
                 )
-            mat.append(co)
+            mat.append([img[c] for c in pivots])
         mats[a.name] = mat
-    sub = Representation(rep.algebra, dims, mats, validate=False)
+    bases = {v: basis for v, (basis, _) in echelons.items()}
+    sub = Representation(rep.algebra, {v: len(b) for v, b in bases.items()}, mats, validate=False)
     incl = ModuleMap(sub, rep, bases, validate=False)
     return sub, incl
 
@@ -375,13 +388,17 @@ def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Represen
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Kernel of a module map as an embedded submodule of the source."""
+    """Kernel of a module map as an embedded submodule of the source.
+
+    One elimination of [block | I] per vertex yields the kernel's canonical
+    echelon basis together with its pivots.
+    """
     F = f.field
-    rows = {
-        v: linalg.left_kernel(f.blocks[v], f.target.dims[v], F)
-        for v in f.source.algebra.quiver.vertices
-    }
-    return embed_submodule(f.source, rows)
+    echelons = {}
+    for v in f.source.algebra.quiver.vertices:
+        space = linalg.RowSpace(f.blocks[v], f.target.dims[v], F)
+        echelons[v] = (space.kernel, space.kernel_pivots)
+    return _embed_echelon(f.source, echelons)
 
 
 def image_of_map(f: ModuleMap) -> dict[str, list[list]]:

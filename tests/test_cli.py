@@ -193,3 +193,32 @@ def test_bad_flag_exits_two(ws):
 
 def test_bad_field_descriptor_is_input_error(ws, capsys):
     assert cli.main(["algebra", ws, "--field", "p:6"]) == 2
+
+
+def test_verify_zero_cases_is_not_replaced_by_default(capsys):
+    assert cli.main(["verify", "subquiver", "--cases", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "cases 0" in out
+    assert "passed 0" in out
+
+
+def test_verify_negative_cases_is_input_error(capsys):
+    assert cli.main(["verify", "epi", "--cases", "-5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_epi_cutoff_below_two_is_input_error(capsys):
+    # --cutoff 0 used to fall back to the default 6
+    for cutoff in ("0", "1"):
+        assert cli.main(["verify", "epi", "--cases", "1", "--cutoff", cutoff]) == 2
+        assert "cutoff must be at least 2" in capsys.readouterr().err
+
+
+def test_verify_heart_cutoff_below_window_is_input_error(capsys):
+    assert cli.main(["verify", "heart", "--cases", "1", "--cutoff", "2"]) == 2
+    assert "cutoff must reach 2t+3" in capsys.readouterr().err
+
+
+def test_field_order_past_primality_bound_is_input_error(ws, capsys):
+    assert cli.main(["algebra", ws, "--field", f"p:{33 * 10**23 + 1}"]) == 2
+    assert "too large" in capsys.readouterr().err

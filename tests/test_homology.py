@@ -15,6 +15,7 @@ from quiverhom import (
     IdealSpec,
     IdempotentSplit,
     InputError,
+    PrimeField,
     Quiver,
     build_algebra,
     check_term_reachability,
@@ -63,6 +64,17 @@ def test_cycle_tail_periodic_resolution(cycle_tail_algebra):
     assert res.syzygy(2).dims == s1.dims
     assert proj_dim(s1, 10) == DimBound.at_least(10)
     assert gl_dim(cycle_tail_algebra, 8) == DimBound.at_least(8)
+
+
+def test_cycle_tail_resolution_terms_agree_over_gf3(
+    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra
+):
+    gf3 = build_algebra(cycle_tail_quiver, cycle_tail_ideal, PrimeField(3))
+    for v in cycle_tail_algebra.vertices:
+        over_q = resolution(standard_module(cycle_tail_algebra, "simple", v), 6)
+        over_3 = resolution(standard_module(gf3, "simple", v), 6)
+        assert over_3.minimal and over_3.exact
+        assert over_3.terms == over_q.terms
 
 
 def test_injective_coresolution_mirrors_projective(cycle_tail_algebra):

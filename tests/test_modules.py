@@ -6,8 +6,10 @@ arguments, kernels and images obey rank-nullity vertexwise.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverhom import (
     QQ,
@@ -17,6 +19,7 @@ from quiverhom import (
     InputError,
     ModuleMap,
     ModuleValidationError,
+    PrimeField,
     Quiver,
     Representation,
     build_algebra,
@@ -41,7 +44,8 @@ from quiverhom import (
     trace_submodule,
     zero_module,
 )
-from quiverhom.homology import materialize_term
+from quiverhom import linalg
+from quiverhom.homology import materialize_term, projective_cover_and_syzygy
 
 
 def random_module(rng, alg, bound=8):
@@ -60,7 +64,7 @@ def random_module(rng, alg, bound=8):
     rows = {}
     for v in alg.vertices:
         if term.dims[v] and rng.random() < 0.5:
-            rows[v] = [[QQ.of(rng.randint(-2, 2)) for _ in range(term.dims[v])]]
+            rows[v] = [[alg.field.of(rng.randint(-2, 2)) for _ in range(term.dims[v])]]
     quot, _ = quotient_by_submodule(term, submodule_closure(term, rows))
     return quot
 
@@ -184,6 +188,63 @@ def test_kernel_image_rank_nullity(cycle_tail_algebra):
     for v in cycle_tail_algebra.vertices:
         assert ker.dims[v] + img.dims[v] == p1.dims[v]
     assert img.equal_to(m) or img.dims == m.dims
+
+
+GF5 = PrimeField(5)
+
+# (vertices, arrows, relations, truncation): a cycle with a tail, and a
+# square whose two paths are tied by a non-monomial relation
+KERNEL_PRESENTATIONS = (
+    (
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "3"), ("d", "3", "4")],
+        (((1, ("a", "b")),), ((1, ("b", "a")),)),
+        4,
+    ),
+    (
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+        (((1, ("a", "b")), (-2, ("c", "d"))),),
+        3,
+    ),
+)
+
+
+@lru_cache(maxsize=None)
+def kernel_test_algebra(which, field):
+    vertices, arrows, relations, truncation = KERNEL_PRESENTATIONS[which]
+    return build_algebra(
+        Quiver.build(vertices, arrows), IdealSpec(relations, truncation), field
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, GF5]), st.integers(0, 1), st.integers(0, 2**32))
+def test_kernel_of_map_matches_left_kernel(F, which, seed):
+    rng = random.Random(seed)
+    alg = kernel_test_algebra(which, F)
+    m = random_module(rng, alg)
+    n = random_module(rng, alg)
+    blocks = {v: linalg.zeros(m.dims[v], n.dims[v], F) for v in alg.vertices}
+    for h in hom_basis(m, n):
+        c = F.of(rng.randint(-2, 2))
+        for v in alg.vertices:
+            blocks[v] = linalg.mat_add(blocks[v], linalg.mat_scale(c, h.blocks[v], F), F)
+    maps = [ModuleMap(m, n, blocks), projective_cover_and_syzygy(m).cover]
+    for f in maps:
+        ker, incl = kernel_of_map(f)
+        for v in alg.vertices:
+            assert incl.blocks[v] == linalg.left_kernel(f.blocks[v], f.target.dims[v], F)
+            assert ker.dims[v] == len(incl.blocks[v])
+        incl.validate()
+        assert incl.compose(f).is_zero
+
+
+def test_embed_submodule_rejects_rows_that_are_not_arrow_stable(cycle_tail_algebra):
+    p1 = standard_module(cycle_tail_algebra, "projective", "1")
+    # the top of P_1 alone: arrow a sends it to vertex 2, where no rows are given
+    with pytest.raises(ModuleValidationError, match="not arrow-stable at 'a'"):
+        embed_submodule(p1, {"1": linalg.identity(p1.dims["1"], QQ)})
 
 
 def test_structure_parts_shapes(cycle_tail_algebra):
