@@ -19,12 +19,15 @@ from .errors import InputError
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; the first 12 prime bases decide p < 3.3e24."""
+    """Deterministic Miller-Rabin; valid only for ``p < 3.3e24``.
+
+    The first 13 prime bases (2 to 41) decide every ``p`` below
+    3317044064679887385961981; 12 bases would not, as
+    318665857834031151167461 is a strong pseudoprime to all of 2 to 37.
+    """
     if p < 2:
         return False
-    if p >= 33 * 10**23:
-        raise InputError(f"field order {p} is too large (the limit is 3.3e24)")
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for b in bases:
         if p % b == 0:
             return p == b
@@ -103,6 +106,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= 33 * 10**23:
+            raise InputError(f"field order {self.p} is too large (the limit is 3.3e24)")
         if not _is_prime(self.p):
             raise InputError(f"field order {self.p} is not prime")
 

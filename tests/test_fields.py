@@ -1,7 +1,8 @@
 """Coefficient fields: the primality test behind PrimeField.
 
 Miller-Rabin is checked against trial division on small orders, on a large
-Mersenne prime, and on a strong pseudoprime to the first four prime bases.
+Mersenne prime, and on strong pseudoprimes to the first four and to the first
+twelve prime bases.
 """
 
 import time
@@ -33,6 +34,14 @@ def test_strong_pseudoprime_is_rejected():
     assert 151 * 751 * 28351 == 3215031751
     with pytest.raises(InputError, match="not prime"):
         PrimeField(3215031751)
+
+
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_rejected():
+    # psi_12: a strong pseudoprime to every base from 2 to 37, below 3.3e24
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    with pytest.raises(InputError, match="not prime"):
+        PrimeField(n)
 
 
 def test_order_past_the_deterministic_bound_is_input_error():
