@@ -13,8 +13,9 @@ Derived constructions:
   idempotent, computed by linear closure, not path inspection;
 * restricted algebra: the path algebra of a full subquiver modulo the
   intersection of the ideal with it (echelon intersection);
-* opposite algebra, re-presented over the reversed quiver so that module
-  machinery works on it unchanged.
+* opposite algebra: the same basis with paths reversed and the product
+  table transposed; a presented algebra's opposite also carries the
+  reversed quiver and relations, so module machinery works on it unchanged.
 
 Elements of an algebra are sparse dicts mapping basis index to coefficient.
 Vectors handed to the linear algebra layer are dense lists in basis order.
@@ -304,9 +305,6 @@ class FiniteDimAlgebra:
             vec[i] = c
         return vec
 
-    def sparse(self, vec) -> dict[int, object]:
-        return {i: c for i, c in enumerate(vec) if not self.field.is_zero(c)}
-
     def eq(self, x: dict[int, object], y: dict[int, object]) -> bool:
         F = self.field
         keys = set(x) | set(y)
@@ -468,19 +466,24 @@ def restricted_algebra(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
 
 
 def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """The opposite algebra; presented inputs are re-presented over the
-    reversed quiver (same vertex and arrow names) so modules work on both.
+    """The opposite algebra: basis paths reversed, product table transposed.
+
+    Basis element i of the opposite is basis element i of alg, so x_i * x_j
+    in the opposite is x_j * x_i in alg.  A presented algebra's opposite is
+    presented over the reversed quiver (same vertex and arrow names) by the
+    reversed relations, so modules work on both.
     """
-    if alg.is_presented:
-        q = alg.quiver
-        op_q = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
-        return build_algebra(op_q, alg.ideal.opposite(), alg.field)
     elements = tuple(
         Path(el.target, tuple(reversed(el.arrows)), el.source) for el in alg.elements
     )
     d = alg.dim
     table = tuple(tuple(alg.table[j][i] for j in range(d)) for i in range(d))
-    out = FiniteDimAlgebra(alg.field, alg.vertices, elements, table)
+    op_q = op_ideal = None
+    if alg.is_presented:
+        q = alg.quiver
+        op_q = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
+        op_ideal = alg.ideal.opposite()
+    out = FiniteDimAlgebra(alg.field, alg.vertices, elements, table, op_q, op_ideal)
     out.parent = alg.parent
     out.parent_indices = alg.parent_indices
     return out

@@ -162,7 +162,7 @@ class PrimeField:
     def parse(self, text: str) -> int:
         try:
             return self.of(Fraction(text))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad field literal {text!r}") from exc
 
     def to_str(self, a) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 from . import linalg
@@ -24,14 +25,15 @@ from .errors import InputError, InvariantViolation
 from .modules import (
     ModuleMap,
     Representation,
-    _arrow_element_index,
+    TermInfo,
     dual_map,
     dual_module,
-    get_opposite,
     heart_parts,
     largest_submodule_supported,
     kernel_of_map,
+    materialize_term,
     quotient_with_section,
+    radical_rows,
     restrict,
 )
 
@@ -60,21 +62,7 @@ class DimBound:
 
 
 # ---------------------------------------------------------------------------
-# sums of indecomposable projectives, with generator bookkeeping
-
-
-@dataclass(frozen=True)
-class TermInfo:
-    """Basis bookkeeping for a finite sum of indecomposable projectives.
-
-    generators lists (vertex, copy) pairs in vertex order; basis maps each
-    vertex w to the (generator index, algebra element index) pairs that make
-    up the component there; gen_pos locates each generator's unit vector.
-    """
-
-    generators: tuple[tuple[str, int], ...]
-    basis: dict[str, tuple[tuple[int, int], ...]]
-    gen_pos: tuple[tuple[str, int], ...]
+# projective covers and syzygies
 
 
 def term_label(alg: FiniteDimAlgebra, mults: dict[str, int]) -> str:
@@ -86,53 +74,6 @@ def term_label(alg: FiniteDimAlgebra, mults: dict[str, int]) -> str:
         elif m > 1:
             parts.append(f"P_{v}^{m}")
     return " + ".join(parts) if parts else "0"
-
-
-def materialize_term(
-    alg: FiniteDimAlgebra, mults: dict[str, int]
-) -> tuple[Representation, TermInfo]:
-    """Build the sum of projectives P_v^{mults[v]} with explicit bookkeeping."""
-    q = alg.quiver
-    F = alg.field
-    for v in mults:
-        if v not in alg.idempotent_index:
-            raise InputError(f"unknown vertex id {v!r} in projective term")
-    generators = []
-    for v in alg.vertices:
-        for c in range(mults.get(v, 0)):
-            generators.append((v, c))
-    by_source: dict[str, list[int]] = {v: [] for v in q.vertices}
-    for i, el in enumerate(alg.elements):
-        by_source[el.source].append(i)
-    basis: dict[str, list[tuple[int, int]]] = {w: [] for w in q.vertices}
-    for g, (v, _) in enumerate(generators):
-        for i in by_source[v]:
-            basis[alg.elements[i].target].append((g, i))
-    pos = {w: {pair: p for p, pair in enumerate(basis[w])} for w in q.vertices}
-    dims = {w: len(basis[w]) for w in q.vertices}
-    gen_pos = []
-    for g, (v, _) in enumerate(generators):
-        unit = alg.idempotent_index[v]
-        gen_pos.append((v, pos[v][(g, unit)]))
-    mats = {}
-    for a in q.arrows:
-        j = _arrow_element_index(alg, a.name)
-        mat = linalg.zeros(dims[a.source], dims[a.target], F)
-        for p, (g, i) in enumerate(basis[a.source]):
-            for k, c in alg.table[i][j]:
-                mat[p][pos[a.target][(g, k)]] = c
-        mats[a.name] = mat
-    rep = Representation(alg, dims, mats, validate=False)
-    info = TermInfo(
-        tuple(generators),
-        {w: tuple(rows) for w, rows in basis.items()},
-        tuple(gen_pos),
-    )
-    return rep, info
-
-
-# ---------------------------------------------------------------------------
-# projective covers and syzygies
 
 
 @dataclass(frozen=True)
@@ -159,9 +100,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     alg = m.algebra
     q = alg.quiver
     F = m.field
-    rad_rows: dict[str, list[list]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        rad_rows[a.target].extend(m.mats[a.name])
+    rad_rows = radical_rows(m)
     mults: dict[str, int] = {}
     lifts: dict[str, list[int]] = {}
     for v in q.vertices:
@@ -171,15 +110,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
         mults[v] = len(free)
         lifts[v] = free
     term, info = materialize_term(alg, mults)
-    elt_cache: dict[int, list[list]] = {}
-
-    def elt_matrix(i: int) -> list[list]:
-        got = elt_cache.get(i)
-        if got is None:
-            got = m.element_matrix(i)
-            elt_cache[i] = got
-        return got
-
+    elt_matrix = cache(m.element_matrix)
     copy_col: dict[tuple[str, int], int] = {}
     for v in q.vertices:
         for c, j in enumerate(lifts[v]):
@@ -404,15 +335,7 @@ def ext_dims(
 def _ext_dims_projective(m: Representation, n: Representation, k: int) -> tuple[int, ...]:
     res = resolution(m, k + 1, "projective")
     F = m.field
-    elt_cache: dict[int, list[list]] = {}
-
-    def act(i: int) -> list[list]:
-        got = elt_cache.get(i)
-        if got is None:
-            got = n.element_matrix(i)
-            elt_cache[i] = got
-        return got
-
+    act = cache(n.element_matrix)
     hom_dims = []
     offsets: list[list[int]] = []
     for info in res.infos:
@@ -561,9 +484,7 @@ def transport_resolution(
     minimal = True
     for i in range(1, k + 1):
         target = r_quots[i]
-        rad_rows: dict[str, list[list]] = {v: [] for v in g_vertices}
-        for arr in gamma.quiver.arrows:
-            rad_rows[arr.target].extend(target.mats[arr.name])
+        rad_rows = radical_rows(target)
         for v in g_vertices:
             space = linalg.RowSpace(rad_rows[v], target.dims[v], F)
             for row in r_diffs[i].blocks[v]:

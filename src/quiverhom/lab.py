@@ -26,7 +26,6 @@ from .algebra import (
     IdealSpec,
     IdempotentSplit,
     build_algebra,
-    corner_algebra,
     quotient_by_idempotent,
     restricted_algebra,
     triangular_blocks,
@@ -41,7 +40,6 @@ from .homology import (
     gl_dim,
     heart_shift_pair,
     is_projective_module,
-    materialize_term,
     resolution,
     transport_resolution,
 )
@@ -51,6 +49,7 @@ from .modules import (
     heart_parts,
     inflate,
     left_module_over_opposite,
+    materialize_term,
     quotient_by_submodule,
     standard_module,
     submodule_closure,
@@ -78,11 +77,11 @@ class InstanceSpec:
 
     def __post_init__(self):
         if self.max_vertices < 1 or self.max_arrows < 0:
-            raise InvariantViolation("instance bounds must be positive")
+            raise InputError("instance bounds must be positive")
         if self.relation_style not in ("monomial", "mixed"):
-            raise InvariantViolation(f"unknown relation style {self.relation_style!r}")
+            raise InputError(f"unknown relation style {self.relation_style!r}")
         if self.truncation_bound < 2 or self.module_size_bound < 1:
-            raise InvariantViolation("instance bounds must be positive")
+            raise InputError("instance bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -212,16 +211,16 @@ def gen_instance(spec: InstanceSpec):
     return q, ideal, mods
 
 
-def _widths_ok(m: Representation, depth: int, cap: int = WIDTH_CAP) -> bool:
+def _widths_ok(m: Representation, depth: int) -> bool:
     """True when the syzygy chain stays within the width cap to this depth.
 
     Each syzygy is a submodule of its term, so capping m and every term
     caps the syzygies too.
     """
-    if m.total_dim > cap:
+    if m.total_dim > WIDTH_CAP:
         return False
     for _, step in zip(range(depth), cover_steps(m)):
-        if step.term.total_dim > cap:
+        if step.term.total_dim > WIDTH_CAP:
             return False
         if step.syzygy.is_zero:
             break
@@ -679,9 +678,9 @@ def _decompose_stage(q: Quiver, ideal: IdealSpec, field, blocks: list[Block]) ->
     tb = triangular_blocks(heart_alg, split)
     if tb.dim_eprime_e != 0:
         raise InvariantViolation("claimed source block admits incoming paths")
-    corner = corner_algebra(heart_alg, split)
+    # the corner eAe is spanned by the basis elements with both ends in e;
     # the source is a nontrivial strongly connected component of hq
-    block = Block(hq.sort_vertices(source), corner.dim, hq._is_simple_cycle(source))
+    block = Block(hq.sort_vertices(source), tb.dim_ee, hq._is_simple_cycle(source))
     blocks.append(block)
     rest = hq.full_subquiver(frozenset(hp.heart.vertex_set) - source)
     rest_alg = restricted_algebra(hq, heart_alg.ideal, rest, field)

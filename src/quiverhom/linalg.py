@@ -40,10 +40,6 @@ def vec_add(u: list, v: list, field) -> list:
     return [field.add(a, b) for a, b in zip(u, v)]
 
 
-def vec_sub(u: list, v: list, field) -> list:
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-
 def vec_scale(c, v: list, field) -> list:
     return [field.mul(c, a) for a in v]
 
@@ -73,20 +69,8 @@ def mat_scale(c, A: list[list], field) -> list[list]:
     return [vec_scale(c, row, field) for row in A]
 
 
-def mat_eq(A: list[list], B: list[list]) -> bool:
-    return A == B
-
-
 def is_zero_matrix(A: list[list], field) -> bool:
     return all(field.is_zero(a) for row in A for a in row)
-
-
-def hstack(A: list[list], B: list[list]) -> list[list]:
-    return [ra + rb for ra, rb in zip(A, B)]
-
-
-def vstack(A: list[list], B: list[list]) -> list[list]:
-    return [list(r) for r in A] + [list(r) for r in B]
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +229,18 @@ def left_kernel(rows: list[list], ncols: int, field) -> list[list]:
 
 
 class RowSpace:
-    """Row space of a matrix with membership, reduction, and coordinates.
+    """Row space of a matrix with membership and reduction, plus its left kernel.
 
-    Reduction tracks how each echelon row was built from the original rows,
-    so ``coords`` expresses a member as a combination of the rows passed in,
-    and ``kernel`` is the canonical echelon basis of the left kernel of the
-    original matrix, with its pivot columns in ``kernel_pivots``.
+    One elimination of [rows | I] gives both: echelon rows whose pivot lies
+    in the left block form ``basis`` (pivot columns in ``pivots``), and the
+    rest, read off the identity block, form ``kernel``, the canonical echelon
+    basis of the left kernel of the original matrix, with its pivot columns
+    in ``kernel_pivots``.
     """
 
     def __init__(self, rows: list[list], ncols: int, field):
         self.field = field
         self.ncols = ncols
-        self.nrows = len(rows)
         m = len(rows)
         aug = []
         for i, row in enumerate(rows):
@@ -265,14 +249,12 @@ class RowSpace:
             aug.append(list(row) + tail)
         echelon, pivots = rref(aug, ncols + m, field)
         self.basis: list[list] = []
-        self.transform: list[list] = []
         self.kernel: list[list] = []
         self.pivots: list[int] = []
         self.kernel_pivots: list[int] = []
         for row, c in zip(echelon, pivots):
             if c < ncols:
                 self.basis.append(row[:ncols])
-                self.transform.append(row[ncols:])
                 self.pivots.append(c)
             else:
                 self.kernel.append(row[ncols:])
@@ -287,21 +269,6 @@ class RowSpace:
 
     def contains(self, v: list) -> bool:
         return all(self.field.is_zero(x) for x in self.reduce(v))
-
-    def coords(self, v: list):
-        """Coefficients on the original rows giving v, or None if outside."""
-        F = self.field
-        out = list(v)
-        co = [F.zero] * self.nrows
-        for row, t, c in zip(self.basis, self.transform, self.pivots):
-            coeff = out[c]
-            if F.is_zero(coeff):
-                continue
-            out = [F.sub(x, F.mul(coeff, y)) for x, y in zip(out, row)]
-            co = [F.add(x, F.mul(coeff, y)) for x, y in zip(co, t)]
-        if any(not F.is_zero(x) for x in out):
-            return None
-        return co
 
 
 def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, field):

@@ -134,9 +134,6 @@ class Representation:
                 f"paths of truncation length {alg.ideal.truncation} act nonzero"
             )
 
-    def same_shape(self, other: "Representation") -> bool:
-        return self.dims == other.dims
-
     def equal_to(self, other: "Representation") -> bool:
         return (
             self.algebra is other.algebra
@@ -219,32 +216,75 @@ def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
     if kind == "simple":
         return Representation(alg, {v: 1}, {}, validate=False)
     if kind == "projective":
-        return _projective(alg, v)
+        return materialize_term(alg, {v: 1})[0]
     if kind == "injective":
-        op = get_opposite(alg)
-        return dual_module(_projective(op, v))
+        return dual_module(materialize_term(get_opposite(alg), {v: 1})[0])
     raise InputError(f"unknown module kind {kind!r}")
 
 
-def _projective(alg: FiniteDimAlgebra, v: str) -> Representation:
-    """P_v: components are basis elements with source v, acted on by the table."""
+# ---------------------------------------------------------------------------
+# sums of indecomposable projectives, with generator bookkeeping
+
+
+@dataclass(frozen=True)
+class TermInfo:
+    """Basis bookkeeping for a finite sum of indecomposable projectives.
+
+    generators lists (vertex, copy) pairs in vertex order; basis maps each
+    vertex w to the (generator index, algebra element index) pairs that make
+    up the component there; gen_pos locates each generator's unit vector.
+    """
+
+    generators: tuple[tuple[str, int], ...]
+    basis: dict[str, tuple[tuple[int, int], ...]]
+    gen_pos: tuple[tuple[str, int], ...]
+
+
+def materialize_term(
+    alg: FiniteDimAlgebra, mults: dict[str, int]
+) -> tuple[Representation, TermInfo]:
+    """Build the sum of projectives P_v^{mults[v]} with explicit bookkeeping.
+
+    The component of P_v at w is spanned by the basis elements from v to w,
+    and an arrow acts by right multiplication through the product table.
+    """
     q = alg.quiver
     F = alg.field
-    comp: dict[str, list[int]] = {w: [] for w in q.vertices}
+    for v in mults:
+        if v not in alg.idempotent_index:
+            raise InputError(f"unknown vertex id {v!r} in projective term")
+    generators = []
+    for v in alg.vertices:
+        for c in range(mults.get(v, 0)):
+            generators.append((v, c))
+    by_source: dict[str, list[int]] = {v: [] for v in q.vertices}
     for i, el in enumerate(alg.elements):
-        if el.source == v:
-            comp[el.target].append(i)
-    pos = {w: {g: p for p, g in enumerate(comp[w])} for w in q.vertices}
-    dims = {w: len(comp[w]) for w in q.vertices}
+        by_source[el.source].append(i)
+    basis: dict[str, list[tuple[int, int]]] = {w: [] for w in q.vertices}
+    for g, (v, _) in enumerate(generators):
+        for i in by_source[v]:
+            basis[alg.elements[i].target].append((g, i))
+    pos = {w: {pair: p for p, pair in enumerate(basis[w])} for w in q.vertices}
+    dims = {w: len(basis[w]) for w in q.vertices}
+    gen_pos = []
+    for g, (v, _) in enumerate(generators):
+        unit = alg.idempotent_index[v]
+        gen_pos.append((v, pos[v][(g, unit)]))
     mats = {}
     for a in q.arrows:
         j = _arrow_element_index(alg, a.name)
         mat = linalg.zeros(dims[a.source], dims[a.target], F)
-        for p, g in enumerate(comp[a.source]):
-            for k, c in alg.table[g][j]:
-                mat[p][pos[a.target][k]] = c
+        for p, (g, i) in enumerate(basis[a.source]):
+            for k, c in alg.table[i][j]:
+                mat[p][pos[a.target][(g, k)]] = c
         mats[a.name] = mat
-    return Representation(alg, dims, mats, validate=False)
+    rep = Representation(alg, dims, mats, validate=False)
+    info = TermInfo(
+        tuple(generators),
+        {w: tuple(rows) for w, rows in basis.items()},
+        tuple(gen_pos),
+    )
+    return rep, info
 
 
 def _arrow_element_index(alg: FiniteDimAlgebra, name: str) -> int:
@@ -444,13 +484,19 @@ def largest_submodule_supported(rep: Representation, allowed) -> dict[str, list[
     return spaces
 
 
+def radical_rows(m: Representation) -> dict[str, list[list]]:
+    """Rows spanning the radical MJ at each vertex: all arrow images there."""
+    rows: dict[str, list[list]] = {v: [] for v in m.algebra.quiver.vertices}
+    for a in m.algebra.quiver.arrows:
+        rows[a.target].extend(m.mats[a.name])
+    return rows
+
+
 def structure_parts(m: Representation) -> "StructureParts":
     """Radical, top, and socle of a representation."""
     q = m.algebra.quiver
     F = m.field
-    rad_rows: dict[str, list[list]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        rad_rows[a.target].extend(m.mats[a.name])
+    rad_rows = radical_rows(m)
     rad_rep, rad_incl = embed_submodule(m, rad_rows)
     top_rep, top_proj = quotient_by_submodule(m, rad_rows)
     soc_rows = {}

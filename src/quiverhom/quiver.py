@@ -173,12 +173,6 @@ class Quiver:
                 ready = sorted(ready + opened, key=keyfun)
         return tuple(frozenset(comps[i]) for i in order)
 
-    def component_of(self, v: str) -> int:
-        for i, comp in enumerate(self.scc_list):
-            if v in comp:
-                return i
-        raise DanglingIdError(f"unknown vertex id {v!r}")
-
     def component_has_arrow(self, comp: frozenset[str]) -> bool:
         return any(a.source in comp and a.target in comp for a in self.arrows)
 

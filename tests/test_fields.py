@@ -2,14 +2,15 @@
 
 Miller-Rabin is checked against trial division on small orders, on a large
 Mersenne prime, and on strong pseudoprimes to the first four and to the first
-twelve prime bases.
+twelve prime bases.  Literal parsing turns every bad literal, a zero
+denominator included, into InputError on both fields.
 """
 
 import time
 
 import pytest
 
-from quiverhom import InputError, PrimeField
+from quiverhom import QQ, InputError, PrimeField
 from quiverhom.fields import _is_prime
 
 
@@ -47,3 +48,16 @@ def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_rejected():
 def test_order_past_the_deterministic_bound_is_input_error():
     with pytest.raises(InputError, match="too large"):
         PrimeField(33 * 10**23 + 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("text", ["1/0", "0/0", "x"])
+def test_bad_literal_is_input_error(field, text):
+    with pytest.raises(InputError):
+        field.parse(text)
+
+
+def test_denominator_divisible_by_p_is_input_error():
+    with pytest.raises(InputError):
+        PrimeField(5).parse("1/5")
+    assert PrimeField(5).parse("3/2") == 4

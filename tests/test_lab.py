@@ -11,7 +11,7 @@ from quiverhom import (
     build_algebra,
     DecompositionTree,
     InstanceSpec,
-    InvariantViolation,
+    InputError,
     PrimeField,
     QQ,
     SuiteReport,
@@ -27,15 +27,15 @@ from quiverhom.lab import ALGEBRA_DIM_CAP
 
 
 def test_instance_spec_validation():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError):
         InstanceSpec(seed=1, max_vertices=0)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError):
         InstanceSpec(seed=1, max_arrows=-1)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError):
         InstanceSpec(seed=1, truncation_bound=1)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError):
         InstanceSpec(seed=1, relation_style="wild")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InputError):
         InstanceSpec(seed=1, module_size_bound=0)
 
 

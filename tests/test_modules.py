@@ -45,7 +45,7 @@ from quiverhom import (
     zero_module,
 )
 from quiverhom import linalg
-from quiverhom.homology import materialize_term, projective_cover_and_syzygy
+from quiverhom.homology import ext_dims, materialize_term, projective_cover_and_syzygy
 
 
 def random_module(rng, alg, bound=8):
@@ -238,6 +238,29 @@ def test_kernel_of_map_matches_left_kernel(F, which, seed):
             assert ker.dims[v] == len(incl.blocks[v])
         incl.validate()
         assert incl.compose(f).is_zero
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("which", [0, 1], ids=["cycle_tail", "square"])
+def test_opposite_on_a_non_monomial_ideal(F, which):
+    alg = kernel_test_algebra(which, F)
+    op = get_opposite(alg)
+    assert get_opposite(op) is alg
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert op.table[i][j] == alg.table[j][i]
+    # the transposed table must satisfy the reversed relations
+    for v in op.vertices:
+        p = standard_module(op, "projective", v)
+        Representation(op, p.dims, p.mats, validate=True)
+    for u in alg.vertices:
+        s = standard_module(alg, "simple", u)
+        for v in alg.vertices:
+            inj = standard_module(alg, "injective", v)
+            # Hom(S_u, I_v) is one-dimensional exactly when u == v
+            want = (int(u == v), 0, 0, 0)
+            assert ext_dims(s, inj, 3).dims == want
+            assert ext_dims(s, inj, 3, "injective").dims == want
 
 
 def test_embed_submodule_rejects_rows_that_are_not_arrow_stable(cycle_tail_algebra):
