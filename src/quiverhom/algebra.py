@@ -19,6 +19,8 @@ Derived constructions:
 
 Elements of an algebra are sparse dicts mapping basis index to coefficient.
 Vectors handed to the linear algebra layer are dense lists in basis order.
+The product table stores only nonzero products (a missing entry is zero),
+so every construction walks only the products that exist.
 
 Relations are uniformized on input: a relation whose terms do not all share
 source and target is split into its (source, target) components, which is
@@ -179,9 +181,6 @@ class _RelationSpan:
             for c in pivots:
                 self.pivot_global.add(self.buckets[key][c])
 
-    def rank(self) -> int:
-        return len(self.pivot_global)
-
     def normal_form_local(self, g: int) -> list:
         """Reduce the unit vector of path g inside its bucket; dense local coords."""
         p = self.paths[g]
@@ -223,7 +222,10 @@ class _RelationSpan:
 
 
 class FiniteDimAlgebra:
-    """A finite-dimensional algebra with a tagged basis and a full product table.
+    """A finite-dimensional algebra with a tagged basis and a sparse product table.
+
+    `table[i]` maps j to the nonzero product x_i * x_j as ((k, c), ...), keys
+    ascending; an absent key means the product is zero, and none is empty.
 
     Every basis element carries a representative path (in the algebra's own
     quiver when one is attached, otherwise in the parent algebra's quiver),
@@ -278,7 +280,7 @@ class FiniteDimAlgebra:
                 continue
             row = self.table[i]
             for j, cj in y.items():
-                if F.is_zero(cj):
+                if j not in row or F.is_zero(cj):
                     continue
                 c = F.mul(ci, cj)
                 for k, ck in row[j]:
@@ -317,7 +319,11 @@ class FiniteDimAlgebra:
 
 def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
     """The bound quiver algebra of (q, ideal) over the given field."""
-    span = _RelationSpan(q, ideal, field)
+    return _algebra_from_span(_RelationSpan(q, ideal, field))
+
+
+def _algebra_from_span(span: _RelationSpan) -> FiniteDimAlgebra:
+    q, ideal, field = span.q, span.ideal, span.field
     n = ideal.truncation
     basis_global = [g for g in range(len(span.paths)) if g not in span.pivot_global]
     basis_pos = {g: pos for pos, g in enumerate(basis_global)}
@@ -343,16 +349,21 @@ def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
         return out
 
     elements = tuple(span.paths[g] for g in basis_global)
+    by_source: dict[str, list[int]] = {v: [] for v in q.vertices}
+    for j, pj in enumerate(elements):
+        by_source[pj.source].append(j)
     table = []
-    for i, pi in enumerate(elements):
-        row = []
-        for j, pj in enumerate(elements):
-            if pi.target != pj.source or pi.length + pj.length > n - 1:
-                row.append(())
-                continue
-            whole = Path(pi.source, pi.arrows + pj.arrows, pj.target)
-            row.append(nf(span.path_index[whole]))
-        table.append(tuple(row))
+    for pi in elements:
+        row = {}
+        # the basis is in path-length order: the first too-long product ends the bucket
+        for j in by_source[pi.target]:
+            pj = elements[j]
+            if pi.length + pj.length >= n:
+                break
+            entry = nf(span.path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)])
+            if entry:
+                row[j] = entry
+        table.append(row)
     return FiniteDimAlgebra(field, q.vertices, elements, tuple(table), quiver=q, ideal=ideal)
 
 
@@ -366,15 +377,14 @@ def corner_algebra(alg: FiniteDimAlgebra, split: IdempotentSplit) -> FiniteDimAl
     elements = tuple(alg.elements[g] for g in keep)
     table = []
     for gi in keep:
-        row = []
-        for gj in keep:
-            entry = []
-            for k, c in alg.table[gi][gj]:
-                if k not in pos:
-                    raise InvariantViolation("corner product escaped the corner")
-                entry.append((pos[k], c))
-            row.append(tuple(entry))
-        table.append(tuple(row))
+        row = {}
+        for gj, entry in alg.table[gi].items():
+            if gj not in pos:
+                continue
+            if any(k not in pos for k, _ in entry):
+                raise InvariantViolation("corner product escaped the corner")
+            row[pos[gj]] = tuple((pos[k], c) for k, c in entry)
+        table.append(row)
     vertices = tuple(v for v in alg.vertices if v in e)
     out = FiniteDimAlgebra(alg.field, vertices, elements, tuple(table))
     out.parent = alg
@@ -398,22 +408,14 @@ def quotient_by_idempotent(alg: FiniteDimAlgebra, split: IdempotentSplit) -> Fin
     rows = []
     for i, el in enumerate(alg.elements):
         if el.source in eprime or el.target in eprime:
-            vec = [F.zero] * d
-            vec[i] = F.one
-            rows.append(vec)
+            rows.append(alg.dense({i: F.one}))
     e = set(alg.vertices) - set(eprime)
-    left = [i for i, el in enumerate(alg.elements) if el.source in e and el.target in eprime]
-    right = [j for j, el in enumerate(alg.elements) if el.source in eprime and el.target in e]
-    for i in left:
-        for j in right:
-            if alg.elements[i].target != alg.elements[j].source:
-                continue
-            entry = alg.table[i][j]
-            if entry:
-                vec = [F.zero] * d
-                for k, c in entry:
-                    vec[k] = F.add(vec[k], c)
-                rows.append(vec)
+    for i, el in enumerate(alg.elements):
+        if el.source in e and el.target in eprime:
+            # a stored product x_i * x_j already runs through el.target
+            for j, entry in alg.table[i].items():
+                if alg.elements[j].target in e:
+                    rows.append(alg.dense(dict(entry)))
     echelon, pivots = linalg.rref(rows, d, F)
     pivot_set = set(pivots)
     keep = [i for i in range(d) if i not in pivot_set]
@@ -426,18 +428,13 @@ def quotient_by_idempotent(alg: FiniteDimAlgebra, split: IdempotentSplit) -> Fin
     elements = tuple(alg.elements[g] for g in keep)
     table = []
     for gi in keep:
-        row = []
-        for gj in keep:
-            entry = alg.table[gi][gj]
-            if not entry:
-                row.append(())
-                continue
-            vec = [F.zero] * d
-            for k, c in entry:
-                vec[k] = F.add(vec[k], c)
-            vec = linalg.reduce_mod_rowspace(vec, echelon, pivots, F)
-            row.append(tuple((pos[k], c) for k, c in enumerate(vec) if not F.is_zero(c)))
-        table.append(tuple(row))
+        row = {}
+        for gj, entry in alg.table[gi].items():
+            if gj in pos:
+                reduced = tuple(project(dict(entry)).items())
+                if reduced:
+                    row[pos[gj]] = reduced
+        table.append(row)
     vertices = tuple(v for v in alg.vertices if v not in eprime)
     out = FiniteDimAlgebra(F, vertices, elements, tuple(table))
     out.parent = alg
@@ -453,16 +450,17 @@ def restricted_algebra(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
     off the echelon form bucket by bucket, then fed back in as relations, so
     the result is a presented algebra and carries modules.
     """
-    span = _RelationSpan(q, ideal, field)
+    return _restricted_from_span(_RelationSpan(q, ideal, field), sub)
+
+
+def _restricted_from_span(span: _RelationSpan, sub: FullSubquiver) -> FiniteDimAlgebra:
     rels = []
     for row, paths in span.intersection_with_subquiver(sub):
-        terms = tuple(
-            (c, p.arrows) for c, p in zip(row, paths) if not field.is_zero(c)
-        )
+        terms = tuple((c, p.arrows) for c, p in zip(row, paths) if not span.field.is_zero(c))
         if terms:
             rels.append(terms)
-    sub_q = sub.as_quiver()
-    return build_algebra(sub_q, IdealSpec(tuple(rels), ideal.truncation), field)
+    ideal = IdealSpec(tuple(rels), span.ideal.truncation)
+    return build_algebra(sub.as_quiver(), ideal, span.field)
 
 
 def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -476,8 +474,10 @@ def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
     elements = tuple(
         Path(el.target, tuple(reversed(el.arrows)), el.source) for el in alg.elements
     )
-    d = alg.dim
-    table = tuple(tuple(alg.table[j][i] for j in range(d)) for i in range(d))
+    table = tuple({} for _ in alg.table)
+    for i, row in enumerate(alg.table):
+        for j, entry in row.items():
+            table[j][i] = entry
     op_q = op_ideal = None
     if alg.is_presented:
         q = alg.quiver
@@ -540,7 +540,7 @@ class AlgebraHom:
         multiplicative = True
         for i in range(source.dim):
             for j in range(source.dim):
-                lhs = _apply_images(images, F, {k: c for k, c in source.table[i][j]})
+                lhs = _apply_images(images, F, dict(source.table[i].get(j, ())))
                 rhs = target.mul(images[i], images[j])
                 if not target.eq(lhs, rhs):
                     multiplicative = False
@@ -557,9 +557,6 @@ class AlgebraHom:
         return AlgebraHom(
             source, target, images, multiplicative, unital, unit_image_idempotent, surjective, injective
         )
-
-    def apply(self, x: dict[int, object]) -> dict[int, object]:
-        return _apply_images(self.images, self.target.field, x)
 
 
 def _apply_images(images, F, x: dict[int, object]) -> dict[int, object]:
@@ -620,8 +617,8 @@ def _tables_match(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> tuple[bool, str]:
     F = a.field
     for i in range(a.dim):
         for j in range(a.dim):
-            got = {to_b[k]: c for k, c in a.table[i][j]}
-            want = {k: c for k, c in b.table[to_b[i]][to_b[j]]}
+            got = {to_b[k]: c for k, c in a.table[i].get(j, ())}
+            want = dict(b.table[to_b[i]].get(to_b[j], ()))
             keys = set(got) | set(want)
             for k in keys:
                 if not F.is_zero(F.sub(got.get(k, F.zero), want.get(k, F.zero))):
@@ -639,11 +636,12 @@ def verify_convex_isos(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
     multiplicative; a non-convex subquiver may break any of these, and the
     report records exactly which.
     """
-    alg = build_algebra(q, ideal, field)
+    span = _RelationSpan(q, ideal, field)
+    alg = _algebra_from_span(span)
     split = IdempotentSplit.from_subquiver(sub)
     corner = corner_algebra(alg, split)
     quotient = quotient_by_idempotent(alg, split)
-    restricted = restricted_algebra(q, ideal, sub, field)
+    restricted = _restricted_from_span(span, sub)
     convex = q.is_convex(sub)
     F = field
     entries = []
@@ -651,10 +649,11 @@ def verify_convex_isos(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
     e_id = alg.vertex_idempotent(split.e)
     sandwich_ok = True
     witness = ""
-    for i in range(alg.dim):
+    # e x_i e is x_i or 0, so only a stored product x_i * x_j can break this
+    for i, row in enumerate(alg.table):
         xi = {i: F.one}
         exe = alg.mul(e_id, alg.mul(xi, e_id))
-        for j in range(alg.dim):
+        for j in row:
             yj = {j: F.one}
             lhs = alg.mul(exe, alg.mul(yj, e_id))
             rhs = alg.mul(e_id, alg.mul(alg.mul(xi, yj), e_id))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 
 from . import linalg
@@ -110,17 +109,12 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
         mults[v] = len(free)
         lifts[v] = free
     term, info = materialize_term(alg, mults)
-    elt_matrix = cache(m.element_matrix)
-    copy_col: dict[tuple[str, int], int] = {}
-    for v in q.vertices:
-        for c, j in enumerate(lifts[v]):
-            copy_col[(v, c)] = j
     blocks = {}
     for w in q.vertices:
         rows = []
         for g, i in info.basis[w]:
             v, c = info.generators[g]
-            rows.append(list(elt_matrix(i)[copy_col[(v, c)]]))
+            rows.append(list(m.element_matrix(i)[lifts[v][c]]))
         blocks[w] = rows
     cover = ModuleMap(term, m, blocks, validate=False)
     syz, incl = kernel_of_map(cover)
@@ -335,7 +329,6 @@ def ext_dims(
 def _ext_dims_projective(m: Representation, n: Representation, k: int) -> tuple[int, ...]:
     res = resolution(m, k + 1, "projective")
     F = m.field
-    act = cache(n.element_matrix)
     hom_dims = []
     offsets: list[list[int]] = []
     for info in res.infos:
@@ -361,7 +354,7 @@ def _ext_dims_projective(m: Representation, n: Representation, k: int) -> tuple[
                     continue
                 gsrc, elt = info_s.basis[u][c]
                 row0 = offsets[i - 1][gsrc]
-                mat = act(elt)
+                mat = n.element_matrix(elt)
                 for a in range(len(mat)):
                     row = delta[row0 + a]
                     for b in range(n.dims[u]):

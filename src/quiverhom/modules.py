@@ -42,7 +42,11 @@ def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
 
 
 class Representation:
-    """A right module: per-vertex dimensions plus per-arrow matrices."""
+    """A right module: per-vertex dimensions plus per-arrow matrices.
+
+    A representation is not mutated after construction, so `element_matrix`
+    memoizes on it; callers must not mutate the matrices it hands out.
+    """
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, mats, validate: bool = True):
         _require_presented(algebra)
@@ -66,6 +70,7 @@ class Representation:
         for name in mats:
             if name not in self.mats:
                 raise DanglingIdError(f"module names unknown arrow {name!r}")
+        self._element_mats: dict[int, list[list]] = {}
         if validate:
             self.validate()
 
@@ -98,10 +103,13 @@ class Representation:
 
     def element_matrix(self, idx: int) -> list[list]:
         """Matrix of a basis element's action, from its representative path."""
-        el = self.algebra.elements[idx]
-        if el.length == 0:
-            return linalg.identity(self.dims[el.source], self.field)
-        return self.path_matrix(el.arrows)
+        if idx not in self._element_mats:
+            el = self.algebra.elements[idx]
+            self._element_mats[idx] = (
+                self.path_matrix(el.arrows) if el.arrows
+                else linalg.identity(self.dims[el.source], self.field)
+            )
+        return self._element_mats[idx]
 
     def validate(self) -> None:
         """Check that the defining ideal annihilates this representation."""
@@ -275,7 +283,7 @@ def materialize_term(
         j = _arrow_element_index(alg, a.name)
         mat = linalg.zeros(dims[a.source], dims[a.target], F)
         for p, (g, i) in enumerate(basis[a.source]):
-            for k, c in alg.table[i][j]:
+            for k, c in alg.table[i].get(j, ()):
                 mat[p][pos[a.target][(g, k)]] = c
         mats[a.name] = mat
     rep = Representation(alg, dims, mats, validate=False)

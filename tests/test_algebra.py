@@ -18,6 +18,7 @@ from quiverhom import (
     IdempotentSplit,
     InputError,
     PrimeField,
+    Path,
     Quiver,
     build_algebra,
     corner_algebra,
@@ -27,18 +28,20 @@ from quiverhom import (
     triangular_blocks,
     verify_convex_isos,
 )
+from quiverhom.lab import _gen_ideal, _gen_quiver
 
 GF3 = PrimeField(3)
 
 
-def monomial_dim_oracle(q, relation_paths, truncation):
+def relation_free(word, relation_paths):
+    """True when no relation path occurs in word as a contiguous factor."""
     bad = [tuple(r) for r in relation_paths]
+    return not any(
+        word[i : i + len(b)] == b for b in bad for i in range(len(word) - len(b) + 1)
+    )
 
-    def clean(word):
-        return not any(
-            word[i : i + len(b)] == b for b in bad for i in range(len(word) - len(b) + 1)
-        )
 
+def monomial_dim_oracle(q, relation_paths, truncation):
     count = len(q.vertices)
     frontier = [((), v) for v in q.vertices]
     for _ in range(truncation - 1):
@@ -46,7 +49,7 @@ def monomial_dim_oracle(q, relation_paths, truncation):
         for word, end in frontier:
             for a in q.out_arrows[end]:
                 grown = word + (a.name,)
-                if clean(grown):
+                if relation_free(grown, relation_paths):
                     nxt.append((grown, a.target))
         count += len(nxt)
         frontier = nxt
@@ -94,6 +97,68 @@ def test_random_monomial_dimensions_match_oracle():
         for field in (QQ, GF3):
             alg = build_algebra(q, ideal, field)
             assert alg.dim == monomial_dim_oracle(q, paths, trunc)
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_table_stores_exactly_the_nonzero_monomial_products(F):
+    # over a monomial ideal x_i * x_j is the concatenated path when that is
+    # composable, shorter than the truncation and relation free, else zero
+    rng = random.Random(305)
+    for _ in range(40):
+        q, paths, trunc = random_monomial_setup(rng)
+        alg = build_algebra(q, IdealSpec.monomial(paths, trunc), F)
+        index = {el: k for k, el in enumerate(alg.elements)}
+        for i, pi in enumerate(alg.elements):
+            assert list(alg.table[i]) == sorted(alg.table[i])
+            for j, pj in enumerate(alg.elements):
+                word = pi.arrows + pj.arrows
+                nonzero = (
+                    pi.target == pj.source and len(word) < trunc and relation_free(word, paths)
+                )
+                assert (j in alg.table[i]) == nonzero
+                if nonzero:
+                    whole = Path(pi.source, word, pj.target)
+                    assert alg.table[i][j] == ((index[whole], F.one),)
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("style", ["monomial", "mixed"])
+def test_no_stored_product_is_empty(F, style):
+    rng = random.Random(306)
+    for _ in range(40):
+        q = _gen_quiver(rng, 4, 6)
+        ideal = _gen_ideal(rng, q, style, 4)
+        sub = q.full_subquiver(frozenset(v for v in q.vertices if rng.random() < 0.5))
+        split = IdempotentSplit.from_subquiver(sub)
+        alg = build_algebra(q, ideal, F)
+        for derived in (
+            alg,
+            corner_algebra(alg, split),
+            quotient_by_idempotent(alg, split),
+            restricted_algebra(q, ideal, sub, F),
+            opposite_algebra(alg),
+        ):
+            for row in derived.table:
+                assert list(row) == sorted(row)
+                assert all(row.values())
+                assert all(j < derived.dim for j in row)
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_quotient_drops_products_that_fall_into_the_ideal(F):
+    # ab = 2cd, so killing vertex 3 kills ab although a and b survive
+    q = Quiver.build(
+        ["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]
+    )
+    alg = build_algebra(q, IdealSpec((((1, ("a", "b")), (-2, ("c", "d"))),), 3), F)
+    a = alg.elements.index(Path("1", ("a",), "2"))
+    b = alg.elements.index(Path("2", ("b",), "4"))
+    assert alg.table[a][b]
+    quo = quotient_by_idempotent(alg, IdempotentSplit(frozenset("124"), frozenset("3")))
+    assert quo.dim == 5
+    qa, qb = quo.parent_indices.index(a), quo.parent_indices.index(b)
+    assert qb not in quo.table[qa]
+    assert quo.mul({qa: F.one}, {qb: F.one}) == {}
 
 
 def test_multiplication_table_is_associative():

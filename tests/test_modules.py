@@ -248,7 +248,7 @@ def test_opposite_on_a_non_monomial_ideal(F, which):
     assert get_opposite(op) is alg
     for i in range(alg.dim):
         for j in range(alg.dim):
-            assert op.table[i][j] == alg.table[j][i]
+            assert op.table[i].get(j) == alg.table[j].get(i)
     # the transposed table must satisfy the reversed relations
     for v in op.vertices:
         p = standard_module(op, "projective", v)
