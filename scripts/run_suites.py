@@ -2,13 +2,20 @@
 """Run every randomized verification suite and print the rendered reports.
 
 Exit status is 0 when all suites pass and 1 otherwise, so the script can sit
-in a cron job or CI step.  Case counts default to the acceptance scale.
+in a cron job or CI step.  Case counts default to the acceptance scale.  Each
+suite's wall time goes to stderr, so stdout holds the reports alone.  It runs
+from a checkout without installing: the checkout's src/ comes first on the path.
 """
 
 import argparse
+import os
 import sys
+import time
 
-from quiverhom import (
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from quiverhom import (  # noqa: E402
     InstanceSpec,
     verify_convex_epi,
     verify_ext_cross,
@@ -29,12 +36,17 @@ def main() -> int:
     args = ap.parse_args()
 
     spec = InstanceSpec(seed=args.seed)
-    reports = [
-        verify_subquiver_calculus(spec, cases=args.subquiver_cases),
-        verify_convex_epi(spec, cases=args.epi_cases, cutoff=args.epi_cutoff),
-        verify_heart_theorem(spec, cases=args.heart_cases),
-        verify_ext_cross(spec, cases=args.ext_cases, cutoff=args.ext_cutoff),
+    runs = [
+        lambda: verify_subquiver_calculus(spec, cases=args.subquiver_cases),
+        lambda: verify_convex_epi(spec, cases=args.epi_cases, cutoff=args.epi_cutoff),
+        lambda: verify_heart_theorem(spec, cases=args.heart_cases),
+        lambda: verify_ext_cross(spec, cases=args.ext_cases, cutoff=args.ext_cutoff),
     ]
+    reports = []
+    for run in runs:
+        t0 = time.perf_counter()
+        reports.append(run())
+        sys.stderr.write(f"{reports[-1].suite} {time.perf_counter() - t0:.2f} s\n")
     for report in reports:
         sys.stdout.write(report.render())
         sys.stdout.write("\n")

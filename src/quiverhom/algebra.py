@@ -32,11 +32,14 @@ buckets of paths, so echelon work happens per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation
 from .quiver import Arrow, FullSubquiver, Path, Quiver
+
+# paths below the truncation one presentation may span; suite instances stay under 2 000
+MAX_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,20 @@ def _path_vertices(q: Quiver, path: Path) -> list[str]:
     return vs
 
 
+def _path_count(q: Quiver, max_len: int) -> int:
+    """Paths of length <= max_len, counted by end vertex, not listed; stops past MAX_PATHS."""
+    ending = dict.fromkeys(q.vertices, 1)
+    total = len(ending)
+    for _ in range(max_len):
+        longer = dict.fromkeys(q.vertices, 0)
+        for a in q.arrows:
+            longer[a.target] += ending[a.source]
+        ending, total = longer, total + sum(longer.values())
+        if total > MAX_PATHS or not any(ending.values()):
+            break
+    return total
+
+
 class _RelationSpan:
     """Echelon data for the ideal intersected with the span of short paths.
 
@@ -136,6 +153,8 @@ class _RelationSpan:
         self.ideal = ideal
         self.field = field
         n = ideal.truncation
+        if _path_count(q, n - 1) > MAX_PATHS:
+            raise InputError(f"more than {MAX_PATHS} paths lie below truncation {n}")
         self.paths: list[Path] = q.paths_up_to(n - 1)
         self.path_index: dict[Path, int] = {p: i for i, p in enumerate(self.paths)}
         self.buckets: dict[tuple[str, str], list[int]] = {}
@@ -221,6 +240,19 @@ class _RelationSpan:
         return out
 
 
+class _TableOnFirstRead:
+    """Builds a presented algebra's table on first read and stores it on the
+    instance, shadowing this descriptor; cached_property would store it via
+    the instance __dict__ and so slow every later attribute read on it."""
+
+    def __get__(self, alg, owner=None):
+        if alg is None:
+            return self
+        alg.table = alg._build_table()
+        del alg._build_table  # and with it the relation span
+        return alg.table
+
+
 class FiniteDimAlgebra:
     """A finite-dimensional algebra with a tagged basis and a sparse product table.
 
@@ -234,14 +266,23 @@ class FiniteDimAlgebra:
     theory; table-backed derived algebras (corners, quotients) have
     quiver=None and support only element arithmetic.
 
+    `table` may also be a function that builds it: a presented algebra takes
+    its basis (so its dimension) from the relation span and builds its table
+    on first read, after which it is a plain attribute.
+
     Instances are immutable after construction.
     """
+
+    table = _TableOnFirstRead()
 
     def __init__(self, field, vertices, elements, table, quiver=None, ideal=None):
         self.field = field
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.elements: tuple[Path, ...] = tuple(elements)
-        self.table = table
+        if callable(table):
+            self._build_table = table
+        else:
+            self.table = table
         self.quiver: Quiver | None = quiver
         self.ideal: IdealSpec | None = ideal
         self.idempotent_index: dict[str, int] = {
@@ -274,11 +315,12 @@ class FiniteDimAlgebra:
 
     def mul(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
         F = self.field
+        table = self.table
         out: dict[int, object] = {}
         for i, ci in x.items():
             if F.is_zero(ci):
                 continue
-            row = self.table[i]
+            row = table[i]
             for j, cj in y.items():
                 if j not in row or F.is_zero(cj):
                     continue
@@ -323,9 +365,14 @@ def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
 
 
 def _algebra_from_span(span: _RelationSpan) -> FiniteDimAlgebra:
-    q, ideal, field = span.q, span.ideal, span.field
-    n = ideal.truncation
     basis_global = [g for g in range(len(span.paths)) if g not in span.pivot_global]
+    elements = tuple(span.paths[g] for g in basis_global)
+    table = partial(_product_table, span, basis_global)
+    return FiniteDimAlgebra(span.field, span.q.vertices, elements, table, span.q, span.ideal)
+
+
+def _product_table(span: _RelationSpan, basis_global: list[int]) -> tuple[dict, ...]:
+    q, field, n = span.q, span.field, span.ideal.truncation
     basis_pos = {g: pos for pos, g in enumerate(basis_global)}
 
     nf_cache: dict[int, tuple[tuple[int, object], ...]] = {}
@@ -364,7 +411,7 @@ def _algebra_from_span(span: _RelationSpan) -> FiniteDimAlgebra:
             if entry:
                 row[j] = entry
         table.append(row)
-    return FiniteDimAlgebra(field, q.vertices, elements, tuple(table), quiver=q, ideal=ideal)
+    return tuple(table)
 
 
 def corner_algebra(alg: FiniteDimAlgebra, split: IdempotentSplit) -> FiniteDimAlgebra:

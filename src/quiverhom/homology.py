@@ -88,26 +88,31 @@ class CoverStep:
     minimal: bool
 
 
-def projective_cover_and_syzygy(m: Representation) -> CoverStep:
+def top_lifts(m: Representation) -> dict[str, list[int]]:
+    """Per vertex v, the dim top(m)_v free coordinates of the radical's echelon form."""
+    rad_rows = radical_rows(m)
+    lifts: dict[str, list[int]] = {}
+    for v in m.algebra.quiver.vertices:
+        _, pivots = linalg.rref(rad_rows[v], m.dims[v], m.field)
+        taken = set(pivots)
+        lifts[v] = [j for j in range(m.dims[v]) if j not in taken]
+    return lifts
+
+
+def projective_cover_and_syzygy(m: Representation, lifts=None) -> CoverStep:
     """Projective cover of a module together with its first syzygy.
 
     The cover lifts the free coordinates of the radical's echelon form, one
-    generator per top basis vector, so the construction is deterministic.
-    Minimality is certified by checking that the kernel avoids the generator
-    unit coordinates, which span a complement of the radical of the term.
+    generator per top basis vector, so the construction is deterministic;
+    lifts, when given, are top_lifts(m).  Minimality is certified by checking
+    that the kernel avoids the generator unit coordinates, which span a
+    complement of the radical of the term.
     """
     alg = m.algebra
     q = alg.quiver
     F = m.field
-    rad_rows = radical_rows(m)
-    mults: dict[str, int] = {}
-    lifts: dict[str, list[int]] = {}
-    for v in q.vertices:
-        _, pivots = linalg.rref(rad_rows[v], m.dims[v], F)
-        taken = set(pivots)
-        free = [j for j in range(m.dims[v]) if j not in taken]
-        mults[v] = len(free)
-        lifts[v] = free
+    lifts = top_lifts(m) if lifts is None else lifts
+    mults = {v: len(free) for v, free in lifts.items()}
     term, info = materialize_term(alg, mults)
     blocks = {}
     for w in q.vertices:

@@ -12,12 +12,15 @@ algebra and drops it past the dimension cap, then lets the suite draw its
 modules and gate them.  A candidate whose resolutions would grow past the
 width cap is skipped deterministically and the next derived seed is tried,
 keeping suite runtimes at desk scale without touching the mathematical
-content of the checks.
+content of the checks.  Both caps are checked on dimension counts: no
+product table is built for an algebra past the cap, and term widths come
+from top multiplicities, so kernels are computed only for kept steps.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -35,12 +38,13 @@ from .errors import InputError, InvariantViolation
 from .fields import QQ
 from .homology import (
     check_term_reachability,
-    cover_steps,
     ext_dims,
     gl_dim,
     heart_shift_pair,
     is_projective_module,
+    projective_cover_and_syzygy,
     resolution,
+    top_lifts,
     transport_resolution,
 )
 from .modules import (
@@ -215,15 +219,22 @@ def _widths_ok(m: Representation, depth: int) -> bool:
     """True when the syzygy chain stays within the width cap to this depth.
 
     Each syzygy is a submodule of its term, so capping m and every term
-    caps the syzygies too.
+    caps the syzygies too.  A term's width is a dimension count,
+    sum over v of dim top_v * dim P_v, and its syzygy has width term - m
+    because the cover surjects; so a kernel is computed only for a step
+    that passes and is followed by another.
     """
     if m.total_dim > WIDTH_CAP:
         return False
-    for _, step in zip(range(depth), cover_steps(m)):
-        if step.term.total_dim > WIDTH_CAP:
+    pdim = Counter(el.source for el in m.algebra.elements)  # dim P_v
+    for k in range(depth):
+        lifts = top_lifts(m)
+        width = sum(len(free) * pdim[v] for v, free in lifts.items())
+        if width > WIDTH_CAP:
             return False
-        if step.syzygy.is_zero:
-            break
+        if width == m.total_dim or k == depth - 1:
+            return True
+        m = projective_cover_and_syzygy(m, lifts).syzygy
     return True
 
 

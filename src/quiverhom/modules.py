@@ -279,11 +279,12 @@ def materialize_term(
         unit = alg.idempotent_index[v]
         gen_pos.append((v, pos[v][(g, unit)]))
     mats = {}
+    table = alg.table
     for a in q.arrows:
         j = _arrow_element_index(alg, a.name)
         mat = linalg.zeros(dims[a.source], dims[a.target], F)
         for p, (g, i) in enumerate(basis[a.source]):
-            for k, c in alg.table[i].get(j, ()):
+            for k, c in table[i].get(j, ()):
                 mat[p][pos[a.target][(g, k)]] = c
         mats[a.name] = mat
     rep = Representation(alg, dims, mats, validate=False)

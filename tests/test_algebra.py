@@ -28,7 +28,8 @@ from quiverhom import (
     triangular_blocks,
     verify_convex_isos,
 )
-from quiverhom.lab import _gen_ideal, _gen_quiver
+from quiverhom.algebra import _RelationSpan
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
 
 GF3 = PrimeField(3)
 
@@ -353,3 +354,48 @@ def test_corner_of_full_split_is_algebra_itself(cycle_tail_algebra):
 def test_prime_field_algebra_matches_rational_dimension(cycle_tail_quiver, cycle_tail_ideal):
     alg5 = build_algebra(cycle_tail_quiver, cycle_tail_ideal, PrimeField(5))
     assert alg5.dim == 11
+
+
+def eager_table(q, ideal, F):
+    """The product table pair by pair: concatenate, then reduce in the span."""
+    span = _RelationSpan(q, ideal, F)
+    basis = [g for g in range(len(span.paths)) if g not in span.pivot_global]
+    pos = {g: k for k, g in enumerate(basis)}
+    table = []
+    for gi in basis:
+        pi = span.paths[gi]
+        row = {}
+        for j, gj in enumerate(basis):
+            pj = span.paths[gj]
+            if pi.target != pj.source or pi.length + pj.length >= ideal.truncation:
+                continue
+            g = span.path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)]
+            local = span.buckets[(pi.source, pj.target)]
+            reduced = span.normal_form_local(g)
+            entry = tuple((pos[local[k]], c) for k, c in enumerate(reduced) if not F.is_zero(c))
+            if entry:
+                row[j] = entry
+        table.append(list(row.items()))
+    return table
+
+
+LOOPS_AND_TAIL = Quiver.build(["1", "2"], [("a", "1", "1"), ("b", "1", "1"), ("c", "1", "2")])
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        IdealSpec.monomial([("a", "b")], 7),
+        IdealSpec((((1, ("a", "b")), (-1, ("b", "a"))),), 7),
+    ],
+    ids=["monomial", "mixed"],
+)
+def test_presented_table_is_built_on_first_read(F, ideal):
+    alg = build_algebra(LOOPS_AND_TAIL, ideal, F)
+    assert alg.dim == 50 > ALGEBRA_DIM_CAP
+    assert "table" not in vars(alg)
+    assert [list(row.items()) for row in alg.table] == eager_table(LOOPS_AND_TAIL, ideal, F)
+    # built once, then a plain attribute; the relation span is let go
+    assert vars(alg)["table"] is alg.table
+    assert "_build_table" not in vars(alg)

@@ -4,6 +4,8 @@ Commands are driven through main(argv) so the tests cover argument parsing,
 workspace loading, and the printed report formats end to end.
 """
 
+import time
+
 import pytest
 
 from quiverhom import SuiteReport, cli
@@ -222,3 +224,14 @@ def test_verify_heart_cutoff_below_window_is_input_error(capsys):
 def test_field_order_past_primality_bound_is_input_error(ws, capsys):
     assert cli.main(["algebra", ws, "--field", f"p:{33 * 10**23 + 1}"]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+def test_too_many_paths_below_truncation_is_input_error(tmp_path, capsys):
+    # two loops at one vertex span 2^40 - 1 paths below truncation 40: they
+    # are counted, not listed, before the algebra is built
+    p = tmp_path / "loops.qh"
+    p.write_text("quiver\n  vertices 1\n  arrow a 1 1\n  arrow b 1 1\n\nideal\n  truncation 40\n")
+    t0 = time.perf_counter()
+    assert cli.main(["algebra", str(p)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "paths lie below truncation 40" in capsys.readouterr().err

@@ -5,8 +5,16 @@ byte-identical report, and generated instances respect the documented size
 caps.  Decomposition is pinned against the three fixtures.
 """
 
-import pytest
+import json
+import random
+from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import quiverhom.lab as lab
 from quiverhom import (
     build_algebra,
     DecompositionTree,
@@ -23,7 +31,8 @@ from quiverhom import (
     verify_heart_theorem,
     verify_subquiver_calculus,
 )
-from quiverhom.lab import ALGEBRA_DIM_CAP
+from quiverhom.homology import cover_steps
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
 
 
 def test_instance_spec_validation():
@@ -178,3 +187,94 @@ def test_decompose_renders_block_dims(cycle_tail_quiver, cycle_tail_ideal):
     text = decompose(cycle_tail_quiver, cycle_tail_ideal).render()
     assert "block_dim=4" in text
     assert "heart=1,2" in text
+
+
+# ---------------------------------------------------------------------------
+# admission pins
+
+GOLDEN = Path(__file__).parent / "golden" / "admitted_seed1.json"
+PINNED_SUITES = (("epi", verify_convex_epi, 40), ("heart", verify_heart_theorem, 20),
+                 ("ext-cross", verify_ext_cross, 20))
+
+
+def admitted_rows(monkeypatch) -> list[list]:
+    """[suite, case index, attempts, admitted seed, dim of the algebra] per case.
+
+    Attempts are the calls of lab's build_algebra during the case; the seed
+    and the algebra are what the admission loop returned.
+    """
+    rows, attempts = [], []
+    build, admit = lab.build_algebra, lab._admit
+
+    def counting_build(q, ideal, field):
+        attempts.append(ideal)
+        return build(q, ideal, field)
+
+    def recording_admit(spec, idx, kind, draw):
+        attempts.clear()
+        seed, q, ideal, lam, drawn = admit(spec, idx, kind, draw)
+        rows.append([kind, idx, len(attempts), seed, lam.dim])
+        return seed, q, ideal, lam, drawn
+
+    monkeypatch.setattr(lab, "build_algebra", counting_build)
+    monkeypatch.setattr(lab, "_admit", recording_admit)
+    for _, verify, cases in PINNED_SUITES:
+        assert verify(InstanceSpec(seed=1), cases=cases).all_passed
+    return rows
+
+
+def test_admissions_match_golden(monkeypatch):
+    # the golden rows were written by admitted_rows before the admission gate
+    # decided from dimension counts; any drift in instance selection shows here
+    assert admitted_rows(monkeypatch) == json.loads(GOLDEN.read_text())
+
+
+# ---------------------------------------------------------------------------
+# the width gate against full cover steps
+
+
+def reference_gate(m, depth: int) -> tuple[bool, str, int]:
+    """The gate from full cover steps, where it decided, and at which step.
+
+    A gate that counts widths needs the kernels of exactly the steps before
+    the deciding one.
+    """
+    if m.total_dim > lab.WIDTH_CAP:
+        return False, "module", 0
+    for k, step in zip(range(depth), cover_steps(m)):
+        if step.term.total_dim > lab.WIDTH_CAP:
+            return False, "first term" if k == 0 else "mid-chain", k
+        if step.syzygy.is_zero:
+            return True, "zero syzygy", k
+    return True, "depth", depth - 1
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_width_gate_matches_full_cover_steps(F):
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        style=st.sampled_from(["monomial", "mixed"]),
+        bound=st.integers(1, 24),
+        cap=st.integers(4, lab.WIDTH_CAP),
+        depth=st.integers(1, 8),
+    )
+    def gate_agrees(seed, style, bound, cap, depth):
+        rng = random.Random(seed)
+        q = _gen_quiver(rng, 4, 6)
+        alg = build_algebra(q, _gen_ideal(rng, q, style, 4), F)
+        assume(alg.dim <= ALGEBRA_DIM_CAP)
+        m = _gen_module(rng, alg, bound)
+        with mock.patch.object(lab, "WIDTH_CAP", cap):
+            want, where, kernels = reference_gate(m, depth)
+            with mock.patch.object(
+                lab, "projective_cover_and_syzygy", wraps=lab.projective_cover_and_syzygy
+            ) as cover:
+                assert _widths_ok(m, depth) == want
+            assert cover.call_count == kernels
+        seen.add(where)
+
+    gate_agrees()
+    assert {"module", "mid-chain", "zero syzygy"} <= seen
