@@ -38,8 +38,9 @@ from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation
 from .quiver import Arrow, FullSubquiver, Path, Quiver
 
-# paths below the truncation one presentation may span; suite instances stay under 2 000
-MAX_PATHS = 100_000
+# work budget of one presentation's span and table, checked on path counts and
+# on relation-row cells: suites stay under 40 000, the worst inputs tried 2.6 s
+MAX_WORK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,18 @@ def _path_vertices(q: Quiver, path: Path) -> list[str]:
     return vs
 
 
-def _path_count(q: Quiver, max_len: int) -> int:
-    """Paths of length <= max_len, counted by end vertex, not listed; stops past MAX_PATHS."""
+def _path_work(q: Quiver, max_len: int) -> int:
+    """Sum of (len(p) + 1)**2 over paths p of length <= max_len, counted, not
+    listed: the span (per relation) and the table build each path at most
+    once per split point, at a cost of its length."""
     ending = dict.fromkeys(q.vertices, 1)
     total = len(ending)
-    for _ in range(max_len):
+    for k in range(1, max_len + 1):
         longer = dict.fromkeys(q.vertices, 0)
         for a in q.arrows:
             longer[a.target] += ending[a.source]
-        ending, total = longer, total + sum(longer.values())
-        if total > MAX_PATHS or not any(ending.values()):
+        ending, total = longer, total + (k + 1) ** 2 * sum(longer.values())
+        if total > MAX_WORK or not any(ending.values()):
             break
     return total
 
@@ -153,8 +156,8 @@ class _RelationSpan:
         self.ideal = ideal
         self.field = field
         n = ideal.truncation
-        if _path_count(q, n - 1) > MAX_PATHS:
-            raise InputError(f"more than {MAX_PATHS} paths lie below truncation {n}")
+        if _path_work(q, n - 1) > MAX_WORK:
+            raise InputError(f"the paths below truncation {n} exceed {MAX_WORK} units of work")
         self.paths: list[Path] = q.paths_up_to(n - 1)
         self.path_index: dict[Path, int] = {p: i for i, p in enumerate(self.paths)}
         self.buckets: dict[tuple[str, str], list[int]] = {}
@@ -172,16 +175,21 @@ class _RelationSpan:
             by_source[p.source].append(p)
 
         rows_by_bucket: dict[tuple[str, str], list[list]] = {}
+        cells = 0
         for src, tgt, terms in ideal.uniform_relations(q):
             min_len = min(len(arrows) for _, arrows in terms)
+            # paths are in length order: the first too-long one ends each loop
             for pre in by_target[src]:
                 if pre.length + min_len > n - 1:
-                    continue
+                    break
                 for suf in by_source[tgt]:
                     if pre.length + min_len + suf.length > n - 1:
-                        continue
+                        break
                     key = (pre.source, suf.target)
                     local = self.buckets[key]
+                    cells += len(local)
+                    if cells > MAX_WORK:
+                        raise InputError(f"the relation rows exceed {MAX_WORK} entries")
                     row = [field.zero] * len(local)
                     for coeff, arrows in terms:
                         if pre.length + len(arrows) + suf.length > n - 1:
@@ -241,9 +249,8 @@ class _RelationSpan:
 
 
 class _TableOnFirstRead:
-    """Builds a presented algebra's table on first read and stores it on the
-    instance, shadowing this descriptor; cached_property would store it via
-    the instance __dict__ and so slow every later attribute read on it."""
+    """Builds the table on first read as a plain attribute; cached_property
+    would go through __dict__, slowing every later attribute read."""
 
     def __get__(self, alg, owner=None):
         if alg is None:
@@ -266,9 +273,8 @@ class FiniteDimAlgebra:
     theory; table-backed derived algebras (corners, quotients) have
     quiver=None and support only element arithmetic.
 
-    `table` may also be a function that builds it: a presented algebra takes
-    its basis (so its dimension) from the relation span and builds its table
-    on first read, after which it is a plain attribute.
+    A presented algebra takes its basis from the relation span and builds
+    its table on first read (`table` is then passed as a function).
 
     Instances are immutable after construction.
     """
@@ -367,13 +373,13 @@ def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
 def _algebra_from_span(span: _RelationSpan) -> FiniteDimAlgebra:
     basis_global = [g for g in range(len(span.paths)) if g not in span.pivot_global]
     elements = tuple(span.paths[g] for g in basis_global)
-    table = partial(_product_table, span, basis_global)
+    table = partial(_product_table, span, elements)
     return FiniteDimAlgebra(span.field, span.q.vertices, elements, table, span.q, span.ideal)
 
 
-def _product_table(span: _RelationSpan, basis_global: list[int]) -> tuple[dict, ...]:
+def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dict, ...]:
     q, field, n = span.q, span.field, span.ideal.truncation
-    basis_pos = {g: pos for pos, g in enumerate(basis_global)}
+    basis_pos = {span.path_index[p]: pos for pos, p in enumerate(elements)}
 
     nf_cache: dict[int, tuple[tuple[int, object], ...]] = {}
 
@@ -395,7 +401,6 @@ def _product_table(span: _RelationSpan, basis_global: list[int]) -> tuple[dict, 
         nf_cache[g] = out
         return out
 
-    elements = tuple(span.paths[g] for g in basis_global)
     by_source: dict[str, list[int]] = {v: [] for v in q.vertices}
     for j, pj in enumerate(elements):
         by_source[pj.source].append(j)

@@ -93,25 +93,23 @@ def top_lifts(m: Representation) -> dict[str, list[int]]:
     rad_rows = radical_rows(m)
     lifts: dict[str, list[int]] = {}
     for v in m.algebra.quiver.vertices:
-        _, pivots = linalg.rref(rad_rows[v], m.dims[v], m.field)
-        taken = set(pivots)
-        lifts[v] = [j for j in range(m.dims[v]) if j not in taken]
+        pivots = set(linalg.rref(rad_rows[v], m.dims[v], m.field)[1])
+        lifts[v] = [j for j in range(m.dims[v]) if j not in pivots]
     return lifts
 
 
-def projective_cover_and_syzygy(m: Representation, lifts=None) -> CoverStep:
+def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     """Projective cover of a module together with its first syzygy.
 
     The cover lifts the free coordinates of the radical's echelon form, one
-    generator per top basis vector, so the construction is deterministic;
-    lifts, when given, are top_lifts(m).  Minimality is certified by checking
-    that the kernel avoids the generator unit coordinates, which span a
-    complement of the radical of the term.
+    generator per top basis vector, so the construction is deterministic.
+    Minimality is certified by checking that the kernel avoids the generator
+    unit coordinates, which span a complement of the radical of the term.
     """
     alg = m.algebra
     q = alg.quiver
     F = m.field
-    lifts = top_lifts(m) if lifts is None else lifts
+    lifts = top_lifts(m)
     mults = {v: len(free) for v, free in lifts.items()}
     term, info = materialize_term(alg, mults)
     blocks = {}

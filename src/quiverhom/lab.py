@@ -12,9 +12,8 @@ algebra and drops it past the dimension cap, then lets the suite draw its
 modules and gate them.  A candidate whose resolutions would grow past the
 width cap is skipped deterministically and the next derived seed is tried,
 keeping suite runtimes at desk scale without touching the mathematical
-content of the checks.  Both caps are checked on dimension counts: no
-product table is built for an algebra past the cap, and term widths come
-from top multiplicities, so kernels are computed only for kept steps.
+content of the checks.  Both caps are checked on dimension counts, so no
+product table or kernel is computed for work that is not kept.
 """
 
 from __future__ import annotations
@@ -219,22 +218,20 @@ def _widths_ok(m: Representation, depth: int) -> bool:
     """True when the syzygy chain stays within the width cap to this depth.
 
     Each syzygy is a submodule of its term, so capping m and every term
-    caps the syzygies too.  A term's width is a dimension count,
-    sum over v of dim top_v * dim P_v, and its syzygy has width term - m
-    because the cover surjects; so a kernel is computed only for a step
-    that passes and is followed by another.
+    caps the syzygies too.  A term's width is sum_v dim top_v * dim P_v and
+    its syzygy's is term - m, as the cover surjects; so only a step that
+    passes and is followed by another computes its kernel.
     """
     if m.total_dim > WIDTH_CAP:
         return False
     pdim = Counter(el.source for el in m.algebra.elements)  # dim P_v
     for k in range(depth):
-        lifts = top_lifts(m)
-        width = sum(len(free) * pdim[v] for v, free in lifts.items())
+        width = sum(len(free) * pdim[v] for v, free in top_lifts(m).items())
         if width > WIDTH_CAP:
             return False
         if width == m.total_dim or k == depth - 1:
             return True
-        m = projective_cover_and_syzygy(m, lifts).syzygy
+        m = projective_cover_and_syzygy(m).syzygy
     return True
 
 

@@ -226,12 +226,25 @@ def test_field_order_past_primality_bound_is_input_error(ws, capsys):
     assert "too large" in capsys.readouterr().err
 
 
-def test_too_many_paths_below_truncation_is_input_error(tmp_path, capsys):
-    # two loops at one vertex span 2^40 - 1 paths below truncation 40: they
-    # are counted, not listed, before the algebra is built
-    p = tmp_path / "loops.qh"
-    p.write_text("quiver\n  vertices 1\n  arrow a 1 1\n  arrow b 1 1\n\nideal\n  truncation 40\n")
+LOOPS = "quiver\n  vertices 1\n  arrow a 1 1\n  arrow b 1 1\n\nideal\n  truncation 40\n"
+LOOP_SQUARED = "quiver\n  vertices 1\n  arrow a 1 1\n\nideal\n  truncation {}\n  relation\n    term 1 a a\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # two loops span 2^40 - 1 paths below truncation 40: counted, not listed
+        (LOOPS, "units of work"),
+        # 50 000 paths, each relation row 50 000 wide
+        (LOOP_SQUARED.format(50_000), "units of work"),
+        # few enough paths; the relation rows run past the budget while built
+        (LOOP_SQUARED.format(140), "relation rows exceed"),
+    ],
+)
+def test_presentation_past_work_budget_is_input_error(tmp_path, capsys, text, message):
+    p = tmp_path / "big.qh"
+    p.write_text(text)
     t0 = time.perf_counter()
     assert cli.main(["algebra", str(p)]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "paths lie below truncation 40" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
