@@ -20,7 +20,7 @@ from .algebra import build_algebra, verify_convex_isos
 from .errors import InputError, InvariantViolation
 from .fields import field_from_descriptor
 from .formats import WorkspaceBundle, export_dot, load_bundle
-from .homology import ext_dims, proj_dim, resolution
+from .homology import SyzygyChain, ext_dims, proj_dim, resolution
 from .lab import (
     InstanceSpec,
     decompose,
@@ -140,15 +140,15 @@ def _cmd_resolve(args) -> int:
     _require_algebra(bundle)
     if not bundle.modules:
         raise InputError("resolve needs a module section")
-    m = bundle.modules[0]
-    res = resolution(m, args.cutoff, "projective")
-    out = [f"module {bundle.module_names[0]}", f"total_dim {m.total_dim}"]
+    chain = SyzygyChain(bundle.modules[0])
+    res = resolution(chain, args.cutoff, "projective")
+    out = [f"module {bundle.module_names[0]}", f"total_dim {chain.module.total_dim}"]
     for i, label in enumerate(res.term_labels()):
         out.append(f"term {i} {label}")
     out.append("minimal " + ("yes" if res.minimal else "no"))
     out.append("exact " + ("yes" if res.exact else "no"))
     out.append(f"syzygy_{args.cutoff + 1}_dim {res.syzygy(args.cutoff + 1).total_dim}")
-    out.append(f"proj_dim {proj_dim(m, args.cutoff)}")
+    out.append(f"proj_dim {proj_dim(chain, args.cutoff)}")
     print("\n".join(out))
     return 0
 

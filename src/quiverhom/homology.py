@@ -2,10 +2,13 @@
 
 Projective resolutions are built step by step from projective covers: lift a
 basis of the top, map a matching sum of indecomposable projectives onto the
-module, and take the kernel as the next syzygy.  Every prefix carries
-exactness and minimality certificates that are recomputed from ranks rather
-than trusted from the construction.  Injective coresolutions are obtained by
-dualising, resolving over the opposite algebra, and dualising back.
+module, and take the kernel as the next syzygy.  A ``SyzygyChain`` keeps
+one module's steps, which its readers share; what resolves a module also
+takes its chain.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt.
+Every prefix carries exactness and minimality certificates that are
+recomputed from ranks rather than trusted from the construction.  Injective
+coresolutions are obtained by dualising, resolving over the opposite
+algebra, and dualising back.
 
 Ext dimensions come from the Hom complex of a minimal resolution, using the
 evaluation isomorphism Hom(P, N) = sum of copies of components of N indexed
@@ -14,9 +17,8 @@ by the generators of P.  Everything is exact arithmetic over the base field.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
 
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
@@ -88,6 +90,10 @@ class CoverStep:
     minimal: bool
 
 
+# widest projective term a cover step builds; wider ones are an input error
+MAX_TERM_WIDTH = 500
+
+
 def top_lifts(m: Representation) -> dict[str, list[int]]:
     """Per vertex v, the dim top(m)_v free coordinates of the radical's echelon form."""
     rad_rows = radical_rows(m)
@@ -96,6 +102,11 @@ def top_lifts(m: Representation) -> dict[str, list[int]]:
         pivots = set(linalg.rref(rad_rows[v], m.dims[v], m.field)[1])
         lifts[v] = [j for j in range(m.dims[v]) if j not in pivots]
     return lifts
+
+
+def cover_width(m: Representation, lifts: dict[str, list[int]]) -> int:
+    """Dimension of the projective cover: sum_v dim top_v * dim P_v."""
+    return sum(len(lifts[el.source]) for el in m.algebra.elements)
 
 
 def projective_cover_and_syzygy(m: Representation) -> CoverStep:
@@ -111,6 +122,11 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     F = m.field
     lifts = top_lifts(m)
     mults = {v: len(free) for v, free in lifts.items()}
+    # the width is at most dim top * dim alg: count it only when that bound is past the budget
+    if sum(mults.values()) * alg.dim > MAX_TERM_WIDTH:
+        width = cover_width(m, lifts)
+        if width > MAX_TERM_WIDTH:
+            raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
     term, info = materialize_term(alg, mults)
     blocks = {}
     for w in q.vertices:
@@ -133,16 +149,40 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     return CoverStep(mults, term, info, cover, syz, incl, minimal)
 
 
-def cover_steps(m: Representation) -> Iterator[CoverStep]:
-    """The cover steps of m, of its first syzygy, of its second, and so on.
-
-    Lazy and endless: each step is computed only when it is asked for, so
-    callers take exactly as many as they need.
+class SyzygyChain:
+    """One module's syzygies: step (its cover step), next (the chain of its
+    syzygy) and dual (the chain of its dual over the opposite algebra), each
+    made on first use and kept as long as the chain itself is held.
     """
-    while True:
-        step = projective_cover_and_syzygy(m)
-        yield step
-        m = step.syzygy
+
+    def __init__(self, module: Representation):
+        self.module = module
+
+    @cached_property
+    def step(self) -> CoverStep:
+        return projective_cover_and_syzygy(self.module)
+
+    @cached_property
+    def next(self) -> "SyzygyChain":
+        return SyzygyChain(self.step.syzygy)
+
+    @cached_property
+    def dual(self) -> "SyzygyChain":
+        return SyzygyChain(dual_module(self.module))
+
+    def drop(self, k: int) -> "SyzygyChain":
+        """The chain of the k-th syzygy."""
+        chain = self
+        for _ in range(k):
+            chain = chain.next
+        return chain
+
+
+ModuleOrChain = Representation | SyzygyChain
+
+
+def _chain(m: ModuleOrChain) -> SyzygyChain:
+    return m if isinstance(m, SyzygyChain) else SyzygyChain(m)
 
 
 def is_projective_module(m: Representation) -> bool:
@@ -206,7 +246,7 @@ def _certify_exact(module: Representation, reps, diffs) -> bool:
     return True
 
 
-def resolution(m: Representation, k: int, direction: str = "projective") -> ResolutionPrefix:
+def resolution(m: ModuleOrChain, k: int, direction: str = "projective") -> ResolutionPrefix:
     """Minimal resolution prefix with terms indexed 0..k.
 
     Terms beyond the projective (or injective) dimension come out zero; the
@@ -218,37 +258,38 @@ def resolution(m: Representation, k: int, direction: str = "projective") -> Reso
         return _injective_resolution(m, k)
     if direction != "projective":
         raise InputError(f"unknown resolution direction {direction!r}")
-    steps = list(islice(cover_steps(m), k + 1))
+    m = _chain(m)
+    steps = [m.drop(i).step for i in range(k + 1)]
     diffs = [steps[0].cover]
     for prev, step in zip(steps, steps[1:]):
         diffs.append(step.cover.compose(prev.syzygy_inclusion))
     reps = tuple(step.term for step in steps)
     return ResolutionPrefix(
         "projective",
-        m,
+        m.module,
         tuple(step.mults for step in steps),
         reps,
         tuple(diffs),
         tuple(step.syzygy for step in steps),
         tuple(step.info for step in steps),
         all(step.minimal for step in steps),
-        _certify_exact(m, reps, diffs),
+        _certify_exact(m.module, reps, diffs),
     )
 
 
-def _injective_resolution(m: Representation, k: int) -> ResolutionPrefix:
-    dm = dual_module(m)
-    res = resolution(dm, k, "projective")
+def _injective_resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
+    m = _chain(m)
+    res = resolution(m.dual, k, "projective")
     reps = tuple(dual_module(p) for p in res.reps)
     syzygies = tuple(dual_module(s) for s in res.syzygies)
     first = dual_map(res.diffs[0])
     # rebuild the source as the module itself; the double dual has equal data
-    diffs = [ModuleMap(m, reps[0], first.blocks, validate=False)]
+    diffs = [ModuleMap(m.module, reps[0], first.blocks, validate=False)]
     for i in range(1, len(res.diffs)):
         diffs.append(dual_map(res.diffs[i]))
     return ResolutionPrefix(
         "injective",
-        m,
+        m.module,
         res.terms,
         reps,
         tuple(diffs),
@@ -309,29 +350,28 @@ class ExtTable:
         return " ".join(f"ext^{i}={d}" for i, d in enumerate(self.dims))
 
 
-def ext_dims(
-    m: Representation, n: Representation, k: int, side: str = "projective"
-) -> ExtTable:
+def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective") -> ExtTable:
     """Dimensions of Ext^i(m, n) for i = 0..k.
 
     The projective side resolves m and takes cohomology of the evaluated Hom
     complex; the injective side coresolves n, which is the same computation
     over the opposite algebra applied to the duals in reversed order.
     """
-    if m.algebra is not n.algebra:
+    m, n = _chain(m), _chain(n)
+    if m.module.algebra is not n.module.algebra:
         raise InputError("ext endpoints live over different algebras")
     if k < 0:
         raise InputError("ext cutoff must be nonnegative")
     if side == "projective":
-        return ExtTable(_ext_dims_projective(m, n, k), k, side)
+        return ExtTable(_ext_dims_projective(m, n.module, k), k, side)
     if side == "injective":
-        return ExtTable(_ext_dims_projective(dual_module(n), dual_module(m), k), k, side)
+        return ExtTable(_ext_dims_projective(n.dual, dual_module(m.module), k), k, side)
     raise InputError(f"unknown ext side {side!r}")
 
 
-def _ext_dims_projective(m: Representation, n: Representation, k: int) -> tuple[int, ...]:
+def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int, ...]:
     res = resolution(m, k + 1, "projective")
-    F = m.field
+    F = n.field
     hom_dims = []
     offsets: list[list[int]] = []
     for info in res.infos:
@@ -374,7 +414,7 @@ def _ext_dims_projective(m: Representation, n: Representation, k: int) -> tuple[
 # homological dimensions
 
 
-def proj_dim(m: Representation, cutoff: int) -> DimBound:
+def proj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
     """Projective dimension, resolved up to the cutoff.
 
     Returns Finite(d) when the (d+1)-st syzygy vanishes with d <= cutoff and
@@ -382,17 +422,18 @@ def proj_dim(m: Representation, cutoff: int) -> DimBound:
     """
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
-    if m.is_zero:
+    m = _chain(m)
+    if m.module.is_zero:
         return DimBound.finite(-1)
-    for depth, step in enumerate(islice(cover_steps(m), cutoff + 1)):
-        if step.syzygy.is_zero:
+    for depth in range(cutoff + 1):
+        if m.drop(depth).step.syzygy.is_zero:
             return DimBound.finite(depth)
     return DimBound.at_least(cutoff)
 
 
-def inj_dim(m: Representation, cutoff: int) -> DimBound:
+def inj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
     """Injective dimension, by resolving the dual over the opposite algebra."""
-    return proj_dim(dual_module(m), cutoff)
+    return proj_dim(_chain(m).dual, cutoff)
 
 
 def gl_dim(alg: FiniteDimAlgebra, cutoff: int) -> DimBound:
@@ -432,7 +473,7 @@ class TransportedResolution:
 
 
 def transport_resolution(
-    a: Representation, k: int, split: IdempotentSplit, gamma: FiniteDimAlgebra
+    a: ModuleOrChain, k: int, split: IdempotentSplit, gamma: FiniteDimAlgebra
 ) -> TransportedResolution:
     """Transport a projective resolution of a to the restricted algebra.
 
@@ -443,11 +484,13 @@ def transport_resolution(
     """
     if split.plus is None or split.minus is None:
         raise InputError("transport needs a split with plus/minus refinement")
+    a_chain = _chain(a)
+    a = a_chain.module
     allowed = set(split.e) | set(split.plus)
     outside = sorted(a.support - allowed)
     if outside:
         raise InputError(f"module has support outside the heart closure: {outside}")
-    res = resolution(a, k, "projective")
+    res = resolution(a_chain, k, "projective")
     chain = [a]
     chain.extend(res.reps)
     quots = []
@@ -526,8 +569,8 @@ class HeartShiftPair:
 
 
 def heart_shift_pair(
-    m: Representation,
-    n: Representation,
+    m: ModuleOrChain,
+    n: ModuleOrChain,
     split: IdempotentSplit,
     t: int,
     gamma: FiniteDimAlgebra,
@@ -537,16 +580,15 @@ def heart_shift_pair(
     Requires the heart split of the ambient algebra, the bound t on paths
     through the complement, and the restricted heart algebra.
     """
-    if m.algebra is not n.algebra:
+    m, n = _chain(m), _chain(n)
+    if m.module.algebra is not n.module.algebra:
         raise InputError("shift pair endpoints live over different algebras")
     if t < 0:
         raise InputError("the complement bound must be nonnegative")
-    res = resolution(m, t + 1, "projective")
-    omega = res.syzygies[t]
+    omega = m.drop(t + 1).module
     hp = heart_parts(omega, split)
     a_part = restrict(hp.quot_by_plus, gamma)
-    ires = resolution(n, t + 1, "injective")
-    cosyz = ires.syzygies[t]
+    cosyz = dual_module(n.dual.drop(t + 1).module)
     hn = heart_parts(cosyz, split)
     b_part = restrict(hn.minus_part, gamma)
     return HeartShiftPair(a_part, b_part, omega, cosyz)

@@ -19,7 +19,6 @@ product table or kernel is computed for work that is not kept.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -36,19 +35,19 @@ from .algebra import (
 from .errors import InputError, InvariantViolation
 from .fields import QQ
 from .homology import (
+    SyzygyChain,
     check_term_reachability,
+    cover_width,
     ext_dims,
     gl_dim,
     heart_shift_pair,
     is_projective_module,
-    projective_cover_and_syzygy,
     resolution,
     top_lifts,
     transport_resolution,
 )
 from .modules import (
     Representation,
-    dual_module,
     heart_parts,
     inflate,
     left_module_over_opposite,
@@ -214,24 +213,23 @@ def gen_instance(spec: InstanceSpec):
     return q, ideal, mods
 
 
-def _widths_ok(m: Representation, depth: int) -> bool:
+def _widths_ok(chain: SyzygyChain, depth: int) -> bool:
     """True when the syzygy chain stays within the width cap to this depth.
 
-    Each syzygy is a submodule of its term, so capping m and every term
-    caps the syzygies too.  A term's width is sum_v dim top_v * dim P_v and
-    its syzygy's is term - m, as the cover surjects; so only a step that
-    passes and is followed by another computes its kernel.
+    Each syzygy is a submodule of its term, so capping the module and every
+    term caps the syzygies too.  A term's width is its cover_width and its
+    syzygy's is term - module, as the cover surjects; so only a step that
+    passes and is followed by another is taken on the chain.
     """
-    if m.total_dim > WIDTH_CAP:
+    if chain.module.total_dim > WIDTH_CAP:
         return False
-    pdim = Counter(el.source for el in m.algebra.elements)  # dim P_v
     for k in range(depth):
-        width = sum(len(free) * pdim[v] for v, free in top_lifts(m).items())
+        width = cover_width(chain.module, top_lifts(chain.module))
         if width > WIDTH_CAP:
             return False
-        if width == m.total_dim or k == depth - 1:
+        if width == chain.module.total_dim or k == depth - 1:
             return True
-        m = projective_cover_and_syzygy(m).syzygy
+        chain = chain.next
     return True
 
 
@@ -406,11 +404,11 @@ def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
         seeds = rng.sample(list(q.vertices), k)
         sub = q.convex_closure(seeds)
         gamma = restricted_algebra(q, ideal, sub, QQ)
-        m = _gen_module(rng, gamma, mbound)
+        m = SyzygyChain(_gen_module(rng, gamma, mbound))
         n = _gen_module(rng, gamma, mbound)
         if not _widths_ok(m, cutoff + 2):
             return None
-        mi = inflate(m, lam)
+        mi = SyzygyChain(inflate(m.module, lam))
         ni = inflate(n, lam)
         if not _widths_ok(mi, cutoff + 2):
             return None
@@ -462,8 +460,8 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     def draw(rng, q, ideal, lam):
         hp = q.homological_heart()
         t = hp.t
-        m = _gen_module(rng, lam, mbound)
-        n = _gen_module(rng, lam, mbound)
+        m = SyzygyChain(_gen_module(rng, lam, mbound))
+        n = SyzygyChain(_gen_module(rng, lam, mbound))
         if hp.heart.is_empty:
             return (hp, None, m, n) if _widths_ok(m, t + 4) else None
         if t > 2:
@@ -471,10 +469,11 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
         lmax = 2 * t + 6 if cutoff is None else min(cutoff, 2 * t + 6)
         if lmax < 2 * t + 3:
             raise InputError("heart suite cutoff must reach 2t+3")
+        simples = (SyzygyChain(standard_module(lam, "simple", v)) for v in lam.vertices)
         admitted = (
             _widths_ok(m, lmax + 1)
-            and _widths_ok(dual_module(n), t + 4)
-            and all(_widths_ok(standard_module(lam, "simple", v), 7) for v in lam.vertices)
+            and _widths_ok(n.dual, t + 4)
+            and all(_widths_ok(s, 7) for s in simples)
         )
         return (hp, lmax, m, n) if admitted else None
 
@@ -506,12 +505,12 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     ck.require("term_reachability", check_term_reachability(res))
 
     omega = res.syzygy(t + 1)
-    ares = resolution(omega, 3, "projective")
+    ares = resolution(m.drop(t + 1), 3, "projective")
     term_support = {
         v for mults in ares.terms for v, mult in mults.items() if mult > 0
     }
     ck.require("deep_term_support", term_support <= up, f"terms {sorted(term_support)}")
-    tr = transport_resolution(omega, 3, split, gamma)
+    tr = transport_resolution(m.drop(t + 1), 3, split, gamma)
     ck.require("transport_exact", tr.exact)
     ck.require("transport_minimal", tr.minimal)
     ck.require("transport_terms_projective", tr.terms_projective)
@@ -535,8 +534,9 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     ck.expect("plus_quotient_dim", hparts.quot_by_plus.total_dim, omega.total_dim - killed_dim)
 
     pair = heart_shift_pair(m, n, split, t, gamma)
+    a_part = SyzygyChain(pair.a_part)
     lam_table = ext_dims(m, n, lmax)
-    gam_table = ext_dims(pair.a_part, pair.b_part, lmax - 2 * t - 2)
+    gam_table = ext_dims(a_part, pair.b_part, lmax - 2 * t - 2)
     for ell in range(2 * t + 3, lmax + 1):
         ck.expect(f"ext_shift_l{ell}", lam_table[ell], gam_table[ell - 2 * t - 2])
 
@@ -544,7 +544,7 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     a_lam = hparts.quot_by_plus
     b_lam = heart_parts(cosyz, split).minus_part
     lam58 = ext_dims(a_lam, b_lam, 3)
-    gam58 = ext_dims(pair.a_part, pair.b_part, 3)
+    gam58 = ext_dims(a_part, pair.b_part, 3)
     for nn in range(4):
         ck.expect(f"heart_pair_ext_n{nn}", lam58[nn], gam58[nn])
 
@@ -587,9 +587,9 @@ def _ext_cross_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
     mbound = min(spec.module_size_bound, 6)
 
     def draw(rng, q, ideal, lam):
-        m = _gen_module(rng, lam, mbound)
-        n = _gen_module(rng, lam, mbound)
-        if _widths_ok(m, cutoff + 2) and _widths_ok(dual_module(n), cutoff + 2):
+        m = SyzygyChain(_gen_module(rng, lam, mbound))
+        n = SyzygyChain(_gen_module(rng, lam, mbound))
+        if _widths_ok(m, cutoff + 2) and _widths_ok(n.dual, cutoff + 2):
             return m, n
         return None
 

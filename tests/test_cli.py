@@ -8,7 +8,17 @@ import time
 
 import pytest
 
-from quiverhom import SuiteReport, cli
+from quiverhom import (
+    InstanceSpec,
+    SuiteReport,
+    cli,
+    dual_module,
+    gen_instance,
+    get_opposite,
+    serialize_ideal,
+    serialize_module,
+    serialize_quiver,
+)
 
 
 CYCLE_TAIL = """\
@@ -248,3 +258,21 @@ def test_presentation_past_work_budget_is_input_error(tmp_path, capsys, text, me
     assert cli.main(["algebra", str(p)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resolve", "ext"])
+def test_cover_past_term_budget_is_input_error(tmp_path, capsys, command):
+    # over the opposite algebra, the cover terms of the dual grow 48, 141, 588, ...
+    _, _, (m, n) = gen_instance(InstanceSpec(seed=3))
+    op = get_opposite(m.algebra)
+    p = tmp_path / "dual.qh"
+    p.write_text(
+        serialize_quiver(op.quiver)
+        + serialize_ideal(op.ideal)
+        + serialize_module(dual_module(n), "DN")
+        + serialize_module(dual_module(m), "DM")
+    )
+    t0 = time.perf_counter()
+    assert cli.main([command, str(p), "--cutoff", "6"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds budget 500" in capsys.readouterr().err

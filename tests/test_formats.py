@@ -5,6 +5,8 @@ line.  Round-trips reload the serialized text and compare structures.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverhom import (
     QQ,
@@ -309,3 +311,88 @@ def test_dot_export_plain_and_empty(line_quiver):
 
     empty = export_dot(Quiver.build([], []))
     assert empty.startswith("digraph") and empty.rstrip().endswith("}")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any text loads or ends in an InputError
+
+KEYWORDS = ["quiver", "ideal", "module", "subquiver", "vertices", "arrow", "truncation",
+            "relation", "term", "dim", "matrix", "row", "#", "S1", "1", "2", "a", "b", "zz"]
+NUMBERS = ["0", "1", "2", "3", "4", "-1", "-1/2", "1/2", "2/4", "1/0", "1.5", "x1", "007"]
+SECTIONS = ["quiver", "ideal", "module", "module S1", "subquiver"]
+# mostly valid nesting levels, so that most inputs get past the line parser
+INDENTS = ["  ", "  ", "  ", "  ", "    ", "    ", "      ", "", " ", "   "]
+# GOOD plus a matrix, so that row entries are mutated too
+FUZZ_BASE = (GOOD + "module M\n  dim 1 1\n  dim 2 1\n  matrix a\n    row 1/2\n").splitlines()
+# weighted towards the argument mutations, which reach the section parsers
+MUTATIONS = ["drop", "repeat", "swap", "insert", "indent", "tab"] + ["token", "number"] * 3
+
+tokens = st.sampled_from(KEYWORDS + NUMBERS)
+soup_line = st.builds(
+    lambda indent, words, sep: indent + sep.join(words),
+    st.sampled_from(INDENTS),
+    st.lists(tokens, max_size=5),
+    st.sampled_from([" ", " ", "  "]),
+)
+soup = st.lists(
+    st.tuples(st.sampled_from(SECTIONS) | tokens, st.lists(soup_line, max_size=5)),
+    max_size=4,
+).map(lambda blocks: "\n".join(head + "\n" + "\n".join(body) for head, body in blocks))
+
+# a two-vertex workspace with every numeric slot drawn from NUMBERS
+numbers = st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=2)
+valued = st.builds(
+    lambda trunc, coeffs, dims, row: "quiver\n  vertices 1 2\n  arrow a 1 2\n  arrow b 2 1\n"
+    + f"ideal\n  truncation {trunc[0]}\n  relation\n"
+    + "".join(f"    term {c} a b\n" for c in coeffs)
+    + f"module\n  dim 1 {dims[0]}\n  dim 2 {dims[-1]}\n  matrix a\n    row {' '.join(row)}\n",
+    numbers,
+    numbers,
+    numbers,
+    numbers,
+)
+
+
+@st.composite
+def mutated_workspace(draw):
+    lines = list(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(MUTATIONS))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "insert":
+            lines.insert(i, draw(soup_line))
+        elif kind in ("token", "number"):
+            body = lines[i].lstrip(" ")
+            words = body.split(" ")
+            pick = tokens if kind == "token" else st.sampled_from(NUMBERS)
+            words[draw(st.integers(0, len(words) - 1))] = draw(pick)
+            lines[i] = lines[i][: len(lines[i]) - len(body)] + " ".join(words)
+        elif kind == "indent":
+            lines[i] = draw(st.sampled_from(INDENTS)) + lines[i].lstrip(" ")
+        else:
+            lines[i] = lines[i].replace(" ", "\t", 1)
+        if not lines:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_fuzz_loads_or_raises_input_error(tmp_path):
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        text=mutated_workspace() | soup | valued,
+        field=st.sampled_from([QQ, PrimeField(2)]),
+    )
+    def loads_or_refuses(text, field):
+        try:
+            load_bundle([write(tmp_path, text)], field)
+        except InputError:
+            pass
+
+    loads_or_refuses()

@@ -6,20 +6,25 @@ agreement between the projective- and injective-side Ext computations.
 """
 
 import random
+import time
+from unittest import mock
 
 import pytest
 
+import quiverhom.homology as homology
 from quiverhom import (
     QQ,
     DimBound,
     IdealSpec,
     IdempotentSplit,
     InputError,
+    InstanceSpec,
     PrimeField,
     Quiver,
     build_algebra,
     check_term_reachability,
     ext_dims,
+    gen_instance,
     gl_dim,
     heart_shift_pair,
     inj_dim,
@@ -30,7 +35,7 @@ from quiverhom import (
     transport_resolution,
     zero_module,
 )
-from quiverhom.homology import projective_cover_and_syzygy
+from quiverhom.homology import SyzygyChain, projective_cover_and_syzygy
 
 from test_modules import random_module
 
@@ -221,3 +226,46 @@ def test_heart_shift_pair_reproduces_shifted_ext(
     gam_table = ext_dims(pair.a_part, pair.b_part, 9 - shift)
     for ell in range(2 * hp.t + 3, 10):
         assert lam_table[ell] == gam_table[ell - shift]
+
+
+def test_chain_readers_share_each_cover_step(
+    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra
+):
+    hp = cycle_tail_quiver.homological_heart()
+    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
+    gamma = restricted_algebra(cycle_tail_quiver, cycle_tail_ideal, hp.heart, QQ)
+    s1 = standard_module(cycle_tail_algebra, "simple", "1")
+    p3 = standard_module(cycle_tail_algebra, "projective", "3")
+    m, n = SyzygyChain(s1), SyzygyChain(p3)
+    with mock.patch.object(
+        homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
+    ) as cover:
+        res = resolution(m, 6)
+        assert cover.call_count == 7
+        assert proj_dim(m, 6) == proj_dim(s1, 6)
+        assert ext_dims(m, n, 5) == ext_dims(s1, p3, 5)
+        assert ext_dims(m, n, 3, "injective") == ext_dims(s1, p3, 3, "injective")
+        assert inj_dim(n, 4) == inj_dim(p3, 4)
+        pair = heart_shift_pair(m, n, split, hp.t, gamma)
+        bare = heart_shift_pair(s1, p3, split, hp.t, gamma)
+        calls = cover.call_count
+        assert transport_resolution(m.drop(hp.t + 1), 3, split, gamma).exact
+        assert cover.call_count == calls
+    assert res.terms == resolution(s1, 6).terms
+    assert m.drop(2).module is res.syzygy(2)
+    assert pair.a_part.equal_to(bare.a_part) and pair.b_part.equal_to(bare.b_part)
+    # a fresh chain of the same module steps again: nothing outlives its chain
+    with mock.patch.object(
+        homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
+    ) as cover:
+        resolution(SyzygyChain(s1), 6)
+        assert cover.call_count == 7
+
+
+def test_cover_past_term_budget_is_input_error():
+    # the cover terms of this dual grow 48, 141, 588, 1544, 5652
+    _, _, (_, n) = gen_instance(InstanceSpec(seed=3))
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="exceeds budget 500"):
+        inj_dim(n, 5)
+    assert time.perf_counter() - t0 < 1.0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quiverhom.homology as homology
 import quiverhom.lab as lab
 from quiverhom import (
     build_algebra,
@@ -31,7 +32,7 @@ from quiverhom import (
     verify_heart_theorem,
     verify_subquiver_calculus,
 )
-from quiverhom.homology import cover_steps
+from quiverhom.homology import SyzygyChain, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
 
 
@@ -237,15 +238,18 @@ def reference_gate(m, depth: int) -> tuple[bool, str, int]:
     """The gate from full cover steps, where it decided, and at which step.
 
     A gate that counts widths needs the kernels of exactly the steps before
-    the deciding one.
+    the deciding one.  It steps in a loop of its own, sharing no code with
+    the syzygy chain that the gate walks.
     """
     if m.total_dim > lab.WIDTH_CAP:
         return False, "module", 0
-    for k, step in zip(range(depth), cover_steps(m)):
+    for k in range(depth):
+        step = projective_cover_and_syzygy(m)
         if step.term.total_dim > lab.WIDTH_CAP:
             return False, "first term" if k == 0 else "mid-chain", k
         if step.syzygy.is_zero:
             return True, "zero syzygy", k
+        m = step.syzygy
     return True, "depth", depth - 1
 
 
@@ -270,11 +274,45 @@ def test_width_gate_matches_full_cover_steps(F):
         with mock.patch.object(lab, "WIDTH_CAP", cap):
             want, where, kernels = reference_gate(m, depth)
             with mock.patch.object(
-                lab, "projective_cover_and_syzygy", wraps=lab.projective_cover_and_syzygy
+                homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
             ) as cover:
-                assert _widths_ok(m, depth) == want
+                assert _widths_ok(SyzygyChain(m), depth) == want
             assert cover.call_count == kernels
         seen.add(where)
 
     gate_agrees()
     assert {"module", "mid-chain", "zero syzygy"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# one syzygy chain per module
+
+
+def test_no_module_is_stepped_twice_within_a_case(monkeypatch):
+    # every stepped module stays referenced until its case ends, so no id is reused
+    stepped: dict[int, object] = {}
+    repeats: list[str] = []
+    shift_pairs = []
+    cover, admit, pair = homology.projective_cover_and_syzygy, lab._admit, lab.heart_shift_pair
+
+    def recording_cover(m):
+        if id(m) in stepped:
+            repeats.append(f"dims {m.dims}")
+        stepped[id(m)] = m
+        return cover(m)
+
+    def case_start(spec, idx, kind, draw):
+        stepped.clear()
+        return admit(spec, idx, kind, draw)
+
+    def counting_pair(*args):
+        shift_pairs.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(homology, "projective_cover_and_syzygy", recording_cover)
+    monkeypatch.setattr(lab, "_admit", case_start)
+    monkeypatch.setattr(lab, "heart_shift_pair", counting_pair)
+    for verify in (verify_convex_epi, verify_heart_theorem, verify_ext_cross):
+        assert verify(InstanceSpec(seed=1), cases=3).all_passed
+        assert repeats == [], verify.__name__
+    assert shift_pairs, "no case with a nonempty heart"
