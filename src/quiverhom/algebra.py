@@ -296,6 +296,9 @@ class FiniteDimAlgebra:
         }
         if set(self.idempotent_index) != set(self.vertices):
             raise InvariantViolation("vertex idempotents do not survive to the basis")
+        self.arrow_index: dict[str, int] = {
+            el.arrows[0]: i for i, el in enumerate(self.elements) if el.length == 1
+        }
         # provenance hooks filled in by derived-algebra builders
         self.parent: FiniteDimAlgebra | None = None
         self.parent_indices: tuple[int, ...] | None = None

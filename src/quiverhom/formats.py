@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FiniteDimAlgebra, IdealSpec, build_algebra
+from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
 from .fields import QQ
 from .modules import Representation
@@ -284,12 +284,16 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
                 f"unknown module entry {child.keyword!r}", child.line, child.tokens[0].column
             )
     full_dims = {v: dims.get(v, 0) for v in q.vertices}
+    # cells of the identity and arrow matrices the module builds and validates
+    work = sum(d * d for d in full_dims.values())
+    work += sum(full_dims[a.source] * full_dims[a.target] for a in q.arrows)
+    if work > MAX_WORK:
+        raise ParseError(f"module matrices exceed {MAX_WORK} units of work", node.line)
     mats = {}
     for a in q.arrows:
-        nrows, ncols = full_dims[a.source], full_dims[a.target]
         if a.name not in raw_mats:
-            mats[a.name] = [[F.zero] * ncols for _ in range(nrows)]
             continue
+        nrows, ncols = full_dims[a.source], full_dims[a.target]
         mnode, rows = raw_mats[a.name]
         if nrows == 0 or ncols == 0:
             if rows:
@@ -298,7 +302,6 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
                     mnode.line,
                     mnode.tokens[0].column,
                 )
-            mats[a.name] = [[F.zero] * ncols for _ in range(nrows)]
             continue
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ParseError(
@@ -307,9 +310,6 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
                 mnode.tokens[0].column,
             )
         mats[a.name] = rows
-    for name, (mnode, rows) in raw_mats.items():
-        if name not in mats:
-            raise ParseError(f"stray matrix {name!r}", mnode.line, mnode.tokens[0].column)
     return Representation(alg, full_dims, mats, validate=True)
 
 

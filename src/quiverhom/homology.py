@@ -5,14 +5,15 @@ basis of the top, map a matching sum of indecomposable projectives onto the
 module, and take the kernel as the next syzygy.  A ``SyzygyChain`` keeps
 one module's steps, which its readers share; what resolves a module also
 takes its chain.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt.
-Every prefix carries exactness and minimality certificates that are
-recomputed from ranks rather than trusted from the construction.  Injective
-coresolutions are obtained by dualising, resolving over the opposite
-algebra, and dualising back.
+A prefix's minimality comes from its cover steps; its exactness is
+recomputed from ranks of the complex it holds each time it is read.
+Injective coresolutions are obtained by dualising, resolving over the
+opposite algebra, and dualising back.
 
-Ext dimensions come from the Hom complex of a minimal resolution, using the
-evaluation isomorphism Hom(P, N) = sum of copies of components of N indexed
-by the generators of P.  Everything is exact arithmetic over the base field.
+Ext dimensions come from the Hom complex of a minimal resolution, read off
+the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
+of copies of components of N indexed by the generators of P.  Everything is
+exact arithmetic over the base field.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ class ResolutionPrefix:
     diffs[0] the augmentation and diffs[i] : reps[i] -> reps[i-1]; syzygies[i]
     is the (i+1)-st syzygy.  For direction "injective" everything dualises:
     diffs[0] : module -> I_0, diffs[i] : reps[i-1] -> reps[i], and syzygies[i]
-    is the (i+1)-st cosyzygy.  The certificate flags are recomputed from
-    ranks, not inherited from the construction.
+    is the (i+1)-st cosyzygy.  minimal comes from the cover steps; exact is
+    recomputed from ranks of the held complex on every read.
     """
 
     direction: str
@@ -212,9 +213,11 @@ class ResolutionPrefix:
     reps: tuple[Representation, ...]
     diffs: tuple[ModuleMap, ...]
     syzygies: tuple[Representation, ...]
-    infos: tuple[TermInfo, ...] | None
     minimal: bool
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return _certify_exact(self.module, self.reps, self.diffs)
 
     def syzygy(self, i: int) -> Representation:
         """The i-th (co)syzygy; index 0 returns the module itself."""
@@ -228,7 +231,9 @@ class ResolutionPrefix:
 
 
 def _certify_exact(module: Representation, reps, diffs) -> bool:
-    """Recompute exactness of an augmented complex from ranks."""
+    """Recompute exactness from ranks of an augmented complex whose maps run
+    into the module (a resolution) or out of it (a coresolution)."""
+    into = diffs[0].target is module
     q = module.algebra.quiver
     F = module.field
     ranks = []
@@ -238,7 +243,8 @@ def _certify_exact(module: Representation, reps, diffs) -> bool:
         if ranks[0][v] != module.dims[v]:
             return False
     for i in range(1, len(diffs)):
-        if not diffs[i].compose(diffs[i - 1]).is_zero:
+        first, then = (diffs[i], diffs[i - 1]) if into else (diffs[i - 1], diffs[i])
+        if not first.compose(then).is_zero:
             return False
         for v in q.vertices:
             if ranks[i][v] + ranks[i - 1][v] != reps[i - 1].dims[v]:
@@ -263,17 +269,14 @@ def resolution(m: ModuleOrChain, k: int, direction: str = "projective") -> Resol
     diffs = [steps[0].cover]
     for prev, step in zip(steps, steps[1:]):
         diffs.append(step.cover.compose(prev.syzygy_inclusion))
-    reps = tuple(step.term for step in steps)
     return ResolutionPrefix(
         "projective",
         m.module,
         tuple(step.mults for step in steps),
-        reps,
+        tuple(step.term for step in steps),
         tuple(diffs),
         tuple(step.syzygy for step in steps),
-        tuple(step.info for step in steps),
         all(step.minimal for step in steps),
-        _certify_exact(m.module, reps, diffs),
     )
 
 
@@ -294,9 +297,7 @@ def _injective_resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
         reps,
         tuple(diffs),
         syzygies,
-        None,
         res.minimal,
-        res.exact,
     )
 
 
@@ -370,11 +371,11 @@ def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective
 
 
 def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int, ...]:
-    res = resolution(m, k + 1, "projective")
+    steps = [m.drop(i).step for i in range(k + 2)]
     F = n.field
     hom_dims = []
     offsets: list[list[int]] = []
-    for info in res.infos:
+    for info in (step.info for step in steps):
         offs = []
         total = 0
         for v, _ in info.generators:
@@ -384,13 +385,15 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
         hom_dims.append(total)
     ranks = [0]
     for i in range(1, k + 2):
-        info_t = res.infos[i]
-        info_s = res.infos[i - 1]
+        info_t, info_s = steps[i].info, steps[i - 1].info
+        incl = steps[i - 1].syzygy_inclusion
         nrows, ncols = hom_dims[i - 1], hom_dims[i]
         delta = linalg.zeros(nrows, ncols, F)
         for g, (u, _) in enumerate(info_t.generators):
             _, r = info_t.gen_pos[g]
-            image = res.diffs[i].blocks[u][r]
+            # the generator's image in the previous term: its cover row through the inclusion
+            cover_row = steps[i].cover.blocks[u][r]
+            image = linalg.vec_mat(cover_row, incl.blocks[u], incl.target.dims[u], F)
             col0 = offsets[i][g]
             for c, coeff in enumerate(image):
                 if F.is_zero(coeff):

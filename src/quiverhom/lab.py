@@ -505,15 +505,15 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     ck.require("term_reachability", check_term_reachability(res))
 
     omega = res.syzygy(t + 1)
-    ares = resolution(m.drop(t + 1), 3, "projective")
-    term_support = {
-        v for mults in ares.terms for v, mult in mults.items() if mult > 0
-    }
-    ck.require("deep_term_support", term_support <= up, f"terms {sorted(term_support)}")
     tr = transport_resolution(m.drop(t + 1), 3, split, gamma)
     ck.require("transport_exact", tr.exact)
     ck.require("transport_minimal", tr.minimal)
     ck.require("transport_terms_projective", tr.terms_projective)
+    # the terms of Omega^{t+1} m, stepped by the transport above
+    term_support = {
+        v for i in range(4) for v, mult in m.drop(t + 1 + i).step.mults.items() if mult > 0
+    }
+    ck.require("deep_term_support", term_support <= up, f"terms {sorted(term_support)}")
 
     hparts = heart_parts(omega, split)
     gens = [standard_module(lam, "projective", v) for v in sorted(split.plus)]
@@ -534,9 +534,9 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     ck.expect("plus_quotient_dim", hparts.quot_by_plus.total_dim, omega.total_dim - killed_dim)
 
     pair = heart_shift_pair(m, n, split, t, gamma)
-    a_part = SyzygyChain(pair.a_part)
     lam_table = ext_dims(m, n, lmax)
-    gam_table = ext_dims(a_part, pair.b_part, lmax - 2 * t - 2)
+    # one table serves both the shift and the heart-pair checks: Ext^i ignores the cutoff
+    gam_table = ext_dims(pair.a_part, pair.b_part, max(3, lmax - 2 * t - 2))
     for ell in range(2 * t + 3, lmax + 1):
         ck.expect(f"ext_shift_l{ell}", lam_table[ell], gam_table[ell - 2 * t - 2])
 
@@ -544,9 +544,8 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     a_lam = hparts.quot_by_plus
     b_lam = heart_parts(cosyz, split).minus_part
     lam58 = ext_dims(a_lam, b_lam, 3)
-    gam58 = ext_dims(a_part, pair.b_part, 3)
     for nn in range(4):
-        ck.expect(f"heart_pair_ext_n{nn}", lam58[nn], gam58[nn])
+        ck.expect(f"heart_pair_ext_n{nn}", lam58[nn], gam_table[nn])
 
     gl_lam = gl_dim(lam, 6)
     gl_gam = gl_dim(gamma, 6)

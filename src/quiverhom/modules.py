@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
-from .quiver import Path
 
 
 def _require_presented(alg: FiniteDimAlgebra) -> None:
@@ -281,7 +280,7 @@ def materialize_term(
     mats = {}
     table = alg.table
     for a in q.arrows:
-        j = _arrow_element_index(alg, a.name)
+        j = alg.arrow_index[a.name]
         mat = linalg.zeros(dims[a.source], dims[a.target], F)
         for p, (g, i) in enumerate(basis[a.source]):
             for k, c in table[i].get(j, ()):
@@ -294,15 +293,6 @@ def materialize_term(
         tuple(gen_pos),
     )
     return rep, info
-
-
-def _arrow_element_index(alg: FiniteDimAlgebra, name: str) -> int:
-    a = alg.quiver.arrow_by_name[name]
-    key = Path(a.source, (name,), a.target)
-    for i, el in enumerate(alg.elements):
-        if el == key:
-            return i
-    raise InputError(f"arrow {name!r} does not survive to the algebra basis")
 
 
 def dual_module(m: Representation) -> Representation:
@@ -691,7 +681,7 @@ def left_module_over_opposite(quotient: FiniteDimAlgebra) -> Representation:
     mats = {}
     for a in parent.quiver.arrows:
         # in the opposite quiver the arrow runs target -> source
-        arrow_idx = _arrow_element_index(parent, a.name)
+        arrow_idx = parent.arrow_index[a.name]
         pa = quotient.parent_projection({arrow_idx: F.one})
         mat = linalg.zeros(dims[a.target], dims[a.source], F)
         for p, g in enumerate(comp[a.target]):

@@ -260,6 +260,16 @@ def test_presentation_past_work_budget_is_input_error(tmp_path, capsys, text, me
     assert message in capsys.readouterr().err
 
 
+def test_module_past_work_budget_is_input_error(tmp_path, capsys):
+    # identity plus loop matrix: 2 * 10^10 cells, refused before either is built
+    p = tmp_path / "big.qh"
+    p.write_text(LOOP_SQUARED.format(2) + "\nmodule M\n  dim 1 100000\n")
+    t0 = time.perf_counter()
+    assert cli.main(["resolve", str(p)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "units of work" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["resolve", "ext"])
 def test_cover_past_term_budget_is_input_error(tmp_path, capsys, command):
     # over the opposite algebra, the cover terms of the dual grow 48, 141, 588, ...

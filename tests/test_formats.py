@@ -251,6 +251,25 @@ module M
         load_bundle([write(tmp_path, text)])
 
 
+def test_matrix_for_zero_side_and_omitted_matrices(tmp_path):
+    head = "quiver\n  vertices 1 2\n  arrow a 1 2\n  arrow b 2 1\n\nideal\n  truncation 2\n"
+    text = head + "\nmodule M\n  dim 1 2\n  matrix b\n"
+    m = load_bundle([write(tmp_path, text)]).modules[0]
+    assert m.mats == {"a": [[], []], "b": []}
+    with pytest.raises(ParseError, match="omitted when a side is zero") as exc:
+        load_bundle([write(tmp_path, text + "    row\n")])
+    assert exc.value.line == 11
+
+
+def test_module_work_budget_boundary(tmp_path):
+    # one loop at dim 500: 250 000 identity plus 250 000 loop cells, within 10^6
+    text = "quiver\n  vertices 1\n  arrow a 1 1\n\nideal\n  truncation 2\n"
+    m = load_bundle([write(tmp_path, text + "\nmodule M\n  dim 1 500\n")]).modules[0]
+    assert m.dims == {"1": 500}
+    with pytest.raises(ParseError, match="units of work"):
+        load_bundle([write(tmp_path, text + "\nmodule M\n  dim 1 708\n")])
+
+
 def test_multi_file_bundle(tmp_path):
     q_part = "quiver\n  vertices 1 2\n  arrow a 1 2\n\nideal\n  truncation 3\n"
     m_part = "module M\n  dim 1 1\n  dim 2 0\n"

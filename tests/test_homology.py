@@ -5,6 +5,7 @@ the cycle-with-tail fixtures, the syzygy dimension shift for Ext, and the
 agreement between the projective- and injective-side Ext computations.
 """
 
+import dataclasses
 import random
 import time
 from unittest import mock
@@ -12,9 +13,11 @@ from unittest import mock
 import pytest
 
 import quiverhom.homology as homology
+import quiverhom.linalg as linalg
 from quiverhom import (
     QQ,
     DimBound,
+    ModuleMap,
     IdealSpec,
     IdempotentSplit,
     InputError,
@@ -95,6 +98,21 @@ def test_injective_coresolution_mirrors_projective(cycle_tail_algebra):
         assert cz.total_dim >= 0
 
 
+@pytest.mark.parametrize(
+    "vertex, k, direction", [("1", 4, "projective"), ("3", 3, "injective")]
+)
+def test_exactness_is_read_from_the_held_complex(cycle_tail_algebra, vertex, k, direction):
+    res = resolution(standard_module(cycle_tail_algebra, "simple", vertex), k, direction)
+    assert res.exact
+    # zero one nonzero block of the second differential; the flag must follow the maps
+    d = res.diffs[1]
+    v = next(v for v, b in d.blocks.items() if not linalg.is_zero_matrix(b, QQ))
+    zeroed = linalg.zeros(len(d.blocks[v]), d.target.dims[v], QQ)
+    broken = ModuleMap(d.source, d.target, {**d.blocks, v: zeroed}, validate=False)
+    forged = dataclasses.replace(res, diffs=(res.diffs[0], broken) + res.diffs[2:])
+    assert not forged.exact
+
+
 def test_resolution_rejects_bad_input(line_algebra):
     sv = standard_module(line_algebra, "simple", "v")
     with pytest.raises(InputError):
@@ -116,6 +134,49 @@ def test_ext_sides_agree_on_random_instances():
         left = ext_dims(m, n, 4, "projective")
         right = ext_dims(m, n, 4, "injective")
         assert left.dims == right.dims
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_ext_reads_the_chain_without_a_prefix(cycle_tail_quiver, cycle_tail_ideal, field):
+    alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, field)
+    rng = random.Random(502)
+    k = 4
+    with (
+        mock.patch.object(homology, "resolution", wraps=homology.resolution) as res,
+        mock.patch.object(homology, "_certify_exact", wraps=homology._certify_exact) as cert,
+        mock.patch.object(
+            homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
+        ) as cover,
+    ):
+        for _ in range(3):
+            m, n = random_module(rng, alg), random_module(rng, alg)
+            for side in ("projective", "injective"):
+                cover.reset_mock()
+                ext_dims(m, n, k, side)
+                # one resolved chain per side: m's, or the dual of n's
+                assert cover.call_count == k + 2
+    assert res.call_count == 0 and cert.call_count == 0
+
+
+@pytest.mark.parametrize("name", ["line", "cycle_tail", "two_cycles"])
+def test_ext_of_simples_agrees_over_prime_fields(request, name):
+    # monomial relations: Ext of simples does not depend on the field
+    q = request.getfixturevalue(f"{name}_quiver")
+    ideal = request.getfixturevalue(f"{name}_ideal")
+    tables = []
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        alg = build_algebra(q, ideal, field)
+        simples = [standard_module(alg, "simple", v) for v in alg.vertices]
+        tables.append(
+            [
+                ext_dims(s, t, 6, side).dims
+                for s in simples
+                for t in simples
+                for side in ("projective", "injective")
+            ]
+        )
+    assert tables[0] == tables[1] == tables[2]
+    assert any(any(dims[1:]) for dims in tables[0])
 
 
 def test_ext_zero_is_hom_dimension(cycle_tail_algebra):
@@ -182,9 +243,7 @@ def test_term_reachability_flags_unreachable_terms(line_algebra):
         reps=res.reps,
         diffs=res.diffs,
         syzygies=res.syzygies,
-        infos=None,
         minimal=res.minimal,
-        exact=res.exact,
     )
     assert not check_term_reachability(forged)
 

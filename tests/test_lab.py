@@ -316,3 +316,20 @@ def test_no_module_is_stepped_twice_within_a_case(monkeypatch):
         assert verify(InstanceSpec(seed=1), cases=3).all_passed
         assert repeats == [], verify.__name__
     assert shift_pairs, "no case with a nonempty heart"
+
+
+def test_heart_case_certifies_only_its_transport(monkeypatch):
+    certify = mock.Mock(wraps=homology._certify_exact)
+    pair = mock.Mock(wraps=lab.heart_shift_pair)
+    monkeypatch.setattr(homology, "_certify_exact", certify)
+    monkeypatch.setattr(lab, "heart_shift_pair", pair)
+    counts = []
+    for idx in range(20):
+        certify.reset_mock()
+        pair.reset_mock()
+        assert lab._heart_case(InstanceSpec(seed=1), idx, None) == []
+        if pair.called:
+            counts.append(certify.call_count)
+        if len(counts) == 3:
+            break
+    assert counts == [1, 1, 1]
