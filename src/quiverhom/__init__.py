@@ -3,11 +3,11 @@
 The package covers the full pipeline: directed-multigraph calculus (full
 and convex subquivers, boundary splits, the homological heart), bound
 quiver algebras over the rationals or a prime field with exact arithmetic
-throughout, quiver representations with minimal projective resolutions and
-injective coresolutions, Ext dimension tables, resolution transport onto
-the heart's restricted algebra, a recursive block decomposition, and
-randomized seeded suites that verify the structural theorems on generated
-instances.
+throughout, quiver representations with minimal projective resolutions
+(cosyzygies through the dual over the opposite algebra), Ext dimension
+tables, resolution transport onto the heart's restricted algebra, a
+recursive block decomposition, and randomized seeded suites that verify the
+structural theorems on generated instances.
 """
 
 from .algebra import (

@@ -141,7 +141,7 @@ def _cmd_resolve(args) -> int:
     if not bundle.modules:
         raise InputError("resolve needs a module section")
     chain = SyzygyChain(bundle.modules[0])
-    res = resolution(chain, args.cutoff, "projective")
+    res = resolution(chain, args.cutoff)
     out = [f"module {bundle.module_names[0]}", f"total_dim {chain.module.total_dim}"]
     for i, label in enumerate(res.term_labels()):
         out.append(f"term {i} {label}")
@@ -190,7 +190,9 @@ def _cmd_verify(args) -> int:
     }[args.suite]
     # unset options fall back to the suite's own defaults
     kwargs = {} if args.cases is None else {"cases": args.cases}
-    if args.cutoff is not None and args.suite != "subquiver":
+    if args.cutoff is not None:
+        if args.suite == "subquiver":
+            raise InputError("the subquiver suite takes no cutoff")
         kwargs["cutoff"] = args.cutoff
     report = suite(InstanceSpec(seed=args.seed), **kwargs)
     sys.stdout.write(report.render())

@@ -7,8 +7,9 @@ one module's steps, which its readers share; what resolves a module also
 takes its chain.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt.
 A prefix's minimality comes from its cover steps; its exactness is
 recomputed from ranks of the complex it holds each time it is read.
-Injective coresolutions are obtained by dualising, resolving over the
-opposite algebra, and dualising back.
+Prefixes are projective only.  The injective side is the chain's ``dual``:
+the ell-th cosyzygy of a module is the dual of the ell-th syzygy of its dual
+over the opposite algebra, and has the same dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
@@ -25,10 +26,10 @@ from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
 from .errors import InputError, InvariantViolation
 from .modules import (
+    HeartParts,
     ModuleMap,
     Representation,
     TermInfo,
-    dual_map,
     dual_module,
     heart_parts,
     largest_submodule_supported,
@@ -197,17 +198,14 @@ def is_projective_module(m: Representation) -> bool:
 
 @dataclass(frozen=True)
 class ResolutionPrefix:
-    """A finite prefix of a minimal resolution or coresolution.
+    """A finite prefix of a minimal projective resolution.
 
-    For direction "projective" the maps run P_k -> ... -> P_0 -> module, with
-    diffs[0] the augmentation and diffs[i] : reps[i] -> reps[i-1]; syzygies[i]
-    is the (i+1)-st syzygy.  For direction "injective" everything dualises:
-    diffs[0] : module -> I_0, diffs[i] : reps[i-1] -> reps[i], and syzygies[i]
-    is the (i+1)-st cosyzygy.  minimal comes from the cover steps; exact is
-    recomputed from ranks of the held complex on every read.
+    The maps run P_k -> ... -> P_0 -> module, with diffs[0] the augmentation
+    and diffs[i] : reps[i] -> reps[i-1]; syzygies[i] is the (i+1)-st syzygy.
+    minimal comes from the cover steps; exact is recomputed from ranks of the
+    held complex on every read.
     """
 
-    direction: str
     module: Representation
     terms: tuple[dict[str, int], ...]
     reps: tuple[Representation, ...]
@@ -220,10 +218,10 @@ class ResolutionPrefix:
         return _certify_exact(self.module, self.reps, self.diffs)
 
     def syzygy(self, i: int) -> Representation:
-        """The i-th (co)syzygy; index 0 returns the module itself."""
-        if i == 0:
-            return self.module
-        return self.syzygies[i - 1]
+        """The i-th syzygy for i in 0..k+1; index 0 returns the module itself."""
+        if not 0 <= i <= len(self.syzygies):
+            raise InputError(f"syzygy index {i} outside 0..{len(self.syzygies)}")
+        return self.syzygies[i - 1] if i else self.module
 
     def term_labels(self) -> tuple[str, ...]:
         alg = self.module.algebra
@@ -232,8 +230,7 @@ class ResolutionPrefix:
 
 def _certify_exact(module: Representation, reps, diffs) -> bool:
     """Recompute exactness from ranks of an augmented complex whose maps run
-    into the module (a resolution) or out of it (a coresolution)."""
-    into = diffs[0].target is module
+    into the module: diffs[0] : reps[0] -> module, diffs[i] : reps[i] -> reps[i-1]."""
     q = module.algebra.quiver
     F = module.field
     ranks = []
@@ -243,8 +240,7 @@ def _certify_exact(module: Representation, reps, diffs) -> bool:
         if ranks[0][v] != module.dims[v]:
             return False
     for i in range(1, len(diffs)):
-        first, then = (diffs[i], diffs[i - 1]) if into else (diffs[i - 1], diffs[i])
-        if not first.compose(then).is_zero:
+        if not diffs[i].compose(diffs[i - 1]).is_zero:
             return False
         for v in q.vertices:
             if ranks[i][v] + ranks[i - 1][v] != reps[i - 1].dims[v]:
@@ -252,52 +248,26 @@ def _certify_exact(module: Representation, reps, diffs) -> bool:
     return True
 
 
-def resolution(m: ModuleOrChain, k: int, direction: str = "projective") -> ResolutionPrefix:
-    """Minimal resolution prefix with terms indexed 0..k.
+def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
+    """Minimal projective resolution prefix with terms indexed 0..k.
 
-    Terms beyond the projective (or injective) dimension come out zero; the
-    prefix always has k+1 terms so tables over a fixed cutoff line up.
+    Terms beyond the projective dimension come out zero; the prefix always
+    has k+1 terms so tables over a fixed cutoff line up.
     """
     if k < 0:
         raise InputError("resolution length must be nonnegative")
-    if direction == "injective":
-        return _injective_resolution(m, k)
-    if direction != "projective":
-        raise InputError(f"unknown resolution direction {direction!r}")
     m = _chain(m)
     steps = [m.drop(i).step for i in range(k + 1)]
     diffs = [steps[0].cover]
     for prev, step in zip(steps, steps[1:]):
         diffs.append(step.cover.compose(prev.syzygy_inclusion))
     return ResolutionPrefix(
-        "projective",
         m.module,
         tuple(step.mults for step in steps),
         tuple(step.term for step in steps),
         tuple(diffs),
         tuple(step.syzygy for step in steps),
         all(step.minimal for step in steps),
-    )
-
-
-def _injective_resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
-    m = _chain(m)
-    res = resolution(m.dual, k, "projective")
-    reps = tuple(dual_module(p) for p in res.reps)
-    syzygies = tuple(dual_module(s) for s in res.syzygies)
-    first = dual_map(res.diffs[0])
-    # rebuild the source as the module itself; the double dual has equal data
-    diffs = [ModuleMap(m.module, reps[0], first.blocks, validate=False)]
-    for i in range(1, len(res.diffs)):
-        diffs.append(dual_map(res.diffs[i]))
-    return ResolutionPrefix(
-        "injective",
-        m.module,
-        res.terms,
-        reps,
-        tuple(diffs),
-        syzygies,
-        res.minimal,
     )
 
 
@@ -317,11 +287,7 @@ def check_term_reachability(res: ResolutionPrefix) -> bool:
     levels = [set(start)]
     for _ in range(depth + slack):
         prev = levels[-1]
-        if res.direction == "projective":
-            nxt = {a.target for a in q.arrows if a.source in prev}
-        else:
-            nxt = {a.source for a in q.arrows if a.target in prev}
-        levels.append(nxt)
+        levels.append({a.target for a in q.arrows if a.source in prev})
     for kk in range(1, depth + 1):
         allowed = set()
         for j in range(kk, min(kk + slack, len(levels) - 1) + 1):
@@ -493,7 +459,7 @@ def transport_resolution(
     outside = sorted(a.support - allowed)
     if outside:
         raise InputError(f"module has support outside the heart closure: {outside}")
-    res = resolution(a_chain, k, "projective")
+    res = resolution(a_chain, k)
     chain = [a]
     chain.extend(res.reps)
     quots = []
@@ -562,13 +528,14 @@ class HeartShiftPair:
     """The two restricted modules whose Ext groups reproduce shifted Ext.
 
     a_part is the (t+1)-st syzygy of m divided by its plus part; b_part is
-    the minus part of the (t+1)-st cosyzygy of n; both restricted.
+    the minus part of the (t+1)-st cosyzygy of n; both restricted.  The heart
+    parts of that syzygy and that cosyzygy are kept over the ambient algebra.
     """
 
     a_part: Representation
     b_part: Representation
-    syzygy: Representation
-    cosyzygy: Representation
+    syzygy_parts: HeartParts
+    cosyzygy_parts: HeartParts
 
 
 def heart_shift_pair(
@@ -588,10 +555,8 @@ def heart_shift_pair(
         raise InputError("shift pair endpoints live over different algebras")
     if t < 0:
         raise InputError("the complement bound must be nonnegative")
-    omega = m.drop(t + 1).module
-    hp = heart_parts(omega, split)
-    a_part = restrict(hp.quot_by_plus, gamma)
-    cosyz = dual_module(n.dual.drop(t + 1).module)
-    hn = heart_parts(cosyz, split)
-    b_part = restrict(hn.minus_part, gamma)
-    return HeartShiftPair(a_part, b_part, omega, cosyz)
+    hp = heart_parts(m.drop(t + 1).module, split)
+    hn = heart_parts(dual_module(n.dual.drop(t + 1).module), split)
+    return HeartShiftPair(
+        restrict(hp.quot_by_plus, gamma), restrict(hn.minus_part, gamma), hp, hn
+    )

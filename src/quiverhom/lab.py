@@ -48,7 +48,6 @@ from .homology import (
 )
 from .modules import (
     Representation,
-    heart_parts,
     inflate,
     left_module_over_opposite,
     materialize_term,
@@ -488,19 +487,19 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     up = heart_set | set(split.plus)
     down = heart_set | set(split.minus)
 
-    res = resolution(m, t + 3, "projective")
+    res = resolution(m, t + 3)
     for ell in range(t + 1, t + 4):
         ck.require(
             f"syzygy_support_l{ell}",
             set(res.syzygy(ell).support) <= up,
             f"support {sorted(res.syzygy(ell).support)}",
         )
-    ires = resolution(n, t + 3, "injective")
     for ell in range(t + 1, t + 4):
+        # the ell-th cosyzygy of n is the dual of the ell-th syzygy of its dual;
+        # dual_module copies dims, so both have the same support
+        support = n.dual.drop(ell).module.support
         ck.require(
-            f"cosyzygy_support_l{ell}",
-            set(ires.syzygy(ell).support) <= down,
-            f"support {sorted(ires.syzygy(ell).support)}",
+            f"cosyzygy_support_l{ell}", set(support) <= down, f"support {sorted(support)}"
         )
     ck.require("term_reachability", check_term_reachability(res))
 
@@ -515,7 +514,8 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     }
     ck.require("deep_term_support", term_support <= up, f"terms {sorted(term_support)}")
 
-    hparts = heart_parts(omega, split)
+    pair = heart_shift_pair(m, n, split, t, gamma)
+    hparts = pair.syzygy_parts
     gens = [standard_module(lam, "projective", v) for v in sorted(split.plus)]
     traced = trace_submodule(omega, gens)
     F = lam.field
@@ -533,17 +533,13 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     killed_dim = sum(len(rows) for rows in killed.values())
     ck.expect("plus_quotient_dim", hparts.quot_by_plus.total_dim, omega.total_dim - killed_dim)
 
-    pair = heart_shift_pair(m, n, split, t, gamma)
     lam_table = ext_dims(m, n, lmax)
     # one table serves both the shift and the heart-pair checks: Ext^i ignores the cutoff
     gam_table = ext_dims(pair.a_part, pair.b_part, max(3, lmax - 2 * t - 2))
     for ell in range(2 * t + 3, lmax + 1):
         ck.expect(f"ext_shift_l{ell}", lam_table[ell], gam_table[ell - 2 * t - 2])
 
-    cosyz = ires.syzygy(t + 1)
-    a_lam = hparts.quot_by_plus
-    b_lam = heart_parts(cosyz, split).minus_part
-    lam58 = ext_dims(a_lam, b_lam, 3)
+    lam58 = ext_dims(hparts.quot_by_plus, pair.cosyzygy_parts.minus_part, 3)
     for nn in range(4):
         ck.expect(f"heart_pair_ext_n{nn}", lam58[nn], gam_table[nn])
 

@@ -226,6 +226,11 @@ def test_verify_epi_cutoff_below_two_is_input_error(capsys):
         assert "cutoff must be at least 2" in capsys.readouterr().err
 
 
+def test_verify_subquiver_cutoff_is_input_error(capsys):
+    assert cli.main(["verify", "subquiver", "--cases", "1", "--cutoff", "5"]) == 2
+    assert "subquiver suite takes no cutoff" in capsys.readouterr().err
+
+
 def test_verify_heart_cutoff_below_window_is_input_error(capsys):
     assert cli.main(["verify", "heart", "--cases", "1", "--cutoff", "2"]) == 2
     assert "cutoff must reach 2t+3" in capsys.readouterr().err

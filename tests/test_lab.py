@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import quiverhom.homology as homology
 import quiverhom.lab as lab
+import quiverhom.modules as modules
 from quiverhom import (
     build_algebra,
     DecompositionTree,
@@ -323,13 +324,23 @@ def test_heart_case_certifies_only_its_transport(monkeypatch):
     pair = mock.Mock(wraps=lab.heart_shift_pair)
     monkeypatch.setattr(homology, "_certify_exact", certify)
     monkeypatch.setattr(lab, "heart_shift_pair", pair)
+    # every binding of these names, so a call through any module is counted
+    wrapped = {}
+    for name in ("dual_map", "heart_parts"):
+        fn = getattr(modules, name)
+        wrapped[name] = mock.Mock(wraps=fn)
+        for mod in (modules, homology, lab):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped[name])
+    dual, parts = wrapped["dual_map"], wrapped["heart_parts"]
     counts = []
     for idx in range(20):
-        certify.reset_mock()
-        pair.reset_mock()
+        for m in (certify, pair, dual, parts):
+            m.reset_mock()
         assert lab._heart_case(InstanceSpec(seed=1), idx, None) == []
         if pair.called:
-            counts.append(certify.call_count)
+            # cosyzygies come off the dual chain, and the pair holds both heart parts
+            counts.append((certify.call_count, dual.call_count, parts.call_count))
         if len(counts) == 3:
             break
-    assert counts == [1, 1, 1]
+    assert counts == [(1, 0, 2)] * 3

@@ -23,6 +23,7 @@ from quiverhom import (
     Quiver,
     Representation,
     build_algebra,
+    dual_map,
     dual_module,
     embed_submodule,
     get_opposite,
@@ -148,6 +149,22 @@ def test_double_dual_restores_module_data():
         dd = dual_module(dual_module(m))
         assert dd.algebra is m.algebra
         assert dd.equal_to(m)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_dual_map_reverses_a_cover_and_is_an_involution(
+    cycle_tail_quiver, cycle_tail_ideal, field
+):
+    alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, field)
+    rng = random.Random(404)
+    modules = [standard_module(alg, "simple", "1"), random_module(rng, alg)]
+    for m in modules:
+        f = projective_cover_and_syzygy(m).cover
+        d = dual_map(f)
+        assert d.source.equal_to(dual_module(f.target))
+        assert d.target.equal_to(dual_module(f.source))
+        ModuleMap(dual_module(f.target), dual_module(f.source), d.blocks, validate=True)
+        assert dual_map(d).blocks == f.blocks
 
 
 def test_submodule_closure_embeds_and_quotient_balances():
