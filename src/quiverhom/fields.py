@@ -52,7 +52,6 @@ class Rationals:
     """The field of rational numbers; elements are ``Fraction``."""
 
     name = "Q"
-    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -70,12 +69,6 @@ class Rationals:
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -116,10 +109,6 @@ class PrimeField:
         return f"GF({self.p})"
 
     @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
     def zero(self) -> int:
         return 0
 
@@ -146,15 +135,6 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

@@ -275,17 +275,17 @@ def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, fiel
     """Matrix of the quotient map K^ncols -> K^(ncols - rank).
 
     Coordinates on the quotient are the non-pivot columns of the canonical
-    representative.  Returns an ncols x (ncols - rank) matrix.
+    representative.  The unit vector at a free column represents itself, and
+    the one at a pivot reduces to minus its echelon row.  Returns an
+    ncols x (ncols - rank) matrix.
     """
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    proj = []
-    for j in range(ncols):
-        e = [field.zero] * ncols
-        e[j] = field.one
-        red = reduce_mod_rowspace(e, echelon, pivots, field)
-        proj.append([red[f] for f in free])
-    return proj
+    pivot_rows = dict(zip(pivots, echelon))
+    free = [j for j in range(ncols) if j not in pivot_rows]
+    units = dict(zip(free, identity(len(free), field)))
+    return [
+        units[j] if j in units else [field.neg(pivot_rows[j][f]) for f in free]
+        for j in range(ncols)
+    ]
 
 
 def rowspace_intersect_coords(

@@ -11,9 +11,14 @@ exponent.  Construction validates by default; internal constructions that
 are valid by construction (submodules, quotients, duals, kernels) skip the
 check but remain spot-checked in the test suite.
 
-Submodules are handed around as per-vertex row bases inside the ambient
-components; the embed/quotient helpers turn those into honest
-representations with inclusion or projection maps.
+Submodules are handed around as per-vertex canonical row bases inside the
+ambient components; the embed/quotient helpers turn those into honest
+representations with inclusion or projection maps.  The two heart parts have
+closed forms over the algebra's basis, one elimination per vertex: the
+submodule generated by seed rows is spanned at w by seed_v · x over the basis
+elements x : v -> w, and the largest submodule supported on a vertex set is,
+at each vertex v in it, the common left kernel of the basis elements from v
+to vertices outside.  A quotient reads its arrow matrices off the free rows.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
 class Representation:
     """A right module: per-vertex dimensions plus per-arrow matrices.
 
-    A representation is not mutated after construction, so `element_matrix`
-    memoizes on it; callers must not mutate the matrices it hands out.
+    A representation is not mutated after construction, so path and element
+    matrices are memoized on it; callers must not mutate the matrices handed out.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, mats, validate: bool = True):
@@ -69,6 +74,7 @@ class Representation:
         for name in mats:
             if name not in self.mats:
                 raise DanglingIdError(f"module names unknown arrow {name!r}")
+        self._path_mats: dict[tuple[str, ...], list[list]] = {}
         self._element_mats: dict[int, list[list]] = {}
         if validate:
             self.validate()
@@ -90,14 +96,21 @@ class Representation:
         return self.total_dim == 0
 
     def path_matrix(self, arrows) -> list[list]:
-        """Matrix of the path action, a product of arrow matrices."""
-        q = self.algebra.quiver
-        if not arrows:
+        """Matrix of the path action, a product of arrow matrices.
+
+        Every prefix's product is kept, so each distinct path costs one product.
+        """
+        path = tuple(arrows)
+        if not path:
             raise InputError("path_matrix needs at least one arrow")
-        out = self.mats[arrows[0]]
-        for name in arrows[1:]:
-            a = q.arrow_by_name[name]
-            out = linalg.mat_mul(out, self.mats[name], self.dims[a.target], self.field)
+        k = len(path)
+        while k > 1 and path[:k] not in self._path_mats:
+            k -= 1
+        out = self._path_mats[path[:k]] if k > 1 else self.mats[path[0]]
+        for j in range(k, len(path)):
+            a = self.algebra.quiver.arrow_by_name[path[j]]
+            out = linalg.mat_mul(out, self.mats[a.name], self.dims[a.target], self.field)
+            self._path_mats[path[: j + 1]] = out
         return out
 
     def element_matrix(self, idx: int) -> list[list]:
@@ -328,23 +341,21 @@ def _canonical(rep: Representation, rows_by_vertex) -> dict[str, list[list]]:
 
 
 def submodule_closure(rep: Representation, seed_rows) -> dict[str, list[list]]:
-    """Smallest submodule containing the seed rows, as canonical bases."""
-    q = rep.algebra.quiver
+    """Smallest submodule containing the seed rows, as canonical bases.
+
+    At w it is spanned by seed_v · x over the basis elements x : v -> w; the
+    idempotent at w contributes the seeds at w themselves.
+    """
     F = rep.field
-    spaces = _canonical(rep, seed_rows)
-    changed = True
-    while changed:
-        changed = False
-        for a in q.arrows:
-            src = spaces[a.source]
-            if not src:
-                continue
-            pushed = linalg.mat_mul(src, rep.mats[a.name], rep.dims[a.target], F)
-            merged, _ = linalg.rref(spaces[a.target] + pushed, rep.dims[a.target], F)
-            if len(merged) != len(spaces[a.target]):
-                spaces[a.target] = merged
-                changed = True
-    return spaces
+    rows: dict[str, list[list]] = {v: [] for v in rep.algebra.quiver.vertices}
+    for i, el in enumerate(rep.algebra.elements):
+        seed = seed_rows.get(el.source)
+        if seed and rep.dims[el.target]:
+            w = el.target
+            rows[w].extend(
+                linalg.mat_mul(seed, rep.element_matrix(i), rep.dims[w], F) if el.arrows else seed
+            )
+    return _canonical(rep, rows)
 
 
 def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
@@ -395,26 +406,25 @@ def quotient_with_section(
 
     The section picks the free-column standard vectors as coset
     representatives; section followed by projection is the identity on the
-    quotient, which is what induced-map computations need.
+    quotient, which is what induced-map computations need.  An arrow acts on
+    the quotient by the free rows of its matrix followed by the projection.
     """
     q = rep.algebra.quiver
     F = rep.field
     proj = {}
     section = {}
-    dims = {}
+    free = {}
     for v in q.vertices:
         echelon, pivots = linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
         proj[v] = linalg.quotient_projection(echelon, pivots, rep.dims[v], F)
-        free = [j for j in range(rep.dims[v]) if j not in set(pivots)]
-        dims[v] = len(free)
-        sec = linalg.zeros(len(free), rep.dims[v], F)
-        for i, j in enumerate(free):
-            sec[i][j] = F.one
-        section[v] = sec
+        free[v] = sorted(set(range(rep.dims[v])) - set(pivots))
+        unit = linalg.identity(rep.dims[v], F)
+        section[v] = [unit[j] for j in free[v]]
+    dims = {v: len(cols) for v, cols in free.items()}
     mats = {}
     for a in q.arrows:
-        lifted = linalg.mat_mul(section[a.source], rep.mats[a.name], rep.dims[a.target], F)
-        mats[a.name] = linalg.mat_mul(lifted, proj[a.target], dims[a.target], F)
+        rows = [rep.mats[a.name][j] for j in free[a.source]]
+        mats[a.name] = linalg.mat_mul(rows, proj[a.target], dims[a.target], F)
     quot = Representation(rep.algebra, dims, mats, validate=False)
     pmap = ModuleMap(rep, quot, proj, validate=False)
     return quot, pmap, section
@@ -448,38 +458,22 @@ def image_of_map(f: ModuleMap) -> dict[str, list[list]]:
 def largest_submodule_supported(rep: Representation, allowed) -> dict[str, list[list]]:
     """Largest submodule whose support lies inside the allowed vertex set.
 
-    Starts from the full components on allowed vertices and repeatedly cuts
-    by the condition that every arrow image stays inside the current spaces.
+    At an allowed vertex v it is the common left kernel of the basis elements
+    x : v -> w with w outside, and 0 elsewhere.  This is arrow-stable since
+    x·a for an arrow a lies in the span of basis elements that end where a
+    ends: for m in the kernel at v and y ending outside, (m·a)·y = m·(a·y) = 0.
+    A submodule supported inside has m·x = 0 for all such x, so none is larger.
     """
-    q = rep.algebra.quiver
     F = rep.field
     allowed = set(allowed)
-    spaces = {
-        v: linalg.identity(rep.dims[v], F) if v in allowed else []
-        for v in q.vertices
-    }
-    changed = True
-    while changed:
-        changed = False
-        for a in q.arrows:
-            src = spaces[a.source]
-            if not src:
-                continue
-            echelon, pivots = linalg.rref(spaces[a.target], rep.dims[a.target], F)
-            qproj = linalg.quotient_projection(echelon, pivots, rep.dims[a.target], F)
-            ncols = rep.dims[a.target] - len(pivots)
-            if ncols == 0:
-                continue
-            cond = linalg.mat_mul(
-                linalg.mat_mul(src, rep.mats[a.name], rep.dims[a.target], F), qproj, ncols, F
-            )
-            kern = linalg.left_kernel(cond, ncols, F)
-            if len(kern) == len(src):
-                continue
-            spaces[a.source] = linalg.rref(
-                linalg.mat_mul(kern, src, rep.dims[a.source], F), rep.dims[a.source], F
-            )[0]
-            changed = True
+    spaces: dict[str, list[list]] = {v: [] for v in rep.algebra.quiver.vertices}
+    outward = {v: [] for v in spaces if v in allowed}
+    for i, el in enumerate(rep.algebra.elements):
+        if el.source in outward and el.target not in allowed and rep.dims[el.target]:
+            outward[el.source].append(rep.element_matrix(i))
+    for v, mats in outward.items():
+        stacked = [sum((m[r] for m in mats), []) for r in range(rep.dims[v])]
+        spaces[v] = linalg.RowSpace(stacked, len(stacked[0]) if stacked else 0, F).kernel
     return spaces
 
 

@@ -4,12 +4,14 @@ Commands are driven through main(argv) so the tests cover argument parsing,
 workspace loading, and the printed report formats end to end.
 """
 
+import random
 import time
 
 import pytest
 
 from quiverhom import (
     InstanceSpec,
+    PrimeField,
     SuiteReport,
     cli,
     dual_module,
@@ -19,6 +21,7 @@ from quiverhom import (
     serialize_module,
     serialize_quiver,
 )
+from quiverhom import linalg
 
 
 CYCLE_TAIL = """\
@@ -291,3 +294,33 @@ def test_cover_past_term_budget_is_input_error(tmp_path, capsys, command):
     assert cli.main([command, str(p), "--cutoff", "6"]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "exceeds budget 500" in capsys.readouterr().err
+
+
+def dense_loop_workspace(n: int) -> str:
+    """One loop at truncation 143 acting by a shift conjugated by a random P mod 101."""
+    F = PrimeField(101)
+    rng = random.Random(0)
+    while True:
+        p = [[rng.randrange(101) for _ in range(n)] for _ in range(n)]
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(p)]
+        echelon, pivots = linalg.rref(aug, 2 * n, F)
+        if pivots == list(range(n)):
+            break
+    shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    a = linalg.mat_mul(linalg.mat_mul(p, shift, n, F), [r[n:] for r in echelon], n, F)
+    rows = "".join("    row " + " ".join(map(str, r)) + "\n" for r in a)
+    return (
+        "quiver\n  vertices 1\n  arrow a 1 1\n\nideal\n  truncation 143\n\n"
+        f"module M\n  dim 1 {n}\n  matrix a\n{rows}"
+    )
+
+
+def test_dense_loop_module_resolves_in_bounded_time(tmp_path, capsys):
+    # 142 basis paths a^k: each costs one product past a^(k-1), not k - 1 products
+    p = tmp_path / "loop.qh"
+    p.write_text(dense_loop_workspace(30))
+    t0 = time.perf_counter()
+    assert cli.main(["resolve", str(p), "--cutoff", "0", "--field", "p:101"]) == 0
+    assert time.perf_counter() - t0 < 3.0
+    out = capsys.readouterr().out
+    assert "term 0 P_1\n" in out and "syzygy_1_dim 113\n" in out

@@ -7,9 +7,10 @@ arguments, kernels and images obey rank-nullity vertexwise.
 
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quiverhom import (
     QQ,
@@ -47,9 +48,11 @@ from quiverhom import (
 )
 from quiverhom import linalg
 from quiverhom.homology import ext_dims, materialize_term, projective_cover_and_syzygy
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
+from quiverhom.modules import quotient_with_section
 
 
-def random_module(rng, alg, bound=8):
+def random_module(rng, alg, bound=8, closure=submodule_closure):
     """Quotient of a small projective sum by a random closed subspace."""
     pdim = {v: sum(1 for el in alg.elements if el.source == v) for v in alg.vertices}
     mults = {}
@@ -66,7 +69,7 @@ def random_module(rng, alg, bound=8):
     for v in alg.vertices:
         if term.dims[v] and rng.random() < 0.5:
             rows[v] = [[alg.field.of(rng.randint(-2, 2)) for _ in range(term.dims[v])]]
-    quot, _ = quotient_by_submodule(term, submodule_closure(term, rows))
+    quot, _ = quotient_by_submodule(term, closure(term, rows))
     return quot
 
 
@@ -387,3 +390,157 @@ def test_zero_module_edge_cases(cycle_tail_algebra):
     assert z.is_zero and z.total_dim == 0
     assert is_projective_module(z)
     assert len(hom_basis(z, z)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the path action, and the closed forms of the submodule calculus
+
+
+GF3 = PrimeField(3)
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_path_action_costs_one_product_per_distinct_path(F):
+    loop = build_algebra(
+        Quiver.build(["1"], [("a", "1", "1")]), IdealSpec.monomial([], 20), F
+    )
+    shift = [[F.one if j == i + 1 else F.zero for j in range(8)] for i in range(8)]
+    rng = random.Random(407)
+    cases = [
+        (Representation(loop, {"1": 8}, {"a": shift}), reversed(range(loop.dim))),
+        (random_module(rng, kernel_test_algebra(1, F)), range(kernel_test_algebra(1, F).dim)),
+    ]
+    for m, order in cases:
+        paths = [m.algebra.elements[i].arrows for i in order]
+        prefixes = {p[:k] for p in paths for k in range(2, len(p) + 1)}
+        with mock.patch.object(linalg, "mat_mul", wraps=linalg.mat_mul) as mul:
+            first = [m.path_matrix(p) for p in paths if p]
+            assert mul.call_count <= len(prefixes)
+            again = [m.path_matrix(p) for p in paths if p]
+            assert mul.call_count <= len(prefixes)
+        assert again == first
+        q = m.algebra.quiver
+        for p, mat in zip((p for p in paths if p), first):
+            want = m.mats[p[0]]
+            for name in p[1:]:
+                want = linalg.mat_mul(want, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
+            assert mat == want
+
+
+def reference_closure(rep, seed_rows):
+    """Push the seed spaces along the arrows until nothing grows."""
+    F = rep.field
+    q = rep.algebra.quiver
+    spaces = {v: linalg.rref(seed_rows.get(v, []), rep.dims[v], F)[0] for v in q.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a in q.arrows:
+            if not spaces[a.source]:
+                continue
+            pushed = linalg.mat_mul(spaces[a.source], rep.mats[a.name], rep.dims[a.target], F)
+            merged, _ = linalg.rref(spaces[a.target] + pushed, rep.dims[a.target], F)
+            if len(merged) != len(spaces[a.target]):
+                spaces[a.target] = merged
+                changed = True
+    return spaces
+
+
+def reference_supported(rep, allowed):
+    """Cut the allowed components by arrow stability until nothing shrinks."""
+    F = rep.field
+    q = rep.algebra.quiver
+    spaces = {v: linalg.identity(rep.dims[v], F) if v in allowed else [] for v in q.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a in q.arrows:
+            src = spaces[a.source]
+            echelon, pivots = linalg.rref(spaces[a.target], rep.dims[a.target], F)
+            free = [j for j in range(rep.dims[a.target]) if j not in pivots]
+            if not src or not free:
+                continue
+            # each arrow image modulo the target space, in free coordinates
+            cond = []
+            for row in linalg.mat_mul(src, rep.mats[a.name], rep.dims[a.target], F):
+                rest = linalg.reduce_mod_rowspace(row, echelon, pivots, F)
+                cond.append([rest[j] for j in free])
+            kern = linalg.left_kernel(cond, len(free), F)
+            if len(kern) < len(src):
+                cut = linalg.mat_mul(kern, src, rep.dims[a.source], F)
+                spaces[a.source] = linalg.rref(cut, rep.dims[a.source], F)[0]
+                changed = True
+    return spaces
+
+
+def oracle_case(F, which, seed):
+    """A module over a mixed-relation algebra or the square, seeds and an allowed set."""
+    rng = random.Random(seed)
+    if which == "square":
+        alg = kernel_test_algebra(1, F)
+    else:
+        q = _gen_quiver(rng, 4, 6)
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed", 4), F)
+        assume(alg.dim <= ALGEBRA_DIM_CAP)
+    m = random_module(rng, alg, bound=10, closure=reference_closure)
+    seeds = {
+        v: [[F.of(rng.randint(-2, 2)) for _ in range(m.dims[v])] for _ in range(rng.randint(1, 2))]
+        for v in alg.vertices
+        if m.dims[v] and rng.random() < 0.5
+    }
+    allowed = {v for v in alg.vertices if rng.random() < 0.5}
+    return m, seeds, allowed
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_closed_forms_match_the_fixpoint_oracles(F):
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(which=st.sampled_from(["mixed", "square"]), seed=st.integers(0, 2**32))
+    def agree(which, seed):
+        m, seeds, allowed = oracle_case(F, which, seed)
+        assert submodule_closure(m, seeds) == reference_closure(m, seeds)
+        supported = largest_submodule_supported(m, allowed)
+        assert supported == reference_supported(m, allowed)
+        q = m.algebra.quiver
+        if any(a.source in allowed and a.target not in allowed for a in q.arrows):
+            seen.add("not successor-closed")
+        for v in allowed:
+            if 0 < len(supported[v]) < m.dims[v]:
+                seen.add("proper kernel")
+            if not supported[v] and m.dims[v]:
+                seen.add("zero kernel")
+
+    agree()
+    assert seen == {"not successor-closed", "proper kernel", "zero kernel"}
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_quotient_with_section_splits_the_projection(F):
+    rng = random.Random(408)
+    shapes = set()
+    for _ in range(20):
+        alg = kernel_test_algebra(rng.randrange(2), F)
+        m = random_module(rng, alg, bound=10)
+        seeds = {
+            v: [[F.of(rng.randint(-2, 2)) for _ in range(m.dims[v])]]
+            for v in alg.vertices
+            if m.dims[v] and rng.random() < 0.6
+        }
+        rows = reference_closure(m, seeds)
+        quot, pmap, section = quotient_with_section(m, rows)
+        pmap.validate()
+        for v in alg.vertices:
+            pivots = linalg.rref(rows[v], m.dims[v], F)[1]
+            free = [j for j in range(m.dims[v]) if j not in pivots]
+            if free != list(range(len(free))):
+                shapes.add("pivot before a free column")
+            assert quot.dims[v] == len(free)
+            unit = linalg.identity(m.dims[v], F)
+            assert section[v] == [unit[j] for j in free]
+            back = linalg.mat_mul(section[v], pmap.blocks[v], quot.dims[v], F)
+            assert back == linalg.identity(quot.dims[v], F)
+            killed = linalg.mat_mul(rows[v], pmap.blocks[v], quot.dims[v], F)
+            assert linalg.is_zero_matrix(killed, F)
+    assert "pivot before a free column" in shapes
