@@ -63,26 +63,23 @@ from .quiver import Quiver
 WIDTH_CAP = 60
 ALGEBRA_DIM_CAP = 40
 MAX_ATTEMPTS = 200
+HEART_T_CAP = 2  # heart cases with a larger bound t retry the generator
+
+# random instance bounds; gen_instance draws modules of total dimension up to
+# MODULE_SIZE_BOUND, the suites up to SUITE_MODULE_BOUND
+MAX_VERTICES = 8
+MAX_ARROWS = 12
+RELATION_STYLE = "mixed"
+TRUNCATION_BOUND = 4
+MODULE_SIZE_BOUND = 12
+SUITE_MODULE_BOUND = 6
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Bounds and seed for deterministic random instance generation."""
+    """The master seed of deterministic random instance generation."""
 
     seed: int
-    max_vertices: int = 8
-    max_arrows: int = 12
-    relation_style: str = "mixed"
-    truncation_bound: int = 4
-    module_size_bound: int = 12
-
-    def __post_init__(self):
-        if self.max_vertices < 1 or self.max_arrows < 0:
-            raise InputError("instance bounds must be positive")
-        if self.relation_style not in ("monomial", "mixed"):
-            raise InputError(f"unknown relation style {self.relation_style!r}")
-        if self.truncation_bound < 2 or self.module_size_bound < 1:
-            raise InputError("instance bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,10 @@ def gen_instance(spec: InstanceSpec):
     they are still revalidated before being returned.
     """
     rng = random.Random(spec.seed)
-    q = _gen_quiver(rng, spec.max_vertices, spec.max_arrows)
-    ideal = _gen_ideal(rng, q, spec.relation_style, spec.truncation_bound)
+    q = _gen_quiver(rng, MAX_VERTICES, MAX_ARROWS)
+    ideal = _gen_ideal(rng, q, RELATION_STYLE, TRUNCATION_BOUND)
     alg = build_algebra(q, ideal, QQ)
-    mods = [_gen_module(rng, alg, spec.module_size_bound) for _ in range(2)]
+    mods = [_gen_module(rng, alg, MODULE_SIZE_BOUND) for _ in range(2)]
     for m in mods:
         m.validate()
     return q, ideal, mods
@@ -245,10 +242,10 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
         seed = _derive(spec.seed, idx, attempt)
         rng = random.Random(seed)
         small = attempt >= MAX_ATTEMPTS // 2
-        maxv = 3 if small else spec.max_vertices
-        maxa = 4 if small else spec.max_arrows
+        maxv = 3 if small else MAX_VERTICES
+        maxa = 4 if small else MAX_ARROWS
         q = _gen_quiver(rng, maxv, maxa)
-        ideal = _gen_ideal(rng, q, spec.relation_style, spec.truncation_bound)
+        ideal = _gen_ideal(rng, q, RELATION_STYLE, TRUNCATION_BOUND)
         lam = build_algebra(q, ideal, QQ)
         if lam.dim > ALGEBRA_DIM_CAP:
             continue
@@ -314,7 +311,7 @@ def verify_subquiver_calculus(spec: InstanceSpec, cases: int = 500) -> SuiteRepo
 def _subquiver_case(spec: InstanceSpec, idx: int) -> list[Witness]:
     seed = _derive(spec.seed, idx, 0)
     rng = random.Random(seed)
-    q = _gen_quiver(rng, spec.max_vertices, spec.max_arrows)
+    q = _gen_quiver(rng, MAX_VERTICES, MAX_ARROWS)
     ck = _CaseChecks(seed)
     subset = frozenset(v for v in q.vertices if rng.random() < 0.5)
     sub = q.full_subquiver(subset)
@@ -396,15 +393,13 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
 
 
 def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
-    mbound = min(spec.module_size_bound, 6)
-
     def draw(rng, q, ideal, lam):
         k = rng.randint(1, max(1, len(q.vertices) // 2))
         seeds = rng.sample(list(q.vertices), k)
         sub = q.convex_closure(seeds)
         gamma = restricted_algebra(q, ideal, sub, QQ)
-        m = SyzygyChain(_gen_module(rng, gamma, mbound))
-        n = _gen_module(rng, gamma, mbound)
+        m = SyzygyChain(_gen_module(rng, gamma, SUITE_MODULE_BOUND))
+        n = _gen_module(rng, gamma, SUITE_MODULE_BOUND)
         if not _widths_ok(m, cutoff + 2):
             return None
         mi = SyzygyChain(inflate(m.module, lam))
@@ -444,8 +439,13 @@ def verify_heart_theorem(
     """Syzygy support containment, transported resolutions, and the Ext shift.
 
     Per instance with heart and bound t the shift window is [2t+3, 2t+6],
-    clipped by the cutoff when one is supplied.
+    its top clipped by the cutoff when one is supplied.  Instances with a
+    heart are admitted only for t <= HEART_T_CAP, so a cutoff must reach
+    2 * HEART_T_CAP + 3 = 7.
     """
+    least = 2 * HEART_T_CAP + 3
+    if cutoff is not None and cutoff < least:
+        raise InputError(f"heart suite cutoff must reach 2t+3 = {least}, got {cutoff}")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _heart_case(spec, idx, cutoff)
@@ -454,20 +454,16 @@ def verify_heart_theorem(
 
 
 def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witness]:
-    mbound = min(spec.module_size_bound, 6)
-
     def draw(rng, q, ideal, lam):
         hp = q.homological_heart()
         t = hp.t
-        m = SyzygyChain(_gen_module(rng, lam, mbound))
-        n = SyzygyChain(_gen_module(rng, lam, mbound))
+        m = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
+        n = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         if hp.heart.is_empty:
             return (hp, None, m, n) if _widths_ok(m, t + 4) else None
-        if t > 2:
+        if t > HEART_T_CAP:
             return None
         lmax = 2 * t + 6 if cutoff is None else min(cutoff, 2 * t + 6)
-        if lmax < 2 * t + 3:
-            raise InputError("heart suite cutoff must reach 2t+3")
         simples = (SyzygyChain(standard_module(lam, "simple", v)) for v in lam.vertices)
         admitted = (
             _widths_ok(m, lmax + 1)
@@ -579,11 +575,9 @@ def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> S
 
 
 def _ext_cross_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
-    mbound = min(spec.module_size_bound, 6)
-
     def draw(rng, q, ideal, lam):
-        m = SyzygyChain(_gen_module(rng, lam, mbound))
-        n = SyzygyChain(_gen_module(rng, lam, mbound))
+        m = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
+        n = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         if _widths_ok(m, cutoff + 2) and _widths_ok(n.dual, cutoff + 2):
             return m, n
         return None

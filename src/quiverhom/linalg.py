@@ -6,18 +6,20 @@ matrix class.  All maps act on the right of row vectors, so applying ``A`` to
 caller's responsibility; functions that must cope with an empty row list take
 the column count explicitly.
 
-Row reduction over the rationals clears denominators and runs an integer
-Gauss-Jordan elimination with per-row gcd trimming, dividing by the pivots
-only at the end.  This keeps intermediate entries small without ever leaving
-exact arithmetic.  Over GF(p) the entries are plain ints reduced mod p.
-Reduced row echelon form is canonical, so two row spaces are equal iff their
-echelon bases are equal lists.
+Row reduction over the rationals is Gauss-Jordan on the entries as given,
+ints or Fractions.  Each pivot row not already led by 1 is scaled by
+``Fraction(1) / pivot``, so no int division ever makes a float, and the other
+rows are updated only at the pivot row's nonzero columns, so a zero the
+elimination never touches stays the input's own object.  The inputs here are
+sparse; on dense rows every update is a Fraction operation.  Over GF(p) the
+entries are plain ints reduced mod p.  Reduced row echelon form is
+canonical, so two row spaces are equal iff their echelon bases are equal
+lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .fields import Rationals
 
@@ -77,12 +79,7 @@ def is_zero_matrix(A: list[list], field) -> bool:
 # row echelon form
 
 
-def _rref_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over the integers; pivots are nonzero ints, not 1.
-
-    Rows are combined as a*row_i - b*row_pivot with a, b coprime, then gcd
-    trimmed, so entries stay modest.  Zeros above and below every pivot.
-    """
+def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     rows = [list(r) for r in rows if any(r)]
     m = len(rows)
     pivots: list[int] = []
@@ -90,63 +87,24 @@ def _rref_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
     for c in range(ncols):
         if r == m:
             break
-        best = -1
-        bestval = 0
-        for i in range(r, m):
-            v = rows[i][c]
-            if v and (best < 0 or abs(v) < bestval):
-                best, bestval = i, abs(v)
+        best = next((i for i in range(r, m) if rows[i][c]), -1)
         if best < 0:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
-        p = prow[c]
-        for i in range(m):
-            if i == r:
-                continue
-            q = rows[i][c]
-            if not q:
-                continue
-            g = gcd(p, q)
-            a, b = p // g, q // g
-            new = [a * x - b * y for x, y in zip(rows[i], prow)]
-            g2 = 0
-            for v in new:
-                g2 = gcd(g2, v)
-                if g2 == 1:
-                    break
-            if g2 > 1:
-                new = [v // g2 for v in new]
-            rows[i] = new
+        if prow[c] != 1:
+            inv = Fraction(1) / prow[c]
+            prow[:] = [x * inv if x else x for x in prow]
+        # rows r.. are zero left of c, so the pivot row's support starts at c
+        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+        for i, row in enumerate(rows):
+            q = row[c]
+            if q and i != r:
+                for j, y in support:
+                    row[j] -= q * y
         pivots.append(c)
         r += 1
     return rows[:r], pivots
-
-
-def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    # entries may be ints or Fractions: both carry numerator and denominator
-    work = []
-    for row in rows:
-        den = 1
-        for x in row:
-            d = x.denominator
-            den = den * d // gcd(den, d)
-        ints = [int(x.numerator * (den // x.denominator)) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = [v // g for v in ints]
-        if any(ints):
-            work.append(ints)
-    echelon, pivots = _rref_int(work, ncols)
-    out = []
-    for row, c in zip(echelon, pivots):
-        p = row[c]
-        out.append([Fraction(v, p) for v in row])
-    return out, pivots
 
 
 def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:

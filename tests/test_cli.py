@@ -6,6 +6,7 @@ workspace loading, and the printed report formats end to end.
 
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -21,7 +22,7 @@ from quiverhom import (
     serialize_module,
     serialize_quiver,
 )
-from quiverhom import linalg
+from quiverhom import lab, linalg
 
 
 CYCLE_TAIL = """\
@@ -239,6 +240,23 @@ def test_verify_heart_cutoff_below_window_is_input_error(capsys):
     assert "cutoff must reach 2t+3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cutoff, seed", [("6", "1"), ("5", "2")])
+def test_verify_heart_cutoff_below_seven_fails_before_any_case(capsys, cutoff, seed):
+    # heart cases are admitted up to t = 2, whose window starts at 2t+3 = 7;
+    # the check used to run inside the draw, so --cutoff 5 passed at seed 2
+    build = mock.Mock(side_effect=AssertionError("an instance was generated"))
+    with mock.patch.object(lab, "build_algebra", build):
+        argv = ["verify", "heart", "--cases", "3", "--cutoff", cutoff, "--seed", seed]
+        assert cli.main(argv) == 2
+    assert not build.called
+    assert "cutoff must reach 2t+3" in capsys.readouterr().err
+
+
+def test_verify_heart_cutoff_seven_runs(capsys):
+    assert cli.main(["verify", "heart", "--cases", "3", "--cutoff", "7"]) == 0
+    assert "passed 3\n" in capsys.readouterr().out
+
+
 def test_field_order_past_primality_bound_is_input_error(ws, capsys):
     assert cli.main(["algebra", ws, "--field", f"p:{33 * 10**23 + 1}"]) == 2
     assert "too large" in capsys.readouterr().err
@@ -324,3 +342,18 @@ def test_dense_loop_module_resolves_in_bounded_time(tmp_path, capsys):
     assert time.perf_counter() - t0 < 3.0
     out = capsys.readouterr().out
     assert "term 0 P_1\n" in out and "syzygy_1_dim 113\n" in out
+
+
+def test_budget_edge_presentation_builds_in_under_a_second(tmp_path, capsys):
+    # the largest truncation at which this presentation passes MAX_WORK
+    p = tmp_path / "budget.qh"
+    p.write_text(
+        "quiver\n  vertices 1\n  arrow a 1 1\n  arrow b 1 1\n\n"
+        "ideal\n  truncation 9\n"
+        "  relation\n    term 1 a b\n    term -2 b a\n"
+        "  relation\n    term 1 a a\n    term -3 b b\n"
+    )
+    t0 = time.perf_counter()
+    assert cli.main(["algebra", str(p)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert "dim 5\n" in capsys.readouterr().out

@@ -21,7 +21,6 @@ from quiverhom import (
     build_algebra,
     DecompositionTree,
     InstanceSpec,
-    InputError,
     PrimeField,
     QQ,
     SuiteReport,
@@ -35,19 +34,6 @@ from quiverhom import (
 )
 from quiverhom.homology import SyzygyChain, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
-
-
-def test_instance_spec_validation():
-    with pytest.raises(InputError):
-        InstanceSpec(seed=1, max_vertices=0)
-    with pytest.raises(InputError):
-        InstanceSpec(seed=1, max_arrows=-1)
-    with pytest.raises(InputError):
-        InstanceSpec(seed=1, truncation_bound=1)
-    with pytest.raises(InputError):
-        InstanceSpec(seed=1, relation_style="wild")
-    with pytest.raises(InputError):
-        InstanceSpec(seed=1, module_size_bound=0)
 
 
 def test_gen_instance_is_deterministic_and_bounded():

@@ -2,10 +2,12 @@
 
 Property-based over both coefficient fields with small random matrices;
 every identity here is a standard rank/nullity fact, so the expected
-values need no external oracle.
+values need no external oracle.  The rational echelon form is also compared
+with an integer fraction-free elimination kept here as a reference.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -147,3 +149,129 @@ def test_prime_field_reduction_differs_from_rationals():
     assert linalg.rank(rows, 2, GF5) == 1
     rows_q = [[Fraction(5), Fraction(10)], [Fraction(1), Fraction(3)]]
     assert linalg.rank(rows_q, 2, QQ) == 2
+
+
+# ---------------------------------------------------------------------------
+# reference rational row reduction: fraction-free over the integers
+
+
+def _reference_rref_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over the integers; pivots are nonzero ints, not 1.
+
+    Rows are combined as a*row_i - b*row_pivot with a, b coprime, then gcd
+    trimmed, so entries stay modest.  Zeros above and below every pivot.
+    """
+    rows = [list(r) for r in rows if any(r)]
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        best = -1
+        bestval = 0
+        for i in range(r, m):
+            v = rows[i][c]
+            if v and (best < 0 or abs(v) < bestval):
+                best, bestval = i, abs(v)
+        if best < 0:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(m):
+            if i == r:
+                continue
+            q = rows[i][c]
+            if not q:
+                continue
+            g = gcd(p, q)
+            a, b = p // g, q // g
+            new = [a * x - b * y for x, y in zip(rows[i], prow)]
+            g2 = 0
+            for v in new:
+                g2 = gcd(g2, v)
+                if g2 == 1:
+                    break
+            if g2 > 1:
+                new = [v // g2 for v in new]
+            rows[i] = new
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_rref_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Clear each row's denominators, eliminate over the integers, divide at the end."""
+    work = []
+    for row in rows:
+        den = 1
+        for x in row:
+            d = x.denominator
+            den = den * d // gcd(den, d)
+        ints = [int(x.numerator * (den // x.denominator)) for x in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+            if g == 1:
+                break
+        if g > 1:
+            ints = [v // g for v in ints]
+        if any(ints):
+            work.append(ints)
+    echelon, pivots = _reference_rref_int(work, ncols)
+    return [[Fraction(v, row[c]) for v in row] for row, c in zip(echelon, pivots)], pivots
+
+
+RATIONAL_ENTRY = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    rows = [[draw(RATIONAL_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[draw(st.integers(0, nrows - 1))]))
+    return rows, ncols
+
+
+def test_rational_rref_matches_the_integer_reference():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(rational_rows())
+    def agree(data):
+        rows, ncols = data
+        before = [[(type(x), x) for x in row] for row in rows]
+        echelon, pivots = linalg.rref(rows, ncols, QQ)
+        assert (echelon, pivots) == reference_rref_q(rows, ncols)
+        assert [[(type(x), x) for x in row] for row in rows] == before
+        assert not any(isinstance(x, float) for row in echelon for x in row)
+        for i, c in enumerate(pivots):
+            assert [row[c] for row in echelon] == [int(k == i) for k in range(len(pivots))]
+        kinds = {type(x) for row in rows for x in row if x}
+        if any(isinstance(x, Fraction) and x.denominator > 1 for row in rows for x in row):
+            seen.add("non-integral")
+        if int in kinds:
+            seen.add("plain int")
+        if any({type(x) for x in row if x} == {int, Fraction} for row in rows):
+            seen.add("mixed row")
+        if any(not any(row) for row in rows):
+            seen.add("zero row")
+        if any(rows[i] == rows[j] and any(rows[i]) for j in range(len(rows)) for i in range(j)):
+            seen.add("repeated row")
+        if not rows:
+            seen.add("0xn")
+        if rows and not ncols:
+            seen.add("mx0")
+
+    agree()
+    assert seen == {
+        "non-integral", "plain int", "mixed row", "zero row", "repeated row", "0xn", "mx0"
+    }
