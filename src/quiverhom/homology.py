@@ -4,7 +4,13 @@ Projective resolutions are built step by step from projective covers: lift a
 basis of the top, map a matching sum of indecomposable projectives onto the
 module, and take the kernel as the next syzygy.  A ``SyzygyChain`` keeps
 one module's steps, which its readers share; what resolves a module also
-takes its chain.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt.
+takes its chain.  The chain keys each syzygy by its content (algebra, dims
+and matrices), so a syzygy equal to one already on it is not stepped again:
+the chain closes into a lasso.  Equal modules are isomorphic, so a nonzero
+repeat certifies an infinite projective dimension, and ``proj_dim``,
+``inj_dim`` and ``gl_dim`` report it as ``Infinite``.  Isomorphic syzygies
+of different content go unnoticed, so a lasso may be missed but is never
+false.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt.
 A prefix's minimality comes from its cover steps; its exactness is
 recomputed from ranks of the complex it holds each time it is read.
 Prefixes are projective only.  The injective side is the chain's ``dual``:
@@ -20,7 +26,6 @@ exact arithmetic over the base field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
@@ -43,10 +48,11 @@ from .modules import (
 
 @dataclass(frozen=True)
 class DimBound:
-    """A homological dimension: an exact value or a lower bound at a cutoff."""
+    """A homological dimension: an exact value, a lower bound at a cutoff, or
+    infinite, certified by a syzygy that repeats."""
 
     kind: str
-    value: int
+    value: int | None
 
     @staticmethod
     def finite(d: int) -> "DimBound":
@@ -56,11 +62,17 @@ class DimBound:
     def at_least(c: int) -> "DimBound":
         return DimBound("at_least", c)
 
+    @staticmethod
+    def infinite() -> "DimBound":
+        return DimBound("infinite", None)
+
     @property
     def is_finite(self) -> bool:
         return self.kind == "finite"
 
     def __str__(self) -> str:
+        if self.kind == "infinite":
+            return "Infinite"
         return f"Finite({self.value})" if self.is_finite else f"AtLeast({self.value})"
 
 
@@ -96,18 +108,9 @@ class CoverStep:
 MAX_TERM_WIDTH = 500
 
 
-def top_lifts(m: Representation) -> dict[str, list[int]]:
-    """Per vertex v, the dim top(m)_v free coordinates of the radical's echelon form."""
-    rad_rows = radical_rows(m)
-    lifts: dict[str, list[int]] = {}
-    for v in m.algebra.quiver.vertices:
-        pivots = set(linalg.rref(rad_rows[v], m.dims[v], m.field)[1])
-        lifts[v] = [j for j in range(m.dims[v]) if j not in pivots]
-    return lifts
-
-
-def cover_width(m: Representation, lifts: dict[str, list[int]]) -> int:
+def cover_width(m: Representation) -> int:
     """Dimension of the projective cover: sum_v dim top_v * dim P_v."""
+    lifts = m.top_lifts()
     return sum(len(lifts[el.source]) for el in m.algebra.elements)
 
 
@@ -122,11 +125,11 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     alg = m.algebra
     q = alg.quiver
     F = m.field
-    lifts = top_lifts(m)
+    lifts = m.top_lifts()
     mults = {v: len(free) for v, free in lifts.items()}
     # the width is at most dim top * dim alg: count it only when that bound is past the budget
     if sum(mults.values()) * alg.dim > MAX_TERM_WIDTH:
-        width = cover_width(m, lifts)
+        width = cover_width(m)
         if width > MAX_TERM_WIDTH:
             raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
     term, info = materialize_term(alg, mults)
@@ -151,33 +154,99 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     return CoverStep(mults, term, info, cover, syz, incl, minimal)
 
 
+def _content(m: Representation) -> tuple:
+    """A module's content as a hashable key: algebra, dims and matrices."""
+    return (
+        m.algebra,
+        tuple(m.dims.values()),
+        tuple(tuple(map(tuple, mat)) for mat in m.mats.values()),
+    )
+
+
+class _ChainNodes:
+    """The nodes of one root chain, each a module of distinct content.
+
+    modules[i + 1] is the syzygy of modules[i] until a syzygy's content is
+    already held: then the last node's syzygy is modules[loop], and the chain
+    is a lasso.  steps[i] is the cover step of modules[i], made when first
+    read; index maps content to node; duals[i] holds the nodes of the dual
+    chain of modules[i].  Nothing here refers to a view.
+    """
+
+    __slots__ = ("modules", "steps", "index", "loop", "duals")
+
+    def __init__(self, module: Representation):
+        self.modules = [module]
+        self.steps: list[CoverStep] = []
+        self.index = {_content(module): 0}
+        self.loop: int | None = None
+        self.duals: dict[int, _ChainNodes] = {}
+
+    def step(self, i: int) -> CoverStep:
+        if i == len(self.steps):
+            step = projective_cover_and_syzygy(self.modules[i])
+            self.steps.append(step)
+            j = self.index.setdefault(_content(step.syzygy), len(self.modules))
+            if j == len(self.modules):
+                self.modules.append(step.syzygy)
+            else:
+                self.loop = j
+        return self.steps[i]
+
+    def succ(self, i: int) -> int:
+        """The node of the syzygy of node i."""
+        self.step(i)
+        return i + 1 if i + 1 < len(self.modules) else self.loop
+
+    def walk(self, i: int, count: int) -> list[int]:
+        """The nodes of the first count syzygies from node i, Omega^0 first."""
+        path = [i]
+        for _ in range(count - 1):
+            path.append(self.succ(path[-1]))
+        return path
+
+
 class SyzygyChain:
     """One module's syzygies: step (its cover step), next (the chain of its
     syzygy) and dual (the chain of its dual over the opposite algebra), each
     made on first use and kept as long as the chain itself is held.
+
+    A chain is a view of a node store shared with every chain reached from
+    it by next.  A syzygy equal in content to a module already on the chain
+    is not stepped again: next leads back to that module's node.
     """
 
+    __slots__ = ("_nodes", "_pos", "module")
+
     def __init__(self, module: Representation):
+        self._nodes = _ChainNodes(module)
+        self._pos = 0
         self.module = module
 
-    @cached_property
+    @classmethod
+    def _view(cls, nodes: _ChainNodes, pos: int) -> "SyzygyChain":
+        chain = cls.__new__(cls)
+        chain._nodes, chain._pos, chain.module = nodes, pos, nodes.modules[pos]
+        return chain
+
+    @property
     def step(self) -> CoverStep:
-        return projective_cover_and_syzygy(self.module)
+        return self._nodes.step(self._pos)
 
-    @cached_property
+    @property
     def next(self) -> "SyzygyChain":
-        return SyzygyChain(self.step.syzygy)
+        return self._view(self._nodes, self._nodes.succ(self._pos))
 
-    @cached_property
+    @property
     def dual(self) -> "SyzygyChain":
-        return SyzygyChain(dual_module(self.module))
+        duals = self._nodes.duals
+        if self._pos not in duals:
+            duals[self._pos] = _ChainNodes(dual_module(self.module))
+        return self._view(duals[self._pos], 0)
 
     def drop(self, k: int) -> "SyzygyChain":
         """The chain of the k-th syzygy."""
-        chain = self
-        for _ in range(k):
-            chain = chain.next
-        return chain
+        return self._view(self._nodes, self._nodes.walk(self._pos, k + 1)[-1])
 
 
 ModuleOrChain = Representation | SyzygyChain
@@ -257,7 +326,9 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
     if k < 0:
         raise InputError("resolution length must be nonnegative")
     m = _chain(m)
-    steps = [m.drop(i).step for i in range(k + 1)]
+    nodes = m._nodes
+    path = nodes.walk(m._pos, k + 2)
+    steps = [nodes.step(i) for i in path[:-1]]
     diffs = [steps[0].cover]
     for prev, step in zip(steps, steps[1:]):
         diffs.append(step.cover.compose(prev.syzygy_inclusion))
@@ -266,7 +337,7 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
         tuple(step.mults for step in steps),
         tuple(step.term for step in steps),
         tuple(diffs),
-        tuple(step.syzygy for step in steps),
+        tuple(nodes.modules[i] for i in path[1:]),
         all(step.minimal for step in steps),
     )
 
@@ -337,7 +408,8 @@ def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective
 
 
 def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int, ...]:
-    steps = [m.drop(i).step for i in range(k + 2)]
+    nodes = m._nodes
+    steps = [nodes.step(i) for i in nodes.walk(m._pos, k + 2)]
     F = n.field
     hom_dims = []
     offsets: list[list[int]] = []
@@ -386,17 +458,26 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
 def proj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
     """Projective dimension, resolved up to the cutoff.
 
-    Returns Finite(d) when the (d+1)-st syzygy vanishes with d <= cutoff and
-    AtLeast(cutoff) otherwise.  The zero module reports Finite(-1).
+    Returns Finite(d) when the (d+1)-st syzygy vanishes with d <= cutoff,
+    Infinite when Omega^i m and Omega^j m are equal in content and nonzero for
+    some i < j <= cutoff (equal modules have isomorphic syzygies, so the
+    resolution never ends), and AtLeast(cutoff) otherwise.  The zero module
+    reports Finite(-1).
     """
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     m = _chain(m)
     if m.module.is_zero:
         return DimBound.finite(-1)
+    nodes, i = m._nodes, m._pos
+    seen = {i}
     for depth in range(cutoff + 1):
-        if m.drop(depth).step.syzygy.is_zero:
+        if nodes.step(i).syzygy.is_zero:
             return DimBound.finite(depth)
+        i = nodes.succ(i)
+        if i in seen and depth < cutoff:
+            return DimBound.infinite()
+        seen.add(i)
     return DimBound.at_least(cutoff)
 
 
@@ -406,14 +487,19 @@ def inj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
 
 
 def gl_dim(alg: FiniteDimAlgebra, cutoff: int) -> DimBound:
-    """Global dimension bound: the maximum of proj_dim over the simples."""
+    """Global dimension bound: the maximum of proj_dim over the simples.
+
+    The first simple whose bound is not finite decides: Infinite, or
+    AtLeast(cutoff), a lower bound that does not look on for a later
+    simple's lasso.
+    """
     from .modules import standard_module
 
     best = -1
     for v in alg.vertices:
         bound = proj_dim(standard_module(alg, "simple", v), cutoff)
         if not bound.is_finite:
-            return DimBound.at_least(cutoff)
+            return bound
         best = max(best, bound.value)
     return DimBound.finite(max(best, 0))
 

@@ -43,7 +43,6 @@ from .homology import (
     heart_shift_pair,
     is_projective_module,
     resolution,
-    top_lifts,
     transport_resolution,
 )
 from .modules import (
@@ -220,7 +219,7 @@ def _widths_ok(chain: SyzygyChain, depth: int) -> bool:
     if chain.module.total_dim > WIDTH_CAP:
         return False
     for k in range(depth):
-        width = cover_width(chain.module, top_lifts(chain.module))
+        width = cover_width(chain.module)
         if width > WIDTH_CAP:
             return False
         if width == chain.module.total_dim or k == depth - 1:

@@ -155,13 +155,21 @@ def rank(rows: list[list], ncols: int, field) -> int:
 
 
 def reduce_mod_rowspace(v: list, echelon: list[list], pivots: list[int], field) -> list:
-    """Canonical representative of v modulo the row space of an rref basis."""
+    """Canonical representative of v modulo the row space of an rref basis.
+
+    Each echelon row is zero left of its pivot, and updates v only at its
+    own nonzero columns.
+    """
     out = list(v)
+    sub, mul = field.sub, field.mul
     for row, c in zip(echelon, pivots):
         coeff = out[c]
         if field.is_zero(coeff):
             continue
-        out = [field.sub(x, field.mul(coeff, y)) for x, y in zip(out, row)]
+        for j in range(c, len(row)):
+            y = row[j]
+            if y:
+                out[j] = sub(out[j], mul(coeff, y))
     return out
 
 

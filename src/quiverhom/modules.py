@@ -49,7 +49,8 @@ class Representation:
     """A right module: per-vertex dimensions plus per-arrow matrices.
 
     A representation is not mutated after construction, so path and element
-    matrices are memoized on it; callers must not mutate the matrices handed out.
+    matrices and the top lifts are memoized on it; callers must not mutate
+    what is handed out.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, mats, validate: bool = True):
@@ -76,6 +77,7 @@ class Representation:
                 raise DanglingIdError(f"module names unknown arrow {name!r}")
         self._path_mats: dict[tuple[str, ...], list[list]] = {}
         self._element_mats: dict[int, list[list]] = {}
+        self._top_lifts: dict[str, list[int]] | None = None
         if validate:
             self.validate()
 
@@ -122,6 +124,16 @@ class Representation:
                 else linalg.identity(self.dims[el.source], self.field)
             )
         return self._element_mats[idx]
+
+    def top_lifts(self) -> dict[str, list[int]]:
+        """Per vertex v, the dim top_v free coordinates of the radical's echelon form."""
+        if self._top_lifts is None:
+            rad_rows = radical_rows(self)
+            self._top_lifts = {}
+            for v in self.algebra.quiver.vertices:
+                pivots = set(linalg.rref(rad_rows[v], self.dims[v], self.field)[1])
+                self._top_lifts[v] = [j for j in range(self.dims[v]) if j not in pivots]
+        return self._top_lifts
 
     def validate(self) -> None:
         """Check that the defining ideal annihilates this representation."""

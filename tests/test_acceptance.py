@@ -228,7 +228,7 @@ def test_criterion_global_dimensions(stamp):
         assert gl_dim(build_algebra(q1, i1, QQ), 10) == DimBound.finite(1)
         q2, i2 = _cycle_tail()
         lam = build_algebra(q2, i2, QQ)
-        assert gl_dim(lam, 10) == DimBound.at_least(10)
+        assert gl_dim(lam, 10) == DimBound.infinite()
         res = resolution(standard_module(lam, "simple", "1"), 6)
         nz = [{v: k for v, k in t.items() if k} for t in res.terms]
         assert nz == [{"1": 1}, {"2": 1}] * 3 + [{"1": 1}]

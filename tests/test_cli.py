@@ -148,7 +148,7 @@ def test_resolve_command(ws, capsys):
     assert "term 1 P_2" in out
     assert "minimal yes" in out
     assert "exact yes" in out
-    assert "proj_dim AtLeast(4)" in out
+    assert "proj_dim Infinite" in out
 
 
 def test_ext_command(ws, capsys):

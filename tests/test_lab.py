@@ -27,6 +27,8 @@ from quiverhom import (
     Witness,
     decompose,
     gen_instance,
+    resolution,
+    standard_module,
     verify_convex_epi,
     verify_ext_cross,
     verify_heart_theorem,
@@ -222,22 +224,28 @@ def test_admissions_match_golden(monkeypatch):
 
 
 def reference_gate(m, depth: int) -> tuple[bool, str, int]:
-    """The gate from full cover steps, where it decided, and at which step.
+    """The gate from full cover steps, where it decided, and how many kernels
+    it needs.
 
     A gate that counts widths needs the kernels of exactly the steps before
-    the deciding one.  It steps in a loop of its own, sharing no code with
-    the syzygy chain that the gate walks.
+    the deciding one, one per module of distinct content among them.  It
+    steps in a loop of its own, sharing no code with the syzygy chain that
+    the gate walks.
     """
     if m.total_dim > lab.WIDTH_CAP:
         return False, "module", 0
+    before = []
     for k in range(depth):
         step = projective_cover_and_syzygy(m)
         if step.term.total_dim > lab.WIDTH_CAP:
-            return False, "first term" if k == 0 else "mid-chain", k
+            return False, "first term" if k == 0 else "mid-chain", len(before)
         if step.syzygy.is_zero:
-            return True, "zero syzygy", k
+            return True, "zero syzygy", len(before)
+        key = (m.dims, m.mats)
+        if k < depth - 1 and key not in before:
+            before.append(key)
         m = step.syzygy
-    return True, "depth", depth - 1
+    return True, "depth", len(before)
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
@@ -266,9 +274,11 @@ def test_width_gate_matches_full_cover_steps(F):
                 assert _widths_ok(SyzygyChain(m), depth) == want
             assert cover.call_count == kernels
         seen.add(where)
+        if kernels < depth - 1 and where == "depth":
+            seen.add("lasso")
 
     gate_agrees()
-    assert {"module", "mid-chain", "zero syzygy"} <= seen
+    assert {"module", "mid-chain", "zero syzygy", "lasso"} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +313,28 @@ def test_no_module_is_stepped_twice_within_a_case(monkeypatch):
         assert verify(InstanceSpec(seed=1), cases=3).all_passed
         assert repeats == [], verify.__name__
     assert shift_pairs, "no case with a nonempty heart"
+
+
+def test_width_gate_and_cover_steps_share_each_modules_top_lifts(
+    monkeypatch, cycle_tail_algebra
+):
+    radicals = mock.Mock(wraps=modules.radical_rows)
+    monkeypatch.setattr(modules, "radical_rows", radicals)
+    cover = mock.Mock(wraps=homology.projective_cover_and_syzygy)
+    monkeypatch.setattr(homology, "projective_cover_and_syzygy", cover)
+    chain = SyzygyChain(standard_module(cycle_tail_algebra, "simple", "2"))
+    assert _widths_ok(chain, 6)
+    resolution(chain, 6)
+    # Omega^4 S2 = Omega^2 S2: four modules, each lifted once and stepped once
+    assert radicals.call_count == cover.call_count == 4
+
+
+def test_ext_cross_pass_steps_each_module_once_per_chain(monkeypatch):
+    cover = mock.Mock(wraps=homology.projective_cover_and_syzygy)
+    monkeypatch.setattr(homology, "projective_cover_and_syzygy", cover)
+    assert verify_ext_cross(InstanceSpec(seed=1), cases=100).all_passed
+    # chains that stepped every syzygy afresh took 1 097 cover steps here
+    assert cover.call_count == 597
 
 
 def test_heart_case_certifies_only_its_transport(monkeypatch):

@@ -49,6 +49,30 @@ def test_rref_preserves_rowspace(data):
     assert linalg.rowspaces_equal(rows, echelon, ncols, F)
 
 
+def dense_reduce(v, echelon, pivots, F):
+    """Reduction modulo an rref basis that rewrites every column per row."""
+    out = list(v)
+    for row, c in zip(echelon, pivots):
+        coeff = out[c]
+        if not F.is_zero(coeff):
+            out = [F.sub(x, F.mul(coeff, y)) for x, y in zip(out, row)]
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrix_and_field(max_dim=7), st.data())
+def test_sparse_reduction_matches_the_dense_reference(data, draw):
+    F, rows, ncols = data
+    echelon, pivots = linalg.rref(rows, ncols, F)
+    v = [F.of(draw.draw(st.integers(-4, 4))) for _ in range(ncols)]
+    got = linalg.reduce_mod_rowspace(v, echelon, pivots, F)
+    assert got == dense_reduce(v, echelon, pivots, F)
+    assert all(F.is_zero(got[c]) for c in pivots)
+    # v minus its representative lies in the row space
+    diff = [F.sub(a, b) for a, b in zip(v, got)]
+    assert linalg.rank(echelon + [diff], ncols, F) == len(pivots)
+
+
 @given(matrix_and_field())
 def test_rank_transpose_invariant(data):
     F, rows, ncols = data
