@@ -197,7 +197,7 @@ class _RelationSpan:
                         whole = Path(pre.source, pre.arrows + arrows + suf.arrows, suf.target)
                         j = self.local_pos[self.path_index[whole]]
                         row[j] = field.add(row[j], field.of(coeff))
-                    if any(not field.is_zero(x) for x in row):
+                    if any(row):
                         rows_by_bucket.setdefault(key, []).append(row)
 
         self.bucket_rref: dict[tuple[str, str], tuple[list[list], list[int]]] = {}
@@ -327,19 +327,19 @@ class FiniteDimAlgebra:
         table = self.table
         out: dict[int, object] = {}
         for i, ci in x.items():
-            if F.is_zero(ci):
+            if not ci:
                 continue
             row = table[i]
             for j, cj in y.items():
-                if j not in row or F.is_zero(cj):
+                if j not in row or not cj:
                     continue
                 c = F.mul(ci, cj)
                 for k, ck in row[j]:
                     v = F.add(out.get(k, F.zero), F.mul(c, ck))
-                    if F.is_zero(v):
-                        out.pop(k, None)
-                    else:
+                    if v:
                         out[k] = v
+                    else:
+                        out.pop(k, None)
         return out
 
     def elements_with(self, source=None, target=None) -> list[int]:
@@ -361,7 +361,7 @@ class FiniteDimAlgebra:
     def eq(self, x: dict[int, object], y: dict[int, object]) -> bool:
         F = self.field
         keys = set(x) | set(y)
-        return all(F.is_zero(F.sub(x.get(k, F.zero), y.get(k, F.zero))) for k in keys)
+        return not any(F.sub(x.get(k, F.zero), y.get(k, F.zero)) for k in keys)
 
     def describe(self) -> str:
         kind = "presented" if self.is_presented else "table-backed"
@@ -396,11 +396,7 @@ def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dic
             p = span.paths[g]
             vec = span.normal_form_local(g)
             local = span.buckets[(p.source, p.target)]
-            out = tuple(
-                (basis_pos[local[pos]], c)
-                for pos, c in enumerate(vec)
-                if not field.is_zero(c)
-            )
+            out = tuple((basis_pos[local[pos]], c) for pos, c in enumerate(vec) if c)
         nf_cache[g] = out
         return out
 
@@ -478,7 +474,7 @@ def quotient_by_idempotent(alg: FiniteDimAlgebra, split: IdempotentSplit) -> Fin
 
     def project(x: dict[int, object]) -> dict[int, object]:
         vec = linalg.reduce_mod_rowspace(alg.dense(x), echelon, pivots, F)
-        return {pos[i]: c for i, c in enumerate(vec) if not F.is_zero(c) and i in pos}
+        return {pos[i]: c for i, c in enumerate(vec) if c and i in pos}
 
     elements = tuple(alg.elements[g] for g in keep)
     table = []
@@ -511,7 +507,7 @@ def restricted_algebra(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
 def _restricted_from_span(span: _RelationSpan, sub: FullSubquiver) -> FiniteDimAlgebra:
     rels = []
     for row, paths in span.intersection_with_subquiver(sub):
-        terms = tuple((c, p.arrows) for c, p in zip(row, paths) if not span.field.is_zero(c))
+        terms = tuple((c, p.arrows) for c, p in zip(row, paths) if c)
         if terms:
             rels.append(terms)
     ideal = IdealSpec(tuple(rels), span.ideal.truncation)
@@ -620,10 +616,10 @@ def _apply_images(images, F, x: dict[int, object]) -> dict[int, object]:
     for i, c in x.items():
         for k, ck in images[i].items():
             v = F.add(out.get(k, F.zero), F.mul(c, ck))
-            if F.is_zero(v):
-                out.pop(k, None)
-            else:
+            if v:
                 out[k] = v
+            else:
+                out.pop(k, None)
     return out
 
 
@@ -676,7 +672,7 @@ def _tables_match(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> tuple[bool, str]:
             want = dict(b.table[to_b[i]].get(to_b[j], ()))
             keys = set(got) | set(want)
             for k in keys:
-                if not F.is_zero(F.sub(got.get(k, F.zero), want.get(k, F.zero))):
+                if F.sub(got.get(k, F.zero), want.get(k, F.zero)):
                     return False, (
                         f"product {a.elements[i].label()} * {a.elements[j].label()} disagrees"
                     )

@@ -1,13 +1,15 @@
 """Exact coefficient fields.
 
-Two fields are supported: the rationals (elements are
-:class:`fractions.Fraction`) and prime fields GF(p) (elements are plain ints
-in ``[0, p)``).  No floating point is used anywhere in the package.
+Two fields are supported: the rationals QQ, whose elements are ints or
+:class:`fractions.Fraction`, and prime fields GF(p), whose elements are ints
+in ``[0, p)``.  No floating point is used anywhere in the package: ``of``
+takes ints and Fractions only.
 
 A field object bundles the primitive operations the linear-algebra layer
-needs.  Elements are ordinary Python values, so callers may also use native
-operators when they know which field they are in; the method form exists so
-generic code can run over either field.
+needs, and GF(p)'s keep the reduction mod p to themselves.  Every value a
+field hands out (``zero``, ``one``, ``of``, ``parse``, ``add``, ``sub``,
+``mul``, ``neg``) is canonical, so zero is its only falsy value and callers
+test elements for zero by truthiness.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+
+
+def _exact(x):
+    if not isinstance(x, (int, Fraction)):
+        raise InputError(f"coefficient {x!r} is not an int or a Fraction")
+    return x
 
 
 def _is_prime(p: int) -> bool:
@@ -49,14 +57,14 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The field of rational numbers; elements are ``Fraction``."""
+    """The field of rational numbers; elements are ints or ``Fraction``s."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x) -> Fraction:
-        return Fraction(x)
+        return Fraction(_exact(x))
 
     def add(self, a, b):
         return a + b
@@ -69,9 +77,6 @@ class Rationals:
 
     def neg(self, a):
         return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -97,6 +102,8 @@ class PrimeField:
     """GF(p) for a prime p; elements are ints reduced into ``[0, p)``."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.p >= 33 * 10**23:
@@ -108,21 +115,13 @@ class PrimeField:
     def name(self) -> str:
         return f"GF({self.p})"
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def of(self, x) -> int:
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
                 raise InputError(f"denominator of {x} vanishes in GF({self.p})")
             return (x.numerator * pow(den, -1, self.p)) % self.p
-        return int(x) % self.p
+        return _exact(x) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -135,9 +134,6 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def parse(self, text: str) -> int:
         try:

@@ -445,7 +445,7 @@ def serialize_module(m: Representation, name: str | None = None) -> str:
         block = m.mats[a.name]
         if not block or not block[0]:
             continue
-        if all(F.is_zero(x) for row in block for x in row):
+        if not any(map(any, block)):
             continue
         lines.append(f"  matrix {a.name}")
         for row in block:

@@ -106,6 +106,9 @@ class CoverStep:
 
 # widest projective term a cover step builds; wider ones are an input error
 MAX_TERM_WIDTH = 500
+# longest resolution and highest Ext degree accepted: a walk's memory grows
+# with the cutoff, and the suites and benchmarks use at most 10
+MAX_CUTOFF = 1000
 
 
 def cover_width(m: Representation) -> int:
@@ -124,7 +127,6 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     """
     alg = m.algebra
     q = alg.quiver
-    F = m.field
     lifts = m.top_lifts()
     mults = {v: len(free) for v, free in lifts.items()}
     # the width is at most dim top * dim alg: count it only when that bound is past the budget
@@ -146,11 +148,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
         # nullity + target dim must exhaust the term: the cover surjects
         if term.dims[v] - syz.dims[v] != m.dims[v]:
             raise InvariantViolation(f"projective cover fails to surject at {v!r}")
-    minimal = True
-    for w, p in info.gen_pos:
-        for row in incl.blocks[w]:
-            if not F.is_zero(row[p]):
-                minimal = False
+    minimal = not any(row[p] for w, p in info.gen_pos for row in incl.blocks[w])
     return CoverStep(mults, term, info, cover, syz, incl, minimal)
 
 
@@ -325,6 +323,8 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
     """
     if k < 0:
         raise InputError("resolution length must be nonnegative")
+    if k > MAX_CUTOFF:
+        raise InputError(f"resolution length {k} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
     m = _chain(m)
     nodes = m._nodes
     path = nodes.walk(m._pos, k + 2)
@@ -400,6 +400,8 @@ def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective
         raise InputError("ext endpoints live over different algebras")
     if k < 0:
         raise InputError("ext cutoff must be nonnegative")
+    if k > MAX_CUTOFF:
+        raise InputError(f"ext cutoff {k} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
     if side == "projective":
         return ExtTable(_ext_dims_projective(m, n.module, k), k, side)
     if side == "injective":
@@ -434,7 +436,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
             image = linalg.vec_mat(cover_row, incl.blocks[u], incl.target.dims[u], F)
             col0 = offsets[i][g]
             for c, coeff in enumerate(image):
-                if F.is_zero(coeff):
+                if not coeff:
                     continue
                 gsrc, elt = info_s.basis[u][c]
                 row0 = offsets[i - 1][gsrc]
@@ -442,7 +444,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
                 for a in range(len(mat)):
                     row = delta[row0 + a]
                     for b in range(n.dims[u]):
-                        if not F.is_zero(mat[a][b]):
+                        if mat[a][b]:
                             row[col0 + b] = F.add(row[col0 + b], F.mul(coeff, mat[a][b]))
         ranks.append(linalg.rank(delta, ncols, F))
     dims = [hom_dims[0] - ranks[1]]
@@ -466,6 +468,8 @@ def proj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
     """
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
+    if cutoff > MAX_CUTOFF:
+        raise InputError(f"cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
     m = _chain(m)
     if m.module.is_zero:
         return DimBound.finite(-1)
@@ -582,7 +586,7 @@ def transport_resolution(
         for v in g_vertices:
             space = linalg.RowSpace(rad_rows[v], target.dims[v], F)
             for row in r_diffs[i].blocks[v]:
-                if any(not F.is_zero(x) for x in row) and not space.contains(row):
+                if any(row) and not space.contains(row):
                     minimal = False
     terms = []
     terms_projective = True

@@ -35,6 +35,7 @@ from .algebra import (
 from .errors import InputError, InvariantViolation
 from .fields import QQ
 from .homology import (
+    MAX_CUTOFF,
     SyzygyChain,
     check_term_reachability,
     cover_width,
@@ -384,6 +385,8 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
     """
     if cutoff < 2:
         raise InputError("epi suite cutoff must be at least 2")
+    if cutoff > MAX_CUTOFF:
+        raise InputError(f"epi suite cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _epi_case(spec, idx, cutoff)
@@ -566,6 +569,8 @@ def _heart_case_acyclic(seed, q, ideal, lam, t, m, n) -> list[Witness]:
 
 def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> SuiteReport:
     """Both Ext computations (resolve m vs coresolve n) on random pairs."""
+    if cutoff > MAX_CUTOFF:
+        raise InputError(f"ext-cross suite cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _ext_cross_case(spec, idx, cutoff)

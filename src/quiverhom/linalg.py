@@ -4,7 +4,9 @@ Matrices are plain lists of row lists and vectors are flat lists; there is no
 matrix class.  All maps act on the right of row vectors, so applying ``A`` to
 ``x`` means ``x @ A`` and composition reads left to right.  Shapes are the
 caller's responsibility; functions that must cope with an empty row list take
-the column count explicitly.
+the column count explicitly.  Entries are canonical field elements (see
+``fields``), so zero is the only falsy entry and zero tests are truthiness:
+``if x``, ``any(row)``.  Zero and identity matrices hold the ints 0 and 1.
 
 Row reduction over the rationals is Gauss-Jordan on the entries as given,
 ints or Fractions.  Each pivot row not already led by 1 is scaled by
@@ -50,10 +52,10 @@ def vec_mat(x: list, rows: list[list], ncols: int, field) -> list:
     """Row vector times matrix: returns ``x @ rows`` of length ncols."""
     out = [field.zero] * ncols
     for xi, row in zip(x, rows):
-        if field.is_zero(xi):
+        if not xi:
             continue
         for j, a in enumerate(row):
-            if not field.is_zero(a):
+            if a:
                 out[j] = field.add(out[j], field.mul(xi, a))
     return out
 
@@ -69,10 +71,6 @@ def mat_add(A: list[list], B: list[list], field) -> list[list]:
 
 def mat_scale(c, A: list[list], field) -> list[list]:
     return [vec_scale(c, row, field) for row in A]
-
-
-def is_zero_matrix(A: list[list], field) -> bool:
-    return all(field.is_zero(a) for row in A for a in row)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,7 @@ def reduce_mod_rowspace(v: list, echelon: list[list], pivots: list[int], field) 
     sub, mul = field.sub, field.mul
     for row, c in zip(echelon, pivots):
         coeff = out[c]
-        if field.is_zero(coeff):
+        if not coeff:
             continue
         for j in range(c, len(row)):
             y = row[j]
@@ -234,7 +232,7 @@ class RowSpace:
         return reduce_mod_rowspace(v, self.basis, self.pivots, self.field)
 
     def contains(self, v: list) -> bool:
-        return all(self.field.is_zero(x) for x in self.reduce(v))
+        return not any(self.reduce(v))
 
 
 def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, field):

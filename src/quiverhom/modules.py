@@ -146,7 +146,7 @@ class Representation:
             for coeff, arrows in terms:
                 term = linalg.mat_scale(F.of(coeff), self.path_matrix(arrows), F)
                 acc = linalg.mat_add(acc, term, F)
-            if not linalg.is_zero_matrix(acc, F):
+            if any(map(any, acc)):
                 label = " + ".join(f"{c}*{'*'.join(p)}" for c, p in terms)
                 raise ModuleValidationError(f"relation {label} does not annihilate the module")
         # truncation: the radical chain must vanish by step n
@@ -228,8 +228,7 @@ class ModuleMap:
 
     @property
     def is_zero(self) -> bool:
-        F = self.field
-        return all(linalg.is_zero_matrix(b, F) for b in self.blocks.values())
+        return not any(any(map(any, b)) for b in self.blocks.values())
 
     def image_rows(self) -> dict[str, list[list]]:
         return {v: [list(r) for r in b] for v, b in self.blocks.items()}
@@ -382,29 +381,28 @@ def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation
         v: linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
         for v in rep.algebra.quiver.vertices
     }
+    for a in rep.algebra.quiver.arrows:
+        basis, pivots = echelons[a.target]
+        images = linalg.mat_mul(echelons[a.source][0], rep.mats[a.name], rep.dims[a.target], F)
+        if any(any(linalg.reduce_mod_rowspace(img, basis, pivots, F)) for img in images):
+            raise ModuleValidationError(f"rows are not arrow-stable at {a.name!r}; not a submodule")
     return _embed_echelon(rep, echelons)
 
 
 def _embed_echelon(rep: Representation, echelons) -> tuple[Representation, ModuleMap]:
-    """embed_submodule for per-vertex (rref basis, pivots) pairs.
+    """Embed per-vertex (rref basis, pivots) pairs that span a submodule.
 
     Basis rows have unit pivots and zeros in the other pivot columns, so the
-    coordinates of a member are its entries at the pivot columns.
+    coordinates of a member are its entries at the pivot columns.  Arrow
+    stability is the caller's: embed_submodule checks it, and a kernel has it
+    by construction.
     """
     F = rep.field
     mats = {}
     for a in rep.algebra.quiver.arrows:
-        basis, pivots = echelons[a.target]
-        mat = []
-        for row in echelons[a.source][0]:
-            img = linalg.vec_mat(row, rep.mats[a.name], rep.dims[a.target], F)
-            rest = linalg.reduce_mod_rowspace(img, basis, pivots, F)
-            if any(not F.is_zero(x) for x in rest):
-                raise ModuleValidationError(
-                    f"rows are not arrow-stable at {a.name!r}; not a submodule"
-                )
-            mat.append([img[c] for c in pivots])
-        mats[a.name] = mat
+        pivots = echelons[a.target][1]
+        images = linalg.mat_mul(echelons[a.source][0], rep.mats[a.name], rep.dims[a.target], F)
+        mats[a.name] = [[img[c] for c in pivots] for img in images]
     bases = {v: basis for v, (basis, _) in echelons.items()}
     sub = Representation(rep.algebra, {v: len(b) for v, b in bases.items()}, mats, validate=False)
     incl = ModuleMap(sub, rep, bases, validate=False)
@@ -554,7 +552,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
                     row[offsets[v] + i * n.dims[v] + l] = F.sub(
                         row[offsets[v] + i * n.dims[v] + l], n.mats[a.name][l][k]
                     )
-                if any(not F.is_zero(x) for x in row):
+                if any(row):
                     eqs.append(row)
     basis = linalg.right_kernel(eqs, nvars, F) if eqs else linalg.identity(nvars, F)
     maps = []

@@ -372,7 +372,7 @@ def eager_table(q, ideal, F):
             g = span.path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)]
             local = span.buckets[(pi.source, pj.target)]
             reduced = span.normal_form_local(g)
-            entry = tuple((pos[local[k]], c) for k, c in enumerate(reduced) if not F.is_zero(c))
+            entry = tuple((pos[local[k]], c) for k, c in enumerate(reduced) if c)
             if entry:
                 row[j] = entry
         table.append(list(row.items()))

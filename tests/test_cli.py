@@ -23,6 +23,7 @@ from quiverhom import (
     serialize_quiver,
 )
 from quiverhom import lab, linalg
+from test_homology import no_chain_walks
 
 
 CYCLE_TAIL = """\
@@ -221,6 +222,20 @@ def test_verify_zero_cases_is_not_replaced_by_default(capsys):
 def test_verify_negative_cases_is_input_error(capsys):
     assert cli.main(["verify", "epi", "--cases", "-5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resolve", "ext", "verify ext", "verify epi"])
+def test_cutoff_past_the_ceiling_exits_2_at_once(ws, capsys, command):
+    # resolve --cutoff 1000000 used to exit 0 after 24 s at 730 MB peak RSS
+    argv = command.split() + ([] if command.startswith("verify") else [ws])
+    with (
+        no_chain_walks(),
+        mock.patch.object(lab, "_admit", side_effect=AssertionError("a case was drawn")),
+    ):
+        t0 = time.perf_counter()
+        assert cli.main(argv + ["--cutoff", "1000000000"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+    assert "1000000000 exceeds MAX_CUTOFF = 1000" in capsys.readouterr().err
 
 
 def test_verify_epi_cutoff_below_two_is_input_error(capsys):

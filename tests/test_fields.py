@@ -1,17 +1,24 @@
-"""Coefficient fields: the primality test behind PrimeField.
+"""Coefficient fields: the primality test behind PrimeField, and the contract.
 
 Miller-Rabin is checked against trial division on small orders, on a large
 Mersenne prime, and on strong pseudoprimes to the first four and to the first
 twelve prime bases.  Literal parsing turns every bad literal, a zero
-denominator included, into InputError on both fields.
+denominator included, into InputError on both fields, and so does a
+coefficient that is neither an int nor a Fraction.  Every value a field hands
+out is canonical: zero is its only falsy value, and GF(p) stays in [0, p).
 """
 
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiverhom import QQ, InputError, PrimeField
+from quiverhom import QQ, IdealSpec, InputError, PrimeField, Quiver, build_algebra
 from quiverhom.fields import _is_prime
+
+FIELDS = [QQ, PrimeField(5), PrimeField(2**31 - 1)]
+FIELD_IDS = ["QQ", "GF5", "GF2^31-1"]
 
 
 def _trial_division(p):
@@ -61,3 +68,53 @@ def test_denominator_divisible_by_p_is_input_error():
     with pytest.raises(InputError):
         PrimeField(5).parse("1/5")
     assert PrimeField(5).parse("3/2") == 4
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_zero_and_one_are_the_ints(field):
+    assert type(field.zero) is int and field.zero == 0
+    assert type(field.one) is int and field.one == 1
+
+
+# small ints hit multiples of 5 and fractions hit denominators divisible by 5
+exact = st.one_of(
+    st.integers(-12, 12),
+    st.integers(-(2**40), 2**40),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIELDS), exact, exact)
+def test_every_value_handed_out_is_canonical(field, x, y):
+    try:
+        a, b = field.of(x), field.of(y)
+    except InputError:
+        # a denominator divisible by p has no image in GF(p)
+        assert isinstance(field, PrimeField)
+        return
+    assert field.parse(str(x)) == a
+    for v in (a, b, field.add(a, b), field.sub(a, b), field.mul(a, b), field.neg(a)):
+        assert bool(v) == (v != 0)
+        if isinstance(field, PrimeField):
+            assert type(v) is int and 0 <= v < field.p
+    assert isinstance(QQ.of(x), Fraction)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("x", [2.7, 0.5, 0.1, 1.0, "1", None, 1j], ids=repr)
+def test_of_refuses_anything_but_ints_and_fractions(field, x):
+    # PrimeField(5).of(2.7) used to truncate to 2, and QQ.of(0.1) took the binary float
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        field.of(x)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_float_relation_coefficient_is_input_error(field):
+    # over GF(5), 0.5 used to become 0 and turn ab + 0.5 cb into the monomial ab
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "2")])
+    ideal = IdealSpec((((1, ("a", "b")), (0.5, ("c", "b"))),), 3)
+    with pytest.raises(InputError, match="0.5 is not an int or a Fraction"):
+        build_algebra(q, ideal, field)
+    half = IdealSpec((((1, ("a", "b")), (Fraction(1, 2), ("c", "b"))),), 3)
+    assert build_algebra(q, half, field).dim == 7

@@ -129,7 +129,7 @@ def test_exactness_is_read_from_the_held_complex(cycle_tail_algebra, vertex, k, 
     assert res.exact
     # zero one nonzero block of the second differential; the flag must follow the maps
     d = res.diffs[1]
-    v = next(v for v, b in d.blocks.items() if not linalg.is_zero_matrix(b, QQ))
+    v = next(v for v, b in d.blocks.items() if any(map(any, b)))
     zeroed = linalg.zeros(len(d.blocks[v]), d.target.dims[v], QQ)
     broken = ModuleMap(d.source, d.target, {**d.blocks, v: zeroed}, validate=False)
     forged = dataclasses.replace(res, diffs=(res.diffs[0], broken) + res.diffs[2:])
@@ -140,6 +140,34 @@ def test_resolution_rejects_bad_input(line_algebra):
     sv = standard_module(line_algebra, "simple", "v")
     with pytest.raises(InputError):
         resolution(sv, -1)
+
+
+def no_chain_walks():
+    """Fail at the first syzygy step or walk, before a huge cutoff can fill memory."""
+    return mock.patch.multiple(
+        homology._ChainNodes,
+        step=mock.Mock(side_effect=AssertionError("a chain was stepped")),
+        succ=mock.Mock(side_effect=AssertionError("a chain was walked")),
+    )
+
+
+def test_cutoff_past_the_ceiling_is_input_error(line_algebra):
+    # memory grows with the cutoff, so a huge one must be refused before any step
+    sv = standard_module(line_algebra, "simple", "v")
+    k = homology.MAX_CUTOFF + 1
+    calls = (
+        lambda: resolution(sv, k),
+        lambda: ext_dims(sv, sv, k),
+        lambda: ext_dims(sv, sv, k, "injective"),
+        lambda: proj_dim(sv, k),
+        lambda: inj_dim(sv, k),
+        lambda: gl_dim(line_algebra, k),
+    )
+    with no_chain_walks():
+        for call in calls:
+            with pytest.raises(InputError, match=f"{k} exceeds MAX_CUTOFF = 1000"):
+                call()
+    assert proj_dim(sv, homology.MAX_CUTOFF) == proj_dim(sv, 6) == DimBound.finite(1)
 
 
 def test_syzygy_index_outside_prefix_is_input_error(line_algebra):

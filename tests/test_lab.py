@@ -26,6 +26,7 @@ from quiverhom import (
     SuiteReport,
     Witness,
     decompose,
+    ext_dims,
     gen_instance,
     resolution,
     standard_module,
@@ -86,7 +87,7 @@ def test_ext_cross_suite_small_run():
     assert report.all_passed
 
 
-def test_suite_over_prime_field():
+def test_small_subquiver_and_epi_runs_pass():
     report = verify_subquiver_calculus(
         InstanceSpec(seed=9), cases=15
     )
@@ -279,6 +280,63 @@ def test_width_gate_matches_full_cover_steps(F):
 
     gate_agrees()
     assert {"module", "mid-chain", "zero syzygy", "lasso"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# random lab instances over prime fields
+
+CROSS_CUTOFF = 4
+BIG = PrimeField(2**31 - 1)
+
+
+def ext_tables(q, ideal, field, state=None) -> list[tuple[int, ...]]:
+    """Ext^0..Ext^4 on both sides: of every ordered pair of simples, or, given
+    an rng state, of the pair of modules drawn from it."""
+    alg = build_algebra(q, ideal, field)
+    if state is None:
+        chains = [SyzygyChain(standard_module(alg, "simple", v)) for v in alg.vertices]
+        pairs = [(s, t) for s in chains for t in chains]
+    else:
+        rng = random.Random()
+        rng.setstate(state)
+        pairs = [tuple(_gen_module(rng, alg, lab.SUITE_MODULE_BOUND) for _ in range(2))]
+    sides = ("projective", "injective")
+    return [ext_dims(m, n, CROSS_CUTOFF, side).dims for m, n in pairs for side in sides]
+
+
+@pytest.mark.parametrize(
+    "style, fields, binomials",
+    [
+        ("monomial", (QQ, PrimeField(2), PrimeField(3)), 0),
+        # mixed coefficients include 2 and -1, so only a large prime keeps them apart
+        ("mixed", (QQ, BIG), 4),
+    ],
+    ids=["monomial", "mixed"],
+)
+def test_ext_agrees_across_fields_on_lab_instances(monkeypatch, style, fields, binomials):
+    # instances come from lab._admit, gated so every chain below stays in the width cap
+    def draw(rng, q, ideal, lam):
+        state = rng.getstate()
+        drawn = [SyzygyChain(_gen_module(rng, lam, lab.SUITE_MODULE_BOUND)) for _ in range(2)]
+        simples = [SyzygyChain(standard_module(lam, "simple", v)) for v in lam.vertices]
+        depth = CROSS_CUTOFF + 2
+        if all(_widths_ok(c, depth) and _widths_ok(c.dual, depth) for c in simples + drawn):
+            return state
+        return None
+
+    monkeypatch.setattr(lab, "RELATION_STYLE", style)
+    compared = binomial = higher = 0  # cases, binomial ideals, nonzero higher Ext of simples
+    for idx in range(24):
+        _, q, ideal, lam, state = lab._admit(InstanceSpec(seed=12), idx, style, draw)
+        assert lam.dim <= ALGEBRA_DIM_CAP
+        tables = [ext_tables(q, ideal, F) for F in fields]
+        assert all(t == tables[0] for t in tables[1:]), f"simples, case {idx}"
+        # the drawn modules' coefficients -1, 0, 1 tell small primes apart
+        assert ext_tables(q, ideal, QQ, state) == ext_tables(q, ideal, BIG, state), f"case {idx}"
+        compared += 1
+        binomial += any(len(rel) > 1 for rel in ideal.relations)
+        higher += any(any(dims[1:]) for dims in tables[0])
+    assert (compared, binomial, higher) == (24, binomials, 22)
 
 
 # ---------------------------------------------------------------------------

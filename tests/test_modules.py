@@ -252,10 +252,13 @@ def test_kernel_of_map_matches_left_kernel(F, which, seed):
             blocks[v] = linalg.mat_add(blocks[v], linalg.mat_scale(c, h.blocks[v], F), F)
     maps = [ModuleMap(m, n, blocks), projective_cover_and_syzygy(m).cover]
     for f in maps:
-        ker, incl = kernel_of_map(f)
+        # a kernel is a submodule by construction: no arrow-stability re-check
+        with mock.patch.object(linalg, "reduce_mod_rowspace", side_effect=AssertionError):
+            ker, incl = kernel_of_map(f)
         for v in alg.vertices:
             assert incl.blocks[v] == linalg.left_kernel(f.blocks[v], f.target.dims[v], F)
             assert ker.dims[v] == len(incl.blocks[v])
+        # the oracle for that construction: the inclusion intertwines every arrow
         incl.validate()
         assert incl.compose(f).is_zero
 
@@ -542,5 +545,5 @@ def test_quotient_with_section_splits_the_projection(F):
             back = linalg.mat_mul(section[v], pmap.blocks[v], quot.dims[v], F)
             assert back == linalg.identity(quot.dims[v], F)
             killed = linalg.mat_mul(rows[v], pmap.blocks[v], quot.dims[v], F)
-            assert linalg.is_zero_matrix(killed, F)
+            assert not any(map(any, killed))
     assert "pivot before a free column" in shapes
