@@ -19,13 +19,16 @@ over the opposite algebra, and has the same dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
-of copies of components of N indexed by the generators of P.  Everything is
-exact arithmetic over the base field.
+of copies of components of N indexed by the generators of P.  Ext^k needs
+P_0..P_(k+1), but the generators of P_(k+1) are the top lifts of
+Omega^(k+1), so the chain takes cover steps on Omega^0..Omega^k only.
+Everything is exact arithmetic over the base field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
@@ -410,35 +413,37 @@ def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective
 
 
 def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int, ...]:
+    """Ext^0..Ext^k from the chain's cover steps on Omega^0..Omega^k.
+
+    The generators of P_i are the top lifts of Omega^i, so P_(k+1) is read
+    off the top of Omega^(k+1) and that module takes no cover step.  The
+    generator at lift j of Omega^i_u maps in P_(i-1) to row j of the
+    inclusion of Omega^i at u.
+    """
     nodes = m._nodes
-    steps = [nodes.step(i) for i in nodes.walk(m._pos, k + 2)]
+    path = nodes.walk(m._pos, k + 2)
+    steps = [nodes.step(i) for i in path[:-1]]
+    vertices = n.algebra.vertices
+    # the generators of P_i in vertex order, as (vertex, top lift of Omega^i)
+    gens = []
+    for lifts in (nodes.modules[i].top_lifts() for i in path):
+        gens.append([(v, j) for v in vertices for j in lifts[v]])
     F = n.field
-    hom_dims = []
-    offsets: list[list[int]] = []
-    for info in (step.info for step in steps):
-        offs = []
-        total = 0
-        for v, _ in info.generators:
-            offs.append(total)
-            total += n.dims[v]
-        offsets.append(offs)
-        hom_dims.append(total)
+    # Hom(P_i, N) is a sum of components of N, one per generator: their offsets, then the total
+    offsets = [list(accumulate((n.dims[v] for v, _ in gen), initial=0)) for gen in gens]
+    hom_dims = [offs[-1] for offs in offsets]
     ranks = [0]
     for i in range(1, k + 2):
-        info_t, info_s = steps[i].info, steps[i - 1].info
+        basis_s = steps[i - 1].info.basis
         incl = steps[i - 1].syzygy_inclusion
         nrows, ncols = hom_dims[i - 1], hom_dims[i]
         delta = linalg.zeros(nrows, ncols, F)
-        for g, (u, _) in enumerate(info_t.generators):
-            _, r = info_t.gen_pos[g]
-            # the generator's image in the previous term: its cover row through the inclusion
-            cover_row = steps[i].cover.blocks[u][r]
-            image = linalg.vec_mat(cover_row, incl.blocks[u], incl.target.dims[u], F)
+        for g, (u, j) in enumerate(gens[i]):
             col0 = offsets[i][g]
-            for c, coeff in enumerate(image):
+            for c, coeff in enumerate(incl.blocks[u][j]):
                 if not coeff:
                     continue
-                gsrc, elt = info_s.basis[u][c]
+                gsrc, elt = basis_s[u][c]
                 row0 = offsets[i - 1][gsrc]
                 mat = n.element_matrix(elt)
                 for a in range(len(mat)):

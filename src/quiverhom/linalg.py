@@ -4,9 +4,12 @@ Matrices are plain lists of row lists and vectors are flat lists; there is no
 matrix class.  All maps act on the right of row vectors, so applying ``A`` to
 ``x`` means ``x @ A`` and composition reads left to right.  Shapes are the
 caller's responsibility; functions that must cope with an empty row list take
-the column count explicitly.  Entries are canonical field elements (see
-``fields``), so zero is the only falsy entry and zero tests are truthiness:
-``if x``, ``any(row)``.  Zero and identity matrices hold the ints 0 and 1.
+the column count explicitly.  A matrix with no rows or no columns, such as
+the block of an empty module component, has the zero row space: ``rref`` and
+``RowSpace`` answer it without eliminating, so no caller needs its own case
+for it.  Entries are canonical field elements (see ``fields``), so zero is
+the only falsy entry and zero tests are truthiness: ``if x``, ``any(row)``.
+Zero and identity matrices hold the ints 0 and 1.
 
 Row reduction over the rationals is Gauss-Jordan on the entries as given,
 ints or Fractions.  Each pivot row not already led by 1 is scaled by
@@ -143,6 +146,8 @@ def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     1 with zeros above and below, and rows are ordered by pivot column, so the
     output is a canonical basis of the row space.
     """
+    if not rows or not ncols:
+        return [], []
     if isinstance(field, Rationals):
         return _rref_over_q(rows, ncols)
     return _rref_mod(rows, ncols, field.p)
@@ -199,22 +204,26 @@ class RowSpace:
     in the left block form ``basis`` (pivot columns in ``pivots``), and the
     rest, read off the identity block, form ``kernel``, the canonical echelon
     basis of the left kernel of the original matrix, with its pivot columns
-    in ``kernel_pivots``.
+    in ``kernel_pivots``.  With no rows or no columns nothing is eliminated:
+    the basis is empty and the kernel is the m x m identity.
     """
 
     def __init__(self, rows: list[list], ncols: int, field):
         self.field = field
         self.ncols = ncols
         m = len(rows)
+        self.basis: list[list] = []
+        self.pivots: list[int] = []
+        if not rows or not ncols:
+            self.kernel, self.kernel_pivots = identity(m, field), list(range(m))
+            return
         aug = []
         for i, row in enumerate(rows):
             tail = [field.zero] * m
             tail[i] = field.one
             aug.append(list(row) + tail)
         echelon, pivots = rref(aug, ncols + m, field)
-        self.basis: list[list] = []
         self.kernel: list[list] = []
-        self.pivots: list[int] = []
         self.kernel_pivots: list[int] = []
         for row, c in zip(echelon, pivots):
             if c < ncols:

@@ -7,9 +7,11 @@ product of its arrow matrices read left to right.
 
 Validity means the defining ideal acts as zero: every relation's matrix
 vanishes and the radical chain M, MJ, MJ^2, ... dies by the truncation
-exponent.  Construction validates by default; internal constructions that
-are valid by construction (submodules, quotients, duals, kernels) skip the
-check but remain spot-checked in the test suite.
+exponent.  Construction validates by default, and then also checks that
+each dimension is an int >= 0 and each entry canonical in the field, and
+copies the matrices.  Internal constructions that are valid by construction
+(submodules, quotients, duals, kernels) skip the check and keep the fresh
+lists they are given; they remain spot-checked in the test suite.
 
 Submodules are handed around as per-vertex canonical row bases inside the
 ambient components; the embed/quotient helpers turn those into honest
@@ -45,33 +47,48 @@ def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
     return cached
 
 
+def _checked_copy(rows: list[list], F, where: str) -> list[list]:
+    """A copy of caller-supplied rows, once every entry is canonical in F."""
+    for row in rows:
+        for x in row:
+            y = F.of(x)
+            if y != x or type(x) not in (int, type(y)):
+                raise ModuleValidationError(
+                    f"entry {x!r} at {where} is not canonical in {F.name}"
+                )
+    return [list(r) for r in rows]
+
+
 class Representation:
     """A right module: per-vertex dimensions plus per-arrow matrices.
 
     A representation is not mutated after construction, so path and element
     matrices and the top lifts are memoized on it; callers must not mutate
-    what is handed out.
+    what is handed out.  A validated one (input from outside) has checked
+    and copied its input; an unvalidated one keeps the rows it was given.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, mats, validate: bool = True):
         _require_presented(algebra)
         self.algebra = algebra
-        q = algebra.quiver
-        self.dims: dict[str, int] = {v: int(dims.get(v, 0)) for v in q.vertices}
-        for v in dims:
+        q, F = algebra.quiver, algebra.field
+        self.dims: dict[str, int] = {v: dims.get(v, 0) for v in q.vertices}
+        for v, d in dims.items():
             if v not in self.dims:
                 raise DanglingIdError(f"module names unknown vertex {v!r}")
+            if validate and not (type(d) is int and d >= 0):
+                raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
         self.mats: dict[str, list[list]] = {}
         for a in q.arrows:
             m = mats.get(a.name)
             if m is None:
-                m = linalg.zeros(self.dims[a.source], self.dims[a.target], algebra.field)
+                m = linalg.zeros(self.dims[a.source], self.dims[a.target], F)
             if len(m) != self.dims[a.source] or any(len(r) != self.dims[a.target] for r in m):
                 raise ModuleValidationError(
                     f"matrix for arrow {a.name!r} has wrong shape, want "
                     f"{self.dims[a.source]}x{self.dims[a.target]}"
                 )
-            self.mats[a.name] = [list(r) for r in m]
+            self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}") if validate else m
         for name in mats:
             if name not in self.mats:
                 raise DanglingIdError(f"module names unknown arrow {name!r}")
@@ -179,7 +196,8 @@ class Representation:
 
 
 class ModuleMap:
-    """A homomorphism of representations, stored as per-vertex blocks."""
+    """A homomorphism of representations, stored as per-vertex blocks, which
+    are checked and copied when validated and kept as given otherwise."""
 
     def __init__(self, source: Representation, target: Representation, blocks, validate: bool = True):
         if source.algebra is not target.algebra:
@@ -194,7 +212,7 @@ class ModuleMap:
                 b = linalg.zeros(source.dims[v], target.dims[v], source.field)
             if len(b) != source.dims[v] or any(len(r) != target.dims[v] for r in b):
                 raise ModuleValidationError(f"block at vertex {v!r} has wrong shape")
-            self.blocks[v] = [list(r) for r in b]
+            self.blocks[v] = _checked_copy(b, source.field, f"vertex {v!r}") if validate else b
         if validate:
             self.validate()
 
@@ -400,8 +418,9 @@ def _embed_echelon(rep: Representation, echelons) -> tuple[Representation, Modul
     F = rep.field
     mats = {}
     for a in rep.algebra.quiver.arrows:
-        pivots = echelons[a.target][1]
-        images = linalg.mat_mul(echelons[a.source][0], rep.mats[a.name], rep.dims[a.target], F)
+        basis, pivots = echelons[a.source][0], echelons[a.target][1]
+        # an arrow with an empty target has the empty matrix of its shape: no product
+        images = linalg.mat_mul(basis, rep.mats[a.name], rep.dims[a.target], F) if pivots else basis
         mats[a.name] = [[img[c] for c in pivots] for img in images]
     bases = {v: basis for v, (basis, _) in echelons.items()}
     sub = Representation(rep.algebra, {v: len(b) for v, b in bases.items()}, mats, validate=False)

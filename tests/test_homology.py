@@ -69,6 +69,13 @@ def distinct_steps(m, count):
     return len(seen)
 
 
+def resolved_syzygy(m, i):
+    """Omega^i m, stepped one by one without a chain."""
+    for _ in range(i):
+        m = projective_cover_and_syzygy(m).syzygy
+    return m
+
+
 def test_line_simple_resolution(line_algebra):
     sv = standard_module(line_algebra, "simple", "v")
     res = resolution(sv, 3)
@@ -199,6 +206,16 @@ def test_ext_reads_the_chain_without_a_prefix(cycle_tail_quiver, cycle_tail_idea
     alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, field)
     rng = random.Random(502)
     k = 4
+    pairs = [(random_module(rng, alg), random_module(rng, alg)) for _ in range(3)]
+    # over a line 0 -> 1 -> ... -> k+1 with radical square zero, Omega^i S_0 = S_i,
+    # and dually for S_(k+1): chains that neither close nor vanish before Omega^(k+1)
+    line = Quiver.build(
+        [str(i) for i in range(k + 2)], [(f"a{i}", str(i), str(i + 1)) for i in range(k + 1)]
+    )
+    line_alg = build_algebra(line, IdealSpec.zero(2), field)
+    pairs.append(
+        (standard_module(line_alg, "simple", "0"), standard_module(line_alg, "simple", str(k + 1)))
+    )
     wants = []
     with (
         mock.patch.object(homology, "resolution", wraps=homology.resolution) as res,
@@ -207,17 +224,21 @@ def test_ext_reads_the_chain_without_a_prefix(cycle_tail_quiver, cycle_tail_idea
             homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
         ) as cover,
     ):
-        for _ in range(3):
-            m, n = random_module(rng, alg), random_module(rng, alg)
+        for m, n in pairs:
             for side in ("projective", "injective"):
-                # one resolved chain per side: m's, or the dual of n's
-                wants.append(distinct_steps(m if side == "projective" else dual_module(n), k + 2))
+                # one resolved chain per side, m's or the dual of n's, stepped on
+                # Omega^0..Omega^k: P_(k+1) is read off the top of Omega^(k+1)
+                resolved = m if side == "projective" else dual_module(n)
+                wants.append(distinct_steps(resolved, k + 1))
                 cover.reset_mock()
                 ext_dims(m, n, k, side)
                 assert cover.call_count == wants[-1]
+                if m.algebra is line_alg:
+                    assert distinct_steps(resolved, k + 2) == k + 2
+                    assert not resolved_syzygy(resolved, k + 1).is_zero
     assert res.call_count == 0 and cert.call_count == 0
-    # some chains close into a lasso before Omega^(k+1)
-    assert min(wants) < k + 2
+    # some chains close into a lasso before Omega^k
+    assert min(wants) < k + 1
 
 
 @pytest.mark.parametrize("name", ["line", "cycle_tail", "two_cycles"])

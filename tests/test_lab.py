@@ -391,8 +391,10 @@ def test_ext_cross_pass_steps_each_module_once_per_chain(monkeypatch):
     cover = mock.Mock(wraps=homology.projective_cover_and_syzygy)
     monkeypatch.setattr(homology, "projective_cover_and_syzygy", cover)
     assert verify_ext_cross(InstanceSpec(seed=1), cases=100).all_passed
-    # chains that stepped every syzygy afresh took 1 097 cover steps here
-    assert cover.call_count == 597
+    # chains that stepped every syzygy afresh, with no content keys, would take
+    # 897 cover steps here; before Ext read P_(k+1) off the top of Omega^(k+1),
+    # that was 1 097 afresh and 597 with keys
+    assert cover.call_count == 586
 
 
 def test_heart_case_certifies_only_its_transport(monkeypatch):

@@ -299,3 +299,86 @@ def test_rational_rref_matches_the_integer_reference():
     assert seen == {
         "non-integral", "plain int", "mixed row", "zero row", "repeated row", "0xn", "mx0"
     }
+
+
+# ---------------------------------------------------------------------------
+# empty shapes: rref and RowSpace against dense references with no fast path
+
+
+ORACLE_FIELDS = [QQ, GF5, PrimeField(2**31 - 1)]
+
+
+def reference_rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan mod p that rewrites every row at every pivot."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        best = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        prow = [x * inv % p for x in rows[r]]
+        rows = [
+            prow if i == r else [(x - row[c] * y) % p for x, y in zip(row, prow)]
+            for i, row in enumerate(rows)
+        ]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def reference_rref(rows: list[list], ncols: int, F) -> tuple[list[list], list[int]]:
+    if F == QQ:
+        return reference_rref_q(rows, ncols)
+    return reference_rref_mod(rows, ncols, F.p)
+
+
+def reference_rowspace(rows: list[list], ncols: int, F) -> tuple:
+    """(basis, pivots, kernel, kernel_pivots) from one reference elimination of [rows | I]."""
+    m = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    echelon, pivots = reference_rref(aug, ncols + m, F)
+    left = [(row[:ncols], c) for row, c in zip(echelon, pivots) if c < ncols]
+    right = [(row[ncols:], c - ncols) for row, c in zip(echelon, pivots) if c >= ncols]
+    return (
+        [row for row, _ in left],
+        [c for _, c in left],
+        [row for row, _ in right],
+        [c for _, c in right],
+    )
+
+
+@st.composite
+def oracle_matrices(draw):
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return F, linalg.zeros(nrows, ncols, F), ncols
+    rows = [[F.of(draw(st.integers(-4, 4))) for _ in range(ncols)] for _ in range(nrows)]
+    return F, rows, ncols
+
+
+def test_empty_shapes_match_the_dense_reference():
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(oracle_matrices())
+    def agree(data):
+        F, rows, ncols = data
+        assert linalg.rref(rows, ncols, F) == reference_rref(rows, ncols, F)
+        space = linalg.RowSpace(rows, ncols, F)
+        got = (space.basis, space.pivots, space.kernel, space.kernel_pivots)
+        assert got == reference_rowspace(rows, ncols, F)
+        if not rows:
+            shape = "0xn"
+        elif not ncols:
+            shape = "mx0"
+        else:
+            shape = "nonzero" if any(map(any, rows)) else "all-zero"
+        seen.add((F.name, shape))
+
+    agree()
+    shapes = ("0xn", "mx0", "all-zero", "nonzero")
+    assert seen == {(F.name, shape) for F in ORACLE_FIELDS for shape in shapes}

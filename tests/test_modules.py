@@ -6,6 +6,8 @@ arguments, kernels and images obey rank-nullity vertexwise.
 """
 
 import random
+import re
+from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
 
@@ -114,6 +116,36 @@ def test_module_map_validation(cycle_tail_algebra):
     s2 = standard_module(cycle_tail_algebra, "simple", "2")
     with pytest.raises(ModuleValidationError):
         ModuleMap(p1, s2, {"1": [[]], "2": [[QQ.one]], "3": [[]], "4": [[]]}, validate=True)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_validated_construction_checks_and_copies(F):
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), F)
+    dims = {"1": 1, "2": 1}
+    for d in (2.7, "2", -1, True):
+        with pytest.raises(ModuleValidationError, match=f"{d!r} at vertex '1' is not an int >= 0"):
+            Representation(alg, {"1": d}, {})
+    mats = {"a": [[F.of(2)]]}
+    m = Representation(alg, dims, mats)
+    blocks = {"1": [[F.of(3)]], "2": [[F.of(3)]]}
+    f = ModuleMap(m, m, blocks)
+    # the caller's lists are copied: mutating them leaves the module and map unchanged
+    mats["a"][0][0] = F.of(4)
+    mats["a"].append([F.of(1)])
+    blocks["1"][0][0] = F.of(4)
+    assert m.mats == {"a": [[F.of(2)]]} and f.blocks == {"1": [[F.of(3)]], "2": [[F.of(3)]]}
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        Representation(alg, dims, {"a": [[0.1]]})
+    # a bool, and over GF(5) also a Fraction and ints outside [0, 5)
+    for x in [True] if F == QQ else [True, Fraction(2), 5, 7]:
+        with pytest.raises(ModuleValidationError, match=re.escape(f"entry {x!r} at arrow 'a'")):
+            Representation(alg, dims, {"a": [[x]]})
+    # an unvalidated construction keeps the lists it is given
+    rows = [[F.of(2)]]
+    assert Representation(alg, dims, {"a": rows}, validate=False).mats["a"] is rows
+    if F != QQ:
+        with pytest.raises(ModuleValidationError, match="entry 7 at vertex '1' is not canonical"):
+            ModuleMap(m, m, {"1": [[7]], "2": [[2]]})
 
 
 def test_hom_out_of_projective_is_evaluation():
@@ -250,7 +282,14 @@ def test_kernel_of_map_matches_left_kernel(F, which, seed):
         c = F.of(rng.randint(-2, 2))
         for v in alg.vertices:
             blocks[v] = linalg.mat_add(blocks[v], linalg.mat_scale(c, h.blocks[v], F), F)
-    maps = [ModuleMap(m, n, blocks), projective_cover_and_syzygy(m).cover]
+    zero = zero_module(alg)
+    # the zero maps have m x 0 and 0 x n blocks at every vertex
+    maps = [
+        ModuleMap(m, n, blocks),
+        projective_cover_and_syzygy(m).cover,
+        ModuleMap(m, zero, {}),
+        ModuleMap(zero, n, {}),
+    ]
     for f in maps:
         # a kernel is a submodule by construction: no arrow-stability re-check
         with mock.patch.object(linalg, "reduce_mod_rowspace", side_effect=AssertionError):
