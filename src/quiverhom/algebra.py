@@ -18,9 +18,11 @@ Derived constructions:
   reversed quiver and relations, so module machinery works on it unchanged.
 
 Elements of an algebra are sparse dicts mapping basis index to coefficient.
-Vectors handed to the linear algebra layer are dense lists in basis order.
-The product table stores only nonzero products (a missing entry is zero),
-so every construction walks only the products that exist.
+They hold only nonzero canonical coefficients, so two elements are equal iff
+their dicts are ``==``.  Vectors handed to the linear algebra layer are dense
+lists in basis order.  The product table stores only nonzero products (a
+missing entry is zero), so every construction walks only the products that
+exist.
 
 Relations are uniformized on input: a relation whose terms do not all share
 source and target is split into its (source, target) components, which is
@@ -248,18 +250,6 @@ class _RelationSpan:
         return out
 
 
-class _TableOnFirstRead:
-    """Builds the table on first read as a plain attribute; cached_property
-    would go through __dict__, slowing every later attribute read."""
-
-    def __get__(self, alg, owner=None):
-        if alg is None:
-            return self
-        alg.table = alg._build_table()
-        del alg._build_table  # and with it the relation span
-        return alg.table
-
-
 class FiniteDimAlgebra:
     """A finite-dimensional algebra with a tagged basis and a sparse product table.
 
@@ -274,12 +264,11 @@ class FiniteDimAlgebra:
     quiver=None and support only element arithmetic.
 
     A presented algebra takes its basis from the relation span and builds
-    its table on first read (`table` is then passed as a function).
+    its table on first read (`table` is then passed as a function, which is
+    dropped, and with it the relation span, once the table is cached).
 
     Instances are immutable after construction.
     """
-
-    table = _TableOnFirstRead()
 
     def __init__(self, field, vertices, elements, table, quiver=None, ideal=None):
         self.field = field
@@ -303,6 +292,12 @@ class FiniteDimAlgebra:
         self.parent: FiniteDimAlgebra | None = None
         self.parent_indices: tuple[int, ...] | None = None
         self.parent_projection = None
+
+    @cached_property
+    def table(self) -> tuple[dict, ...]:
+        table = self._build_table()
+        del self._build_table
+        return table
 
     @property
     def dim(self) -> int:
@@ -342,26 +337,11 @@ class FiniteDimAlgebra:
                         out.pop(k, None)
         return out
 
-    def elements_with(self, source=None, target=None) -> list[int]:
-        out = []
-        for i, el in enumerate(self.elements):
-            if source is not None and el.source != source:
-                continue
-            if target is not None and el.target != target:
-                continue
-            out.append(i)
-        return out
-
     def dense(self, x: dict[int, object]) -> list:
         vec = [self.field.zero] * self.dim
         for i, c in x.items():
             vec[i] = c
         return vec
-
-    def eq(self, x: dict[int, object], y: dict[int, object]) -> bool:
-        F = self.field
-        keys = set(x) | set(y)
-        return not any(F.sub(x.get(k, F.zero), y.get(k, F.zero)) for k in keys)
 
     def describe(self) -> str:
         kind = "presented" if self.is_presented else "table-backed"
@@ -586,21 +566,22 @@ class AlgebraHom:
 
     @staticmethod
     def from_images(source: FiniteDimAlgebra, target: FiniteDimAlgebra, images) -> "AlgebraHom":
-        images = tuple(dict(im) for im in images)
         F = target.field
+        # canonical and without zeros, like every element, so == compares elements
+        images = tuple({k: c for k, c in zip(im, map(F.of, im.values())) if c} for im in images)
         multiplicative = True
         for i in range(source.dim):
             for j in range(source.dim):
                 lhs = _apply_images(images, F, dict(source.table[i].get(j, ())))
                 rhs = target.mul(images[i], images[j])
-                if not target.eq(lhs, rhs):
+                if lhs != rhs:
                     multiplicative = False
                     break
             if not multiplicative:
                 break
         u = _apply_images(images, F, source.unit())
-        unital = target.eq(u, target.unit())
-        unit_image_idempotent = target.eq(target.mul(u, u), u)
+        unital = u == target.unit()
+        unit_image_idempotent = target.mul(u, u) == u
         mat = [target.dense(im) for im in images]
         r = linalg.rank(mat, target.dim, F)
         surjective = r == target.dim
@@ -665,17 +646,13 @@ def _tables_match(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> tuple[bool, str]:
         missing = sorted(set(amap) ^ set(bmap), key=lambda p: (p.length, p.arrows))
         return False, f"basis paths differ, e.g. {missing[0].label()}"
     to_b = [bmap[el] for el in a.elements]
-    F = a.field
     for i in range(a.dim):
         for j in range(a.dim):
             got = {to_b[k]: c for k, c in a.table[i].get(j, ())}
-            want = dict(b.table[to_b[i]].get(to_b[j], ()))
-            keys = set(got) | set(want)
-            for k in keys:
-                if F.sub(got.get(k, F.zero), want.get(k, F.zero)):
-                    return False, (
-                        f"product {a.elements[i].label()} * {a.elements[j].label()} disagrees"
-                    )
+            if got != dict(b.table[to_b[i]].get(to_b[j], ())):
+                return False, (
+                    f"product {a.elements[i].label()} * {a.elements[j].label()} disagrees"
+                )
     return True, ""
 
 
@@ -708,7 +685,7 @@ def verify_convex_isos(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
             yj = {j: F.one}
             lhs = alg.mul(exe, alg.mul(yj, e_id))
             rhs = alg.mul(e_id, alg.mul(alg.mul(xi, yj), e_id))
-            if not alg.eq(lhs, rhs):
+            if lhs != rhs:
                 sandwich_ok = False
                 witness = f"{alg.elements[i].label()}, {alg.elements[j].label()}"
                 break
@@ -763,9 +740,7 @@ def verify_convex_isos(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -
         el = {g: F.one}
         psi_images.append(alg.mul(e_id, alg.mul(el, e_id)))
     psi = AlgebraHom.from_images(quotient, alg, psi_images)
-    section_ok = all(
-        quotient.eq(proj(psi_images[i]), {i: F.one}) for i in range(quotient.dim)
-    )
+    section_ok = all(proj(psi_images[i]) == {i: F.one} for i in range(quotient.dim))
     entries.append(CheckEntry("splitting_section", section_ok))
     entries.append(CheckEntry("splitting_multiplicative", psi.multiplicative))
     entries.append(CheckEntry("splitting_unit_to_idempotent", psi.unit_image_idempotent))

@@ -10,7 +10,8 @@ the chain closes into a lasso.  Equal modules are isomorphic, so a nonzero
 repeat certifies an infinite projective dimension, and ``proj_dim``,
 ``inj_dim`` and ``gl_dim`` report it as ``Infinite``.  Isomorphic syzygies
 of different content go unnoticed, so a lasso may be missed but is never
-false.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt.
+false.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and
+``check_cutoff`` refuses every cutoff below 0 or past ``MAX_CUTOFF``.
 A prefix's minimality comes from its cover steps; its exactness is
 recomputed from ranks of the complex it holds each time it is read.
 Prefixes are projective only.  The injective side is the chain's ``dual``:
@@ -112,6 +113,14 @@ MAX_TERM_WIDTH = 500
 # longest resolution and highest Ext degree accepted: a walk's memory grows
 # with the cutoff, and the suites and benchmarks use at most 10
 MAX_CUTOFF = 1000
+
+
+def check_cutoff(k: int, what: str) -> None:
+    """Refuse a cutoff below 0 or past MAX_CUTOFF, naming it as `what`."""
+    if k < 0:
+        raise InputError(f"{what} must be nonnegative")
+    if k > MAX_CUTOFF:
+        raise InputError(f"{what} {k} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
 
 
 def cover_width(m: Representation) -> int:
@@ -324,10 +333,7 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
     Terms beyond the projective dimension come out zero; the prefix always
     has k+1 terms so tables over a fixed cutoff line up.
     """
-    if k < 0:
-        raise InputError("resolution length must be nonnegative")
-    if k > MAX_CUTOFF:
-        raise InputError(f"resolution length {k} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    check_cutoff(k, "resolution length")
     m = _chain(m)
     nodes = m._nodes
     path = nodes.walk(m._pos, k + 2)
@@ -401,10 +407,7 @@ def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective
     m, n = _chain(m), _chain(n)
     if m.module.algebra is not n.module.algebra:
         raise InputError("ext endpoints live over different algebras")
-    if k < 0:
-        raise InputError("ext cutoff must be nonnegative")
-    if k > MAX_CUTOFF:
-        raise InputError(f"ext cutoff {k} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    check_cutoff(k, "ext cutoff")
     if side == "projective":
         return ExtTable(_ext_dims_projective(m, n.module, k), k, side)
     if side == "injective":
@@ -471,10 +474,7 @@ def proj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
     resolution never ends), and AtLeast(cutoff) otherwise.  The zero module
     reports Finite(-1).
     """
-    if cutoff < 0:
-        raise InputError("cutoff must be nonnegative")
-    if cutoff > MAX_CUTOFF:
-        raise InputError(f"cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    check_cutoff(cutoff, "cutoff")
     m = _chain(m)
     if m.module.is_zero:
         return DimBound.finite(-1)
@@ -589,9 +589,9 @@ def transport_resolution(
         target = r_quots[i]
         rad_rows = radical_rows(target)
         for v in g_vertices:
-            space = linalg.RowSpace(rad_rows[v], target.dims[v], F)
+            echelon, pivots = linalg.rref(rad_rows[v], target.dims[v], F)
             for row in r_diffs[i].blocks[v]:
-                if any(row) and not space.contains(row):
+                if any(linalg.reduce_mod_rowspace(row, echelon, pivots, F)):
                     minimal = False
     terms = []
     terms_projective = True

@@ -35,8 +35,8 @@ from .algebra import (
 from .errors import InputError, InvariantViolation
 from .fields import QQ
 from .homology import (
-    MAX_CUTOFF,
     SyzygyChain,
+    check_cutoff,
     check_term_reachability,
     cover_width,
     ext_dims,
@@ -141,9 +141,8 @@ def _gen_quiver(rng: random.Random, max_vertices: int, max_arrows: int) -> Quive
     return Quiver.build(vertices, arrows)
 
 
-def _gen_ideal(rng: random.Random, q: Quiver, style: str, truncation_bound: int) -> IdealSpec:
-    lo = 2 if truncation_bound == 2 else 3
-    n = rng.randint(lo, truncation_bound)
+def _gen_ideal(rng: random.Random, q: Quiver, style: str) -> IdealSpec:
+    n = rng.randint(3, TRUNCATION_BOUND)
     pool = [p for p in q.paths_up_to(n - 1) if p.length >= 2]
     rels = []
     if pool:
@@ -201,7 +200,7 @@ def gen_instance(spec: InstanceSpec):
     """
     rng = random.Random(spec.seed)
     q = _gen_quiver(rng, MAX_VERTICES, MAX_ARROWS)
-    ideal = _gen_ideal(rng, q, RELATION_STYLE, TRUNCATION_BOUND)
+    ideal = _gen_ideal(rng, q, RELATION_STYLE)
     alg = build_algebra(q, ideal, QQ)
     mods = [_gen_module(rng, alg, MODULE_SIZE_BOUND) for _ in range(2)]
     for m in mods:
@@ -245,7 +244,7 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
         maxv = 3 if small else MAX_VERTICES
         maxa = 4 if small else MAX_ARROWS
         q = _gen_quiver(rng, maxv, maxa)
-        ideal = _gen_ideal(rng, q, RELATION_STYLE, TRUNCATION_BOUND)
+        ideal = _gen_ideal(rng, q, RELATION_STYLE)
         lam = build_algebra(q, ideal, QQ)
         if lam.dim > ALGEBRA_DIM_CAP:
             continue
@@ -385,8 +384,7 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
     """
     if cutoff < 2:
         raise InputError("epi suite cutoff must be at least 2")
-    if cutoff > MAX_CUTOFF:
-        raise InputError(f"epi suite cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    check_cutoff(cutoff, "epi suite cutoff")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _epi_case(spec, idx, cutoff)
@@ -569,8 +567,7 @@ def _heart_case_acyclic(seed, q, ideal, lam, t, m, n) -> list[Witness]:
 
 def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> SuiteReport:
     """Both Ext computations (resolve m vs coresolve n) on random pairs."""
-    if cutoff > MAX_CUTOFF:
-        raise InputError(f"ext-cross suite cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
+    check_cutoff(cutoff, "ext-cross suite cutoff")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _ext_cross_case(spec, idx, cutoff)

@@ -9,7 +9,9 @@ the block of an empty module component, has the zero row space: ``rref`` and
 ``RowSpace`` answer it without eliminating, so no caller needs its own case
 for it.  Entries are canonical field elements (see ``fields``), so zero is
 the only falsy entry and zero tests are truthiness: ``if x``, ``any(row)``.
-Zero and identity matrices hold the ints 0 and 1.
+Zero and identity matrices hold the ints 0 and 1.  A vector lies in a row
+space iff ``reduce_mod_rowspace`` against the space's ``rref`` basis leaves
+nothing; ``RowSpace`` is for when the left kernel is wanted as well.
 
 Row reduction over the rationals is Gauss-Jordan on the entries as given,
 ints or Fractions.  Each pivot row not already led by 1 is scaled by
@@ -43,14 +45,6 @@ def transpose(rows: list[list], ncols: int) -> list[list]:
     return [[row[j] for row in rows] for j in range(ncols)]
 
 
-def vec_add(u: list, v: list, field) -> list:
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(c, v: list, field) -> list:
-    return [field.mul(c, a) for a in v]
-
-
 def vec_mat(x: list, rows: list[list], ncols: int, field) -> list:
     """Row vector times matrix: returns ``x @ rows`` of length ncols."""
     out = [field.zero] * ncols
@@ -66,14 +60,6 @@ def vec_mat(x: list, rows: list[list], ncols: int, field) -> list:
 def mat_mul(A: list[list], B: list[list], bcols: int, field) -> list[list]:
     """Matrix product A @ B where B has ``bcols`` columns."""
     return [vec_mat(row, B, bcols, field) for row in A]
-
-
-def mat_add(A: list[list], B: list[list], field) -> list[list]:
-    return [vec_add(ra, rb, field) for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A: list[list], field) -> list[list]:
-    return [vec_scale(c, row, field) for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +184,7 @@ def left_kernel(rows: list[list], ncols: int, field) -> list[list]:
 
 
 class RowSpace:
-    """Row space of a matrix with membership and reduction, plus its left kernel.
+    """Echelon basis of a matrix's row space together with its left kernel.
 
     One elimination of [rows | I] gives both: echelon rows whose pivot lies
     in the left block form ``basis`` (pivot columns in ``pivots``), and the
@@ -209,8 +195,6 @@ class RowSpace:
     """
 
     def __init__(self, rows: list[list], ncols: int, field):
-        self.field = field
-        self.ncols = ncols
         m = len(rows)
         self.basis: list[list] = []
         self.pivots: list[int] = []
@@ -232,16 +216,6 @@ class RowSpace:
             else:
                 self.kernel.append(row[ncols:])
                 self.kernel_pivots.append(c - ncols)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def reduce(self, v: list) -> list:
-        return reduce_mod_rowspace(v, self.basis, self.pivots, self.field)
-
-    def contains(self, v: list) -> bool:
-        return not any(self.reduce(v))
 
 
 def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, field):

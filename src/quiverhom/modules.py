@@ -161,8 +161,11 @@ class Representation:
             nrows, ncols = self.dims[src], self.dims[tgt]
             acc = linalg.zeros(nrows, ncols, F)
             for coeff, arrows in terms:
-                term = linalg.mat_scale(F.of(coeff), self.path_matrix(arrows), F)
-                acc = linalg.mat_add(acc, term, F)
+                c = F.of(coeff)
+                for row, path_row in zip(acc, self.path_matrix(arrows)):
+                    for j, x in enumerate(path_row):
+                        if x:
+                            row[j] = F.add(row[j], F.mul(c, x))
             if any(map(any, acc)):
                 label = " + ".join(f"{c}*{'*'.join(p)}" for c, p in terms)
                 raise ModuleValidationError(f"relation {label} does not annihilate the module")

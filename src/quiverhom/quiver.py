@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DanglingIdError, InputError, InvariantViolation
+from .errors import DanglingIdError, InputError
 
 
 @dataclass(frozen=True)
@@ -213,38 +213,13 @@ class Quiver:
             y = frozenset(self.reachable_from(cycles) & self.reaching(cycles))
         else:
             y = frozenset()
-        heart = FullSubquiver(self, y)
-        return HeartProfile(cycles, heart, self.complement_bound_t(heart))
-
-    def complement_bound_t(self, heart: "FullSubquiver") -> int:
-        """Arrow-length of the longest path avoiding the heart; 0 if none."""
-        _check_parent(self, heart)
-        outside = [v for v in self.vertices if v not in heart.vertex_set]
-        pos = {v: i for i, v in enumerate(outside)}
-        succ = {v: [a.target for a in self.out_arrows[v] if a.target in pos] for v in outside}
-        indeg = {v: 0 for v in outside}
-        for v in outside:
-            for w in succ[v]:
-                indeg[w] += 1
-        order = [v for v in outside if indeg[v] == 0]
-        i = 0
-        while i < len(order):
-            for w in succ[order[i]]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-            i += 1
-        if len(order) != len(outside):
-            raise InvariantViolation("heart complement contains an oriented cycle")
-        longest = {v: 0 for v in outside}
-        t = 0
-        for v in order:
-            for w in succ[v]:
-                if longest[v] + 1 > longest[w]:
-                    longest[w] = longest[v] + 1
-                    if longest[w] > t:
-                        t = longest[w]
-        return t
+        # t: the complement's vertices are trivial components, in topological order
+        longest = {v: 0 for comp in self.scc_list for v in comp if v not in y}
+        for v in longest:
+            for a in self.out_arrows[v]:
+                if a.target in longest:
+                    longest[a.target] = max(longest[a.target], longest[v] + 1)
+        return HeartProfile(cycles, FullSubquiver(self, y), max(longest.values(), default=0))
 
     # -- path enumeration ----------------------------------------------------
 
@@ -328,7 +303,12 @@ class BoundarySplit:
 
 @dataclass(frozen=True)
 class HeartProfile:
-    """Cycle vertices X, the heart subquiver on Y, and the complement bound t."""
+    """Cycle vertices X, the heart subquiver on Y, and the complement bound t.
+
+    t is the arrow-length of the longest path avoiding Y, 0 if none.  The
+    complement holds no cycle, so `Quiver.scc_list` orders it topologically
+    and one pass over that order finds t.
+    """
 
     cycle_vertices: frozenset[str]
     heart: FullSubquiver

@@ -7,11 +7,13 @@ code with the echelon-based construction.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from quiverhom import (
     QQ,
+    AlgebraHom,
     CompositionError,
     DanglingIdError,
     IdealSpec,
@@ -32,6 +34,7 @@ from quiverhom.algebra import _RelationSpan
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
 
 GF3 = PrimeField(3)
+GF5 = PrimeField(5)
 
 
 def relation_free(word, relation_paths):
@@ -128,7 +131,7 @@ def test_no_stored_product_is_empty(F, style):
     rng = random.Random(306)
     for _ in range(40):
         q = _gen_quiver(rng, 4, 6)
-        ideal = _gen_ideal(rng, q, style, 4)
+        ideal = _gen_ideal(rng, q, style)
         sub = q.full_subquiver(frozenset(v for v in q.vertices if rng.random() < 0.5))
         split = IdempotentSplit.from_subquiver(sub)
         alg = build_algebra(q, ideal, F)
@@ -143,6 +146,59 @@ def test_no_stored_product_is_empty(F, style):
                 assert list(row) == sorted(row)
                 assert all(row.values())
                 assert all(j < derived.dim for j in row)
+
+
+def _random_element(rng, alg, F):
+    picked = rng.sample(range(alg.dim), min(alg.dim, 3))
+    values = (F.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3))) for _ in picked)
+    return {i: c for i, c in zip(picked, values) if c}
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_elements_hold_only_nonzero_canonical_values(F):
+    # what makes == on element dicts the equality of elements
+    def check(x):
+        assert all(c and F.of(c) == c for c in x.values())
+
+    rng = random.Random(307)
+    for _ in range(30):
+        q = _gen_quiver(rng, 4, 6)
+        ideal = _gen_ideal(rng, q, "mixed")
+        sub = q.full_subquiver(frozenset(v for v in q.vertices if rng.random() < 0.5))
+        split = IdempotentSplit.from_subquiver(sub)
+        alg = build_algebra(q, ideal, F)
+        quo = quotient_by_idempotent(alg, split)
+        for derived in (alg, corner_algebra(alg, split), quo, opposite_algebra(alg)):
+            for row in derived.table:
+                for entry in row.values():
+                    check(dict(entry))
+        for _ in range(10):
+            x, y = _random_element(rng, alg, F), _random_element(rng, alg, F)
+            check(alg.mul(x, y))
+            if quo is not alg:
+                check(quo.parent_projection(x))
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_from_images_reads_its_images_as_canonical_elements(F, cycle_tail_quiver, cycle_tail_ideal):
+    alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, F)
+    corner = corner_algebra(alg, IdempotentSplit(frozenset("12"), frozenset("34")))
+    pos = {g: i for i, g in enumerate(corner.parent_indices)}
+
+    def flags(images):
+        hom = AlgebraHom.from_images(alg, corner, images)
+        got = (hom.multiplicative, hom.unital, hom.unit_image_idempotent)
+        return got + (hom.surjective, hom.injective), hom.images
+
+    # the corner map, and twice it
+    for scale, want_flags in ((1, (True, True, True, True, False)), (2, (False,) * 3 + (True, False))):
+        canonical = [{pos[g]: scale} if g in pos else {} for g in range(alg.dim)]
+        want = flags(canonical)
+        assert want[0] == want_flags
+        padded = [{**dict.fromkeys(range(corner.dim), 0), **im} for im in canonical]
+        assert flags(padded) == want
+        if F is GF5:
+            assert flags([{k: c + 5 for k, c in im.items()} for im in canonical]) == want
 
 
 @pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
@@ -174,7 +230,7 @@ def test_multiplication_table_is_associative():
                 xy = alg.mul(x, y)
                 for k in range(alg.dim):
                     z = {k: QQ.one}
-                    assert alg.eq(alg.mul(xy, z), alg.mul(x, alg.mul(y, z)))
+                    assert alg.mul(xy, z) == alg.mul(x, alg.mul(y, z))
 
 
 def test_unit_and_vertex_idempotents(cycle_tail_algebra):
@@ -182,15 +238,15 @@ def test_unit_and_vertex_idempotents(cycle_tail_algebra):
     one = alg.unit()
     for i in range(alg.dim):
         x = {i: QQ.one}
-        assert alg.eq(alg.mul(one, x), x)
-        assert alg.eq(alg.mul(x, one), x)
+        assert alg.mul(one, x) == x
+        assert alg.mul(x, one) == x
     for u in alg.vertices:
         eu = alg.vertex_idempotent({u})
-        assert alg.eq(alg.mul(eu, eu), eu)
+        assert alg.mul(eu, eu) == eu
         for v in alg.vertices:
             if v != u:
                 ev = alg.vertex_idempotent({v})
-                assert alg.eq(alg.mul(eu, ev), {})
+                assert alg.mul(eu, ev) == {}
 
 
 def test_products_respect_endpoint_idempotents(cycle_tail_algebra):
@@ -200,7 +256,7 @@ def test_products_respect_endpoint_idempotents(cycle_tail_algebra):
         x = {i: QQ.one}
         eu = alg.vertex_idempotent({el.source})
         ev = alg.vertex_idempotent({el.target})
-        assert alg.eq(alg.mul(eu, alg.mul(x, ev)), x)
+        assert alg.mul(eu, alg.mul(x, ev)) == x
 
 
 def test_radical_chain_vanishes_at_truncation():
@@ -226,8 +282,8 @@ def test_relation_images_vanish(cycle_tail_algebra):
     assert "a*b" not in names and "b*a" not in names
     ia = names.index("a")
     ib = names.index("b")
-    assert alg.eq(alg.mul({ia: QQ.one}, {ib: QQ.one}), {})
-    assert alg.eq(alg.mul({ib: QQ.one}, {ia: QQ.one}), {})
+    assert alg.mul({ia: QQ.one}, {ib: QQ.one}) == {}
+    assert alg.mul({ib: QQ.one}, {ia: QQ.one}) == {}
 
 
 def test_mixed_relation_collapses_parallel_paths():
@@ -245,7 +301,7 @@ def test_mixed_relation_collapses_parallel_paths():
     ic, idd = names["c"], names["d"]
     ab = alg.mul({ia: QQ.one}, {ib: QQ.one})
     cd = alg.mul({ic: QQ.one}, {idd: QQ.one})
-    assert alg.eq(ab, cd)
+    assert ab == cd
 
 
 def test_truncation_below_two_rejected():
@@ -302,7 +358,7 @@ def test_peirce_dimensions_partition_basis():
         total = 0
         for u in alg.vertices:
             for v in alg.vertices:
-                total += len(alg.elements_with(source=u, target=v))
+                total += sum(1 for el in alg.elements if el.source == u and el.target == v)
         assert total == alg.dim
 
 
@@ -327,7 +383,7 @@ def test_opposite_is_involutive_and_reverses_products():
             for j in range(alg.dim):
                 prod = alg.mul({i: QQ.one}, {j: QQ.one})
                 oprod = op.mul({to_op[j]: QQ.one}, {to_op[i]: QQ.one})
-                assert op.eq({to_op[k]: c for k, c in prod.items()}, oprod)
+                assert {to_op[k]: c for k, c in prod.items()} == oprod
 
 
 def test_quotient_kills_exactly_paths_through_removed_block(cycle_tail_algebra):

@@ -238,6 +238,14 @@ def test_cutoff_past_the_ceiling_exits_2_at_once(ws, capsys, command):
     assert "1000000000 exceeds MAX_CUTOFF = 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cases", ["0", "1"])
+def test_verify_ext_negative_cutoff_exits_2_before_any_case(capsys, cases):
+    # --cases 0 used to pass, and --cases 1 to fail only after drawing case 0
+    with mock.patch.object(lab, "_admit", side_effect=AssertionError("a case was drawn")):
+        assert cli.main(["verify", "ext", "--cases", cases, "--cutoff", "-1"]) == 2
+    assert "ext-cross suite cutoff must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_epi_cutoff_below_two_is_input_error(capsys):
     # --cutoff 0 used to fall back to the default 6
     for cutoff in ("0", "1"):

@@ -504,7 +504,7 @@ def test_verdicts_match_a_chain_free_reference(F):
     def agrees(seed, style, bound, cutoff):
         rng = random.Random(seed)
         q = _gen_quiver(rng, 4, 6)
-        alg = build_algebra(q, _gen_ideal(rng, q, style, 4), F)
+        alg = build_algebra(q, _gen_ideal(rng, q, style), F)
         assume(alg.dim <= ALGEBRA_DIM_CAP)
         m = _gen_module(rng, alg, bound)
         horizon = 2 * cutoff + 4

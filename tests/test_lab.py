@@ -264,7 +264,7 @@ def test_width_gate_matches_full_cover_steps(F):
     def gate_agrees(seed, style, bound, cap, depth):
         rng = random.Random(seed)
         q = _gen_quiver(rng, 4, 6)
-        alg = build_algebra(q, _gen_ideal(rng, q, style, 4), F)
+        alg = build_algebra(q, _gen_ideal(rng, q, style), F)
         assume(alg.dim <= ALGEBRA_DIM_CAP)
         m = _gen_module(rng, alg, bound)
         with mock.patch.object(lab, "WIDTH_CAP", cap):

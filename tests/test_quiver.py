@@ -192,8 +192,7 @@ def test_complement_path_bound_by_enumeration():
     for _ in range(80):
         q = random_quiver(rng, max_v=5, max_a=7)
         hp = q.homological_heart()
-        if hp.heart.is_empty:
-            continue
+        # an empty heart leaves the whole quiver, which is then acyclic
         comp = q.full_subquiver(hp.heart.complement()).as_quiver()
         longest = 0
         for walk in all_walks(comp, len(comp.vertices)):
