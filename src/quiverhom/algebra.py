@@ -6,13 +6,14 @@ length >= n (the truncation).  The basis is the set of paths of length < n
 that survive echelon reduction of the relation span; products are computed
 by concatenation followed by reduction to normal form.
 
-Derived constructions:
+A presented algebra keeps the relation span it was built from, and every
+derived algebra is built from the algebra, never from its presentation again:
 
 * corner algebra eAe for an idempotent built from a vertex subset;
 * quotient A/<e'> by the two-sided ideal generated by the complementary
   idempotent, computed by linear closure, not path inspection;
 * restricted algebra: the path algebra of a full subquiver modulo the
-  intersection of the ideal with it (echelon intersection);
+  intersection of the ideal with it, read off the kept span;
 * opposite algebra: the same basis with paths reversed and the product
   table transposed; a presented algebra's opposite also carries the
   reversed quiver and relations, so module machinery works on it unchanged.
@@ -34,7 +35,7 @@ buckets of paths, so echelon work happens per bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation
@@ -222,19 +223,18 @@ class _RelationSpan:
             vec = linalg.reduce_mod_rowspace(vec, echelon, pivots, self.field)
         return vec
 
-    def intersection_with_subquiver(self, sub: FullSubquiver) -> list[tuple[list, list[Path]]]:
-        """Rows of the ideal span supported on paths lying inside sub.
+    def relations_inside(self, sub: FullSubquiver) -> tuple:
+        """The ideal's span on the paths lying inside sub, as IdealSpec relations.
 
-        Returns (coefficient row, bucket path list) pairs per bucket, where
-        the row is indexed by the bucket's inside paths only.
+        Per bucket, one relation for each row of the echelon basis of the
+        span's vectors supported on inside paths, with its nonzero terms.
         """
         inside = sub.vertex_set
-        out = []
-        for key, (echelon, _) in sorted(self.bucket_rref.items()):
-            s, t = key
+        rels = []
+        for (s, t), (echelon, _) in sorted(self.bucket_rref.items()):
             if s not in inside or t not in inside:
                 continue
-            local = self.buckets[key]
+            local = self.buckets[(s, t)]
             keep = {
                 pos
                 for pos, g in enumerate(local)
@@ -243,11 +243,9 @@ class _RelationSpan:
             if not keep:
                 continue
             rows, _ = linalg.rowspace_intersect_coords(echelon, len(local), keep, self.field)
-            keep_sorted = sorted(keep)
-            paths = [self.paths[local[pos]] for pos in keep_sorted]
             for row in rows:
-                out.append(([row[pos] for pos in keep_sorted], paths))
-        return out
+                rels.append(tuple((c, self.paths[local[pos]].arrows) for pos, c in enumerate(row) if c))
+        return tuple(rels)
 
 
 class FiniteDimAlgebra:
@@ -263,20 +261,20 @@ class FiniteDimAlgebra:
     theory; table-backed derived algebras (corners, quotients) have
     quiver=None and support only element arithmetic.
 
-    A presented algebra takes its basis from the relation span and builds
-    its table on first read (`table` is then passed as a function, which is
-    dropped, and with it the relation span, once the table is cached).
+    A presented algebra keeps, in `_span`, the relation span its basis came
+    from.  It builds its table from it on first read (`table` is then passed
+    as None), and each restricted algebra is read off it once and kept in
+    `_restrictions`.  An opposite algebra, whose table is given, builds its
+    span from its quiver, ideal and field when one is first needed.
 
-    Instances are immutable after construction.
+    Instances are immutable after construction; the caches only fill in.
     """
 
     def __init__(self, field, vertices, elements, table, quiver=None, ideal=None):
         self.field = field
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.elements: tuple[Path, ...] = tuple(elements)
-        if callable(table):
-            self._build_table = table
-        else:
+        if table is not None:
             self.table = table
         self.quiver: Quiver | None = quiver
         self.ideal: IdealSpec | None = ideal
@@ -292,12 +290,15 @@ class FiniteDimAlgebra:
         self.parent: FiniteDimAlgebra | None = None
         self.parent_indices: tuple[int, ...] | None = None
         self.parent_projection = None
+        self._restrictions: dict[frozenset[str], FiniteDimAlgebra] = {}  # keyed by vertex set
+
+    @cached_property
+    def _span(self) -> _RelationSpan:
+        return _RelationSpan(self.quiver, self.ideal, self.field)
 
     @cached_property
     def table(self) -> tuple[dict, ...]:
-        table = self._build_table()
-        del self._build_table
-        return table
+        return _product_table(self._span, self.elements)
 
     @property
     def dim(self) -> int:
@@ -348,16 +349,18 @@ class FiniteDimAlgebra:
         return f"{kind} algebra over {self.field.name}, dim {self.dim}, vertices {list(self.vertices)}"
 
 
+def _require_presented(alg: FiniteDimAlgebra, what: str = "module theory") -> None:
+    if not alg.is_presented:
+        raise InputError(f"{what} needs a presented algebra (quiver attached)")
+
+
 def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
     """The bound quiver algebra of (q, ideal) over the given field."""
-    return _algebra_from_span(_RelationSpan(q, ideal, field))
-
-
-def _algebra_from_span(span: _RelationSpan) -> FiniteDimAlgebra:
-    basis_global = [g for g in range(len(span.paths)) if g not in span.pivot_global]
-    elements = tuple(span.paths[g] for g in basis_global)
-    table = partial(_product_table, span, elements)
-    return FiniteDimAlgebra(span.field, span.q.vertices, elements, table, span.q, span.ideal)
+    span = _RelationSpan(q, ideal, field)
+    elements = tuple(p for g, p in enumerate(span.paths) if g not in span.pivot_global)
+    alg = FiniteDimAlgebra(field, q.vertices, elements, None, q, ideal)
+    alg._span = span
+    return alg
 
 
 def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dict, ...]:
@@ -474,24 +477,24 @@ def quotient_by_idempotent(alg: FiniteDimAlgebra, split: IdempotentSplit) -> Fin
     return out
 
 
-def restricted_algebra(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -> FiniteDimAlgebra:
-    """The algebra of the full subquiver bound by the intersected ideal.
+def restricted_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebra:
+    """The algebra of a full subquiver of alg's quiver, bound by the intersected ideal.
 
     The intersection of the ideal with the subquiver's path space is read
-    off the echelon form bucket by bucket, then fed back in as relations, so
-    the result is a presented algebra and carries modules.
+    off alg's relation span bucket by bucket, then fed back in as relations,
+    so the result is a presented algebra and carries modules.  alg keeps
+    each restriction, and its restriction to the whole quiver is alg itself.
     """
-    return _restricted_from_span(_RelationSpan(q, ideal, field), sub)
-
-
-def _restricted_from_span(span: _RelationSpan, sub: FullSubquiver) -> FiniteDimAlgebra:
-    rels = []
-    for row, paths in span.intersection_with_subquiver(sub):
-        terms = tuple((c, p.arrows) for c, p in zip(row, paths) if c)
-        if terms:
-            rels.append(terms)
-    ideal = IdealSpec(tuple(rels), span.ideal.truncation)
-    return build_algebra(sub.as_quiver(), ideal, span.field)
+    _require_presented(alg, "a restricted algebra")
+    if sub.parent != alg.quiver:
+        raise InputError("the subquiver is not a full subquiver of the algebra's quiver")
+    if len(sub.vertex_set) == len(alg.vertices):
+        return alg
+    got = alg._restrictions.get(sub.vertex_set)
+    if got is None:
+        ideal = IdealSpec(alg._span.relations_inside(sub), alg.ideal.truncation)
+        got = alg._restrictions[sub.vertex_set] = build_algebra(sub.as_quiver(), ideal, alg.field)
+    return got
 
 
 def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -656,22 +659,20 @@ def _tables_match(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> tuple[bool, str]:
     return True, ""
 
 
-def verify_convex_isos(q: Quiver, ideal: IdealSpec, sub: FullSubquiver, field) -> ConvexIsoReport:
-    """Compare the corner, idempotent quotient, and restricted algebra at sub.
+def verify_convex_isos(alg: FiniteDimAlgebra, sub: FullSubquiver) -> ConvexIsoReport:
+    """Compare the corner, idempotent quotient, and restricted algebra of alg at sub.
 
     For a convex subquiver the three must agree under the canonical basis
     correspondences and the corner map and quotient splitting must be
     multiplicative; a non-convex subquiver may break any of these, and the
     report records exactly which.
     """
-    span = _RelationSpan(q, ideal, field)
-    alg = _algebra_from_span(span)
+    restricted = restricted_algebra(alg, sub)
     split = IdempotentSplit.from_subquiver(sub)
     corner = corner_algebra(alg, split)
     quotient = quotient_by_idempotent(alg, split)
-    restricted = _restricted_from_span(span, sub)
-    convex = q.is_convex(sub)
-    F = field
+    convex = alg.quiver.is_convex(sub)
+    F = alg.field
     entries = []
 
     e_id = alg.vertex_idempotent(split.e)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import build_algebra, verify_convex_isos
+from .algebra import verify_convex_isos
 from .errors import InputError, InvariantViolation
 from .fields import field_from_descriptor
 from .formats import WorkspaceBundle, export_dot, load_bundle
@@ -124,7 +124,7 @@ def _cmd_algebra(args) -> int:
         out.append(f"basis_length {length} count {by_len[length]}")
     if args.subquiver is not None or bundle.subquiver is not None:
         sub = bundle.quiver.full_subquiver(_selection(args, bundle))
-        report = verify_convex_isos(bundle.quiver, bundle.ideal, sub, bundle.field)
+        report = verify_convex_isos(alg, sub)
         out.append("corner_dim " + str(report.corner_dim))
         out.append("quotient_dim " + str(report.quotient_dim))
         out.append("restricted_dim " + str(report.restricted_dim))
@@ -169,9 +169,9 @@ def _cmd_ext(args) -> int:
 
 def _cmd_decompose(args) -> int:
     bundle = _load(args)
-    if bundle.ideal is None:
+    if bundle.algebra is None:
         raise InputError("decompose needs an ideal section")
-    tree = decompose(bundle.quiver, bundle.ideal, bundle.field)
+    tree = decompose(bundle.algebra)
     sys.stdout.write(tree.render())
     out = [f"splits {tree.splits}"]
     for i, b in enumerate(tree.blocks, start=1):

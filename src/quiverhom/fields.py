@@ -106,6 +106,8 @@ class PrimeField:
     one = 1
 
     def __post_init__(self):
+        if not isinstance(self.p, int):
+            raise InputError(f"field order {self.p!r} is not an int")
         if self.p >= 33 * 10**23:
             raise InputError(f"field order {self.p} is too large (the limit is 3.3e24)")
         if not _is_prime(self.p):

@@ -648,8 +648,7 @@ def heart_shift_pair(
     m, n = _chain(m), _chain(n)
     if m.module.algebra is not n.module.algebra:
         raise InputError("shift pair endpoints live over different algebras")
-    if t < 0:
-        raise InputError("the complement bound must be nonnegative")
+    check_cutoff(t, "the complement bound")
     hp = heart_parts(m.drop(t + 1).module, split)
     hn = heart_parts(dual_module(n.dual.drop(t + 1).module), split)
     return HeartShiftPair(

@@ -26,6 +26,7 @@ from .algebra import (
     FiniteDimAlgebra,
     IdealSpec,
     IdempotentSplit,
+    _require_presented,
     build_algebra,
     quotient_by_idempotent,
     restricted_algebra,
@@ -55,7 +56,6 @@ from .modules import (
     standard_module,
     submodule_closure,
     trace_submodule,
-    zero_module,
 )
 from .quiver import Quiver
 
@@ -166,8 +166,6 @@ def _gen_ideal(rng: random.Random, q: Quiver, style: str) -> IdealSpec:
 def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Representation:
     """Random nonzero quotient of a random sum of projectives, within bound."""
     verts = list(alg.vertices)
-    if not verts:
-        return zero_module(alg)
     F = alg.field
     pdim = {v: sum(1 for el in alg.elements if el.source == v) for v in verts}
     mults: dict[str, int] = {}
@@ -233,9 +231,9 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
 
     Each attempt derives its seed, switches to small quivers after half the
     attempts, generates a quiver and an ideal, builds the algebra and drops
-    it past ALGEBRA_DIM_CAP.  Then draw(rng, q, ideal, lam) draws the rest of
-    the instance and gates it, returning None to retry.  Returns
-    (seed, q, ideal, lam, what draw returned).
+    it past ALGEBRA_DIM_CAP.  Then draw(rng, lam) draws the rest of the
+    instance and gates it, returning None to retry.  Returns
+    (seed, lam, what draw returned).
     """
     for attempt in range(MAX_ATTEMPTS):
         seed = _derive(spec.seed, idx, attempt)
@@ -248,9 +246,9 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
         lam = build_algebra(q, ideal, QQ)
         if lam.dim > ALGEBRA_DIM_CAP:
             continue
-        drawn = draw(rng, q, ideal, lam)
+        drawn = draw(rng, lam)
         if drawn is not None:
-            return seed, q, ideal, lam, drawn
+            return seed, lam, drawn
     raise InvariantViolation(f"no admissible {kind} instance for case {idx}")
 
 
@@ -393,11 +391,12 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
 
 
 def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
-    def draw(rng, q, ideal, lam):
+    def draw(rng, lam):
+        q = lam.quiver
         k = rng.randint(1, max(1, len(q.vertices) // 2))
         seeds = rng.sample(list(q.vertices), k)
         sub = q.convex_closure(seeds)
-        gamma = restricted_algebra(q, ideal, sub, QQ)
+        gamma = restricted_algebra(lam, sub)
         m = SyzygyChain(_gen_module(rng, gamma, SUITE_MODULE_BOUND))
         n = _gen_module(rng, gamma, SUITE_MODULE_BOUND)
         if not _widths_ok(m, cutoff + 2):
@@ -408,7 +407,8 @@ def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
             return None
         return sub, m, n, mi, ni
 
-    seed, q, ideal, lam, (sub, m, n, mi, ni) = _admit(spec, idx, "epi", draw)
+    seed, lam, (sub, m, n, mi, ni) = _admit(spec, idx, "epi", draw)
+    q = lam.quiver
     ck = _CaseChecks(seed)
     ck.require("closure_convex", q.is_convex(sub))
     table_g = ext_dims(m, n, cutoff)
@@ -420,7 +420,7 @@ def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
     if not sp.minus:
         tb = triangular_blocks(lam, split)
         ck.expect("eprime_e_zero", tb.dim_eprime_e, 0)
-        report = verify_convex_isos(q, ideal, sub, QQ)
+        report = verify_convex_isos(lam, sub)
         ck.require("corner_agrees", report.ok and report.dims_agree)
     if split.eprime and set(q.vertices) == set(sub.vertex_set) | set(sp.plus):
         quo = quotient_by_idempotent(lam, split)
@@ -454,8 +454,8 @@ def verify_heart_theorem(
 
 
 def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witness]:
-    def draw(rng, q, ideal, lam):
-        hp = q.homological_heart()
+    def draw(rng, lam):
+        hp = lam.quiver.homological_heart()
         t = hp.t
         m = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         n = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
@@ -472,14 +472,15 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
         )
         return (hp, lmax, m, n) if admitted else None
 
-    seed, q, ideal, lam, (hp, lmax, m, n) = _admit(spec, idx, "heart", draw)
+    seed, lam, (hp, lmax, m, n) = _admit(spec, idx, "heart", draw)
     t = hp.t
     if hp.heart.is_empty:
-        return _heart_case_acyclic(seed, q, ideal, lam, t, m, n)
+        return _heart_case_acyclic(seed, lam, t, m, n)
+    q = lam.quiver
     ck = _CaseChecks(seed)
     heart_set = set(hp.heart.vertex_set)
     split = IdempotentSplit.from_heart(q, hp.heart)
-    gamma = restricted_algebra(q, ideal, hp.heart, QQ)
+    gamma = restricted_algebra(lam, hp.heart)
     up = heart_set | set(split.plus)
     down = heart_set | set(split.minus)
 
@@ -550,14 +551,14 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     return ck.witnesses
 
 
-def _heart_case_acyclic(seed, q, ideal, lam, t, m, n) -> list[Witness]:
+def _heart_case_acyclic(seed, lam, t, m, n) -> list[Witness]:
     ck = _CaseChecks(seed)
-    gamma = restricted_algebra(q, ideal, q.full_subquiver(frozenset()), QQ)
+    gamma = restricted_algebra(lam, lam.quiver.full_subquiver(frozenset()))
     ck.expect("acyclic_gamma_zero", gamma.dim, 0)
     table = ext_dims(m, n, t + 3)
     for ell in range(t + 1, t + 4):
         ck.expect(f"acyclic_ext_vanish_l{ell}", table[ell], 0)
-    ck.require("acyclic_gl_finite", gl_dim(lam, len(q.vertices) + 1).is_finite)
+    ck.require("acyclic_gl_finite", gl_dim(lam, len(lam.vertices) + 1).is_finite)
     return ck.witnesses
 
 
@@ -576,14 +577,14 @@ def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> S
 
 
 def _ext_cross_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
-    def draw(rng, q, ideal, lam):
+    def draw(rng, lam):
         m = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         n = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         if _widths_ok(m, cutoff + 2) and _widths_ok(n.dual, cutoff + 2):
             return m, n
         return None
 
-    seed, _, _, _, (m, n) = _admit(spec, idx, "ext-cross", draw)
+    seed, _, (m, n) = _admit(spec, idx, "ext-cross", draw)
     ck = _CaseChecks(seed)
     t_proj = ext_dims(m, n, cutoff, side="projective")
     t_inj = ext_dims(m, n, cutoff, side="injective")
@@ -647,25 +648,27 @@ class DecompositionTree:
         return "\n".join(lines) + "\n"
 
 
-def decompose(q: Quiver, ideal: IdealSpec, field=QQ) -> DecompositionTree:
-    """Peel path-connected blocks off the heart, one triangular split at a time.
+def decompose(alg: FiniteDimAlgebra) -> DecompositionTree:
+    """Peel path-connected blocks off the heart of a presented algebra.
 
-    Each stage reduces to the homological heart, picks a source component of
-    the heart's condensation, verifies the vanishing corner that makes the
-    split triangular, emits the block with its algebra, and recurses on the
-    rest.  A stage without nontrivial components is the acyclic leaf.
+    Each stage restricts the algebra to its homological heart, picks a source
+    component of the heart's condensation, verifies the vanishing corner that
+    makes the split triangular, emits the block, and recurses on the algebra
+    of the rest.  A stage without nontrivial components is the acyclic leaf.
     """
+    _require_presented(alg, "decompose")
     blocks: list[Block] = []
-    root = _decompose_stage(q, ideal, field, blocks)
+    root = _decompose_stage(alg, blocks)
     return DecompositionTree(root, tuple(blocks), len(blocks))
 
 
-def _decompose_stage(q: Quiver, ideal: IdealSpec, field, blocks: list[Block]) -> DecompositionNode:
+def _decompose_stage(alg: FiniteDimAlgebra, blocks: list[Block]) -> DecompositionNode:
+    q = alg.quiver
     rep = q.components()
     if rep.nontrivial_count == 0:
         return DecompositionNode("acyclic", tuple(q.vertices))
     hp = q.homological_heart()
-    heart_alg = restricted_algebra(q, ideal, hp.heart, field)
+    heart_alg = restricted_algebra(alg, hp.heart)
     hq = heart_alg.quiver
     hrep = hq.components()
     source = hrep.components[0]
@@ -681,8 +684,7 @@ def _decompose_stage(q: Quiver, ideal: IdealSpec, field, blocks: list[Block]) ->
     block = Block(hq.sort_vertices(source), tb.dim_ee, hq._is_simple_cycle(source))
     blocks.append(block)
     rest = hq.full_subquiver(frozenset(hp.heart.vertex_set) - source)
-    rest_alg = restricted_algebra(hq, heart_alg.ideal, rest, field)
-    child = _decompose_stage(rest_alg.quiver, rest_alg.ideal, field, blocks)
+    child = _decompose_stage(restricted_algebra(heart_alg, rest), blocks)
     return DecompositionNode(
         "split",
         tuple(q.vertices),

@@ -28,13 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import FiniteDimAlgebra, IdempotentSplit, opposite_algebra
+from .algebra import FiniteDimAlgebra, IdempotentSplit, _require_presented, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
-
-
-def _require_presented(alg: FiniteDimAlgebra) -> None:
-    if not alg.is_presented:
-        raise InputError("module theory needs a presented algebra (quiver attached)")
 
 
 def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:

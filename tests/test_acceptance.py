@@ -110,7 +110,7 @@ def test_criterion_corner_vs_quotient_mismatch(stamp):
         t0 = time.perf_counter()
         q, ideal = _line()
         sub = q.full_subquiver({"v", "x"})
-        report = verify_convex_isos(q, ideal, sub, QQ)
+        report = verify_convex_isos(build_algebra(q, ideal, QQ), sub)
         assert not report.convex
         assert report.corner_dim == 3
         assert report.quotient_dim == 2
@@ -133,7 +133,7 @@ def test_criterion_fixture_dimensions(stamp):
             assert alg.dim == want == oracle
         q, ideal = _cycle_tail()
         heart = q.homological_heart().heart
-        gamma = restricted_algebra(q, ideal, heart, QQ)
+        gamma = restricted_algebra(build_algebra(q, ideal, QQ), heart)
         hq = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
         assert gamma.dim == 4 == monomial_dim_oracle(hq, [("a", "b"), ("b", "a")], 4)
         assert time.perf_counter() - t0 < 1.0
@@ -175,7 +175,7 @@ def test_criterion_heart_suite_and_worked_example(heart_run, stamp):
         hp = q.homological_heart()
         assert hp.t == 1
         split = IdempotentSplit.from_heart(q, hp.heart)
-        gamma = restricted_algebra(q, ideal, hp.heart, QQ)
+        gamma = restricted_algebra(lam, hp.heart)
         for v in ("1", "2"):
             m = standard_module(lam, "simple", v)
             n = standard_module(lam, "simple", v)
@@ -192,7 +192,7 @@ def test_criterion_decomposition(stamp):
     def body():
         t0 = time.perf_counter()
         q3, i3 = _two_cycles()
-        tree = decompose(q3, i3)
+        tree = decompose(build_algebra(q3, i3, QQ))
         assert tree.splits == 2
         assert len(tree.blocks) == 2
         node = tree.root
@@ -203,7 +203,7 @@ def test_criterion_decomposition(stamp):
         nontrivial = q3.components().nontrivial_count
         assert tree.splits == nontrivial
         q1, i1 = _line()
-        line_tree = decompose(q1, i1)
+        line_tree = decompose(build_algebra(q1, i1, QQ))
         assert line_tree.root.kind == "acyclic" and line_tree.splits == 0
         assert time.perf_counter() - t0 < 1.0
 

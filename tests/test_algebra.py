@@ -139,7 +139,7 @@ def test_no_stored_product_is_empty(F, style):
             alg,
             corner_algebra(alg, split),
             quotient_by_idempotent(alg, split),
-            restricted_algebra(q, ideal, sub, F),
+            restricted_algebra(alg, sub),
             opposite_algebra(alg),
         ):
             for row in derived.table:
@@ -320,7 +320,7 @@ def test_relation_validation_errors(cycle_tail_quiver):
 
 def test_corner_quotient_restricted_agree_on_convex(cycle_tail_quiver, cycle_tail_ideal):
     sub = cycle_tail_quiver.full_subquiver({"1", "2"})
-    report = verify_convex_isos(cycle_tail_quiver, cycle_tail_ideal, sub, QQ)
+    report = verify_convex_isos(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)
     assert report.convex
     assert report.ok
     assert report.dims_agree
@@ -329,7 +329,7 @@ def test_corner_quotient_restricted_agree_on_convex(cycle_tail_quiver, cycle_tai
 
 def test_nonconvex_corner_quotient_mismatch(line_quiver, line_ideal):
     sub = line_quiver.full_subquiver({"v", "x"})
-    report = verify_convex_isos(line_quiver, line_ideal, sub, QQ)
+    report = verify_convex_isos(build_algebra(line_quiver, line_ideal, QQ), sub)
     assert not report.convex
     assert report.corner_dim == 3
     assert report.quotient_dim == 2
@@ -395,10 +395,31 @@ def test_quotient_kills_exactly_paths_through_removed_block(cycle_tail_algebra):
 
 def test_restricted_algebra_intersects_relations(two_cycles_quiver, two_cycles_ideal):
     sub = two_cycles_quiver.full_subquiver({"3", "4"})
-    gamma = restricted_algebra(two_cycles_quiver, two_cycles_ideal, sub, QQ)
+    gamma = restricted_algebra(build_algebra(two_cycles_quiver, two_cycles_ideal, QQ), sub)
     assert gamma.dim == 4
     labels = {el.label() for el in gamma.elements}
     assert labels == {"e_3", "e_4", "c", "d"}
+
+
+def test_restricted_algebra_is_kept_by_the_algebra(cycle_tail_quiver, cycle_tail_ideal):
+    alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ)
+    gamma = restricted_algebra(alg, cycle_tail_quiver.full_subquiver({"1", "2"}))
+    assert restricted_algebra(alg, cycle_tail_quiver.full_subquiver({"2", "1"})) is gamma
+    assert restricted_algebra(alg, cycle_tail_quiver.full_subquiver({"1", "2", "3", "4"})) is alg
+
+
+def test_restriction_needs_the_algebras_own_presented_quiver(cycle_tail_algebra, line_quiver):
+    split = IdempotentSplit(frozenset({"1", "2"}), frozenset({"3", "4"}))
+    sub = cycle_tail_algebra.quiver.full_subquiver({"1", "2"})
+    for derived in (corner_algebra(cycle_tail_algebra, split),
+                    quotient_by_idempotent(cycle_tail_algebra, split)):
+        for call in (restricted_algebra, verify_convex_isos):
+            with pytest.raises(InputError, match="needs a presented algebra"):
+                call(derived, sub)
+    other = line_quiver.full_subquiver({"v"})
+    for call in (restricted_algebra, verify_convex_isos):
+        with pytest.raises(InputError, match="not a full subquiver of the algebra's quiver"):
+            call(cycle_tail_algebra, other)
 
 
 def test_corner_of_full_split_is_algebra_itself(cycle_tail_algebra):
@@ -452,6 +473,6 @@ def test_presented_table_is_built_on_first_read(F, ideal):
     assert alg.dim == 50 > ALGEBRA_DIM_CAP
     assert "table" not in vars(alg)
     assert [list(row.items()) for row in alg.table] == eager_table(LOOPS_AND_TAIL, ideal, F)
-    # built once, then a plain attribute; the relation span is let go
+    # built once, then a plain attribute; the relation span is kept for derived algebras
     assert vars(alg)["table"] is alg.table
-    assert "_build_table" not in vars(alg)
+    assert isinstance(vars(alg)["_span"], _RelationSpan)

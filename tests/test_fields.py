@@ -8,6 +8,7 @@ coefficient that is neither an int nor a Fraction.  Every value a field hands
 out is canonical: zero is its only falsy value, and GF(p) stays in [0, p).
 """
 
+import re
 import time
 from fractions import Fraction
 
@@ -55,6 +56,13 @@ def test_strong_pseudoprime_to_the_first_twelve_prime_bases_is_rejected():
 def test_order_past_the_deterministic_bound_is_input_error():
     with pytest.raises(InputError, match="too large"):
         PrimeField(33 * 10**23 + 1)
+
+
+@pytest.mark.parametrize("order", [7.0, 2.5, "7", None], ids=repr)
+def test_order_that_is_not_an_int_is_input_error(order):
+    # PrimeField(7.0) used to be GF(7.0), handing out floats; the rest raised TypeError
+    with pytest.raises(InputError, match=re.escape(f"field order {order!r} is not an int")):
+        PrimeField(order)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])

@@ -162,6 +162,9 @@ def test_cutoff_past_the_ceiling_is_input_error(line_algebra):
     # memory grows with the cutoff, so a huge one must be refused before any step
     sv = standard_module(line_algebra, "simple", "v")
     k = homology.MAX_CUTOFF + 1
+    heart = line_algebra.quiver.homological_heart().heart
+    split = IdempotentSplit.from_heart(line_algebra.quiver, heart)
+    gamma = restricted_algebra(line_algebra, heart)
     calls = (
         lambda: resolution(sv, k),
         lambda: ext_dims(sv, sv, k),
@@ -169,11 +172,15 @@ def test_cutoff_past_the_ceiling_is_input_error(line_algebra):
         lambda: proj_dim(sv, k),
         lambda: inj_dim(sv, k),
         lambda: gl_dim(line_algebra, k),
+        # the bound t of the shift pair drops Omega^{t+1}, so it is a cutoff too
+        lambda: heart_shift_pair(sv, sv, split, k, gamma),
     )
     with no_chain_walks():
         for call in calls:
             with pytest.raises(InputError, match=f"{k} exceeds MAX_CUTOFF = 1000"):
                 call()
+        with pytest.raises(InputError, match="^the complement bound must be nonnegative$"):
+            heart_shift_pair(sv, sv, split, -1, gamma)
     assert proj_dim(sv, homology.MAX_CUTOFF) == proj_dim(sv, 6) == DimBound.finite(1)
 
 
@@ -336,7 +343,7 @@ def test_transport_resolution_certificates(
     hp = cycle_tail_quiver.homological_heart()
     split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
     sub = hp.heart
-    gamma = restricted_algebra(cycle_tail_quiver, cycle_tail_ideal, sub, QQ)
+    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     # the second syzygy lives on the heart, so it transports
     omega = resolution(s1, 2).syzygy(2)
@@ -359,7 +366,7 @@ def test_heart_shift_pair_reproduces_shifted_ext(
     assert hp.t == 1
     split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
     sub = hp.heart
-    gamma = restricted_algebra(cycle_tail_quiver, cycle_tail_ideal, sub, QQ)
+    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     pair = heart_shift_pair(s1, s1, split, hp.t, gamma)
     shift = 2 * hp.t + 2
@@ -374,7 +381,7 @@ def test_chain_readers_share_each_cover_step(
 ):
     hp = cycle_tail_quiver.homological_heart()
     split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
-    gamma = restricted_algebra(cycle_tail_quiver, cycle_tail_ideal, hp.heart, QQ)
+    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), hp.heart)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     p3 = standard_module(cycle_tail_algebra, "projective", "3")
     m, n = SyzygyChain(s1), SyzygyChain(p3)

@@ -14,17 +14,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quiverhom.algebra as algebra
 import quiverhom.homology as homology
 import quiverhom.lab as lab
 import quiverhom.modules as modules
 from quiverhom import (
     build_algebra,
     DecompositionTree,
+    IdempotentSplit,
+    InputError,
     InstanceSpec,
     PrimeField,
     QQ,
     SuiteReport,
     Witness,
+    cli,
+    corner_algebra,
     decompose,
     ext_dims,
     gen_instance,
@@ -37,6 +42,8 @@ from quiverhom import (
 )
 from quiverhom.homology import SyzygyChain, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
+
+from test_cli import CYCLE_TAIL
 
 
 def test_gen_instance_is_deterministic_and_bounded():
@@ -130,7 +137,7 @@ def test_render_layout_and_failure_lines():
 
 
 def test_decompose_line_is_acyclic_leaf(line_quiver, line_ideal):
-    tree = decompose(line_quiver, line_ideal)
+    tree = decompose(build_algebra(line_quiver, line_ideal, QQ))
     assert isinstance(tree, DecompositionTree)
     assert tree.splits == 0
     assert tree.blocks == ()
@@ -140,7 +147,7 @@ def test_decompose_line_is_acyclic_leaf(line_quiver, line_ideal):
 
 
 def test_decompose_cycle_tail(cycle_tail_quiver, cycle_tail_ideal):
-    tree = decompose(cycle_tail_quiver, cycle_tail_ideal)
+    tree = decompose(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ))
     assert tree.splits == 1
     assert len(tree.blocks) == 1
     block = tree.blocks[0]
@@ -155,7 +162,7 @@ def test_decompose_cycle_tail(cycle_tail_quiver, cycle_tail_ideal):
 
 
 def test_decompose_two_cycles(two_cycles_quiver, two_cycles_ideal):
-    tree = decompose(two_cycles_quiver, two_cycles_ideal)
+    tree = decompose(build_algebra(two_cycles_quiver, two_cycles_ideal, QQ))
     assert tree.splits == 2
     assert [b.vertices for b in tree.blocks] == [("1", "2"), ("3", "4")]
     assert all(b.dim == 4 and b.simple_cycle for b in tree.blocks)
@@ -169,15 +176,61 @@ def test_decompose_two_cycles(two_cycles_quiver, two_cycles_ideal):
 
 
 def test_decompose_over_prime_field(two_cycles_quiver, two_cycles_ideal):
-    tree = decompose(two_cycles_quiver, two_cycles_ideal, field=PrimeField(7))
+    tree = decompose(build_algebra(two_cycles_quiver, two_cycles_ideal, PrimeField(7)))
     assert tree.splits == 2
     assert [b.dim for b in tree.blocks] == [4, 4]
 
 
 def test_decompose_renders_block_dims(cycle_tail_quiver, cycle_tail_ideal):
-    text = decompose(cycle_tail_quiver, cycle_tail_ideal).render()
+    text = decompose(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ)).render()
     assert "block_dim=4" in text
     assert "heart=1,2" in text
+
+
+def test_decompose_of_a_table_backed_algebra_is_input_error(cycle_tail_algebra):
+    # even one without cycles: its leaf would need a quiver
+    sub = cycle_tail_algebra.quiver.full_subquiver({"3", "4"})
+    corner = corner_algebra(cycle_tail_algebra, IdempotentSplit.from_subquiver(sub))
+    with pytest.raises(InputError, match="needs a presented algebra"):
+        decompose(corner)
+
+
+def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):
+    # every derived algebra reads the span of the algebra it is derived from
+    built = []
+    init = algebra._RelationSpan.__init__
+
+    def recording_init(self, q, ideal, field):
+        built.append((q, ideal, field))
+        init(self, q, ideal, field)
+
+    monkeypatch.setattr(algebra._RelationSpan, "__init__", recording_init)
+    isos = mock.Mock(wraps=lab.verify_convex_isos)
+    pair = mock.Mock(wraps=lab.heart_shift_pair)
+    monkeypatch.setattr(lab, "verify_convex_isos", isos)
+    monkeypatch.setattr(lab, "heart_shift_pair", pair)
+    ws = tmp_path / "cycle_tail.qh"
+    ws.write_text(CYCLE_TAIL)
+    spec = InstanceSpec(seed=1)
+    runs = {
+        # seed 1 epi case 1 has an empty minus class, heart case 0 a nonempty
+        # heart, case 33 one that is the whole quiver, and case 2 an empty one
+        "epi": lambda: lab._epi_case(spec, 1, 6),
+        "heart": lambda: lab._heart_case(spec, 0, None),
+        "whole heart": lambda: lab._heart_case(spec, 33, None),
+        "acyclic heart": lambda: lab._heart_case(spec, 2, None),
+        "cli decompose": lambda: cli.main(["decompose", str(ws)]),
+        "cli algebra": lambda: cli.main(["algebra", str(ws), "--subquiver", "1,2"]),
+    }
+    empty = {}
+    for name, run in runs.items():
+        built.clear()
+        assert not run(), name
+        assert len(set(built)) == len(built) > 0, name
+        empty[name] = any(not q.vertices for q, _, _ in built)
+    assert isos.call_count == 1 and pair.call_count == 2
+    # the acyclic case restricts to its empty heart, decompose to what is left of {1, 2}
+    assert empty == {name: name in ("acyclic heart", "cli decompose") for name in runs}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +256,9 @@ def admitted_rows(monkeypatch) -> list[list]:
 
     def recording_admit(spec, idx, kind, draw):
         attempts.clear()
-        seed, q, ideal, lam, drawn = admit(spec, idx, kind, draw)
+        seed, lam, drawn = admit(spec, idx, kind, draw)
         rows.append([kind, idx, len(attempts), seed, lam.dim])
-        return seed, q, ideal, lam, drawn
+        return seed, lam, drawn
 
     monkeypatch.setattr(lab, "build_algebra", counting_build)
     monkeypatch.setattr(lab, "_admit", recording_admit)
@@ -315,7 +368,7 @@ def ext_tables(q, ideal, field, state=None) -> list[tuple[int, ...]]:
 )
 def test_ext_agrees_across_fields_on_lab_instances(monkeypatch, style, fields, binomials):
     # instances come from lab._admit, gated so every chain below stays in the width cap
-    def draw(rng, q, ideal, lam):
+    def draw(rng, lam):
         state = rng.getstate()
         drawn = [SyzygyChain(_gen_module(rng, lam, lab.SUITE_MODULE_BOUND)) for _ in range(2)]
         simples = [SyzygyChain(standard_module(lam, "simple", v)) for v in lam.vertices]
@@ -327,7 +380,8 @@ def test_ext_agrees_across_fields_on_lab_instances(monkeypatch, style, fields, b
     monkeypatch.setattr(lab, "RELATION_STYLE", style)
     compared = binomial = higher = 0  # cases, binomial ideals, nonzero higher Ext of simples
     for idx in range(24):
-        _, q, ideal, lam, state = lab._admit(InstanceSpec(seed=12), idx, style, draw)
+        _, lam, state = lab._admit(InstanceSpec(seed=12), idx, style, draw)
+        q, ideal = lam.quiver, lam.ideal
         assert lam.dim <= ALGEBRA_DIM_CAP
         tables = [ext_tables(q, ideal, F) for F in fields]
         assert all(t == tables[0] for t in tables[1:]), f"simples, case {idx}"

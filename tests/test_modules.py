@@ -402,7 +402,7 @@ def test_heart_parts_on_cycle_tail(cycle_tail_algebra, cycle_tail_quiver):
 def test_restrict_inflate_roundtrip(cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra):
     rng = random.Random(406)
     sub = cycle_tail_quiver.full_subquiver({"1", "2"})
-    gamma = restricted_algebra(cycle_tail_quiver, cycle_tail_ideal, sub, QQ)
+    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)
     for _ in range(10):
         m = random_module(rng, gamma, bound=6)
         big = inflate(m, cycle_tail_algebra)
