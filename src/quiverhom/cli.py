@@ -20,7 +20,7 @@ from .algebra import verify_convex_isos
 from .errors import InputError, InvariantViolation
 from .fields import field_from_descriptor
 from .formats import WorkspaceBundle, export_dot, load_bundle
-from .homology import SyzygyChain, ext_dims, proj_dim, resolution
+from .homology import SyzygyTable, ext_dims, proj_dim, resolution
 from .lab import (
     InstanceSpec,
     decompose,
@@ -140,7 +140,7 @@ def _cmd_resolve(args) -> int:
     _require_algebra(bundle)
     if not bundle.modules:
         raise InputError("resolve needs a module section")
-    chain = SyzygyChain(bundle.modules[0])
+    chain = SyzygyTable().chain(bundle.modules[0])
     res = resolution(chain, args.cutoff)
     out = [f"module {bundle.module_names[0]}", f"total_dim {chain.module.total_dim}"]
     for i, label in enumerate(res.term_labels()):
@@ -158,11 +158,11 @@ def _cmd_ext(args) -> int:
     _require_algebra(bundle)
     if len(bundle.modules) < 2:
         raise InputError("ext needs two module sections")
-    m, n = bundle.modules[0], bundle.modules[1]
-    table = ext_dims(m, n, args.cutoff)
+    syz = SyzygyTable()
+    dims = ext_dims(syz.chain(bundle.modules[0]), syz.chain(bundle.modules[1]), args.cutoff)
     out = [f"modules {bundle.module_names[0]} {bundle.module_names[1]}"]
     for k in range(args.cutoff + 1):
-        out.append(f"ext {k} dim {table[k]}")
+        out.append(f"ext {k} dim {dims[k]}")
     print("\n".join(out))
     return 0
 

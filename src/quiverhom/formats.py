@@ -135,22 +135,27 @@ def _no_children(node: _Node) -> None:
         )
 
 
+def _literal(text: str) -> str:
+    """A literal as an error message quotes it: whole, or cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_exact(tok: _Token, line: int) -> Fraction:
     if "." in tok.text:
         raise ParseError(
-            f"decimal literal {tok.text!r}; use an integer or fraction", line, tok.column
+            f"decimal literal {_literal(tok.text)}; use an integer or fraction", line, tok.column
         )
     try:
         return Fraction(tok.text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad numeric literal {tok.text!r}", line, tok.column) from None
+        raise ParseError(f"bad numeric literal {_literal(tok.text)}", line, tok.column) from None
 
 
 def _parse_int(tok: _Token, line: int) -> int:
     try:
         return int(tok.text)
     except ValueError:
-        raise ParseError(f"bad integer literal {tok.text!r}", line, tok.column) from None
+        raise ParseError(f"bad integer literal {_literal(tok.text)}", line, tok.column) from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,22 @@
 
 Projective resolutions are built step by step from projective covers: lift a
 basis of the top, map a matching sum of indecomposable projectives onto the
-module, and take the kernel as the next syzygy.  A ``SyzygyChain`` keeps
-one module's steps, which its readers share; what resolves a module also
-takes its chain.  The chain keys each syzygy by its content (algebra, dims
-and matrices), so a syzygy equal to one already on it is not stepped again:
-the chain closes into a lasso.  Equal modules are isomorphic, so a nonzero
-repeat certifies an infinite projective dimension, and ``proj_dim``,
-``inj_dim`` and ``gl_dim`` report it as ``Infinite``.  Isomorphic syzygies
-of different content go unnoticed, so a lasso may be missed but is never
-false.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and
-``check_cutoff`` refuses every cutoff below 0 or past ``MAX_CUTOFF``.
-A prefix's minimality comes from its cover steps; its exactness is
-recomputed from ranks of the complex it holds each time it is read.
-Prefixes are projective only.  The injective side is the chain's ``dual``:
-the ell-th cosyzygy of a module is the dual of the ell-th syzygy of its dual
-over the opposite algebra, and has the same dimension vector.
+module, and take the kernel as the next syzygy.  One ``SyzygyTable`` per
+case or command keys modules by content (algebra, dims and matrices); every
+``SyzygyChain`` minted from it reads the same nodes, so no content is
+stepped twice, and a syzygy equal to one already on its chain closes the
+chain into a lasso.  Equal modules are isomorphic, so a nonzero repeat
+certifies an infinite projective dimension, reported as ``Infinite`` by
+``proj_dim``, ``inj_dim`` and ``gl_dim``, which looks past a simple that
+only reaches its cutoff.  Isomorphic syzygies of different content go
+unnoticed, so a lasso may be missed but is never false.  Terms wider than
+``MAX_TERM_WIDTH`` are refused unbuilt, and ``check_cutoff`` refuses every
+cutoff below 0 or past ``MAX_CUTOFF``.  A prefix's minimality comes from
+its cover steps; its exactness is recomputed from ranks of the complex it
+holds each time it is read.  Prefixes are projective only.  The injective
+side is the chain's ``dual``: the ell-th cosyzygy of a module is the dual of
+the ell-th syzygy of its dual over the opposite algebra, and has the same
+dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
@@ -28,8 +29,10 @@ Everything is exact arithmetic over the base field.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
@@ -47,6 +50,7 @@ from .modules import (
     quotient_with_section,
     radical_rows,
     restrict,
+    standard_module,
 )
 
 
@@ -164,106 +168,91 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     return CoverStep(mults, term, info, cover, syz, incl, minimal)
 
 
-def _content(m: Representation) -> tuple:
-    """A module's content as a hashable key: algebra, dims and matrices."""
-    return (
-        m.algebra,
-        tuple(m.dims.values()),
-        tuple(tuple(map(tuple, mat)) for mat in m.mats.values()),
-    )
+class SyzygyTable:
+    """The syzygies read in one case or command, one node per module content.
 
-
-class _ChainNodes:
-    """The nodes of one root chain, each a module of distinct content.
-
-    modules[i + 1] is the syzygy of modules[i] until a syzygy's content is
-    already held: then the last node's syzygy is modules[loop], and the chain
-    is a lasso.  steps[i] is the cover step of modules[i], made when first
-    read; index maps content to node; duals[i] holds the nodes of the dual
-    chain of modules[i].  Nothing here refers to a view.
+    Content includes the algebra, so nodes over an algebra, its opposite and
+    its restrictions sit side by side.  Per node, steps holds the cover step,
+    succ the node of its syzygy and duals the node of its dual, each made when
+    first read.  Nothing here refers to a view, so a dropped table leaves no cycle.
     """
 
-    __slots__ = ("modules", "steps", "index", "loop", "duals")
+    __slots__ = ("modules", "index", "steps", "succ", "duals")
 
-    def __init__(self, module: Representation):
-        self.modules = [module]
-        self.steps: list[CoverStep] = []
-        self.index = {_content(module): 0}
-        self.loop: int | None = None
-        self.duals: dict[int, _ChainNodes] = {}
+    def __init__(self):
+        self.modules: list[Representation] = []
+        self.index: dict[tuple, int] = {}
+        self.steps: dict[int, CoverStep] = {}
+        self.succ: dict[int, int] = {}
+        self.duals: dict[int, int] = {}
+
+    def node(self, module: Representation) -> int:
+        """The node of the module's content, added when new."""
+        content = (
+            module.algebra,
+            tuple(module.dims.values()),
+            tuple(tuple(map(tuple, mat)) for mat in module.mats.values()),
+        )
+        i = self.index.setdefault(content, len(self.modules))
+        if i == len(self.modules):
+            self.modules.append(module)
+        return i
+
+    def chain(self, module: Representation) -> SyzygyChain:
+        return SyzygyChain(self, self.node(module))
 
     def step(self, i: int) -> CoverStep:
-        if i == len(self.steps):
-            step = projective_cover_and_syzygy(self.modules[i])
-            self.steps.append(step)
-            j = self.index.setdefault(_content(step.syzygy), len(self.modules))
-            if j == len(self.modules):
-                self.modules.append(step.syzygy)
-            else:
-                self.loop = j
+        if i not in self.steps:
+            step = self.steps[i] = projective_cover_and_syzygy(self.modules[i])
+            self.succ[i] = self.node(step.syzygy)
         return self.steps[i]
 
-    def succ(self, i: int) -> int:
-        """The node of the syzygy of node i."""
-        self.step(i)
-        return i + 1 if i + 1 < len(self.modules) else self.loop
-
-    def walk(self, i: int, count: int) -> list[int]:
-        """The nodes of the first count syzygies from node i, Omega^0 first."""
-        path = [i]
-        for _ in range(count - 1):
-            path.append(self.succ(path[-1]))
-        return path
+    def walk(self, i: int) -> Iterator[int]:
+        """Node i, then the node of each syzygy in turn, Omega^0 first; a node
+        is stepped only when the walk moves past it."""
+        while True:
+            yield i
+            self.step(i)
+            i = self.succ[i]
 
 
-class SyzygyChain:
-    """One module's syzygies: step (its cover step), next (the chain of its
-    syzygy) and dual (the chain of its dual over the opposite algebra), each
-    made on first use and kept as long as the chain itself is held.
+class SyzygyChain(NamedTuple):
+    """A view of one node of a table: module, step (its cover step), next (the
+    chain of its syzygy) and dual (the chain of its dual over the opposite
+    algebra), each read through the table, which makes it on first use."""
 
-    A chain is a view of a node store shared with every chain reached from
-    it by next.  A syzygy equal in content to a module already on the chain
-    is not stepped again: next leads back to that module's node.
-    """
+    table: SyzygyTable
+    node: int
 
-    __slots__ = ("_nodes", "_pos", "module")
-
-    def __init__(self, module: Representation):
-        self._nodes = _ChainNodes(module)
-        self._pos = 0
-        self.module = module
-
-    @classmethod
-    def _view(cls, nodes: _ChainNodes, pos: int) -> "SyzygyChain":
-        chain = cls.__new__(cls)
-        chain._nodes, chain._pos, chain.module = nodes, pos, nodes.modules[pos]
-        return chain
+    @property
+    def module(self) -> Representation:
+        return self.table.modules[self.node]
 
     @property
     def step(self) -> CoverStep:
-        return self._nodes.step(self._pos)
+        return self.table.step(self.node)
 
     @property
-    def next(self) -> "SyzygyChain":
-        return self._view(self._nodes, self._nodes.succ(self._pos))
+    def next(self) -> SyzygyChain:
+        return self.drop(1)
 
     @property
-    def dual(self) -> "SyzygyChain":
-        duals = self._nodes.duals
-        if self._pos not in duals:
-            duals[self._pos] = _ChainNodes(dual_module(self.module))
-        return self._view(duals[self._pos], 0)
+    def dual(self) -> SyzygyChain:
+        duals = self.table.duals
+        if self.node not in duals:
+            duals[self.node] = self.table.node(dual_module(self.module))
+        return SyzygyChain(self.table, duals[self.node])
 
-    def drop(self, k: int) -> "SyzygyChain":
+    def drop(self, k: int) -> SyzygyChain:
         """The chain of the k-th syzygy."""
-        return self._view(self._nodes, self._nodes.walk(self._pos, k + 1)[-1])
+        return SyzygyChain(self.table, next(islice(self.table.walk(self.node), k, None)))
 
 
 ModuleOrChain = Representation | SyzygyChain
 
 
 def _chain(m: ModuleOrChain) -> SyzygyChain:
-    return m if isinstance(m, SyzygyChain) else SyzygyChain(m)
+    return m if isinstance(m, SyzygyChain) else SyzygyTable().chain(m)
 
 
 def is_projective_module(m: Representation) -> bool:
@@ -335,9 +324,9 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
     """
     check_cutoff(k, "resolution length")
     m = _chain(m)
-    nodes = m._nodes
-    path = nodes.walk(m._pos, k + 2)
-    steps = [nodes.step(i) for i in path[:-1]]
+    table = m.table
+    path = list(islice(table.walk(m.node), k + 2))
+    steps = [table.step(i) for i in path[:-1]]
     diffs = [steps[0].cover]
     for prev, step in zip(steps, steps[1:]):
         diffs.append(step.cover.compose(prev.syzygy_inclusion))
@@ -346,7 +335,7 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
         tuple(step.mults for step in steps),
         tuple(step.term for step in steps),
         tuple(diffs),
-        tuple(nodes.modules[i] for i in path[1:]),
+        tuple(table.modules[i] for i in path[1:]),
         all(step.minimal for step in steps),
     )
 
@@ -423,13 +412,13 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     generator at lift j of Omega^i_u maps in P_(i-1) to row j of the
     inclusion of Omega^i at u.
     """
-    nodes = m._nodes
-    path = nodes.walk(m._pos, k + 2)
-    steps = [nodes.step(i) for i in path[:-1]]
+    table = m.table
+    path = list(islice(table.walk(m.node), k + 2))
+    steps = [table.step(i) for i in path[:-1]]
     vertices = n.algebra.vertices
     # the generators of P_i in vertex order, as (vertex, top lift of Omega^i)
     gens = []
-    for lifts in (nodes.modules[i].top_lifts() for i in path):
+    for lifts in (table.modules[i].top_lifts() for i in path):
         gens.append([(v, j) for v in vertices for j in lifts[v]])
     F = n.field
     # Hom(P_i, N) is a sum of components of N, one per generator: their offsets, then the total
@@ -478,16 +467,15 @@ def proj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
     m = _chain(m)
     if m.module.is_zero:
         return DimBound.finite(-1)
-    nodes, i = m._nodes, m._pos
-    seen = {i}
-    for depth in range(cutoff + 1):
-        if nodes.step(i).syzygy.is_zero:
-            return DimBound.finite(depth)
-        i = nodes.succ(i)
-        if i in seen and depth < cutoff:
+    seen = set()
+    for depth, i in enumerate(m.table.walk(m.node)):
+        if depth > cutoff:
+            return DimBound.at_least(cutoff)
+        if i in seen:
             return DimBound.infinite()
+        if m.table.step(i).syzygy.is_zero:
+            return DimBound.finite(depth)
         seen.add(i)
-    return DimBound.at_least(cutoff)
 
 
 def inj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
@@ -496,21 +484,26 @@ def inj_dim(m: ModuleOrChain, cutoff: int) -> DimBound:
 
 
 def gl_dim(alg: FiniteDimAlgebra, cutoff: int) -> DimBound:
-    """Global dimension bound: the maximum of proj_dim over the simples.
+    """Global dimension bound: the largest proj_dim over the simples.
 
-    The first simple whose bound is not finite decides: Infinite, or
-    AtLeast(cutoff), a lower bound that does not look on for a later
-    simple's lasso.
+    Infinite ranks above AtLeast(cutoff), and AtLeast above every Finite, so
+    a simple that only reaches the cutoff does not hide a later simple's
+    lasso: the first Infinite decides, and otherwise any AtLeast does.
     """
-    from .modules import standard_module
+    return _gl_dim(SyzygyTable(), alg, cutoff)
 
-    best = -1
+
+def _gl_dim(table: SyzygyTable, alg: FiniteDimAlgebra, cutoff: int) -> DimBound:
+    """gl_dim, reading the simples' chains from the table."""
+    best = DimBound.finite(0)
     for v in alg.vertices:
-        bound = proj_dim(standard_module(alg, "simple", v), cutoff)
-        if not bound.is_finite:
+        bound = proj_dim(table.chain(standard_module(alg, "simple", v)), cutoff)
+        if bound.kind == "infinite":
             return bound
-        best = max(best, bound.value)
-    return DimBound.finite(max(best, 0))
+        # an AtLeast outranks every Finite, and only Infinite outranks it
+        if best.is_finite and (not bound.is_finite or bound.value > best.value):
+            best = bound
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -568,21 +561,15 @@ def transport_resolution(
         secs.append(ss)
     r_quots = [restrict(qq, gamma) for qq in quots]
     F = a.field
-    lam_vertices = a.algebra.quiver.vertices
     g_vertices = gamma.quiver.vertices
     r_diffs = []
     for i in range(k + 1):
         d = res.diffs[i]
-        tgt = i - 1 if i > 0 else -1
-        tgt_q = quots[tgt + 1]
         blocks = {}
-        for v in lam_vertices:
+        for v in g_vertices:
             lifted = linalg.mat_mul(secs[i + 1][v], d.blocks[v], d.target.dims[v], F)
-            blocks[v] = linalg.mat_mul(lifted, projs[tgt + 1].blocks[v], tgt_q.dims[v], F)
-        src_r = r_quots[i + 1]
-        tgt_r = r_quots[tgt + 1]
-        gblocks = {v: blocks[v] for v in g_vertices}
-        r_diffs.append(ModuleMap(src_r, tgt_r, gblocks, validate=True))
+            blocks[v] = linalg.mat_mul(lifted, projs[i].blocks[v], quots[i].dims[v], F)
+        r_diffs.append(ModuleMap(r_quots[i + 1], r_quots[i], blocks, validate=True))
     exact = _certify_exact(r_quots[0], r_quots[1:], r_diffs)
     minimal = True
     for i in range(1, k + 1):

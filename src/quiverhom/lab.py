@@ -37,11 +37,12 @@ from .errors import InputError, InvariantViolation
 from .fields import QQ
 from .homology import (
     SyzygyChain,
+    SyzygyTable,
+    _gl_dim,
     check_cutoff,
     check_term_reachability,
     cover_width,
     ext_dims,
-    gl_dim,
     heart_shift_pair,
     is_projective_module,
     resolution,
@@ -397,12 +398,13 @@ def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
         seeds = rng.sample(list(q.vertices), k)
         sub = q.convex_closure(seeds)
         gamma = restricted_algebra(lam, sub)
-        m = SyzygyChain(_gen_module(rng, gamma, SUITE_MODULE_BOUND))
-        n = _gen_module(rng, gamma, SUITE_MODULE_BOUND)
+        table = SyzygyTable()
+        m = table.chain(_gen_module(rng, gamma, SUITE_MODULE_BOUND))
+        n = table.chain(_gen_module(rng, gamma, SUITE_MODULE_BOUND))
         if not _widths_ok(m, cutoff + 2):
             return None
-        mi = SyzygyChain(inflate(m.module, lam))
-        ni = inflate(n, lam)
+        mi = table.chain(inflate(m.module, lam))
+        ni = table.chain(inflate(n.module, lam))
         if not _widths_ok(mi, cutoff + 2):
             return None
         return sub, m, n, mi, ni
@@ -457,14 +459,15 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     def draw(rng, lam):
         hp = lam.quiver.homological_heart()
         t = hp.t
-        m = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
-        n = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
+        table = SyzygyTable()
+        m = table.chain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
+        n = table.chain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         if hp.heart.is_empty:
             return (hp, None, m, n) if _widths_ok(m, t + 4) else None
         if t > HEART_T_CAP:
             return None
         lmax = 2 * t + 6 if cutoff is None else min(cutoff, 2 * t + 6)
-        simples = (SyzygyChain(standard_module(lam, "simple", v)) for v in lam.vertices)
+        simples = (table.chain(standard_module(lam, "simple", v)) for v in lam.vertices)
         admitted = (
             _widths_ok(m, lmax + 1)
             and _widths_ok(n.dual, t + 4)
@@ -478,6 +481,7 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
         return _heart_case_acyclic(seed, lam, t, m, n)
     q = lam.quiver
     ck = _CaseChecks(seed)
+    syz = m.table  # the case's table: every chain below reads it
     heart_set = set(hp.heart.vertex_set)
     split = IdempotentSplit.from_heart(q, hp.heart)
     gamma = restricted_algebra(lam, hp.heart)
@@ -532,16 +536,16 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
 
     lam_table = ext_dims(m, n, lmax)
     # one table serves both the shift and the heart-pair checks: Ext^i ignores the cutoff
-    gam_table = ext_dims(pair.a_part, pair.b_part, max(3, lmax - 2 * t - 2))
+    gam_table = ext_dims(syz.chain(pair.a_part), syz.chain(pair.b_part), max(3, lmax - 2 * t - 2))
     for ell in range(2 * t + 3, lmax + 1):
         ck.expect(f"ext_shift_l{ell}", lam_table[ell], gam_table[ell - 2 * t - 2])
 
-    lam58 = ext_dims(hparts.quot_by_plus, pair.cosyzygy_parts.minus_part, 3)
+    lam58 = ext_dims(syz.chain(hparts.quot_by_plus), syz.chain(pair.cosyzygy_parts.minus_part), 3)
     for nn in range(4):
         ck.expect(f"heart_pair_ext_n{nn}", lam58[nn], gam_table[nn])
 
-    gl_lam = gl_dim(lam, 6)
-    gl_gam = gl_dim(gamma, 6)
+    gl_lam = _gl_dim(syz, lam, 6)
+    gl_gam = _gl_dim(syz, gamma, 6)
     if gl_lam.is_finite and gl_gam.is_finite:
         ck.require(
             "gl_dim_monotone",
@@ -558,7 +562,7 @@ def _heart_case_acyclic(seed, lam, t, m, n) -> list[Witness]:
     table = ext_dims(m, n, t + 3)
     for ell in range(t + 1, t + 4):
         ck.expect(f"acyclic_ext_vanish_l{ell}", table[ell], 0)
-    ck.require("acyclic_gl_finite", gl_dim(lam, len(lam.vertices) + 1).is_finite)
+    ck.require("acyclic_gl_finite", _gl_dim(m.table, lam, len(lam.vertices) + 1).is_finite)
     return ck.witnesses
 
 
@@ -578,8 +582,9 @@ def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> S
 
 def _ext_cross_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
     def draw(rng, lam):
-        m = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
-        n = SyzygyChain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
+        table = SyzygyTable()
+        m = table.chain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
+        n = table.chain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         if _widths_ok(m, cutoff + 2) and _widths_ok(n.dual, cutoff + 2):
             return m, n
         return None

@@ -164,11 +164,13 @@ class Representation:
             if any(map(any, acc)):
                 label = " + ".join(f"{c}*{'*'.join(p)}" for c, p in terms)
                 raise ModuleValidationError(f"relation {label} does not annihilate the module")
-        # truncation: the radical chain must vanish by step n
+        # truncation: the radical chain must vanish by step n.  J^(k+1) M lies in
+        # J^k M, so a step that keeps the total rank leaves the chain stationary
         chain = {v: linalg.identity(self.dims[v], F) for v in q.vertices}
+        rank, last = self.total_dim, None
         for _ in range(alg.ideal.truncation):
-            if all(not rows for rows in chain.values()):
-                return
+            if not rank or rank == last:
+                break
             nxt: dict[str, list[list]] = {v: [] for v in q.vertices}
             for a in q.arrows:
                 if chain[a.source]:
@@ -176,7 +178,8 @@ class Representation:
                         linalg.mat_mul(chain[a.source], self.mats[a.name], self.dims[a.target], F)
                     )
             chain = {v: linalg.rref(rows, self.dims[v], F)[0] for v, rows in nxt.items()}
-        if any(rows for rows in chain.values()):
+            rank, last = sum(map(len, chain.values())), rank
+        if rank:
             raise ModuleValidationError(
                 f"paths of truncation length {alg.ideal.truncation} act nonzero"
             )

@@ -337,8 +337,9 @@ def test_cover_past_term_budget_is_input_error(tmp_path, capsys, command):
     assert "exceeds budget 500" in capsys.readouterr().err
 
 
-def dense_loop_workspace(n: int) -> str:
-    """One loop at truncation 143 acting by a shift conjugated by a random P mod 101."""
+def dense_loop_workspace(n: int, rotate: bool = False) -> str:
+    """One loop at truncation 143 acting by a shift conjugated by a random P mod 101;
+    with rotate, the shift wraps around, so the loop is invertible, not nilpotent."""
     F = PrimeField(101)
     rng = random.Random(0)
     while True:
@@ -347,7 +348,7 @@ def dense_loop_workspace(n: int) -> str:
         echelon, pivots = linalg.rref(aug, 2 * n, F)
         if pivots == list(range(n)):
             break
-    shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    shift = [[int(j == (i + 1) % n if rotate else j == i + 1) for j in range(n)] for i in range(n)]
     a = linalg.mat_mul(linalg.mat_mul(p, shift, n, F), [r[n:] for r in echelon], n, F)
     rows = "".join("    row " + " ".join(map(str, r)) + "\n" for r in a)
     return (
@@ -365,6 +366,27 @@ def test_dense_loop_module_resolves_in_bounded_time(tmp_path, capsys):
     assert time.perf_counter() - t0 < 3.0
     out = capsys.readouterr().out
     assert "term 0 P_1\n" in out and "syzygy_1_dim 113\n" in out
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_dense_loop_module_over_qq_is_refused_in_bounded_time(tmp_path, capsys, n):
+    # read over QQ, the residues mod 101 no longer conjugate a shift: the loop is not
+    # nilpotent, and its radical chain keeps full rank from the first step on
+    p = tmp_path / "loop.qh"
+    p.write_text(dense_loop_workspace(n))
+    t0 = time.perf_counter()
+    assert cli.main(["resolve", str(p), "--cutoff", "0", "--field", "q"]) == 2
+    assert time.perf_counter() - t0 < 3.0
+    assert "paths of truncation length 143 act nonzero" in capsys.readouterr().err
+
+
+def test_invertible_dense_loop_module_is_refused_in_bounded_time(tmp_path, capsys):
+    p = tmp_path / "loop.qh"
+    p.write_text(dense_loop_workspace(30, rotate=True))
+    t0 = time.perf_counter()
+    assert cli.main(["resolve", str(p), "--cutoff", "0", "--field", "p:101"]) == 2
+    assert time.perf_counter() - t0 < 3.0
+    assert "paths of truncation length 143 act nonzero" in capsys.readouterr().err
 
 
 def test_budget_edge_presentation_builds_in_under_a_second(tmp_path, capsys):

@@ -154,6 +154,32 @@ module M
     assert exc.value.line == 12
 
 
+def test_bad_literal_errors_quote_at_most_forty_characters(tmp_path):
+    head = "quiver\n  vertices 1\n  arrow a 1 1\n\nideal\n  truncation {}\n\nmodule M\n  dim 1 1\n"
+    row = head.format(2) + "  matrix a\n    row {}\n"
+    huge = "1" * 5000  # past the int parser's digit limit
+    cut = f"{'1' * 40!r}..."
+    cases = [
+        (row.format("1/x"), "bad numeric literal '1/x' (line 11, column 9)"),
+        (
+            row.format("0.5"),
+            "decimal literal '0.5'; use an integer or fraction (line 11, column 9)",
+        ),
+        (head.format("x" * 40), f"bad integer literal {'x' * 40!r} (line 6, column 14)"),
+        (row.format(huge), f"bad numeric literal {cut} (5000 characters) (line 11, column 9)"),
+        (head.format(huge), f"bad integer literal {cut} (5000 characters) (line 6, column 14)"),
+        (
+            row.format(huge + ".5"),
+            f"decimal literal {cut} (5002 characters); use an integer or fraction"
+            " (line 11, column 9)",
+        ),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as exc:
+            load_bundle([write(tmp_path, text)])
+        assert str(exc.value) == message
+
+
 def test_duplicate_vertex_rejected(tmp_path):
     text = "quiver\n  vertices 1 1\n"
     with pytest.raises(ParseError):

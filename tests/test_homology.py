@@ -43,7 +43,7 @@ from quiverhom import (
     transport_resolution,
     zero_module,
 )
-from quiverhom.homology import SyzygyChain, projective_cover_and_syzygy
+from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 
 from test_modules import random_module
@@ -120,7 +120,7 @@ def test_cycle_tail_resolution_terms_agree_over_gf3(
 def test_injective_coresolution_mirrors_projective(cycle_tail_algebra):
     s3 = standard_module(cycle_tail_algebra, "simple", "3")
     # the coresolution of s3 is the dual of this resolution over the opposite algebra
-    cores = resolution(SyzygyChain(s3).dual, 3)
+    cores = resolution(SyzygyTable().chain(s3).dual, 3)
     assert cores.minimal and cores.exact
     # injective at 3 collects paths into 3: e_3, c, ac/bc chains
     assert nz(cores.terms[0]) == {"3": 1}
@@ -130,7 +130,7 @@ def test_injective_coresolution_mirrors_projective(cycle_tail_algebra):
 
 @pytest.mark.parametrize("vertex, k, side", [("1", 4, "projective"), ("3", 3, "injective")])
 def test_exactness_is_read_from_the_held_complex(cycle_tail_algebra, vertex, k, side):
-    chain = SyzygyChain(standard_module(cycle_tail_algebra, "simple", vertex))
+    chain = SyzygyTable().chain(standard_module(cycle_tail_algebra, "simple", vertex))
     # the injective side resolves the dual over the opposite algebra
     res = resolution(chain.dual if side == "injective" else chain, k)
     assert res.exact
@@ -152,9 +152,9 @@ def test_resolution_rejects_bad_input(line_algebra):
 def no_chain_walks():
     """Fail at the first syzygy step or walk, before a huge cutoff can fill memory."""
     return mock.patch.multiple(
-        homology._ChainNodes,
+        homology.SyzygyTable,
         step=mock.Mock(side_effect=AssertionError("a chain was stepped")),
-        succ=mock.Mock(side_effect=AssertionError("a chain was walked")),
+        walk=mock.Mock(side_effect=AssertionError("a chain was walked")),
     )
 
 
@@ -384,7 +384,7 @@ def test_chain_readers_share_each_cover_step(
     gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), hp.heart)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     p3 = standard_module(cycle_tail_algebra, "projective", "3")
-    m, n = SyzygyChain(s1), SyzygyChain(p3)
+    m, n = SyzygyTable().chain(s1), SyzygyTable().chain(p3)
     with mock.patch.object(
         homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
     ) as cover:
@@ -407,7 +407,7 @@ def test_chain_readers_share_each_cover_step(
     with mock.patch.object(
         homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
     ) as cover:
-        resolution(SyzygyChain(s1), 6)
+        resolution(SyzygyTable().chain(s1), 6)
         assert cover.call_count == 2
 
 
@@ -454,6 +454,22 @@ def test_nakayama_simples_are_infinite_from_their_period(n, L, field):
     assert gl_dim(alg, p - 1) == DimBound.at_least(p - 1)
     assert gl_dim(alg, p) == DimBound.infinite()
     assert str(gl_dim(alg, p)) == "Infinite"
+
+
+def test_gl_dim_looks_past_a_simple_that_only_reaches_the_cutoff():
+    # radical square zero: Omega^i S_0 = S_i down the line, and the loop's simple is its
+    # own syzygy; S_0 comes first and reaches the cutoff before S_4 closes its lasso
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(3)] + [("b", "4", "4")]
+    alg = build_algebra(Quiver.build([str(i) for i in range(5)], arrows), IdealSpec.zero(2), QQ)
+    assert alg.vertices[0] == "0"
+    assert proj_dim(standard_module(alg, "simple", "0"), 2) == DimBound.at_least(2)
+    assert proj_dim(standard_module(alg, "simple", "4"), 2) == DimBound.infinite()
+    assert gl_dim(alg, 2) == DimBound.infinite()
+    # without the loop, the cutoff-bound simple outranks the finite ones
+    line_quiver = Quiver.build([str(i) for i in range(4)], arrows[:3])
+    line = build_algebra(line_quiver, IdealSpec.zero(2), QQ)
+    assert gl_dim(line, 2) == DimBound.at_least(2)
+    assert gl_dim(line, 3) == DimBound.finite(3)
 
 
 def linear_pd(distance, L):
@@ -519,7 +535,7 @@ def test_verdicts_match_a_chain_free_reference(F):
             want, terms, reaches_zero = reference_verdict(m, cutoff, horizon)
         except InputError:
             assume(False)
-        chain = SyzygyChain(m)
+        chain = SyzygyTable().chain(m)
         got = proj_dim(chain, cutoff)
         assert got == want
         # an Infinite verdict is never refuted by a zero syzygy further down
@@ -538,11 +554,25 @@ def test_dropped_lasso_chain_leaves_no_cyclic_garbage(cycle_tail_algebra):
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     p3 = standard_module(cycle_tail_algebra, "projective", "3")
     gc.collect()
-    chain = SyzygyChain(s1)
+    chain = SyzygyTable().chain(s1)
     assert proj_dim(chain, 6) == DimBound.infinite()
     assert inj_dim(chain, 6) == DimBound.infinite()
     resolution(chain, 6)
     ext_dims(chain, p3, 5, "injective")
     assert chain.drop(2).module is chain.module
     del chain
+    assert gc.collect() == 0
+
+
+def test_dropped_table_of_two_roots_leaves_no_cyclic_garbage(cycle_tail_algebra):
+    s1 = standard_module(cycle_tail_algebra, "simple", "1")
+    p3 = standard_module(cycle_tail_algebra, "projective", "3")
+    gc.collect()
+    table = SyzygyTable()
+    m, n = table.chain(s1), table.chain(p3)
+    assert proj_dim(m, 6) == DimBound.infinite()
+    # the injective side walks the dual of p3 in the same table
+    assert ext_dims(m, n, 5, "injective").dims == ext_dims(s1, p3, 5).dims
+    assert n.dual.table is table and len(table.modules) > 3
+    del table, m, n
     assert gc.collect() == 0

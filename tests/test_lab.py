@@ -40,7 +40,7 @@ from quiverhom import (
     verify_heart_theorem,
     verify_subquiver_calculus,
 )
-from quiverhom.homology import SyzygyChain, projective_cover_and_syzygy
+from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
 
 from test_cli import CYCLE_TAIL
@@ -325,7 +325,7 @@ def test_width_gate_matches_full_cover_steps(F):
             with mock.patch.object(
                 homology, "projective_cover_and_syzygy", wraps=projective_cover_and_syzygy
             ) as cover:
-                assert _widths_ok(SyzygyChain(m), depth) == want
+                assert _widths_ok(SyzygyTable().chain(m), depth) == want
             assert cover.call_count == kernels
         seen.add(where)
         if kernels < depth - 1 and where == "depth":
@@ -347,7 +347,7 @@ def ext_tables(q, ideal, field, state=None) -> list[tuple[int, ...]]:
     an rng state, of the pair of modules drawn from it."""
     alg = build_algebra(q, ideal, field)
     if state is None:
-        chains = [SyzygyChain(standard_module(alg, "simple", v)) for v in alg.vertices]
+        chains = [SyzygyTable().chain(standard_module(alg, "simple", v)) for v in alg.vertices]
         pairs = [(s, t) for s in chains for t in chains]
     else:
         rng = random.Random()
@@ -370,8 +370,10 @@ def test_ext_agrees_across_fields_on_lab_instances(monkeypatch, style, fields, b
     # instances come from lab._admit, gated so every chain below stays in the width cap
     def draw(rng, lam):
         state = rng.getstate()
-        drawn = [SyzygyChain(_gen_module(rng, lam, lab.SUITE_MODULE_BOUND)) for _ in range(2)]
-        simples = [SyzygyChain(standard_module(lam, "simple", v)) for v in lam.vertices]
+        drawn = [
+            SyzygyTable().chain(_gen_module(rng, lam, lab.SUITE_MODULE_BOUND)) for _ in range(2)
+        ]
+        simples = [SyzygyTable().chain(standard_module(lam, "simple", v)) for v in lam.vertices]
         depth = CROSS_CUTOFF + 2
         if all(_widths_ok(c, depth) and _widths_ok(c.dual, depth) for c in simples + drawn):
             return state
@@ -427,6 +429,44 @@ def test_no_module_is_stepped_twice_within_a_case(monkeypatch):
     assert shift_pairs, "no case with a nonempty heart"
 
 
+def test_no_module_content_is_stepped_twice_within_a_case(monkeypatch):
+    stepped: dict[str, object] = {}
+    repeats: list[str] = []
+    cover, restrict, pair = (
+        homology.projective_cover_and_syzygy, lab.restricted_algebra, lab.heart_shift_pair
+    )
+    gammas, pairs = [], []
+
+    def recording_cover(m):
+        # keep m, so no algebra's id is reused while it is keyed
+        key = (id(m.algebra), sorted(m.dims.items()), sorted(m.mats.items()))
+        if repr(key) in stepped:
+            repeats.append(f"dims {m.dims}")
+        stepped[repr(key)] = m
+        return cover(m)
+
+    def recording_restrict(alg, sub):
+        gammas.append((alg, restrict(alg, sub)))
+        return gammas[-1][1]
+
+    def recording_pair(*args):
+        pairs.append(args)
+        return pair(*args)
+
+    monkeypatch.setattr(homology, "projective_cover_and_syzygy", recording_cover)
+    monkeypatch.setattr(lab, "restricted_algebra", recording_restrict)
+    monkeypatch.setattr(lab, "heart_shift_pair", recording_pair)
+    spec = InstanceSpec(seed=1)
+    # heart case 0 has a nonempty heart: its gl_dim walks the simples the gate walked
+    assert lab._heart_case(spec, 0, None) == []
+    assert pairs and repeats == []
+    # epi case 41 restricts to the whole quiver, so Gamma is Lambda and m inflates to itself
+    stepped.clear()
+    assert lab._epi_case(spec, 41, 6) == []
+    assert gammas[-1][0] is gammas[-1][1] and repeats == []
+    assert stepped
+
+
 def test_width_gate_and_cover_steps_share_each_modules_top_lifts(
     monkeypatch, cycle_tail_algebra
 ):
@@ -434,7 +474,7 @@ def test_width_gate_and_cover_steps_share_each_modules_top_lifts(
     monkeypatch.setattr(modules, "radical_rows", radicals)
     cover = mock.Mock(wraps=homology.projective_cover_and_syzygy)
     monkeypatch.setattr(homology, "projective_cover_and_syzygy", cover)
-    chain = SyzygyChain(standard_module(cycle_tail_algebra, "simple", "2"))
+    chain = SyzygyTable().chain(standard_module(cycle_tail_algebra, "simple", "2"))
     assert _widths_ok(chain, 6)
     resolution(chain, 6)
     # Omega^4 S2 = Omega^2 S2: four modules, each lifted once and stepped once
