@@ -6,8 +6,11 @@ length >= n (the truncation).  The basis is the set of paths of length < n
 that survive echelon reduction of the relation span; products are computed
 by concatenation followed by reduction to normal form.
 
-A presented algebra keeps the relation span it was built from, and every
-derived algebra is built from the algebra, never from its presentation again:
+Building a presented algebra only counts paths: the work budgets and a
+lower bound on the dimension come from per-bucket path and relation-row
+counts, and the relation span, the basis and the table are built when first
+read.  An algebra keeps its span, and every derived algebra is built from
+the algebra, never from its presentation again:
 
 * corner algebra eAe for an idempotent built from a vertex subset;
 * quotient A/<e'> by the two-sided ideal generated by the complementary
@@ -41,9 +44,12 @@ from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation
 from .quiver import Arrow, FullSubquiver, Path, Quiver
 
-# work budget of one presentation's span and table, checked on path counts and
-# on relation-row cells: suites stay under 40 000, the worst inputs tried 2.6 s
+# work budget of one presentation's span and table, decided from path counts
+# before any path is listed: suites stay under 40 000, the budget edge takes 0.3 s
 MAX_WORK = 1_000_000
+# digits of a parsed coefficient's numerator and denominator: QQ elimination
+# multiplies entry sizes, so inputs start small
+MAX_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -130,20 +136,53 @@ def _path_vertices(q: Quiver, path: Path) -> list[str]:
     return vs
 
 
-def _path_work(q: Quiver, max_len: int) -> int:
-    """Sum of (len(p) + 1)**2 over paths p of length <= max_len, counted, not
-    listed: the span (per relation) and the table build each path at most
-    once per split point, at a cost of its length."""
-    ending = dict.fromkeys(q.vertices, 1)
-    total = len(ending)
-    for k in range(1, max_len + 1):
-        longer = dict.fromkeys(q.vertices, 0)
-        for a in q.arrows:
-            longer[a.target] += ending[a.source]
-        ending, total = longer, total + (k + 1) ** 2 * sum(longer.values())
-        if total > MAX_WORK or not any(ending.values()):
+def _counted_budgets(q: Quiver, ideal: IdealSpec, field) -> int:
+    """Refuse a presentation past MAX_WORK from path counts; return a floor on dim.
+
+    One walk by length counts the paths below the truncation per (source,
+    target) bucket and their work, the sum of (len(p) + 1)**2: the span (per
+    relation) and the table build each path at most once per split point.  A
+    relation has one row per (prefix, suffix) pair fitting below the
+    truncation, as wide as its bucket, all-zero rows included, and a row
+    lowers its bucket's rank by at most one: so dim >= sum of max(0, paths - rows).
+    """
+    n = ideal.truncation
+    level = {v: {v: 1} for v in q.vertices}  # level[s][t]: paths s -> t of the length reached
+    counts, upto, work = [level], [level], len(level)  # upto[k][s][t]: those of length <= k
+    for k in range(1, n):
+        longer: dict[str, dict[str, int]] = {}
+        for s, ends in level.items():
+            for t, c in ends.items():
+                for a in q.out_arrows[t]:
+                    row = longer.setdefault(s, {})
+                    row[a.target] = row.get(a.target, 0) + c
+        if not longer:
             break
-    return total
+        level, work = longer, work + (k + 1) ** 2 * sum(sum(r.values()) for r in longer.values())
+        if work > MAX_WORK:
+            raise InputError(f"the paths below truncation {n} exceed {MAX_WORK} units of work")
+        counts.append(level)
+        upto.append({
+            s: ends | {t: ends.get(t, 0) + c for t, c in level.get(s, {}).items()}
+            for s, ends in upto[-1].items()
+        })
+    size, rows, cells = upto[-1], {}, 0
+    for src, tgt, terms in ideal.uniform_relations(q):
+        for coeff, arrows in terms:
+            if len(arrows) < n:
+                field.of(coeff)  # as the span will: a bad coefficient is refused at build
+        room = n - 1 - min(len(arrows) for _, arrows in terms)
+        for i, level in enumerate(counts[: max(room + 1, 0)]):
+            # prefixes of length i into src, suffixes out of tgt that still fit
+            before = [(s, ends[src]) for s, ends in level.items() if src in ends]
+            after = upto[min(room - i, len(upto) - 1)][tgt]
+            for s, c in before:
+                for t, d in after.items():
+                    rows[(s, t)] = rows.get((s, t), 0) + c * d
+                    cells += c * d * size[s][t]
+                    if cells > MAX_WORK:
+                        raise InputError(f"the relation rows exceed {MAX_WORK} entries")
+    return sum(max(0, c - rows.get((s, t), 0)) for s, ends in size.items() for t, c in ends.items())
 
 
 class _RelationSpan:
@@ -159,8 +198,6 @@ class _RelationSpan:
         self.ideal = ideal
         self.field = field
         n = ideal.truncation
-        if _path_work(q, n - 1) > MAX_WORK:
-            raise InputError(f"the paths below truncation {n} exceed {MAX_WORK} units of work")
         self.paths: list[Path] = q.paths_up_to(n - 1)
         self.path_index: dict[Path, int] = {p: i for i, p in enumerate(self.paths)}
         self.buckets: dict[tuple[str, str], list[int]] = {}
@@ -178,7 +215,6 @@ class _RelationSpan:
             by_source[p.source].append(p)
 
         rows_by_bucket: dict[tuple[str, str], list[list]] = {}
-        cells = 0
         for src, tgt, terms in ideal.uniform_relations(q):
             min_len = min(len(arrows) for _, arrows in terms)
             # paths are in length order: the first too-long one ends each loop
@@ -189,11 +225,7 @@ class _RelationSpan:
                     if pre.length + min_len + suf.length > n - 1:
                         break
                     key = (pre.source, suf.target)
-                    local = self.buckets[key]
-                    cells += len(local)
-                    if cells > MAX_WORK:
-                        raise InputError(f"the relation rows exceed {MAX_WORK} entries")
-                    row = [field.zero] * len(local)
+                    row = [field.zero] * len(self.buckets[key])
                     for coeff, arrows in terms:
                         if pre.length + len(arrows) + suf.length > n - 1:
                             continue
@@ -261,31 +293,26 @@ class FiniteDimAlgebra:
     theory; table-backed derived algebras (corners, quotients) have
     quiver=None and support only element arithmetic.
 
-    A presented algebra keeps, in `_span`, the relation span its basis came
-    from.  It builds its table from it on first read (`table` is then passed
-    as None), and each restricted algebra is read off it once and kept in
-    `_restrictions`.  An opposite algebra, whose table is given, builds its
-    span from its quiver, ideal and field when one is first needed.
+    `build_algebra` passes neither elements nor table: the relation span
+    (`_span`), the basis with its indexes, and the table are built on first
+    read.  `dim_floor` bounds dim from below without them, so `dim_exceeds`
+    can refuse an algebra over a cap unbuilt.  Each restricted algebra is read
+    off the span once and kept in `_restrictions`.  An opposite algebra, whose
+    elements and table are given, builds its span when one is first needed.
 
     Instances are immutable after construction; the caches only fill in.
     """
 
-    def __init__(self, field, vertices, elements, table, quiver=None, ideal=None):
+    def __init__(self, field, vertices, elements, table, quiver=None, ideal=None, dim_floor=0):
         self.field = field
         self.vertices: tuple[str, ...] = tuple(vertices)
-        self.elements: tuple[Path, ...] = tuple(elements)
+        if elements is not None:
+            self.elements = tuple(elements)
         if table is not None:
             self.table = table
         self.quiver: Quiver | None = quiver
         self.ideal: IdealSpec | None = ideal
-        self.idempotent_index: dict[str, int] = {
-            el.source: i for i, el in enumerate(self.elements) if el.length == 0
-        }
-        if set(self.idempotent_index) != set(self.vertices):
-            raise InvariantViolation("vertex idempotents do not survive to the basis")
-        self.arrow_index: dict[str, int] = {
-            el.arrows[0]: i for i, el in enumerate(self.elements) if el.length == 1
-        }
+        self.dim_floor = dim_floor  # a lower bound on dim known without the basis
         # provenance hooks filled in by derived-algebra builders
         self.parent: FiniteDimAlgebra | None = None
         self.parent_indices: tuple[int, ...] | None = None
@@ -297,12 +324,32 @@ class FiniteDimAlgebra:
         return _RelationSpan(self.quiver, self.ideal, self.field)
 
     @cached_property
+    def elements(self) -> tuple[Path, ...]:
+        span = self._span
+        return tuple(p for g, p in enumerate(span.paths) if g not in span.pivot_global)
+
+    @cached_property
     def table(self) -> tuple[dict, ...]:
         return _product_table(self._span, self.elements)
+
+    @cached_property
+    def idempotent_index(self) -> dict[str, int]:
+        out = {el.source: i for i, el in enumerate(self.elements) if el.length == 0}
+        if set(out) != set(self.vertices):
+            raise InvariantViolation("vertex idempotents do not survive to the basis")
+        return out
+
+    @cached_property
+    def arrow_index(self) -> dict[str, int]:
+        return {el.arrows[0]: i for i, el in enumerate(self.elements) if el.length == 1}
 
     @property
     def dim(self) -> int:
         return len(self.elements)
+
+    def dim_exceeds(self, cap: int) -> bool:
+        """dim > cap, answered from dim_floor, without the basis, when it can be."""
+        return self.dim_floor > cap or self.dim > cap
 
     @cached_property
     def radical_indices(self) -> tuple[int, ...]:
@@ -355,12 +402,13 @@ def _require_presented(alg: FiniteDimAlgebra, what: str = "module theory") -> No
 
 
 def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
-    """The bound quiver algebra of (q, ideal) over the given field."""
-    span = _RelationSpan(q, ideal, field)
-    elements = tuple(p for g, p in enumerate(span.paths) if g not in span.pivot_global)
-    alg = FiniteDimAlgebra(field, q.vertices, elements, None, q, ideal)
-    alg._span = span
-    return alg
+    """The bound quiver algebra of (q, ideal) over the given field.
+
+    The work budgets are decided here from path counts, which also give
+    dim_floor; the relation span and the basis are built when first read.
+    """
+    floor = _counted_budgets(q, ideal, field)
+    return FiniteDimAlgebra(field, q.vertices, None, None, q, ideal, floor)
 
 
 def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dict, ...]:

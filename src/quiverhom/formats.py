@@ -31,18 +31,20 @@ Example sections::
       vertices v x
 
 Coefficients and matrix entries are exact integer or fraction literals such
-as ``3`` or ``-1/2``; decimal literals are rejected.  A module matrix is
-row-major with one ``row`` line per source basis vector; matrices whose
-shape has a zero side are omitted.  Serialization writes the same syntax
-back, so load/serialize round-trips are identities.
+as ``3`` or ``-1/2``; decimal literals (exponents included) and literals
+whose numerator or denominator has over ``MAX_DIGITS`` digits are rejected.
+A module matrix is row-major with one ``row`` line per source basis vector;
+matrices whose shape has a zero side are omitted.  Serialization writes the
+same syntax back, so load/serialize round-trips are identities.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
+from .algebra import MAX_DIGITS, MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
 from .fields import QQ
 from .modules import Representation
@@ -135,20 +137,30 @@ def _no_children(node: _Node) -> None:
         )
 
 
+_EXPONENT = re.compile(r"[+-]?\d[\d_]*[eE][+-]?\d[\d_]*")
+_DIGITS_PAST = 10**MAX_DIGITS
+
+
 def _literal(text: str) -> str:
     """A literal as an error message quotes it: whole, or cut after 40 characters."""
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _parse_exact(tok: _Token, line: int) -> Fraction:
-    if "." in tok.text:
+    # an exponent goes with the decimal point: Fraction would expand 1e999999999 in full
+    if "." in tok.text or _EXPONENT.fullmatch(tok.text):
         raise ParseError(
             f"decimal literal {_literal(tok.text)}; use an integer or fraction", line, tok.column
         )
     try:
-        return Fraction(tok.text)
+        x = Fraction(tok.text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad numeric literal {_literal(tok.text)}", line, tok.column) from None
+    if max(abs(x.numerator), x.denominator) >= _DIGITS_PAST:
+        raise ParseError(
+            f"numeric literal {_literal(tok.text)} has over {MAX_DIGITS} digits", line, tok.column
+        )
+    return x
 
 
 def _parse_int(tok: _Token, line: int) -> int:

@@ -232,7 +232,8 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
 
     Each attempt derives its seed, switches to small quivers after half the
     attempts, generates a quiver and an ideal, builds the algebra and drops
-    it past ALGEBRA_DIM_CAP.  Then draw(rng, lam) draws the rest of the
+    it past ALGEBRA_DIM_CAP; `dim_exceeds` answers from the algebra's counted
+    dim_floor when it can.  Then draw(rng, lam) draws the rest of the
     instance and gates it, returning None to retry.  Returns
     (seed, lam, what draw returned).
     """
@@ -245,7 +246,7 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
         q = _gen_quiver(rng, maxv, maxa)
         ideal = _gen_ideal(rng, q, RELATION_STYLE)
         lam = build_algebra(q, ideal, QQ)
-        if lam.dim > ALGEBRA_DIM_CAP:
+        if lam.dim_exceeds(ALGEBRA_DIM_CAP):
             continue
         drawn = draw(rng, lam)
         if drawn is not None:

@@ -476,3 +476,60 @@ def test_presented_table_is_built_on_first_read(F, ideal):
     # built once, then a plain attribute; the relation span is kept for derived algebras
     assert vars(alg)["table"] is alg.table
     assert isinstance(vars(alg)["_span"], _RelationSpan)
+
+
+def counted_floor(q, ideal):
+    """Σ over (source, target) buckets of max(0, paths - relation rows), from
+    listed paths: one row per (prefix, suffix) pair fitting below the truncation."""
+    n = ideal.truncation
+    paths = q.paths_up_to(n - 1)
+    size, rows = {}, {}
+    for p in paths:
+        size[(p.source, p.target)] = size.get((p.source, p.target), 0) + 1
+    for src, tgt, terms in ideal.uniform_relations(q):
+        shortest = min(len(arrows) for _, arrows in terms)
+        for pre in paths:
+            for suf in paths:
+                if pre.target == src and suf.source == tgt and pre.length + shortest + suf.length < n:
+                    rows[(pre.source, suf.target)] = rows.get((pre.source, suf.target), 0) + 1
+    return sum(max(0, c - rows.get(b, 0)) for b, c in size.items())
+
+
+# ab and cde run 1 -> 3, and the loop f at 3 gives rows where only ab f fits
+SPLIT_PATHS = Quiver.build(
+    ["1", "2", "3", "4", "5"],
+    [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"), ("d", "4", "5"), ("e", "5", "3"), ("f", "3", "3")],
+)
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+@pytest.mark.parametrize(
+    "ideal, dims",
+    [
+        # two terms of different lengths
+        (IdealSpec((((1, ("a", "b")), (-1, ("c", "d", "e"))),), 4), {QQ: 21, GF3: 21}),
+        # one path twice: every row is zero, and the floor counts each row anyway
+        (IdealSpec((((1, ("a", "b")), (-1, ("a", "b"))),), 4), {QQ: 23, GF3: 23}),
+        # a coefficient that vanishes mod 3
+        (IdealSpec((((3, ("a", "b")),),), 4), {QQ: 21, GF3: 23}),
+    ],
+    ids=["unequal-lengths", "repeated-path", "zero-mod-3"],
+)
+def test_dimension_floor_counts_rows_per_bucket(F, ideal, dims):
+    alg = build_algebra(SPLIT_PATHS, ideal, F)
+    assert "_span" not in vars(alg)
+    assert alg.dim_floor == counted_floor(SPLIT_PATHS, ideal) == 21
+    assert alg.dim == dims[F] >= alg.dim_floor
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_floor_past_the_cap_settles_it_without_a_span(F):
+    alg = build_algebra(LOOPS_AND_TAIL, IdealSpec.monomial([("a", "c")], 7), F)
+    assert alg.dim_floor == counted_floor(LOOPS_AND_TAIL, alg.ideal) > ALGEBRA_DIM_CAP
+    assert alg.dim_exceeds(ALGEBRA_DIM_CAP)
+    assert "_span" not in vars(alg) and "elements" not in vars(alg)
+    # an over-cap algebra still works in full when read
+    assert alg.dim == 160 and len(alg.table) == 160 and alg.idempotent_index == {"1": 0, "2": 1}
+    # a floor under the cap leaves the question to the basis
+    alg = build_algebra(LOOPS_AND_TAIL, IdealSpec.monomial([("a", "a")], 7), F)
+    assert alg.dim_floor == 15 and alg.dim_exceeds(ALGEBRA_DIM_CAP) and alg.dim == 86

@@ -389,16 +389,29 @@ def test_invertible_dense_loop_module_is_refused_in_bounded_time(tmp_path, capsy
     assert "paths of truncation length 143 act nonzero" in capsys.readouterr().err
 
 
+BUDGET_EDGE = (
+    "quiver\n  vertices 1\n  arrow a 1 1\n  arrow b 1 1\n\n"
+    "ideal\n  truncation {}\n"
+    "  relation\n    term 1 a b\n    term -2 b a\n"
+    "  relation\n    term 1 a a\n    term -3 b b\n"
+)
+
+
 def test_budget_edge_presentation_builds_in_under_a_second(tmp_path, capsys):
     # the largest truncation at which this presentation passes MAX_WORK
     p = tmp_path / "budget.qh"
-    p.write_text(
-        "quiver\n  vertices 1\n  arrow a 1 1\n  arrow b 1 1\n\n"
-        "ideal\n  truncation 9\n"
-        "  relation\n    term 1 a b\n    term -2 b a\n"
-        "  relation\n    term 1 a a\n    term -3 b b\n"
-    )
+    p.write_text(BUDGET_EDGE.format(9))
     t0 = time.perf_counter()
     assert cli.main(["algebra", str(p)]) == 0
     assert time.perf_counter() - t0 < 1.0
     assert "dim 5\n" in capsys.readouterr().out
+
+
+def test_presentation_one_past_the_budget_edge_is_refused_in_under_a_second(tmp_path, capsys):
+    # its paths pass the budget, the cells of its relation rows do not
+    p = tmp_path / "budget.qh"
+    p.write_text(BUDGET_EDGE.format(10))
+    t0 = time.perf_counter()
+    assert cli.main(["algebra", str(p)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "relation rows exceed" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from quiverhom import (
     serialize_subquiver,
     standard_module,
 )
+from quiverhom.algebra import MAX_DIGITS
 
 GOOD = """\
 quiver
@@ -178,6 +179,31 @@ def test_bad_literal_errors_quote_at_most_forty_characters(tmp_path):
         with pytest.raises(ParseError) as exc:
             load_bundle([write(tmp_path, text)])
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["QQ", "p101"])
+def test_literals_past_the_digit_budget_are_parse_errors(tmp_path, field):
+    head = "quiver\n  vertices 1 2\n  arrow a 1 2\n  arrow b 2 1\n\nideal\n  truncation 3\n"
+    relation = head + "  relation\n    term {} a b\n"
+    module = head + "\nmodule M\n  dim 1 1\n  dim 2 1\n  matrix a\n    row {}\n"
+    # the largest and a power of ten, which 101 does not divide, at the budget
+    top, ten, past = "9" * MAX_DIGITS, "1" + "0" * (MAX_DIGITS - 1), "1" + "0" * MAX_DIGITS
+    for literal in (top, f"-{top}", f"1/{ten}", f"{top}/7"):
+        load_bundle([write(tmp_path, relation.format(literal))], field)
+        load_bundle([write(tmp_path, module.format(literal))], field)
+    for text, literal, where in (
+        (relation, past, "(line 9, column 10)"),
+        (relation, f"-1/{past}", "(line 9, column 10)"),
+        (module, f"{past}/3", "(line 13, column 9)"),
+        (module, f"-{past}", "(line 13, column 9)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            load_bundle([write(tmp_path, text.format(literal))], field)
+        quoted = f"{literal[:40]!r}... ({len(literal)} characters)"
+        assert str(exc.value) == f"numeric literal {quoted} has over {MAX_DIGITS} digits {where}"
+    # an exponent would expand in full before any budget could be checked
+    with pytest.raises(ParseError, match="decimal literal '1e999999999'; use an integer"):
+        load_bundle([write(tmp_path, module.format("1e999999999"))], field)
 
 
 def test_duplicate_vertex_rejected(tmp_path):

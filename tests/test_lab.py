@@ -229,8 +229,9 @@ def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):
         assert len(set(built)) == len(built) > 0, name
         empty[name] = any(not q.vertices for q, _, _ in built)
     assert isos.call_count == 1 and pair.call_count == 2
-    # the acyclic case restricts to its empty heart, decompose to what is left of {1, 2}
-    assert empty == {name: name in ("acyclic heart", "cli decompose") for name in runs}
+    # the acyclic case reads the algebra of its empty heart; decompose builds the algebra
+    # of what is left of {1, 2}, an acyclic leaf that reads nothing, so no span is built
+    assert empty == {name: name == "acyclic heart" for name in runs}
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +272,54 @@ def test_admissions_match_golden(monkeypatch):
     # the golden rows were written by admitted_rows before the admission gate
     # decided from dimension counts; any drift in instance selection shows here
     assert admitted_rows(monkeypatch) == json.loads(GOLDEN.read_text())
+
+
+def test_no_span_is_built_for_an_attempt_the_floor_settles(monkeypatch):
+    built, attempts = [], []
+    init, build = algebra._RelationSpan.__init__, lab.build_algebra
+
+    def recording_init(self, q, ideal, field):
+        built.append((q, ideal))
+        init(self, q, ideal, field)
+
+    def recording_build(q, ideal, field):
+        attempts.append(build(q, ideal, field))
+        return attempts[-1]
+
+    monkeypatch.setattr(algebra._RelationSpan, "__init__", recording_init)
+    monkeypatch.setattr(lab, "build_algebra", recording_build)
+    for _, verify, cases in PINNED_SUITES:
+        assert verify(InstanceSpec(seed=1), cases=cases).all_passed
+    settled = [alg for alg in attempts if alg.dim_floor > ALGEBRA_DIM_CAP]
+    assert settled and not any((alg.quiver, alg.ideal) in built for alg in settled)
+    # at this scale the floor settles every over-cap attempt
+    assert len(settled) == sum(alg.dim > ALGEBRA_DIM_CAP for alg in attempts)
+
+
+def lab_draws(count: int):
+    """The (quiver, ideal) of the first count attempts of _admit at seed 1,
+    cases in turn: large quivers, then small ones after half the attempts."""
+    for k in range(count):
+        idx, attempt = divmod(k, lab.MAX_ATTEMPTS)
+        rng = random.Random(lab._derive(1, idx, attempt))
+        small = attempt >= lab.MAX_ATTEMPTS // 2
+        q = _gen_quiver(rng, 3 if small else lab.MAX_VERTICES, 4 if small else lab.MAX_ARROWS)
+        yield q, _gen_ideal(rng, q, lab.RELATION_STYLE)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_dimension_floor_is_sound_on_lab_draws(F):
+    over = settled = 0
+    for q, ideal in lab_draws(2000):
+        alg = build_algebra(q, ideal, F)
+        exceeds = alg.dim_exceeds(ALGEBRA_DIM_CAP)
+        # the floor settles the cap alone, or the basis is built to answer
+        assert ("_span" in vars(alg)) == (alg.dim_floor <= ALGEBRA_DIM_CAP)
+        assert alg.dim_floor <= alg.dim
+        assert exceeds == (alg.dim > ALGEBRA_DIM_CAP)
+        over += exceeds
+        settled += alg.dim_floor > ALGEBRA_DIM_CAP
+    assert over > settled > 0
 
 
 # ---------------------------------------------------------------------------
