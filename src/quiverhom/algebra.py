@@ -147,22 +147,13 @@ def _counted_budgets(q: Quiver, ideal: IdealSpec, field) -> int:
     lowers its bucket's rank by at most one: so dim >= sum of max(0, paths - rows).
     """
     n = ideal.truncation
-    level = {v: {v: 1} for v in q.vertices}  # level[s][t]: paths s -> t of the length reached
-    counts, upto, work = [level], [level], len(level)  # upto[k][s][t]: those of length <= k
-    for k in range(1, n):
-        longer: dict[str, dict[str, int]] = {}
-        for s, ends in level.items():
-            for t, c in ends.items():
-                for a in q.out_arrows[t]:
-                    row = longer.setdefault(s, {})
-                    row[a.target] = row.get(a.target, 0) + c
-        if not longer:
-            break
-        level, work = longer, work + (k + 1) ** 2 * sum(sum(r.values()) for r in longer.values())
+    counts, upto, work = [], [], 0  # counts[k][s][t]: paths s -> t of length k; upto: <= k
+    for k, level in zip(range(n), q.path_counts()):
+        work += (k + 1) ** 2 * sum(sum(r.values()) for r in level.values())
         if work > MAX_WORK:
             raise InputError(f"the paths below truncation {n} exceed {MAX_WORK} units of work")
         counts.append(level)
-        upto.append({
+        upto.append(level if not k else {
             s: ends | {t: ends.get(t, 0) + c for t, c in level.get(s, {}).items()}
             for s, ends in upto[-1].items()
         })

@@ -19,7 +19,9 @@ product table or kernel is computed for work that is not kept.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linalg
 from .algebra import (
@@ -142,21 +144,39 @@ def _gen_quiver(rng: random.Random, max_vertices: int, max_arrows: int) -> Quive
     return Quiver.build(vertices, arrows)
 
 
+def _path_by_rank(q: Quiver, levels, sizes, rank: int, target=None):
+    """The path at rank among those counted by sizes, (length, source, count)
+    triples in `paths_up_to` order, and to target if one is given."""
+    for k, s, c in sizes:
+        if rank < c:
+            return q.path_at(levels[: k + 1], s, rank, target)
+        rank -= c
+
+
 def _gen_ideal(rng: random.Random, q: Quiver, style: str) -> IdealSpec:
+    """Up to three relations from the paths of length 2 to n - 1, each a path
+    or, in mixed style, a path plus a multiple of a parallel one.  Paths are
+    drawn by rank, so only their counts are needed, not a list of them."""
     n = rng.randint(3, TRUNCATION_BOUND)
-    pool = [p for p in q.paths_up_to(n - 1) if p.length >= 2]
+    levels = list(islice(q.path_counts(), n))
+    sizes = [(k, s, sum(ends.values())) for k in range(2, len(levels)) for s, ends in levels[k].items()]
+    pool = sum(c for *_, c in sizes)
     rels = []
     if pool:
         for _ in range(rng.randint(0, 3)):
-            p = pool[rng.randrange(len(pool))]
+            p = _path_by_rank(q, levels, sizes, rng.randrange(pool))
             if style == "mixed" and rng.random() < 0.5:
-                mates = [
-                    c
-                    for c in pool
-                    if c.source == p.source and c.target == p.target and c != p
-                ]
+                s, t = p.source, p.target
+                bucket = [(k, s, levels[k][s].get(t, 0)) for k in range(2, len(levels)) if s in levels[k]]
+                mates = sum(c for *_, c in bucket) - 1
                 if mates:
-                    mate = mates[rng.randrange(len(mates))]
+                    # the mates are p's bucket without p: from p's place on, take the next
+                    at = {a.name: i for i, a in enumerate(q.arrows)}
+                    key = lambda c: (c.length, [at[a] for a in c.arrows])
+                    rank = rng.randrange(mates)
+                    mate = _path_by_rank(q, levels, bucket, rank, t)
+                    if key(mate) >= key(p):
+                        mate = _path_by_rank(q, levels, bucket, rank + 1, t)
                     coeff = rng.choice([1, -1, 2])
                     rels.append(((1, p.arrows), (coeff, mate.arrows)))
                     continue
@@ -168,7 +188,7 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
     """Random nonzero quotient of a random sum of projectives, within bound."""
     verts = list(alg.vertices)
     F = alg.field
-    pdim = {v: sum(1 for el in alg.elements if el.source == v) for v in verts}
+    pdim = Counter(el.source for el in alg.elements)
     mults: dict[str, int] = {}
     total = 0
     for _ in range(rng.randint(1, 3)):

@@ -224,10 +224,11 @@ class Quiver:
     # -- path enumeration ----------------------------------------------------
 
     def paths_up_to(self, max_len: int) -> list["Path"]:
-        """All paths of length <= max_len, ordered by length then arrow order.
+        """All paths of length <= max_len, ordered by length, source, then arrows.
 
-        Trivial paths come first in vertex declaration order; within each
-        length the order is lexicographic in arrow declaration indices.
+        Within each length, paths go by source in vertex declaration order,
+        and those from one source lexicographically in arrow declaration
+        indices; trivial paths come first.  `path_at` inverts this order.
         """
         out = [Path(v, (), v) for v in self.vertices]
         layer = out[:]
@@ -241,6 +242,44 @@ class Quiver:
             if not layer:
                 break
         return out
+
+    def path_counts(self):
+        """Yield {s: {t: number of paths s -> t of length k}} for k = 0, 1, ...
+
+        Lazily, one level per request, sources in declaration order; the walk
+        ends after the first empty level, so it is endless only on a cycle.
+        """
+        out, level = self.out_arrows, {v: {v: 1} for v in self.vertices}
+        yield level
+        while level:
+            longer: dict[str, dict[str, int]] = {}
+            for s, ends in level.items():
+                row: dict[str, int] = {}
+                for t, c in ends.items():
+                    for a in out[t]:
+                        row[a.target] = row.get(a.target, 0) + c
+                if row:
+                    longer[s] = row
+            level = longer
+            yield level
+
+    def path_at(self, levels, source: str, rank: int, target: str | None = None) -> "Path":
+        """The path at `rank`, in `paths_up_to` order, of those of length
+        len(levels) - 1 from source (and to target, when one is given);
+        levels are the first levels of `path_counts`."""
+        arrows, v = [], source
+        for ends in reversed(levels[:-1]):
+            for a in self.out_arrows[v]:
+                after = ends.get(a.target, {})
+                c = sum(after.values()) if target is None else after.get(target, 0)
+                if rank < c:
+                    arrows.append(a.name)
+                    v = a.target
+                    break
+                rank -= c
+        if len(arrows) < len(levels) - 1 or rank or target not in (None, v):
+            raise IndexError(f"rank past the paths of length {len(levels) - 1} from {source!r}")
+        return Path(source, tuple(arrows), v)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ code with the echelon-based construction.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -533,3 +534,16 @@ def test_floor_past_the_cap_settles_it_without_a_span(F):
     # a floor under the cap leaves the question to the basis
     alg = build_algebra(LOOPS_AND_TAIL, IdealSpec.monomial([("a", "a")], 7), F)
     assert alg.dim_floor == 15 and alg.dim_exceeds(ALGEBRA_DIM_CAP) and alg.dim == 86
+
+
+def test_path_count_walk_stops_at_the_budget():
+    # a loop has one path of each length: the walk is refused after ~143
+    # levels, long before truncation 10**9
+    loop = Quiver.build(["1"], [("a", "1", "1")])
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="units of work"):
+        build_algebra(loop, IdealSpec.zero(10**9), QQ)
+    assert time.perf_counter() - t0 < 0.1
+    # without a cycle the walk ends by itself, far below the truncation
+    edge = Quiver.build(["1", "2"], [("a", "1", "2")])
+    assert build_algebra(edge, IdealSpec.zero(10**9), QQ).dim == 3

@@ -21,11 +21,13 @@ import quiverhom.modules as modules
 from quiverhom import (
     build_algebra,
     DecompositionTree,
+    IdealSpec,
     IdempotentSplit,
     InputError,
     InstanceSpec,
     PrimeField,
     QQ,
+    Quiver,
     SuiteReport,
     Witness,
     cli,
@@ -305,6 +307,44 @@ def lab_draws(count: int):
         small = attempt >= lab.MAX_ATTEMPTS // 2
         q = _gen_quiver(rng, 3 if small else lab.MAX_VERTICES, 4 if small else lab.MAX_ARROWS)
         yield q, _gen_ideal(rng, q, lab.RELATION_STYLE)
+
+
+def listing_gen_ideal(rng, q, style, paths_up_to):
+    """The relation draw as it was written before it read path counts: the
+    pool is listed, and the mates of a two-term relation are scanned for."""
+    n = rng.randint(3, lab.TRUNCATION_BOUND)
+    pool = [p for p in paths_up_to(q, n - 1) if p.length >= 2]
+    rels = []
+    if pool:
+        for _ in range(rng.randint(0, 3)):
+            p = pool[rng.randrange(len(pool))]
+            if style == "mixed" and rng.random() < 0.5:
+                mates = [c for c in pool if c.source == p.source and c.target == p.target and c != p]
+                if mates:
+                    mate = mates[rng.randrange(len(mates))]
+                    coeff = rng.choice([1, -1, 2])
+                    rels.append(((1, p.arrows), (coeff, mate.arrows)))
+                    continue
+            rels.append(((1, p.arrows),))
+    return IdealSpec(tuple(rels), n)
+
+
+@pytest.mark.parametrize("style", ["monomial", "mixed"])
+@pytest.mark.parametrize("small", [False, True], ids=["full", "small"])
+def test_unranked_draws_equal_listed_draws(monkeypatch, style, small):
+    listing = Quiver.paths_up_to
+
+    def refuse(q, max_len):
+        raise AssertionError("the relation draw listed paths")
+
+    monkeypatch.setattr(Quiver, "paths_up_to", refuse)
+    for seed in range(5000):
+        rng = random.Random(seed)
+        q = _gen_quiver(rng, 3 if small else lab.MAX_VERTICES, 4 if small else lab.MAX_ARROWS)
+        ref = random.Random()
+        ref.setstate(rng.getstate())
+        assert _gen_ideal(rng, q, style) == listing_gen_ideal(ref, q, style, listing)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])

@@ -5,11 +5,13 @@ here by exhaustive path enumeration on small random quivers, so the fast
 implementations are checked against logic that shares no code with them.
 """
 
+import itertools
 import random
 
 import pytest
 
 from quiverhom import InputError, Quiver
+from quiverhom.lab import MAX_ARROWS, MAX_VERTICES
 
 
 def random_quiver(rng, max_v=6, max_a=10):
@@ -222,3 +224,45 @@ def test_paths_up_to_enumerates_walk_counts():
             npaths = sum(1 for p in q.paths_up_to(k))
             nwalks = len(all_walks(q, k))
             assert npaths == nwalks
+
+
+def test_paths_up_to_orders_by_source_before_arrows():
+    # a1 is declared first, but a2 leaves the first-declared vertex
+    q = Quiver.build(["1", "2"], [("a1", "2", "1"), ("a2", "1", "2")])
+    assert [p.arrows for p in q.paths_up_to(1) if p.length == 1] == [("a2",), ("a1",)]
+    assert [p.arrows for p in q.paths_up_to(2) if p.length == 2] == [("a2", "a1"), ("a1", "a2")]
+
+
+def test_path_at_inverts_paths_up_to_order():
+    rng = random.Random(118)
+    for _ in range(40):
+        q = random_quiver(rng, max_v=MAX_VERTICES, max_a=MAX_ARROWS)
+        listed = q.paths_up_to(4)
+        levels = list(itertools.islice(q.path_counts(), 5))
+        for k, level in enumerate(levels):
+            for s in q.vertices:
+                from_s = [p for p in listed if p.length == k and p.source == s]
+                assert sum(level.get(s, {}).values()) == len(from_s)
+                assert [q.path_at(levels[: k + 1], s, r) for r in range(len(from_s))] == from_s
+                with pytest.raises(IndexError):
+                    q.path_at(levels[: k + 1], s, len(from_s))
+                for t in q.vertices:
+                    to_t = [p for p in from_s if p.target == t]
+                    assert level.get(s, {}).get(t, 0) == len(to_t)
+                    assert [q.path_at(levels[: k + 1], s, r, t) for r in range(len(to_t))] == to_t
+                    with pytest.raises(IndexError):
+                        q.path_at(levels[: k + 1], s, len(to_t), t)
+
+
+def test_path_counts_end_after_the_first_empty_level():
+    line = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    assert list(line.path_counts()) == [
+        {"1": {"1": 1}, "2": {"2": 1}, "3": {"3": 1}},
+        {"1": {"2": 1}, "2": {"3": 1}},
+        {"1": {"3": 1}},
+        {},
+    ]
+    assert list(Quiver.build([], []).path_counts()) == [{}]
+    # on a cycle the walk is endless, and lazy
+    loop = Quiver.build(["1"], [("a", "1", "1"), ("b", "1", "1")])
+    assert [level["1"]["1"] for level in itertools.islice(loop.path_counts(), 40)][-1] == 2**39
