@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation
@@ -271,6 +272,16 @@ class _RelationSpan:
         return tuple(rels)
 
 
+class ProjectiveLayout(NamedTuple):
+    """Per vertex v, the basis elements from v, which span P_v: blocks[v][w]
+    lists those ending at w in index order (only the w that some reach),
+    local[i] is the position of element i in its block, and dims[v] is dim P_v."""
+
+    blocks: dict[str, dict[str, tuple[int, ...]]]
+    local: tuple[int, ...]
+    dims: dict[str, int]
+
+
 class FiniteDimAlgebra:
     """A finite-dimensional algebra with a tagged basis and a sparse product table.
 
@@ -341,6 +352,18 @@ class FiniteDimAlgebra:
     def dim_exceeds(self, cap: int) -> bool:
         """dim > cap, answered from dim_floor, without the basis, when it can be."""
         return self.dim_floor > cap or self.dim > cap
+
+    @cached_property
+    def projective_layout(self) -> ProjectiveLayout:
+        blocks: dict[str, dict[str, list[int]]] = {v: {} for v in self.vertices}
+        local = []
+        for i, el in enumerate(self.elements):
+            block = blocks[el.source].setdefault(el.target, [])
+            local.append(len(block))
+            block.append(i)
+        dims = {v: sum(map(len, row.values())) for v, row in blocks.items()}
+        blocks = {v: {w: tuple(b) for w, b in row.items()} for v, row in blocks.items()}
+        return ProjectiveLayout(blocks, tuple(local), dims)
 
     @cached_property
     def radical_indices(self) -> tuple[int, ...]:

@@ -2,22 +2,25 @@
 
 Projective resolutions are built step by step from projective covers: lift a
 basis of the top, map a matching sum of indecomposable projectives onto the
-module, and take the kernel as the next syzygy.  One ``SyzygyTable`` per
-case or command keys modules by content (algebra, dims and matrices); every
-``SyzygyChain`` minted from it reads the same nodes, so no content is
-stepped twice, and a syzygy equal to one already on its chain closes the
-chain into a lasso.  Equal modules are isomorphic, so a nonzero repeat
-certifies an infinite projective dimension, reported as ``Infinite`` by
-``proj_dim``, ``inj_dim`` and ``gl_dim``, which looks past a simple that
-only reaches its cutoff.  Isomorphic syzygies of different content go
-unnoticed, so a lasso may be missed but is never false.  Terms wider than
-``MAX_TERM_WIDTH`` are refused unbuilt, and ``check_cutoff`` refuses every
-cutoff below 0 or past ``MAX_CUTOFF``.  A prefix's minimality comes from
-its cover steps; its exactness is recomputed from ranks of the complex it
-holds each time it is read.  Prefixes are projective only.  The injective
-side is the chain's ``dual``: the ell-th cosyzygy of a module is the dual of
-the ell-th syzygy of its dual over the opposite algebra, and has the same
-dimension vector.
+module, and take the kernel as the next syzygy.  A cover step reads the
+algebra's projective layout and product table and keeps only lift rows and
+kernel bases; its dense term, cover map and syzygy inclusion are built when
+first read, which the syzygy walk, the Ext tables and the gates never do.
+One ``SyzygyTable`` per case or command keys modules by content (algebra,
+dims and matrices); every ``SyzygyChain`` minted from it reads the same
+nodes, so no content is stepped twice, and a syzygy equal to one already on
+its chain closes the chain into a lasso.  Equal modules are isomorphic, so a
+nonzero repeat certifies an infinite projective dimension, reported as
+``Infinite`` by ``proj_dim``, ``inj_dim`` and ``gl_dim``, which looks past a
+simple that only reaches its cutoff.  Isomorphic syzygies of different
+content go unnoticed, so a lasso may be missed but is never false.  Terms
+wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and ``check_cutoff``
+refuses every cutoff below 0 or past ``MAX_CUTOFF``.  A prefix's minimality
+comes from its cover steps; its exactness is recomputed from ranks of the
+complex it holds each time it is read.  Prefixes are projective only.  The
+injective side is the chain's ``dual``: the ell-th cosyzygy of a module is
+the dual of the ell-th syzygy of its dual over the opposite algebra, and has
+the same dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from functools import cached_property
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from . import linalg
@@ -45,12 +49,12 @@ from .modules import (
     dual_module,
     heart_parts,
     largest_submodule_supported,
-    kernel_of_map,
     materialize_term,
     quotient_with_section,
     radical_rows,
     restrict,
     standard_module,
+    term_info,
 )
 
 
@@ -101,15 +105,33 @@ def term_label(alg: FiniteDimAlgebra, mults: dict[str, int]) -> str:
 
 @dataclass(frozen=True)
 class CoverStep:
-    """One projective cover: term, cover map, syzygy, and certificates."""
+    """One projective cover of module: term, cover map, syzygy, and certificates.
+
+    cover_rows holds the image in module of each term basis element, kernel
+    the syzygy's canonical echelon basis in the term, per vertex.  The term,
+    the cover and the syzygy's inclusion are built from them when first read,
+    and hold no reference back to the step.
+    """
 
     mults: dict[str, int]
-    term: Representation
     info: TermInfo
-    cover: ModuleMap
     syzygy: Representation
-    syzygy_inclusion: ModuleMap
     minimal: bool
+    module: Representation
+    cover_rows: dict[str, list[list]]
+    kernel: dict[str, list[list]]
+
+    @cached_property
+    def term(self) -> Representation:
+        return materialize_term(self.module.algebra, self.mults)[0]
+
+    @cached_property
+    def cover(self) -> ModuleMap:
+        return ModuleMap(self.term, self.module, self.cover_rows, validate=False)
+
+    @cached_property
+    def syzygy_inclusion(self) -> ModuleMap:
+        return ModuleMap(self.syzygy, self.term, self.kernel, validate=False)
 
 
 # widest projective term a cover step builds; wider ones are an input error
@@ -129,20 +151,24 @@ def check_cutoff(k: int, what: str) -> None:
 
 def cover_width(m: Representation) -> int:
     """Dimension of the projective cover: sum_v dim top_v * dim P_v."""
-    lifts = m.top_lifts()
-    return sum(len(lifts[el.source]) for el in m.algebra.elements)
+    lifts, dims = m.top_lifts(), m.algebra.projective_layout.dims
+    return sum(len(lifts[v]) * dims[v] for v in m.algebra.vertices)
 
 
 def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     """Projective cover of a module together with its first syzygy.
 
     The cover lifts the free coordinates of the radical's echelon form, one
-    generator per top basis vector, so the construction is deterministic.
+    generator per top basis vector, so the construction is deterministic; a
+    generator's basis element x maps to its lift row times the matrix of x.
+    The syzygy is the kernel, eliminated where the term is nonzero.  An arrow
+    acts on a kernel row through the product table, read only at the pivot
+    columns of the kernel at its target, which are the coordinates there.
     Minimality is certified by checking that the kernel avoids the generator
     unit coordinates, which span a complement of the radical of the term.
     """
     alg = m.algebra
-    q = alg.quiver
+    q, F = alg.quiver, alg.field
     lifts = m.top_lifts()
     mults = {v: len(free) for v, free in lifts.items()}
     # the width is at most dim top * dim alg: count it only when that bound is past the budget
@@ -150,22 +176,53 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
         width = cover_width(m)
         if width > MAX_TERM_WIDTH:
             raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
-    term, info = materialize_term(alg, mults)
-    blocks = {}
-    for w in q.vertices:
-        rows = []
-        for g, i in info.basis[w]:
-            v, c = info.generators[g]
-            rows.append(list(m.element_matrix(i)[lifts[v][c]]))
-        blocks[w] = rows
-    cover = ModuleMap(term, m, blocks, validate=False)
-    syz, incl = kernel_of_map(cover)
-    for v in q.vertices:
+    info, offsets = term_info(alg, mults)
+    layout, elements = alg.projective_layout, alg.elements
+    cover_rows: dict[str, list[list]] = {w: [] for w in q.vertices}
+    for v, c in info.generators:
+        # the lift row times each basis path's matrix, in index (so length)
+        # order: one vector times matrix per arrow past the longest known
+        # prefix, all but the last arrow as the basis is prefix closed.  Rows
+        # are keyed by the basis paths themselves, so no key tuple is made.
+        known = {(): [F.one if j == lifts[v][c] else F.zero for j in range(m.dims[v])]}
+        for i in sorted(i for block in layout.blocks[v].values() for i in block):
+            path = elements[i].arrows
+            k = len(path)
+            while path[:k] not in known:
+                k -= 1
+            row = known[path[:k]]
+            for name in path[k:]:
+                a = q.arrow_by_name[name]
+                row = linalg.vec_mat(row, m.mats[a.name], m.dims[a.target], F)
+            known[path] = row
+            cover_rows[elements[i].target].append(row)
+    # RowSpace eliminates nothing where the term is zero
+    spaces = {w: linalg.RowSpace(rows, m.dims[w], F) for w, rows in cover_rows.items()}
+    kernel = {w: space.kernel for w, space in spaces.items()}
+    for w, rows in cover_rows.items():
         # nullity + target dim must exhaust the term: the cover surjects
-        if term.dims[v] - syz.dims[v] != m.dims[v]:
-            raise InvariantViolation(f"projective cover fails to surject at {v!r}")
-    minimal = not any(row[p] for w, p in info.gen_pos for row in incl.blocks[w])
-    return CoverStep(mults, term, info, cover, syz, incl, minimal)
+        if len(rows) - len(kernel[w]) != m.dims[w]:
+            raise InvariantViolation(f"projective cover fails to surject at {w!r}")
+    table, local = alg.table, layout.local
+    mats = {}
+    for a in q.arrows:
+        j, starts, basis = alg.arrow_index[a.name], offsets[a.target], info.basis[a.source]
+        cols = {col: r for r, col in enumerate(spaces[a.target].kernel_pivots)}
+        mats[a.name] = []
+        for row in kernel[a.source]:
+            img = [F.zero] * len(cols)
+            # with no kernel at the target, an image has no coordinates to read
+            for p, x in enumerate(row if cols else ()):
+                if x:
+                    g, i = basis[p]
+                    for k, coeff in table[i].get(j, ()):
+                        r = cols.get(starts[g] + local[k])
+                        if r is not None:
+                            img[r] = F.add(img[r], F.mul(x, coeff))
+            mats[a.name].append(img)
+    syz = Representation(alg, {w: len(b) for w, b in kernel.items()}, mats, validate=False)
+    minimal = not any(row[p] for w, p in info.gen_pos for row in kernel[w])
+    return CoverStep(mults, info, syz, minimal, m, cover_rows, kernel)
 
 
 class SyzygyTable:
@@ -188,10 +245,13 @@ class SyzygyTable:
 
     def node(self, module: Representation) -> int:
         """The node of the module's content, added when new."""
+        # the dims fix each matrix's shape, so the entries go in one flat tuple:
+        # a tuple per row would, once the table is dropped, stay in CPython's
+        # tuple free lists
         content = (
             module.algebra,
             tuple(module.dims.values()),
-            tuple(tuple(map(tuple, mat)) for mat in module.mats.values()),
+            tuple(chain.from_iterable(chain.from_iterable(module.mats.values()))),
         )
         i = self.index.setdefault(content, len(self.modules))
         if i == len(self.modules):
@@ -427,22 +487,21 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     ranks = [0]
     for i in range(1, k + 2):
         basis_s = steps[i - 1].info.basis
-        incl = steps[i - 1].syzygy_inclusion
+        kernel = steps[i - 1].kernel
         nrows, ncols = hom_dims[i - 1], hom_dims[i]
         delta = linalg.zeros(nrows, ncols, F)
         for g, (u, j) in enumerate(gens[i]):
             col0 = offsets[i][g]
-            for c, coeff in enumerate(incl.blocks[u][j]):
+            for c, coeff in enumerate(kernel[u][j]):
                 if not coeff:
                     continue
                 gsrc, elt = basis_s[u][c]
                 row0 = offsets[i - 1][gsrc]
-                mat = n.element_matrix(elt)
-                for a in range(len(mat)):
+                for a, mrow in enumerate(n.element_matrix(elt)):
                     row = delta[row0 + a]
-                    for b in range(n.dims[u]):
-                        if mat[a][b]:
-                            row[col0 + b] = F.add(row[col0 + b], F.mul(coeff, mat[a][b]))
+                    for b, x in enumerate(mrow):
+                        if x:
+                            row[col0 + b] = F.add(row[col0 + b], F.mul(coeff, x))
         ranks.append(linalg.rank(delta, ncols, F))
     dims = [hom_dims[0] - ranks[1]]
     for i in range(1, k + 1):

@@ -19,7 +19,6 @@ product table or kernel is computed for work that is not kept.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
@@ -188,7 +187,7 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
     """Random nonzero quotient of a random sum of projectives, within bound."""
     verts = list(alg.vertices)
     F = alg.field
-    pdim = Counter(el.source for el in alg.elements)
+    pdim = alg.projective_layout.dims
     mults: dict[str, int] = {}
     total = 0
     for _ in range(rng.randint(1, 3)):

@@ -290,6 +290,21 @@ class TermInfo:
     gen_pos: tuple[tuple[str, int], ...]
 
 
+def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> tuple[TermInfo, dict[str, dict]]:
+    """Bookkeeping of P_v^{mults[v]} from the algebra's projective layout, and
+    per vertex w where each generator's block of the component at w starts."""
+    generators = tuple((v, c) for v in alg.vertices for c in range(mults.get(v, 0)))
+    basis: dict[str, list[tuple[int, int]]] = {w: [] for w in alg.vertices}
+    offsets: dict[str, dict[int, int]] = {w: {} for w in alg.vertices}
+    for g, (v, _) in enumerate(generators):
+        for w, block in alg.projective_layout.blocks[v].items():
+            offsets[w][g] = len(basis[w])
+            basis[w].extend((g, i) for i in block)
+    # the basis is in path-length order, so each block of P_v at v starts with its unit
+    gen_pos = tuple((v, offsets[v][g]) for g, (v, _) in enumerate(generators))
+    return TermInfo(generators, {w: tuple(b) for w, b in basis.items()}, gen_pos), offsets
+
+
 def materialize_term(
     alg: FiniteDimAlgebra, mults: dict[str, int]
 ) -> tuple[Representation, TermInfo]:
@@ -298,44 +313,22 @@ def materialize_term(
     The component of P_v at w is spanned by the basis elements from v to w,
     and an arrow acts by right multiplication through the product table.
     """
-    q = alg.quiver
     F = alg.field
     for v in mults:
         if v not in alg.idempotent_index:
             raise InputError(f"unknown vertex id {v!r} in projective term")
-    generators = []
-    for v in alg.vertices:
-        for c in range(mults.get(v, 0)):
-            generators.append((v, c))
-    by_source: dict[str, list[int]] = {v: [] for v in q.vertices}
-    for i, el in enumerate(alg.elements):
-        by_source[el.source].append(i)
-    basis: dict[str, list[tuple[int, int]]] = {w: [] for w in q.vertices}
-    for g, (v, _) in enumerate(generators):
-        for i in by_source[v]:
-            basis[alg.elements[i].target].append((g, i))
-    pos = {w: {pair: p for p, pair in enumerate(basis[w])} for w in q.vertices}
-    dims = {w: len(basis[w]) for w in q.vertices}
-    gen_pos = []
-    for g, (v, _) in enumerate(generators):
-        unit = alg.idempotent_index[v]
-        gen_pos.append((v, pos[v][(g, unit)]))
+    info, offsets = term_info(alg, mults)
+    dims = {w: len(b) for w, b in info.basis.items()}
+    table, local = alg.table, alg.projective_layout.local
     mats = {}
-    table = alg.table
-    for a in q.arrows:
-        j = alg.arrow_index[a.name]
+    for a in alg.quiver.arrows:
+        j, starts = alg.arrow_index[a.name], offsets[a.target]
         mat = linalg.zeros(dims[a.source], dims[a.target], F)
-        for p, (g, i) in enumerate(basis[a.source]):
+        for p, (g, i) in enumerate(info.basis[a.source]):
             for k, c in table[i].get(j, ()):
-                mat[p][pos[a.target][(g, k)]] = c
+                mat[p][starts[g] + local[k]] = c
         mats[a.name] = mat
-    rep = Representation(alg, dims, mats, validate=False)
-    info = TermInfo(
-        tuple(generators),
-        {w: tuple(rows) for w, rows in basis.items()},
-        tuple(gen_pos),
-    )
-    return rep, info
+    return Representation(alg, dims, mats, validate=False), info
 
 
 def dual_module(m: Representation) -> Representation:

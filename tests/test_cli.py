@@ -368,6 +368,18 @@ def test_dense_loop_module_resolves_in_bounded_time(tmp_path, capsys):
     assert "term 0 P_1\n" in out and "syzygy_1_dim 113\n" in out
 
 
+def test_sixty_dimensional_dense_loop_module_resolves_in_bounded_time(tmp_path, capsys):
+    # the cover maps the one generator's 143 basis paths by its lift row, one
+    # vector times matrix each, not by the paths' full 60 x 60 matrices
+    p = tmp_path / "loop.qh"
+    p.write_text(dense_loop_workspace(60))
+    t0 = time.perf_counter()
+    assert cli.main(["resolve", str(p), "--cutoff", "0", "--field", "p:101"]) == 0
+    assert time.perf_counter() - t0 < 3.0
+    out = capsys.readouterr().out
+    assert "term 0 P_1\n" in out and "syzygy_1_dim 83\n" in out
+
+
 @pytest.mark.parametrize("n", [30, 60])
 def test_dense_loop_module_over_qq_is_refused_in_bounded_time(tmp_path, capsys, n):
     # read over QQ, the residues mod 101 no longer conjugate a shift: the loop is not

@@ -1,0 +1,166 @@
+"""The cover step against the construction it replaced.
+
+The reference builds the whole term densely (the product-table construction
+written out below, with no projective layout), maps each term basis element
+to the lift row of its full element matrix, and takes the syzygy with
+``kernel_of_map``.  ``projective_cover_and_syzygy`` must agree with it
+exactly: syzygy dimensions and matrices, kernel bases, term bookkeeping, the
+minimality certificate, and the term, cover and inclusion it builds on first
+read.  Computed matrices are compared entry by entry with their types, so an
+int where the reference has a Fraction counts as a difference too; the term's
+entries are product-table coefficients, copied, so its matrices are compared
+by value.
+"""
+
+import random
+
+import pytest
+
+from quiverhom import (
+    QQ,
+    IdealSpec,
+    InputError,
+    ModuleMap,
+    PrimeField,
+    Quiver,
+    Representation,
+    build_algebra,
+    dual_module,
+    linalg,
+    standard_module,
+)
+from quiverhom.homology import MAX_TERM_WIDTH, cover_width, projective_cover_and_syzygy
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
+from quiverhom.modules import TermInfo, kernel_of_map, materialize_term
+
+GF = PrimeField(2**31 - 1)
+# the (vertices, relation length) shapes of the benchmark's self-injective Nakayama algebras
+NAKAYAMA_SHAPES = ((1, 2), (2, 3), (3, 2), (3, 4), (4, 3), (5, 6), (6, 5), (4, 7), (7, 4))
+
+
+def reference_term(alg, mults):
+    """P_v^{mults[v]} with a position per (generator, element) pair, as the
+    term was built before the projective layout."""
+    q, F = alg.quiver, alg.field
+    generators = [(v, c) for v in alg.vertices for c in range(mults.get(v, 0))]
+    basis = {w: [] for w in q.vertices}
+    for g, (v, _) in enumerate(generators):
+        for i, el in enumerate(alg.elements):
+            if el.source == v:
+                basis[el.target].append((g, i))
+    pos = {w: {pair: p for p, pair in enumerate(basis[w])} for w in q.vertices}
+    gen_pos = tuple(
+        (v, pos[v][(g, alg.idempotent_index[v])]) for g, (v, _) in enumerate(generators)
+    )
+    mats = {}
+    for a in q.arrows:
+        j = alg.arrow_index[a.name]
+        mat = linalg.zeros(len(basis[a.source]), len(basis[a.target]), F)
+        for p, (g, i) in enumerate(basis[a.source]):
+            for k, c in alg.table[i].get(j, ()):
+                mat[p][pos[a.target][(g, k)]] = c
+        mats[a.name] = mat
+    dims = {w: len(rows) for w, rows in basis.items()}
+    info = TermInfo(tuple(generators), {w: tuple(r) for w, r in basis.items()}, gen_pos)
+    return Representation(alg, dims, mats, validate=False), info
+
+
+def reference_step(m):
+    """(mults, term, info, cover, syzygy, inclusion, minimal) of the dense construction."""
+    lifts = m.top_lifts()
+    mults = {v: len(free) for v, free in lifts.items()}
+    term, info = reference_term(m.algebra, mults)
+    blocks = {}
+    for w, pairs in info.basis.items():
+        rows = []
+        for g, i in pairs:
+            v, c = info.generators[g]
+            rows.append(list(m.element_matrix(i)[lifts[v][c]]))
+        blocks[w] = rows
+    cover = ModuleMap(term, m, blocks, validate=False)
+    syz, incl = kernel_of_map(cover)
+    minimal = not any(row[p] for w, p in info.gen_pos for row in incl.blocks[w])
+    return mults, term, info, cover, syz, incl, minimal
+
+
+def same_mats(a, b):
+    """Equal dicts of matrices, each nonzero entry of the same type as well."""
+    typed = [[(type(x), x) for k in sorted(d) for row in d[k] for x in row if x] for d in (a, b)]
+    return a == b and typed[0] == typed[1]
+
+
+def same_module(a, b):
+    return a.algebra is b.algebra and a.dims == b.dims and same_mats(a.mats, b.mats)
+
+
+def assert_step_matches(m):
+    """The cover step of m equals the reference; returns its syzygy, or None
+    when the cover is past the term budget (refused by both)."""
+    try:
+        step = projective_cover_and_syzygy(m)
+    except InputError:
+        assert cover_width(m) > MAX_TERM_WIDTH
+        return None
+    mults, term, info, cover, syz, incl, minimal = reference_step(m)
+    assert step.mults == mults and step.info == info and step.minimal == minimal
+    assert same_module(step.syzygy, syz)
+    assert same_mats(step.kernel, incl.blocks)
+    # the term, the cover and the inclusion are built only when read
+    assert not {"term", "cover", "syzygy_inclusion"} & set(vars(step))
+    assert step.term.algebra is m.algebra and step.term.dims == term.dims
+    assert step.term.mats == term.mats
+    assert materialize_term(m.algebra, mults)[1] == info
+    assert step.cover.source is step.term and step.cover.target is m
+    assert same_mats(step.cover.blocks, cover.blocks)
+    assert step.syzygy_inclusion.source is step.syzygy
+    assert step.syzygy_inclusion.target is step.term
+    assert same_mats(step.syzygy_inclusion.blocks, incl.blocks)
+    return step.syzygy
+
+
+def assert_chain_matches(m, depth):
+    """Steps m and its first syzygies, up to depth steps, against the reference."""
+    for _ in range(depth):
+        m = assert_step_matches(m)
+        if m is None or m.is_zero:
+            return
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_cover_step_matches_dense_reference_on_lab_modules(F):
+    drawn, seed = 0, 0
+    while drawn < 200:
+        rng = random.Random(seed)
+        seed += 1
+        q = _gen_quiver(rng, 4, 6)
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed"), F)
+        if alg.dim > ALGEBRA_DIM_CAP:
+            continue
+        m = _gen_module(rng, alg, rng.randint(1, 12))
+        assert_chain_matches(m, 3)
+        assert_chain_matches(dual_module(m), 3)
+        drawn += 1
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+@pytest.mark.parametrize("n, L", NAKAYAMA_SHAPES)
+def test_cover_step_matches_dense_reference_on_nakayama_simples(F, n, L):
+    arrows = [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    alg = build_algebra(Quiver.build([str(v) for v in range(n)], arrows), IdealSpec.zero(L), F)
+    for v in alg.vertices:
+        assert_chain_matches(standard_module(alg, "simple", v), 4)
+
+
+def test_cover_step_matches_dense_reference_with_repeated_generators():
+    # a top of dimension 2 at one vertex: two generators share their element paths
+    q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    alg = build_algebra(q, IdealSpec.zero(4), QQ)
+    p1 = standard_module(alg, "projective", "1")
+    # P_1 + P_1, its matrices block diagonal
+    mats = {
+        a: [r + [0] * len(r) for r in mat] + [[0] * len(r) + r for r in mat]
+        for a, mat in p1.mats.items()
+    }
+    m = Representation(alg, {v: 2 * d for v, d in p1.dims.items()}, mats)
+    assert projective_cover_and_syzygy(m).mults == {"1": 2, "2": 0}
+    assert_chain_matches(m, 4)
