@@ -9,7 +9,9 @@ BASE and HEAD are the roots of two checkouts.  Each pair runs
 in odd ones, so a drift of the machine's speed falls on both sides alike.
 For every end-to-end metric of BENCHMARK.json it prints, per side, the
 median and the quartiles of the runs and the number of pairs that side won
-(strictly better, by the metric's direction).  The runs and that summary
+(strictly better, by the metric's direction), then the change's median gain
+(positive when better) in % of the parent's median and in units of the
+parent's interquartile range.  The runs and that summary
 go to ``<out>/BENCH_<workload>_<side>.json``, one file per side, the sides
 being ``parent`` (BASE) and ``change`` (HEAD).  Exit
 status is 0, or 1 if a run failed or reported a failed op.
@@ -62,6 +64,18 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def gain(summary: dict, metric: dict) -> str:
+    """The change's median gain over the parent's, positive when better: in %
+    of the parent's median and in units of the parent's interquartile range."""
+    sign = 1 if metric["better"] == "higher" else -1
+    parent, change = summary["parent"][metric["name"]], summary["change"][metric["name"]]
+    delta = sign * (change["median"] - parent["median"])
+    pct = f"{100 * delta / parent['median']:+.1f} %" if parent["median"] else "n/a"
+    iqr = parent["q3"] - parent["q1"]
+    units = f"{delta / iqr:+.1f} parent IQR" if iqr else "parent IQR 0"
+    return f"gain {pct}, {units}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="root of the checkout to compare against")
@@ -99,6 +113,7 @@ def main() -> int:
             cells.append(
                 f"{label} {s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}] wins {s['wins']}"
             )
+        cells.append(gain(summary, metric))
         print(f"{name} ({metric['better']} is better): " + "; ".join(cells))
     os.makedirs(args.out, exist_ok=True)
     for label in LABELS:

@@ -6,6 +6,9 @@ module, and take the kernel as the next syzygy.  A cover step reads the
 algebra's projective layout and product table and keeps only lift rows and
 kernel bases; its dense term, cover map and syzygy inclusion are built when
 first read, which the syzygy walk, the Ext tables and the gates never do.
+Its work follows the term and the module, not the quiver: it eliminates only
+at vertices where the term or the radical has rows, and builds syzygy arrow
+matrices only where the source kernel is nonzero.
 One ``SyzygyTable`` per case or command keys modules by content (algebra,
 dims and matrices); every ``SyzygyChain`` minted from it reads the same
 nodes, so no content is stepped twice, and a syzygy equal to one already on
@@ -107,8 +110,9 @@ def term_label(alg: FiniteDimAlgebra, mults: dict[str, int]) -> str:
 class CoverStep:
     """One projective cover of module: term, cover map, syzygy, and certificates.
 
-    cover_rows holds the image in module of each term basis element, kernel
-    the syzygy's canonical echelon basis in the term, per vertex.  The term,
+    cover_rows holds the image in module of each term basis element, per
+    vertex where the term is nonzero, and kernel the syzygy's canonical
+    echelon basis in the term, per vertex.  The term,
     the cover and the syzygy's inclusion are built from them when first read,
     and hold no reference back to the step.
     """
@@ -161,11 +165,16 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     The cover lifts the free coordinates of the radical's echelon form, one
     generator per top basis vector, so the construction is deterministic; a
     generator's basis element x maps to its lift row times the matrix of x.
-    The syzygy is the kernel, eliminated where the term is nonzero.  An arrow
-    acts on a kernel row through the product table, read only at the pivot
-    columns of the kernel at its target, which are the coordinates there.
-    Minimality is certified by checking that the kernel avoids the generator
-    unit coordinates, which span a complement of the radical of the term.
+    At a vertex w the cover surjects iff its rows there have rank dim M_w.
+    Where there are exactly dim M_w rows, one rank-only rref decides it, and
+    full rank also leaves the kernel zero; only where there are more does a
+    RowSpace eliminate [rows | I] for the kernel; where the term is zero
+    nothing is eliminated.  An arrow acts on a kernel row through the product
+    table, read only at the pivot columns of the kernel at its target, which
+    are the coordinates there; an arrow whose source kernel is zero gets the
+    empty matrix.  Minimality is certified by checking that the kernel
+    avoids the generator unit coordinates, which span a complement of the
+    radical of the term.
     """
     alg = m.algebra
     q, F = alg.quiver, alg.field
@@ -177,39 +186,42 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
         if width > MAX_TERM_WIDTH:
             raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
     info, offsets = term_info(alg, mults)
-    layout, elements = alg.projective_layout, alg.elements
-    cover_rows: dict[str, list[list]] = {w: [] for w in q.vertices}
+    layout = alg.projective_layout
+    cover_rows: dict[str, list[list]] = {}
     for v, c in info.generators:
-        # the lift row times each basis path's matrix, in index (so length)
-        # order: one vector times matrix per arrow past the longest known
-        # prefix, all but the last arrow as the basis is prefix closed.  Rows
-        # are keyed by the basis paths themselves, so no key tuple is made.
-        known = {(): [F.one if j == lifts[v][c] else F.zero for j in range(m.dims[v])]}
-        for i in sorted(i for block in layout.blocks[v].values() for i in block):
-            path = elements[i].arrows
-            k = len(path)
-            while path[:k] not in known:
-                k -= 1
-            row = known[path[:k]]
-            for name in path[k:]:
-                a = q.arrow_by_name[name]
-                row = linalg.vec_mat(row, m.mats[a.name], m.dims[a.target], F)
-            known[path] = row
-            cover_rows[elements[i].target].append(row)
-    # RowSpace eliminates nothing where the term is zero
-    spaces = {w: linalg.RowSpace(rows, m.dims[w], F) for w, rows in cover_rows.items()}
-    kernel = {w: space.kernel for w, space in spaces.items()}
-    for w, rows in cover_rows.items():
-        # nullity + target dim must exhaust the term: the cover surjects
-        if len(rows) - len(kernel[w]) != m.dims[w]:
+        # the lift row times each basis path's matrix, along v's walk: one
+        # vector times matrix per arrow past the path's longest earlier prefix
+        unit = [F.one if j == lifts[v][c] else F.zero for j in range(m.dims[v])]
+        walked: list[list] = []
+        for w, pre, arrows in layout.walks[v]:
+            row = walked[pre] if pre >= 0 else unit
+            for name in arrows:
+                row = linalg.vec_mat(row, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
+            walked.append(row)
+            cover_rows.setdefault(w, []).append(row)
+    kernel: dict[str, list[list]] = {}
+    kernel_cols: dict[str, dict[int, int]] = {}
+    for w, d in m.dims.items():
+        rows = cover_rows.get(w, ())
+        if len(rows) > d:
+            space = linalg.RowSpace(rows, d, F)
+            kernel[w], rank = space.kernel, len(space.pivots)
+            kernel_cols[w] = {col: r for r, col in enumerate(space.kernel_pivots)}
+        else:
+            kernel[w], rank = [], linalg.rank(rows, d, F) if rows else 0
+        if rank != d:
             raise InvariantViolation(f"projective cover fails to surject at {w!r}")
     table, local = alg.table, layout.local
     mats = {}
+    # an arrow whose source kernel is zero keeps the empty matrix Representation gives it
     for a in q.arrows:
-        j, starts, basis = alg.arrow_index[a.name], offsets[a.target], info.basis[a.source]
-        cols = {col: r for r, col in enumerate(spaces[a.target].kernel_pivots)}
+        rows = kernel[a.source]
+        if not rows:
+            continue
+        cols = kernel_cols.get(a.target, {})
+        j, starts, basis = alg.arrow_index[a.name], offsets.get(a.target), info.basis[a.source]
         mats[a.name] = []
-        for row in kernel[a.source]:
+        for row in rows:
             img = [F.zero] * len(cols)
             # with no kernel at the target, an image has no coordinates to read
             for p, x in enumerate(row if cols else ()):
@@ -489,14 +501,23 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
         basis_s = steps[i - 1].info.basis
         kernel = steps[i - 1].kernel
         nrows, ncols = hom_dims[i - 1], hom_dims[i]
+        if not nrows or not ncols:
+            ranks.append(0)
+            continue
+        # only generators whose component of N is nonzero give rows or columns
         delta = linalg.zeros(nrows, ncols, F)
+        rows0 = offsets[i - 1]
         for g, (u, j) in enumerate(gens[i]):
             col0 = offsets[i][g]
+            if col0 == offsets[i][g + 1]:
+                continue
             for c, coeff in enumerate(kernel[u][j]):
                 if not coeff:
                     continue
                 gsrc, elt = basis_s[u][c]
-                row0 = offsets[i - 1][gsrc]
+                row0 = rows0[gsrc]
+                if row0 == rows0[gsrc + 1]:
+                    continue
                 for a, mrow in enumerate(n.element_matrix(elt)):
                     row = delta[row0 + a]
                     for b, x in enumerate(mrow):

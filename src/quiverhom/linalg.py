@@ -46,15 +46,18 @@ def transpose(rows: list[list], ncols: int) -> list[list]:
 
 
 def vec_mat(x: list, rows: list[list], ncols: int, field) -> list:
-    """Row vector times matrix: returns ``x @ rows`` of length ncols."""
-    out = [field.zero] * ncols
+    """Row vector times matrix: returns ``x @ rows`` of length ncols.
+
+    Products at nonzero entries are summed as plain ints or Fractions; over
+    GF(p) each output entry is reduced once, at the end.
+    """
+    out = [0] * ncols
     for xi, row in zip(x, rows):
-        if not xi:
-            continue
-        for j, a in enumerate(row):
-            if a:
-                out[j] = field.add(out[j], field.mul(xi, a))
-    return out
+        if xi:
+            for j, a in enumerate(row):
+                if a:
+                    out[j] += xi * a
+    return out if isinstance(field, Rationals) else [v % field.p for v in out]
 
 
 def mat_mul(A: list[list], B: list[list], bcols: int, field) -> list[list]:
@@ -111,8 +114,9 @@ def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]
         if best < 0:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
+        if rows[r][c] != 1:
+            inv = pow(rows[r][c], -1, p)
+            rows[r] = [(v * inv) % p for v in rows[r]]
         prow = rows[r]
         for i in range(m):
             if i == r:
@@ -122,7 +126,8 @@ def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]
                 rows[i] = [(x - q * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-    return [r for r in rows if any(r)], pivots
+    # every column was a pivot or zero below row r, so rows r.. are zero
+    return rows[:r], pivots
 
 
 def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:

@@ -25,6 +25,7 @@ to vertices outside.  A quotient reads its arrow matrices off the free rows.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from . import linalg
@@ -33,11 +34,17 @@ from .errors import DanglingIdError, InputError, ModuleValidationError
 
 
 def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """Opposite algebra, cached so double opposite returns the original object."""
+    """Opposite algebra, cached so double opposite returns the original object.
+
+    The algebra holds its opposite, and the opposite holds its algebra only
+    weakly, so the pair forms no reference cycle and is freed when dropped.
+    """
     cached = getattr(alg, "_opposite_cache", None)
+    if isinstance(cached, weakref.ref):
+        cached = cached()  # None once the algebra it names is dropped
     if cached is None:
         cached = opposite_algebra(alg)
-        cached._opposite_cache = alg
+        cached._opposite_cache = weakref.ref(alg)
         alg._opposite_cache = cached
     return cached
 
@@ -75,13 +82,12 @@ class Representation:
                 raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
         self.mats: dict[str, list[list]] = {}
         for a in q.arrows:
-            m = mats.get(a.name)
+            m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
             if m is None:
-                m = linalg.zeros(self.dims[a.source], self.dims[a.target], F)
-            if len(m) != self.dims[a.source] or any(len(r) != self.dims[a.target] for r in m):
+                m = linalg.zeros(nrows, ncols, F)
+            elif len(m) != nrows or set(map(len, m)) - {ncols}:
                 raise ModuleValidationError(
-                    f"matrix for arrow {a.name!r} has wrong shape, want "
-                    f"{self.dims[a.source]}x{self.dims[a.target]}"
+                    f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
                 )
             self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}") if validate else m
         for name in mats:
@@ -142,9 +148,11 @@ class Representation:
         if self._top_lifts is None:
             rad_rows = radical_rows(self)
             self._top_lifts = {}
-            for v in self.algebra.quiver.vertices:
-                pivots = set(linalg.rref(rad_rows[v], self.dims[v], self.field)[1])
-                self._top_lifts[v] = [j for j in range(self.dims[v]) if j not in pivots]
+            for v, d in self.dims.items():
+                # no radical rows (or no dimension) at v: the whole component is top
+                rows = rad_rows[v] if d else ()
+                pivots = set(linalg.rref(rows, d, self.field)[1]) if rows else ()
+                self._top_lifts[v] = [j for j in range(d) if j not in pivots]
         return self._top_lifts
 
     def validate(self) -> None:
@@ -294,15 +302,19 @@ def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> tuple[TermInfo, d
     """Bookkeeping of P_v^{mults[v]} from the algebra's projective layout, and
     per vertex w where each generator's block of the component at w starts."""
     generators = tuple((v, c) for v in alg.vertices for c in range(mults.get(v, 0)))
-    basis: dict[str, list[tuple[int, int]]] = {w: [] for w in alg.vertices}
-    offsets: dict[str, dict[int, int]] = {w: {} for w in alg.vertices}
+    blocks = alg.projective_layout.blocks
+    basis: dict[str, list[tuple[int, int]]] = {}
+    offsets: dict[str, dict[int, int]] = {}
     for g, (v, _) in enumerate(generators):
-        for w, block in alg.projective_layout.blocks[v].items():
-            offsets[w][g] = len(basis[w])
-            basis[w].extend((g, i) for i in block)
+        for w, block in blocks[v].items():
+            b = basis.setdefault(w, [])
+            offsets.setdefault(w, {})[g] = len(b)
+            b.extend((g, i) for i in block)
     # the basis is in path-length order, so each block of P_v at v starts with its unit
     gen_pos = tuple((v, offsets[v][g]) for g, (v, _) in enumerate(generators))
-    return TermInfo(generators, {w: tuple(b) for w, b in basis.items()}, gen_pos), offsets
+    full = dict.fromkeys(alg.vertices, ())
+    full.update((w, tuple(b)) for w, b in basis.items())
+    return TermInfo(generators, full, gen_pos), offsets
 
 
 def materialize_term(
@@ -322,7 +334,8 @@ def materialize_term(
     table, local = alg.table, alg.projective_layout.local
     mats = {}
     for a in alg.quiver.arrows:
-        j, starts = alg.arrow_index[a.name], offsets[a.target]
+        # a product lands in a block that the term has, so its offsets exist then
+        j, starts = alg.arrow_index[a.name], offsets.get(a.target)
         mat = linalg.zeros(dims[a.source], dims[a.target], F)
         for p, (g, i) in enumerate(info.basis[a.source]):
             for k, c in table[i].get(j, ()):

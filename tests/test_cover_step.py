@@ -28,6 +28,7 @@ from quiverhom import (
     dual_module,
     linalg,
     standard_module,
+    zero_module,
 )
 from quiverhom.homology import MAX_TERM_WIDTH, cover_width, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
@@ -164,3 +165,75 @@ def test_cover_step_matches_dense_reference_with_repeated_generators():
     m = Representation(alg, {v: 2 * d for v, d in p1.dims.items()}, mats)
     assert projective_cover_and_syzygy(m).mults == {"1": 2, "2": 0}
     assert_chain_matches(m, 4)
+
+
+def test_cover_step_matches_dense_reference_on_the_zero_module():
+    q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    for F in (QQ, GF):
+        alg = build_algebra(q, IdealSpec.zero(3), F)
+        syz = assert_step_matches(zero_module(alg))
+        assert syz.is_zero
+
+
+def gap_module(F):
+    """On 1 -> 2 -> 3 -> 4 with J^3 = 0: k at 1, 3 and 4, zero at 2, and the
+    arrow 3 -> 4 the identity.  Its top is at 1 and 3; at 4 the cover has one
+    row, from the path 3 -> 4, for the module's one dimension."""
+    q = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    alg = build_algebra(q, IdealSpec.zero(3), F)
+    return Representation(alg, {"1": 1, "3": 1, "4": 1}, {"c": [[F.one]]})
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_cover_step_matches_dense_reference_where_the_rows_equal_the_dimension(F):
+    m = gap_module(F)
+    step = projective_cover_and_syzygy(m)
+    assert len(step.cover_rows["4"]) == m.dims["4"] == 1
+    assert_chain_matches(m, 4)
+
+
+def counted_eliminations(monkeypatch):
+    """The top-level rref and RowSpace calls from here on, as (kind, rows, ncols)."""
+    calls, depth = [], [0]
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            if not depth[0]:
+                calls.append((kind, len(args[-3]), args[-2]))
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(linalg.RowSpace, "__init__", counted("RowSpace", linalg.RowSpace.__init__))
+    return calls
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_a_cover_step_eliminates_only_where_the_term_or_the_radical_is(F, monkeypatch):
+    # the simple at 0 of the 7-cycle with J^4 = 0: no radical rows anywhere,
+    # and the term P_0 reaches 0..3 along one path, a row at each
+    arrows = [(f"a{i}", str(i), str((i + 1) % 7)) for i in range(7)]
+    alg = build_algebra(Quiver.build([str(v) for v in range(7)], arrows), IdealSpec.zero(4), F)
+    simple = standard_module(alg, "simple", "0")
+    gap = gap_module(F)
+    calls = counted_eliminations(monkeypatch)
+    step = projective_cover_and_syzygy(simple)
+    # rank only at 0 (one row for one dimension); 1..3 have rows and no
+    # dimension, so their kernel is every row and nothing is eliminated
+    assert calls == [("rref", 1, 1)] + [("RowSpace", 1, 0)] * 3
+    assert step.syzygy.dims == {str(v): int(v in (1, 2, 3)) for v in range(7)}
+    calls.clear()
+    step = projective_cover_and_syzygy(gap)
+    assert calls == [
+        ("rref", 1, 1),  # top lifts at 4, the only vertex with radical rows
+        ("rref", 1, 1),  # cover at 1: the unit row, rank only
+        ("RowSpace", 1, 0),  # at 2: the path 1 -> 2, into a zero component
+        ("RowSpace", 2, 1),  # at 3: the path 1 -> 3 and the unit row of P_3
+        ("rref", 1, 1),  # at 4: the path 3 -> 4, rank only
+    ]
+    assert step.syzygy.dims == {"1": 0, "2": 1, "3": 1, "4": 0}

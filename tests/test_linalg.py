@@ -73,6 +73,41 @@ def test_sparse_reduction_matches_the_dense_reference(data, draw):
     assert linalg.rank(echelon + [diff], ncols, F) == len(pivots)
 
 
+def field_vec_mat(x, rows, ncols, F):
+    """x @ rows through the field's add and mul, one call per nonzero product."""
+    out = [F.zero] * ncols
+    for xi, row in zip(x, rows):
+        for j, a in enumerate(row):
+            if xi and a:
+                out[j] = F.add(out[j], F.mul(xi, a))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([QQ, GF5, PrimeField(2**31 - 1)]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.data(),
+)
+def test_vec_mat_matches_the_field_method_reference(F, nrows, ncols, draw):
+    # ints, Fractions (a zero one too) and negative ints, near p over GF(p)
+    entry = st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.integers(0, 3).map(lambda d: -d - 1),
+    )
+    # QQ takes ints and Fractions as they are, so both types meet in one product
+    of = (lambda v: v) if F is QQ else F.of
+    x = [of(draw.draw(entry)) for _ in range(nrows)]
+    rows = [[of(draw.draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
+    got = linalg.vec_mat(x, rows, ncols, F)
+    want = field_vec_mat(x, rows, ncols, F)
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+    if F is not QQ:
+        assert all(type(v) is int and 0 <= v < F.p for v in got)
+
+
 @given(matrix_and_field())
 def test_rank_transpose_invariant(data):
     F, rows, ncols = data

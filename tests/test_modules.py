@@ -5,6 +5,7 @@ Hom out of a projective is evaluation at its vertex, duality swaps Hom
 arguments, kernels and images obey rank-nullity vertexwise.
 """
 
+import gc
 import random
 import re
 from fractions import Fraction
@@ -327,6 +328,28 @@ def test_opposite_on_a_non_monomial_ideal(F, which):
             assert ext_dims(s, inj, 3).dims == want
             assert ext_dims(s, inj, 3, "injective").dims == want
 
+
+
+def test_a_dropped_algebra_and_its_opposite_leave_no_cycle():
+    # the opposite holds its algebra weakly, so dropping the algebra frees
+    # both by reference counting alone, with the cyclic collector off
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    gc.collect()
+    gc.disable()
+    try:
+        alg = build_algebra(q, IdealSpec.zero(3), QQ)
+        s = standard_module(alg, "simple", "1")
+        assert ext_dims(s, s, 3, side="injective").dims == ext_dims(s, s, 3).dims
+        assert get_opposite(get_opposite(alg)) is alg
+        del alg, s
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # an opposite that outlives its algebra builds its own opposite again
+    op = get_opposite(build_algebra(q, IdealSpec.zero(3), QQ))
+    back = get_opposite(op)
+    assert back is not None and get_opposite(op) is back
+    assert [el.arrows for el in back.elements] == [el.arrows[::-1] for el in op.elements]
 
 def test_embed_submodule_rejects_rows_that_are_not_arrow_stable(cycle_tail_algebra):
     p1 = standard_module(cycle_tail_algebra, "projective", "1")
