@@ -11,7 +11,11 @@ For every end-to-end metric of BENCHMARK.json it prints, per side, the
 median and the quartiles of the runs and the number of pairs that side won
 (strictly better, by the metric's direction), then the change's median gain
 (positive when better) in % of the parent's median and in units of the
-parent's interquartile range.  The runs and that summary
+parent's interquartile range, and a verdict: "gain" when the change won at
+least 9 of 10 pairs and its median gain exceeds the parent's interquartile
+range, "worse past bound" when its median is worse than the parent's by
+more than the metric's bound in BENCHMARK.json (a fraction of the parent's
+median), and "level/unresolved" otherwise.  The runs and that summary
 go to ``<out>/BENCH_<workload>_<side>.json``, one file per side, the sides
 being ``parent`` (BASE) and ``change`` (HEAD).  Exit
 status is 0, or 1 if a run failed or reported a failed op.
@@ -64,16 +68,35 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def gain(summary: dict, metric: dict) -> str:
-    """The change's median gain over the parent's, positive when better: in %
-    of the parent's median and in units of the parent's interquartile range."""
+def _median_gain(summary: dict, metric: dict) -> tuple[float, float, float]:
+    """The change's median gain (positive when better), the parent's median
+    and the parent's interquartile range."""
     sign = 1 if metric["better"] == "higher" else -1
     parent, change = summary["parent"][metric["name"]], summary["change"][metric["name"]]
     delta = sign * (change["median"] - parent["median"])
-    pct = f"{100 * delta / parent['median']:+.1f} %" if parent["median"] else "n/a"
-    iqr = parent["q3"] - parent["q1"]
+    return delta, parent["median"], parent["q3"] - parent["q1"]
+
+
+def gain(summary: dict, metric: dict) -> str:
+    """The change's median gain over the parent's, positive when better: in %
+    of the parent's median and in units of the parent's interquartile range."""
+    delta, median, iqr = _median_gain(summary, metric)
+    pct = f"{100 * delta / median:+.1f} %" if median else "n/a"
     units = f"{delta / iqr:+.1f} parent IQR" if iqr else "parent IQR 0"
     return f"gain {pct}, {units}"
+
+
+def verdict(summary: dict, metric: dict, pairs: int) -> str:
+    """The metric's verdict: "gain" when the change won at least 9/10 of the
+    pairs and its median gain exceeds the parent's IQR, "worse past bound"
+    when its median is worse by more than the metric's bound (a fraction of
+    the parent's median), and "level/unresolved" otherwise."""
+    delta, median, iqr = _median_gain(summary, metric)
+    if 10 * summary["change"][metric["name"]]["wins"] >= 9 * pairs and delta > iqr:
+        return "gain"
+    if median and -delta > metric["bound"] * abs(median):
+        return "worse past bound"
+    return "level/unresolved"
 
 
 def main() -> int:
@@ -114,6 +137,7 @@ def main() -> int:
                 f"{label} {s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}] wins {s['wins']}"
             )
         cells.append(gain(summary, metric))
+        cells.append(f"verdict {verdict(summary, metric, args.pairs)}")
         print(f"{name} ({metric['better']} is better): " + "; ".join(cells))
     os.makedirs(args.out, exist_ok=True)
     for label in LABELS:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from . import linalg
@@ -272,18 +273,46 @@ class _RelationSpan:
         return tuple(rels)
 
 
+@dataclass(frozen=True, slots=True)
+class TermInfo:
+    """Basis bookkeeping for a finite sum of indecomposable projectives.
+
+    generators lists (vertex, copy) pairs in vertex order; basis maps each
+    vertex w to the (generator index, algebra element index) pairs that make
+    up the component there; gen_pos locates each generator's unit vector.
+    """
+
+    generators: tuple[tuple[str, int], ...]
+    basis: dict[str, tuple[tuple[int, int], ...]]
+    gen_pos: tuple[tuple[str, int], ...]
+
+
 class ProjectiveLayout(NamedTuple):
     """Per vertex v, the basis elements from v, which span P_v: blocks[v][w]
     lists those ending at w in index order (only the w that some reach),
     local[i] is the position of element i in its block, and dims[v] is dim P_v.
     walks[v] holds, per element from v in index order, (target, pre, arrows):
     the element's path is the one at position pre of the walk (the empty path
-    when pre < 0) followed by arrows, pre naming its longest prefix there."""
+    when pre < 0) followed by arrows, pre naming its longest prefix there.
+    terms[v] holds P_v's own TermInfo and block offsets, made by ``term(v)``
+    when first read, so a one-generator term is never built twice."""
 
     blocks: dict[str, dict[str, tuple[int, ...]]]
     local: tuple[int, ...]
     dims: dict[str, int]
     walks: dict[str, tuple[tuple[str, int, tuple[str, ...]], ...]]
+    terms: dict[str, tuple[TermInfo, dict[str, dict[int, int]]]]
+
+    def term(self, v: str) -> tuple[TermInfo, dict[str, dict[int, int]]]:
+        """P_v with its one generator: its TermInfo and, per vertex w its
+        blocks reach, where the generator's block starts, which is 0."""
+        if v not in self.terms:
+            basis = dict.fromkeys(self.dims, ())
+            basis.update((w, tuple(zip(repeat(0), b))) for w, b in self.blocks[v].items())
+            # the generator and its unit position are both (v, 0); the blocks share one offsets dict
+            gen = ((v, 0),)
+            self.terms[v] = TermInfo(gen, basis, gen), dict.fromkeys(self.blocks[v], {0: 0})
+        return self.terms[v]
 
 
 class FiniteDimAlgebra:
@@ -376,7 +405,7 @@ class FiniteDimAlgebra:
         dims = {v: sum(map(len, row.values())) for v, row in blocks.items()}
         blocks = {v: {w: tuple(b) for w, b in row.items()} for v, row in blocks.items()}
         walks = {v: tuple(walk) for v, walk in walks.items()}
-        return ProjectiveLayout(blocks, tuple(local), dims, walks)
+        return ProjectiveLayout(blocks, tuple(local), dims, walks, {})
 
     @cached_property
     def radical_indices(self) -> tuple[int, ...]:

@@ -29,8 +29,11 @@ Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
 of copies of components of N indexed by the generators of P.  Ext^k needs
 P_0..P_(k+1), but the generators of P_(k+1) are the top lifts of
-Omega^(k+1), so the chain takes cover steps on Omega^0..Omega^k only.
-Everything is exact arithmetic over the base field.
+Omega^(k+1), so the chain takes cover steps on Omega^0..Omega^k only.  Into
+a semisimple N (every arrow acting by zero) the complex has zero maps, so
+its dimensions are read off the tops of Omega^0..Omega^k, and only
+Omega^0..Omega^(k-1) are stepped.  Everything is exact arithmetic over the
+base field.
 """
 
 from __future__ import annotations
@@ -159,6 +162,15 @@ def cover_width(m: Representation) -> int:
     return sum(len(lifts[v]) * dims[v] for v in m.algebra.vertices)
 
 
+def _refuse_wide_cover(m: Representation) -> None:
+    """Refuse a module whose projective cover is wider than MAX_TERM_WIDTH."""
+    # the width is at most dim top * dim alg: count it only when that bound is past the budget
+    if sum(map(len, m.top_lifts().values())) * m.algebra.dim > MAX_TERM_WIDTH:
+        width = cover_width(m)
+        if width > MAX_TERM_WIDTH:
+            raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
+
+
 def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     """Projective cover of a module together with its first syzygy.
 
@@ -179,24 +191,25 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     alg = m.algebra
     q, F = alg.quiver, alg.field
     lifts = m.top_lifts()
-    mults = {v: len(free) for v, free in lifts.items()}
-    # the width is at most dim top * dim alg: count it only when that bound is past the budget
-    if sum(mults.values()) * alg.dim > MAX_TERM_WIDTH:
-        width = cover_width(m)
-        if width > MAX_TERM_WIDTH:
-            raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
+    _refuse_wide_cover(m)
+    mults = dict(zip(lifts, map(len, lifts.values())))
     info, offsets = term_info(alg, mults)
     layout = alg.projective_layout
     cover_rows: dict[str, list[list]] = {}
     for v, c in info.generators:
         # the lift row times each basis path's matrix, along v's walk: one
-        # vector times matrix per arrow past the path's longest earlier prefix
-        unit = [F.one if j == lifts[v][c] else F.zero for j in range(m.dims[v])]
+        # vector times matrix per arrow past the path's longest earlier
+        # prefix, and none past a prefix whose row is zero already
+        unit = [F.zero] * m.dims[v]
+        unit[lifts[v][c]] = F.one
         walked: list[list] = []
         for w, pre, arrows in layout.walks[v]:
             row = walked[pre] if pre >= 0 else unit
-            for name in arrows:
-                row = linalg.vec_mat(row, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
+            if any(row):
+                for name in arrows:
+                    row = linalg.vec_mat(row, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
+            else:
+                row = [F.zero] * m.dims[w]
             walked.append(row)
             cover_rows.setdefault(w, []).append(row)
     kernel: dict[str, list[list]] = {}
@@ -232,7 +245,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
                         if r is not None:
                             img[r] = F.add(img[r], F.mul(x, coeff))
             mats[a.name].append(img)
-    syz = Representation(alg, {w: len(b) for w, b in kernel.items()}, mats, validate=False)
+    syz = Representation(alg, dict(zip(kernel, map(len, kernel.values()))), mats, validate=False)
     minimal = not any(row[p] for w, p in info.gen_pos for row in kernel[w])
     return CoverStep(mults, info, syz, minimal, m, cover_rows, kernel)
 
@@ -483,11 +496,23 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     off the top of Omega^(k+1) and that module takes no cover step.  The
     generator at lift j of Omega^i_u maps in P_(i-1) to row j of the
     inclusion of Omega^i at u.
+
+    When every arrow of N acts by zero (N.J = 0), the complex is not built:
+    the resolution is minimal, so each differential maps P_i into the
+    radical P_(i-1)J, which every map P_(i-1) -> N kills.  Every map of the
+    Hom complex is then zero, and dim Ext^i = dim Hom(P_i, N) = sum_v
+    dim top_v(Omega^i) * dim N_v, read off the tops of Omega^0..Omega^k, so
+    only Omega^0..Omega^(k-1) take cover steps.
     """
-    table = m.table
+    table, vertices = m.table, n.algebra.vertices
+    if not any(map(any, chain.from_iterable(n.mats.values()))):
+        path = list(islice(table.walk(m.node), k + 1))
+        _refuse_wide_cover(table.modules[path[-1]])  # as its cover step would
+        support = [(v, d) for v, d in n.dims.items() if d]
+        tops = (table.modules[i].top_lifts() for i in path)
+        return tuple(sum(len(lifts[v]) * d for v, d in support) for lifts in tops)
     path = list(islice(table.walk(m.node), k + 2))
     steps = [table.step(i) for i in path[:-1]]
-    vertices = n.algebra.vertices
     # the generators of P_i in vertex order, as (vertex, top lift of Omega^i)
     gens = []
     for lifts in (table.modules[i].top_lifts() for i in path):

@@ -19,9 +19,13 @@ ints or Fractions.  Each pivot row not already led by 1 is scaled by
 rows are updated only at the pivot row's nonzero columns, so a zero the
 elimination never touches stays the input's own object.  The inputs here are
 sparse; on dense rows every update is a Fraction operation.  Over GF(p) the
-entries are plain ints reduced mod p.  Reduced row echelon form is
-canonical, so two row spaces are equal iff their echelon bases are equal
-lists.
+entries are plain ints in [0, p): a row already so is taken as given, and
+may come back as an echelon row itself; only a row with an entry outside
+is reduced first, and only rows made by the elimination are written to, so
+no input is ever mutated.  A single row or column is a decided block: its
+``rank`` is read off its entries, with no elimination.  Reduced row echelon
+form is canonical, so two row spaces are equal iff their echelon bases are
+equal lists.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def zeros(nrows: int, ncols: int, field) -> list[list]:
 
 def identity(n: int, field) -> list[list]:
     z, o = field.zero, field.one
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+    return [[z] * i + [o] + [z] * (n - 1 - i) for i in range(n)]
 
 
 def transpose(rows: list[list], ncols: int) -> list[list]:
@@ -98,8 +102,10 @@ def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
 
 
 def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [[v % p for v in r] for r in rows]
-    rows = [r for r in rows if any(r)]
+    # a canonical row is taken as it is, and only rows made here are written to
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= p:
+        rows = [r if 0 <= min(r) and max(r) < p else [v % p for v in r] for r in rows]
+    rows = list(filter(any, rows))
     m = len(rows)
     pivots: list[int] = []
     r = 0
@@ -113,17 +119,16 @@ def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]
                 break
         if best < 0:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        if rows[r][c] != 1:
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
-        for i in range(m):
-            if i == r:
-                continue
-            q = rows[i][c]
-            if q:
-                rows[i] = [(x - q * y) % p for x, y in zip(rows[i], prow)]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p)
+            prow = rows[r] = [(v * inv) % p for v in prow]
+        for i, row in enumerate(rows):
+            q = row[c]
+            if q and i != r:
+                rows[i] = [(x - q * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
     # every column was a pivot or zero below row r, so rows r.. are zero
@@ -145,6 +150,10 @@ def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
 
 
 def rank(rows: list[list], ncols: int, field) -> int:
+    """Rank of the matrix; a single row or column is decided without rref."""
+    if len(rows) == 1 or ncols == 1:
+        entries = rows[0] if len(rows) == 1 else [row[0] for row in rows]
+        return int(any(entries if isinstance(field, Rationals) else (x % field.p for x in entries)))
     return len(rref(rows, ncols, field)[1])
 
 
@@ -206,11 +215,7 @@ class RowSpace:
         if not rows or not ncols:
             self.kernel, self.kernel_pivots = identity(m, field), list(range(m))
             return
-        aug = []
-        for i, row in enumerate(rows):
-            tail = [field.zero] * m
-            tail[i] = field.one
-            aug.append(list(row) + tail)
+        aug = [[*row, *unit] for row, unit in zip(rows, identity(m, field))]
         echelon, pivots = rref(aug, ncols + m, field)
         self.kernel: list[list] = []
         self.kernel_pivots: list[int] = []

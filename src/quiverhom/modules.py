@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import linalg
-from .algebra import FiniteDimAlgebra, IdempotentSplit, _require_presented, opposite_algebra
+from .algebra import FiniteDimAlgebra, IdempotentSplit, TermInfo, _require_presented, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
 
 
@@ -74,25 +75,28 @@ class Representation:
         _require_presented(algebra)
         self.algebra = algebra
         q, F = algebra.quiver, algebra.field
-        self.dims: dict[str, int] = {v: dims.get(v, 0) for v in q.vertices}
-        for v, d in dims.items():
-            if v not in self.dims:
-                raise DanglingIdError(f"module names unknown vertex {v!r}")
-            if validate and not (type(d) is int and d >= 0):
-                raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
+        # the names are checked as sets; one by one only to find the first error
+        if validate or not dims.keys() <= q.vertex_index.keys():
+            for v, d in dims.items():
+                if v not in q.vertex_index:
+                    raise DanglingIdError(f"module names unknown vertex {v!r}")
+                if validate and not (type(d) is int and d >= 0):
+                    raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
+        self.dims: dict[str, int] = dict.fromkeys(q.vertices, 0)
+        self.dims.update(dims)
         self.mats: dict[str, list[list]] = {}
         for a in q.arrows:
             m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
             if m is None:
-                m = linalg.zeros(nrows, ncols, F)
+                m = linalg.zeros(nrows, ncols, F) if nrows else []
             elif len(m) != nrows or set(map(len, m)) - {ncols}:
                 raise ModuleValidationError(
                     f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
                 )
             self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}") if validate else m
-        for name in mats:
-            if name not in self.mats:
-                raise DanglingIdError(f"module names unknown arrow {name!r}")
+        if not mats.keys() <= self.mats.keys():
+            name = next(name for name in mats if name not in self.mats)
+            raise DanglingIdError(f"module names unknown arrow {name!r}")
         self._path_mats: dict[tuple[str, ...], list[list]] = {}
         self._element_mats: dict[int, list[list]] = {}
         self._top_lifts: dict[str, list[int]] | None = None
@@ -149,10 +153,17 @@ class Representation:
             rad_rows = radical_rows(self)
             self._top_lifts = {}
             for v, d in self.dims.items():
-                # no radical rows (or no dimension) at v: the whole component is top
                 rows = rad_rows[v] if d else ()
-                pivots = set(linalg.rref(rows, d, self.field)[1]) if rows else ()
-                self._top_lifts[v] = [j for j in range(d) if j not in pivots]
+                if len(rows) > 1:
+                    pivots = set(linalg.rref(rows, d, self.field)[1])
+                    self._top_lifts[v] = [j for j in range(d) if j not in pivots]
+                elif rows and any(rows[0]):
+                    # one radical row pivots at its first nonzero entry (zero is the only falsy one)
+                    c = rows[0].index(next(filter(None, rows[0])))
+                    self._top_lifts[v] = [*range(c), *range(c + 1, d)]
+                else:
+                    # no radical rows (or no dimension) at v: the whole component is top
+                    self._top_lifts[v] = list(range(d))
         return self._top_lifts
 
     def validate(self) -> None:
@@ -284,32 +295,25 @@ def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
 # sums of indecomposable projectives, with generator bookkeeping
 
 
-@dataclass(frozen=True)
-class TermInfo:
-    """Basis bookkeeping for a finite sum of indecomposable projectives.
-
-    generators lists (vertex, copy) pairs in vertex order; basis maps each
-    vertex w to the (generator index, algebra element index) pairs that make
-    up the component there; gen_pos locates each generator's unit vector.
-    """
-
-    generators: tuple[tuple[str, int], ...]
-    basis: dict[str, tuple[tuple[int, int], ...]]
-    gen_pos: tuple[tuple[str, int], ...]
-
-
 def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> tuple[TermInfo, dict[str, dict]]:
     """Bookkeeping of P_v^{mults[v]} from the algebra's projective layout, and
-    per vertex w where each generator's block of the component at w starts."""
+    per vertex w where each generator's block of the component at w starts.
+
+    A term with one generator is the layout's own P_v, returned as it is;
+    others are put together from the layout's blocks.
+    """
+    layout = alg.projective_layout
+    counts = mults.values()
+    if sum(counts) == 1 and min(counts) >= 0:
+        return layout.term(next(v for v, c in mults.items() if c))
     generators = tuple((v, c) for v in alg.vertices for c in range(mults.get(v, 0)))
-    blocks = alg.projective_layout.blocks
     basis: dict[str, list[tuple[int, int]]] = {}
     offsets: dict[str, dict[int, int]] = {}
     for g, (v, _) in enumerate(generators):
-        for w, block in blocks[v].items():
+        for w, block in layout.blocks[v].items():
             b = basis.setdefault(w, [])
             offsets.setdefault(w, {})[g] = len(b)
-            b.extend((g, i) for i in block)
+            b.extend(zip(repeat(g), block))
     # the basis is in path-length order, so each block of P_v at v starts with its unit
     gen_pos = tuple((v, offsets[v][g]) for g, (v, _) in enumerate(generators))
     full = dict.fromkeys(alg.vertices, ())

@@ -223,17 +223,18 @@ def test_a_cover_step_eliminates_only_where_the_term_or_the_radical_is(F, monkey
     gap = gap_module(F)
     calls = counted_eliminations(monkeypatch)
     step = projective_cover_and_syzygy(simple)
-    # rank only at 0 (one row for one dimension); 1..3 have rows and no
-    # dimension, so their kernel is every row and nothing is eliminated
-    assert calls == [("rref", 1, 1)] + [("RowSpace", 1, 0)] * 3
+    # rank only at 0 (one row for one dimension), decided without rref; 1..3
+    # have rows and no dimension, so their kernel is every row and nothing is
+    # eliminated
+    assert calls == [("RowSpace", 1, 0)] * 3
     assert step.syzygy.dims == {str(v): int(v in (1, 2, 3)) for v in range(7)}
     calls.clear()
     step = projective_cover_and_syzygy(gap)
+    # top lifts at 4, the only vertex with radical rows, read its one row's
+    # pivot; the cover at 1 (the unit row) and at 4 (the path 3 -> 4) has one
+    # row, whose rank is decided without rref
     assert calls == [
-        ("rref", 1, 1),  # top lifts at 4, the only vertex with radical rows
-        ("rref", 1, 1),  # cover at 1: the unit row, rank only
         ("RowSpace", 1, 0),  # at 2: the path 1 -> 2, into a zero component
         ("RowSpace", 2, 1),  # at 3: the path 1 -> 3 and the unit row of P_3
-        ("rref", 1, 1),  # at 4: the path 3 -> 4, rank only
     ]
     assert step.syzygy.dims == {"1": 0, "2": 1, "3": 1, "4": 0}

@@ -1,0 +1,149 @@
+"""rref, rank and RowSpace against an elimination that shares no code with linalg.
+
+The oracle is a dense Gauss-Jordan written here: on Fractions over QQ and on
+ints reduced mod p over GF(p), it rewrites every row at every pivot and
+imports nothing from ``linalg``.  The left kernel is found on its own as the
+null space of the transpose, read off the oracle's echelon form and put in
+echelon form itself, which is canonical.  The examples are derandomized and
+cover one row, one column, no rows, no columns, all-zero matrices and
+dependent rows over QQ, GF(5) and GF(2^31 - 1), with GF entries that are
+negative or at least p.  Every call must leave its input as it was, and
+every entry it returns must be an int or a Fraction over QQ and an int in
+[0, p) over GF(p).
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quiverhom import QQ, PrimeField, linalg
+
+BIG = 2**31 - 1
+FIELDS = [QQ, PrimeField(5), PrimeField(BIG)]
+
+
+def oracle_rref(rows, ncols, p):
+    """(echelon rows, pivot columns) by dense Gauss-Jordan; p is None over QQ."""
+    norm = Fraction if p is None else (lambda x: x % p)
+    inv = (lambda x: 1 / x) if p is None else (lambda x: pow(x, -1, p))
+    a = [[norm(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        best = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if best is None:
+            continue
+        a[r], a[best] = a[best], a[r]
+        s = inv(a[r][c])
+        prow = [norm(x * s) for x in a[r]]
+        a = [
+            prow if i == r else [norm(x - row[c] * y) for x, y in zip(row, prow)]
+            for i, row in enumerate(a)
+        ]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def oracle_left_kernel(rows, ncols, p):
+    """Echelon basis and pivots of {x : x @ rows = 0}, from the null space of the transpose."""
+    m = len(rows)
+    echelon, pivots = oracle_rref([[row[j] for row in rows] for j in range(ncols)], m, p)
+    basis = []
+    for f in range(m):
+        if f in pivots:
+            continue
+        v = [0] * m
+        v[f] = 1
+        for row, c in zip(echelon, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return oracle_rref(basis, m, p)
+
+
+def gf_entries(p):
+    if p == BIG:
+        near = st.integers(-3, 3) | st.integers(p - 3, p + 3) | st.integers(-p - 3, -p + 3)
+        return st.sampled_from([0, 0, 1]) | near
+    return st.sampled_from([0, 0]) | st.integers(-2 * p, 2 * p)
+
+
+QQ_ENTRIES = st.sampled_from([0, 0, 1]) | st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def matrices(draw):
+    F = draw(st.sampled_from(FIELDS))
+    shape = draw(st.sampled_from(["one row", "one column", "no rows", "no columns", "general"]))
+    nrows = 1 if shape == "one row" else 0 if shape == "no rows" else draw(st.integers(1, 5))
+    ncols = 1 if shape == "one column" else 0 if shape == "no columns" else draw(st.integers(1, 5))
+    if draw(st.integers(0, 5)) == 0:
+        return F, [[F.zero] * ncols for _ in range(nrows)], ncols
+    entries = QQ_ENTRIES if F == QQ else gf_entries(F.p)
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        # a combination of drawn rows, not reduced: dependent over either field
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c, d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.insert(draw(st.integers(0, len(rows))), [c * x + d * y for x, y in zip(a, b)])
+    return F, rows, ncols
+
+
+def snapshot(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def assert_entries(rows, F):
+    for row in rows:
+        for x in row:
+            if F == QQ:
+                assert type(x) in (int, Fraction)
+            else:
+                assert type(x) is int and 0 <= x < F.p
+
+
+def test_rref_rank_and_rowspace_match_the_oracle():
+    seen = set()
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(matrices())
+    def agree(data):
+        F, rows, ncols = data
+        p = None if F == QQ else F.p
+        before = snapshot(rows)
+        want, want_pivots = oracle_rref(rows, ncols, p)
+        echelon, pivots = linalg.rref(rows, ncols, F)
+        assert snapshot(rows) == before
+        assert (echelon, pivots) == (want, want_pivots)
+        assert_entries(echelon, F)
+        assert linalg.rank(rows, ncols, F) == len(want_pivots)
+        assert snapshot(rows) == before
+        space = linalg.RowSpace(rows, ncols, F)
+        assert snapshot(rows) == before
+        assert (space.basis, space.pivots) == (want, want_pivots)
+        assert (space.kernel, space.kernel_pivots) == oracle_left_kernel(rows, ncols, p)
+        assert_entries(space.basis + space.kernel, F)
+        # what the draw covered, per field
+        if len(rows) == 1:
+            seen.add((F.name, "one row"))
+        if ncols == 1:
+            seen.add((F.name, "one column"))
+        if not rows:
+            seen.add((F.name, "no rows"))
+        if rows and not ncols:
+            seen.add((F.name, "no columns"))
+        if rows and ncols and not any(x for row in rows for x in row):
+            seen.add((F.name, "all zero"))
+        nonzero = [row for row in rows if any(x % p if p else x for x in row)]
+        if 1 <= len(want_pivots) < len(nonzero):
+            seen.add((F.name, "dependent rows"))
+        if p and any(x < 0 for row in rows for x in row):
+            seen.add((F.name, "negative"))
+        if p and any(x >= p for row in rows for x in row):
+            seen.add((F.name, "at least p"))
+
+    agree()
+    kinds = ["one row", "one column", "no rows", "no columns", "all zero", "dependent rows"]
+    want = {(F.name, kind) for F in FIELDS for kind in kinds}
+    want |= {(F.name, kind) for F in FIELDS[1:] for kind in ("negative", "at least p")}
+    assert seen == want
