@@ -7,6 +7,9 @@
 BASE and HEAD are the roots of two checkouts.  Each pair runs
 ``perfbench/run.py`` once in each, BASE first in even pairs and HEAD first
 in odd ones, so a drift of the machine's speed falls on both sides alike.
+Every run compiles its sources afresh: it gets ``PYTHONDONTWRITEBYTECODE=1``
+and a new, empty ``PYTHONPYCACHEPREFIX``, so a ``__pycache__`` left in one
+checkout cannot move that side's set-up time or memory.
 For every end-to-end metric of BENCHMARK.json it prints, per side, the
 median and the quartiles of the runs and the number of pairs that side won
 (strictly better, by the metric's direction), then the change's median gain
@@ -27,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LABELS = ("parent", "change")
@@ -38,7 +42,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
     ]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(
+            cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True
+        )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = os.path.join(checkout, "perfbench", "results", f"{workload}-seed{seed}-trace0.json")
     with open(record) as fh:

@@ -291,16 +291,17 @@ class ProjectiveLayout(NamedTuple):
     """Per vertex v, the basis elements from v, which span P_v: blocks[v][w]
     lists those ending at w in index order (only the w that some reach),
     local[i] is the position of element i in its block, and dims[v] is dim P_v.
-    walks[v] holds, per element from v in index order, (target, pre, arrows):
-    the element's path is the one at position pre of the walk (the empty path
-    when pre < 0) followed by arrows, pre naming its longest prefix there.
+    walks[v] lists the elements from v in index order, and prefix[i] is
+    (target, pre, arrows): element i's path is element pre's, its longest
+    earlier prefix (the empty path when pre < 0), followed by arrows.
     terms[v] holds P_v's own TermInfo and block offsets, made by ``term(v)``
     when first read, so a one-generator term is never built twice."""
 
     blocks: dict[str, dict[str, tuple[int, ...]]]
     local: tuple[int, ...]
     dims: dict[str, int]
-    walks: dict[str, tuple[tuple[str, int, tuple[str, ...]], ...]]
+    walks: dict[str, tuple[int, ...]]
+    prefix: tuple[tuple[str, int, tuple[str, ...]], ...]
     terms: dict[str, tuple[TermInfo, dict[str, dict[int, int]]]]
 
     def term(self, v: str) -> tuple[TermInfo, dict[str, dict[int, int]]]:
@@ -389,23 +390,24 @@ class FiniteDimAlgebra:
     @cached_property
     def projective_layout(self) -> ProjectiveLayout:
         blocks: dict[str, dict[str, list[int]]] = {v: {} for v in self.vertices}
-        walks: dict[str, list] = {v: [] for v in self.vertices}
-        at: dict[tuple[str, ...], int] = {}  # each nonempty path's position in its walk
-        local = []
+        walks: dict[str, list[int]] = {v: [] for v in self.vertices}
+        at: dict[tuple[str, ...], int] = {}  # each nonempty path's element index
+        local, prefix = [], []
         for i, el in enumerate(self.elements):
             block = blocks[el.source].setdefault(el.target, [])
             local.append(len(block))
             block.append(i)
+            walks[el.source].append(i)
             path = el.arrows
             k = max(len(path) - 1, 0)
             while k and path[:k] not in at:
                 k -= 1
-            at[path] = len(walks[el.source])
-            walks[el.source].append((el.target, at[path[:k]] if k else -1, path[k:]))
+            at[path] = i
+            prefix.append((el.target, at[path[:k]] if k else -1, path[k:]))
         dims = {v: sum(map(len, row.values())) for v, row in blocks.items()}
         blocks = {v: {w: tuple(b) for w, b in row.items()} for v, row in blocks.items()}
         walks = {v: tuple(walk) for v, walk in walks.items()}
-        return ProjectiveLayout(blocks, tuple(local), dims, walks, {})
+        return ProjectiveLayout(blocks, tuple(local), dims, walks, tuple(prefix), {})
 
     @cached_property
     def radical_indices(self) -> tuple[int, ...]:

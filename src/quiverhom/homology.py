@@ -195,22 +195,24 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     mults = dict(zip(lifts, map(len, lifts.values())))
     info, offsets = term_info(alg, mults)
     layout = alg.projective_layout
+    prefix = layout.prefix
     cover_rows: dict[str, list[list]] = {}
     for v, c in info.generators:
-        # the lift row times each basis path's matrix, along v's walk: one
-        # vector times matrix per arrow past the path's longest earlier
-        # prefix, and none past a prefix whose row is zero already
+        # the lift row times each basis path's matrix, along the layout's
+        # prefix record: one vector times matrix per arrow past the path's
+        # longest earlier prefix, and none past a prefix whose row is zero
         unit = [F.zero] * m.dims[v]
         unit[lifts[v][c]] = F.one
-        walked: list[list] = []
-        for w, pre, arrows in layout.walks[v]:
+        walked: dict[int, list] = {}  # each element's row, by element index
+        for i in layout.walks[v]:
+            w, pre, arrows = prefix[i]
             row = walked[pre] if pre >= 0 else unit
             if any(row):
                 for name in arrows:
                     row = linalg.vec_mat(row, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
             else:
                 row = [F.zero] * m.dims[w]
-            walked.append(row)
+            walked[i] = row
             cover_rows.setdefault(w, []).append(row)
     kernel: dict[str, list[list]] = {}
     kernel_cols: dict[str, dict[int, int]] = {}

@@ -11,7 +11,8 @@ for it.  Entries are canonical field elements (see ``fields``), so zero is
 the only falsy entry and zero tests are truthiness: ``if x``, ``any(row)``.
 Zero and identity matrices hold the ints 0 and 1.  A vector lies in a row
 space iff ``reduce_mod_rowspace`` against the space's ``rref`` basis leaves
-nothing; ``RowSpace`` is for when the left kernel is wanted as well.
+nothing.  ``RowSpace`` is the one kernel routine: a left kernel is its
+``kernel``, and a right kernel is that of the transpose.
 
 Row reduction over the rationals is Gauss-Jordan on the entries as given,
 ints or Fractions.  Each pivot row not already led by 1 is scaled by
@@ -174,27 +175,6 @@ def reduce_mod_rowspace(v: list, echelon: list[list], pivots: list[int], field) 
             if y:
                 out[j] = sub(out[j], mul(coeff, y))
     return out
-
-
-def right_kernel(rows: list[list], ncols: int, field) -> list[list]:
-    """Canonical basis of {v : rows @ v^T = 0}, as rows of length ncols."""
-    echelon, pivots = rref(rows, ncols, field)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for row, c in zip(echelon, pivots):
-            v[c] = field.neg(row[f])
-        basis.append(v)
-    return rref(basis, ncols, field)[0]
-
-
-def left_kernel(rows: list[list], ncols: int, field) -> list[list]:
-    """Canonical basis of {x : x @ rows = 0}, as rows of length len(rows)."""
-    return right_kernel(transpose(rows, ncols), len(rows), field)
 
 
 class RowSpace:

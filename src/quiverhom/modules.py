@@ -3,7 +3,8 @@
 A representation assigns each vertex an exact vector space (stored only as a
 dimension) and each arrow a matrix from its source component to its target
 component.  Row vectors act on the right, so the matrix for a path is the
-product of its arrow matrices read left to right.
+product of its arrow matrices read left to right; a basis element's is its
+longest earlier prefix's times the arrows past it, kept per element.
 
 Validity means the defining ideal acts as zero: every relation's matrix
 vanishes and the radical chain M, MJ, MJ^2, ... dies by the truncation
@@ -21,6 +22,7 @@ submodule generated by seed rows is spanned at w by seed_v · x over the basis
 elements x : v -> w, and the largest submodule supported on a vertex set is,
 at each vertex v in it, the common left kernel of the basis elements from v
 to vertices outside.  A quotient reads its arrow matrices off the free rows.
+Every kernel here, Hom spaces and socles included, is a ``RowSpace``'s.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ def _checked_copy(rows: list[list], F, where: str) -> list[list]:
 class Representation:
     """A right module: per-vertex dimensions plus per-arrow matrices.
 
-    A representation is not mutated after construction, so path and element
-    matrices and the top lifts are memoized on it; callers must not mutate
+    Not mutated after construction, so each basis element's matrix and the
+    top lifts are memoized on it (nothing per path); callers must not mutate
     what is handed out.  A validated one (input from outside) has checked
     and copied its input; an unvalidated one keeps the rows it was given.
     """
@@ -97,7 +99,6 @@ class Representation:
         if not mats.keys() <= self.mats.keys():
             name = next(name for name in mats if name not in self.mats)
             raise DanglingIdError(f"module names unknown arrow {name!r}")
-        self._path_mats: dict[tuple[str, ...], list[list]] = {}
         self._element_mats: dict[int, list[list]] = {}
         self._top_lifts: dict[str, list[int]] | None = None
         if validate:
@@ -119,33 +120,31 @@ class Representation:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def path_matrix(self, arrows) -> list[list]:
-        """Matrix of the path action, a product of arrow matrices.
-
-        Every prefix's product is kept, so each distinct path costs one product.
-        """
-        path = tuple(arrows)
-        if not path:
-            raise InputError("path_matrix needs at least one arrow")
-        k = len(path)
-        while k > 1 and path[:k] not in self._path_mats:
-            k -= 1
-        out = self._path_mats[path[:k]] if k > 1 else self.mats[path[0]]
-        for j in range(k, len(path)):
-            a = self.algebra.quiver.arrow_by_name[path[j]]
-            out = linalg.mat_mul(out, self.mats[a.name], self.dims[a.target], self.field)
-            self._path_mats[path[: j + 1]] = out
-        return out
-
     def element_matrix(self, idx: int) -> list[list]:
-        """Matrix of a basis element's action, from its representative path."""
-        if idx not in self._element_mats:
-            el = self.algebra.elements[idx]
-            self._element_mats[idx] = (
-                self.path_matrix(el.arrows) if el.arrows
-                else linalg.identity(self.dims[el.source], self.field)
-            )
-        return self._element_mats[idx]
+        """Matrix of a basis element's action, along the layout's prefix
+        record: its longest earlier prefix's matrix times the arrows past it.
+        Prefixes not yet built are built first, each once, and all are kept."""
+        built = self._element_mats
+        if idx not in built:
+            prefix = self.algebra.projective_layout.prefix
+            todo, i = [], idx
+            while i >= 0 and i not in built:
+                todo.append(i)
+                i = prefix[i][1]
+            arrow_by_name, F = self.algebra.quiver.arrow_by_name, self.field
+            for i in reversed(todo):
+                w, pre, arrows = prefix[i]
+                if pre >= 0:
+                    mat = built[pre]
+                elif arrows:
+                    # no nonempty prefix: start from the first arrow's own matrix
+                    mat, arrows = self.mats[arrows[0]], arrows[1:]
+                else:
+                    mat = linalg.identity(self.dims[w], F)
+                for name in arrows:
+                    mat = linalg.mat_mul(mat, self.mats[name], self.dims[arrow_by_name[name].target], F)
+                built[i] = mat
+        return built[idx]
 
     def top_lifts(self) -> dict[str, list[int]]:
         """Per vertex v, the dim top_v free coordinates of the radical's echelon form."""
@@ -172,11 +171,12 @@ class Representation:
         q = alg.quiver
         F = self.field
         for src, tgt, terms in alg.ideal.uniform_relations(q):
-            nrows, ncols = self.dims[src], self.dims[tgt]
-            acc = linalg.zeros(nrows, ncols, F)
+            acc = linalg.zeros(self.dims[src], self.dims[tgt], F)
             for coeff, arrows in terms:
-                c = F.of(coeff)
-                for row, path_row in zip(acc, self.path_matrix(arrows)):
+                c, mat = F.of(coeff), self.mats[arrows[0]]
+                for name in arrows[1:]:
+                    mat = linalg.mat_mul(mat, self.mats[name], self.dims[q.arrow_by_name[name].target], F)
+                for row, path_row in zip(acc, mat):
                     for j, x in enumerate(path_row):
                         if x:
                             row[j] = F.add(row[j], F.mul(c, x))
@@ -533,14 +533,10 @@ def structure_parts(m: Representation) -> "StructureParts":
     rad_rep, rad_incl = embed_submodule(m, rad_rows)
     top_rep, top_proj = quotient_by_submodule(m, rad_rows)
     soc_rows = {}
-    for v in q.vertices:
-        outs = [a for a in q.arrows if a.source == v]
-        if not outs:
-            soc_rows[v] = linalg.identity(m.dims[v], F)
-            continue
-        stacked = [sum((list(m.mats[a.name][i]) for a in outs), []) for i in range(m.dims[v])]
+    for v, outs in q.out_arrows.items():
+        stacked = [sum((m.mats[a.name][i] for a in outs), []) for i in range(m.dims[v])]
         width = sum(m.dims[a.target] for a in outs)
-        soc_rows[v] = linalg.left_kernel(stacked, width, F)
+        soc_rows[v] = linalg.RowSpace(stacked, width, F).kernel
     soc_rep, soc_incl = embed_submodule(m, soc_rows)
     return StructureParts(rad_rep, rad_incl, top_rep, top_proj, soc_rep, soc_incl)
 
@@ -575,25 +571,20 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
             for k in range(n.dims[w]):
                 row = [F.zero] * nvars
                 for j in range(m.dims[w]):
-                    row[offsets[w] + j * n.dims[w] + k] = F.add(
-                        row[offsets[w] + j * n.dims[w] + k], m.mats[a.name][i][j]
-                    )
+                    row[offsets[w] + j * n.dims[w] + k] = m.mats[a.name][i][j]
                 for l in range(n.dims[v]):
-                    row[offsets[v] + i * n.dims[v] + l] = F.sub(
-                        row[offsets[v] + i * n.dims[v] + l], n.mats[a.name][l][k]
-                    )
+                    col = offsets[v] + i * n.dims[v] + l  # written above too when a is a loop
+                    row[col] = F.sub(row[col], n.mats[a.name][l][k])
                 if any(row):
                     eqs.append(row)
-    basis = linalg.right_kernel(eqs, nvars, F) if eqs else linalg.identity(nvars, F)
+    basis = linalg.RowSpace(linalg.transpose(eqs, nvars), len(eqs), F).kernel
     maps = []
     for vec in basis:
         blocks = {}
         for v in q.vertices:
-            block = linalg.zeros(m.dims[v], n.dims[v], F)
-            for i in range(m.dims[v]):
-                for l in range(n.dims[v]):
-                    block[i][l] = vec[offsets[v] + i * n.dims[v] + l]
-            blocks[v] = block
+            # row i of the block at v is the i-th run of dim N_v variables from its offset
+            o, d = offsets[v], n.dims[v]
+            blocks[v] = [vec[o + i * d : o + (i + 1) * d] for i in range(m.dims[v])]
         maps.append(ModuleMap(m, n, blocks, validate=False))
     return maps
 

@@ -1,11 +1,15 @@
 """The summary of ``scripts/bench_pairs.py``: the change's median gain and
-the verdict per metric.
+the verdict per metric, and the environment each run gets.
 
 The script is loaded from its file, as it is not part of the package.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
+from unittest import mock
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -63,3 +67,37 @@ def test_verdict_is_worse_past_bound_only_beyond_the_metric_bound():
     # better by any amount is never worse past a bound
     assert verdict("lower", parent, [v - 30 for v in parent], 0.0) == "gain"
     assert verdict("lower", parent, [v - 1 for v in parent], 0.0) == "level/unresolved"
+
+
+def test_each_run_compiles_afresh_with_an_empty_cache_prefix_of_its_own(tmp_path, monkeypatch):
+    """Every run gets PYTHONDONTWRITEBYTECODE=1 and a new, empty
+    PYTHONPYCACHEPREFIX, and the rest of the caller's environment."""
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+    env = {"git_commit": "c", "src_sha256": "s", "loadavg_1m_at_start": 0.5}
+    (results / "ext-qq-seed7-trace0.json").write_text(json.dumps({"env": env}))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("BENCH_PAIRS_MARKER", "kept")
+    before = dict(os.environ)
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        flag, marker = env["PYTHONDONTWRITEBYTECODE"], env["BENCH_PAIRS_MARKER"]
+        seen.append((flag, prefix, os.listdir(prefix), marker))
+        assert cwd == str(tmp_path) and cmd[1] == "perfbench/run.py"
+        line = json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "failed": 0, "attempted": 3})
+        return subprocess.CompletedProcess(cmd, 0, stdout="log\n" + line + "\n")
+
+    with mock.patch.object(bench_pairs.subprocess, "run", side_effect=fake_run):
+        runs = [bench_pairs.run_once(str(tmp_path), "ext-qq", 7, 1.0) for _ in range(2)]
+    assert runs[0] == {
+        "metrics": {"ops_per_s": 1.0}, "failed": 0, "attempted": 3,
+        "git_commit": "c", "src_sha256": "s", "loadavg_1m_at_start": 0.5,
+    }
+    assert [(flag, listing, marker) for flag, _, listing, marker in seen] == [("1", [], "kept")] * 2
+    # one prefix per run, each removed once its run is done
+    prefixes = [prefix for _, prefix, _, _ in seen]
+    assert prefixes[0] != prefixes[1]
+    assert not any(os.path.exists(prefix) for prefix in prefixes)
+    assert dict(os.environ) == before

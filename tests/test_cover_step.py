@@ -2,14 +2,15 @@
 
 The reference builds the whole term densely (the product-table construction
 written out below, with no projective layout), maps each term basis element
-to the lift row of its full element matrix, and takes the syzygy with
-``kernel_of_map``.  ``projective_cover_and_syzygy`` must agree with it
-exactly: syzygy dimensions and matrices, kernel bases, term bookkeeping, the
-minimality certificate, and the term, cover and inclusion it builds on first
-read.  Computed matrices are compared entry by entry with their types, so an
-int where the reference has a Fraction counts as a difference too; the term's
-entries are product-table coefficients, copied, so its matrices are compared
-by value.
+to the lift row of its element's matrix, the product of its path's arrow
+matrices taken here, and takes the syzygy with ``kernel_of_map``.
+``projective_cover_and_syzygy`` must agree with it exactly: syzygy
+dimensions and matrices, kernel bases, term bookkeeping, the minimality
+certificate, and the term, cover and inclusion it builds on first read.
+Computed matrices are compared entry by entry with their types, so an int
+where the reference has a Fraction counts as a difference too; the term's
+entries are product-table coefficients, copied, so its matrices are
+compared by value.
 """
 
 import random
@@ -66,17 +67,30 @@ def reference_term(alg, mults):
     return Representation(alg, dims, mats, validate=False), info
 
 
+def path_product(m, i):
+    """The matrix of basis element i on m: its path's arrow matrices
+    multiplied left to right, or the identity for a vertex."""
+    el, F = m.algebra.elements[i], m.field
+    if not el.arrows:
+        return linalg.identity(m.dims[el.source], F)
+    mat = m.mats[el.arrows[0]]
+    for name in el.arrows[1:]:
+        mat = linalg.mat_mul(mat, m.mats[name], m.dims[m.algebra.quiver.arrow_by_name[name].target], F)
+    return mat
+
+
 def reference_step(m):
     """(mults, term, info, cover, syzygy, inclusion, minimal) of the dense construction."""
     lifts = m.top_lifts()
     mults = {v: len(free) for v, free in lifts.items()}
     term, info = reference_term(m.algebra, mults)
+    mats = [path_product(m, i) for i in range(m.algebra.dim)]
     blocks = {}
     for w, pairs in info.basis.items():
         rows = []
         for g, i in pairs:
             v, c = info.generators[g]
-            rows.append(list(m.element_matrix(i)[lifts[v][c]]))
+            rows.append(list(mats[i][lifts[v][c]]))
         blocks[w] = rows
     cover = ModuleMap(term, m, blocks, validate=False)
     syz, incl = kernel_of_map(cover)

@@ -1,9 +1,10 @@
 """Exact linear algebra: echelon forms, ranks, kernels, quotient maps.
 
 Property-based over both coefficient fields with small random matrices;
-every identity here is a standard rank/nullity fact, so the expected
+most identities here are standard rank/nullity facts, so the expected
 values need no external oracle.  The rational echelon form is also compared
-with an integer fraction-free elimination kept here as a reference.
+with an integer fraction-free elimination kept here as a reference, and
+``RowSpace``'s kernel with the left kernel of ``test_elimination_oracle``.
 """
 
 from fractions import Fraction
@@ -13,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from quiverhom import QQ, PrimeField
 from quiverhom import linalg
+
+from test_elimination_oracle import oracle_left_kernel
 
 GF5 = PrimeField(5)
 
@@ -117,30 +120,6 @@ def test_rank_transpose_invariant(data):
 
 
 @given(matrix_and_field())
-def test_left_kernel_annihilates_and_fills_nullity(data):
-    F, rows, ncols = data
-    ker = linalg.left_kernel(rows, ncols, F)
-    for y in ker:
-        image = linalg.vec_mat(y, rows, ncols, F)
-        assert not any(image)
-    assert len(ker) + linalg.rank(rows, ncols, F) == len(rows)
-    assert linalg.rank(ker, len(rows), F) == len(ker)
-
-
-@given(matrix_and_field())
-def test_right_kernel_annihilates_and_fills_nullity(data):
-    F, rows, ncols = data
-    ker = linalg.right_kernel(rows, ncols, F)
-    for x in ker:
-        for row in rows:
-            dot = F.zero
-            for a, b in zip(row, x):
-                dot = F.add(dot, F.mul(a, b))
-            assert not dot
-    assert len(ker) + linalg.rank(rows, ncols, F) == ncols
-
-
-@given(matrix_and_field())
 def test_quotient_projection_kills_exactly_the_rowspace(data):
     F, rows, ncols = data
     echelon, pivots = linalg.rref(rows, ncols, F)
@@ -172,7 +151,8 @@ def test_rowspace_membership_and_kernel(data):
     assert len(space.basis) == linalg.rank(rows, ncols, F)
     for row in rows:
         assert not any(linalg.reduce_mod_rowspace(row, space.basis, space.pivots, F))
-    assert space.kernel == linalg.left_kernel(rows, ncols, F)
+    p = None if F == QQ else F.p
+    assert (space.kernel, space.kernel_pivots) == oracle_left_kernel(rows, ncols, p)
     assert len(space.basis) + len(space.kernel) == len(rows)
 
 

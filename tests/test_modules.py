@@ -54,6 +54,9 @@ from quiverhom.homology import ext_dims, materialize_term, projective_cover_and_
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
 from quiverhom.modules import quotient_with_section
 
+from test_cover_step import path_product
+from test_elimination_oracle import oracle_left_kernel
+
 
 def random_module(rng, alg, bound=8, closure=submodule_closure):
     """Quotient of a small projective sum by a random closed subspace."""
@@ -299,7 +302,8 @@ def test_kernel_of_map_matches_left_kernel(F, which, seed):
         with mock.patch.object(linalg, "reduce_mod_rowspace", side_effect=AssertionError):
             ker, incl = kernel_of_map(f)
         for v in alg.vertices:
-            assert incl.blocks[v] == linalg.left_kernel(f.blocks[v], f.target.dims[v], F)
+            want = oracle_left_kernel(f.blocks[v], f.target.dims[v], None if F == QQ else F.p)
+            assert incl.blocks[v] == want[0]
             assert ker.dims[v] == len(incl.blocks[v])
         # the oracle for that construction: the inclusion intertwines every arrow
         incl.validate()
@@ -468,31 +472,65 @@ GF3 = PrimeField(3)
 
 
 @pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
-def test_path_action_costs_one_product_per_distinct_path(F):
+def test_element_matrices_are_path_products_at_one_product_per_longer_element(F):
+    """Each element's matrix equals its path's arrow product, read in index
+    order or longest first, and reading them all costs at most one product
+    per element of length >= 2."""
     loop = build_algebra(
         Quiver.build(["1"], [("a", "1", "1")]), IdealSpec.monomial([], 20), F
     )
     shift = [[F.one if j == i + 1 else F.zero for j in range(8)] for i in range(8)]
     rng = random.Random(407)
-    cases = [
-        (Representation(loop, {"1": 8}, {"a": shift}), reversed(range(loop.dim))),
-        (random_module(rng, kernel_test_algebra(1, F)), range(kernel_test_algebra(1, F).dim)),
-    ]
+    cases = [(Representation(loop, {"1": 8}, {"a": shift}), list(reversed(range(loop.dim))))]
+    for k in range(8):
+        alg = kernel_test_algebra(k % 2, F)
+        order = list(range(alg.dim))
+        cases.append((random_module(rng, alg, bound=10), order if k < 4 else order[::-1]))
     for m, order in cases:
-        paths = [m.algebra.elements[i].arrows for i in order]
-        prefixes = {p[:k] for p in paths for k in range(2, len(p) + 1)}
+        want = {i: path_product(m, i) for i in order}
+        longer = sum(len(el.arrows) >= 2 for el in m.algebra.elements)
         with mock.patch.object(linalg, "mat_mul", wraps=linalg.mat_mul) as mul:
-            first = [m.path_matrix(p) for p in paths if p]
-            assert mul.call_count <= len(prefixes)
-            again = [m.path_matrix(p) for p in paths if p]
-            assert mul.call_count <= len(prefixes)
-        assert again == first
-        q = m.algebra.quiver
-        for p, mat in zip((p for p in paths if p), first):
-            want = m.mats[p[0]]
-            for name in p[1:]:
-                want = linalg.mat_mul(want, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
-            assert mat == want
+            got = {i: m.element_matrix(i) for i in order}
+            assert mul.call_count <= longer
+            again = {i: m.element_matrix(i) for i in order}
+            assert mul.call_count <= longer
+        assert all(again[i] is got[i] for i in order)
+        for i in order:
+            assert got[i] == want[i]
+            types = [[type(x) for row in mat for x in row] for mat in (got[i], want[i])]
+            assert types[0] == types[1]
+    # the loop's longest element, read first, is a^19 = 0 on the 8-dimensional shift
+    assert cases[0][0].element_matrix(loop.dim - 1) == linalg.zeros(8, 8, F)
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_hom_between_jordan_blocks_of_a_loop_has_dimension_min(F):
+    """Over k[a]/(a^20), Hom from the nilpotent Jordan block of size m to the
+    one of size n has dimension min(m, n), and every basis map intertwines
+    the loop.  The blocks are conjugated by the all-ones lower triangle, so
+    their diagonals are nonzero: a loop's equations meet at one variable per
+    diagonal entry, which then carries both modules' entries."""
+    loop = build_algebra(
+        Quiver.build(["1"], [("a", "1", "1")]), IdealSpec.monomial([], 20), F
+    )
+
+    def jordan(n):
+        shift = [[F.one if j == i + 1 else F.zero for j in range(n)] for i in range(n)]
+        lower = [[F.one if j <= i else F.zero for j in range(n)] for i in range(n)]
+        inverse = [
+            [F.one if j == i else F.neg(F.one) if j == i - 1 else F.zero for j in range(n)]
+            for i in range(n)
+        ]
+        mat = linalg.mat_mul(linalg.mat_mul(lower, shift, n, F), inverse, n, F)
+        assert n == 1 or any(mat[i][i] for i in range(n))
+        return Representation(loop, {"1": n}, {"a": mat})
+
+    for m_dim in range(1, 5):
+        for n_dim in range(1, 5):
+            maps = hom_basis(jordan(m_dim), jordan(n_dim))
+            assert len(maps) == min(m_dim, n_dim)
+            for f in maps:
+                ModuleMap(f.source, f.target, f.blocks).validate()
 
 
 def reference_closure(rep, seed_rows):
@@ -533,7 +571,7 @@ def reference_supported(rep, allowed):
             for row in linalg.mat_mul(src, rep.mats[a.name], rep.dims[a.target], F):
                 rest = linalg.reduce_mod_rowspace(row, echelon, pivots, F)
                 cond.append([rest[j] for j in free])
-            kern = linalg.left_kernel(cond, len(free), F)
+            kern = oracle_left_kernel(cond, len(free), None if F == QQ else F.p)[0]
             if len(kern) < len(src):
                 cut = linalg.mat_mul(kern, src, rep.dims[a.source], F)
                 spaces[a.source] = linalg.rref(cut, rep.dims[a.source], F)[0]
@@ -582,6 +620,34 @@ def test_closed_forms_match_the_fixpoint_oracles(F):
 
     agree()
     assert seen == {"not successor-closed", "proper kernel", "zero kernel"}
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_socle_is_the_oracle_kernel_of_the_out_arrows(F):
+    """At each vertex the socle is the common left kernel of the out-arrow
+    matrices, found by the elimination oracle; with no out-arrows it is all
+    of the component."""
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(which=st.sampled_from(["mixed", "square", "cycle_tail"]), seed=st.integers(0, 2**32))
+    def agree(which, seed):
+        if which == "cycle_tail":
+            m = random_module(random.Random(seed), kernel_test_algebra(0, F), bound=10)
+        else:
+            m = oracle_case(F, which, seed)[0]
+        socle = structure_parts(m).socle_inclusion.blocks
+        for v, outs in m.algebra.quiver.out_arrows.items():
+            stacked = [[x for a in outs for x in m.mats[a.name][i]] for i in range(m.dims[v])]
+            width = sum(m.dims[a.target] for a in outs)
+            assert socle[v] == oracle_left_kernel(stacked, width, None if F == QQ else F.p)[0]
+            if m.dims[v]:
+                kind = "zero" if not socle[v] else "whole" if len(socle[v]) == m.dims[v] else "proper"
+                seen.add((kind, "out-arrows" if outs else "none"))
+
+    agree()
+    want = {("whole", "none"), ("zero", "out-arrows"), ("proper", "out-arrows"), ("whole", "out-arrows")}
+    assert seen == want
 
 
 @pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])

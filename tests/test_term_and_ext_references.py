@@ -2,12 +2,13 @@
 
 ``reference_term_info`` builds every term afresh, generator by generator, as
 ``term_info`` did before the projective layout kept each P_v's own
-bookkeeping.  ``reference_ext_dims`` always fills the Hom complex and takes
-its ranks, as ``_ext_dims_projective`` did before a semisimple N was read off
-the tops of the syzygies.  The new code must agree with both exactly: equal
-TermInfos and offsets, equal materialized terms (dims, matrices with their
-entry types, and bookkeeping), and equal Ext tables on both sides, over QQ
-and GF(p), on random lab modules and on simples.
+bookkeeping.  ``reference_ext_dims`` always fills the Hom complex, with each
+element's matrix the product of its path's arrow matrices taken here, and
+takes its ranks, as ``_ext_dims_projective`` did before a semisimple N was
+read off the tops of the syzygies.  The new code must agree with both
+exactly: equal TermInfos and offsets, equal materialized terms (dims,
+matrices with their entry types, and bookkeeping), and equal Ext tables on
+both sides, over QQ and GF(p), on random lab modules and on simples.
 """
 
 import random
@@ -33,7 +34,7 @@ from quiverhom.homology import SyzygyTable
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import TermInfo, materialize_term, term_info
 
-from test_cover_step import NAKAYAMA_SHAPES, same_mats
+from test_cover_step import NAKAYAMA_SHAPES, path_product, same_mats
 
 GF = PrimeField(2**31 - 1)
 CUTOFF = 3
@@ -79,6 +80,7 @@ def reference_ext_dims(m, n, k):
     gens = [[(v, j) for v in vertices for j in table.modules[i].top_lifts()[v]] for i in path]
     offsets = [list(accumulate((n.dims[v] for v, _ in gen), initial=0)) for gen in gens]
     hom_dims = [offs[-1] for offs in offsets]
+    mats = [path_product(n, i) for i in range(n.algebra.dim)]
     ranks = [0]
     for i in range(1, k + 2):
         basis, kernel = steps[i - 1].info.basis, steps[i - 1].kernel
@@ -87,7 +89,7 @@ def reference_ext_dims(m, n, k):
             for c, coeff in enumerate(kernel[u][j]):
                 if coeff:
                     gsrc, elt = basis[u][c]
-                    for a, mrow in enumerate(n.element_matrix(elt)):
+                    for a, mrow in enumerate(mats[elt]):
                         row = delta[offsets[i - 1][gsrc] + a]
                         for b, x in enumerate(mrow):
                             col = offsets[i][g] + b
