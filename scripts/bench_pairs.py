@@ -8,8 +8,11 @@ BASE and HEAD are the roots of two checkouts.  Each pair runs
 ``perfbench/run.py`` once in each, BASE first in even pairs and HEAD first
 in odd ones, so a drift of the machine's speed falls on both sides alike.
 Every run compiles its sources afresh: it gets ``PYTHONDONTWRITEBYTECODE=1``
-and a new, empty ``PYTHONPYCACHEPREFIX``, so a ``__pycache__`` left in one
-checkout cannot move that side's set-up time or memory.
+and a new ``PYTHONPYCACHEPREFIX``, so a ``__pycache__`` left in one checkout
+cannot move that side's set-up time or memory.  A prefix hides the
+interpreter's own cached bytecode too, so each run's prefix starts as a copy
+of the standard library's bytecode, compiled once, untimed, before the first
+run: only the checkout's ``src/`` and ``perfbench/`` compile in a timed run.
 For every end-to-end metric of BENCHMARK.json it prints, per side, the
 median and the quartiles of the runs and the number of pairs that side won
 (strictly better, by the metric's direction), then the change's median gain
@@ -27,6 +30,7 @@ status is 0, or 1 if a run failed or reported a failed op.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,15 +38,34 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LABELS = ("parent", "change")
+# the standard library less its third-party packages and its own test suites,
+# which no run imports
+WARM = """
+import compileall, os, re, sysconfig
+sep = re.escape(os.sep)
+skip = re.compile(f"{sep}(site-packages|test|idlelib|tkinter|turtledemo|lib2to3){sep}")
+compileall.compile_dir(sysconfig.get_paths()["stdlib"], quiet=2, rx=skip)
+"""
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a checkout: its metric values and its environment."""
+def warm_stdlib(prefix: str) -> None:
+    """Compile the standard library's bytecode into a cache prefix."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", WARM], env=env, check=True)
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float, stdlib: str) -> dict:
+    """One benchmark run in a checkout: its metric values and its environment.
+
+    Its cache prefix is a fresh copy of stdlib, a prefix made by warm_stdlib.
+    """
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
     ]
     with tempfile.TemporaryDirectory() as cache:
+        shutil.copytree(stdlib, cache, dirs_exist_ok=True)
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
         proc = subprocess.run(
             cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True
@@ -123,17 +146,19 @@ def main() -> int:
         metrics = json.load(fh)["end_to_end"]
     sides = dict(zip(LABELS, (args.base, args.head)))
     runs = {label: [] for label in LABELS}
-    for i in range(args.pairs):
-        order = LABELS if i % 2 == 0 else LABELS[::-1]
-        for label in order:
-            try:
-                run = run_once(sides[label], args.workload, args.seed, args.seconds)
-            except subprocess.CalledProcessError as exc:
-                print(f"{label}: perfbench exited with code {exc.returncode}", file=sys.stderr)
-                return 1
-            run["first_in_pair"] = label == order[0]
-            runs[label].append(run)
-        print(f"pair {i + 1}/{args.pairs} done, {order[0]} first", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as stdlib:
+        warm_stdlib(stdlib)
+        for i in range(args.pairs):
+            order = LABELS if i % 2 == 0 else LABELS[::-1]
+            for label in order:
+                try:
+                    run = run_once(sides[label], args.workload, args.seed, args.seconds, stdlib)
+                except subprocess.CalledProcessError as exc:
+                    print(f"{label}: perfbench exited with code {exc.returncode}", file=sys.stderr)
+                    return 1
+                run["first_in_pair"] = label == order[0]
+                runs[label].append(run)
+            print(f"pair {i + 1}/{args.pairs} done, {order[0]} first", file=sys.stderr)
     summary = summarize(runs, metrics)
     print(f"{args.workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}")
     for metric in metrics:

@@ -192,7 +192,8 @@ class _RelationSpan:
         self.field = field
         n = ideal.truncation
         self.paths: list[Path] = q.paths_up_to(n - 1)
-        self.path_index: dict[Path, int] = {p: i for i, p in enumerate(self.paths)}
+        # each nonempty path's index, by its arrows, which name it
+        self.by_arrows = {p.arrows: i for i, p in enumerate(self.paths) if p.arrows}
         self.buckets: dict[tuple[str, str], list[int]] = {}
         for i, p in enumerate(self.paths):
             self.buckets.setdefault((p.source, p.target), []).append(i)
@@ -222,8 +223,7 @@ class _RelationSpan:
                     for coeff, arrows in terms:
                         if pre.length + len(arrows) + suf.length > n - 1:
                             continue
-                        whole = Path(pre.source, pre.arrows + arrows + suf.arrows, suf.target)
-                        j = self.local_pos[self.path_index[whole]]
+                        j = self.local_pos[self.by_arrows[pre.arrows + arrows + suf.arrows]]
                         row[j] = field.add(row[j], field.of(coeff))
                     if any(row):
                         rows_by_bucket.setdefault(key, []).append(row)
@@ -470,8 +470,13 @@ def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
 
 
 def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dict, ...]:
-    q, field, n = span.q, span.field, span.ideal.truncation
-    basis_pos = {span.path_index[p]: pos for pos, p in enumerate(elements)}
+    """Row i maps j to the normal form of x_i * x_j where it is nonzero.  A product
+    with a vertex idempotent is the other factor; any other is looked up by its
+    arrows in the span, and each path's normal form is reduced once."""
+    field, n = span.field, span.ideal.truncation
+    basis = (g for g in range(len(span.paths)) if g not in span.pivot_global)
+    basis_pos = {g: pos for pos, g in enumerate(basis)}
+    units = tuple(((pos, field.one),) for pos in range(len(elements)))
 
     nf_cache: dict[int, tuple[tuple[int, object], ...]] = {}
 
@@ -480,7 +485,7 @@ def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dic
         if got is not None:
             return got
         if g in basis_pos:
-            out = ((basis_pos[g], field.one),)
+            out = units[basis_pos[g]]
         else:
             p = span.paths[g]
             vec = span.normal_form_local(g)
@@ -489,18 +494,24 @@ def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dic
         nf_cache[g] = out
         return out
 
-    by_source: dict[str, list[int]] = {v: [] for v in q.vertices}
+    by_source: dict[str, list[int]] = {v: [] for v in span.q.vertices}
     for j, pj in enumerate(elements):
         by_source[pj.source].append(j)
     table = []
-    for pi in elements:
-        row = {}
-        # the basis is in path-length order: the first too-long product ends the bucket
-        for j in by_source[pi.target]:
-            pj = elements[j]
-            if pi.length + pj.length >= n:
+    for i, pi in enumerate(elements):
+        after = by_source[pi.target]
+        if not pi.arrows:
+            table.append({j: units[j] for j in after})
+            continue
+        # the first element from pi.target is its idempotent, and the basis
+        # is in path-length order: the first too-long product ends the row
+        row = {after[0]: units[i]}
+        room = n - len(pi.arrows)
+        for j in after[1:]:
+            arrows = elements[j].arrows
+            if len(arrows) >= room:
                 break
-            entry = nf(span.path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)])
+            entry = nf(span.by_arrows[pi.arrows + arrows])
             if entry:
                 row[j] = entry
         table.append(row)
@@ -675,19 +686,18 @@ class AlgebraHom:
 
     @staticmethod
     def from_images(source: FiniteDimAlgebra, target: FiniteDimAlgebra, images) -> "AlgebraHom":
+        """The map sending basis element i of source to images[i], with its flags.
+        Multiplicativity is checked on every pair (i, j) with a stored product
+        x_i * x_j or two nonzero images; any other is zero on both sides."""
         F = target.field
         # canonical and without zeros, like every element, so == compares elements
         images = tuple({k: c for k, c in zip(im, map(F.of, im.values())) if c} for im in images)
-        multiplicative = True
-        for i in range(source.dim):
-            for j in range(source.dim):
-                lhs = _apply_images(images, F, dict(source.table[i].get(j, ())))
-                rhs = target.mul(images[i], images[j])
-                if lhs != rhs:
-                    multiplicative = False
-                    break
-            if not multiplicative:
-                break
+        nonzero = [j for j, im in enumerate(images) if im]
+        multiplicative = all(
+            _apply_images(images, F, dict(row.get(j, ()))) == target.mul(images[i], images[j])
+            for i, row in enumerate(source.table)
+            for j in (row.keys() | nonzero if images[i] else row)
+        )
         u = _apply_images(images, F, source.unit())
         unital = u == target.unit()
         unit_image_idempotent = target.mul(u, u) == u
@@ -771,8 +781,11 @@ def verify_convex_isos(alg: FiniteDimAlgebra, sub: FullSubquiver) -> ConvexIsoRe
     For a convex subquiver the three must agree under the canonical basis
     correspondences and the corner map and quotient splitting must be
     multiplicative; a non-convex subquiver may break any of these, and the
-    report records exactly which.
+    report records exactly which.  It takes dense rows as long as dim and
+    pairs of basis elements, so dim**2 past MAX_WORK is refused before them.
     """
+    if alg.dim**2 > MAX_WORK:
+        raise InputError(f"comparing algebras of dim {alg.dim} exceeds {MAX_WORK} units of work")
     restricted = restricted_algebra(alg, sub)
     split = IdempotentSplit.from_subquiver(sub)
     corner = corner_algebra(alg, split)

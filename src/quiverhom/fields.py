@@ -3,7 +3,9 @@
 Two fields are supported: the rationals QQ, whose elements are ints or
 :class:`fractions.Fraction`, and prime fields GF(p), whose elements are ints
 in ``[0, p)``.  No floating point is used anywhere in the package: ``of``
-takes ints and Fractions only.
+takes ints and Fractions only.  Both are canonical QQ elements, so ``QQ.of``
+returns an int or a Fraction as it is (a bool becomes a Fraction), and
+integer entries stay on int arithmetic.
 
 A field object bundles the primitive operations the linear-algebra layer
 needs, and GF(p)'s keep the reduction mod p to themselves.  Every value a
@@ -63,8 +65,9 @@ class Rationals:
     zero = 0
     one = 1
 
-    def of(self, x) -> Fraction:
-        return Fraction(_exact(x))
+    def of(self, x):
+        """x itself when an int or a Fraction, both canonical; a bool becomes a Fraction."""
+        return x if type(x) is int or type(x) is Fraction else Fraction(_exact(x))
 
     def add(self, a, b):
         return a + b

@@ -54,9 +54,10 @@ from .modules import (
     inflate,
     left_module_over_opposite,
     materialize_term,
-    quotient_by_submodule,
     standard_module,
     submodule_closure,
+    term_action,
+    term_info,
     trace_submodule,
 )
 from .quiver import Quiver
@@ -184,7 +185,14 @@ def _gen_ideal(rng: random.Random, q: Quiver, style: str) -> IdealSpec:
 
 
 def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Representation:
-    """Random nonzero quotient of a random sum of projectives, within bound."""
+    """Random nonzero quotient of a random sum of projectives, within bound.
+
+    The sum P is built densely only when all six draws give a zero quotient.
+    A draw's seed rows generate, at w, the span of each seed times the basis
+    elements to w from its vertex, and the quotient's arrow matrices are P's
+    free rows times the quotient projection: every action on P is read off
+    the product table with ``term_action``.
+    """
     verts = list(alg.vertices)
     F = alg.field
     pdim = alg.projective_layout.dims
@@ -197,17 +205,36 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
             total += pdim[v]
     if not mults:
         return standard_module(alg, "simple", verts[rng.randrange(len(verts))])
-    term, _ = materialize_term(alg, mults)
+    info, offsets = term_info(alg, mults)
+    dims = {w: len(b) for w, b in info.basis.items()}
     for _ in range(6):
-        rows = {}
+        seeds = {}
         for v in verts:
-            if term.dims[v] and rng.random() < 0.4:
-                rows[v] = [[F.of(rng.randint(-1, 1)) for _ in range(term.dims[v])]]
-        closed = submodule_closure(term, rows)
-        quot, _ = quotient_by_submodule(term, closed)
-        if quot.total_dim > 0:
-            return quot
-    return term
+            if dims[v] and rng.random() < 0.4:
+                seeds[v] = [F.of(rng.randint(-1, 1)) for _ in range(dims[v])]
+        rows: dict[str, list[list]] = {v: [] for v in verts}
+        for x, el in enumerate(alg.elements):
+            v, w = el.source, el.target
+            if v in seeds and dims[w]:
+                act = term_action(alg, info, offsets, v, x, w)
+                rows[w].append(linalg.vec_mat(seeds[v], act, dims[w], F))
+        proj, free = {}, {}
+        for v in verts:
+            free[v] = range(dims[v])
+            if rows[v]:
+                echelon, pivots = linalg.rref(rows[v], dims[v], F)
+                proj[v] = linalg.quotient_projection(echelon, pivots, dims[v], F)
+                free[v] = [j for j in free[v] if j not in pivots]
+        if any(free.values()):
+            mats = {}
+            for a in alg.quiver.arrows:
+                w = a.target
+                act = term_action(alg, info, offsets, a.source, alg.arrow_index[a.name], w)
+                lifted = [act[p] for p in free[a.source]]
+                # where no seed reached, the projection is the identity and keeps the rows as they are
+                mats[a.name] = linalg.mat_mul(lifted, proj[w], len(free[w]), F) if w in proj else lifted
+            return Representation(alg, dict(zip(free, map(len, free.values()))), mats, validate=False)
+    return materialize_term(alg, mults)[0]
 
 
 def gen_instance(spec: InstanceSpec):

@@ -19,14 +19,14 @@ ints or Fractions.  Each pivot row not already led by 1 is scaled by
 ``Fraction(1) / pivot``, so no int division ever makes a float, and the other
 rows are updated only at the pivot row's nonzero columns, so a zero the
 elimination never touches stays the input's own object.  The inputs here are
-sparse; on dense rows every update is a Fraction operation.  Over GF(p) the
-entries are plain ints in [0, p): a row already so is taken as given, and
-may come back as an echelon row itself; only a row with an entry outside
-is reduced first, and only rows made by the elimination are written to, so
-no input is ever mutated.  A single row or column is a decided block: its
-``rank`` is read off its entries, with no elimination.  Reduced row echelon
-form is canonical, so two row spaces are equal iff their echelon bases are
-equal lists.
+sparse, often of ints; on dense rows every update is a Fraction operation.
+Over GF(p) the entries are plain ints in [0, p), and a row with an entry
+outside is reduced first.  Over both fields a row is copied only when the
+elimination first writes to it, so no input is ever mutated, and an input
+row may come back as an echelon row itself.  A single row or column is a
+decided block: its ``rank`` is read off its entries, with no elimination.
+Reduced row echelon form is canonical, so two row spaces are equal iff their
+echelon bases are equal lists.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ def mat_mul(A: list[list], B: list[list], bcols: int, field) -> list[list]:
 
 
 def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    rows = [list(r) for r in rows if any(r)]
+    # a row is copied when first written to, so no input is ever mutated
+    rows = list(filter(any, rows))
+    made = set()  # ids of the rows made here
     m = len(rows)
     pivots: list[int] = []
     r = 0
@@ -89,12 +91,16 @@ def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         prow = rows[r]
         if prow[c] != 1:
             inv = Fraction(1) / prow[c]
-            prow[:] = [x * inv if x else x for x in prow]
+            prow = rows[r] = [x * inv if x else x for x in prow]
+            made.add(id(prow))
         # rows r.. are zero left of c, so the pivot row's support starts at c
         support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
         for i, row in enumerate(rows):
             q = row[c]
             if q and i != r:
+                if id(row) not in made:
+                    row = rows[i] = list(row)
+                    made.add(id(row))
                 for j, y in support:
                     row[j] -= q * y
         pivots.append(c)
@@ -113,15 +119,10 @@ def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]
     for c in range(ncols):
         if r == m:
             break
-        best = -1
-        for i in range(r, m):
-            if rows[i][c]:
-                best = i
-                break
+        best = next((i for i in range(r, m) if rows[i][c]), -1)
         if best < 0:
             continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
+        rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
         if prow[c] != 1:
             inv = pow(prow[c], -1, p)

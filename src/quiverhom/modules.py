@@ -87,15 +87,18 @@ class Representation:
         self.dims: dict[str, int] = dict.fromkeys(q.vertices, 0)
         self.dims.update(dims)
         self.mats: dict[str, list[list]] = {}
+        full, zero = self.dims, F.zero
         for a in q.arrows:
-            m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
+            name = a.name
+            m, nrows, ncols = mats.get(name), full[a.source], full[a.target]
             if m is None:
-                m = linalg.zeros(nrows, ncols, F) if nrows else []
-            elif len(m) != nrows or set(map(len, m)) - {ncols}:
+                self.mats[name] = [[zero] * ncols for _ in range(nrows)]
+                continue
+            if len(m) != nrows or nrows and {*map(len, m)} != {ncols}:
                 raise ModuleValidationError(
-                    f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
+                    f"matrix for arrow {name!r} has wrong shape, want {nrows}x{ncols}"
                 )
-            self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}") if validate else m
+            self.mats[name] = _checked_copy(m, F, f"arrow {name!r}") if validate else m
         if not mats.keys() <= self.mats.keys():
             name = next(name for name in mats if name not in self.mats)
             raise DanglingIdError(f"module names unknown arrow {name!r}")
@@ -329,23 +332,28 @@ def materialize_term(
     The component of P_v at w is spanned by the basis elements from v to w,
     and an arrow acts by right multiplication through the product table.
     """
-    F = alg.field
     for v in mults:
         if v not in alg.idempotent_index:
             raise InputError(f"unknown vertex id {v!r} in projective term")
     info, offsets = term_info(alg, mults)
     dims = {w: len(b) for w, b in info.basis.items()}
-    table, local = alg.table, alg.projective_layout.local
-    mats = {}
-    for a in alg.quiver.arrows:
-        # a product lands in a block that the term has, so its offsets exist then
-        j, starts = alg.arrow_index[a.name], offsets.get(a.target)
-        mat = linalg.zeros(dims[a.source], dims[a.target], F)
-        for p, (g, i) in enumerate(info.basis[a.source]):
-            for k, c in table[i].get(j, ()):
-                mat[p][starts[g] + local[k]] = c
-        mats[a.name] = mat
+    mats = {
+        a.name: term_action(alg, info, offsets, a.source, alg.arrow_index[a.name], a.target)
+        for a in alg.quiver.arrows
+    }
     return Representation(alg, dims, mats, validate=False), info
+
+
+def term_action(alg: FiniteDimAlgebra, info: TermInfo, offsets, v: str, j: int, w: str) -> list[list]:
+    """Matrix of basis element j : v -> w on a term with bookkeeping from
+    term_info: its element (g, i) at v goes to x_i * x_j in g's block at w."""
+    table, local, starts = alg.table, alg.projective_layout.local, offsets.get(w)
+    mat = linalg.zeros(len(info.basis[v]), len(info.basis[w]), alg.field)
+    # a product lands in a block that the term has, so its offsets exist then
+    for row, (g, i) in zip(mat, info.basis[v]):
+        for k, c in table[i].get(j, ()):
+            row[starts[g] + local[k]] = c
+    return mat
 
 
 def dual_module(m: Representation) -> Representation:

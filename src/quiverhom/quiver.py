@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DanglingIdError, InputError
 
@@ -282,9 +283,10 @@ class Quiver:
         return Path(source, tuple(arrows), v)
 
 
-@dataclass(frozen=True)
-class Path:
-    """A directed path: source vertex, arrow name sequence, target vertex."""
+class Path(NamedTuple):
+    """A directed path: source vertex, arrow name sequence, target vertex.
+    A named tuple, so Paths hash and compare in C; none is iterated, measured
+    with len or mixed with plain tuples as a key."""
 
     source: str
     arrows: tuple[str, ...]

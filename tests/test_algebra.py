@@ -437,6 +437,7 @@ def test_prime_field_algebra_matches_rational_dimension(cycle_tail_quiver, cycle
 def eager_table(q, ideal, F):
     """The product table pair by pair: concatenate, then reduce in the span."""
     span = _RelationSpan(q, ideal, F)
+    path_index = {p: g for g, p in enumerate(span.paths)}
     basis = [g for g in range(len(span.paths)) if g not in span.pivot_global]
     pos = {g: k for k, g in enumerate(basis)}
     table = []
@@ -447,7 +448,7 @@ def eager_table(q, ideal, F):
             pj = span.paths[gj]
             if pi.target != pj.source or pi.length + pj.length >= ideal.truncation:
                 continue
-            g = span.path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)]
+            g = path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)]
             local = span.buckets[(pi.source, pj.target)]
             reduced = span.normal_form_local(g)
             entry = tuple((pos[local[k]], c) for k, c in enumerate(reduced) if c)

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sysconfig
 from pathlib import Path
 from unittest import mock
 
@@ -69,11 +70,15 @@ def test_verdict_is_worse_past_bound_only_beyond_the_metric_bound():
     assert verdict("lower", parent, [v - 1 for v in parent], 0.0) == "level/unresolved"
 
 
-def test_each_run_compiles_afresh_with_an_empty_cache_prefix_of_its_own(tmp_path, monkeypatch):
-    """Every run gets PYTHONDONTWRITEBYTECODE=1 and a new, empty
-    PYTHONPYCACHEPREFIX, and the rest of the caller's environment."""
-    results = tmp_path / "perfbench" / "results"
+def test_each_run_compiles_afresh_in_a_fresh_copy_of_the_warm_stdlib_prefix(tmp_path, monkeypatch):
+    """Every run gets PYTHONDONTWRITEBYTECODE=1, a PYTHONPYCACHEPREFIX of its
+    own that starts as a copy of the warm stdlib prefix, and the rest of the
+    caller's environment."""
+    checkout, stdlib = tmp_path / "checkout", tmp_path / "stdlib"
+    results = checkout / "perfbench" / "results"
     results.mkdir(parents=True)
+    (stdlib / "lib").mkdir(parents=True)
+    (stdlib / "lib" / "json.cpython-311.pyc").write_bytes(b"warm")
     env = {"git_commit": "c", "src_sha256": "s", "loadavg_1m_at_start": 0.5}
     (results / "ext-qq-seed7-trace0.json").write_text(json.dumps({"env": env}))
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
@@ -84,20 +89,38 @@ def test_each_run_compiles_afresh_with_an_empty_cache_prefix_of_its_own(tmp_path
     def fake_run(cmd, cwd, env, **kwargs):
         prefix = env["PYTHONPYCACHEPREFIX"]
         flag, marker = env["PYTHONDONTWRITEBYTECODE"], env["BENCH_PAIRS_MARKER"]
-        seen.append((flag, prefix, os.listdir(prefix), marker))
-        assert cwd == str(tmp_path) and cmd[1] == "perfbench/run.py"
+        listing = sorted(str(p.relative_to(prefix)) for p in Path(prefix).rglob("*"))
+        seen.append((flag, prefix, listing, marker))
+        assert (Path(prefix) / "lib" / "json.cpython-311.pyc").read_bytes() == b"warm"
+        assert cwd == str(checkout) and cmd[1] == "perfbench/run.py"
         line = json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}, "failed": 0, "attempted": 3})
         return subprocess.CompletedProcess(cmd, 0, stdout="log\n" + line + "\n")
 
     with mock.patch.object(bench_pairs.subprocess, "run", side_effect=fake_run):
-        runs = [bench_pairs.run_once(str(tmp_path), "ext-qq", 7, 1.0) for _ in range(2)]
+        runs = [bench_pairs.run_once(str(checkout), "ext-qq", 7, 1.0, str(stdlib)) for _ in range(2)]
     assert runs[0] == {
         "metrics": {"ops_per_s": 1.0}, "failed": 0, "attempted": 3,
         "git_commit": "c", "src_sha256": "s", "loadavg_1m_at_start": 0.5,
     }
-    assert [(flag, listing, marker) for flag, _, listing, marker in seen] == [("1", [], "kept")] * 2
-    # one prefix per run, each removed once its run is done
+    warm = ["lib", "lib/json.cpython-311.pyc"]
+    assert [(flag, listing, marker) for flag, _, listing, marker in seen] == [("1", warm, "kept")] * 2
+    # one prefix per run, each removed once its run is done; the warm one is kept
     prefixes = [prefix for _, prefix, _, _ in seen]
-    assert prefixes[0] != prefixes[1]
+    assert prefixes[0] != prefixes[1] and str(stdlib) not in prefixes
     assert not any(os.path.exists(prefix) for prefix in prefixes)
+    assert sorted(str(p.relative_to(stdlib)) for p in stdlib.rglob("*")) == warm
     assert dict(os.environ) == before
+
+
+def test_the_warm_prefix_holds_the_stdlib_bytecode_and_none_of_a_checkout(tmp_path, monkeypatch):
+    # written even when the caller's environment forbids writing bytecode
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench_pairs.warm_stdlib(str(tmp_path))
+    cached = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.pyc")]
+    stdlib = sysconfig.get_paths()["stdlib"].lstrip("/")
+    assert any(p.startswith(f"{stdlib}/json/decoder.") for p in cached)
+    assert any(p.startswith(f"{stdlib}/fractions.") for p in cached)
+    # the interpreter's own files only (what its start-up imports from
+    # site-packages included), and not the standard library's test suite
+    assert all(p.startswith(stdlib + "/") for p in cached)
+    assert not any(p.startswith(f"{stdlib}/test/") for p in cached)

@@ -419,6 +419,19 @@ def test_budget_edge_presentation_builds_in_under_a_second(tmp_path, capsys):
     assert "dim 5\n" in capsys.readouterr().out
 
 
+def test_subquiver_comparison_past_the_work_budget_is_refused_in_under_a_second(tmp_path, capsys):
+    # A_2000 at truncation 2: dim 3 999, whose comparison would build a dense
+    # row of that length for each basis element touching e' and check dim^2 pairs
+    n = 2000
+    arrows = "".join(f"  arrow a{i} {i} {i + 1}\n" for i in range(1, n))
+    p = tmp_path / "line.qh"
+    p.write_text(f"quiver\n  vertices {' '.join(map(str, range(1, n + 1)))}\n{arrows}\nideal\n  truncation 2\n")
+    t0 = time.perf_counter()
+    assert cli.main(["algebra", str(p), "--subquiver", "1,2"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "algebras of dim 3999 exceeds 1000000 units of work" in capsys.readouterr().err
+
+
 def test_presentation_one_past_the_budget_edge_is_refused_in_under_a_second(tmp_path, capsys):
     # its paths pass the budget, the cells of its relation rows do not
     p = tmp_path / "budget.qh"

@@ -1,0 +1,185 @@
+"""Module draws, product tables and algebra-map flags against the
+constructions they replaced.
+
+The references are kept here as they were written before: a draw built the
+whole sum of projectives densely and took the generated submodule with
+``submodule_closure`` and the quotient with ``quotient_by_submodule``; the
+product table looked each product up as a ``Path``; ``from_images`` checked
+every pair of basis elements.  Results are compared exactly: dimensions,
+matrices with the type of every nonzero entry, table entries with theirs,
+and after a draw the state of the random generator.
+"""
+
+import random
+
+import pytest
+
+from quiverhom import QQ, IdealSpec, PrimeField, Quiver, build_algebra
+from quiverhom.algebra import AlgebraHom, _apply_images, _RelationSpan
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
+from quiverhom.modules import (
+    materialize_term,
+    quotient_by_submodule,
+    standard_module,
+    submodule_closure,
+)
+from quiverhom.quiver import Path
+
+GF = PrimeField(7)
+FIELDS = [QQ, GF, PrimeField(2**31 - 1)]
+FIELD_IDS = ["QQ", "GF7", "GF2^31-1"]
+
+
+def reference_gen_module(rng, alg, bound):
+    """The draw as it was: the dense term, its closure and its quotient."""
+    verts = list(alg.vertices)
+    F = alg.field
+    pdim = alg.projective_layout.dims
+    mults, total = {}, 0
+    for _ in range(rng.randint(1, 3)):
+        v = verts[rng.randrange(len(verts))]
+        if total + pdim[v] <= bound:
+            mults[v] = mults.get(v, 0) + 1
+            total += pdim[v]
+    if not mults:
+        return standard_module(alg, "simple", verts[rng.randrange(len(verts))])
+    term, _ = materialize_term(alg, mults)
+    for _ in range(6):
+        rows = {}
+        for v in verts:
+            if term.dims[v] and rng.random() < 0.4:
+                rows[v] = [[F.of(rng.randint(-1, 1)) for _ in range(term.dims[v])]]
+        closed = submodule_closure(term, rows)
+        quot, _ = quotient_by_submodule(term, closed)
+        if quot.total_dim > 0:
+            return quot
+    return term
+
+
+def typed(mats):
+    """Each matrix's entries with their types, arrows in order."""
+    return [[[(type(x), x) for x in row] for row in mats[a]] for a in sorted(mats)]
+
+
+def random_algebras(F, count, seed):
+    """count algebras of the lab's random presentations within the dim cap,
+    on small quivers and on quivers as large as the suites draw."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = _gen_quiver(rng, *rng.choice([(4, 6), (8, 12)]))
+        alg = build_algebra(q, _gen_ideal(rng, q, rng.choice(["mixed", "monomial"])), F)
+        if not alg.dim_exceeds(ALGEBRA_DIM_CAP):
+            out.append(alg)
+    return out
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_gen_module_matches_the_dense_draw_and_its_rng_calls(F):
+    draws = 0
+    for n, alg in enumerate(random_algebras(F, 400, 11)):
+        for k in range(3):
+            seed, bound = 1000 * n + k, (3, 6, 12)[k]
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got, want = _gen_module(rng, alg, bound), reference_gen_module(ref_rng, alg, bound)
+            assert rng.getstate() == ref_rng.getstate()
+            assert got.algebra is alg and got.dims == want.dims
+            assert typed(got.mats) == typed(want.mats)
+            draws += 1
+    assert draws == 1200
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_gen_module_falls_back_to_the_term_when_every_quotient_vanishes(F, monkeypatch):
+    # over k, the term is k itself, and a draw kills it with chance 0.4 * 2/3;
+    # among these seeds one draw kills it six times over
+    import quiverhom.lab as lab
+
+    fallbacks = []
+    monkeypatch.setattr(lab, "materialize_term", lambda *a: fallbacks.append(a) or materialize_term(*a))
+    alg = build_algebra(Quiver.build(["1"], []), IdealSpec.zero(2), F)
+    for seed in range(2000, 2200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = _gen_module(rng, alg, 1), reference_gen_module(ref_rng, alg, 1)
+        assert rng.getstate() == ref_rng.getstate()
+        assert got.dims == want.dims == {"1": 1} and typed(got.mats) == typed(want.mats)
+    assert fallbacks == [(alg, {"1": 1})]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=FIELD_IDS)
+def test_product_table_matches_a_table_built_by_path_lookup(F):
+    rng = random.Random(17)
+    built = 0
+    while built < 1100:
+        q = _gen_quiver(rng, *rng.choice([(4, 6), (8, 12)]))
+        ideal = _gen_ideal(rng, q, rng.choice(["mixed", "monomial"]))
+        alg = build_algebra(q, ideal, F)
+        if alg.dim_exceeds(80):
+            continue
+        assert reference_table(_RelationSpan(q, ideal, F)) == typed_table(alg.table)
+        built += 1
+
+
+def typed_table(table):
+    return [[(j, [(k, type(c), c) for k, c in entry]) for j, entry in row.items()] for row in table]
+
+
+def reference_table(span):
+    """The table as it was built: every product looked up by its Path."""
+    F, n = span.field, span.ideal.truncation
+    path_index = {p: g for g, p in enumerate(span.paths)}
+    basis = [g for g in range(len(span.paths)) if g not in span.pivot_global]
+    pos = {g: k for k, g in enumerate(basis)}
+    table = []
+    for gi in basis:
+        pi = span.paths[gi]
+        row = []
+        for j, gj in enumerate(basis):
+            pj = span.paths[gj]
+            if pi.target != pj.source or pi.length + pj.length >= n:
+                continue
+            g = path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)]
+            if g in pos:
+                entry = [(pos[g], F.one)]
+            else:
+                local = span.buckets[(pi.source, pj.target)]
+                entry = [(pos[local[k]], c) for k, c in enumerate(span.normal_form_local(g)) if c]
+            if entry:
+                row.append((j, [(k, type(c), c) for k, c in entry]))
+        table.append(row)
+    return table
+
+
+def reference_multiplicative(source, target, images):
+    """Every pair of basis elements, as from_images checked them before."""
+    F = target.field
+    images = tuple({k: c for k, c in zip(im, map(F.of, im.values())) if c} for im in images)
+    return all(
+        _apply_images(images, F, dict(source.table[i].get(j, ()))) == target.mul(images[i], images[j])
+        for i in range(source.dim)
+        for j in range(source.dim)
+    )
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF7"])
+def test_from_images_flags_match_the_check_of_every_pair(F):
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for alg in random_algebras(F, 60, 29):
+        # the identity, a projection onto a random set of basis elements (a
+        # corner map when the set is a corner's, else rarely multiplicative),
+        # and random images, which almost never are
+        keep = {i for i in range(alg.dim) if rng.random() < 0.5}
+        image_sets = [
+            [{i: F.one} for i in range(alg.dim)],
+            [{i: F.one} if i in keep else {} for i in range(alg.dim)],
+            [{k: F.of(rng.randint(-2, 2)) for k in range(alg.dim) if rng.random() < 0.2}
+             for _ in range(alg.dim)],
+        ]
+        for images in image_sets:
+            got = AlgebraHom.from_images(alg, alg, images)
+            want = reference_multiplicative(alg, alg, images)
+            assert got.multiplicative == want
+            seen[want] += 1
+    # both verdicts are exercised
+    assert seen[True] >= 60 and seen[False] >= 20

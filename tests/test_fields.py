@@ -106,7 +106,15 @@ def test_every_value_handed_out_is_canonical(field, x, y):
         assert bool(v) == (v != 0)
         if isinstance(field, PrimeField):
             assert type(v) is int and 0 <= v < field.p
-    assert isinstance(QQ.of(x), Fraction)
+    # ints and Fractions are both canonical in QQ, so QQ keeps each as it is
+    assert QQ.of(x) == x and type(QQ.of(x)) is type(x)
+
+
+def test_qq_keeps_ints_and_fractions_and_makes_a_bool_a_fraction():
+    big, half = 2**70, Fraction(1, 2)
+    assert QQ.of(big) is big and QQ.of(half) is half
+    for flag in (True, False):
+        assert type(QQ.of(flag)) is Fraction and QQ.of(flag) == int(flag)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
