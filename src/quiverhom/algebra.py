@@ -765,10 +765,13 @@ def _tables_match(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> tuple[bool, str]:
         missing = sorted(set(amap) ^ set(bmap), key=lambda p: (p.length, p.arrows))
         return False, f"basis paths differ, e.g. {missing[0].label()}"
     to_b = [bmap[el] for el in a.elements]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            got = {to_b[k]: c for k, c in a.table[i].get(j, ())}
-            if got != dict(b.table[to_b[i]].get(to_b[j], ())):
+    from_b = {g: i for i, g in enumerate(to_b)}
+    for i, row in enumerate(a.table):
+        row_b = b.table[to_b[i]]
+        # a pair that neither table stores is zero in both
+        for j in sorted(row.keys() | {from_b[g] for g in row_b}):
+            got = {to_b[k]: c for k, c in row.get(j, ())}
+            if got != dict(row_b.get(to_b[j], ())):
                 return False, (
                     f"product {a.elements[i].label()} * {a.elements[j].label()} disagrees"
                 )
@@ -798,13 +801,13 @@ def verify_convex_isos(alg: FiniteDimAlgebra, sub: FullSubquiver) -> ConvexIsoRe
     sandwich_ok = True
     witness = ""
     # e x_i e is x_i or 0, so only a stored product x_i * x_j can break this
+    units = [{j: F.one} for j in range(alg.dim)]
+    right = [alg.mul(yj, e_id) for yj in units]  # y_j e
     for i, row in enumerate(alg.table):
-        xi = {i: F.one}
-        exe = alg.mul(e_id, alg.mul(xi, e_id))
+        exe = alg.mul(e_id, right[i])
         for j in row:
-            yj = {j: F.one}
-            lhs = alg.mul(exe, alg.mul(yj, e_id))
-            rhs = alg.mul(e_id, alg.mul(alg.mul(xi, yj), e_id))
+            lhs = alg.mul(exe, right[j])
+            rhs = alg.mul(e_id, alg.mul(alg.mul(units[i], units[j]), e_id))
             if lhs != rhs:
                 sandwich_ok = False
                 witness = f"{alg.elements[i].label()}, {alg.elements[j].label()}"

@@ -66,7 +66,6 @@ class Rationals:
     one = 1
 
     def of(self, x):
-        """x itself when an int or a Fraction, both canonical; a bool becomes a Fraction."""
         return x if type(x) is int or type(x) is Fraction else Fraction(_exact(x))
 
     def add(self, a, b):

@@ -185,13 +185,12 @@ def _gen_ideal(rng: random.Random, q: Quiver, style: str) -> IdealSpec:
 
 
 def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Representation:
-    """Random nonzero quotient of a random sum of projectives, within bound.
+    """Random nonzero quotient of a random sum P of projectives, within bound.
 
-    The sum P is built densely only when all six draws give a zero quotient.
-    A draw's seed rows generate, at w, the span of each seed times the basis
-    elements to w from its vertex, and the quotient's arrow matrices are P's
-    free rows times the quotient projection: every action on P is read off
-    the product table with ``term_action``.
+    Each action on P is read off the product table (``term_action``): a draw's
+    seed rows generate, at w, the span of each seed times the basis elements to
+    w from its vertex, and the quotient's arrow matrices are P's free rows times
+    the quotient projection.  P is built only if all six quotients vanish.
     """
     verts = list(alg.vertices)
     F = alg.field

@@ -84,8 +84,10 @@ def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     for c in range(ncols):
         if r == m:
             break
-        best = next((i for i in range(r, m) if rows[i][c]), -1)
-        if best < 0:
+        for best in range(r, m):
+            if rows[best][c]:
+                break
+        else:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]
@@ -119,8 +121,10 @@ def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]
     for c in range(ncols):
         if r == m:
             break
-        best = next((i for i in range(r, m) if rows[i][c]), -1)
-        if best < 0:
+        for best in range(r, m):
+            if rows[best][c]:
+                break
+        else:
             continue
         rows[r], rows[best] = rows[best], rows[r]
         prow = rows[r]

@@ -87,18 +87,15 @@ class Representation:
         self.dims: dict[str, int] = dict.fromkeys(q.vertices, 0)
         self.dims.update(dims)
         self.mats: dict[str, list[list]] = {}
-        full, zero = self.dims, F.zero
         for a in q.arrows:
-            name = a.name
-            m, nrows, ncols = mats.get(name), full[a.source], full[a.target]
+            m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
             if m is None:
-                self.mats[name] = [[zero] * ncols for _ in range(nrows)]
-                continue
-            if len(m) != nrows or nrows and {*map(len, m)} != {ncols}:
+                m = linalg.zeros(nrows, ncols, F) if nrows else []
+            elif len(m) != nrows or set(map(len, m)) - {ncols}:
                 raise ModuleValidationError(
-                    f"matrix for arrow {name!r} has wrong shape, want {nrows}x{ncols}"
+                    f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
                 )
-            self.mats[name] = _checked_copy(m, F, f"arrow {name!r}") if validate else m
+            self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}") if validate else m
         if not mats.keys() <= self.mats.keys():
             name = next(name for name in mats if name not in self.mats)
             raise DanglingIdError(f"module names unknown arrow {name!r}")
