@@ -38,7 +38,7 @@ base field.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
@@ -62,6 +62,7 @@ from .modules import (
     standard_module,
     term_info,
 )
+from .quiver import Quiver
 
 
 @dataclass(frozen=True)
@@ -427,30 +428,25 @@ def resolution(m: ModuleOrChain, k: int) -> ResolutionPrefix:
     )
 
 
-def check_term_reachability(res: ResolutionPrefix) -> bool:
+def check_term_reachability(q: Quiver, terms: Sequence[dict[str, int]]) -> bool:
     """Every vertex in term k must be fed by term 0 through a path of length >= k.
 
-    A path of length at least k exists exactly when one of length between k
-    and k plus the vertex count exists, so a bounded exact-length sweep
-    decides the property.
+    terms holds the multiplicities of P_0..P_depth by vertex.  The ends of
+    the paths of length >= 0 from term 0 are its closure under the arrows,
+    and those of length >= k+1 are the targets of arrows out of those of
+    length >= k, so |Q0| + depth passes over the arrows decide the property.
     """
-    q = res.module.algebra.quiver
-    start = {v for v, mult in res.terms[0].items() if mult > 0}
-    depth = len(res.terms) - 1
-    if depth == 0:
+    if not terms:
         return True
-    slack = len(q.vertices)
-    levels = [set(start)]
-    for _ in range(depth + slack):
-        prev = levels[-1]
-        levels.append({a.target for a in q.arrows if a.source in prev})
-    for kk in range(1, depth + 1):
-        allowed = set()
-        for j in range(kk, min(kk + slack, len(levels) - 1) + 1):
-            allowed |= levels[j]
-        for v, mult in res.terms[kk].items():
-            if mult > 0 and v not in allowed:
-                return False
+    reach = {v for v, mult in terms[0].items() if mult > 0}
+    grown = reach
+    while grown:
+        grown = {a.target for a in q.arrows if a.source in grown} - reach
+        reach |= grown
+    for term in terms[1:]:
+        reach = {a.target for a in q.arrows if a.source in reach}
+        if any(mult > 0 and v not in reach for v, mult in term.items()):
+            return False
     return True
 
 

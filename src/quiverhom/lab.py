@@ -46,7 +46,6 @@ from .homology import (
     ext_dims,
     heart_shift_pair,
     is_projective_module,
-    resolution,
     transport_resolution,
 )
 from .modules import (
@@ -489,11 +488,13 @@ def verify_heart_theorem(
     Per instance with heart and bound t the shift window is [2t+3, 2t+6],
     its top clipped by the cutoff when one is supplied.  Instances with a
     heart are admitted only for t <= HEART_T_CAP, so a cutoff must reach
-    2 * HEART_T_CAP + 3 = 7.
+    2 * HEART_T_CAP + 3 = 7; like every cutoff, it stays within MAX_CUTOFF.
     """
     least = 2 * HEART_T_CAP + 3
-    if cutoff is not None and cutoff < least:
-        raise InputError(f"heart suite cutoff must reach 2t+3 = {least}, got {cutoff}")
+    if cutoff is not None:
+        if cutoff < least:
+            raise InputError(f"heart suite cutoff must reach 2t+3 = {least}, got {cutoff}")
+        check_cutoff(cutoff, "heart suite cutoff")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _heart_case(spec, idx, cutoff)
@@ -534,31 +535,27 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     up = heart_set | set(split.plus)
     down = heart_set | set(split.minus)
 
-    res = resolution(m, t + 3)
+    # the multiplicities of P_0..P_(t+4), each stepped by the width gate or the transport
+    terms = [m.drop(i).step.mults for i in range(t + 5)]
     for ell in range(t + 1, t + 4):
-        ck.require(
-            f"syzygy_support_l{ell}",
-            set(res.syzygy(ell).support) <= up,
-            f"support {sorted(res.syzygy(ell).support)}",
-        )
-    for ell in range(t + 1, t + 4):
+        support = m.drop(ell).module.support
+        ck.require(f"syzygy_support_l{ell}", set(support) <= up, f"support {sorted(support)}")
         # the ell-th cosyzygy of n is the dual of the ell-th syzygy of its dual;
         # dual_module copies dims, so both have the same support
         support = n.dual.drop(ell).module.support
         ck.require(
             f"cosyzygy_support_l{ell}", set(support) <= down, f"support {sorted(support)}"
         )
-    ck.require("term_reachability", check_term_reachability(res))
+    ck.require("term_reachability", check_term_reachability(q, terms[: t + 4]))
 
-    omega = res.syzygy(t + 1)
-    tr = transport_resolution(m.drop(t + 1), 3, split, gamma)
+    deep = m.drop(t + 1)
+    omega = deep.module
+    tr = transport_resolution(deep, 3, split, gamma)
     ck.require("transport_exact", tr.exact)
     ck.require("transport_minimal", tr.minimal)
     ck.require("transport_terms_projective", tr.terms_projective)
-    # the terms of Omega^{t+1} m, stepped by the transport above
-    term_support = {
-        v for i in range(4) for v, mult in m.drop(t + 1 + i).step.mults.items() if mult > 0
-    }
+    # the terms of Omega^{t+1} m
+    term_support = {v for mults in terms[t + 1 :] for v, mult in mults.items() if mult > 0}
     ck.require("deep_term_support", term_support <= up, f"terms {sorted(term_support)}")
 
     pair = heart_shift_pair(m, n, split, t, gamma)

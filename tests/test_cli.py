@@ -224,7 +224,9 @@ def test_verify_negative_cases_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["resolve", "ext", "verify ext", "verify epi"])
+@pytest.mark.parametrize(
+    "command", ["resolve", "ext", "verify ext", "verify epi", "verify heart"]
+)
 def test_cutoff_past_the_ceiling_exits_2_at_once(ws, capsys, command):
     # resolve --cutoff 1000000 used to exit 0 after 24 s at 730 MB peak RSS
     argv = command.split() + ([] if command.startswith("verify") else [ws])

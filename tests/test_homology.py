@@ -324,20 +324,89 @@ def test_dim_bound_conventions(cycle_tail_algebra):
         proj_dim(p2, -1)
 
 
-def test_term_reachability_flags_unreachable_terms(line_algebra):
-    sv = standard_module(line_algebra, "simple", "v")
-    res = resolution(sv, 2)
-    assert check_term_reachability(res)
-    # forging a term at an unreachable vertex must trip the check
-    forged = res.__class__(
-        module=res.module,
-        terms=(res.terms[0], {"v": 1}, res.terms[2]),
-        reps=res.reps,
-        diffs=res.diffs,
-        syzygies=res.syzygies,
-        minimal=res.minimal,
+def test_term_reachability_flags_unreachable_terms(line_quiver):
+    q = line_quiver  # v -> w -> x, whose longest path has length 2
+    # S_v's resolution P_w -> P_v, padded past its end; zero multiplicities do not count
+    assert check_term_reachability(q, [{"v": 1}, {"w": 1}, {}])
+    assert check_term_reachability(q, [{"v": 1, "x": 0}, {"w": 1, "v": 0}, {"v": 0}])
+    # a term at a vertex that no path of length >= 1 from term 0 reaches
+    assert not check_term_reachability(q, [{"v": 1}, {"v": 1}, {}])
+    assert not check_term_reachability(q, [{"w": 2}, {"x": 1}, {"w": 1}])
+    # at depth 0 any term holds, and with no term at all nothing is asked
+    for term in ({}, {"v": 1}, {"x": 3, "w": 0}):
+        assert check_term_reachability(q, [term])
+    assert check_term_reachability(q, [])
+    # the walk from term 0 dies after length 2
+    assert check_term_reachability(q, [{"v": 1}, {"w": 1}, {"x": 1}, {}, {}])
+    assert not check_term_reachability(q, [{"v": 1}, {"w": 1}, {"x": 1}, {"x": 1}])
+    assert not check_term_reachability(q, [{"v": 1}, {}, {}, {}, {"w": 1}])
+
+
+def test_term_reachability_goes_round_a_cycle_past_the_exact_length():
+    # 1 -> 2 <-> 3, 2 -> 4: from 1, the paths of length exactly 3 end at 2 only,
+    # but 1 2 3 2 4 has length 4 >= 3
+    q = Quiver.build(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "2"), ("d", "2", "4")],
     )
-    assert not check_term_reachability(forged)
+    assert check_term_reachability(q, [{"1": 1}, {}, {}, {"4": 1}])
+    assert check_term_reachability(q, [{"1": 1}, {"2": 1}, {"3": 1, "4": 1}, {"4": 2}])
+    assert not check_term_reachability(q, [{"1": 1}, {}, {}, {"1": 1}])
+    # the same with a loop: 1 -> 2, a loop at 2, 2 -> 3
+    looped = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("l", "2", "2"), ("b", "2", "3")])
+    assert check_term_reachability(looped, [{"1": 1}] + [{}] * 5 + [{"3": 1}])
+    assert not check_term_reachability(looped, [{"1": 1}] + [{}] * 5 + [{"1": 1}])
+
+
+def reference_reachable(vertices, arrows, start, depth):
+    """Per k in 0..depth, the vertices at the end of a path of length >= k
+    from start: the rows of start in A^k times the reflexive-transitive
+    closure of A, with A the boolean adjacency matrix."""
+    n = len(vertices)
+    at = {v: i for i, v in enumerate(vertices)}
+    adj = [[False] * n for _ in range(n)]
+    for s, t in arrows:
+        adj[at[s]][at[t]] = True
+
+    def mul(x, y):
+        return [[any(x[i][j] and y[j][c] for j in range(n)) for c in range(n)] for i in range(n)]
+
+    eye = [[i == c for c in range(n)] for i in range(n)]
+    star = eye
+    for _ in range(n):
+        star = [[a or b for a, b in zip(r, s)] for r, s in zip(star, mul(star, adj))]
+    power, out = eye, []
+    for _ in range(depth + 1):
+        ends = mul(power, star)
+        out.append({vertices[c] for c in range(n) if any(ends[at[s]][c] for s in start)})
+        power = mul(power, adj)
+    return out
+
+
+def test_term_reachability_matches_boolean_matrix_powers():
+    rng = random.Random(20261019)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1200):
+        vertices = [str(i) for i in range(rng.randint(1, 6))]
+        # loops, parallel arrows and isolated vertices all come up
+        arrows = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(rng.randint(0, 9))]
+        q = Quiver.build(vertices, [(f"a{i}", s, t) for i, (s, t) in enumerate(arrows)])
+        depth = rng.randint(0, 6)
+        first = {v: rng.randint(0, 2) for v in rng.sample(vertices, rng.randint(0, len(vertices)))}
+        start = {v for v, mult in first.items() if mult}
+        allowed = reference_reachable(vertices, arrows, start, depth)
+        terms = [first]
+        for k in range(1, depth + 1):
+            # half the terms keep to the reachable vertices, so both verdicts occur
+            pool = sorted(allowed[k]) if rng.random() < 0.5 else vertices
+            picked = rng.sample(pool, rng.randint(0, len(pool)))
+            terms.append({v: rng.randint(0, 2) for v in picked})
+        expected = all(
+            v in allowed[k] for k, term in enumerate(terms) for v, mult in term.items() if mult
+        )
+        assert check_term_reachability(q, terms) == expected, (vertices, arrows, terms)
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 300, verdicts
 
 
 def test_transport_resolution_certificates(

@@ -606,3 +606,46 @@ def test_heart_case_certifies_only_its_transport(monkeypatch):
         if len(counts) == 3:
             break
     assert counts == [(1, 0, 2)] * 3
+
+
+def test_heart_case_resolves_only_for_its_transport(monkeypatch):
+    cover = mock.Mock(wraps=homology.projective_cover_and_syzygy)
+    monkeypatch.setattr(homology, "projective_cover_and_syzygy", cover)
+    real_resolution, real_transport = homology.resolution, lab.transport_resolution
+    real_admit, real_reach = lab._admit, lab.check_term_reachability
+    resolved, open_transports, admitted, reached = [], [], [], []
+
+    def recording_resolution(m, k):
+        resolved.append((bool(open_transports), k))
+        return real_resolution(m, k)
+
+    def recording_transport(*args):
+        open_transports.append(args)
+        try:
+            return real_transport(*args)
+        finally:
+            open_transports.pop()
+
+    def recording_admit(*args):
+        admitted.append(real_admit(*args))
+        return admitted[-1]
+
+    def recording_reach(q, terms):
+        reached.append(list(terms))
+        return real_reach(q, terms)
+
+    monkeypatch.setattr(homology, "resolution", recording_resolution)
+    monkeypatch.setattr(lab, "transport_resolution", recording_transport)
+    monkeypatch.setattr(lab, "_admit", recording_admit)
+    monkeypatch.setattr(lab, "check_term_reachability", recording_reach)
+    for idx in range(20):
+        assert lab._heart_case(InstanceSpec(seed=1), idx, None) == []
+    # one resolution per cyclic case, the transport's; the case's own
+    # resolution(m, t + 3) made it 18, with the same 259 cover steps
+    assert resolved == [(True, 3)] * 9
+    assert cover.call_count == 259
+    cyclic = [(hp.t, m) for _, _, (hp, _, m, _) in admitted if not hp.heart.is_empty]
+    assert len(cyclic) == len(reached) == 9
+    # the multiplicities read off the chain are the old dense prefix's, on a fresh table
+    for (t, m), terms in zip(cyclic, reached):
+        assert terms == list(real_resolution(SyzygyTable().chain(m.module), t + 3).terms)
