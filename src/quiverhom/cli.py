@@ -41,9 +41,7 @@ def _load(args) -> WorkspaceBundle:
 
 def _selection(args, bundle: WorkspaceBundle) -> frozenset[str]:
     if args.subquiver is not None:
-        chosen = frozenset(v for v in args.subquiver.split(",") if v)
-        bundle.quiver.check_vertices(chosen)
-        return chosen
+        return frozenset(v for v in args.subquiver.split(",") if v)
     if bundle.subquiver is not None:
         return bundle.subquiver
     raise InputError("no subquiver given; pass --subquiver or add a subquiver section")

@@ -432,17 +432,15 @@ def check_term_reachability(q: Quiver, terms: Sequence[dict[str, int]]) -> bool:
     """Every vertex in term k must be fed by term 0 through a path of length >= k.
 
     terms holds the multiplicities of P_0..P_depth by vertex.  The ends of
-    the paths of length >= 0 from term 0 are its closure under the arrows,
-    and those of length >= k+1 are the targets of arrows out of those of
-    length >= k, so |Q0| + depth passes over the arrows decide the property.
+    the paths of length >= 0 from term 0 are read off the quiver's reach
+    table, and those of length >= k+1 are the targets of arrows out of those
+    of length >= k, so depth passes over the arrows decide the property.
     """
+    for term in terms:
+        q.check_vertices(term)
     if not terms:
         return True
-    reach = {v for v, mult in terms[0].items() if mult > 0}
-    grown = reach
-    while grown:
-        grown = {a.target for a in q.arrows if a.source in grown} - reach
-        reach |= grown
+    reach = q.reachable_from(v for v, mult in terms[0].items() if mult > 0)
     for term in terms[1:]:
         reach = {a.target for a in q.arrows if a.source in reach}
         if any(mult > 0 and v not in reach for v, mult in term.items()):

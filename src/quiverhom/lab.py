@@ -381,9 +381,7 @@ def _subquiver_case(spec: InstanceSpec, idx: int) -> list[Witness]:
     flat = sorted(v for comp in rep.components for v in comp)
     ck.expect("components_partition", flat, sorted(q.vertices))
     ck.require("condensation_acyclic", rep.condensation.is_acyclic)
-    cycle_union = frozenset().union(
-        *[comp for comp, flag in zip(rep.components, rep.nontrivial_flags) if flag]
-    ) if rep.nontrivial_count else frozenset()
+    cycle_union = frozenset().union(*[c for c, f in zip(rep.components, rep.nontrivial_flags) if f])
     ck.require("heart_contains_cycles", cycle_union <= heart.vertex_set)
     ck.expect(
         "heart_is_cycle_closure",

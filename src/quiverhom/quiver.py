@@ -4,6 +4,8 @@ A quiver is a finite directed multigraph; loops and parallel arrows are
 allowed.  Everything downstream keys off vertex subsets: full subquivers,
 the plus/minus/zero boundary split, convexity, strongly connected
 components with their condensation, and the homological heart.
+The split, convexity, the convex closure and the heart all read one reach
+table per quiver, filled from `scc_list` and cached on first use (`_reach`).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -90,53 +92,52 @@ class Quiver:
 
     # -- reachability ------------------------------------------------------
 
+    @cached_property
+    def _reach(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+        """Per vertex, the vertices it reaches and those reaching it, inclusively.
+
+        Arrows between components run forward in `scc_list` order, so a
+        component's row is itself plus the rows past its arrows, and one pass
+        each way fills the table (Purdom, "A transitive closure algorithm", 1970).
+        """
+        down, up = {}, {}
+        for comp in reversed(self.scc_list):
+            past = [down[a.target] for v in comp for a in self.out_arrows[v] if a.target not in comp]
+            down.update(dict.fromkeys(comp, comp.union(*past)))
+        for comp in self.scc_list:
+            past = [up[a.source] for v in comp for a in self.in_arrows[v] if a.source not in comp]
+            up.update(dict.fromkeys(comp, comp.union(*past)))
+        return down, up
+
     def reachable_from(self, starts) -> set[str]:
         """Vertices reachable from the start set, inclusively."""
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            v = stack.pop()
-            for a in self.out_arrows[v]:
-                if a.target not in seen:
-                    seen.add(a.target)
-                    stack.append(a.target)
-        return seen
+        return _union_of_rows(self._reach[0], starts)
 
     def reaching(self, targets) -> set[str]:
         """Vertices from which the target set is reachable, inclusively."""
-        seen = set(targets)
-        stack = list(targets)
-        while stack:
-            v = stack.pop()
-            for a in self.in_arrows[v]:
-                if a.source not in seen:
-                    seen.add(a.source)
-                    stack.append(a.source)
-        return seen
+        return _union_of_rows(self._reach[1], targets)
 
     # -- subquiver calculus ------------------------------------------------
 
     def full_subquiver(self, vertex_set) -> "FullSubquiver":
-        return FullSubquiver(self, self.check_vertices(vertex_set))
+        return FullSubquiver(self, frozenset(vertex_set))
 
     def boundary_split(self, sub: "FullSubquiver") -> "BoundarySplit":
         _check_parent(self, sub)
         inside = sub.vertex_set
-        fwd = self.reachable_from(inside)
-        bwd = self.reaching(inside)
-        plus = frozenset(fwd - inside)
-        minus = frozenset(bwd - inside)
+        plus = frozenset(self.reachable_from(inside) - inside)
+        minus = frozenset(self.reaching(inside) - inside)
         zero = frozenset(v for v in self.vertices if v not in inside and v not in plus and v not in minus)
         return BoundarySplit(plus, minus, zero)
 
     def is_convex(self, sub: "FullSubquiver") -> bool:
-        split = self.boundary_split(sub)
-        return not (split.plus & split.minus)
+        _check_parent(self, sub)
+        inside = sub.vertex_set
+        return self.reachable_from(inside) & self.reaching(inside) == inside
 
     def convex_closure(self, vertex_set) -> "FullSubquiver":
-        s = self.check_vertices(vertex_set)
-        closed = self.reachable_from(s) & self.reaching(s)
-        return FullSubquiver(self, frozenset(closed))
+        s = frozenset(vertex_set)
+        return FullSubquiver(self, frozenset(self.reachable_from(s) & self.reaching(s)))
 
     # -- components and condensation ----------------------------------------
 
@@ -210,17 +211,14 @@ class Quiver:
 
     def homological_heart(self) -> "HeartProfile":
         cycles = frozenset().union(*[c for c in self.scc_list if self.component_has_arrow(c)])
-        if cycles:
-            y = frozenset(self.reachable_from(cycles) & self.reaching(cycles))
-        else:
-            y = frozenset()
+        heart = self.convex_closure(cycles)
         # t: the complement's vertices are trivial components, in topological order
-        longest = {v: 0 for comp in self.scc_list for v in comp if v not in y}
+        longest = {v: 0 for comp in self.scc_list for v in comp if v not in heart.vertex_set}
         for v in longest:
             for a in self.out_arrows[v]:
                 if a.target in longest:
                     longest[a.target] = max(longest[a.target], longest[v] + 1)
-        return HeartProfile(cycles, FullSubquiver(self, y), max(longest.values(), default=0))
+        return HeartProfile(cycles, heart, max(longest.values(), default=0))
 
     # -- path enumeration ----------------------------------------------------
 
@@ -375,6 +373,13 @@ class ComponentsReport:
     @property
     def nontrivial_count(self) -> int:
         return sum(1 for f in self.nontrivial_flags if f)
+
+
+def _union_of_rows(table: dict[str, frozenset[str]], vs) -> set[str]:
+    try:
+        return set().union(*[table[v] for v in vs])
+    except KeyError as err:
+        raise DanglingIdError(f"unknown vertex id {err.args[0]!r}") from None
 
 
 def _check_parent(q: Quiver, sub: "FullSubquiver") -> None:

@@ -20,6 +20,7 @@ import quiverhom.homology as homology
 import quiverhom.linalg as linalg
 from quiverhom import (
     QQ,
+    DanglingIdError,
     DimBound,
     ModuleMap,
     IdealSpec,
@@ -340,6 +341,11 @@ def test_term_reachability_flags_unreachable_terms(line_quiver):
     assert check_term_reachability(q, [{"v": 1}, {"w": 1}, {"x": 1}, {}, {}])
     assert not check_term_reachability(q, [{"v": 1}, {"w": 1}, {"x": 1}, {"x": 1}])
     assert not check_term_reachability(q, [{"v": 1}, {}, {}, {}, {"w": 1}])
+    # an unknown vertex id is refused in any term, even at multiplicity 0 or
+    # after a term that already fails
+    for terms in ([{"nope": 1}], [{"v": 1}, {"nope": 1}], [{"v": 1}, {"v": 1}, {"nope": 0}]):
+        with pytest.raises(DanglingIdError, match="'nope'"):
+            check_term_reachability(q, terms)
 
 
 def test_term_reachability_goes_round_a_cycle_past_the_exact_length():

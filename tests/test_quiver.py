@@ -1,8 +1,9 @@
 """Subquiver calculus against brute-force oracles.
 
-Convexity, boundary classes, components, and the heart are all recomputed
-here by exhaustive path enumeration on small random quivers, so the fast
-implementations are checked against logic that shares no code with them.
+Convexity, boundary classes, closures, components, and the heart are all
+recomputed here by edge fixpoints and exhaustive enumeration on random
+quivers, so the reach table in `quiver.py` is checked against logic that
+shares no code with it.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from quiverhom import InputError, Quiver
+from quiverhom import DanglingIdError, InputError, Quiver
 from quiverhom.lab import MAX_ARROWS, MAX_VERTICES
 
 
@@ -65,6 +66,41 @@ def oracle_convex(q, subset):
     return True
 
 
+def oracle_closure(q, subset):
+    """subset plus every vertex on a walk that leaves it and comes back."""
+    forward = oracle_reachable(q, subset)
+    return frozenset(subset) | {x for x in forward if subset & oracle_reachable(q, {x})}
+
+
+def oracle_heart(q):
+    """The vertices on a cycle, and their closure."""
+    cycles = frozenset(v for v in q.vertices if v in oracle_reachable(q, {v}))
+    return cycles, oracle_closure(q, cycles)
+
+
+def lab_scale_cases(seed, count=1000):
+    """count random quivers at the suites' scale, each with a random subset.
+
+    Loops, parallel arrows and isolated vertices must each turn up in at
+    least a tenth of the quivers, so the oracle comparisons meet all three.
+    """
+    rng = random.Random(seed)
+    cases, seen = [], {"loop": 0, "parallel": 0, "isolated": 0}
+    for _ in range(count):
+        q = random_quiver(rng, MAX_VERTICES, MAX_ARROWS)
+        cases.append((q, frozenset(v for v in q.vertices if rng.random() < 0.5)))
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["loop"] += any(s == t for s, t in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["isolated"] += any(not q.out_arrows[v] and not q.in_arrows[v] for v in q.vertices)
+    assert min(seen.values()) >= count // 10, seen
+    return cases
+
+
+def subsets(vs):
+    return [frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1) for mask in range(1 << len(vs))]
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(InputError):
         Quiver.build(["v", "v"], [])
@@ -72,6 +108,27 @@ def test_build_rejects_bad_input():
         Quiver.build(["v"], [("a", "v", "nope")])
     with pytest.raises(InputError):
         Quiver.build(["v", "w"], [("a", "v", "w"), ("a", "w", "v")])
+
+
+def test_unknown_vertex_ids_are_refused_and_known_sets_checked_once(cycle_tail_quiver, monkeypatch):
+    q = cycle_tail_quiver
+    for call in (q.reachable_from, q.reaching, q.full_subquiver, q.convex_closure):
+        with pytest.raises(DanglingIdError, match="unknown vertex id 'nope'"):
+            call(["1", "nope"])
+    # a full subquiver checks its set when made; reading the table does not
+    # check it again
+    calls = []
+    real = Quiver.check_vertices
+    monkeypatch.setattr(Quiver, "check_vertices", lambda self, vs: calls.append(vs) or real(self, vs))
+    sub = q.full_subquiver({"1", "3"})
+    q.boundary_split(sub)
+    q.is_convex(sub)
+    assert q.reachable_from(sub.vertex_set) == {"1", "2", "3", "4"}
+    assert q.reaching(sub.vertex_set) == {"1", "2", "3"}
+    assert calls == [{"1", "3"}]
+    assert q.convex_closure(sub.vertex_set).vertex_set == {"1", "2", "3"}
+    assert q.homological_heart().heart.vertex_set == {"1", "2"}
+    assert calls == [{"1", "3"}, {"1", "2", "3"}, {"1", "2"}]
 
 
 def test_full_subquiver_collects_inner_arrows(cycle_tail_quiver):
@@ -97,19 +154,15 @@ def test_boundary_split_on_cycle_tail(cycle_tail_quiver):
 
 
 def test_convexity_matches_walk_oracle():
-    rng = random.Random(100)
-    for _ in range(150):
-        q = random_quiver(rng)
-        subset = frozenset(v for v in q.vertices if rng.random() < 0.5)
-        got = q.is_convex(q.full_subquiver(subset))
-        assert got == oracle_convex(q, subset)
+    for q, subset in lab_scale_cases(100):
+        closure = q.convex_closure(subset).vertex_set
+        assert closure == oracle_closure(q, subset)
+        assert q.is_convex(q.full_subquiver(subset)) == oracle_convex(q, subset)
+        assert q.is_convex(q.full_subquiver(closure)) and oracle_convex(q, closure)
 
 
 def test_boundary_split_matches_reachability_oracle():
-    rng = random.Random(101)
-    for _ in range(150):
-        q = random_quiver(rng)
-        subset = frozenset(v for v in q.vertices if rng.random() < 0.5)
+    for q, subset in lab_scale_cases(101):
         split = q.boundary_split(q.full_subquiver(subset))
         reach_out = oracle_reachable(q, subset)
         reach_in = {
@@ -125,16 +178,14 @@ def test_boundary_split_matches_reachability_oracle():
 
 def test_convex_closure_is_minimal_by_enumeration():
     rng = random.Random(102)
-    for _ in range(80):
-        q = random_quiver(rng, max_v=5, max_a=8)
-        vs = list(q.vertices)
-        subset = frozenset(v for v in vs if rng.random() < 0.4)
+    for _ in range(200):
+        q = random_quiver(rng, max_v=MAX_VERTICES, max_a=MAX_ARROWS)
+        subset = frozenset(v for v in q.vertices if rng.random() < 0.4)
         closure = q.convex_closure(subset).vertex_set
         assert subset <= closure
-        assert q.is_convex(q.full_subquiver(closure))
-        for mask in range(1 << len(vs)):
-            cand = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
-            if subset <= cand and q.is_convex(q.full_subquiver(cand)):
+        assert oracle_convex(q, closure)
+        for cand in subsets(q.vertices):
+            if subset <= cand and oracle_convex(q, cand):
                 assert closure <= cand
 
 
@@ -161,9 +212,12 @@ def test_components_against_mutual_reachability_oracle():
 
 
 def test_heart_is_smallest_convex_superset_of_cycles():
+    for q, _ in lab_scale_cases(104):
+        hp = q.homological_heart()
+        assert (hp.cycle_vertices, hp.heart.vertex_set) == oracle_heart(q)
     rng = random.Random(104)
-    for _ in range(80):
-        q = random_quiver(rng, max_v=5, max_a=8)
+    for _ in range(200):
+        q = random_quiver(rng, max_v=MAX_VERTICES, max_a=MAX_ARROWS)
         hp = q.homological_heart()
         rep = q.components()
         cycles = set()
@@ -171,11 +225,9 @@ def test_heart_is_smallest_convex_superset_of_cycles():
             if flag:
                 cycles |= comp
         assert cycles <= hp.heart.vertex_set
-        assert q.is_convex(hp.heart)
-        vs = list(q.vertices)
-        for mask in range(1 << len(vs)):
-            cand = frozenset(vs[i] for i in range(len(vs)) if mask >> i & 1)
-            if cycles <= cand and q.is_convex(q.full_subquiver(cand)):
+        assert oracle_convex(q, hp.heart.vertex_set)
+        for cand in subsets(q.vertices):
+            if cycles <= cand and oracle_convex(q, cand):
                 assert hp.heart.vertex_set <= cand
 
 
