@@ -3,8 +3,9 @@
 
 Exit status is 0 when all suites pass and 1 otherwise, so the script can sit
 in a cron job or CI step.  Case counts default to the acceptance scale.  Each
-suite's wall time goes to stderr, so stdout holds the reports alone.  It runs
-from a checkout without installing: the checkout's src/ comes first on the path.
+suite's wall and CPU seconds (`time.process_time`) go to stderr, so stdout
+holds the reports alone.  It runs from a checkout without installing: the
+checkout's src/ comes first on the path.
 """
 
 import argparse
@@ -44,9 +45,10 @@ def main() -> int:
     ]
     reports = []
     for run in runs:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         reports.append(run())
-        sys.stderr.write(f"{reports[-1].suite} {time.perf_counter() - t0:.2f} s\n")
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+        sys.stderr.write(f"{reports[-1].suite} {wall:.2f} s wall {cpu:.2f} s cpu\n")
     for report in reports:
         sys.stdout.write(report.render())
         sys.stdout.write("\n")

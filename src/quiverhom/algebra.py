@@ -634,10 +634,7 @@ def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
         q = alg.quiver
         op_q = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
         op_ideal = alg.ideal.opposite()
-    out = FiniteDimAlgebra(alg.field, alg.vertices, elements, table, op_q, op_ideal)
-    out.parent = alg.parent
-    out.parent_indices = alg.parent_indices
-    return out
+    return FiniteDimAlgebra(alg.field, alg.vertices, elements, table, op_q, op_ideal)
 
 
 @dataclass(frozen=True)

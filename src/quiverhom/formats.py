@@ -515,11 +515,16 @@ def export_dot(q: Quiver, highlight=None) -> str:
         if v in classes:
             style, fill = _DOT_STYLE[classes[v]]
             lines.append(
-                f'  "{v}" [class="{classes[v]}", style="{style}", fillcolor="{fill}", shape="circle"];'
+                f'  {_dot_id(v)} [class="{classes[v]}", style="{style}", fillcolor="{fill}", shape="circle"];'
             )
         else:
-            lines.append(f'  "{v}" [shape="circle"];')
+            lines.append(f'  {_dot_id(v)} [shape="circle"];')
     for a in q.arrows:
-        lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.name}"];')
+        lines.append(f"  {_dot_id(a.source)} -> {_dot_id(a.target)} [label={_dot_id(a.name)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(name: str) -> str:
+    """name as a DOT quoted string, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'

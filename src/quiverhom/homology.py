@@ -432,9 +432,9 @@ def check_term_reachability(q: Quiver, terms: Sequence[dict[str, int]]) -> bool:
     """Every vertex in term k must be fed by term 0 through a path of length >= k.
 
     terms holds the multiplicities of P_0..P_depth by vertex.  The ends of
-    the paths of length >= 0 from term 0 are read off the quiver's reach
-    table, and those of length >= k+1 are the targets of arrows out of those
-    of length >= k, so depth passes over the arrows decide the property.
+    the paths of length >= 0 from term 0 are one walk from it, and those of
+    length >= k+1 are the targets of arrows out of those of length >= k, so
+    depth passes over the arrows decide the property.
     """
     for term in terms:
         q.check_vertices(term)

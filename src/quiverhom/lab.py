@@ -383,9 +383,11 @@ def _subquiver_case(spec: InstanceSpec, idx: int) -> list[Witness]:
     ck.require("condensation_acyclic", rep.condensation.is_acyclic)
     cycle_union = frozenset().union(*[c for c, f in zip(rep.components, rep.nontrivial_flags) if f])
     ck.require("heart_contains_cycles", cycle_union <= heart.vertex_set)
+    # the cycles found by walks, which share no code with the component pass
+    walk_cycles = [v for v in q.vertices if v in q.reachable_from(a.target for a in q.out_arrows[v])]
     ck.expect(
         "heart_is_cycle_closure",
-        sorted(q.convex_closure(cycle_union).vertex_set),
+        sorted(q.convex_closure(walk_cycles).vertex_set),
         sorted(heart.vertex_set),
     )
     if q.is_acyclic:
@@ -725,9 +727,9 @@ def _decompose_stage(alg: FiniteDimAlgebra, blocks: list[Block]) -> Decompositio
     tb = triangular_blocks(heart_alg, split)
     if tb.dim_eprime_e != 0:
         raise InvariantViolation("claimed source block admits incoming paths")
-    # the corner eAe is spanned by the basis elements with both ends in e;
-    # the source is a nontrivial strongly connected component of hq
-    block = Block(hq.sort_vertices(source), tb.dim_ee, hq._is_simple_cycle(source))
+    # the corner eAe is spanned by the basis elements with both ends in e; the
+    # source, a nontrivial component of hq, is a simple cycle iff |arrows| = |vertices|
+    block = Block(hq.sort_vertices(source), tb.dim_ee, len(sub.arrows) == len(source))
     blocks.append(block)
     rest = hq.full_subquiver(frozenset(hp.heart.vertex_set) - source)
     child = _decompose_stage(restricted_algebra(heart_alg, rest), blocks)

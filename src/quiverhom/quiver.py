@@ -4,8 +4,10 @@ A quiver is a finite directed multigraph; loops and parallel arrows are
 allowed.  Everything downstream keys off vertex subsets: full subquivers,
 the plus/minus/zero boundary split, convexity, strongly connected
 components with their condensation, and the homological heart.
-The split, convexity, the convex closure and the heart all read one reach
-table per quiver, filled from `scc_list` and cached on first use (`_reach`).
+Reachability is one walk over the arrows from the given set, and one cached
+component pass (Tarjan, then Kahn's sort of the condensation) feeds the
+components, acyclicity and the heart's cycles, so every query is linear in
+the size of the quiver, in time and in memory.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -18,6 +20,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -92,30 +95,29 @@ class Quiver:
 
     # -- reachability ------------------------------------------------------
 
-    @cached_property
-    def _reach(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
-        """Per vertex, the vertices it reaches and those reaching it, inclusively.
-
-        Arrows between components run forward in `scc_list` order, so a
-        component's row is itself plus the rows past its arrows, and one pass
-        each way fills the table (Purdom, "A transitive closure algorithm", 1970).
-        """
-        down, up = {}, {}
-        for comp in reversed(self.scc_list):
-            past = [down[a.target] for v in comp for a in self.out_arrows[v] if a.target not in comp]
-            down.update(dict.fromkeys(comp, comp.union(*past)))
-        for comp in self.scc_list:
-            past = [up[a.source] for v in comp for a in self.in_arrows[v] if a.source not in comp]
-            up.update(dict.fromkeys(comp, comp.union(*past)))
-        return down, up
-
     def reachable_from(self, starts) -> set[str]:
         """Vertices reachable from the start set, inclusively."""
-        return _union_of_rows(self._reach[0], starts)
+        return self._walk(starts, True)
 
     def reaching(self, targets) -> set[str]:
         """Vertices from which the target set is reachable, inclusively."""
-        return _union_of_rows(self._reach[1], targets)
+        return self._walk(targets, False)
+
+    def _walk(self, starts, forward: bool) -> set[str]:
+        # one walk along the arrows (or against them), each vertex visited once
+        arrows_at = self.out_arrows if forward else self.in_arrows
+        seen = set(starts)
+        todo = list(seen)
+        try:
+            while todo:
+                for a in arrows_at[todo.pop()]:
+                    w = a.target if forward else a.source
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+        except KeyError as err:
+            raise DanglingIdError(f"unknown vertex id {err.args[0]!r}") from None
+        return seen
 
     # -- subquiver calculus ------------------------------------------------
 
@@ -142,46 +144,52 @@ class Quiver:
     # -- components and condensation ----------------------------------------
 
     @cached_property
+    def _scc(self) -> tuple[tuple[frozenset[str], ...], dict[str, int], tuple[int, ...]]:
+        """The components in `scc_list` order, each vertex's position in it,
+        and the number of arrows inside each component.
+
+        One pass over the arrows counts the inner arrows and the condensation
+        in-degrees; Kahn's sort then always takes the ready component whose
+        first-declared vertex comes first.
+        """
+        comps = _tarjan(self.vertices, self.out_arrows)
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        inner = [0] * len(comps)
+        indeg = [0] * len(comps)
+        succ: list[list[int]] = [[] for _ in comps]
+        for a in self.arrows:
+            s, t = comp_of[a.source], comp_of[a.target]
+            if s == t:
+                inner[s] += 1
+            else:
+                succ[s].append(t)
+                indeg[t] += 1
+        first = [min(map(self.vertex_index.__getitem__, comp)) for comp in comps]
+        ready = [(first[i], i) for i in range(len(comps)) if not indeg[i]]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            i = heapq.heappop(ready)[1]
+            order.append(i)
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, (first[j], j))
+        ordered = tuple(frozenset(comps[i]) for i in order)
+        position = {v: k for k, comp in enumerate(ordered) for v in comp}
+        return ordered, position, tuple(inner[i] for i in order)
+
+    @property
     def scc_list(self) -> tuple[frozenset[str], ...]:
         """Strongly connected components in topological order of the condensation.
 
         Ties are broken by the smallest member's declaration index, so the
         order is deterministic.
         """
-        comps = _tarjan(self.vertices, {v: [a.target for a in self.out_arrows[v]] for v in self.vertices})
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        succ: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-        indeg = {i: 0 for i in range(len(comps))}
-        for a in self.arrows:
-            s, t = comp_of[a.source], comp_of[a.target]
-            if s != t and t not in succ[s]:
-                succ[s].add(t)
-                indeg[t] += 1
-        keyfun = lambda i: min(self.vertex_index[v] for v in comps[i])
-        ready = sorted((i for i in indeg if indeg[i] == 0), key=keyfun)
-        order = []
-        while ready:
-            i = ready.pop(0)
-            order.append(i)
-            opened = []
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    opened.append(j)
-            if opened:
-                ready = sorted(ready + opened, key=keyfun)
-        return tuple(frozenset(comps[i]) for i in order)
-
-    def component_has_arrow(self, comp: frozenset[str]) -> bool:
-        return any(a.source in comp and a.target in comp for a in self.arrows)
+        return self._scc[0]
 
     def components(self) -> "ComponentsReport":
-        comps = self.scc_list
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        flags = tuple(self.component_has_arrow(c) for c in comps)
+        comps, comp_of, inner = self._scc
         names = ["+".join(self.sort_vertices(c)) for c in comps]
         cond_arrows = []
         for a in self.arrows:
@@ -189,31 +197,23 @@ class Quiver:
             if s != t:
                 cond_arrows.append(Arrow(a.name, names[s], names[t]))
         condensation = Quiver(tuple(names), tuple(cond_arrows))
-        simple = all(self._is_simple_cycle(c) for c, f in zip(comps, flags) if f)
-        return ComponentsReport(comps, flags, condensation, simple)
-
-    def _is_simple_cycle(self, comp: frozenset[str]) -> bool:
-        inner = [a for a in self.arrows if a.source in comp and a.target in comp]
-        if len(inner) != len(comp):
-            return False
-        outdeg = {v: 0 for v in comp}
-        indeg = {v: 0 for v in comp}
-        for a in inner:
-            outdeg[a.source] += 1
-            indeg[a.target] += 1
-        return all(outdeg[v] == 1 and indeg[v] == 1 for v in comp)
+        # a component with an arrow is a simple cycle when it holds as many
+        # arrows as vertices, since each vertex has an inner arrow in and out
+        simple = all(n == len(c) for c, n in zip(comps, inner) if n)
+        return ComponentsReport(comps, tuple(n > 0 for n in inner), condensation, simple)
 
     @property
     def is_acyclic(self) -> bool:
-        return not any(self.component_has_arrow(c) for c in self.scc_list)
+        return not any(self._scc[2])
 
     # -- homological heart ---------------------------------------------------
 
     def homological_heart(self) -> "HeartProfile":
-        cycles = frozenset().union(*[c for c in self.scc_list if self.component_has_arrow(c)])
+        comps, _, inner = self._scc
+        cycles = frozenset().union(*[c for c, n in zip(comps, inner) if n])
         heart = self.convex_closure(cycles)
         # t: the complement's vertices are trivial components, in topological order
-        longest = {v: 0 for comp in self.scc_list for v in comp if v not in heart.vertex_set}
+        longest = {v: 0 for comp in comps for v in comp if v not in heart.vertex_set}
         for v in longest:
             for a in self.out_arrows[v]:
                 if a.target in longest:
@@ -375,19 +375,12 @@ class ComponentsReport:
         return sum(1 for f in self.nontrivial_flags if f)
 
 
-def _union_of_rows(table: dict[str, frozenset[str]], vs) -> set[str]:
-    try:
-        return set().union(*[table[v] for v in vs])
-    except KeyError as err:
-        raise DanglingIdError(f"unknown vertex id {err.args[0]!r}") from None
-
-
 def _check_parent(q: Quiver, sub: "FullSubquiver") -> None:
     if sub.parent is not q and sub.parent != q:
         raise InputError("subquiver belongs to a different quiver")
 
 
-def _tarjan(vertices, succ) -> list[list[str]]:
+def _tarjan(vertices, out_arrows) -> list[list[str]]:
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     onstack: set[str] = set()
@@ -401,17 +394,18 @@ def _tarjan(vertices, succ) -> list[list[str]]:
         counter += 1
         stack.append(root)
         onstack.add(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(out_arrows[root]))]
         while work:
             v, it = work[-1]
             advanced = False
-            for w in it:
+            for a in it:
+                w = a.target
                 if w not in index:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     onstack.add(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(out_arrows[w])))
                     advanced = True
                     break
                 if w in onstack and index[w] < low[v]:

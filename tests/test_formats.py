@@ -4,6 +4,8 @@ Error positions are asserted exactly so editors can jump to the offending
 line.  Round-trips reload the serialized text and compare structures.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,6 +384,20 @@ def test_dot_export_plain_and_empty(line_quiver):
 
     empty = export_dot(Quiver.build([], []))
     assert empty.startswith("digraph") and empty.rstrip().endswith("}")
+
+
+def test_dot_export_escapes_quotes_and_backslashes(tmp_path):
+    text = 'quiver\n  vertices a"b c\\ d\n  arrow x"y a"b c\\\n  arrow z\\ c\\ d\n'
+    q = load_bundle([write(tmp_path, text)]).quiver
+    dot = export_dot(q, q.full_subquiver({"c\\"}))
+    assert '"a\\"b" [class="minus"' in dot
+    assert '"c\\\\" [class="inside"' in dot
+    assert '"a\\"b" -> "c\\\\" [label="x\\"y"];' in dot
+    assert '"c\\\\" -> "d" [label="z\\\\"];' in dot
+    # every quoted string closes on its own line, so each line reads as DOT
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    for line in dot.splitlines():
+        assert '"' not in quoted.sub("", line), line
 
 
 # ---------------------------------------------------------------------------

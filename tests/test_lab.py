@@ -43,7 +43,7 @@ from quiverhom import (
     verify_subquiver_calculus,
 )
 from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy
-from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
+from quiverhom.lab import ALGEBRA_DIM_CAP, Block, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
 
 from test_cli import CYCLE_TAIL
 
@@ -78,6 +78,22 @@ def test_subquiver_suite_small_run():
     assert report.all_passed
     assert report.attempted == 40 and report.passed == 40
     assert report.suite == "subquiver-calculus"
+
+
+def test_heart_closure_check_catches_a_fault_in_the_component_pass(monkeypatch):
+    # loops counted as no inner arrow: the heart, the flags and acyclicity all
+    # read the same pass, so only the closure of the cycles that walks find
+    # tells the heart is wrong
+    real = Quiver.__dict__["_scc"].func
+
+    def loops_uncounted(q):
+        comps, comp_of, inner = real(q)
+        return comps, comp_of, tuple(0 if len(c) == 1 else n for c, n in zip(comps, inner))
+
+    monkeypatch.setattr(Quiver, "_scc", property(loops_uncounted))
+    report = verify_subquiver_calculus(InstanceSpec(seed=1), cases=20)
+    assert report.witnesses
+    assert {w.check_id for w in report.witnesses} == {"heart_is_cycle_closure"}
 
 
 def test_convex_epi_suite_small_run():
@@ -175,6 +191,16 @@ def test_decompose_two_cycles(two_cycles_quiver, two_cycles_ideal):
         node = node.child
         depth += 1
     assert depth == 2 and node.kind == "acyclic"
+
+
+def test_decompose_tells_simple_cycle_blocks_from_others():
+    # parallel arrows in the 2-cycle make it no simple cycle; one loop is one
+    q = Quiver.build(
+        ["1", "2", "3"],
+        [("a", "1", "2"), ("c", "1", "2"), ("b", "2", "1"), ("d", "2", "3"), ("l", "3", "3")],
+    )
+    tree = decompose(build_algebra(q, IdealSpec.zero(2), QQ))
+    assert tree.blocks == (Block(("1", "2"), 5, False), Block(("3",), 2, True))
 
 
 def test_decompose_over_prime_field(two_cycles_quiver, two_cycles_ideal):

@@ -1,13 +1,15 @@
 """Subquiver calculus against brute-force oracles.
 
-Convexity, boundary classes, closures, components, and the heart are all
-recomputed here by edge fixpoints and exhaustive enumeration on random
-quivers, so the reach table in `quiver.py` is checked against logic that
-shares no code with it.
+Convexity, boundary classes, closures, components, their order, and the
+heart are all recomputed here by edge fixpoints and exhaustive enumeration
+on random quivers, so the walks and the component pass in `quiver.py` are
+checked against logic that shares no code with them.  Chains and cycles of
+20 000 vertices hold every query to linear memory.
 """
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -115,7 +117,7 @@ def test_unknown_vertex_ids_are_refused_and_known_sets_checked_once(cycle_tail_q
     for call in (q.reachable_from, q.reaching, q.full_subquiver, q.convex_closure):
         with pytest.raises(DanglingIdError, match="unknown vertex id 'nope'"):
             call(["1", "nope"])
-    # a full subquiver checks its set when made; reading the table does not
+    # a full subquiver checks its set when made; walking from it does not
     # check it again
     calls = []
     real = Quiver.check_vertices
@@ -209,6 +211,39 @@ def test_components_against_mutual_reachability_oracle():
         assert rep.condensation.is_acyclic
         flat = [v for comp in rep.components for v in comp]
         assert sorted(flat) == sorted(q.vertices)
+        # a component with an arrow is a simple cycle when each member has
+        # exactly one arrow in and one arrow out inside it
+        inner = [[a for a in q.arrows if a.source in c and a.target in c] for c in rep.components]
+        assert rep.nontrivial_flags == tuple(bool(arrows) for arrows in inner)
+        assert q.is_acyclic == (not any(inner))
+        degrees = [sorted(a.source for a in arrows) + sorted(a.target for a in arrows) for arrows in inner]
+        simple = all(d == sorted(c) * 2 for c, d in zip(rep.components, degrees) if d)
+        assert rep.simple_cycle_type == simple
+
+
+def oracle_scc_list(q):
+    """Components by mutual reach, each time taking the ready component (no
+    arrow into it from those left) whose first-declared vertex comes first."""
+    left = []
+    for v in q.vertices:
+        if not any(v in comp for comp in left):
+            left.append({v} | {u for u in oracle_reachable(q, {v}) if v in oracle_reachable(q, {u})})
+    order = []
+    while left:
+        remaining = set().union(*left)
+        ready = [c for c in left if not any(a.target in c and a.source in remaining - c for a in q.arrows)]
+        first = min(ready, key=lambda c: min(q.vertices.index(v) for v in c))
+        order.append(frozenset(first))
+        left.remove(first)
+    return order
+
+
+def test_scc_list_order_matches_oracle():
+    # Tarjan alone lists {3}, {2}, {1} here
+    q = Quiver.build(["1", "2", "3"], [("a", "3", "2")])
+    assert list(q.scc_list) == [{"1"}, {"3"}, {"2"}] == oracle_scc_list(q)
+    for q, _ in lab_scale_cases(107):
+        assert list(q.scc_list) == oracle_scc_list(q)
 
 
 def test_heart_is_smallest_convex_superset_of_cycles():
@@ -229,6 +264,54 @@ def test_heart_is_smallest_convex_superset_of_cycles():
         for cand in subsets(q.vertices):
             if cycles <= cand and oracle_convex(q, cand):
                 assert hp.heart.vertex_set <= cand
+
+
+def scale_quiver(n, closed):
+    """A chain of n vertices, closed into one cycle when asked."""
+    vs = [str(i) for i in range(n)]
+    arrows = [(f"a{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+    return Quiver.build(vs, arrows + [("back", vs[-1], vs[0])] * closed)
+
+
+def peak_mb(call, *args):
+    """call(*args) and the peak memory it held, in MB, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
+def test_queries_stay_linear_at_scale(closed):
+    # a table per vertex would need n^2 entries: gigabytes here
+    n = 20_000
+    mid = str(n // 2)
+    queries = {
+        "homological_heart": lambda q: q.homological_heart(),
+        "components": lambda q: q.components(),
+        "boundary_split": lambda q: q.boundary_split(q.full_subquiver({mid})),
+        "convex_closure": lambda q: q.convex_closure({"0", str(n - 1)}),
+        "is_acyclic": lambda q: q.is_acyclic,
+    }
+    got = {}
+    for name, query in queries.items():
+        got[name], peak = peak_mb(query, scale_quiver(n, closed))
+        assert peak < 64, (name, peak)
+    hp, rep, split = got["homological_heart"], got["components"], got["boundary_split"]
+    assert got["convex_closure"].vertex_set == set(scale_quiver(n, closed).vertices)
+    assert got["is_acyclic"] is not closed
+    if closed:
+        assert len(hp.heart.vertex_set) == len(hp.cycle_vertices) == n and hp.t == 0
+        assert rep.nontrivial_flags == (True,) and rep.simple_cycle_type
+        assert len(split.plus) == len(split.minus) == n - 1 and not split.zero
+    else:
+        assert hp.heart.is_empty and hp.t == n - 1
+        assert [min(c) for c in rep.components] == [str(i) for i in range(n)]
+        assert rep.nontrivial_count == 0 and len(rep.condensation.arrows) == n - 1
+        assert split.plus == {str(i) for i in range(n // 2 + 1, n)}
+        assert split.minus == {str(i) for i in range(n // 2)} and not split.zero
 
 
 def test_heart_profiles_of_fixed_quivers(line_quiver, cycle_tail_quiver, two_cycles_quiver):
