@@ -7,8 +7,8 @@ algebra's projective layout and product table and keeps only lift rows and
 kernel bases; its dense term, cover map and syzygy inclusion are built when
 first read, which the syzygy walk, the Ext tables and the gates never do.
 Its work follows the term and the module, not the quiver: it eliminates only
-at vertices where the term or the radical has rows, and builds syzygy arrow
-matrices only where the source kernel is nonzero.
+where the radical has rows or the term has rows over a nonzero component,
+and builds syzygy arrow matrices only out of vertices with kernel rows.
 One ``SyzygyTable`` per case or command keys modules by content (algebra,
 dims and matrices); every ``SyzygyChain`` minted from it reads the same
 nodes, so no content is stepped twice, and a syzygy equal to one already on
@@ -179,13 +179,12 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     generator per top basis vector, so the construction is deterministic; a
     generator's basis element x maps to its lift row times the matrix of x.
     At a vertex w the cover surjects iff its rows there have rank dim M_w.
-    Where there are exactly dim M_w rows, one rank-only rref decides it, and
-    full rank also leaves the kernel zero; only where there are more does a
-    RowSpace eliminate [rows | I] for the kernel; where the term is zero
-    nothing is eliminated.  An arrow acts on a kernel row through the product
-    table, read only at the pivot columns of the kernel at its target, which
-    are the coordinates there; an arrow whose source kernel is zero gets the
-    empty matrix.  Minimality is certified by checking that the kernel
+    Where M_w is zero every row is in the kernel; where there are dim M_w
+    rows, one rank-only rref decides it, and full rank leaves the kernel
+    zero; only where there are more does a RowSpace eliminate.  An arrow out
+    of a vertex with kernel rows acts on them through the product table,
+    read only at the kernel's pivot columns at its target; other arrows get
+    the empty matrix.  Minimality is certified by checking that the kernel
     avoids the generator unit coordinates, which span a complement of the
     radical of the term.
     """
@@ -208,6 +207,8 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
         for i in layout.walks[v]:
             w, pre, arrows = prefix[i]
             row = walked[pre] if pre >= 0 else unit
+            if pre < 0 and arrows:  # the unit row times an arrow: its matrix row at the lift
+                row, arrows = m.mats[arrows[0]][lifts[v][c]], arrows[1:]
             if any(row):
                 for name in arrows:
                     row = linalg.vec_mat(row, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
@@ -219,36 +220,34 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     kernel_cols: dict[str, dict[int, int]] = {}
     for w, d in m.dims.items():
         rows = cover_rows.get(w, ())
-        if len(rows) > d:
+        if not d:
+            kernel[w], cols, rank = linalg.identity(len(rows), F), range(len(rows)), 0
+        elif len(rows) > d:
             space = linalg.RowSpace(rows, d, F)
-            kernel[w], rank = space.kernel, len(space.pivots)
-            kernel_cols[w] = {col: r for r, col in enumerate(space.kernel_pivots)}
+            kernel[w], cols, rank = space.kernel, space.kernel_pivots, space.rank
         else:
-            kernel[w], rank = [], linalg.rank(rows, d, F) if rows else 0
+            kernel[w], cols, rank = [], (), linalg.rank(rows, d, F) if rows else 0
+        kernel_cols[w] = {col: r for r, col in enumerate(cols)}
         if rank != d:
             raise InvariantViolation(f"projective cover fails to surject at {w!r}")
     table, local = alg.table, layout.local
-    mats = {}
-    # an arrow whose source kernel is zero keeps the empty matrix Representation gives it
-    for a in q.arrows:
-        rows = kernel[a.source]
-        if not rows:
-            continue
-        cols = kernel_cols.get(a.target, {})
-        j, starts, basis = alg.arrow_index[a.name], offsets.get(a.target), info.basis[a.source]
-        mats[a.name] = []
-        for row in rows:
-            img = [F.zero] * len(cols)
-            # with no kernel at the target, an image has no coordinates to read
-            for p, x in enumerate(row if cols else ()):
-                if x:
-                    g, i = basis[p]
-                    for k, coeff in table[i].get(j, ()):
-                        r = cols.get(starts[g] + local[k])
-                        if r is not None:
-                            img[r] = F.add(img[r], F.mul(x, coeff))
-            mats[a.name].append(img)
-    syz = Representation(alg, dict(zip(kernel, map(len, kernel.values()))), mats, validate=False)
+    mats: dict[str, list[list]] = {name: [] for name in q.arrow_by_name}
+    for v, rows in kernel.items():
+        for a in q.out_arrows[v] if rows else ():
+            cols = kernel_cols[a.target]
+            j, starts, basis = alg.arrow_index[a.name], offsets.get(a.target), info.basis[v]
+            for row in rows:
+                img = [F.zero] * len(cols)
+                # with no kernel at the target, an image has no coordinates to read
+                for p, x in enumerate(row if cols else ()):
+                    if x:
+                        g, i = basis[p]
+                        for k, coeff in table[i].get(j, ()):
+                            r = cols.get(starts[g] + local[k])
+                            if r is not None:
+                                img[r] = F.add(img[r], F.mul(x, coeff))
+                mats[a.name].append(img)
+    syz = Representation._unchecked(alg, dict(zip(kernel, map(len, kernel.values()))), mats)
     minimal = not any(row[p] for w, p in info.gen_pos for row in kernel[w])
     return CoverStep(mults, info, syz, minimal, m, cover_rows, kernel)
 

@@ -11,8 +11,8 @@ for it.  Entries are canonical field elements (see ``fields``), so zero is
 the only falsy entry and zero tests are truthiness: ``if x``, ``any(row)``.
 Zero and identity matrices hold the ints 0 and 1.  A vector lies in a row
 space iff ``reduce_mod_rowspace`` against the space's ``rref`` basis leaves
-nothing.  ``RowSpace`` is the one kernel routine: a left kernel is its
-``kernel``, and a right kernel is that of the transpose.
+nothing.  ``RowSpace`` is the one kernel routine, one rref of the reversed
+transpose: a left kernel is its ``kernel``, a right kernel the transpose's.
 
 Row reduction over the rationals is Gauss-Jordan on the entries as given,
 ints or Fractions.  Each pivot row not already led by 1 is scaled by
@@ -183,34 +183,30 @@ def reduce_mod_rowspace(v: list, echelon: list[list], pivots: list[int], field) 
 
 
 class RowSpace:
-    """Echelon basis of a matrix's row space together with its left kernel.
+    """Left kernel of an r x d matrix, and its rank, off one rref.
 
-    One elimination of [rows | I] gives both: echelon rows whose pivot lies
-    in the left block form ``basis`` (pivot columns in ``pivots``), and the
-    rest, read off the identity block, form ``kernel``, the canonical echelon
-    basis of the left kernel of the original matrix, with its pivot columns
-    in ``kernel_pivots``.  With no rows or no columns nothing is eliminated:
-    the basis is empty and the kernel is the m x m identity.
+    That rref is of the d x r reversed transpose, whose row j is column j
+    read from the last row up.  Each free column f of it gives the kernel
+    pivot i = r - 1 - f and the kernel row e_i less the echelon's column-f
+    entries, each placed at r - 1 - p for its row's pivot p < f.  Such a row
+    is zero at every other kernel pivot and left of i, so ``kernel`` is the
+    canonical echelon basis of the left kernel, with its pivot columns in
+    ``kernel_pivots``.  With no rows or no columns nothing is eliminated.
     """
 
     def __init__(self, rows: list[list], ncols: int, field):
-        m = len(rows)
-        self.basis: list[list] = []
-        self.pivots: list[int] = []
-        if not rows or not ncols:
-            self.kernel, self.kernel_pivots = identity(m, field), list(range(m))
-            return
-        aug = [[*row, *unit] for row, unit in zip(rows, identity(m, field))]
-        echelon, pivots = rref(aug, ncols + m, field)
+        r = len(rows)
+        echelon, pivots = rref(list(zip(*reversed(rows))), r, field)
+        self.rank, lead = len(pivots), set(pivots)
+        self.kernel_pivots = [r - 1 - f for f in reversed(range(r)) if f not in lead]
         self.kernel: list[list] = []
-        self.kernel_pivots: list[int] = []
-        for row, c in zip(echelon, pivots):
-            if c < ncols:
-                self.basis.append(row[:ncols])
-                self.pivots.append(c)
-            else:
-                self.kernel.append(row[ncols:])
-                self.kernel_pivots.append(c - ncols)
+        for i in self.kernel_pivots:
+            row = [field.zero] * r
+            row[i] = field.one
+            for erow, p in zip(echelon, pivots):
+                if erow[r - 1 - i]:
+                    row[r - 1 - p] = field.neg(erow[r - 1 - i])
+            self.kernel.append(row)
 
 
 def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, field):

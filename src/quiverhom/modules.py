@@ -104,6 +104,13 @@ class Representation:
         if validate:
             self.validate()
 
+    @classmethod
+    def _unchecked(cls, algebra: FiniteDimAlgebra, dims, mats) -> "Representation":
+        """A module kept as given: dims and mats at every vertex and arrow, in the quiver's order."""
+        rep = cls.__new__(cls)
+        rep.algebra, rep.dims, rep.mats, rep._element_mats, rep._top_lifts = algebra, dims, mats, {}, None
+        return rep
+
     @property
     def field(self):
         return self.algebra.field
@@ -482,11 +489,8 @@ def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Represen
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Kernel of a module map as an embedded submodule of the source.
-
-    One elimination of [block | I] per vertex yields the kernel's canonical
-    echelon basis together with its pivots.
-    """
+    """Kernel of a module map as an embedded submodule of the source, from
+    a RowSpace per vertex: the kernel's canonical echelon basis and pivots."""
     F = f.field
     echelons = {}
     for v in f.source.algebra.quiver.vertices:

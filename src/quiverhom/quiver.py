@@ -190,7 +190,8 @@ class Quiver:
 
     def components(self) -> "ComponentsReport":
         comps, comp_of, inner = self._scc
-        names = ["+".join(self.sort_vertices(c)) for c in comps]
+        escaped = [[v.replace("\\", "\\\\").replace("+", "\\+") for v in self.sort_vertices(c)] for c in comps]
+        names = list(map("+".join, escaped))
         cond_arrows = []
         for a in self.arrows:
             s, t = comp_of[a.source], comp_of[a.target]
@@ -362,7 +363,7 @@ class ComponentsReport:
     component is nontrivial when it contains at least one arrow (so single
     vertices with a loop count).  The condensation quiver keeps one arrow
     per original arrow joining distinct components and names its vertices
-    by joining the member ids with '+'.
+    by joining the member ids, '+' and backslash escaped, with '+'.
     """
 
     components: tuple[frozenset[str], ...]

@@ -64,6 +64,17 @@ ideal
   truncation 3
 """
 
+PLUS_ID = """\
+quiver
+  vertices 1 2 1+2
+  arrow a 1 2
+  arrow b 2 1
+  arrow c 2 1+2
+
+ideal
+  truncation 3
+"""
+
 
 @pytest.fixture
 def ws(tmp_path):
@@ -116,6 +127,16 @@ def test_components_command(ws, capsys):
     assert "component 1 2 [nontrivial]" in out
     assert "condensation 1+2 -> 3" in out
     assert "simple_cycle_type yes" in out
+
+
+def test_components_command_escapes_a_plus_inside_an_id(tmp_path, capsys):
+    # unescaped, the component {1, 2} and the vertex 1+2 would both be named 1+2
+    p = tmp_path / "plus.qh"
+    p.write_text(PLUS_ID)
+    assert cli.main(["components", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "component 1+2 [trivial]" in out
+    assert "condensation 1+2 -> 1\\+2" in out
 
 
 def test_algebra_command(ws, capsys):

@@ -31,7 +31,7 @@ from quiverhom import (
     standard_module,
     zero_module,
 )
-from quiverhom.homology import MAX_TERM_WIDTH, cover_width, projective_cover_and_syzygy
+from quiverhom.homology import MAX_TERM_WIDTH, cover_width, projective_cover_and_syzygy, resolution
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import TermInfo, kernel_of_map, materialize_term
 
@@ -238,17 +238,35 @@ def test_a_cover_step_eliminates_only_where_the_term_or_the_radical_is(F, monkey
     calls = counted_eliminations(monkeypatch)
     step = projective_cover_and_syzygy(simple)
     # rank only at 0 (one row for one dimension), decided without rref; 1..3
-    # have rows and no dimension, so their kernel is every row and nothing is
-    # eliminated
-    assert calls == [("RowSpace", 1, 0)] * 3
+    # have rows and no dimension, so their kernel is every row, taken without
+    # a RowSpace
+    assert calls == []
     assert step.syzygy.dims == {str(v): int(v in (1, 2, 3)) for v in range(7)}
     calls.clear()
     step = projective_cover_and_syzygy(gap)
     # top lifts at 4, the only vertex with radical rows, read its one row's
     # pivot; the cover at 1 (the unit row) and at 4 (the path 3 -> 4) has one
-    # row, whose rank is decided without rref
-    assert calls == [
-        ("RowSpace", 1, 0),  # at 2: the path 1 -> 2, into a zero component
-        ("RowSpace", 2, 1),  # at 3: the path 1 -> 3 and the unit row of P_3
-    ]
+    # row, whose rank is decided without rref; at 2 the path 1 -> 2 runs into
+    # a zero component, which is all kernel
+    assert calls == [("RowSpace", 2, 1)]  # at 3: the path 1 -> 3 and the unit row of P_3
     assert step.syzygy.dims == {"1": 0, "2": 1, "3": 1, "4": 0}
+
+
+def test_resolving_the_nakayama_simples_eliminates_pinned_cells(monkeypatch):
+    # every simple of the oriented 4-cycle with J^7 = 0 over GF(2^31 - 1),
+    # resolved to cutoff 8; cells are rows x columns summed over every rref,
+    # those inside a RowSpace included
+    arrows = [(f"a{i}", str(i), str((i + 1) % 4)) for i in range(4)]
+    alg = build_algebra(Quiver.build([str(v) for v in range(4)], arrows), IdealSpec.zero(7), GF)
+    cells, rref = [], linalg.rref
+
+    def counted(rows, ncols, F):
+        cells.append(len(rows) * ncols)
+        return rref(rows, ncols, F)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    for v in alg.vertices:
+        resolution(standard_module(alg, "simple", v), 8)
+    # each kernel eliminates the d x r reversed transpose of its r x d block,
+    # not the r x (d + r) matrix [rows | I], which made 416 cells
+    assert (len(cells), sum(cells)) == (96, 288)

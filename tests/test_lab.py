@@ -203,6 +203,14 @@ def test_decompose_tells_simple_cycle_blocks_from_others():
     assert tree.blocks == (Block(("1", "2"), 5, False), Block(("3",), 2, True))
 
 
+def test_decompose_where_a_vertex_id_holds_a_plus():
+    # the 2-cycle on 1 and 2 is one component, the vertex 1+2 another
+    q = Quiver.build(["1", "2", "1+2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "1+2")])
+    tree = decompose(build_algebra(q, IdealSpec.zero(3), QQ))
+    assert tree.blocks == (Block(("1", "2"), 6, True),)
+    assert tree.root.heart_vertices == ("1", "2") and tree.root.child.kind == "acyclic"
+
+
 def test_decompose_over_prime_field(two_cycles_quiver, two_cycles_ideal):
     tree = decompose(build_algebra(two_cycles_quiver, two_cycles_ideal, PrimeField(7)))
     assert tree.splits == 2
