@@ -4,11 +4,13 @@ Projective resolutions are built step by step from projective covers: lift a
 basis of the top, map a matching sum of indecomposable projectives onto the
 module, and take the kernel as the next syzygy.  A cover step reads the
 algebra's projective layout and product table and keeps only lift rows and
-kernel bases; its dense term, cover map and syzygy inclusion are built when
-first read, which the syzygy walk, the Ext tables and the gates never do.
-Its work follows the term and the module, not the quiver: it eliminates only
-where the radical has rows or the term has rows over a nonzero component,
-and builds syzygy arrow matrices only out of vertices with kernel rows.
+kernel rows, as their nonzero (column, entry) pairs, which are all its
+syzygy, its certificate and the Ext tables read; its dense kernel, term,
+cover map and syzygy inclusion are built when first read, which the syzygy
+walk, the Ext tables and the gates never do.  Its work follows the term and
+the module, not the quiver: it eliminates only where the radical has rows
+or the term has rows over a nonzero component, and builds syzygy arrow
+matrices only out of vertices with kernel rows.
 One ``SyzygyTable`` per case or command keys modules by content (algebra,
 dims and matrices); every ``SyzygyChain`` minted from it reads the same
 nodes, so no content is stepped twice, and a syzygy equal to one already on
@@ -115,10 +117,11 @@ class CoverStep:
     """One projective cover of module: term, cover map, syzygy, and certificates.
 
     cover_rows holds the image in module of each term basis element, per
-    vertex where the term is nonzero, and kernel the syzygy's canonical
-    echelon basis in the term, per vertex.  The term,
-    the cover and the syzygy's inclusion are built from them when first read,
-    and hold no reference back to the step.
+    vertex where the term is nonzero, and kernel_entries the syzygy's
+    canonical echelon basis in the term, each row as its nonzero (column,
+    entry) pairs, ascending, per vertex where it has rows.  The dense
+    kernel, the term, the cover and the syzygy's inclusion are built from
+    them when first read, and hold no reference back to the step.
     """
 
     mults: dict[str, int]
@@ -127,7 +130,12 @@ class CoverStep:
     minimal: bool
     module: Representation
     cover_rows: dict[str, list[list]]
-    kernel: dict[str, list[list]]
+    kernel_entries: dict[str, list[list[tuple]]]
+
+    @cached_property
+    def kernel(self) -> dict[str, list[list]]:
+        entries, F = self.kernel_entries, self.module.field
+        return {w: linalg.from_entries(entries.get(w, ()), len(b), F) for w, b in self.info.basis.items()}
 
     @cached_property
     def term(self) -> Representation:
@@ -179,14 +187,16 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     generator per top basis vector, so the construction is deterministic; a
     generator's basis element x maps to its lift row times the matrix of x.
     At a vertex w the cover surjects iff its rows there have rank dim M_w.
-    Where M_w is zero every row is in the kernel; where there are dim M_w
-    rows, one rank-only rref decides it, and full rank leaves the kernel
-    zero; only where there are more does a RowSpace eliminate.  An arrow out
-    of a vertex with kernel rows acts on them through the product table,
-    read only at the kernel's pivot columns at its target; other arrows get
-    the empty matrix.  Minimality is certified by checking that the kernel
-    avoids the generator unit coordinates, which span a complement of the
-    radical of the term.
+    Where M_w is zero the kernel is the whole term component, its rows unit
+    pairs and its coordinates the term positions (a vertex with no term
+    rows either is skipped); where there are dim M_w rows, one rank-only
+    rref decides it, and full rank leaves the kernel zero; only where there
+    are more does a RowSpace eliminate, its kernel pivots the coordinates.
+    An arrow out of a vertex with kernel rows acts on their pairs through
+    the product table, read only at the coordinates at its target; other
+    arrows get the empty matrix.  Minimality is certified by checking that
+    no pair lies at a generator unit coordinate; those span a complement of
+    the radical of the term.
     """
     alg = m.algebra
     q, F = alg.quiver, alg.field
@@ -216,39 +226,43 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
                 row = [F.zero] * m.dims[w]
             walked[i] = row
             cover_rows.setdefault(w, []).append(row)
-    kernel: dict[str, list[list]] = {}
-    kernel_cols: dict[str, dict[int, int]] = {}
+    kernel: dict[str, list[list[tuple]]] = {}  # rows as (column, entry) pairs, where there are rows
+    coords: dict[str, Sequence[int | None]] = {}  # there, each term position's kernel coordinate
     for w, d in m.dims.items():
         rows = cover_rows.get(w, ())
         if not d:
-            kernel[w], cols, rank = linalg.identity(len(rows), F), range(len(rows)), 0
-        elif len(rows) > d:
+            if rows:  # the whole term component, whose positions are the coordinates
+                kernel[w], coords[w] = [[(c, F.one)] for c in range(len(rows))], range(len(rows))
+            continue
+        if len(rows) > d:
             space = linalg.RowSpace(rows, d, F)
-            kernel[w], cols, rank = space.kernel, space.kernel_pivots, space.rank
+            kernel[w], rank, coords[w] = space.kernel_entries, space.rank, [None] * len(rows)
+            for r, c in enumerate(space.kernel_pivots):
+                coords[w][c] = r
         else:
-            kernel[w], cols, rank = [], (), linalg.rank(rows, d, F) if rows else 0
-        kernel_cols[w] = {col: r for r, col in enumerate(cols)}
+            rank = linalg.rank(rows, d, F) if rows else 0
         if rank != d:
             raise InvariantViolation(f"projective cover fails to surject at {w!r}")
     table, local = alg.table, layout.local
     mats: dict[str, list[list]] = {name: [] for name in q.arrow_by_name}
     for v, rows in kernel.items():
-        for a in q.out_arrows[v] if rows else ():
-            cols = kernel_cols[a.target]
-            j, starts, basis = alg.arrow_index[a.name], offsets.get(a.target), info.basis[v]
+        basis = info.basis[v]
+        for a in q.out_arrows[v]:
+            j, starts, cols = alg.arrow_index[a.name], offsets.get(a.target), coords.get(a.target)
+            width = len(kernel.get(a.target, ()))
             for row in rows:
-                img = [F.zero] * len(cols)
+                img = [F.zero] * width
                 # with no kernel at the target, an image has no coordinates to read
-                for p, x in enumerate(row if cols else ()):
-                    if x:
-                        g, i = basis[p]
-                        for k, coeff in table[i].get(j, ()):
-                            r = cols.get(starts[g] + local[k])
-                            if r is not None:
-                                img[r] = F.add(img[r], F.mul(x, coeff))
+                for p, x in row if width else ():
+                    g, i = basis[p]
+                    for k, coeff in table[i].get(j, ()):
+                        r = cols[starts[g] + local[k]]
+                        if r is not None:
+                            img[r] = F.add(img[r], F.mul(x, coeff))
                 mats[a.name].append(img)
-    syz = Representation._unchecked(alg, dict(zip(kernel, map(len, kernel.values()))), mats)
-    minimal = not any(row[p] for w, p in info.gen_pos for row in kernel[w])
+    syz = Representation._unchecked(alg, {w: len(kernel.get(w, ())) for w in m.dims}, mats)
+    gen_pos = set(info.gen_pos)
+    minimal = not any((w, c) in gen_pos for w in dict(gen_pos) for row in kernel.get(w, ()) for c, _ in row)
     return CoverStep(mults, info, syz, minimal, m, cover_rows, kernel)
 
 
@@ -490,7 +504,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     The generators of P_i are the top lifts of Omega^i, so P_(k+1) is read
     off the top of Omega^(k+1) and that module takes no cover step.  The
     generator at lift j of Omega^i_u maps in P_(i-1) to row j of the
-    inclusion of Omega^i at u.
+    inclusion of Omega^i at u, read as that kernel row's pairs.
 
     When every arrow of N acts by zero (N.J = 0), the complex is not built:
     the resolution is minimal, so each differential maps P_i into the
@@ -519,7 +533,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     ranks = [0]
     for i in range(1, k + 2):
         basis_s = steps[i - 1].info.basis
-        kernel = steps[i - 1].kernel
+        kernel = steps[i - 1].kernel_entries
         nrows, ncols = hom_dims[i - 1], hom_dims[i]
         if not nrows or not ncols:
             ranks.append(0)
@@ -531,9 +545,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
             col0 = offsets[i][g]
             if col0 == offsets[i][g + 1]:
                 continue
-            for c, coeff in enumerate(kernel[u][j]):
-                if not coeff:
-                    continue
+            for c, coeff in kernel[u][j]:
                 gsrc, elt = basis_s[u][c]
                 row0 = rows0[gsrc]
                 if row0 == rows0[gsrc + 1]:

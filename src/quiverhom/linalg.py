@@ -13,6 +13,7 @@ Zero and identity matrices hold the ints 0 and 1.  A vector lies in a row
 space iff ``reduce_mod_rowspace`` against the space's ``rref`` basis leaves
 nothing.  ``RowSpace`` is the one kernel routine, one rref of the reversed
 transpose: a left kernel is its ``kernel``, a right kernel the transpose's.
+Its kernel rows are kept as their nonzero (column, entry) pairs, dense on read.
 
 Row reduction over the rationals is Gauss-Jordan on the entries as given,
 ints or Fractions.  Each pivot row not already led by 1 is scaled by
@@ -32,6 +33,7 @@ echelon bases are equal lists.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import Rationals
 
@@ -187,26 +189,43 @@ class RowSpace:
 
     That rref is of the d x r reversed transpose, whose row j is column j
     read from the last row up.  Each free column f of it gives the kernel
-    pivot i = r - 1 - f and the kernel row e_i less the echelon's column-f
-    entries, each placed at r - 1 - p for its row's pivot p < f.  Such a row
-    is zero at every other kernel pivot and left of i, so ``kernel`` is the
-    canonical echelon basis of the left kernel, with its pivot columns in
-    ``kernel_pivots``.  With no rows or no columns nothing is eliminated.
+    pivot i = r - 1 - f, and ``kernel_entries`` the row for i as its nonzero
+    (column, entry) pairs, read off in O(rank): (i, 1), then minus the
+    echelon's column-f entry at r - 1 - p for each pivot p < f with one, in
+    ascending order.  Such a row is zero at every other kernel pivot and
+    left of i, so the rows are the canonical echelon basis of the left
+    kernel, with their pivot columns in ``kernel_pivots``; the dense
+    ``kernel`` is written out from the pairs when first read.  With no rows
+    or no columns nothing is eliminated.
     """
 
     def __init__(self, rows: list[list], ncols: int, field):
         r = len(rows)
         echelon, pivots = rref(list(zip(*reversed(rows))), r, field)
-        self.rank, lead = len(pivots), set(pivots)
+        self.rank, lead, self._shape = len(pivots), set(pivots), (r, field)
         self.kernel_pivots = [r - 1 - f for f in reversed(range(r)) if f not in lead]
-        self.kernel: list[list] = []
+        # from the last pivot down, the entries land at r - 1 - p in ascending order
+        last_first = list(zip(reversed(pivots), reversed(echelon)))
+        self.kernel_entries: list[list[tuple]] = []
         for i in self.kernel_pivots:
-            row = [field.zero] * r
-            row[i] = field.one
-            for erow, p in zip(echelon, pivots):
-                if erow[r - 1 - i]:
-                    row[r - 1 - p] = field.neg(erow[r - 1 - i])
-            self.kernel.append(row)
+            f, row = r - 1 - i, [(i, field.one)]
+            for p, e in last_first:
+                if e[f]:
+                    row.append((r - 1 - p, field.neg(e[f])))
+            self.kernel_entries.append(row)
+
+    @cached_property
+    def kernel(self) -> list[list]:
+        return from_entries(self.kernel_entries, *self._shape)
+
+
+def from_entries(rows: list[list[tuple]], ncols: int, field) -> list[list]:
+    """Dense rows of length ncols from rows of nonzero (column, entry) pairs."""
+    dense = [[field.zero] * ncols for _ in rows]
+    for row, pairs in zip(dense, rows):
+        for c, x in pairs:
+            row[c] = x
+    return dense
 
 
 def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, field):

@@ -336,9 +336,11 @@ def materialize_term(
     The component of P_v at w is spanned by the basis elements from v to w,
     and an arrow acts by right multiplication through the product table.
     """
-    for v in mults:
+    for v, c in mults.items():
         if v not in alg.idempotent_index:
             raise InputError(f"unknown vertex id {v!r} in projective term")
+        if type(c) is not int or c < 0:
+            raise InputError(f"multiplicity {c!r} of vertex {v!r} in projective term is not an int >= 0")
     info, offsets = term_info(alg, mults)
     dims = {w: len(b) for w, b in info.basis.items()}
     mats = {
@@ -573,20 +575,25 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         nvars += m.dims[v] * n.dims[v]
     if nvars == 0:
         return []
-    eqs: list[list] = []
-    for a in q.arrows:
+    # the equations at (arrow, row i of M_v, column k of N_w) with a nonzero
+    # coefficient are the columns of a system whose rows are the variables,
+    # so the maps are its left kernel
+    eqs = [
+        (a, i, k)
+        for a in q.arrows
+        for i, mrow in enumerate(m.mats[a.name])
+        for k in range(n.dims[a.target])
+        if any(mrow) or any(nrow[k] for nrow in n.mats[a.name])
+    ]
+    system = linalg.zeros(nvars, len(eqs), F)
+    for e, (a, i, k) in enumerate(eqs):
         v, w = a.source, a.target
-        for i in range(m.dims[v]):
-            for k in range(n.dims[w]):
-                row = [F.zero] * nvars
-                for j in range(m.dims[w]):
-                    row[offsets[w] + j * n.dims[w] + k] = m.mats[a.name][i][j]
-                for l in range(n.dims[v]):
-                    col = offsets[v] + i * n.dims[v] + l  # written above too when a is a loop
-                    row[col] = F.sub(row[col], n.mats[a.name][l][k])
-                if any(row):
-                    eqs.append(row)
-    basis = linalg.RowSpace(linalg.transpose(eqs, nvars), len(eqs), F).kernel
+        for j in range(m.dims[w]):
+            system[offsets[w] + j * n.dims[w] + k][e] = m.mats[a.name][i][j]
+        for l in range(n.dims[v]):
+            row = system[offsets[v] + i * n.dims[v] + l]  # written above too when a is a loop
+            row[e] = F.sub(row[e], n.mats[a.name][l][k])
+    basis = linalg.RowSpace(system, len(eqs), F).kernel
     maps = []
     for vec in basis:
         blocks = {}

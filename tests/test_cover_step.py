@@ -27,11 +27,13 @@ from quiverhom import (
     Representation,
     build_algebra,
     dual_module,
+    ext_dims,
+    homology,
     linalg,
     standard_module,
     zero_module,
 )
-from quiverhom.homology import MAX_TERM_WIDTH, cover_width, projective_cover_and_syzygy, resolution
+from quiverhom.homology import MAX_TERM_WIDTH, SyzygyTable, cover_width, projective_cover_and_syzygy, resolution
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import TermInfo, kernel_of_map, materialize_term
 
@@ -270,3 +272,44 @@ def test_resolving_the_nakayama_simples_eliminates_pinned_cells(monkeypatch):
     # each kernel eliminates the d x r reversed transpose of its r x d block,
     # not the r x (d + r) matrix [rows | I], which made 416 cells
     assert (len(cells), sum(cells)) == (96, 288)
+
+
+def test_cover_steps_keep_kernel_rows_as_pairs_and_build_dense_rows_only_when_read(monkeypatch):
+    # every simple of the oriented 4-cycle with J^7 = 0 over GF(2^31 - 1),
+    # resolved to cutoff 8 through ext_dims, into a simple (whose complex has
+    # zero maps) and into a projective (whose complex reads the kernel rows)
+    arrows = [(f"a{i}", str(i), str((i + 1) % 4)) for i in range(4)]
+    alg = build_algebra(Quiver.build([str(v) for v in range(4)], arrows), IdealSpec.zero(7), GF)
+    simples = [standard_module(alg, "simple", v) for v in alg.vertices]
+    p0 = standard_module(alg, "projective", "0")
+    identities, inside = [], [False]
+    identity, cover = linalg.identity, homology.projective_cover_and_syzygy
+
+    def counted_identity(n, F):
+        identities.append(inside[0])
+        return identity(n, F)
+
+    def flagged_step(m):
+        inside[0] = True
+        try:
+            return cover(m)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "identity", counted_identity)
+    monkeypatch.setattr(homology, "projective_cover_and_syzygy", flagged_step)
+    table = SyzygyTable()
+    for s in simples:
+        chain = table.chain(s)
+        assert ext_dims(chain, simples[0], 8) == ext_dims(s, simples[0], 8)
+        assert ext_dims(chain, p0, 8) == ext_dims(s, p0, 8)
+    # no cover step wrote out an identity, where a component of the module is zero
+    assert True not in identities
+    steps = table.steps.values()
+    assert len(steps) >= 4 and all("kernel" not in vars(step) for step in steps)
+    for step in steps:
+        # the inclusion builds the dense kernel, and each pair is an entry of it
+        blocks = step.syzygy_inclusion.blocks
+        assert "kernel" in vars(step) and blocks == step.kernel
+        for w, rows in step.kernel_entries.items():
+            assert [[(c, x) for c, x in enumerate(row) if x] for row in blocks[w]] == rows

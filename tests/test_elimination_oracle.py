@@ -10,7 +10,10 @@ dependent rows, tall blocks (6-12 rows over 1-4 columns, the shape of a
 cover step's block) and kernels of dimension at least 2 over QQ, GF(5) and
 GF(2^31 - 1), with GF entries that are negative or at least p.  Every call
 must leave its input as it was, and every entry it returns must be an int
-or a Fraction over QQ and an int in [0, p) over GF(p).
+or a Fraction over QQ and an int in [0, p) over GF(p).  ``RowSpace`` keeps
+each kernel row as its nonzero (column, entry) pairs: written out here, they
+must be the oracle's rows, ascending from (pivot, 1), with no zero entry and
+at most rank + 1 pairs.
 """
 
 from fractions import Fraction
@@ -125,8 +128,22 @@ def test_rref_rank_and_rowspace_match_the_oracle():
         space = linalg.RowSpace(rows, ncols, F)
         assert snapshot(rows) == before
         assert space.rank == len(want_pivots)
-        assert (space.kernel, space.kernel_pivots) == oracle_left_kernel(rows, ncols, p)
+        want_kernel, want_kernel_pivots = oracle_left_kernel(rows, ncols, p)
+        # each row's pairs, written out here, are the oracle's row: ascending,
+        # led by (pivot, 1), with no zero, and at most rank + 1 of them
+        written = []
+        for pairs, pivot in zip(space.kernel_entries, want_kernel_pivots):
+            columns = [c for c, _ in pairs]
+            assert columns == sorted(set(columns)) and pairs[0] == (pivot, 1)
+            assert all(x for _, x in pairs) and len(pairs) <= space.rank + 1
+            row = [0] * len(rows)
+            for c, x in pairs:
+                row[c] = x
+            written.append(row)
+        assert written == want_kernel
+        assert (space.kernel, space.kernel_pivots) == (want_kernel, want_kernel_pivots)
         assert_entries(space.kernel, F)
+        assert_entries([[x for _, x in pairs] for pairs in space.kernel_entries], F)
         # what the draw covered, per field
         if len(rows) == 1:
             seen.add((F.name, "one row"))

@@ -464,6 +464,20 @@ def test_zero_module_edge_cases(cycle_tail_algebra):
     assert len(hom_basis(z, z)) == 0
 
 
+@pytest.mark.parametrize(
+    "mults, bad",
+    [({"1": 2, "2": -1}, "2"), ({"1": -1}, "1"), ({"1": 1.0}, "1"), ({"1": True}, "1"), ({"1": 1, "2": "1"}, "2")],
+)
+def test_materialize_term_refuses_a_multiplicity_that_is_not_an_int_at_least_0(mults, bad):
+    # on the line 1 -> 2 with J^3 = 0; unchecked, the first four would build
+    # P_1^2, the zero module and P_1 in place of the malformed multiplicity
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(3), QQ)
+    with pytest.raises(InputError, match=f"multiplicity .* of vertex '{bad}'"):
+        materialize_term(alg, mults)
+    term, info = materialize_term(alg, {"1": 2, "2": 0})
+    assert term.dims == {"1": 2, "2": 2} and len(info.generators) == 2
+
+
 # ---------------------------------------------------------------------------
 # the path action, and the closed forms of the submodule calculus
 
