@@ -43,7 +43,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from . import linalg
-from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation
+from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation, require_int
 from .quiver import Arrow, FullSubquiver, Path, Quiver
 
 # work budget of one presentation's span and table, decided from path counts
@@ -68,6 +68,7 @@ class IdealSpec:
     truncation: int
 
     def __post_init__(self):
+        require_int(self.truncation, "truncation")
         if self.truncation < 2:
             raise InputError(f"truncation must be >= 2, got {self.truncation}")
 

@@ -42,3 +42,9 @@ class ModuleValidationError(InputError):
 
 class InvariantViolation(QuiverHomError):
     """A supposedly-impossible internal state; indicates a bug upstream."""
+
+
+def require_int(value, what: str) -> None:
+    """Refuse anything but an int (a bool is refused too), naming it as `what`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an int, got {value!r}")

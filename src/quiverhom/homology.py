@@ -20,12 +20,12 @@ nonzero repeat certifies an infinite projective dimension, reported as
 simple that only reaches its cutoff.  Isomorphic syzygies of different
 content go unnoticed, so a lasso may be missed but is never false.  Terms
 wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and ``check_cutoff``
-refuses every cutoff below 0 or past ``MAX_CUTOFF``.  A prefix's minimality
-comes from its cover steps; its exactness is recomputed from ranks of the
-complex it holds each time it is read.  Prefixes are projective only.  The
-injective side is the chain's ``dual``: the ell-th cosyzygy of a module is
-the dual of the ell-th syzygy of its dual over the opposite algebra, and has
-the same dimension vector.
+refuses a cutoff not an int, below 0 or past ``MAX_CUTOFF``.  A prefix's
+minimality comes from its cover steps; its exactness is recomputed from
+ranks of the complex it holds each time it is read.  Prefixes are projective
+only.  The injective side is the chain's ``dual``: the ell-th cosyzygy of a
+module is the dual of the ell-th syzygy of its dual over the opposite
+algebra, and has the same dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import FiniteDimAlgebra, IdempotentSplit
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, require_int
 from .modules import (
     HeartParts,
     ModuleMap,
@@ -158,7 +158,8 @@ MAX_CUTOFF = 1000
 
 
 def check_cutoff(k: int, what: str) -> None:
-    """Refuse a cutoff below 0 or past MAX_CUTOFF, naming it as `what`."""
+    """Refuse a cutoff not an int, below 0 or past MAX_CUTOFF, naming it as `what`."""
+    require_int(k, what)
     if k < 0:
         raise InputError(f"{what} must be nonnegative")
     if k > MAX_CUTOFF:
@@ -173,11 +174,9 @@ def cover_width(m: Representation) -> int:
 
 def _refuse_wide_cover(m: Representation) -> None:
     """Refuse a module whose projective cover is wider than MAX_TERM_WIDTH."""
-    # the width is at most dim top * dim alg: count it only when that bound is past the budget
-    if sum(map(len, m.top_lifts().values())) * m.algebra.dim > MAX_TERM_WIDTH:
-        width = cover_width(m)
-        if width > MAX_TERM_WIDTH:
-            raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
+    width = cover_width(m)
+    if width > MAX_TERM_WIDTH:
+        raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
 
 
 def projective_cover_and_syzygy(m: Representation) -> CoverStep:

@@ -34,7 +34,7 @@ from .algebra import (
     triangular_blocks,
     verify_convex_isos,
 )
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, require_int
 from .fields import QQ
 from .homology import (
     SyzygyChain,
@@ -303,6 +303,7 @@ def _admit(spec: InstanceSpec, idx: int, kind: str, draw):
 
 
 def _run_suite(name: str, spec: InstanceSpec, cases: int, case_fn) -> SuiteReport:
+    require_int(cases, "case count")
     if cases < 0:
         raise InputError(f"case count must be nonnegative, got {cases}")
     witnesses: list[Witness] = []
@@ -426,9 +427,9 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
     Also checks the triangular corner when the minus class is empty, and
     left projectivity of the quotient when the plus closure is everything.
     """
+    check_cutoff(cutoff, "epi suite cutoff")
     if cutoff < 2:
         raise InputError("epi suite cutoff must be at least 2")
-    check_cutoff(cutoff, "epi suite cutoff")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _epi_case(spec, idx, cutoff)
@@ -492,9 +493,9 @@ def verify_heart_theorem(
     """
     least = 2 * HEART_T_CAP + 3
     if cutoff is not None:
+        check_cutoff(cutoff, "heart suite cutoff")
         if cutoff < least:
             raise InputError(f"heart suite cutoff must reach 2t+3 = {least}, got {cutoff}")
-        check_cutoff(cutoff, "heart suite cutoff")
 
     def case(spec: InstanceSpec, idx: int) -> list[Witness]:
         return _heart_case(spec, idx, cutoff)

@@ -15,19 +15,20 @@ nothing.  ``RowSpace`` is the one kernel routine, one rref of the reversed
 transpose: a left kernel is its ``kernel``, a right kernel the transpose's.
 Its kernel rows are kept as their nonzero (column, entry) pairs, dense on read.
 
-Row reduction over the rationals is Gauss-Jordan on the entries as given,
-ints or Fractions.  Each pivot row not already led by 1 is scaled by
-``Fraction(1) / pivot``, so no int division ever makes a float, and the other
-rows are updated only at the pivot row's nonzero columns, so a zero the
-elimination never touches stays the input's own object.  The inputs here are
-sparse, often of ints; on dense rows every update is a Fraction operation.
-Over GF(p) the entries are plain ints in [0, p), and a row with an entry
-outside is reduced first.  Over both fields a row is copied only when the
-elimination first writes to it, so no input is ever mutated, and an input
-row may come back as an echelon row itself.  A single row or column is a
-decided block: its ``rank`` is read off its entries, with no elimination.
-Reduced row echelon form is canonical, so two row spaces are equal iff their
-echelon bases are equal lists.
+``rref`` is one Gauss-Jordan loop for both fields, which differ in three
+places, each chosen per input or per pivot, never per row.  Input: over
+GF(p) entries are ints in [0, p), and a row with one outside is reduced
+first; over QQ they are taken as given, ints or Fractions.  Pivot scaling:
+a row not led by 1 is multiplied by the pivot's inverse, over QQ
+``Fraction(1) / pivot``, so no int division makes a float.  Row update: over
+GF(p) each row the pivot row clears is written anew; over QQ it is copied
+when first written to and updated only at the pivot row's nonzero columns,
+which wide sparse relation rows need, so a zero the elimination never
+touches stays the input's own object.  No input is ever mutated, and an
+input row that is neither scaled nor updated comes back as an echelon row.
+A single row or column is a decided block: its ``rank`` is read off its
+entries, with no elimination.  Reduced row echelon form is canonical, so two
+row spaces are equal iff their echelon bases are equal lists.
 """
 
 from __future__ import annotations
@@ -76,73 +77,6 @@ def mat_mul(A: list[list], B: list[list], bcols: int, field) -> list[list]:
 # row echelon form
 
 
-def _rref_over_q(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    # a row is copied when first written to, so no input is ever mutated
-    rows = list(filter(any, rows))
-    made = set()  # ids of the rows made here
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        for best in range(r, m):
-            if rows[best][c]:
-                break
-        else:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        prow = rows[r]
-        if prow[c] != 1:
-            inv = Fraction(1) / prow[c]
-            prow = rows[r] = [x * inv if x else x for x in prow]
-            made.add(id(prow))
-        # rows r.. are zero left of c, so the pivot row's support starts at c
-        support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-        for i, row in enumerate(rows):
-            q = row[c]
-            if q and i != r:
-                if id(row) not in made:
-                    row = rows[i] = list(row)
-                    made.add(id(row))
-                for j, y in support:
-                    row[j] -= q * y
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
-def _rref_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    # a canonical row is taken as it is, and only rows made here are written to
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= p:
-        rows = [r if 0 <= min(r) and max(r) < p else [v % p for v in r] for r in rows]
-    rows = list(filter(any, rows))
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        for best in range(r, m):
-            if rows[best][c]:
-                break
-        else:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        prow = rows[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], -1, p)
-            prow = rows[r] = [(v * inv) % p for v in prow]
-        for i, row in enumerate(rows):
-            q = row[c]
-            if q and i != r:
-                rows[i] = [(x - q * y) % p for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-    # every column was a pivot or zero below row r, so rows r.. are zero
-    return rows[:r], pivots
-
-
 def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     """Canonical reduced row echelon form.
 
@@ -152,9 +86,48 @@ def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     """
     if not rows or not ncols:
         return [], []
-    if isinstance(field, Rationals):
-        return _rref_over_q(rows, ncols)
-    return _rref_mod(rows, ncols, field.p)
+    p = None if isinstance(field, Rationals) else field.p
+    if p and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
+        rows = [r if 0 <= min(r) and max(r) < p else [v % p for v in r] for r in rows]
+    rows = list(filter(any, rows))
+    made = set()  # ids of the rows made here: over QQ only those are written to
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        for best in range(r, m):
+            if rows[best][c]:
+                break
+        else:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], -1, p) if p else Fraction(1) / prow[c]
+            prow = rows[r] = [x * inv % p for x in prow] if p else [x * inv if x else x for x in prow]
+            made.add(id(prow))
+        if p:
+            for i, row in enumerate(rows):
+                q = row[c]
+                if q and i != r:
+                    rows[i] = [(x - q * y) % p for x, y in zip(row, prow)]
+        else:
+            # rows r.. are zero left of c, so the pivot row's support starts at c
+            support = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
+            for i, row in enumerate(rows):
+                q = row[c]
+                if q and i != r:
+                    if id(row) not in made:
+                        row = rows[i] = list(row)
+                        made.add(id(row))
+                    for j, y in support:
+                        row[j] -= q * y
+        pivots.append(c)
+        r += 1
+    # every column was a pivot or zero below row r, so rows r.. are zero
+    return rows[:r], pivots
 
 
 def rank(rows: list[list], ncols: int, field) -> int:

@@ -310,6 +310,13 @@ def test_truncation_below_two_rejected():
         IdealSpec.zero(1)
 
 
+@pytest.mark.parametrize("bad", [3.5, 3.0, True, "3"])
+def test_a_truncation_that_is_not_an_int_is_input_error(bad):
+    # 3.5 used to be accepted and to fail later in build_algebra with TypeError
+    with pytest.raises(InputError, match=f"^truncation must be an int, got {bad!r}$"):
+        IdealSpec((), bad)
+
+
 def test_relation_validation_errors(cycle_tail_quiver):
     bad_arrow = IdealSpec((((1, ("a", "zz")),),), 4)
     with pytest.raises(DanglingIdError):

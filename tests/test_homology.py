@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import time
 from unittest import mock
 
@@ -183,6 +184,29 @@ def test_cutoff_past_the_ceiling_is_input_error(line_algebra):
         with pytest.raises(InputError, match="^the complement bound must be nonnegative$"):
             heart_shift_pair(sv, sv, split, -1, gamma)
     assert proj_dim(sv, homology.MAX_CUTOFF) == proj_dim(sv, 6) == DimBound.finite(1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+def test_a_cutoff_that_is_not_an_int_is_input_error(line_algebra, bad):
+    # 2.5 used to reach islice (ValueError) or pass as proj_dim's bound,
+    # True ran as cutoff 1, and "2" raised TypeError at its comparison
+    sv = standard_module(line_algebra, "simple", "v")
+    heart = line_algebra.quiver.homological_heart().heart
+    split = IdempotentSplit.from_heart(line_algebra.quiver, heart)
+    gamma = restricted_algebra(line_algebra, heart)
+    calls = (
+        lambda: resolution(sv, bad),
+        lambda: ext_dims(sv, sv, bad),
+        lambda: ext_dims(sv, sv, bad, "injective"),
+        lambda: proj_dim(sv, bad),
+        lambda: inj_dim(sv, bad),
+        lambda: gl_dim(line_algebra, bad),
+        lambda: heart_shift_pair(sv, sv, split, bad, gamma),
+    )
+    with no_chain_walks():
+        for call in calls:
+            with pytest.raises(InputError, match=f"must be an int, got {re.escape(repr(bad))}$"):
+                call()
 
 
 def test_syzygy_index_outside_prefix_is_input_error(line_algebra):

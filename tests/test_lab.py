@@ -121,6 +121,27 @@ def test_small_subquiver_and_epi_runs_pass():
     assert epi.all_passed
 
 
+@pytest.mark.parametrize(
+    "suite, kwargs, what",
+    [
+        (verify_ext_cross, {"cases": 2.5}, "case count"),
+        (verify_subquiver_calculus, {"cases": True}, "case count"),
+        (verify_convex_epi, {"cases": "1"}, "case count"),
+        (verify_convex_epi, {"cases": 1, "cutoff": "3"}, "epi suite cutoff"),
+        (verify_heart_theorem, {"cases": 1, "cutoff": 7.0}, "heart suite cutoff"),
+        (verify_ext_cross, {"cases": 1, "cutoff": True}, "ext-cross suite cutoff"),
+    ],
+)
+def test_a_case_count_or_cutoff_that_is_not_an_int_is_refused_before_any_case(
+    suite, kwargs, what
+):
+    # cases=2.5 and cutoff="3" used to raise TypeError, cases=True ran one case
+    bad = kwargs.get("cutoff", kwargs["cases"])
+    with mock.patch.object(lab, "_admit", side_effect=AssertionError("a case was drawn")):
+        with pytest.raises(InputError, match=f"^{what} must be an int, got {bad!r}$"):
+            suite(InstanceSpec(seed=1), **kwargs)
+
+
 def test_reports_render_identically_for_same_seed():
     a = verify_subquiver_calculus(InstanceSpec(seed=11), cases=30).render()
     b = verify_subquiver_calculus(InstanceSpec(seed=11), cases=30).render()

@@ -10,6 +10,7 @@ with an integer fraction-free elimination kept here as a reference, and
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverhom import QQ, PrimeField
@@ -182,6 +183,32 @@ def test_rref_canonical_form_small_case():
         [Fraction(1), Fraction(2), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_rref_returns_rows_it_neither_scales_nor_updates_as_they_are(F):
+    rows = [[1, 0], [0, 1]]
+    echelon, pivots = linalg.rref(rows, 2, F)
+    assert pivots == [0, 1]
+    assert echelon[0] is rows[0] and echelon[1] is rows[1]
+    # a row the other pivot row clears is written to a copy, never in place
+    rows = [[1, 2], [3, 4]]
+    echelon, _ = linalg.rref(rows, 2, F)
+    assert rows == [[1, 2], [3, 4]]
+    assert all(e is not r for e in echelon for r in rows)
+
+
+def test_rational_rref_keeps_zeros_no_pivot_row_touches():
+    # the pivot rows are zero at column 1, so no update writes there: each
+    # row keeps its own zero, a Fraction and an int, as the very object
+    zf, zi = Fraction(0), 0
+    rows = [[1, zf, 2], [3, zi, 0]]
+    echelon, pivots = linalg.rref(rows, 3, QQ)
+    assert pivots == [0, 2]
+    assert echelon[0] is not rows[0] and echelon[1] is not rows[1]
+    assert echelon[0][1] is zf and echelon[1][1] is zi
+    assert [type(row[1]) for row in echelon] == [Fraction, int]
+    assert rows == [[1, zf, 2], [3, zi, 0]] and type(rows[0][1]) is Fraction
 
 
 def test_prime_field_reduction_differs_from_rationals():
