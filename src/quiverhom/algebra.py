@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 from . import linalg
@@ -274,20 +273,6 @@ class _RelationSpan:
         return tuple(rels)
 
 
-@dataclass(frozen=True, slots=True)
-class TermInfo:
-    """Basis bookkeeping for a finite sum of indecomposable projectives.
-
-    generators lists (vertex, copy) pairs in vertex order; basis maps each
-    vertex w to the (generator index, algebra element index) pairs that make
-    up the component there; gen_pos locates each generator's unit vector.
-    """
-
-    generators: tuple[tuple[str, int], ...]
-    basis: dict[str, tuple[tuple[int, int], ...]]
-    gen_pos: tuple[tuple[str, int], ...]
-
-
 class ProjectiveLayout(NamedTuple):
     """Per vertex v, the basis elements from v, which span P_v: blocks[v][w]
     lists those ending at w in index order (only the w that some reach),
@@ -295,26 +280,15 @@ class ProjectiveLayout(NamedTuple):
     walks[v] lists the elements from v in index order, and prefix[i] is
     (target, pre, arrows): element i's path is element pre's, its longest
     earlier prefix (the empty path when pre < 0), followed by arrows.
-    terms[v] holds P_v's own TermInfo and block offsets, made by ``term(v)``
-    when first read, so a one-generator term is never built twice."""
+    terms[v] is P_v's own TermInfo, kept by ``modules.term_info`` when first
+    built, so a one-generator term is never built twice."""
 
     blocks: dict[str, dict[str, tuple[int, ...]]]
     local: tuple[int, ...]
     dims: dict[str, int]
     walks: dict[str, tuple[int, ...]]
     prefix: tuple[tuple[str, int, tuple[str, ...]], ...]
-    terms: dict[str, tuple[TermInfo, dict[str, dict[int, int]]]]
-
-    def term(self, v: str) -> tuple[TermInfo, dict[str, dict[int, int]]]:
-        """P_v with its one generator: its TermInfo and, per vertex w its
-        blocks reach, where the generator's block starts, which is 0."""
-        if v not in self.terms:
-            basis = dict.fromkeys(self.dims, ())
-            basis.update((w, tuple(zip(repeat(0), b))) for w, b in self.blocks[v].items())
-            # the generator and its unit position are both (v, 0); the blocks share one offsets dict
-            gen = ((v, 0),)
-            self.terms[v] = TermInfo(gen, basis, gen), dict.fromkeys(self.blocks[v], {0: 0})
-        return self.terms[v]
+    terms: dict[str, object]  # vertex -> modules.TermInfo
 
 
 class FiniteDimAlgebra:

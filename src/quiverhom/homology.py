@@ -202,7 +202,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     lifts = m.top_lifts()
     _refuse_wide_cover(m)
     mults = dict(zip(lifts, map(len, lifts.values())))
-    info, offsets = term_info(alg, mults)
+    info = term_info(alg, mults)
     layout = alg.projective_layout
     prefix = layout.prefix
     cover_rows: dict[str, list[list]] = {}
@@ -247,7 +247,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     for v, rows in kernel.items():
         basis = info.basis[v]
         for a in q.out_arrows[v]:
-            j, starts, cols = alg.arrow_index[a.name], offsets.get(a.target), coords.get(a.target)
+            j, starts, cols = alg.arrow_index[a.name], info.offsets.get(a.target), coords.get(a.target)
             width = len(kernel.get(a.target, ()))
             for row in rows:
                 img = [F.zero] * width
@@ -260,8 +260,8 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
                             img[r] = F.add(img[r], F.mul(x, coeff))
                 mats[a.name].append(img)
     syz = Representation._unchecked(alg, {w: len(kernel.get(w, ())) for w in m.dims}, mats)
-    gen_pos = set(info.gen_pos)
-    minimal = not any((w, c) in gen_pos for w in dict(gen_pos) for row in kernel.get(w, ()) for c, _ in row)
+    units = {(v, info.offsets[v][g]) for g, (v, _) in enumerate(info.generators)}
+    minimal = not any((w, c) in units for w in dict(units) for row in kernel.get(w, ()) for c, _ in row)
     return CoverStep(mults, info, syz, minimal, m, cover_rows, kernel)
 
 

@@ -83,6 +83,9 @@ class InstanceSpec:
 
     seed: int
 
+    def __post_init__(self) -> None:
+        require_int(self.seed, "seed")
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -203,7 +206,7 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
             total += pdim[v]
     if not mults:
         return standard_module(alg, "simple", verts[rng.randrange(len(verts))])
-    info, offsets = term_info(alg, mults)
+    info = term_info(alg, mults)
     dims = {w: len(b) for w, b in info.basis.items()}
     for _ in range(6):
         seeds = {}
@@ -214,7 +217,7 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
         for x, el in enumerate(alg.elements):
             v, w = el.source, el.target
             if v in seeds and dims[w]:
-                act = term_action(alg, info, offsets, v, x, w)
+                act = term_action(alg, info, v, x, w)
                 rows[w].append(linalg.vec_mat(seeds[v], act, dims[w], F))
         proj, free = {}, {}
         for v in verts:
@@ -227,7 +230,7 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
             mats = {}
             for a in alg.quiver.arrows:
                 w = a.target
-                act = term_action(alg, info, offsets, a.source, alg.arrow_index[a.name], w)
+                act = term_action(alg, info, a.source, alg.arrow_index[a.name], w)
                 lifted = [act[p] for p in free[a.source]]
                 # where no seed reached, the projection is the identity and keeps the rows as they are
                 mats[a.name] = linalg.mat_mul(lifted, proj[w], len(free[w]), F) if w in proj else lifted

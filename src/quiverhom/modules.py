@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import linalg
-from .algebra import FiniteDimAlgebra, IdempotentSplit, TermInfo, _require_presented, opposite_algebra
+from .algebra import FiniteDimAlgebra, IdempotentSplit, _require_presented, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
 
 
@@ -302,17 +302,31 @@ def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
 # sums of indecomposable projectives, with generator bookkeeping
 
 
-def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> tuple[TermInfo, dict[str, dict]]:
-    """Bookkeeping of P_v^{mults[v]} from the algebra's projective layout, and
-    per vertex w where each generator's block of the component at w starts.
+@dataclass(frozen=True, slots=True)
+class TermInfo:
+    """Basis bookkeeping for a finite sum of indecomposable projectives.
 
-    A term with one generator is the layout's own P_v, returned as it is;
-    others are put together from the layout's blocks.
+    generators lists (vertex, copy) pairs in vertex order; basis maps each
+    vertex w to the (generator index, algebra element index) pairs that make
+    up the component there; offsets[w][g] is where generator g's block of
+    that component starts.  Generator g at v has its unit at offsets[v][g],
+    since each block of P_v at v starts with the idempotent.
     """
+
+    generators: tuple[tuple[str, int], ...]
+    basis: dict[str, tuple[tuple[int, int], ...]]
+    offsets: dict[str, dict[int, int]]
+
+
+def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> TermInfo:
+    """Bookkeeping of P_v^{mults[v]}, put together from the algebra's
+    projective layout.  A one-generator term is kept in the layout's terms
+    and looked up there before anything is built."""
     layout = alg.projective_layout
     counts = mults.values()
-    if sum(counts) == 1 and min(counts) >= 0:
-        return layout.term(next(v for v, c in mults.items() if c))
+    one = next(v for v, c in mults.items() if c) if sum(counts) == 1 and min(counts) >= 0 else None
+    if one in layout.terms:
+        return layout.terms[one]
     generators = tuple((v, c) for v in alg.vertices for c in range(mults.get(v, 0)))
     basis: dict[str, list[tuple[int, int]]] = {}
     offsets: dict[str, dict[int, int]] = {}
@@ -321,11 +335,12 @@ def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> tuple[TermInfo, d
             b = basis.setdefault(w, [])
             offsets.setdefault(w, {})[g] = len(b)
             b.extend(zip(repeat(g), block))
-    # the basis is in path-length order, so each block of P_v at v starts with its unit
-    gen_pos = tuple((v, offsets[v][g]) for g, (v, _) in enumerate(generators))
     full = dict.fromkeys(alg.vertices, ())
     full.update((w, tuple(b)) for w, b in basis.items())
-    return TermInfo(generators, full, gen_pos), offsets
+    info = TermInfo(generators, full, offsets)
+    if one is not None:
+        layout.terms[one] = info
+    return info
 
 
 def materialize_term(
@@ -341,19 +356,19 @@ def materialize_term(
             raise InputError(f"unknown vertex id {v!r} in projective term")
         if type(c) is not int or c < 0:
             raise InputError(f"multiplicity {c!r} of vertex {v!r} in projective term is not an int >= 0")
-    info, offsets = term_info(alg, mults)
+    info = term_info(alg, mults)
     dims = {w: len(b) for w, b in info.basis.items()}
     mats = {
-        a.name: term_action(alg, info, offsets, a.source, alg.arrow_index[a.name], a.target)
+        a.name: term_action(alg, info, a.source, alg.arrow_index[a.name], a.target)
         for a in alg.quiver.arrows
     }
     return Representation(alg, dims, mats, validate=False), info
 
 
-def term_action(alg: FiniteDimAlgebra, info: TermInfo, offsets, v: str, j: int, w: str) -> list[list]:
+def term_action(alg: FiniteDimAlgebra, info: TermInfo, v: str, j: int, w: str) -> list[list]:
     """Matrix of basis element j : v -> w on a term with bookkeeping from
     term_info: its element (g, i) at v goes to x_i * x_j in g's block at w."""
-    table, local, starts = alg.table, alg.projective_layout.local, offsets.get(w)
+    table, local, starts = alg.table, alg.projective_layout.local, info.offsets.get(w)
     mat = linalg.zeros(len(info.basis[v]), len(info.basis[w]), alg.field)
     # a product lands in a block that the term has, so its offsets exist then
     for row, (g, i) in zip(mat, info.basis[v]):

@@ -48,14 +48,13 @@ def reference_term(alg, mults):
     q, F = alg.quiver, alg.field
     generators = [(v, c) for v in alg.vertices for c in range(mults.get(v, 0))]
     basis = {w: [] for w in q.vertices}
+    offsets = {}  # per w, where each generator's first element at w sits
     for g, (v, _) in enumerate(generators):
         for i, el in enumerate(alg.elements):
             if el.source == v:
+                offsets.setdefault(el.target, {}).setdefault(g, len(basis[el.target]))
                 basis[el.target].append((g, i))
     pos = {w: {pair: p for p, pair in enumerate(basis[w])} for w in q.vertices}
-    gen_pos = tuple(
-        (v, pos[v][(g, alg.idempotent_index[v])]) for g, (v, _) in enumerate(generators)
-    )
     mats = {}
     for a in q.arrows:
         j = alg.arrow_index[a.name]
@@ -65,7 +64,7 @@ def reference_term(alg, mults):
                 mat[p][pos[a.target][(g, k)]] = c
         mats[a.name] = mat
     dims = {w: len(rows) for w, rows in basis.items()}
-    info = TermInfo(tuple(generators), {w: tuple(r) for w, r in basis.items()}, gen_pos)
+    info = TermInfo(tuple(generators), {w: tuple(r) for w, r in basis.items()}, offsets)
     return Representation(alg, dims, mats, validate=False), info
 
 
@@ -96,7 +95,10 @@ def reference_step(m):
         blocks[w] = rows
     cover = ModuleMap(term, m, blocks, validate=False)
     syz, incl = kernel_of_map(cover)
-    minimal = not any(row[p] for w, p in info.gen_pos for row in incl.blocks[w])
+    # each generator's unit, found by its idempotent in the basis
+    idem = m.algebra.idempotent_index
+    units = [(v, info.basis[v].index((g, idem[v]))) for g, (v, _) in enumerate(info.generators)]
+    minimal = not any(row[p] for w, p in units for row in incl.blocks[w])
     return mults, term, info, cover, syz, incl, minimal
 
 

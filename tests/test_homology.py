@@ -461,6 +461,55 @@ def test_transport_resolution_certificates(
         transport_resolution(p1, 2, bad_split, gamma)
 
 
+def test_exactness_certificate_turns_false_on_a_planted_differential(cycle_tail_algebra):
+    # S_1 -> P_2 -> P_1 -> S_1 is periodic here, so every differential is nonzero
+    res = resolution(standard_module(cycle_tail_algebra, "simple", "1"), 3)
+    assert res.exact
+
+    def planted(i, x):
+        """The resolution with every entry of differential i set to x."""
+        d = res.diffs[i]
+        blocks = {v: [[x] * d.target.dims[v] for _ in range(n)] for v, n in d.source.dims.items()}
+        fault = ModuleMap(d.source, d.target, blocks, validate=False)
+        return dataclasses.replace(res, diffs=res.diffs[:i] + (fault,) + res.diffs[i + 1:])
+
+    for i in range(len(res.diffs)):
+        # the augmentation fails its rank at the module, a higher one the rank sum
+        assert not planted(i, QQ.zero).exact, i
+    # all ones sends b in P_2 to the top of P_1, so d_0 d_1 is not zero
+    assert not planted(1, QQ.one).exact
+
+
+def test_transport_certificates_each_turn_false_on_their_own_fault(
+    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra, monkeypatch
+):
+    hp = cycle_tail_quiver.homological_heart()
+    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
+    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), hp.heart)
+    omega = resolution(standard_module(cycle_tail_algebra, "simple", "1"), 2).syzygy(2)
+
+    def flags():
+        moved = transport_resolution(omega, 4, split, gamma)
+        return moved.exact, moved.minimal, moved.terms_projective
+
+    assert flags() == (True, True, True)
+    with monkeypatch.context() as patch:
+        # no radical rows: every nonzero differential row reads as off the radical
+        patch.setattr(homology, "radical_rows", lambda m: {v: [] for v in m.algebra.vertices})
+        assert flags() == (True, False, True)
+    materialize = homology.materialize_term
+
+    def one_generator_too_many(alg, mults):
+        # only the model over gamma: the cover steps over the algebra read it too
+        if alg is gamma:
+            v = gamma.vertices[0]
+            mults = {**mults, v: mults.get(v, 0) + 1}
+        return materialize(alg, mults)
+
+    monkeypatch.setattr(homology, "materialize_term", one_generator_too_many)
+    assert flags() == (True, True, False)
+
+
 def test_heart_shift_pair_reproduces_shifted_ext(
     cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra
 ):

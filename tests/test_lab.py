@@ -7,6 +7,7 @@ caps.  Decomposition is pinned against the three fixtures.
 
 import json
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -140,6 +141,17 @@ def test_a_case_count_or_cutoff_that_is_not_an_int_is_refused_before_any_case(
     with mock.patch.object(lab, "_admit", side_effect=AssertionError("a case was drawn")):
         with pytest.raises(InputError, match=f"^{what} must be an int, got {bad!r}$"):
             suite(InstanceSpec(seed=1), **kwargs)
+
+
+@pytest.mark.parametrize("seed", ["1", None, 2.5, True])
+def test_a_seed_that_is_not_an_int_is_refused(seed):
+    # "1" and None used to raise TypeError deep in the seed derivation, while
+    # 2.5 and True ran and were reported as the master seed
+    message = f"^seed must be an int, got {re.escape(repr(seed))}$"
+    with pytest.raises(InputError, match=message):
+        verify_ext_cross(InstanceSpec(seed), cases=1)
+    with pytest.raises(InputError, match=message):
+        gen_instance(InstanceSpec(seed=seed))
 
 
 def test_reports_render_identically_for_same_seed():

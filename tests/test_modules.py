@@ -478,6 +478,43 @@ def test_materialize_term_refuses_a_multiplicity_that_is_not_an_int_at_least_0(m
     assert term.dims == {"1": 2, "2": 2} and len(info.generators) == 2
 
 
+def _compose_mismatched(alg, line):
+    p1, s1 = standard_module(alg, "projective", "1"), standard_module(alg, "simple", "1")
+    f = ModuleMap(p1, s1, {"1": [[QQ.one]]})
+    f.compose(f)  # f ends at S_1, which is not where f starts
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda alg, line: Representation(alg, {"1": 1, "9": 1}, {}), DanglingIdError,
+         "module names unknown vertex '9'"),
+        (lambda alg, line: Representation(alg, {"9": 1}, {}, validate=False), DanglingIdError,
+         "module names unknown vertex '9'"),
+        (lambda alg, line: Representation(alg, {"1": 1}, {"z": []}), DanglingIdError,
+         "module names unknown arrow 'z'"),
+        (lambda alg, line: Representation(alg, {"1": 1, "2": 1}, {"a": [[QQ.one, QQ.one]]}),
+         ModuleValidationError, "matrix for arrow 'a' has wrong shape, want 1x1"),
+        (lambda alg, line: ModuleMap(standard_module(alg, "simple", "1"), standard_module(alg, "simple", "1"),
+                                     {"1": [[QQ.one], [QQ.one]]}),
+         ModuleValidationError, "block at vertex '1' has wrong shape"),
+        (_compose_mismatched, InputError, "composition shapes do not match"),
+        (lambda alg, line: materialize_term(alg, {"9": 1}), InputError,
+         "unknown vertex id '9' in projective term"),
+        (lambda alg, line: inflate(standard_module(line, "simple", "v"), alg), DanglingIdError,
+         "vertex 'v' missing from the ambient quiver"),
+        (lambda alg, line: hom_basis(standard_module(line, "simple", "v"), standard_module(alg, "simple", "1")),
+         InputError, "hom endpoints live over different algebras"),
+    ],
+    ids=["unknown vertex", "unknown vertex unvalidated", "unknown arrow", "arrow matrix shape",
+         "map block shape", "compose shapes", "term vertex", "inflate vertex", "hom across algebras"],
+)
+def test_module_layer_refusals_name_the_culprit(cycle_tail_algebra, line_algebra, call, error, message):
+    with pytest.raises(InputError) as caught:
+        call(cycle_tail_algebra, line_algebra)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the path action, and the closed forms of the submodule calculus
 

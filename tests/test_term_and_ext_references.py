@@ -6,7 +6,7 @@ bookkeeping.  ``reference_ext_dims`` always fills the Hom complex, with each
 element's matrix the product of its path's arrow matrices taken here, and
 takes its ranks, as ``_ext_dims_projective`` did before a semisimple N was
 read off the tops of the syzygies.  The new code must agree with both
-exactly: equal TermInfos and offsets, equal materialized terms (dims,
+exactly: equal TermInfos, offsets included, equal materialized terms (dims,
 matrices with their entry types, and bookkeeping), and equal Ext tables on
 both sides, over QQ and GF(p), on random lab modules and on simples.
 """
@@ -41,7 +41,7 @@ CUTOFF = 3
 
 
 def reference_term_info(alg, mults):
-    """(TermInfo, offsets) of P_v^{mults[v]}, built from the layout's blocks."""
+    """TermInfo of P_v^{mults[v]}, built from the layout's blocks."""
     generators = tuple((v, c) for v in alg.vertices for c in range(mults.get(v, 0)))
     blocks = alg.projective_layout.blocks
     basis, offsets = {}, {}
@@ -50,19 +50,18 @@ def reference_term_info(alg, mults):
             b = basis.setdefault(w, [])
             offsets.setdefault(w, {})[g] = len(b)
             b.extend((g, i) for i in block)
-    gen_pos = tuple((v, offsets[v][g]) for g, (v, _) in enumerate(generators))
     full = dict.fromkeys(alg.vertices, ())
     full.update((w, tuple(b)) for w, b in basis.items())
-    return TermInfo(generators, full, gen_pos), offsets
+    return TermInfo(generators, full, offsets)
 
 
 def reference_materialize(alg, mults):
     """The term P_v^{mults[v]} and its TermInfo, from the reference bookkeeping."""
-    info, offsets = reference_term_info(alg, mults)
+    info = reference_term_info(alg, mults)
     dims = {w: len(b) for w, b in info.basis.items()}
     mats = {}
     for a in alg.quiver.arrows:
-        j, starts = alg.arrow_index[a.name], offsets.get(a.target)
+        j, starts = alg.arrow_index[a.name], info.offsets.get(a.target)
         mat = linalg.zeros(dims[a.source], dims[a.target], alg.field)
         for p, (g, i) in enumerate(info.basis[a.source]):
             for k, c in alg.table[i].get(j, ()):
@@ -99,8 +98,8 @@ def reference_ext_dims(m, n, k):
 
 
 def assert_terms_match(alg, mults):
-    info, offsets = term_info(alg, mults)
-    assert (info, offsets) == reference_term_info(alg, mults)
+    info = term_info(alg, mults)
+    assert info == reference_term_info(alg, mults)
     term, tinfo = materialize_term(alg, mults)
     want, want_info = reference_materialize(alg, mults)
     assert tinfo == want_info == info
