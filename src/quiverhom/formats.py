@@ -327,7 +327,7 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
                 mnode.tokens[0].column,
             )
         mats[a.name] = rows
-    return Representation(alg, full_dims, mats, validate=True)
+    return Representation(alg, full_dims, mats)
 
 
 def parse_subquiver_section(node: _Node, q: Quiver) -> frozenset[str]:
@@ -355,8 +355,8 @@ def parse_subquiver_section(node: _Node, q: Quiver) -> frozenset[str]:
 class WorkspaceBundle:
     """Parsed and validated workspace: quiver plus optional ideal and modules.
 
-    The algebra is built eagerly whenever an ideal section is present, so
-    every module in the bundle has already passed relation validation.
+    Whenever an ideal section is present, the algebra is built on load (its
+    basis and table on first read), and every module has passed validation.
     """
 
     quiver: Quiver

@@ -139,15 +139,16 @@ class CoverStep:
 
     @cached_property
     def term(self) -> Representation:
-        return materialize_term(self.module.algebra, self.mults)[0]
+        return materialize_term(self.module.algebra, self.mults)
 
     @cached_property
     def cover(self) -> ModuleMap:
-        return ModuleMap(self.term, self.module, self.cover_rows, validate=False)
+        rows = self.cover_rows
+        return ModuleMap._unchecked(self.term, self.module, {v: rows.get(v, []) for v in self.module.dims})
 
     @cached_property
     def syzygy_inclusion(self) -> ModuleMap:
-        return ModuleMap(self.syzygy, self.term, self.kernel, validate=False)
+        return ModuleMap._unchecked(self.syzygy, self.term, self.kernel)
 
 
 # widest projective term a cover step builds; wider ones are an input error
@@ -661,9 +662,7 @@ def transport_resolution(
     res = resolution(a_chain, k)
     chain = [a]
     chain.extend(res.reps)
-    quots = []
-    projs = []
-    secs = []
+    quots, projs, secs = [], [], []
     for rep in chain:
         rows = largest_submodule_supported(rep, split.plus)
         qq, pp, ss = quotient_with_section(rep, rows)
@@ -678,9 +677,9 @@ def transport_resolution(
         d = res.diffs[i]
         blocks = {}
         for v in g_vertices:
-            lifted = linalg.mat_mul(secs[i + 1][v], d.blocks[v], d.target.dims[v], F)
+            lifted = [d.blocks[v][j] for j in secs[i + 1][v]]
             blocks[v] = linalg.mat_mul(lifted, projs[i].blocks[v], quots[i].dims[v], F)
-        r_diffs.append(ModuleMap(r_quots[i + 1], r_quots[i], blocks, validate=True))
+        r_diffs.append(ModuleMap(r_quots[i + 1], r_quots[i], blocks))
     exact = _certify_exact(r_quots[0], r_quots[1:], r_diffs)
     minimal = True
     for i in range(1, k + 1):
@@ -696,7 +695,7 @@ def transport_resolution(
     for i, mults in enumerate(res.terms):
         gm = {v: mults.get(v, 0) for v in g_vertices if mults.get(v, 0) > 0}
         terms.append(gm)
-        model, _ = materialize_term(gamma, gm)
+        model = materialize_term(gamma, gm)
         got = r_quots[i + 1]
         if model.dims != got.dims or model.mats != got.mats:
             terms_projective = False

@@ -12,8 +12,9 @@ algebra and drops it past the dimension cap, then lets the suite draw its
 modules and gate them.  A candidate whose resolutions would grow past the
 width cap is skipped deterministically and the next derived seed is tried,
 keeping suite runtimes at desk scale without touching the mathematical
-content of the checks.  Both caps are checked on dimension counts, so no
-product table or kernel is computed for work that is not kept.
+content of the checks.  The dimension cap is read off path counts; the width
+cap takes cover steps, so a candidate it rejects has had its product table
+and kernels computed.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
                 lifted = [act[p] for p in free[a.source]]
                 # where no seed reached, the projection is the identity and keeps the rows as they are
                 mats[a.name] = linalg.mat_mul(lifted, proj[w], len(free[w]), F) if w in proj else lifted
-            return Representation(alg, dict(zip(free, map(len, free.values()))), mats, validate=False)
-    return materialize_term(alg, mults)[0]
+            return Representation._unchecked(alg, dict(zip(free, map(len, free.values()))), mats)
+    return materialize_term(alg, mults)
 
 
 def gen_instance(spec: InstanceSpec):

@@ -8,11 +8,11 @@ longest earlier prefix's times the arrows past it, kept per element.
 
 Validity means the defining ideal acts as zero: every relation's matrix
 vanishes and the radical chain M, MJ, MJ^2, ... dies by the truncation
-exponent.  Construction validates by default, and then also checks that
-each dimension is an int >= 0 and each entry canonical in the field, and
-copies the matrices.  Internal constructions that are valid by construction
-(submodules, quotients, duals, kernels) skip the check and keep the fresh
-lists they are given; they remain spot-checked in the test suite.
+exponent.  The public constructors always check their input (names, ints
+>= 0 as dimensions, shapes, canonical entries, then validity or commutation)
+and copy it.  Results built inside the package (terms, submodules, quotients,
+duals, kernels, Hom bases) are valid by construction and go through one
+unchecked builder per type, ``_unchecked``, which keeps the lists it is given.
 
 Submodules are handed around as per-vertex canonical row bases inside the
 ambient components; the embed/quotient helpers turn those into honest
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import linalg
-from .algebra import FiniteDimAlgebra, IdempotentSplit, _require_presented, opposite_algebra
+from .algebra import MAX_WORK, FiniteDimAlgebra, IdempotentSplit, _require_presented, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
 
 
@@ -69,40 +69,37 @@ class Representation:
 
     Not mutated after construction, so each basis element's matrix and the
     top lifts are memoized on it (nothing per path); callers must not mutate
-    what is handed out.  A validated one (input from outside) has checked
-    and copied its input; an unvalidated one keeps the rows it was given.
+    what is handed out.  The constructor checks and copies its input;
+    results built inside the package come from ``_unchecked``.
     """
 
-    def __init__(self, algebra: FiniteDimAlgebra, dims, mats, validate: bool = True):
+    def __init__(self, algebra: FiniteDimAlgebra, dims, mats):
         _require_presented(algebra)
         self.algebra = algebra
         q, F = algebra.quiver, algebra.field
-        # the names are checked as sets; one by one only to find the first error
-        if validate or not dims.keys() <= q.vertex_index.keys():
-            for v, d in dims.items():
-                if v not in q.vertex_index:
-                    raise DanglingIdError(f"module names unknown vertex {v!r}")
-                if validate and not (type(d) is int and d >= 0):
-                    raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
+        for v, d in dims.items():
+            if v not in q.vertex_index:
+                raise DanglingIdError(f"module names unknown vertex {v!r}")
+            if not (type(d) is int and d >= 0):
+                raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
         self.dims: dict[str, int] = dict.fromkeys(q.vertices, 0)
         self.dims.update(dims)
         self.mats: dict[str, list[list]] = {}
         for a in q.arrows:
             m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
             if m is None:
-                m = linalg.zeros(nrows, ncols, F) if nrows else []
+                m = linalg.zeros(nrows, ncols, F)
             elif len(m) != nrows or set(map(len, m)) - {ncols}:
                 raise ModuleValidationError(
                     f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
                 )
-            self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}") if validate else m
+            self.mats[a.name] = _checked_copy(m, F, f"arrow {a.name!r}")
         if not mats.keys() <= self.mats.keys():
             name = next(name for name in mats if name not in self.mats)
             raise DanglingIdError(f"module names unknown arrow {name!r}")
         self._element_mats: dict[int, list[list]] = {}
         self._top_lifts: dict[str, list[int]] | None = None
-        if validate:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _unchecked(cls, algebra: FiniteDimAlgebra, dims, mats) -> "Representation":
@@ -224,9 +221,9 @@ class Representation:
 
 class ModuleMap:
     """A homomorphism of representations, stored as per-vertex blocks, which
-    are checked and copied when validated and kept as given otherwise."""
+    the constructor checks and copies; a missing block is zero."""
 
-    def __init__(self, source: Representation, target: Representation, blocks, validate: bool = True):
+    def __init__(self, source: Representation, target: Representation, blocks):
         if source.algebra is not target.algebra:
             raise InputError("module map endpoints live over different algebras")
         self.source = source
@@ -239,9 +236,15 @@ class ModuleMap:
                 b = linalg.zeros(source.dims[v], target.dims[v], source.field)
             if len(b) != source.dims[v] or any(len(r) != target.dims[v] for r in b):
                 raise ModuleValidationError(f"block at vertex {v!r} has wrong shape")
-            self.blocks[v] = _checked_copy(b, source.field, f"vertex {v!r}") if validate else b
-        if validate:
-            self.validate()
+            self.blocks[v] = _checked_copy(b, source.field, f"vertex {v!r}")
+        self.validate()
+
+    @classmethod
+    def _unchecked(cls, source: Representation, target: Representation, blocks) -> "ModuleMap":
+        """A map kept as given: a block at every vertex, in the quiver's order."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.blocks = source, target, blocks
+        return f
 
     @property
     def field(self):
@@ -269,7 +272,7 @@ class ModuleMap:
             v: linalg.mat_mul(self.blocks[v], then.blocks[v], then.target.dims[v], F)
             for v in self.source.algebra.quiver.vertices
         }
-        return ModuleMap(self.source, then.target, blocks, validate=False)
+        return ModuleMap._unchecked(self.source, then.target, blocks)
 
     @property
     def is_zero(self) -> bool:
@@ -280,8 +283,7 @@ class ModuleMap:
 
 
 def zero_module(alg: FiniteDimAlgebra) -> Representation:
-    _require_presented(alg)
-    return Representation(alg, {}, {}, validate=False)
+    return Representation(alg, {}, {})
 
 
 def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
@@ -290,11 +292,13 @@ def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
     if v not in alg.idempotent_index:
         raise DanglingIdError(f"unknown vertex id {v!r}")
     if kind == "simple":
-        return Representation(alg, {v: 1}, {}, validate=False)
+        dims = {w: int(w == v) for w in alg.vertices}
+        mats = {a.name: linalg.zeros(dims[a.source], dims[a.target], alg.field) for a in alg.quiver.arrows}
+        return Representation._unchecked(alg, dims, mats)
     if kind == "projective":
-        return materialize_term(alg, {v: 1})[0]
+        return materialize_term(alg, {v: 1})
     if kind == "injective":
-        return dual_module(materialize_term(get_opposite(alg), {v: 1})[0])
+        return dual_module(materialize_term(get_opposite(alg), {v: 1}))
     raise InputError(f"unknown module kind {kind!r}")
 
 
@@ -343,10 +347,8 @@ def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> TermInfo:
     return info
 
 
-def materialize_term(
-    alg: FiniteDimAlgebra, mults: dict[str, int]
-) -> tuple[Representation, TermInfo]:
-    """Build the sum of projectives P_v^{mults[v]} with explicit bookkeeping.
+def materialize_term(alg: FiniteDimAlgebra, mults: dict[str, int]) -> Representation:
+    """Build the sum of projectives P_v^{mults[v]}, laid out as term_info says.
 
     The component of P_v at w is spanned by the basis elements from v to w,
     and an arrow acts by right multiplication through the product table.
@@ -362,7 +364,7 @@ def materialize_term(
         a.name: term_action(alg, info, a.source, alg.arrow_index[a.name], a.target)
         for a in alg.quiver.arrows
     }
-    return Representation(alg, dims, mats, validate=False), info
+    return Representation._unchecked(alg, dims, mats)
 
 
 def term_action(alg: FiniteDimAlgebra, info: TermInfo, v: str, j: int, w: str) -> list[list]:
@@ -384,7 +386,7 @@ def dual_module(m: Representation) -> Representation:
     mats = {}
     for a in m.algebra.quiver.arrows:
         mats[a.name] = linalg.transpose(m.mats[a.name], m.dims[a.target])
-    return Representation(op, dims, mats, validate=False)
+    return Representation._unchecked(op, dims, mats)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -394,7 +396,7 @@ def dual_map(f: ModuleMap) -> ModuleMap:
         v: linalg.transpose(f.blocks[v], f.target.dims[v])
         for v in f.source.algebra.quiver.vertices
     }
-    return ModuleMap(dt, ds, blocks, validate=False)
+    return ModuleMap._unchecked(dt, ds, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,46 +465,39 @@ def _embed_echelon(rep: Representation, echelons) -> tuple[Representation, Modul
         images = linalg.mat_mul(basis, rep.mats[a.name], rep.dims[a.target], F) if pivots else basis
         mats[a.name] = [[img[c] for c in pivots] for img in images]
     bases = {v: basis for v, (basis, _) in echelons.items()}
-    sub = Representation(rep.algebra, {v: len(b) for v, b in bases.items()}, mats, validate=False)
-    incl = ModuleMap(sub, rep, bases, validate=False)
-    return sub, incl
+    sub = Representation._unchecked(rep.algebra, {v: len(b) for v, b in bases.items()}, mats)
+    return sub, ModuleMap._unchecked(sub, rep, bases)
 
 
 def quotient_with_section(
     rep: Representation, rows_by_vertex
-) -> tuple[Representation, ModuleMap, dict[str, list[list]]]:
+) -> tuple[Representation, ModuleMap, dict[str, list[int]]]:
     """Quotient representation, its projection, and a coordinate section.
 
-    The section picks the free-column standard vectors as coset
-    representatives; section followed by projection is the identity on the
-    quotient, which is what induced-map computations need.  An arrow acts on
-    the quotient by the free rows of its matrix followed by the projection.
+    The section is each vertex's free columns: their standard vectors are
+    coset representatives, and the projection is the identity on them, which
+    is what induced-map computations need.  An arrow acts on the quotient by
+    the free rows of its matrix followed by the projection.
     """
     q = rep.algebra.quiver
     F = rep.field
-    proj = {}
-    section = {}
-    free = {}
+    proj, free = {}, {}
     for v in q.vertices:
         echelon, pivots = linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
         proj[v] = linalg.quotient_projection(echelon, pivots, rep.dims[v], F)
         free[v] = sorted(set(range(rep.dims[v])) - set(pivots))
-        unit = linalg.identity(rep.dims[v], F)
-        section[v] = [unit[j] for j in free[v]]
     dims = {v: len(cols) for v, cols in free.items()}
     mats = {}
     for a in q.arrows:
         rows = [rep.mats[a.name][j] for j in free[a.source]]
         mats[a.name] = linalg.mat_mul(rows, proj[a.target], dims[a.target], F)
-    quot = Representation(rep.algebra, dims, mats, validate=False)
-    pmap = ModuleMap(rep, quot, proj, validate=False)
-    return quot, pmap, section
+    quot = Representation._unchecked(rep.algebra, dims, mats)
+    return quot, ModuleMap._unchecked(rep, quot, proj), free
 
 
 def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
     """Quotient representation by a submodule, with its projection map."""
-    quot, pmap, _ = quotient_with_section(rep, rows_by_vertex)
-    return quot, pmap
+    return quotient_with_section(rep, rows_by_vertex)[:2]
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -578,7 +573,8 @@ class StructureParts:
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
-    """A basis of the homomorphism space, by exact intertwiner solving."""
+    """A basis of the homomorphism space, by exact intertwiner solving; a
+    system past MAX_WORK cells is refused from the dims, before it is built."""
     if m.algebra is not n.algebra:
         raise InputError("hom endpoints live over different algebras")
     q = m.algebra.quiver
@@ -590,6 +586,9 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         nvars += m.dims[v] * n.dims[v]
     if nvars == 0:
         return []
+    cells = nvars * sum(m.dims[a.source] * n.dims[a.target] for a in q.arrows)
+    if cells > MAX_WORK:
+        raise InputError(f"a Hom system of {cells} cells exceeds {MAX_WORK} units of work")
     # the equations at (arrow, row i of M_v, column k of N_w) with a nonzero
     # coefficient are the columns of a system whose rows are the variables,
     # so the maps are its left kernel
@@ -616,7 +615,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
             # row i of the block at v is the i-th run of dim N_v variables from its offset
             o, d = offsets[v], n.dims[v]
             blocks[v] = [vec[o + i * d : o + (i + 1) * d] for i in range(m.dims[v])]
-        maps.append(ModuleMap(m, n, blocks, validate=False))
+        maps.append(ModuleMap._unchecked(m, n, blocks))
     return maps
 
 

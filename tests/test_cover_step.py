@@ -35,7 +35,7 @@ from quiverhom import (
 )
 from quiverhom.homology import MAX_TERM_WIDTH, SyzygyTable, cover_width, projective_cover_and_syzygy, resolution
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
-from quiverhom.modules import TermInfo, kernel_of_map, materialize_term
+from quiverhom.modules import TermInfo, kernel_of_map
 
 GF = PrimeField(2**31 - 1)
 # the (vertices, relation length) shapes of the benchmark's self-injective Nakayama algebras
@@ -65,7 +65,7 @@ def reference_term(alg, mults):
         mats[a.name] = mat
     dims = {w: len(rows) for w, rows in basis.items()}
     info = TermInfo(tuple(generators), {w: tuple(r) for w, r in basis.items()}, offsets)
-    return Representation(alg, dims, mats, validate=False), info
+    return Representation._unchecked(alg, dims, mats), info
 
 
 def path_product(m, i):
@@ -93,7 +93,7 @@ def reference_step(m):
             v, c = info.generators[g]
             rows.append(list(mats[i][lifts[v][c]]))
         blocks[w] = rows
-    cover = ModuleMap(term, m, blocks, validate=False)
+    cover = ModuleMap._unchecked(term, m, blocks)
     syz, incl = kernel_of_map(cover)
     # each generator's unit, found by its idempotent in the basis
     idem = m.algebra.idempotent_index
@@ -128,7 +128,6 @@ def assert_step_matches(m):
     assert not {"term", "cover", "syzygy_inclusion"} & set(vars(step))
     assert step.term.algebra is m.algebra and step.term.dims == term.dims
     assert step.term.mats == term.mats
-    assert materialize_term(m.algebra, mults)[1] == info
     assert step.cover.source is step.term and step.cover.target is m
     assert same_mats(step.cover.blocks, cover.blocks)
     assert step.syzygy_inclusion.source is step.syzygy

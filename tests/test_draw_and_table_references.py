@@ -43,7 +43,7 @@ def reference_gen_module(rng, alg, bound):
             total += pdim[v]
     if not mults:
         return standard_module(alg, "simple", verts[rng.randrange(len(verts))])
-    term, _ = materialize_term(alg, mults)
+    term = materialize_term(alg, mults)
     for _ in range(6):
         rows = {}
         for v in verts:

@@ -140,7 +140,7 @@ def test_exactness_is_read_from_the_held_complex(cycle_tail_algebra, vertex, k, 
     d = res.diffs[1]
     v = next(v for v, b in d.blocks.items() if any(map(any, b)))
     zeroed = linalg.zeros(len(d.blocks[v]), d.target.dims[v], QQ)
-    broken = ModuleMap(d.source, d.target, {**d.blocks, v: zeroed}, validate=False)
+    broken = ModuleMap._unchecked(d.source, d.target, {**d.blocks, v: zeroed})
     forged = dataclasses.replace(res, diffs=(res.diffs[0], broken) + res.diffs[2:])
     assert not forged.exact
 
@@ -470,7 +470,7 @@ def test_exactness_certificate_turns_false_on_a_planted_differential(cycle_tail_
         """The resolution with every entry of differential i set to x."""
         d = res.diffs[i]
         blocks = {v: [[x] * d.target.dims[v] for _ in range(n)] for v, n in d.source.dims.items()}
-        fault = ModuleMap(d.source, d.target, blocks, validate=False)
+        fault = ModuleMap._unchecked(d.source, d.target, blocks)
         return dataclasses.replace(res, diffs=res.diffs[:i] + (fault,) + res.diffs[i + 1:])
 
     for i in range(len(res.diffs)):

@@ -2,12 +2,18 @@
 
 A literal snapshot of every non-module name that ``quiverhom/__init__.py``
 binds.  A name may leave only with a written-down removal, so a dropped or
-renamed export fails here instead of in a user's import.
+renamed export fails here instead of in a user's import.  The module and
+map constructors are pinned too: they always check, with no parameter
+that skips it.
 """
 
+import inspect
 import types
 
+import pytest
+
 import quiverhom
+from quiverhom import QQ, IdealSpec, InputError, ModuleMap, Quiver, Representation, build_algebra
 
 PUBLIC_NAMES = {
     "AlgebraHom",
@@ -106,3 +112,18 @@ def test_public_names_are_unchanged():
     }
     assert sorted(bound - PUBLIC_NAMES) == []
     assert sorted(PUBLIC_NAMES - bound) == []
+
+
+def test_the_module_and_map_constructors_take_no_knob():
+    assert list(inspect.signature(Representation).parameters) == ["algebra", "dims", "mats"]
+    assert list(inspect.signature(ModuleMap).parameters) == ["source", "target", "blocks"]
+
+
+@pytest.mark.parametrize(
+    "dims, mats", [({"1": 1, "2": 1}, {"a": [[0.5]]}), ({"2": 2.5}, {})], ids=["float entry", "float dim"]
+)
+def test_a_malformed_module_is_an_input_error(dims, mats):
+    # on the line 1 -> 2 with J^2 = 0
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), QQ)
+    with pytest.raises(InputError):
+        Representation(alg, dims, mats)
