@@ -15,7 +15,6 @@ from .algebra import (
     ConvexIsoReport,
     FiniteDimAlgebra,
     IdealSpec,
-    IdempotentSplit,
     TriangularBlocks,
     build_algebra,
     corner_algebra,

@@ -10,12 +10,14 @@ Building a presented algebra only counts paths: the work budgets and a
 lower bound on the dimension come from per-bucket path and relation-row
 counts, and the relation span, the basis and the table are built when first
 read.  An algebra keeps its span, and every derived algebra is built from
-the algebra, never from its presentation again:
+the algebra, never from its presentation again.  The first three are fixed
+by one full subquiver of the algebra's quiver, e its vertices and e' the
+rest, and refuse a subquiver of another quiver:
 
-* corner algebra eAe for an idempotent built from a vertex subset;
-* quotient A/<e'> by the two-sided ideal generated by the complementary
-  idempotent, computed by linear closure, not path inspection;
-* restricted algebra: the path algebra of a full subquiver modulo the
+* corner algebra eAe;
+* quotient A/<e'> by the two-sided ideal generated by e', computed by
+  linear closure, not path inspection;
+* restricted algebra: the path algebra of the subquiver modulo the
   intersection of the ideal with it, read off the kept span;
 * opposite algebra: the same basis with paths reversed and the product
   table transposed; a presented algebra's opposite also carries the
@@ -109,28 +111,6 @@ class IdealSpec:
         return IdealSpec(rels, self.truncation)
 
 
-@dataclass(frozen=True)
-class IdempotentSplit:
-    """A decomposition 1 = e + e' given by complementary vertex subsets."""
-
-    e: frozenset[str]
-    eprime: frozenset[str]
-    plus: frozenset[str] | None = None
-    minus: frozenset[str] | None = None
-    zero: frozenset[str] | None = None
-
-    @staticmethod
-    def from_subquiver(sub: FullSubquiver) -> "IdempotentSplit":
-        return IdempotentSplit(sub.vertex_set, sub.complement())
-
-    @staticmethod
-    def from_heart(q: Quiver, heart: FullSubquiver) -> "IdempotentSplit":
-        split = q.boundary_split(heart)
-        return IdempotentSplit(
-            heart.vertex_set, heart.complement(), split.plus, split.minus, split.zero
-        )
-
-
 def _path_vertices(q: Quiver, path: Path) -> list[str]:
     vs = [path.source]
     for name in path.arrows:
@@ -161,9 +141,8 @@ def _counted_budgets(q: Quiver, ideal: IdealSpec, field) -> int:
         })
     size, rows, cells = upto[-1], {}, 0
     for src, tgt, terms in ideal.uniform_relations(q):
-        for coeff, arrows in terms:
-            if len(arrows) < n:
-                field.of(coeff)  # as the span will: a bad coefficient is refused at build
+        for coeff, _ in terms:
+            field.of(coeff)  # a coefficient outside the field is refused at build, used or not
         room = n - 1 - min(len(arrows) for _, arrows in terms)
         for i, level in enumerate(counts[: max(room + 1, 0)]):
             # prefixes of length i into src, suffixes out of tgt that still fit
@@ -229,24 +208,13 @@ class _RelationSpan:
                         rows_by_bucket.setdefault(key, []).append(row)
 
         self.bucket_rref: dict[tuple[str, str], tuple[list[list], list[int]]] = {}
-        self.pivot_global: set[int] = set()
+        # each pivot path's echelon row, in its bucket's local coordinates
+        self.pivot_rows: dict[int, list] = {}
         for key, rows in rows_by_bucket.items():
             echelon, pivots = linalg.rref(rows, len(self.buckets[key]), field)
             self.bucket_rref[key] = (echelon, pivots)
-            for c in pivots:
-                self.pivot_global.add(self.buckets[key][c])
-
-    def normal_form_local(self, g: int) -> list:
-        """Reduce the unit vector of path g inside its bucket; dense local coords."""
-        p = self.paths[g]
-        key = (p.source, p.target)
-        local = self.buckets[key]
-        vec = [self.field.zero] * len(local)
-        vec[self.local_pos[g]] = self.field.one
-        if key in self.bucket_rref:
-            echelon, pivots = self.bucket_rref[key]
-            vec = linalg.reduce_mod_rowspace(vec, echelon, pivots, self.field)
-        return vec
+            for row, c in zip(echelon, pivots):
+                self.pivot_rows[self.buckets[key][c]] = row
 
     def relations_inside(self, sub: FullSubquiver) -> tuple:
         """The ideal's span on the paths lying inside sub, as IdealSpec relations.
@@ -337,7 +305,7 @@ class FiniteDimAlgebra:
     @cached_property
     def elements(self) -> tuple[Path, ...]:
         span = self._span
-        return tuple(p for g, p in enumerate(span.paths) if g not in span.pivot_global)
+        return tuple(p for g, p in enumerate(span.paths) if g not in span.pivot_rows)
 
     @cached_property
     def table(self) -> tuple[dict, ...]:
@@ -434,6 +402,13 @@ def _require_presented(alg: FiniteDimAlgebra, what: str = "module theory") -> No
         raise InputError(f"{what} needs a presented algebra (quiver attached)")
 
 
+def _require_subquiver(alg: FiniteDimAlgebra, sub: FullSubquiver, what: str) -> None:
+    """Refuse a subquiver that is not a full subquiver of alg's own quiver."""
+    _require_presented(alg, what)
+    if sub.parent != alg.quiver:
+        raise InputError("the subquiver is not a full subquiver of the algebra's quiver")
+
+
 def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
     """The bound quiver algebra of (q, ideal) over the given field.
 
@@ -447,9 +422,10 @@ def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
 def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dict, ...]:
     """Row i maps j to the normal form of x_i * x_j where it is nonzero.  A product
     with a vertex idempotent is the other factor; any other is looked up by its
-    arrows in the span, and each path's normal form is reduced once."""
+    arrows in the span.  A pivot path's normal form is minus its reduced echelon
+    row off the pivot, whose other entries all sit at basis paths."""
     field, n = span.field, span.ideal.truncation
-    basis = (g for g in range(len(span.paths)) if g not in span.pivot_global)
+    basis = (g for g in range(len(span.paths)) if g not in span.pivot_rows)
     basis_pos = {g: pos for pos, g in enumerate(basis)}
     units = tuple(((pos, field.one),) for pos in range(len(elements)))
 
@@ -463,9 +439,8 @@ def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dic
             out = units[basis_pos[g]]
         else:
             p = span.paths[g]
-            vec = span.normal_form_local(g)
-            local = span.buckets[(p.source, p.target)]
-            out = tuple((basis_pos[local[pos]], c) for pos, c in enumerate(vec) if c)
+            local, row = span.buckets[(p.source, p.target)], span.pivot_rows[g]
+            out = tuple((basis_pos[local[h]], field.neg(c)) for h, c in enumerate(row) if c and local[h] != g)
         nf_cache[g] = out
         return out
 
@@ -493,10 +468,12 @@ def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dic
     return tuple(table)
 
 
-def corner_algebra(alg: FiniteDimAlgebra, split: IdempotentSplit) -> FiniteDimAlgebra:
-    """The corner eAe spanned by basis elements with both endpoints in e."""
-    e = split.e
-    if set(alg.vertices) <= e:
+def corner_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebra:
+    """The corner eAe, e the sum of sub's vertex idempotents, spanned by the
+    basis elements with both endpoints in sub."""
+    _require_subquiver(alg, sub, "a corner algebra")
+    e = sub.vertex_set
+    if len(e) == len(alg.vertices):
         return alg
     keep = [i for i, el in enumerate(alg.elements) if el.source in e and el.target in e]
     pos = {g: i for i, g in enumerate(keep)}
@@ -518,15 +495,17 @@ def corner_algebra(alg: FiniteDimAlgebra, split: IdempotentSplit) -> FiniteDimAl
     return out
 
 
-def quotient_by_idempotent(alg: FiniteDimAlgebra, split: IdempotentSplit) -> FiniteDimAlgebra:
-    """The quotient A/<e'> by the ideal generated by the idempotent e'.
+def quotient_by_idempotent(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebra:
+    """The quotient A/<e'> by the ideal generated by the idempotent e' of the
+    vertices outside sub.
 
     The ideal is computed by linear closure: every basis element with an
     endpoint in the e' block lies in it outright, and products x*y running
     through an e' vertex (target of x in e', equal to source of y) fill in
     the rest.  One echelon pass gives the span; no path inspection is used.
     """
-    eprime = split.eprime
+    _require_subquiver(alg, sub, "a quotient algebra")
+    eprime = sub.complement()
     if not eprime:
         return alg
     F = alg.field
@@ -535,7 +514,7 @@ def quotient_by_idempotent(alg: FiniteDimAlgebra, split: IdempotentSplit) -> Fin
     for i, el in enumerate(alg.elements):
         if el.source in eprime or el.target in eprime:
             rows.append(alg.dense({i: F.one}))
-    e = set(alg.vertices) - set(eprime)
+    e = sub.vertex_set
     for i, el in enumerate(alg.elements):
         if el.source in e and el.target in eprime:
             # a stored product x_i * x_j already runs through el.target
@@ -577,9 +556,7 @@ def restricted_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAl
     so the result is a presented algebra and carries modules.  alg keeps
     each restriction, and its restriction to the whole quiver is alg itself.
     """
-    _require_presented(alg, "a restricted algebra")
-    if sub.parent != alg.quiver:
-        raise InputError("the subquiver is not a full subquiver of the algebra's quiver")
+    _require_subquiver(alg, sub, "a restricted algebra")
     if len(sub.vertex_set) == len(alg.vertices):
         return alg
     got = alg._restrictions.get(sub.vertex_set)
@@ -628,8 +605,10 @@ class TriangularBlocks:
         return self.dim_ee + self.dim_e_eprime + self.dim_eprime_e + self.dim_eprime_eprime
 
 
-def triangular_blocks(alg: FiniteDimAlgebra, split: IdempotentSplit) -> TriangularBlocks:
-    e = split.e
+def triangular_blocks(alg: FiniteDimAlgebra, sub: FullSubquiver) -> TriangularBlocks:
+    """Count the basis elements in each corner, e from sub and e' from the rest."""
+    _require_subquiver(alg, sub, "triangular blocks")
+    e = sub.vertex_set
     dims = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     for el in alg.elements:
         dims[(el.source in e, el.target in e)] += 1
@@ -762,14 +741,13 @@ def verify_convex_isos(alg: FiniteDimAlgebra, sub: FullSubquiver) -> ConvexIsoRe
     if alg.dim**2 > MAX_WORK:
         raise InputError(f"comparing algebras of dim {alg.dim} exceeds {MAX_WORK} units of work")
     restricted = restricted_algebra(alg, sub)
-    split = IdempotentSplit.from_subquiver(sub)
-    corner = corner_algebra(alg, split)
-    quotient = quotient_by_idempotent(alg, split)
+    corner = corner_algebra(alg, sub)
+    quotient = quotient_by_idempotent(alg, sub)
     convex = alg.quiver.is_convex(sub)
     F = alg.field
     entries = []
 
-    e_id = alg.vertex_idempotent(split.e)
+    e_id = alg.vertex_idempotent(sub.vertex_set)
     sandwich_ok = True
     witness = ""
     # e x_i e is x_i or 0, so only a stored product x_i * x_j can break this
@@ -794,7 +772,7 @@ def verify_convex_isos(alg: FiniteDimAlgebra, sub: FullSubquiver) -> ConvexIsoRe
         corner_pos = {g: i for i, g in enumerate(corner.parent_indices)}
     phi_images = []
     for i, el in enumerate(alg.elements):
-        if el.source in split.e and el.target in split.e:
+        if el.source in sub.vertex_set and el.target in sub.vertex_set:
             phi_images.append({corner_pos[i]: F.one})
         else:
             phi_images.append({})

@@ -47,7 +47,7 @@ from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import FiniteDimAlgebra, IdempotentSplit
+from .algebra import FiniteDimAlgebra, restricted_algebra
 from .errors import InputError, InvariantViolation, require_int
 from .modules import (
     HeartParts,
@@ -64,7 +64,7 @@ from .modules import (
     standard_module,
     term_info,
 )
-from .quiver import Quiver
+from .quiver import FullSubquiver, Quiver
 
 
 @dataclass(frozen=True)
@@ -641,21 +641,20 @@ class TransportedResolution:
     terms_projective: bool
 
 
-def transport_resolution(
-    a: ModuleOrChain, k: int, split: IdempotentSplit, gamma: FiniteDimAlgebra
-) -> TransportedResolution:
-    """Transport a projective resolution of a to the restricted algebra.
+def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> TransportedResolution:
+    """Transport a projective resolution of a to the heart's restricted algebra.
 
-    The input must be supported on the heart and its strict successors; each
-    term and the module itself are divided by their largest submodule
-    supported on the plus vertices, the differentials are induced through
-    coordinate sections, and the whole complex is restricted.
+    The restricted algebra is ``restricted_algebra(a's algebra, heart)``, the
+    one that algebra keeps.  The input must be supported on the heart and its
+    plus vertices; each term and the module itself are divided by their
+    largest submodule supported on the plus vertices, the differentials are
+    induced through coordinate sections, and the whole complex is restricted.
     """
-    if split.plus is None or split.minus is None:
-        raise InputError("transport needs a split with plus/minus refinement")
     a_chain = _chain(a)
     a = a_chain.module
-    allowed = set(split.e) | set(split.plus)
+    gamma = restricted_algebra(a.algebra, heart)
+    plus = a.algebra.quiver.boundary_split(heart).plus
+    allowed = heart.vertex_set | plus
     outside = sorted(a.support - allowed)
     if outside:
         raise InputError(f"module has support outside the heart closure: {outside}")
@@ -664,7 +663,7 @@ def transport_resolution(
     chain.extend(res.reps)
     quots, projs, secs = [], [], []
     for rep in chain:
-        rows = largest_submodule_supported(rep, split.plus)
+        rows = largest_submodule_supported(rep, plus)
         qq, pp, ss = quotient_with_section(rep, rows)
         quots.append(qq)
         projs.append(pp)
@@ -730,24 +729,20 @@ class HeartShiftPair:
     cosyzygy_parts: HeartParts
 
 
-def heart_shift_pair(
-    m: ModuleOrChain,
-    n: ModuleOrChain,
-    split: IdempotentSplit,
-    t: int,
-    gamma: FiniteDimAlgebra,
-) -> HeartShiftPair:
+def heart_shift_pair(m: ModuleOrChain, n: ModuleOrChain, heart: FullSubquiver, t: int) -> HeartShiftPair:
     """Build the pair (A_m, B_n) driving the Ext dimension shift.
 
-    Requires the heart split of the ambient algebra, the bound t on paths
-    through the complement, and the restricted heart algebra.
+    Takes the heart, a full subquiver of the ambient quiver, and the bound t
+    on paths through its complement; both parts are restricted to
+    ``restricted_algebra(ambient, heart)``, the one the ambient keeps.
     """
     m, n = _chain(m), _chain(n)
     if m.module.algebra is not n.module.algebra:
         raise InputError("shift pair endpoints live over different algebras")
     check_cutoff(t, "the complement bound")
-    hp = heart_parts(m.drop(t + 1).module, split)
-    hn = heart_parts(dual_module(n.dual.drop(t + 1).module), split)
+    gamma = restricted_algebra(m.module.algebra, heart)
+    hp = heart_parts(m.drop(t + 1).module, heart)
+    hn = heart_parts(dual_module(n.dual.drop(t + 1).module), heart)
     return HeartShiftPair(
         restrict(hp.quot_by_plus, gamma), restrict(hn.minus_part, gamma), hp, hn
     )

@@ -27,7 +27,6 @@ from . import linalg
 from .algebra import (
     FiniteDimAlgebra,
     IdealSpec,
-    IdempotentSplit,
     _require_presented,
     build_algebra,
     quotient_by_idempotent,
@@ -467,15 +466,14 @@ def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
     table_l = ext_dims(mi, ni, cutoff)
     for kk in range(cutoff + 1):
         ck.expect(f"ext_agree_k{kk}", table_l[kk], table_g[kk])
-    split = IdempotentSplit.from_subquiver(sub)
     sp = q.boundary_split(sub)
     if not sp.minus:
-        tb = triangular_blocks(lam, split)
+        tb = triangular_blocks(lam, sub)
         ck.expect("eprime_e_zero", tb.dim_eprime_e, 0)
         report = verify_convex_isos(lam, sub)
         ck.require("corner_agrees", report.ok and report.dims_agree)
-    if split.eprime and set(q.vertices) == set(sub.vertex_set) | set(sp.plus):
-        quo = quotient_by_idempotent(lam, split)
+    if sp.plus and not (sp.minus | sp.zero):
+        quo = quotient_by_idempotent(lam, sub)
         gamma_left = left_module_over_opposite(quo)
         ck.require("gamma_left_projective", is_projective_module(gamma_left))
     return ck.witnesses
@@ -535,7 +533,7 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     ck = _CaseChecks(seed)
     syz = m.table  # the case's table: every chain below reads it
     heart_set = set(hp.heart.vertex_set)
-    split = IdempotentSplit.from_heart(q, hp.heart)
+    split = q.boundary_split(hp.heart)
     gamma = restricted_algebra(lam, hp.heart)
     up = heart_set | set(split.plus)
     down = heart_set | set(split.minus)
@@ -555,7 +553,7 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
 
     deep = m.drop(t + 1)
     omega = deep.module
-    tr = transport_resolution(deep, 3, split, gamma)
+    tr = transport_resolution(deep, 3, hp.heart)
     ck.require("transport_exact", tr.exact)
     ck.require("transport_minimal", tr.minimal)
     ck.require("transport_terms_projective", tr.terms_projective)
@@ -563,7 +561,7 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     term_support = {v for mults in terms[t + 1 :] for v, mult in mults.items() if mult > 0}
     ck.require("deep_term_support", term_support <= up, f"terms {sorted(term_support)}")
 
-    pair = heart_shift_pair(m, n, split, t, gamma)
+    pair = heart_shift_pair(m, n, hp.heart, t)
     hparts = pair.syzygy_parts
     gens = [standard_module(lam, "projective", v) for v in sorted(split.plus)]
     traced = trace_submodule(omega, gens)
@@ -728,8 +726,7 @@ def _decompose_stage(alg: FiniteDimAlgebra, blocks: list[Block]) -> Decompositio
     if not hrep.nontrivial_flags[0]:
         raise InvariantViolation("heart condensation source is a trivial component")
     sub = hq.full_subquiver(source)
-    split = IdempotentSplit.from_subquiver(sub)
-    tb = triangular_blocks(heart_alg, split)
+    tb = triangular_blocks(heart_alg, sub)
     if tb.dim_eprime_e != 0:
         raise InvariantViolation("claimed source block admits incoming paths")
     # the corner eAe is spanned by the basis elements with both ends in e; the

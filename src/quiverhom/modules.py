@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import linalg
-from .algebra import MAX_WORK, FiniteDimAlgebra, IdempotentSplit, _require_presented, opposite_algebra
+from .algebra import MAX_WORK, FiniteDimAlgebra, _require_presented, _require_subquiver, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
+from .quiver import FullSubquiver
 
 
 def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
@@ -635,7 +636,7 @@ def trace_submodule(c: Representation, generators) -> dict[str, list[list]]:
 
 @dataclass(frozen=True)
 class HeartParts:
-    """The canonical pieces of a module relative to a heart split."""
+    """The canonical pieces of a module relative to a heart."""
 
     plus_part: Representation
     plus_inclusion: ModuleMap
@@ -647,15 +648,16 @@ class HeartParts:
     quot_by_minus_map: ModuleMap
 
 
-def heart_parts(c: Representation, split: IdempotentSplit) -> HeartParts:
-    """C plus-part and minus-part for a heart idempotent split.
+def heart_parts(c: Representation, heart: FullSubquiver) -> HeartParts:
+    """C plus-part and minus-part for a full subquiver of c's quiver.
 
-    The plus part is the largest submodule supported on the plus vertices;
-    the minus part is the submodule generated by all components away from
-    the minus vertices.
+    The plus and minus vertices are the heart's boundary split.  The plus
+    part is the largest submodule supported on the plus vertices; the minus
+    part is the submodule generated by all components away from the minus
+    vertices.
     """
-    if split.plus is None or split.minus is None:
-        raise InputError("heart split needs plus/minus/zero refinement")
+    _require_subquiver(c.algebra, heart, "heart parts")
+    split = c.algebra.quiver.boundary_split(heart)
     F = c.field
     plus_rows = largest_submodule_supported(c, split.plus)
     plus_rep, plus_incl = embed_submodule(c, plus_rows)

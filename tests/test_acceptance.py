@@ -14,7 +14,6 @@ import pytest
 from quiverhom import (
     DimBound,
     IdealSpec,
-    IdempotentSplit,
     InstanceSpec,
     QQ,
     Quiver,
@@ -174,12 +173,10 @@ def test_criterion_heart_suite_and_worked_example(heart_run, stamp):
         lam = build_algebra(q, ideal, QQ)
         hp = q.homological_heart()
         assert hp.t == 1
-        split = IdempotentSplit.from_heart(q, hp.heart)
-        gamma = restricted_algebra(lam, hp.heart)
         for v in ("1", "2"):
             m = standard_module(lam, "simple", v)
             n = standard_module(lam, "simple", v)
-            pair = heart_shift_pair(m, n, split, hp.t, gamma)
+            pair = heart_shift_pair(m, n, hp.heart, hp.t)
             lam_table = ext_dims(m, n, 9)
             gam_table = ext_dims(pair.a_part, pair.b_part, 5)
             for ell in range(5, 10):

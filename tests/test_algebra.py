@@ -18,7 +18,6 @@ from quiverhom import (
     CompositionError,
     DanglingIdError,
     IdealSpec,
-    IdempotentSplit,
     InputError,
     PrimeField,
     Path,
@@ -31,6 +30,7 @@ from quiverhom import (
     triangular_blocks,
     verify_convex_isos,
 )
+from quiverhom import linalg
 from quiverhom.algebra import _RelationSpan
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
 
@@ -134,12 +134,11 @@ def test_no_stored_product_is_empty(F, style):
         q = _gen_quiver(rng, 4, 6)
         ideal = _gen_ideal(rng, q, style)
         sub = q.full_subquiver(frozenset(v for v in q.vertices if rng.random() < 0.5))
-        split = IdempotentSplit.from_subquiver(sub)
         alg = build_algebra(q, ideal, F)
         for derived in (
             alg,
-            corner_algebra(alg, split),
-            quotient_by_idempotent(alg, split),
+            corner_algebra(alg, sub),
+            quotient_by_idempotent(alg, sub),
             restricted_algebra(alg, sub),
             opposite_algebra(alg),
         ):
@@ -166,10 +165,9 @@ def test_elements_hold_only_nonzero_canonical_values(F):
         q = _gen_quiver(rng, 4, 6)
         ideal = _gen_ideal(rng, q, "mixed")
         sub = q.full_subquiver(frozenset(v for v in q.vertices if rng.random() < 0.5))
-        split = IdempotentSplit.from_subquiver(sub)
         alg = build_algebra(q, ideal, F)
-        quo = quotient_by_idempotent(alg, split)
-        for derived in (alg, corner_algebra(alg, split), quo, opposite_algebra(alg)):
+        quo = quotient_by_idempotent(alg, sub)
+        for derived in (alg, corner_algebra(alg, sub), quo, opposite_algebra(alg)):
             for row in derived.table:
                 for entry in row.values():
                     check(dict(entry))
@@ -183,7 +181,7 @@ def test_elements_hold_only_nonzero_canonical_values(F):
 @pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
 def test_from_images_reads_its_images_as_canonical_elements(F, cycle_tail_quiver, cycle_tail_ideal):
     alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, F)
-    corner = corner_algebra(alg, IdempotentSplit(frozenset("12"), frozenset("34")))
+    corner = corner_algebra(alg, cycle_tail_quiver.full_subquiver("12"))
     pos = {g: i for i, g in enumerate(corner.parent_indices)}
 
     def flags(images):
@@ -212,7 +210,7 @@ def test_quotient_drops_products_that_fall_into_the_ideal(F):
     a = alg.elements.index(Path("1", ("a",), "2"))
     b = alg.elements.index(Path("2", ("b",), "4"))
     assert alg.table[a][b]
-    quo = quotient_by_idempotent(alg, IdempotentSplit(frozenset("124"), frozenset("3")))
+    quo = quotient_by_idempotent(alg, q.full_subquiver("124"))
     assert quo.dim == 5
     qa, qb = quo.parent_indices.index(a), quo.parent_indices.index(b)
     assert qb not in quo.table[qa]
@@ -305,6 +303,30 @@ def test_mixed_relation_collapses_parallel_paths():
     assert ab == cd
 
 
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_a_relation_over_several_buckets_is_its_components(F, cycle_tail_quiver):
+    # ab runs 1 -> 1 and cd runs 2 -> 4: the vertex idempotents pick each term
+    # out of 2ab - 3cd, so it spans the ideal of the two relations ab and cd
+    mixed = IdealSpec((((2, ("a", "b")), (-3, ("c", "d"))),), 4)
+    whole = build_algebra(cycle_tail_quiver, mixed, F)
+    apart = build_algebra(cycle_tail_quiver, IdealSpec.monomial([("a", "b"), ("c", "d")], 4), F)
+
+    def typed(table):
+        return [[(j, [(k, type(c), c) for k, c in entry]) for j, entry in row.items()] for row in table]
+
+    assert whole.elements == apart.elements
+    assert typed(whole.table) == typed(apart.table)
+
+
+@pytest.mark.parametrize("word", [("a", "a"), ("a", "a", "a")], ids=["short", "at-truncation"])
+def test_a_coefficient_outside_the_field_is_refused_at_build(word):
+    # aaa lies in J^3 and never reaches the span, yet 1/5 is refused there as
+    # on a shorter term: it used to build, and every checked module then failed
+    loop = Quiver.build(["1"], [("a", "1", "1")])
+    with pytest.raises(InputError, match=r"^denominator of 1/5 vanishes in GF\(5\)$"):
+        build_algebra(loop, IdealSpec((((Fraction(1, 5), word),),), 3), GF5)
+
+
 def test_truncation_below_two_rejected():
     with pytest.raises(InputError):
         IdealSpec.zero(1)
@@ -349,8 +371,7 @@ def test_nonconvex_corner_quotient_mismatch(line_quiver, line_ideal):
 def test_triangular_blocks_on_one_sided_split(cycle_tail_quiver, cycle_tail_ideal):
     alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ)
     sub = cycle_tail_quiver.full_subquiver({"1", "2"})
-    split = IdempotentSplit.from_subquiver(sub)
-    tb = triangular_blocks(alg, split)
+    tb = triangular_blocks(alg, sub)
     assert tb.dim_eprime_e == 0
     assert tb.upper_triangular
     assert tb.total == alg.dim
@@ -395,8 +416,7 @@ def test_opposite_is_involutive_and_reverses_products():
 
 
 def test_quotient_kills_exactly_paths_through_removed_block(cycle_tail_algebra):
-    split = IdempotentSplit(frozenset({"1", "2"}), frozenset({"3", "4"}))
-    quo = quotient_by_idempotent(cycle_tail_algebra, split)
+    quo = quotient_by_idempotent(cycle_tail_algebra, cycle_tail_algebra.quiver.full_subquiver({"1", "2"}))
     assert quo.dim == 4
     assert all(el.source in {"1", "2"} and el.target in {"1", "2"} for el in quo.elements)
 
@@ -416,24 +436,31 @@ def test_restricted_algebra_is_kept_by_the_algebra(cycle_tail_quiver, cycle_tail
     assert restricted_algebra(alg, cycle_tail_quiver.full_subquiver({"1", "2", "3", "4"})) is alg
 
 
-def test_restriction_needs_the_algebras_own_presented_quiver(cycle_tail_algebra, line_quiver):
-    split = IdempotentSplit(frozenset({"1", "2"}), frozenset({"3", "4"}))
+SPLIT_CALLS = (
+    corner_algebra, quotient_by_idempotent, triangular_blocks, restricted_algebra, verify_convex_isos
+)
+
+
+def test_a_split_needs_the_algebras_own_presented_quiver(cycle_tail_algebra, line_quiver):
     sub = cycle_tail_algebra.quiver.full_subquiver({"1", "2"})
-    for derived in (corner_algebra(cycle_tail_algebra, split),
-                    quotient_by_idempotent(cycle_tail_algebra, split)):
-        for call in (restricted_algebra, verify_convex_isos):
+    for derived in (corner_algebra(cycle_tail_algebra, sub), quotient_by_idempotent(cycle_tail_algebra, sub)):
+        for call in SPLIT_CALLS:
             with pytest.raises(InputError, match="needs a presented algebra"):
                 call(derived, sub)
     other = line_quiver.full_subquiver({"v"})
-    for call in (restricted_algebra, verify_convex_isos):
+    for call in SPLIT_CALLS:
         with pytest.raises(InputError, match="not a full subquiver of the algebra's quiver"):
             call(cycle_tail_algebra, other)
+    # a vertex set is checked where the subquiver is made, so no split names
+    # a vertex the quiver lacks (e = {"9"} used to give a dim-0 corner)
+    with pytest.raises(DanglingIdError, match="unknown vertex id '9'"):
+        cycle_tail_algebra.quiver.full_subquiver({"9"})
 
 
-def test_corner_of_full_split_is_algebra_itself(cycle_tail_algebra):
-    split = IdempotentSplit(frozenset({"1", "2", "3", "4"}), frozenset())
-    corner = corner_algebra(cycle_tail_algebra, split)
-    assert corner.dim == cycle_tail_algebra.dim
+def test_corner_of_the_whole_quiver_is_the_algebra_itself(cycle_tail_algebra):
+    whole = cycle_tail_algebra.quiver.full_subquiver({"1", "2", "3", "4"})
+    assert corner_algebra(cycle_tail_algebra, whole) is cycle_tail_algebra
+    assert quotient_by_idempotent(cycle_tail_algebra, whole) is cycle_tail_algebra
 
 
 def test_prime_field_algebra_matches_rational_dimension(cycle_tail_quiver, cycle_tail_ideal):
@@ -445,7 +472,8 @@ def eager_table(q, ideal, F):
     """The product table pair by pair: concatenate, then reduce in the span."""
     span = _RelationSpan(q, ideal, F)
     path_index = {p: g for g, p in enumerate(span.paths)}
-    basis = [g for g in range(len(span.paths)) if g not in span.pivot_global]
+    pivots = {span.buckets[key][c] for key, (_, cols) in span.bucket_rref.items() for c in cols}
+    basis = [g for g in range(len(span.paths)) if g not in pivots]
     pos = {g: k for k, g in enumerate(basis)}
     table = []
     for gi in basis:
@@ -456,8 +484,10 @@ def eager_table(q, ideal, F):
             if pi.target != pj.source or pi.length + pj.length >= ideal.truncation:
                 continue
             g = path_index[Path(pi.source, pi.arrows + pj.arrows, pj.target)]
-            local = span.buckets[(pi.source, pj.target)]
-            reduced = span.normal_form_local(g)
+            key = (pi.source, pj.target)
+            local = span.buckets[key]
+            unit = [F.one if h == g else F.zero for h in local]
+            reduced = linalg.reduce_mod_rowspace(unit, *span.bucket_rref.get(key, ([], [])), F)
             entry = tuple((pos[local[k]], c) for k, c in enumerate(reduced) if c)
             if entry:
                 row[j] = entry

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from quiverhom import QQ, IdealSpec, PrimeField, Quiver, build_algebra
+from quiverhom import QQ, IdealSpec, PrimeField, Quiver, build_algebra, linalg
 from quiverhom.algebra import AlgebraHom, _apply_images, _RelationSpan
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import (
@@ -128,7 +128,8 @@ def reference_table(span):
     """The table as it was built: every product looked up by its Path."""
     F, n = span.field, span.ideal.truncation
     path_index = {p: g for g, p in enumerate(span.paths)}
-    basis = [g for g in range(len(span.paths)) if g not in span.pivot_global]
+    pivots = {span.buckets[key][c] for key, (_, cols) in span.bucket_rref.items() for c in cols}
+    basis = [g for g in range(len(span.paths)) if g not in pivots]
     pos = {g: k for k, g in enumerate(basis)}
     table = []
     for gi in basis:
@@ -142,8 +143,12 @@ def reference_table(span):
             if g in pos:
                 entry = [(pos[g], F.one)]
             else:
-                local = span.buckets[(pi.source, pj.target)]
-                entry = [(pos[local[k]], c) for k, c in enumerate(span.normal_form_local(g)) if c]
+                # the unit vector at g reduced against its bucket's echelon basis
+                key = (pi.source, pj.target)
+                local = span.buckets[key]
+                unit = [F.one if h == g else F.zero for h in local]
+                reduced = linalg.reduce_mod_rowspace(unit, *span.bucket_rref[key], F)
+                entry = [(pos[local[k]], c) for k, c in enumerate(reduced) if c]
             if entry:
                 row.append((j, [(k, type(c), c) for k, c in entry]))
         table.append(row)

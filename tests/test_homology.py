@@ -25,7 +25,6 @@ from quiverhom import (
     DimBound,
     ModuleMap,
     IdealSpec,
-    IdempotentSplit,
     InputError,
     InstanceSpec,
     PrimeField,
@@ -36,6 +35,7 @@ from quiverhom import (
     ext_dims,
     gen_instance,
     gl_dim,
+    heart_parts,
     heart_shift_pair,
     inj_dim,
     proj_dim,
@@ -165,8 +165,6 @@ def test_cutoff_past_the_ceiling_is_input_error(line_algebra):
     sv = standard_module(line_algebra, "simple", "v")
     k = homology.MAX_CUTOFF + 1
     heart = line_algebra.quiver.homological_heart().heart
-    split = IdempotentSplit.from_heart(line_algebra.quiver, heart)
-    gamma = restricted_algebra(line_algebra, heart)
     calls = (
         lambda: resolution(sv, k),
         lambda: ext_dims(sv, sv, k),
@@ -175,14 +173,14 @@ def test_cutoff_past_the_ceiling_is_input_error(line_algebra):
         lambda: inj_dim(sv, k),
         lambda: gl_dim(line_algebra, k),
         # the bound t of the shift pair drops Omega^{t+1}, so it is a cutoff too
-        lambda: heart_shift_pair(sv, sv, split, k, gamma),
+        lambda: heart_shift_pair(sv, sv, heart, k),
     )
     with no_chain_walks():
         for call in calls:
             with pytest.raises(InputError, match=f"{k} exceeds MAX_CUTOFF = 1000"):
                 call()
         with pytest.raises(InputError, match="^the complement bound must be nonnegative$"):
-            heart_shift_pair(sv, sv, split, -1, gamma)
+            heart_shift_pair(sv, sv, heart, -1)
     assert proj_dim(sv, homology.MAX_CUTOFF) == proj_dim(sv, 6) == DimBound.finite(1)
 
 
@@ -192,8 +190,6 @@ def test_a_cutoff_that_is_not_an_int_is_input_error(line_algebra, bad):
     # True ran as cutoff 1, and "2" raised TypeError at its comparison
     sv = standard_module(line_algebra, "simple", "v")
     heart = line_algebra.quiver.homological_heart().heart
-    split = IdempotentSplit.from_heart(line_algebra.quiver, heart)
-    gamma = restricted_algebra(line_algebra, heart)
     calls = (
         lambda: resolution(sv, bad),
         lambda: ext_dims(sv, sv, bad),
@@ -201,7 +197,7 @@ def test_a_cutoff_that_is_not_an_int_is_input_error(line_algebra, bad):
         lambda: proj_dim(sv, bad),
         lambda: inj_dim(sv, bad),
         lambda: gl_dim(line_algebra, bad),
-        lambda: heart_shift_pair(sv, sv, split, bad, gamma),
+        lambda: heart_shift_pair(sv, sv, heart, bad),
     )
     with no_chain_walks():
         for call in calls:
@@ -439,26 +435,34 @@ def test_term_reachability_matches_boolean_matrix_powers():
     assert min(verdicts.values()) >= 300, verdicts
 
 
-def test_transport_resolution_certificates(
-    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra
-):
+def test_transport_resolution_certificates(cycle_tail_quiver, cycle_tail_algebra):
     hp = cycle_tail_quiver.homological_heart()
-    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
-    sub = hp.heart
-    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     # the second syzygy lives on the heart, so it transports
     omega = resolution(s1, 2).syzygy(2)
-    moved = transport_resolution(omega, 4, split, gamma)
+    moved = transport_resolution(omega, 4, hp.heart)
     assert moved.exact and moved.minimal and moved.terms_projective
-    assert moved.gamma is gamma
+    # Gamma is the restriction the algebra keeps, never one built beside it
+    assert moved.gamma is restricted_algebra(cycle_tail_algebra, hp.heart)
     p1 = standard_module(cycle_tail_algebra, "projective", "1")
-    # support outside heart and successors is fine here; outside entirely is not
-    with pytest.raises(InputError):
-        bad_split = IdempotentSplit.from_heart(
-            cycle_tail_quiver, cycle_tail_quiver.full_subquiver({"3", "4"})
-        )
-        transport_resolution(p1, 2, bad_split, gamma)
+    # {3, 4} has no plus vertices, so P_1's support at 1 and 2 lies outside it
+    with pytest.raises(InputError, match=r"support outside the heart closure: \['1', '2'\]"):
+        transport_resolution(p1, 2, cycle_tail_quiver.full_subquiver({"3", "4"}))
+
+
+def test_the_heart_functions_refuse_a_subquiver_of_another_quiver(cycle_tail_algebra, line_quiver):
+    s1 = standard_module(cycle_tail_algebra, "simple", "1")
+    other = line_quiver.full_subquiver({"v"})
+    calls = (
+        lambda: heart_parts(s1, other),
+        lambda: transport_resolution(s1, 2, other),
+        lambda: heart_shift_pair(s1, s1, other, 1),
+    )
+    refusal = "^the subquiver is not a full subquiver of the algebra's quiver$"
+    with no_chain_walks():
+        for call in calls:
+            with pytest.raises(InputError, match=refusal):
+                call()
 
 
 def test_exactness_certificate_turns_false_on_a_planted_differential(cycle_tail_algebra):
@@ -481,15 +485,14 @@ def test_exactness_certificate_turns_false_on_a_planted_differential(cycle_tail_
 
 
 def test_transport_certificates_each_turn_false_on_their_own_fault(
-    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra, monkeypatch
+    cycle_tail_quiver, cycle_tail_algebra, monkeypatch
 ):
     hp = cycle_tail_quiver.homological_heart()
-    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
-    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), hp.heart)
+    gamma = restricted_algebra(cycle_tail_algebra, hp.heart)
     omega = resolution(standard_module(cycle_tail_algebra, "simple", "1"), 2).syzygy(2)
 
     def flags():
-        moved = transport_resolution(omega, 4, split, gamma)
+        moved = transport_resolution(omega, 4, hp.heart)
         return moved.exact, moved.minimal, moved.terms_projective
 
     assert flags() == (True, True, True)
@@ -510,16 +513,13 @@ def test_transport_certificates_each_turn_false_on_their_own_fault(
     assert flags() == (True, True, False)
 
 
-def test_heart_shift_pair_reproduces_shifted_ext(
-    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra
-):
+def test_heart_shift_pair_reproduces_shifted_ext(cycle_tail_quiver, cycle_tail_algebra):
     hp = cycle_tail_quiver.homological_heart()
     assert hp.t == 1
-    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
-    sub = hp.heart
-    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
-    pair = heart_shift_pair(s1, s1, split, hp.t, gamma)
+    pair = heart_shift_pair(s1, s1, hp.heart, hp.t)
+    gamma = restricted_algebra(cycle_tail_algebra, hp.heart)
+    assert pair.a_part.algebra is gamma and pair.b_part.algebra is gamma
     shift = 2 * hp.t + 2
     lam_table = ext_dims(s1, s1, 9)
     gam_table = ext_dims(pair.a_part, pair.b_part, 9 - shift)
@@ -527,12 +527,8 @@ def test_heart_shift_pair_reproduces_shifted_ext(
         assert lam_table[ell] == gam_table[ell - shift]
 
 
-def test_chain_readers_share_each_cover_step(
-    cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra
-):
+def test_chain_readers_share_each_cover_step(cycle_tail_quiver, cycle_tail_algebra):
     hp = cycle_tail_quiver.homological_heart()
-    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
-    gamma = restricted_algebra(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), hp.heart)
     s1 = standard_module(cycle_tail_algebra, "simple", "1")
     p3 = standard_module(cycle_tail_algebra, "projective", "3")
     m, n = SyzygyTable().chain(s1), SyzygyTable().chain(p3)
@@ -546,10 +542,10 @@ def test_chain_readers_share_each_cover_step(
         assert ext_dims(m, n, 5) == ext_dims(s1, p3, 5)
         assert ext_dims(m, n, 3, "injective") == ext_dims(s1, p3, 3, "injective")
         assert inj_dim(n, 4) == inj_dim(p3, 4)
-        pair = heart_shift_pair(m, n, split, hp.t, gamma)
-        bare = heart_shift_pair(s1, p3, split, hp.t, gamma)
+        pair = heart_shift_pair(m, n, hp.heart, hp.t)
+        bare = heart_shift_pair(s1, p3, hp.heart, hp.t)
         calls = cover.call_count
-        assert transport_resolution(m.drop(hp.t + 1), 3, split, gamma).exact
+        assert transport_resolution(m.drop(hp.t + 1), 3, hp.heart).exact
         assert cover.call_count == calls
     assert res.terms == resolution(s1, 6).terms
     assert m.drop(2).module is res.syzygy(2)

@@ -23,7 +23,6 @@ from quiverhom import (
     build_algebra,
     DecompositionTree,
     IdealSpec,
-    IdempotentSplit,
     InputError,
     InstanceSpec,
     PrimeField,
@@ -259,7 +258,7 @@ def test_decompose_renders_block_dims(cycle_tail_quiver, cycle_tail_ideal):
 def test_decompose_of_a_table_backed_algebra_is_input_error(cycle_tail_algebra):
     # even one without cycles: its leaf would need a quiver
     sub = cycle_tail_algebra.quiver.full_subquiver({"3", "4"})
-    corner = corner_algebra(cycle_tail_algebra, IdempotentSplit.from_subquiver(sub))
+    corner = corner_algebra(cycle_tail_algebra, sub)
     with pytest.raises(InputError, match="needs a presented algebra"):
         decompose(corner)
 

@@ -19,7 +19,6 @@ from quiverhom import (
     QQ,
     DanglingIdError,
     IdealSpec,
-    IdempotentSplit,
     InputError,
     ModuleMap,
     ModuleValidationError,
@@ -413,9 +412,9 @@ def test_trace_of_projectives_matches_supported_submodule(cycle_tail_algebra):
 
 def test_heart_parts_on_cycle_tail(cycle_tail_algebra, cycle_tail_quiver):
     hp = cycle_tail_quiver.homological_heart()
-    split = IdempotentSplit.from_heart(cycle_tail_quiver, hp.heart)
     p1 = standard_module(cycle_tail_algebra, "projective", "1")
-    parts = heart_parts(p1, split)
+    # plus = {3, 4} and minus = {} are read off the heart's boundary split
+    parts = heart_parts(p1, hp.heart)
     assert parts.plus_part.dims == {"1": 0, "2": 0, "3": 1, "4": 1}
     assert parts.quot_by_plus.dims == {"1": 1, "2": 1, "3": 0, "4": 0}
     parts.plus_inclusion.validate()
@@ -441,16 +440,14 @@ def test_restrict_inflate_roundtrip(cycle_tail_quiver, cycle_tail_ideal, cycle_t
 
 
 def test_quotient_algebra_as_left_module(cycle_tail_algebra, line_algebra):
-    split = IdempotentSplit(frozenset({"1", "2"}), frozenset({"3", "4"}))
-    quo = quotient_by_idempotent(cycle_tail_algebra, split)
+    quo = quotient_by_idempotent(cycle_tail_algebra, cycle_tail_algebra.quiver.full_subquiver({"1", "2"}))
     gamma_left = left_module_over_opposite(quo)
     gamma_left.validate()
     assert gamma_left.total_dim == quo.dim
     # everything outside the kept block sits strictly above it here
     assert is_projective_module(gamma_left)
     # removing the middle of the line leaves a non-projective left module
-    split2 = IdempotentSplit(frozenset({"w"}), frozenset({"v", "x"}))
-    quo2 = quotient_by_idempotent(line_algebra, split2)
+    quo2 = quotient_by_idempotent(line_algebra, line_algebra.quiver.full_subquiver({"w"}))
     left2 = left_module_over_opposite(quo2)
     left2.validate()
     assert not is_projective_module(left2)

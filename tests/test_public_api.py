@@ -1,10 +1,11 @@
 """The public names of the package.
 
 A literal snapshot of every non-module name that ``quiverhom/__init__.py``
-binds.  A name may leave only with a written-down removal, so a dropped or
-renamed export fails here instead of in a user's import.  The module and
-map constructors are pinned too: they always check, with no parameter
-that skips it.
+binds, and of the parameter names of each exported function and class.  A
+name may leave, or a signature change, only with a written-down removal, so
+a dropped or renamed export or parameter fails here instead of in a user's
+call.  The module and map constructors always check, with no parameter that
+skips it, and a malformed module is an ``InputError``.
 """
 
 import inspect
@@ -13,7 +14,7 @@ import types
 import pytest
 
 import quiverhom
-from quiverhom import QQ, IdealSpec, InputError, ModuleMap, Quiver, Representation, build_algebra
+from quiverhom import QQ, IdealSpec, InputError, Quiver, Representation, build_algebra
 
 PUBLIC_NAMES = {
     "AlgebraHom",
@@ -33,7 +34,6 @@ PUBLIC_NAMES = {
     "HeartProfile",
     "HeartShiftPair",
     "IdealSpec",
-    "IdempotentSplit",
     "InputError",
     "InstanceSpec",
     "InvariantViolation",
@@ -104,6 +104,110 @@ PUBLIC_NAMES = {
 }
 
 
+# The parameter names of every exported function and class, in order, so a
+# changed signature fails here as a dropped name does.  None marks an error
+# class, which takes Exception's own arguments.
+SIGNATURES = {
+    "AlgebraHom": (
+        "source", "target", "images", "multiplicative", "unital", "unit_image_idempotent",
+        "surjective", "injective",
+    ),
+    "Arrow": ("name", "source", "target"),
+    "Block": ("vertices", "dim", "simple_cycle"),
+    "BoundarySplit": ("plus", "minus", "zero"),
+    "ComponentsReport": ("components", "nontrivial_flags", "condensation", "simple_cycle_type"),
+    "CompositionError": None,
+    "ConvexIsoReport": ("convex", "corner_dim", "quotient_dim", "restricted_dim", "entries"),
+    "DanglingIdError": None,
+    "DecompositionNode": ("kind", "vertices", "heart_vertices", "t", "block", "eprime_e_dim", "child"),
+    "DecompositionTree": ("root", "blocks", "splits"),
+    "DimBound": ("kind", "value"),
+    "ExtTable": ("dims", "cutoff", "side"),
+    "FiniteDimAlgebra": ("field", "vertices", "elements", "table", "quiver", "ideal", "dim_floor"),
+    "FullSubquiver": ("parent", "vertex_set"),
+    "HeartProfile": ("cycle_vertices", "heart", "t"),
+    "HeartShiftPair": ("a_part", "b_part", "syzygy_parts", "cosyzygy_parts"),
+    "IdealSpec": ("relations", "truncation"),
+    "InputError": None,
+    "InstanceSpec": ("seed",),
+    "InvariantViolation": None,
+    "ModuleMap": ("source", "target", "blocks"),
+    "ModuleValidationError": None,
+    "ParseError": ("message", "line", "column"),
+    "Path": ("source", "arrows", "target"),
+    "PrimeField": ("p",),
+    "Quiver": ("vertices", "arrows"),
+    "QuiverHomError": None,
+    "Rationals": (),
+    "Representation": ("algebra", "dims", "mats"),
+    "ResolutionPrefix": ("module", "terms", "reps", "diffs", "syzygies", "minimal"),
+    "SuiteReport": ("suite", "master_seed", "attempted", "passed", "witnesses"),
+    "TransportedResolution": (
+        "gamma", "module", "terms", "reps", "diffs", "exact", "minimal", "terms_projective"
+    ),
+    "TriangularBlocks": (
+        "dim_ee", "dim_e_eprime", "dim_eprime_e", "dim_eprime_eprime", "lower_triangular", "upper_triangular"
+    ),
+    "Witness": ("seed", "check_id", "observed", "expected"),
+    "WorkspaceBundle": ("quiver", "ideal", "algebra", "modules", "module_names", "subquiver", "field"),
+    "build_algebra": ("q", "ideal", "field"),
+    "check_term_reachability": ("q", "terms"),
+    "corner_algebra": ("alg", "sub"),
+    "decompose": ("alg",),
+    "dual_map": ("f",),
+    "dual_module": ("m",),
+    "embed_submodule": ("rep", "rows_by_vertex"),
+    "export_dot": ("q", "highlight"),
+    "ext_dims": ("m", "n", "k", "side"),
+    "field_from_descriptor": ("desc",),
+    "gen_instance": ("spec",),
+    "get_opposite": ("alg",),
+    "gl_dim": ("alg", "cutoff"),
+    "heart_parts": ("c", "heart"),
+    "heart_shift_pair": ("m", "n", "heart", "t"),
+    "hom_basis": ("m", "n"),
+    "image_of_map": ("f",),
+    "inflate": ("m", "big"),
+    "inj_dim": ("m", "cutoff"),
+    "is_projective_module": ("m",),
+    "kernel_of_map": ("f",),
+    "largest_submodule_supported": ("rep", "allowed"),
+    "left_module_over_opposite": ("quotient",),
+    "load_bundle": ("paths", "field"),
+    "opposite_algebra": ("alg",),
+    "proj_dim": ("m", "cutoff"),
+    "projective_cover_and_syzygy": ("m",),
+    "quotient_by_idempotent": ("alg", "sub"),
+    "quotient_by_submodule": ("rep", "rows_by_vertex"),
+    "resolution": ("m", "k"),
+    "restrict": ("m", "small"),
+    "restricted_algebra": ("alg", "sub"),
+    "serialize_ideal": ("ideal",),
+    "serialize_module": ("m", "name"),
+    "serialize_quiver": ("q",),
+    "serialize_subquiver": ("vertex_set", "q"),
+    "standard_module": ("alg", "kind", "v"),
+    "structure_parts": ("m",),
+    "submodule_closure": ("rep", "seed_rows"),
+    "trace_submodule": ("c", "generators"),
+    "transport_resolution": ("a", "k", "heart"),
+    "triangular_blocks": ("alg", "sub"),
+    "verify_convex_epi": ("spec", "cases", "cutoff"),
+    "verify_convex_isos": ("alg", "sub"),
+    "verify_ext_cross": ("spec", "cases", "cutoff"),
+    "verify_heart_theorem": ("spec", "cases", "cutoff"),
+    "verify_subquiver_calculus": ("spec", "cases"),
+    "zero_module": ("alg",),
+}
+
+
+def _parameters(value):
+    try:
+        return tuple(inspect.signature(value).parameters)
+    except ValueError:  # a class with no __init__ of its own in Python
+        return None
+
+
 def test_public_names_are_unchanged():
     bound = {
         name
@@ -114,9 +218,14 @@ def test_public_names_are_unchanged():
     assert sorted(PUBLIC_NAMES - bound) == []
 
 
-def test_the_module_and_map_constructors_take_no_knob():
-    assert list(inspect.signature(Representation).parameters) == ["algebra", "dims", "mats"]
-    assert list(inspect.signature(ModuleMap).parameters) == ["source", "target", "blocks"]
+def test_public_signatures_are_unchanged():
+    exported = {name: getattr(quiverhom, name) for name in PUBLIC_NAMES}
+    got = {
+        name: _parameters(value)
+        for name, value in exported.items()
+        if inspect.isfunction(value) or inspect.isclass(value)
+    }
+    assert got == SIGNATURES
 
 
 @pytest.mark.parametrize(
