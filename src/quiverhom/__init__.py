@@ -83,7 +83,6 @@ from .modules import (
     get_opposite,
     heart_parts,
     hom_basis,
-    image_of_map,
     inflate,
     kernel_of_map,
     largest_submodule_supported,
@@ -91,10 +90,8 @@ from .modules import (
     quotient_by_submodule,
     restrict,
     standard_module,
-    structure_parts,
     submodule_closure,
     trace_submodule,
-    zero_module,
 )
 from .quiver import (
     Arrow,

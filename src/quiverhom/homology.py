@@ -5,12 +5,13 @@ basis of the top, map a matching sum of indecomposable projectives onto the
 module, and take the kernel as the next syzygy.  A cover step reads the
 algebra's projective layout and product table and keeps only lift rows and
 kernel rows, as their nonzero (column, entry) pairs, which are all its
-syzygy, its certificate and the Ext tables read; its dense kernel, term,
-cover map and syzygy inclusion are built when first read, which the syzygy
-walk, the Ext tables and the gates never do.  Its work follows the term and
-the module, not the quiver: it eliminates only where the radical has rows
-or the term has rows over a nonzero component, and builds syzygy arrow
-matrices only out of vertices with kernel rows.
+syzygy and the Ext tables read; its minimality certificate, dense kernel,
+term, cover map and syzygy inclusion are built when first read, which the
+syzygy walk, the Ext tables and the gates never do: only ``resolution``
+reads the certificate.  Its work follows the term and the module, not the
+quiver: it eliminates only where the radical has rows or the term has rows
+over a nonzero component, and builds syzygy arrow matrices only out of
+vertices with kernel rows.
 One ``SyzygyTable`` per case or command keys modules by content (algebra,
 dims and matrices); every ``SyzygyChain`` minted from it reads the same
 nodes, so no content is stepped twice, and a syzygy equal to one already on
@@ -49,6 +50,7 @@ from typing import NamedTuple
 from . import linalg
 from .algebra import FiniteDimAlgebra, restricted_algebra
 from .errors import InputError, InvariantViolation, require_int
+from .fields import Rationals
 from .modules import (
     HeartParts,
     ModuleMap,
@@ -119,18 +121,37 @@ class CoverStep:
     cover_rows holds the image in module of each term basis element, per
     vertex where the term is nonzero, and kernel_entries the syzygy's
     canonical echelon basis in the term, each row as its nonzero (column,
-    entry) pairs, ascending, per vertex where it has rows.  The dense
-    kernel, the term, the cover and the syzygy's inclusion are built from
-    them when first read, and hold no reference back to the step.
+    entry) pairs, ascending, per vertex where it has rows.  The minimality
+    certificate, the dense kernel, the term, the cover and the syzygy's
+    inclusion are built from them when first read, and hold no reference
+    back to the step; of the certificate's readers only ``resolution`` asks.
     """
 
     mults: dict[str, int]
     info: TermInfo
     syzygy: Representation
-    minimal: bool
     module: Representation
     cover_rows: dict[str, list[list]]
     kernel_entries: dict[str, list[list[tuple]]]
+
+    @classmethod
+    def _unchecked(cls, mults, info, syzygy, module, cover_rows, kernel_entries) -> "CoverStep":
+        """A step kept as given: its fields written straight into its dict,
+        past the frozen dataclass's slower ``__init__``."""
+        step = cls.__new__(cls)
+        step.__dict__.update(
+            mults=mults, info=info, syzygy=syzygy, module=module,
+            cover_rows=cover_rows, kernel_entries=kernel_entries,
+        )
+        return step
+
+    @cached_property
+    def minimal(self) -> bool:
+        """No kernel pair lies at a generator unit coordinate; those span a
+        complement of the radical of the term."""
+        info, kernel = self.info, self.kernel_entries
+        units = {(v, info.offsets[v][g]) for g, (v, _) in enumerate(info.generators)}
+        return not any((w, c) in units for w in dict(units) for row in kernel.get(w, ()) for c, _ in row)
 
     @cached_property
     def kernel(self) -> dict[str, list[list]]:
@@ -173,9 +194,10 @@ def cover_width(m: Representation) -> int:
     return sum(len(lifts[v]) * dims[v] for v in m.algebra.vertices)
 
 
-def _refuse_wide_cover(m: Representation) -> None:
-    """Refuse a module whose projective cover is wider than MAX_TERM_WIDTH."""
-    width = cover_width(m)
+def _refuse_wide_cover(alg: FiniteDimAlgebra, mults: dict[str, int]) -> None:
+    """Refuse a cover term of these multiplicities wider than MAX_TERM_WIDTH."""
+    dims = alg.projective_layout.dims
+    width = sum(k * dims[v] for v, k in mults.items())
     if width > MAX_TERM_WIDTH:
         raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
 
@@ -194,15 +216,15 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     are more does a RowSpace eliminate, its kernel pivots the coordinates.
     An arrow out of a vertex with kernel rows acts on their pairs through
     the product table, read only at the coordinates at its target; other
-    arrows get the empty matrix.  Minimality is certified by checking that
-    no pair lies at a generator unit coordinate; those span a complement of
-    the radical of the term.
+    arrows get the empty matrix.  Images are summed as plain ints or
+    Fractions, and over GF(p) each row is reduced once, at the end.  The
+    step's minimality certificate is computed only when read.
     """
     alg = m.algebra
     q, F = alg.quiver, alg.field
     lifts = m.top_lifts()
-    _refuse_wide_cover(m)
     mults = dict(zip(lifts, map(len, lifts.values())))
+    _refuse_wide_cover(alg, mults)
     info = term_info(alg, mults)
     layout = alg.projective_layout
     prefix = layout.prefix
@@ -243,7 +265,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
             rank = linalg.rank(rows, d, F) if rows else 0
         if rank != d:
             raise InvariantViolation(f"projective cover fails to surject at {w!r}")
-    table, local = alg.table, layout.local
+    table, local, p = alg.table, layout.local, None if isinstance(F, Rationals) else F.p
     mats: dict[str, list[list]] = {name: [] for name in q.arrow_by_name}
     for v, rows in kernel.items():
         basis = info.basis[v]
@@ -251,19 +273,17 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
             j, starts, cols = alg.arrow_index[a.name], info.offsets.get(a.target), coords.get(a.target)
             width = len(kernel.get(a.target, ()))
             for row in rows:
-                img = [F.zero] * width
+                img = [0] * width
                 # with no kernel at the target, an image has no coordinates to read
-                for p, x in row if width else ():
-                    g, i = basis[p]
+                for c, x in row if width else ():
+                    g, i = basis[c]
                     for k, coeff in table[i].get(j, ()):
                         r = cols[starts[g] + local[k]]
                         if r is not None:
-                            img[r] = F.add(img[r], F.mul(x, coeff))
-                mats[a.name].append(img)
+                            img[r] += x * coeff
+                mats[a.name].append([y % p for y in img] if p else img)
     syz = Representation._unchecked(alg, {w: len(kernel.get(w, ())) for w in m.dims}, mats)
-    units = {(v, info.offsets[v][g]) for g, (v, _) in enumerate(info.generators)}
-    minimal = not any((w, c) in units for w in dict(units) for row in kernel.get(w, ()) for c, _ in row)
-    return CoverStep(mults, info, syz, minimal, m, cover_rows, kernel)
+    return CoverStep._unchecked(mults, info, syz, m, cover_rows, kernel)
 
 
 class SyzygyTable:
@@ -516,7 +536,8 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     table, vertices = m.table, n.algebra.vertices
     if not any(map(any, chain.from_iterable(n.mats.values()))):
         path = list(islice(table.walk(m.node), k + 1))
-        _refuse_wide_cover(table.modules[path[-1]])  # as its cover step would
+        last = table.modules[path[-1]].top_lifts()
+        _refuse_wide_cover(n.algebra, {v: len(lifts) for v, lifts in last.items()})  # as its cover step would
         support = [(v, d) for v, d in n.dims.items() if d]
         tops = (table.modules[i].top_lifts() for i in path)
         return tuple(sum(len(lifts[v]) * d for v, d in support) for lifts in tops)

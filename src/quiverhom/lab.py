@@ -509,13 +509,13 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     def draw(rng, lam):
         hp = lam.quiver.homological_heart()
         t = hp.t
+        if t > HEART_T_CAP and not hp.heart.is_empty:
+            return None  # refused before its modules are drawn; the attempt's rng is its own
         table = SyzygyTable()
         m = table.chain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         n = table.chain(_gen_module(rng, lam, SUITE_MODULE_BOUND))
         if hp.heart.is_empty:
             return (hp, None, m, n) if _widths_ok(m, t + 4) else None
-        if t > HEART_T_CAP:
-            return None
         lmax = 2 * t + 6 if cutoff is None else min(cutoff, 2 * t + 6)
         simples = (table.chain(standard_module(lam, "simple", v)) for v in lam.vertices)
         admitted = (

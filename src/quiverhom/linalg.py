@@ -27,7 +27,10 @@ which wide sparse relation rows need, so a zero the elimination never
 touches stays the input's own object.  No input is ever mutated, and an
 input row that is neither scaled nor updated comes back as an echelon row.
 A single row or column is a decided block: its ``rank`` is read off its
-entries, with no elimination.  Reduced row echelon form is canonical, so two
+entries, with no elimination, and ``rref`` of a single row, before any
+range scan or zero-row filter, is that row scaled by its first nonzero
+entry, the row itself when that entry is 1 (and, over GF(p), every entry
+is in range).  Reduced row echelon form is canonical, so two
 row spaces are equal iff their echelon bases are equal lists.
 """
 
@@ -87,6 +90,17 @@ def rref(rows: list[list], ncols: int, field) -> tuple[list[list], list[int]]:
     if not rows or not ncols:
         return [], []
     p = None if isinstance(field, Rationals) else field.p
+    if len(rows) == 1:  # decided: the row scaled by its first nonzero entry, or nothing
+        row = rows[0]
+        for c, lead in enumerate(row):
+            if lead % p if p else lead:
+                break
+        else:
+            return [], []
+        if lead != 1 or p and (min(row) < 0 or max(row) >= p):
+            inv = pow(lead, -1, p) if p else Fraction(1) / lead
+            row = [x * inv % p for x in row] if p else [x * inv if x else x for x in row]
+        return [row], [c]
     if p and (min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
         rows = [r if 0 <= min(r) and max(r) < p else [v % p for v in r] for r in rows]
     rows = list(filter(any, rows))

@@ -22,7 +22,7 @@ submodule generated by seed rows is spanned at w by seed_v · x over the basis
 elements x : v -> w, and the largest submodule supported on a vertex set is,
 at each vertex v in it, the common left kernel of the basis elements from v
 to vertices outside.  A quotient reads its arrow matrices off the free rows.
-Every kernel here, Hom spaces and socles included, is a ``RowSpace``'s.
+Every kernel here, Hom spaces included, is a ``RowSpace``'s.
 """
 
 from __future__ import annotations
@@ -279,13 +279,6 @@ class ModuleMap:
     def is_zero(self) -> bool:
         return not any(any(map(any, b)) for b in self.blocks.values())
 
-    def image_rows(self) -> dict[str, list[list]]:
-        return {v: [list(r) for r in b] for v, b in self.blocks.items()}
-
-
-def zero_module(alg: FiniteDimAlgebra) -> Representation:
-    return Representation(alg, {}, {})
-
 
 def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
     """The simple, indecomposable projective, or indecomposable injective at v."""
@@ -512,11 +505,6 @@ def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return _embed_echelon(f.source, echelons)
 
 
-def image_of_map(f: ModuleMap) -> dict[str, list[list]]:
-    """Image of a module map, as canonical row bases inside the target."""
-    return _canonical(f.target, f.image_rows())
-
-
 def largest_submodule_supported(rep: Representation, allowed) -> dict[str, list[list]]:
     """Largest submodule whose support lies inside the allowed vertex set.
 
@@ -545,32 +533,6 @@ def radical_rows(m: Representation) -> dict[str, list[list]]:
     for a in m.algebra.quiver.arrows:
         rows[a.target].extend(m.mats[a.name])
     return rows
-
-
-def structure_parts(m: Representation) -> "StructureParts":
-    """Radical, top, and socle of a representation."""
-    q = m.algebra.quiver
-    F = m.field
-    rad_rows = radical_rows(m)
-    rad_rep, rad_incl = embed_submodule(m, rad_rows)
-    top_rep, top_proj = quotient_by_submodule(m, rad_rows)
-    soc_rows = {}
-    for v, outs in q.out_arrows.items():
-        stacked = [sum((m.mats[a.name][i] for a in outs), []) for i in range(m.dims[v])]
-        width = sum(m.dims[a.target] for a in outs)
-        soc_rows[v] = linalg.RowSpace(stacked, width, F).kernel
-    soc_rep, soc_incl = embed_submodule(m, soc_rows)
-    return StructureParts(rad_rep, rad_incl, top_rep, top_proj, soc_rep, soc_incl)
-
-
-@dataclass(frozen=True)
-class StructureParts:
-    radical: Representation
-    radical_inclusion: ModuleMap
-    top: Representation
-    top_projection: ModuleMap
-    socle: Representation
-    socle_inclusion: ModuleMap
 
 
 def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:

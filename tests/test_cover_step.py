@@ -5,8 +5,8 @@ written out below, with no projective layout), maps each term basis element
 to the lift row of its element's matrix, the product of its path's arrow
 matrices taken here, and takes the syzygy with ``kernel_of_map``.
 ``projective_cover_and_syzygy`` must agree with it exactly: syzygy
-dimensions and matrices, kernel bases, term bookkeeping, the minimality
-certificate, and the term, cover and inclusion it builds on first read.
+dimensions and matrices, kernel bases, term bookkeeping, and the minimality
+certificate, term, cover and inclusion it builds on first read.
 Computed matrices are compared entry by entry with their types, so an int
 where the reference has a Fraction counts as a difference too; the term's
 entries are product-table coefficients, copied, so its matrices are
@@ -31,10 +31,9 @@ from quiverhom import (
     homology,
     linalg,
     standard_module,
-    zero_module,
 )
 from quiverhom.homology import MAX_TERM_WIDTH, SyzygyTable, cover_width, projective_cover_and_syzygy, resolution
-from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
 from quiverhom.modules import TermInfo, kernel_of_map
 
 GF = PrimeField(2**31 - 1)
@@ -121,11 +120,11 @@ def assert_step_matches(m):
         assert cover_width(m) > MAX_TERM_WIDTH
         return None
     mults, term, info, cover, syz, incl, minimal = reference_step(m)
+    # the certificate, the term, the cover and the inclusion are built only when read
+    assert not {"minimal", "term", "cover", "syzygy_inclusion"} & set(vars(step))
     assert step.mults == mults and step.info == info and step.minimal == minimal
     assert same_module(step.syzygy, syz)
     assert same_mats(step.kernel, incl.blocks)
-    # the term, the cover and the inclusion are built only when read
-    assert not {"term", "cover", "syzygy_inclusion"} & set(vars(step))
     assert step.term.algebra is m.algebra and step.term.dims == term.dims
     assert step.term.mats == term.mats
     assert step.cover.source is step.term and step.cover.target is m
@@ -161,6 +160,55 @@ def test_cover_step_matches_dense_reference_on_lab_modules(F):
 
 
 @pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_ext_tables_and_the_width_gate_leave_the_certificate_unread(F):
+    # the lab corpus above, on one table: the width gate to depth 4 on both
+    # sides, then the Ext tables of each module with itself on both sides
+    drawn, seed, table, tables = 0, 0, SyzygyTable(), 0
+    while drawn < 60:
+        rng = random.Random(seed)
+        seed += 1
+        q = _gen_quiver(rng, 4, 6)
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed"), F)
+        if alg.dim > ALGEBRA_DIM_CAP:
+            continue
+        m = table.chain(_gen_module(rng, alg, rng.randint(1, 12)))
+        drawn += 1
+        if _widths_ok(m, 4) and _widths_ok(m.dual, 4):
+            for side in ("projective", "injective"):
+                ext_dims(m, m, 3, side)
+            tables += 1
+    assert tables >= 30 and len(table.steps) >= 200
+    assert not any("minimal" in vars(step) for step in table.steps.values())
+    # a resolution is its one reader
+    assert resolution(m, 2).minimal
+    assert "minimal" in vars(m.step)
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_the_width_budget_admits_its_edge_and_refuses_one_past_it(F):
+    # on 1 -> 2 -> 3 -> 4 -> 5, P_1 has dim 5 and P_5 dim 1: the semisimple
+    # S_1^100 has a cover exactly MAX_TERM_WIDTH wide, and S_1^100 + S_5 one wider
+    q = Quiver.build([str(v) for v in range(1, 6)], [(f"a{v}", str(v), str(v + 1)) for v in range(1, 5)])
+    alg = build_algebra(q, IdealSpec.zero(5), F)
+    k = MAX_TERM_WIDTH // 5
+    edge = Representation(alg, {"1": k}, {})
+    past = Representation(alg, {"1": k, "5": 1}, {})
+    assert (cover_width(edge), cover_width(past)) == (MAX_TERM_WIDTH, MAX_TERM_WIDTH + 1)
+    refusal = f"^projective cover of dim {MAX_TERM_WIDTH + 1} exceeds budget {MAX_TERM_WIDTH}$"
+    step = projective_cover_and_syzygy(edge)
+    assert step.mults["1"] == k and step.syzygy.total_dim == MAX_TERM_WIDTH - k
+    with pytest.raises(InputError, match=refusal):
+        projective_cover_and_syzygy(past)
+    # into a semisimple module, Ext^0 reads the top of Omega^0, whose width
+    # is refused as its cover step would refuse it, with no step taken
+    table, simple = SyzygyTable(), standard_module(alg, "simple", "1")
+    assert ext_dims(table.chain(edge), simple, 0).dims == (k,)
+    with pytest.raises(InputError, match=refusal):
+        ext_dims(table.chain(past), simple, 0)
+    assert not table.steps
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
 @pytest.mark.parametrize("n, L", NAKAYAMA_SHAPES)
 def test_cover_step_matches_dense_reference_on_nakayama_simples(F, n, L):
     arrows = [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
@@ -188,7 +236,7 @@ def test_cover_step_matches_dense_reference_on_the_zero_module():
     q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     for F in (QQ, GF):
         alg = build_algebra(q, IdealSpec.zero(3), F)
-        syz = assert_step_matches(zero_module(alg))
+        syz = assert_step_matches(Representation(alg, {}, {}))
         assert syz.is_zero
 
 

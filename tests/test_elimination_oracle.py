@@ -173,3 +173,37 @@ def test_rref_rank_and_rowspace_match_the_oracle():
     want = {(F.name, kind) for F in FIELDS for kind in kinds}
     want |= {(F.name, kind) for F in FIELDS[1:] for kind in ("negative", "at least p")}
     assert seen == want
+
+
+GF5 = PrimeField(5)
+# (field, the one row, its echelon row or None for a zero row, whether it comes back as itself)
+SINGLE_ROWS = [
+    (QQ, [0, 2, 4], [0, Fraction(1), Fraction(2)], False),  # ints: the zero stays an int
+    (QQ, [Fraction(0), Fraction(3, 2), Fraction(-3)], [Fraction(0), Fraction(1), Fraction(-2)], False),
+    (QQ, [0, 1, Fraction(5, 2)], [0, 1, Fraction(5, 2)], True),
+    (QQ, (0, 1, -2), (0, 1, -2), True),  # a tuple, as RowSpace hands it over
+    (QQ, [0, Fraction(0), 0], None, False),
+    (GF5, [0, 3, 1], [0, 1, 2], False),
+    (PrimeField(BIG), [0, 1, BIG - 1], [0, 1, BIG - 1], True),
+    (GF5, [0, -2, 1], [0, 1, 2], False),  # negative entries
+    (GF5, [5, 6, -3], [0, 1, 2], False),  # entries at least p, the first nonzero one 6 = 1
+    (GF5, [1, 7], [1, 2], False),  # led by 1, yet not in range: reduced
+    (GF5, [5, -10, 0], None, False),
+]
+
+
+def test_a_single_row_is_decided_as_the_loop_and_the_oracle_decide_it():
+    """rref of one row is decided before the range scan and the zero-row
+    filter; it must equal the oracle's by value and, type for type, what the
+    Gauss-Jordan loop gives, reached by a zero row beside it."""
+    for F, row, want, same in SINGLE_ROWS:
+        p = None if F == QQ else F.p
+        before = snapshot([row])
+        echelon, pivots = linalg.rref([row], len(row), F)
+        assert snapshot([row]) == before
+        assert ([list(e) for e in echelon], pivots) == oracle_rref([row], len(row), p)
+        looped, loop_pivots = linalg.rref([row, [0] * len(row)], len(row), F)
+        assert (snapshot(echelon), pivots) == (snapshot(looped), loop_pivots)
+        assert snapshot(echelon) == ([] if want is None else snapshot([want]))
+        assert_entries(echelon, F)
+        assert (echelon[0] is row) if same else all(e is not row for e in echelon)

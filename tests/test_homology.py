@@ -29,6 +29,7 @@ from quiverhom import (
     InstanceSpec,
     PrimeField,
     Quiver,
+    Representation,
     build_algebra,
     check_term_reachability,
     dual_module,
@@ -43,7 +44,6 @@ from quiverhom import (
     restricted_algebra,
     standard_module,
     transport_resolution,
-    zero_module,
 )
 from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
@@ -335,7 +335,7 @@ def test_ext_table_shape_and_errors(cycle_tail_algebra, line_algebra):
 
 
 def test_dim_bound_conventions(cycle_tail_algebra):
-    z = zero_module(cycle_tail_algebra)
+    z = Representation(cycle_tail_algebra, {}, {})
     assert proj_dim(z, 3) == DimBound.finite(-1)
     assert str(DimBound.finite(1)) == "Finite(1)"
     assert str(DimBound.at_least(10)) == "AtLeast(10)"

@@ -26,7 +26,6 @@ from quiverhom import (
     quotient_by_submodule,
     standard_module,
     submodule_closure,
-    zero_module,
 )
 from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
@@ -80,7 +79,7 @@ def test_internal_builders_return_well_formed_modules_and_maps(F):
     seen = set()
     for rng, alg, m in lab_modules(F, 24):
         assert_module(m)
-        assert_module(zero_module(alg))
+        assert_module(Representation(alg, {}, {}))
         for v in alg.vertices:
             for kind in ("simple", "projective", "injective"):
                 assert_module(standard_module(alg, kind, v))

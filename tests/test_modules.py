@@ -32,7 +32,6 @@ from quiverhom import (
     get_opposite,
     heart_parts,
     hom_basis,
-    image_of_map,
     inflate,
     is_projective_module,
     kernel_of_map,
@@ -43,10 +42,8 @@ from quiverhom import (
     restrict,
     restricted_algebra,
     standard_module,
-    structure_parts,
     submodule_closure,
     trace_submodule,
-    zero_module,
 )
 from quiverhom import linalg
 from quiverhom.homology import ext_dims, materialize_term, projective_cover_and_syzygy
@@ -236,7 +233,7 @@ def test_kernel_image_rank_nullity(cycle_tail_algebra):
     }
     f = ModuleMap(p1, m, blocks)
     ker, kincl = kernel_of_map(f)
-    img, iincl = embed_submodule(m, image_of_map(f))
+    img, iincl = embed_submodule(m, f.blocks)
     kincl.validate()
     iincl.validate()
     for v in cycle_tail_algebra.vertices:
@@ -287,7 +284,7 @@ def test_kernel_of_map_matches_left_kernel(F, which, seed):
                 [F.add(x, F.mul(c, y)) for x, y in zip(row, hrow)]
                 for row, hrow in zip(blocks[v], h.blocks[v])
             ]
-    zero = zero_module(alg)
+    zero = Representation(alg, {}, {})
     # the zero maps have m x 0 and 0 x n blocks at every vertex
     maps = [
         ModuleMap(m, n, blocks),
@@ -358,20 +355,6 @@ def test_embed_submodule_rejects_rows_that_are_not_arrow_stable(cycle_tail_algeb
     # the top of P_1 alone: arrow a sends it to vertex 2, where no rows are given
     with pytest.raises(ModuleValidationError, match="not arrow-stable at 'a'"):
         embed_submodule(p1, {"1": linalg.identity(p1.dims["1"], QQ)})
-
-
-def test_structure_parts_shapes(cycle_tail_algebra):
-    p1 = standard_module(cycle_tail_algebra, "projective", "1")
-    parts = structure_parts(p1)
-    assert parts.top.dims == {"1": 1, "2": 0, "3": 0, "4": 0}
-    for v in cycle_tail_algebra.vertices:
-        assert parts.radical.dims[v] + parts.top.dims[v] == p1.dims[v]
-    i4 = standard_module(cycle_tail_algebra, "injective", "4")
-    socle = structure_parts(i4).socle
-    assert socle.dims == {"1": 0, "2": 0, "3": 0, "4": 1}
-    parts.radical_inclusion.validate()
-    parts.top_projection.validate()
-    parts.socle_inclusion.validate()
 
 
 def test_projectivity_detector(cycle_tail_algebra):
@@ -454,7 +437,7 @@ def test_quotient_algebra_as_left_module(cycle_tail_algebra, line_algebra):
 
 
 def test_zero_module_edge_cases(cycle_tail_algebra):
-    z = zero_module(cycle_tail_algebra)
+    z = Representation(cycle_tail_algebra, {}, {})
     assert z.is_zero and z.total_dim == 0
     assert is_projective_module(z)
     assert len(hom_basis(z, z)) == 0
@@ -685,9 +668,9 @@ def test_closed_forms_match_the_fixpoint_oracles(F):
 
 @pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
 def test_socle_is_the_oracle_kernel_of_the_out_arrows(F):
-    """At each vertex the socle is the common left kernel of the out-arrow
-    matrices, found by the elimination oracle; with no out-arrows it is all
-    of the component."""
+    """At each vertex the socle, the RowSpace left kernel of the out-arrow
+    matrices side by side, is the elimination oracle's; with no out-arrows
+    it is all of the component."""
     seen = set()
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -697,13 +680,13 @@ def test_socle_is_the_oracle_kernel_of_the_out_arrows(F):
             m = random_module(random.Random(seed), kernel_test_algebra(0, F), bound=10)
         else:
             m = oracle_case(F, which, seed)[0]
-        socle = structure_parts(m).socle_inclusion.blocks
         for v, outs in m.algebra.quiver.out_arrows.items():
             stacked = [[x for a in outs for x in m.mats[a.name][i]] for i in range(m.dims[v])]
             width = sum(m.dims[a.target] for a in outs)
-            assert socle[v] == oracle_left_kernel(stacked, width, None if F == QQ else F.p)[0]
+            socle = linalg.RowSpace(stacked, width, F).kernel
+            assert socle == oracle_left_kernel(stacked, width, None if F == QQ else F.p)[0]
             if m.dims[v]:
-                kind = "zero" if not socle[v] else "whole" if len(socle[v]) == m.dims[v] else "proper"
+                kind = "zero" if not socle else "whole" if len(socle) == m.dims[v] else "proper"
                 seen.add((kind, "out-arrows" if outs else "none"))
 
     agree()

@@ -69,7 +69,6 @@ PUBLIC_NAMES = {
     "heart_parts",
     "heart_shift_pair",
     "hom_basis",
-    "image_of_map",
     "inflate",
     "inj_dim",
     "is_projective_module",
@@ -90,7 +89,6 @@ PUBLIC_NAMES = {
     "serialize_quiver",
     "serialize_subquiver",
     "standard_module",
-    "structure_parts",
     "submodule_closure",
     "trace_submodule",
     "transport_resolution",
@@ -100,7 +98,6 @@ PUBLIC_NAMES = {
     "verify_ext_cross",
     "verify_heart_theorem",
     "verify_subquiver_calculus",
-    "zero_module",
 }
 
 
@@ -166,7 +163,6 @@ SIGNATURES = {
     "heart_parts": ("c", "heart"),
     "heart_shift_pair": ("m", "n", "heart", "t"),
     "hom_basis": ("m", "n"),
-    "image_of_map": ("f",),
     "inflate": ("m", "big"),
     "inj_dim": ("m", "cutoff"),
     "is_projective_module": ("m",),
@@ -187,7 +183,6 @@ SIGNATURES = {
     "serialize_quiver": ("q",),
     "serialize_subquiver": ("vertex_set", "q"),
     "standard_module": ("alg", "kind", "v"),
-    "structure_parts": ("m",),
     "submodule_closure": ("rep", "seed_rows"),
     "trace_submodule": ("c", "generators"),
     "transport_resolution": ("a", "k", "heart"),
@@ -197,7 +192,6 @@ SIGNATURES = {
     "verify_ext_cross": ("spec", "cases", "cutoff"),
     "verify_heart_theorem": ("spec", "cases", "cutoff"),
     "verify_subquiver_calculus": ("spec", "cases"),
-    "zero_module": ("alg",),
 }
 
 

@@ -28,7 +28,6 @@ from quiverhom import (
     ext_dims,
     linalg,
     standard_module,
-    zero_module,
 )
 from quiverhom.homology import SyzygyTable
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
@@ -137,7 +136,7 @@ def test_terms_and_ext_match_the_references_on_lab_modules(F):
         m = _gen_module(rng, alg, rng.randint(1, 12))
         n = _gen_module(rng, alg, rng.randint(1, 12))
         simple = standard_module(alg, "simple", rng.choice(alg.vertices))
-        for mod in (m, n, dual_module(m), simple, zero_module(alg)):
+        for mod in (m, n, dual_module(m), simple, Representation(alg, {}, {})):
             tops = mod.top_lifts()
             assert_terms_match(mod.algebra, {v: len(free) for v, free in tops.items()})
         # sums with no, one, and several generators, repeated ones included
