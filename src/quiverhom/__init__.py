@@ -19,6 +19,7 @@ from .algebra import (
     build_algebra,
     corner_algebra,
     opposite_algebra,
+    opposite_algebra as get_opposite,
     quotient_by_idempotent,
     restricted_algebra,
     triangular_blocks,
@@ -80,7 +81,6 @@ from .modules import (
     dual_map,
     dual_module,
     embed_submodule,
-    get_opposite,
     heart_parts,
     hom_basis,
     inflate,

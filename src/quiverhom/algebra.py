@@ -22,6 +22,7 @@ rest, and refuse a subquiver of another quiver:
 * opposite algebra: the same basis with paths reversed and the product
   table transposed; a presented algebra's opposite also carries the
   reversed quiver and relations, so module machinery works on it unchanged.
+  The algebra keeps its opposite, whose opposite is the algebra itself.
 
 Elements of an algebra are sparse dicts mapping basis index to coefficient.
 They hold only nonzero canonical coefficients, so two elements are equal iff
@@ -39,6 +40,7 @@ buckets of paths, so echelon work happens per bucket.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -50,9 +52,6 @@ from .quiver import Arrow, FullSubquiver, Path, Quiver
 # work budget of one presentation's span and table, decided from path counts
 # before any path is listed: suites stay under 40 000, the budget edge takes 0.3 s
 MAX_WORK = 1_000_000
-# digits of a parsed coefficient's numerator and denominator: QQ elimination
-# multiplies entry sizes, so inputs start small
-MAX_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,9 @@ class IdealSpec:
     """Relations plus a truncation exponent n; the ideal is <relations> + J^n.
 
     Each relation is a tuple of terms (coefficient, arrow name sequence);
-    coefficients are exact numeric literals (int or Fraction) coerced into
-    the base field when an algebra is built.  Every term path must be
+    coefficients are exact numeric literals (int or Fraction, read from text
+    by ``fields.parse_exact`` within ``fields.MAX_DIGITS`` digits) coerced
+    into the base field when an algebra is built.  Every term path must be
     composable and have length >= 2.
     """
 
@@ -277,7 +277,8 @@ class FiniteDimAlgebra:
     read.  `dim_floor` bounds dim from below without them, so `dim_exceeds`
     can refuse an algebra over a cap unbuilt.  Each restricted algebra is read
     off the span once and kept in `_restrictions`.  An opposite algebra, whose
-    elements and table are given, builds its span when one is first needed.
+    elements and table are given, builds its span when one is first needed,
+    and `_opposite_cache` keeps it (on the opposite, a weakref back).
 
     Instances are immutable after construction; the caches only fill in.
     """
@@ -297,6 +298,7 @@ class FiniteDimAlgebra:
         self.parent_indices: tuple[int, ...] | None = None
         self.parent_projection = None
         self._restrictions: dict[frozenset[str], FiniteDimAlgebra] = {}  # keyed by vertex set
+        self._opposite_cache: FiniteDimAlgebra | weakref.ref | None = None
 
     @cached_property
     def _span(self) -> _RelationSpan:
@@ -572,8 +574,13 @@ def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
     Basis element i of the opposite is basis element i of alg, so x_i * x_j
     in the opposite is x_j * x_i in alg.  A presented algebra's opposite is
     presented over the reversed quiver (same vertex and arrow names) by the
-    reversed relations, so modules work on both.
+    reversed relations, so modules work on both.  alg keeps its opposite,
+    which names alg weakly: its opposite is alg, and the pair has no cycle.
     """
+    kept = alg._opposite_cache
+    kept = kept() if isinstance(kept, weakref.ref) else kept  # None once the algebra it names is dropped
+    if kept is not None:
+        return kept
     elements = tuple(
         Path(el.target, tuple(reversed(el.arrows)), el.source) for el in alg.elements
     )
@@ -586,7 +593,9 @@ def opposite_algebra(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
         q = alg.quiver
         op_q = Quiver(q.vertices, tuple(Arrow(a.name, a.target, a.source) for a in q.arrows))
         op_ideal = alg.ideal.opposite()
-    return FiniteDimAlgebra(alg.field, alg.vertices, elements, table, op_q, op_ideal)
+    op = alg._opposite_cache = FiniteDimAlgebra(alg.field, alg.vertices, elements, table, op_q, op_ideal)
+    op._opposite_cache = weakref.ref(alg)
+    return op
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _add_common(sub, files=True) -> None:
-    if files:
-        sub.add_argument("files", nargs="+", help="workspace files (quiver/ideal/module sections)")
+def _add_common(sub) -> None:
+    sub.add_argument("files", nargs="+", help="workspace files (quiver/ideal/module sections)")
     sub.add_argument("--field", default="q", help="coefficient field: q or p:<prime>")
 
 

@@ -12,19 +12,46 @@ needs, and GF(p)'s keep the reduction mod p to themselves.  Every value a
 field hands out (``zero``, ``one``, ``of``, ``parse``, ``add``, ``sub``,
 ``mul``, ``neg``) is canonical, so zero is its only falsy value and callers
 test elements for zero by truthiness.
+Both ``parse`` read literals as the workspace files do, through ``parse_exact``:
+integers and fractions only, with no decimals (``1e999999999`` would expand in
+full) and at most ``MAX_DIGITS`` digits (QQ elimination multiplies entry sizes).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 
+# digits of a parsed coefficient's numerator and denominator
+MAX_DIGITS = 100
+_DIGITS_PAST = 10**MAX_DIGITS
+_EXPONENT = re.compile(r"[+-]?\d[\d_]*[eE][+-]?\d[\d_]*")
+
 
 def _exact(x):
     if not isinstance(x, (int, Fraction)):
         raise InputError(f"coefficient {x!r} is not an int or a Fraction")
+    return x
+
+
+def _literal(text: str) -> str:
+    """A literal as an error message quotes it: whole, or cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def parse_exact(text: str) -> Fraction:
+    """An integer or fraction literal; anything else raises InputError."""
+    if "." in text or _EXPONENT.fullmatch(text):
+        raise InputError(f"decimal literal {_literal(text)}; use an integer or fraction")
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad numeric literal {_literal(text)}") from None
+    if max(abs(x.numerator), x.denominator) >= _DIGITS_PAST:
+        raise InputError(f"numeric literal {_literal(text)} has over {MAX_DIGITS} digits")
     return x
 
 
@@ -81,10 +108,7 @@ class Rationals:
         return -a
 
     def parse(self, text: str) -> Fraction:
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {text!r}") from exc
+        return parse_exact(text)
 
     def to_str(self, a) -> str:
         return str(a)
@@ -140,10 +164,7 @@ class PrimeField:
         return (-a) % self.p
 
     def parse(self, text: str) -> int:
-        try:
-            return self.of(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad field literal {text!r}") from exc
+        return self.of(parse_exact(text))
 
     def to_str(self, a) -> str:
         return str(a % self.p)

@@ -31,8 +31,8 @@ Example sections::
       vertices v x
 
 Coefficients and matrix entries are exact integer or fraction literals such
-as ``3`` or ``-1/2``; decimal literals (exponents included) and literals
-whose numerator or denominator has over ``MAX_DIGITS`` digits are rejected.
+as ``3`` or ``-1/2``, read by ``fields.parse_exact``: decimal literals (exponents
+included) and ones with over ``fields.MAX_DIGITS`` digits a side are rejected.
 A module matrix is row-major with one ``row`` line per source basis vector;
 matrices whose shape has a zero side are omitted.  Serialization writes the
 same syntax back, so load/serialize round-trips are identities.
@@ -40,13 +40,12 @@ same syntax back, so load/serialize round-trips are identities.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MAX_DIGITS, MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
+from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
-from .fields import QQ
+from .fields import QQ, _literal, parse_exact
 from .modules import Representation
 from .quiver import FullSubquiver, HeartProfile, Quiver
 
@@ -137,30 +136,11 @@ def _no_children(node: _Node) -> None:
         )
 
 
-_EXPONENT = re.compile(r"[+-]?\d[\d_]*[eE][+-]?\d[\d_]*")
-_DIGITS_PAST = 10**MAX_DIGITS
-
-
-def _literal(text: str) -> str:
-    """A literal as an error message quotes it: whole, or cut after 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-
-
 def _parse_exact(tok: _Token, line: int) -> Fraction:
-    # an exponent goes with the decimal point: Fraction would expand 1e999999999 in full
-    if "." in tok.text or _EXPONENT.fullmatch(tok.text):
-        raise ParseError(
-            f"decimal literal {_literal(tok.text)}; use an integer or fraction", line, tok.column
-        )
     try:
-        x = Fraction(tok.text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad numeric literal {_literal(tok.text)}", line, tok.column) from None
-    if max(abs(x.numerator), x.denominator) >= _DIGITS_PAST:
-        raise ParseError(
-            f"numeric literal {_literal(tok.text)} has over {MAX_DIGITS} digits", line, tok.column
-        )
-    return x
+        return parse_exact(tok.text)
+    except InputError as exc:
+        raise ParseError(str(exc), line, tok.column) from None
 
 
 def _parse_int(tok: _Token, line: int) -> int:

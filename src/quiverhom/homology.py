@@ -2,16 +2,18 @@
 
 Projective resolutions are built step by step from projective covers: lift a
 basis of the top, map a matching sum of indecomposable projectives onto the
-module, and take the kernel as the next syzygy.  A cover step reads the
-algebra's projective layout and product table and keeps only lift rows and
-kernel rows, as their nonzero (column, entry) pairs, which are all its
-syzygy and the Ext tables read; its minimality certificate, dense kernel,
-term, cover map and syzygy inclusion are built when first read, which the
-syzygy walk, the Ext tables and the gates never do: only ``resolution``
-reads the certificate.  Its work follows the term and the module, not the
-quiver: it eliminates only where the radical has rows or the term has rows
-over a nonzero component, and builds syzygy arrow matrices only out of
-vertices with kernel rows.
+module, and take the kernel as the next syzygy.  A cover step, a plain
+record (``CoverStep``), reads the algebra's projective layout and product
+table and keeps only lift rows and kernel rows, as their nonzero (column,
+entry) pairs, which are all its syzygy and the Ext tables read; its
+minimality certificate, dense kernel, term, cover map and syzygy inclusion
+are built when first read, which the syzygy walk, the Ext tables and the
+gates never do: only ``resolution`` reads the certificate.  Its work follows
+the term and the module, not the quiver: it eliminates only where the
+radical has rows or the term has rows over a nonzero component, and builds
+syzygy arrow matrices only out of vertices with kernel rows.  M is
+projective iff its cover P(M) -> M is an isomorphism, i.e. dim P(M) = dim M,
+which ``is_projective_module`` reads off the top with no step.
 One ``SyzygyTable`` per case or command keys modules by content (algebra,
 dims and matrices); every ``SyzygyChain`` minted from it reads the same
 nodes, so no content is stepped twice, and a syzygy equal to one already on
@@ -55,7 +57,6 @@ from .modules import (
     HeartParts,
     ModuleMap,
     Representation,
-    TermInfo,
     dual_module,
     heart_parts,
     largest_submodule_supported,
@@ -114,36 +115,22 @@ def term_label(alg: FiniteDimAlgebra, mults: dict[str, int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class CoverStep:
     """One projective cover of module: term, cover map, syzygy, and certificates.
 
-    cover_rows holds the image in module of each term basis element, per
-    vertex where the term is nonzero, and kernel_entries the syzygy's
-    canonical echelon basis in the term, each row as its nonzero (column,
-    entry) pairs, ascending, per vertex where it has rows.  The minimality
-    certificate, the dense kernel, the term, the cover and the syzygy's
-    inclusion are built from them when first read, and hold no reference
-    back to the step; of the certificate's readers only ``resolution`` asks.
+    A plain record, kept as given.  cover_rows holds the image in module of
+    each term basis element, per vertex where the term is nonzero, and
+    kernel_entries the syzygy's canonical echelon basis in the term, each
+    row as its nonzero (column, entry) pairs, ascending, per vertex where it
+    has rows.  The minimality certificate, the dense kernel, the term, the
+    cover and the syzygy's inclusion are built from them when first read,
+    and hold no reference back to the step; of the certificate's readers
+    only ``resolution`` asks.
     """
 
-    mults: dict[str, int]
-    info: TermInfo
-    syzygy: Representation
-    module: Representation
-    cover_rows: dict[str, list[list]]
-    kernel_entries: dict[str, list[list[tuple]]]
-
-    @classmethod
-    def _unchecked(cls, mults, info, syzygy, module, cover_rows, kernel_entries) -> "CoverStep":
-        """A step kept as given: its fields written straight into its dict,
-        past the frozen dataclass's slower ``__init__``."""
-        step = cls.__new__(cls)
-        step.__dict__.update(
-            mults=mults, info=info, syzygy=syzygy, module=module,
-            cover_rows=cover_rows, kernel_entries=kernel_entries,
-        )
-        return step
+    def __init__(self, mults, info, syzygy, module, cover_rows, kernel_entries):
+        self.mults, self.info, self.syzygy, self.module = mults, info, syzygy, module
+        self.cover_rows, self.kernel_entries = cover_rows, kernel_entries
 
     @cached_property
     def minimal(self) -> bool:
@@ -194,10 +181,9 @@ def cover_width(m: Representation) -> int:
     return sum(len(lifts[v]) * dims[v] for v in m.algebra.vertices)
 
 
-def _refuse_wide_cover(alg: FiniteDimAlgebra, mults: dict[str, int]) -> None:
-    """Refuse a cover term of these multiplicities wider than MAX_TERM_WIDTH."""
-    dims = alg.projective_layout.dims
-    width = sum(k * dims[v] for v, k in mults.items())
+def _refuse_wide_cover(m: Representation) -> None:
+    """Refuse a module whose projective cover is wider than MAX_TERM_WIDTH."""
+    width = cover_width(m)
     if width > MAX_TERM_WIDTH:
         raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
 
@@ -224,7 +210,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     q, F = alg.quiver, alg.field
     lifts = m.top_lifts()
     mults = dict(zip(lifts, map(len, lifts.values())))
-    _refuse_wide_cover(alg, mults)
+    _refuse_wide_cover(m)
     info = term_info(alg, mults)
     layout = alg.projective_layout
     prefix = layout.prefix
@@ -283,7 +269,7 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
                             img[r] += x * coeff
                 mats[a.name].append([y % p for y in img] if p else img)
     syz = Representation._unchecked(alg, {w: len(kernel.get(w, ())) for w in m.dims}, mats)
-    return CoverStep._unchecked(mults, info, syz, m, cover_rows, kernel)
+    return CoverStep(mults, info, syz, m, cover_rows, kernel)
 
 
 class SyzygyTable:
@@ -338,9 +324,9 @@ class SyzygyTable:
 
 
 class SyzygyChain(NamedTuple):
-    """A view of one node of a table: module, step (its cover step), next (the
-    chain of its syzygy) and dual (the chain of its dual over the opposite
-    algebra), each read through the table, which makes it on first use."""
+    """A view of one node of a table: module, step (its cover step), dual (the
+    chain of its dual over the opposite algebra) and drop(k) (the chain of
+    its k-th syzygy), each read through the table, which makes it on first use."""
 
     table: SyzygyTable
     node: int
@@ -352,10 +338,6 @@ class SyzygyChain(NamedTuple):
     @property
     def step(self) -> CoverStep:
         return self.table.step(self.node)
-
-    @property
-    def next(self) -> SyzygyChain:
-        return self.drop(1)
 
     @property
     def dual(self) -> SyzygyChain:
@@ -377,8 +359,9 @@ def _chain(m: ModuleOrChain) -> SyzygyChain:
 
 
 def is_projective_module(m: Representation) -> bool:
-    """A module is projective exactly when its cover has zero syzygy."""
-    return projective_cover_and_syzygy(m).syzygy.is_zero
+    """Projective iff the cover P(M) -> M, a surjection, is an isomorphism:
+    iff dim P(M) = dim M, read off the top with no cover step, at any width."""
+    return cover_width(m) == m.total_dim
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +519,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     table, vertices = m.table, n.algebra.vertices
     if not any(map(any, chain.from_iterable(n.mats.values()))):
         path = list(islice(table.walk(m.node), k + 1))
-        last = table.modules[path[-1]].top_lifts()
-        _refuse_wide_cover(n.algebra, {v: len(lifts) for v, lifts in last.items()})  # as its cover step would
+        _refuse_wide_cover(table.modules[path[-1]])  # as its cover step would
         support = [(v, d) for v, d in n.dims.items() if d]
         tops = (table.modules[i].top_lifts() for i in path)
         return tuple(sum(len(lifts[v]) * d for v, d in support) for lifts in tops)

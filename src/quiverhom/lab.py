@@ -270,7 +270,7 @@ def _widths_ok(chain: SyzygyChain, depth: int) -> bool:
             return False
         if width == chain.module.total_dim or k == depth - 1:
             return True
-        chain = chain.next
+        chain = chain.drop(1)
     return True
 
 

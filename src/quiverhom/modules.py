@@ -22,12 +22,12 @@ submodule generated by seed rows is spanned at w by seed_v · x over the basis
 elements x : v -> w, and the largest submodule supported on a vertex set is,
 at each vertex v in it, the common left kernel of the basis elements from v
 to vertices outside.  A quotient reads its arrow matrices off the free rows.
-Every kernel here, Hom spaces included, is a ``RowSpace``'s.
+Every kernel here, Hom spaces included, is a ``RowSpace``'s.  Duals live over
+``algebra.opposite_algebra``, which the algebra keeps; nothing is cached here.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -35,22 +35,6 @@ from . import linalg
 from .algebra import MAX_WORK, FiniteDimAlgebra, _require_presented, _require_subquiver, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
 from .quiver import FullSubquiver
-
-
-def get_opposite(alg: FiniteDimAlgebra) -> FiniteDimAlgebra:
-    """Opposite algebra, cached so double opposite returns the original object.
-
-    The algebra holds its opposite, and the opposite holds its algebra only
-    weakly, so the pair forms no reference cycle and is freed when dropped.
-    """
-    cached = getattr(alg, "_opposite_cache", None)
-    if isinstance(cached, weakref.ref):
-        cached = cached()  # None once the algebra it names is dropped
-    if cached is None:
-        cached = opposite_algebra(alg)
-        cached._opposite_cache = weakref.ref(alg)
-        alg._opposite_cache = cached
-    return cached
 
 
 def _checked_copy(rows: list[list], F, where: str) -> list[list]:
@@ -63,6 +47,19 @@ def _checked_copy(rows: list[list], F, where: str) -> list[list]:
                     f"entry {x!r} at {where} is not canonical in {F.name}"
                 )
     return [list(r) for r in rows]
+
+
+def _checked_rows(rep: Representation, rows_by_vertex) -> dict[str, list[list]]:
+    """A copy of caller-supplied rows per vertex of rep, once every vertex is
+    rep's, every row has dim rep_v entries and every entry is canonical."""
+    checked = {}
+    for v, rows in rows_by_vertex.items():
+        if v not in rep.dims:
+            raise DanglingIdError(f"rows name unknown vertex {v!r}")
+        if set(map(len, rows)) - {rep.dims[v]}:
+            raise ModuleValidationError(f"rows at vertex {v!r} have wrong length, want {rep.dims[v]}")
+        checked[v] = _checked_copy(rows, rep.field, f"vertex {v!r}")
+    return checked
 
 
 class Representation:
@@ -292,7 +289,7 @@ def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
     if kind == "projective":
         return materialize_term(alg, {v: 1})
     if kind == "injective":
-        return dual_module(materialize_term(get_opposite(alg), {v: 1}))
+        return dual_module(materialize_term(opposite_algebra(alg), {v: 1}))
     raise InputError(f"unknown module kind {kind!r}")
 
 
@@ -375,7 +372,7 @@ def term_action(alg: FiniteDimAlgebra, info: TermInfo, v: str, j: int, w: str) -
 
 def dual_module(m: Representation) -> Representation:
     """The dual of a right module, as a right module over the opposite algebra."""
-    op = get_opposite(m.algebra)
+    op = opposite_algebra(m.algebra)
     dims = dict(m.dims)
     mats = {}
     for a in m.algebra.quiver.arrows:
@@ -411,7 +408,7 @@ def submodule_closure(rep: Representation, seed_rows) -> dict[str, list[list]]:
     At w it is spanned by seed_v · x over the basis elements x : v -> w; the
     idempotent at w contributes the seeds at w themselves.
     """
-    F = rep.field
+    F, seed_rows = rep.field, _checked_rows(rep, seed_rows)
     rows: dict[str, list[list]] = {v: [] for v in rep.algebra.quiver.vertices}
     for i, el in enumerate(rep.algebra.elements):
         seed = seed_rows.get(el.source)
@@ -430,7 +427,7 @@ def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation
     an arrow image that leaves a nonzero remainder modulo the target's
     echelon basis raises ModuleValidationError.
     """
-    F = rep.field
+    F, rows_by_vertex = rep.field, _checked_rows(rep, rows_by_vertex)
     echelons = {
         v: linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
         for v in rep.algebra.quiver.vertices
@@ -471,7 +468,8 @@ def quotient_with_section(
     The section is each vertex's free columns: their standard vectors are
     coset representatives, and the projection is the identity on them, which
     is what induced-map computations need.  An arrow acts on the quotient by
-    the free rows of its matrix followed by the projection.
+    the free rows of its matrix followed by the projection.  The rows are
+    read unchecked: ``quotient_by_submodule`` checks a caller's.
     """
     q = rep.algebra.quiver
     F = rep.field
@@ -491,7 +489,7 @@ def quotient_with_section(
 
 def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
     """Quotient representation by a submodule, with its projection map."""
-    return quotient_with_section(rep, rows_by_vertex)[:2]
+    return quotient_with_section(rep, _checked_rows(rep, rows_by_vertex))[:2]
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -515,7 +513,7 @@ def largest_submodule_supported(rep: Representation, allowed) -> dict[str, list[
     A submodule supported inside has m·x = 0 for all such x, so none is larger.
     """
     F = rep.field
-    allowed = set(allowed)
+    allowed = rep.algebra.quiver.check_vertices(allowed)
     spaces: dict[str, list[list]] = {v: [] for v in rep.algebra.quiver.vertices}
     outward = {v: [] for v in spaces if v in allowed}
     for i, el in enumerate(rep.algebra.elements):
@@ -690,7 +688,7 @@ def left_module_over_opposite(quotient: FiniteDimAlgebra) -> Representation:
     if parent is None or quotient.parent_projection is None:
         raise InputError("need a quotient algebra with parent projection data")
     _require_presented(parent)
-    op = get_opposite(parent)
+    op = opposite_algebra(parent)
     F = parent.field
     comp: dict[str, list[int]] = {v: [] for v in parent.vertices}
     for i, el in enumerate(quotient.elements):

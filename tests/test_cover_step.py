@@ -14,6 +14,7 @@ compared by value.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -29,12 +30,13 @@ from quiverhom import (
     dual_module,
     ext_dims,
     homology,
+    is_projective_module,
     linalg,
     standard_module,
 )
 from quiverhom.homology import MAX_TERM_WIDTH, SyzygyTable, cover_width, projective_cover_and_syzygy, resolution
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
-from quiverhom.modules import TermInfo, kernel_of_map
+from quiverhom.modules import TermInfo, kernel_of_map, materialize_term
 
 GF = PrimeField(2**31 - 1)
 # the (vertices, relation length) shapes of the benchmark's self-injective Nakayama algebras
@@ -206,6 +208,51 @@ def test_the_width_budget_admits_its_edge_and_refuses_one_past_it(F):
     with pytest.raises(InputError, match=refusal):
         ext_dims(table.chain(past), simple, 0)
     assert not table.steps
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_projectivity_is_the_cover_step_having_zero_syzygy_on_lab_modules(F):
+    # the reference is the definition the width test replaced: a cover step
+    # whose syzygy is zero; each lab module comes with its dual, its first
+    # two syzygies and the indecomposable projectives of its algebra
+    drawn, seed, verdicts = 0, 0, []
+    while drawn < 80:
+        rng = random.Random(seed)
+        seed += 1
+        q = _gen_quiver(rng, 4, 6)
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed"), F)
+        if alg.dim > ALGEBRA_DIM_CAP:
+            continue
+        drawn += 1
+        m = _gen_module(rng, alg, rng.randint(1, 12))
+        modules = [m, dual_module(m), *(standard_module(alg, "projective", v) for v in alg.vertices)]
+        for _ in range(2):
+            if cover_width(m) <= MAX_TERM_WIDTH:
+                m = projective_cover_and_syzygy(m).syzygy
+                modules.append(m)
+        for x in modules:
+            # a cover past the budget has no reference step
+            if cover_width(x) <= MAX_TERM_WIDTH:
+                verdicts.append((is_projective_module(x), x.is_zero))
+                assert verdicts[-1][0] == projective_cover_and_syzygy(x).syzygy.is_zero
+    # projective and non-projective ones, zero modules aside
+    assert verdicts.count((True, False)) >= 250 and verdicts.count((False, False)) >= 100
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_projectivity_past_the_width_budget_takes_no_cover_step(F):
+    # on 1 -> 2 -> 3 -> 4 -> 5 with P_1 of dim 5: P_1^101 and S_1^100 + S_5
+    # have covers one past and five past the budget, which a step refuses
+    q = Quiver.build([str(v) for v in range(1, 6)], [(f"a{v}", str(v), str(v + 1)) for v in range(1, 5)])
+    alg = build_algebra(q, IdealSpec.zero(5), F)
+    wide = materialize_term(alg, {"1": MAX_TERM_WIDTH // 5 + 1})
+    past = Representation(alg, {"1": MAX_TERM_WIDTH // 5, "5": 1}, {})
+    for m in (wide, past):
+        with pytest.raises(InputError, match="exceeds budget"):
+            projective_cover_and_syzygy(m)
+    with mock.patch.object(homology, "projective_cover_and_syzygy", side_effect=AssertionError) as step:
+        assert is_projective_module(wide) and not is_projective_module(past)
+    assert not step.called
 
 
 @pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])

@@ -3,7 +3,8 @@
 Miller-Rabin is checked against trial division on small orders, on a large
 Mersenne prime, and on strong pseudoprimes to the first four and to the first
 twelve prime bases.  Literal parsing turns every bad literal, a zero
-denominator included, into InputError on both fields, and so does a
+denominator, a decimal and one past the digit budget included, into
+InputError on both fields, with the workspace parser's messages, and so does a
 coefficient that is neither an int nor a Fraction.  Every value a field hands
 out is canonical: zero is its only falsy value, and GF(p) stays in [0, p).
 """
@@ -70,6 +71,24 @@ def test_order_that_is_not_an_int_is_input_error(order):
 def test_bad_literal_is_input_error(field, text):
     with pytest.raises(InputError):
         field.parse(text)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_parse_refuses_what_the_workspace_parser_refuses_at_once(field):
+    # Fraction would read 0.5 as 1/2 and expand 1e999999999 in full
+    past = "1" * 101
+    for text, message in (
+        ("0.5", "decimal literal '0.5'; use an integer or fraction"),
+        ("1e999999999", "decimal literal '1e999999999'; use an integer or fraction"),
+        (f"{past}/3", f"numeric literal {f'{past}/3'[:40]!r}... (103 characters) has over 100 digits"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(InputError) as exc:
+            field.parse(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == message
+    # the literal at the budget is read
+    assert field.parse("9" * 100) == field.of(int("9" * 100))
 
 
 def test_denominator_divisible_by_p_is_input_error():

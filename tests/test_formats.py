@@ -26,7 +26,7 @@ from quiverhom import (
     serialize_subquiver,
     standard_module,
 )
-from quiverhom.algebra import MAX_DIGITS
+from quiverhom.fields import MAX_DIGITS
 
 GOOD = """\
 quiver

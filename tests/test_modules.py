@@ -8,6 +8,7 @@ arguments, kernels and images obey rank-nullity vertexwise.
 import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -37,6 +38,7 @@ from quiverhom import (
     kernel_of_map,
     largest_submodule_supported,
     left_module_over_opposite,
+    opposite_algebra,
     quotient_by_idempotent,
     quotient_by_submodule,
     restrict,
@@ -349,6 +351,61 @@ def test_a_dropped_algebra_and_its_opposite_leave_no_cycle():
     back = get_opposite(op)
     assert back is not None and get_opposite(op) is back
     assert [el.arrows for el in back.elements] == [el.arrows[::-1] for el in op.elements]
+
+def test_the_algebra_keeps_its_opposite_and_the_pair_is_freed_when_dropped():
+    assert get_opposite is opposite_algebra
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
+    gc.collect()
+    gc.disable()
+    try:
+        alg = build_algebra(q, IdealSpec.zero(3), QQ)
+        op = opposite_algebra(alg)
+        assert opposite_algebra(alg) is op and opposite_algebra(op) is alg
+        assert dual_module(standard_module(alg, "simple", "1")).algebra is op
+        refs = weakref.ref(alg), weakref.ref(op)
+        del alg, op
+        # reference counting alone frees both, with the cyclic collector off
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+@pytest.mark.parametrize(
+    "call", [submodule_closure, embed_submodule, quotient_by_submodule], ids=lambda f: f.__name__
+)
+def test_rows_a_caller_hands_in_are_checked_where_they_enter(F, call):
+    # P_1 on 1 -> 2 has dim 1 at both vertices; a non-canonical entry is a
+    # bool over QQ and 7 over GF(5)
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), F)
+    p1 = standard_module(alg, "projective", "1")
+    loose = True if F == QQ else 7
+    for rows, error, message in (
+        ({"9": [[1]]}, DanglingIdError, "rows name unknown vertex '9'"),
+        ({"2": [[1, 2]]}, ModuleValidationError, "rows at vertex '2' have wrong length, want 1"),
+        ({"1": [[0.5]]}, InputError, "coefficient 0.5 is not an int or a Fraction"),
+        ({"1": [[loose]]}, ModuleValidationError, f"entry {loose!r} at vertex '1' is not canonical in {F.name}"),
+    ):
+        with pytest.raises(InputError) as caught:
+            call(p1, rows)
+        assert type(caught.value) is error and str(caught.value) == message
+    # canonical rows of the right length pass: P_1 is the closure of its top
+    whole = {"1": [[1]], "2": [[1]]}
+    assert submodule_closure(p1, {"1": [[1]]}) == whole
+    assert embed_submodule(p1, whole)[0].total_dim == 2 and quotient_by_submodule(p1, whole)[0].is_zero
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_largest_supported_submodule_refuses_an_unknown_vertex(F):
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), F)
+    p1 = standard_module(alg, "projective", "1")
+    with pytest.raises(DanglingIdError, match="unknown vertex id 'nope'"):
+        largest_submodule_supported(p1, {"2", "nope"})
+    # a string is read as its characters, none of them a vertex here
+    with pytest.raises(DanglingIdError, match="unknown vertex id '[nope]'"):
+        largest_submodule_supported(p1, "nope")
+    assert largest_submodule_supported(p1, {"2"}) == {"1": [], "2": [[1]]}
+
 
 def test_embed_submodule_rejects_rows_that_are_not_arrow_stable(cycle_tail_algebra):
     p1 = standard_module(cycle_tail_algebra, "projective", "1")
