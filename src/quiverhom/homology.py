@@ -57,11 +57,11 @@ from .modules import (
     HeartParts,
     ModuleMap,
     Representation,
+    _convex_split,
+    _coordinate_split,
     dual_module,
     heart_parts,
-    largest_submodule_supported,
     materialize_term,
-    quotient_with_section,
     radical_rows,
     restrict,
     standard_module,
@@ -647,41 +647,26 @@ class TransportedResolution:
 def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> TransportedResolution:
     """Transport a projective resolution of a to the heart's restricted algebra.
 
-    The restricted algebra is ``restricted_algebra(a's algebra, heart)``, the
-    one that algebra keeps.  The input must be supported on the heart and its
-    plus vertices; each term and the module itself are divided by their
-    largest submodule supported on the plus vertices, the differentials are
-    induced through coordinate sections, and the whole complex is restricted.
+    The heart must be convex, and the restricted algebra is
+    ``restricted_algebra(a's algebra, heart)``, the one that algebra keeps.
+    The input must be supported on the heart and its plus vertices.  Those are
+    closed under successors, so dividing each term, and the module, by its
+    largest submodule supported on them leaves its components off them, which
+    restrict to the heart's; each differential keeps its blocks there.
     """
     a_chain = _chain(a)
     a = a_chain.module
+    plus = _convex_split(a.algebra, heart, "a transported resolution").plus
     gamma = restricted_algebra(a.algebra, heart)
-    plus = a.algebra.quiver.boundary_split(heart).plus
-    allowed = heart.vertex_set | plus
-    outside = sorted(a.support - allowed)
+    outside = sorted(a.support - heart.vertex_set - plus)
     if outside:
         raise InputError(f"module has support outside the heart closure: {outside}")
     res = resolution(a_chain, k)
-    chain = [a]
-    chain.extend(res.reps)
-    quots, projs, secs = [], [], []
-    for rep in chain:
-        rows = largest_submodule_supported(rep, plus)
-        qq, pp, ss = quotient_with_section(rep, rows)
-        quots.append(qq)
-        projs.append(pp)
-        secs.append(ss)
-    r_quots = [restrict(qq, gamma) for qq in quots]
+    r_quots = [restrict(_coordinate_split(rep, plus)[2], gamma) for rep in (a, *res.reps)]
     F = a.field
     g_vertices = gamma.quiver.vertices
-    r_diffs = []
-    for i in range(k + 1):
-        d = res.diffs[i]
-        blocks = {}
-        for v in g_vertices:
-            lifted = [d.blocks[v][j] for j in secs[i + 1][v]]
-            blocks[v] = linalg.mat_mul(lifted, projs[i].blocks[v], quots[i].dims[v], F)
-        r_diffs.append(ModuleMap(r_quots[i + 1], r_quots[i], blocks))
+    # a map into gamma's modules reads its blocks at gamma's vertices only
+    r_diffs = [ModuleMap(r_quots[i + 1], r_quots[i], res.diffs[i].blocks) for i in range(k + 1)]
     exact = _certify_exact(r_quots[0], r_quots[1:], r_diffs)
     minimal = True
     for i in range(1, k + 1):
@@ -735,14 +720,15 @@ class HeartShiftPair:
 def heart_shift_pair(m: ModuleOrChain, n: ModuleOrChain, heart: FullSubquiver, t: int) -> HeartShiftPair:
     """Build the pair (A_m, B_n) driving the Ext dimension shift.
 
-    Takes the heart, a full subquiver of the ambient quiver, and the bound t
-    on paths through its complement; both parts are restricted to
+    Takes the heart, a convex full subquiver of the ambient quiver, and the
+    bound t on paths through its complement; both parts are restricted to
     ``restricted_algebra(ambient, heart)``, the one the ambient keeps.
     """
     m, n = _chain(m), _chain(n)
     if m.module.algebra is not n.module.algebra:
         raise InputError("shift pair endpoints live over different algebras")
     check_cutoff(t, "the complement bound")
+    _convex_split(m.module.algebra, heart, "a heart shift pair")
     gamma = restricted_algebra(m.module.algebra, heart)
     hp = heart_parts(m.drop(t + 1).module, heart)
     hn = heart_parts(dual_module(n.dual.drop(t + 1).module), heart)

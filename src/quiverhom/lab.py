@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from . import linalg
@@ -433,11 +434,7 @@ def verify_convex_epi(spec: InstanceSpec, cases: int = 200, cutoff: int = 6) -> 
     check_cutoff(cutoff, "epi suite cutoff")
     if cutoff < 2:
         raise InputError("epi suite cutoff must be at least 2")
-
-    def case(spec: InstanceSpec, idx: int) -> list[Witness]:
-        return _epi_case(spec, idx, cutoff)
-
-    return _run_suite("convex-epi", spec, cases, case)
+    return _run_suite("convex-epi", spec, cases, partial(_epi_case, cutoff=cutoff))
 
 
 def _epi_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:
@@ -498,11 +495,7 @@ def verify_heart_theorem(
         check_cutoff(cutoff, "heart suite cutoff")
         if cutoff < least:
             raise InputError(f"heart suite cutoff must reach 2t+3 = {least}, got {cutoff}")
-
-    def case(spec: InstanceSpec, idx: int) -> list[Witness]:
-        return _heart_case(spec, idx, cutoff)
-
-    return _run_suite("heart-theorem", spec, cases, case)
+    return _run_suite("heart-theorem", spec, cases, partial(_heart_case, cutoff=cutoff))
 
 
 def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witness]:
@@ -619,11 +612,7 @@ def _heart_case_acyclic(seed, lam, t, m, n) -> list[Witness]:
 def verify_ext_cross(spec: InstanceSpec, cases: int = 100, cutoff: int = 3) -> SuiteReport:
     """Both Ext computations (resolve m vs coresolve n) on random pairs."""
     check_cutoff(cutoff, "ext-cross suite cutoff")
-
-    def case(spec: InstanceSpec, idx: int) -> list[Witness]:
-        return _ext_cross_case(spec, idx, cutoff)
-
-    return _run_suite("ext-cross", spec, cases, case)
+    return _run_suite("ext-cross", spec, cases, partial(_ext_cross_case, cutoff=cutoff))
 
 
 def _ext_cross_case(spec: InstanceSpec, idx: int, cutoff: int) -> list[Witness]:

@@ -16,13 +16,15 @@ unchecked builder per type, ``_unchecked``, which keeps the lists it is given.
 
 Submodules are handed around as per-vertex canonical row bases inside the
 ambient components; the embed/quotient helpers turn those into honest
-representations with inclusion or projection maps.  The two heart parts have
-closed forms over the algebra's basis, one elimination per vertex: the
-submodule generated by seed rows is spanned at w by seed_v · x over the basis
-elements x : v -> w, and the largest submodule supported on a vertex set is,
-at each vertex v in it, the common left kernel of the basis elements from v
-to vertices outside.  A quotient reads its arrow matrices off the free rows.
-Every kernel here, Hom spaces included, is a ``RowSpace``'s.  Duals live over
+representations with inclusion or projection maps.  Two have closed forms
+over the algebra's basis, one elimination per vertex: the submodule
+generated by seed rows is spanned at w by seed_v · x over the basis elements
+x : v -> w, and the largest submodule supported on a vertex set is, at each
+vertex v in it, the common left kernel of the basis elements from v to
+vertices outside.  A quotient reads its arrow matrices off the free rows.
+The heart parts take no elimination: around a convex subquiver each is a
+module's components on a vertex set closed under successors.  Every kernel
+here, Hom spaces included, is a ``RowSpace``'s.  Duals live over
 ``algebra.opposite_algebra``, which the algebra keeps; nothing is cached here.
 """
 
@@ -34,7 +36,7 @@ from itertools import repeat
 from . import linalg
 from .algebra import MAX_WORK, FiniteDimAlgebra, _require_presented, _require_subquiver, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
-from .quiver import FullSubquiver
+from .quiver import BoundarySplit, FullSubquiver
 
 
 def _checked_copy(rows: list[list], F, where: str) -> list[list]:
@@ -49,6 +51,12 @@ def _checked_copy(rows: list[list], F, where: str) -> list[list]:
     return [list(r) for r in rows]
 
 
+def _has_shape(rows, nrows: int | None, ncols: int) -> bool:
+    """Whether rows is a list or tuple of nrows rows (any number for None), each one of ncols entries."""
+    counted = isinstance(rows, (list, tuple)) and nrows in (None, len(rows))
+    return counted and all(isinstance(r, (list, tuple)) and len(r) == ncols for r in rows)
+
+
 def _checked_rows(rep: Representation, rows_by_vertex) -> dict[str, list[list]]:
     """A copy of caller-supplied rows per vertex of rep, once every vertex is
     rep's, every row has dim rep_v entries and every entry is canonical."""
@@ -56,7 +64,7 @@ def _checked_rows(rep: Representation, rows_by_vertex) -> dict[str, list[list]]:
     for v, rows in rows_by_vertex.items():
         if v not in rep.dims:
             raise DanglingIdError(f"rows name unknown vertex {v!r}")
-        if set(map(len, rows)) - {rep.dims[v]}:
+        if not _has_shape(rows, None, rep.dims[v]):
             raise ModuleValidationError(f"rows at vertex {v!r} have wrong length, want {rep.dims[v]}")
         checked[v] = _checked_copy(rows, rep.field, f"vertex {v!r}")
     return checked
@@ -87,7 +95,7 @@ class Representation:
             m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
             if m is None:
                 m = linalg.zeros(nrows, ncols, F)
-            elif len(m) != nrows or set(map(len, m)) - {ncols}:
+            elif not _has_shape(m, nrows, ncols):
                 raise ModuleValidationError(
                     f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
                 )
@@ -232,7 +240,7 @@ class ModuleMap:
             b = blocks.get(v)
             if b is None:
                 b = linalg.zeros(source.dims[v], target.dims[v], source.field)
-            if len(b) != source.dims[v] or any(len(r) != target.dims[v] for r in b):
+            if not _has_shape(b, source.dims[v], target.dims[v]):
                 raise ModuleValidationError(f"block at vertex {v!r} has wrong shape")
             self.blocks[v] = _checked_copy(b, source.field, f"vertex {v!r}")
         self.validate()
@@ -460,19 +468,14 @@ def _embed_echelon(rep: Representation, echelons) -> tuple[Representation, Modul
     return sub, ModuleMap._unchecked(sub, rep, bases)
 
 
-def quotient_with_section(
-    rep: Representation, rows_by_vertex
-) -> tuple[Representation, ModuleMap, dict[str, list[int]]]:
-    """Quotient representation, its projection, and a coordinate section.
+def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
+    """Quotient representation by a submodule, with its projection map.
 
-    The section is each vertex's free columns: their standard vectors are
-    coset representatives, and the projection is the identity on them, which
-    is what induced-map computations need.  An arrow acts on the quotient by
-    the free rows of its matrix followed by the projection.  The rows are
-    read unchecked: ``quotient_by_submodule`` checks a caller's.
+    Coordinates on the quotient are each vertex's free columns, and an arrow
+    acts on it by the free rows of its matrix followed by the projection.
     """
     q = rep.algebra.quiver
-    F = rep.field
+    F, rows_by_vertex = rep.field, _checked_rows(rep, rows_by_vertex)
     proj, free = {}, {}
     for v in q.vertices:
         echelon, pivots = linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
@@ -484,12 +487,7 @@ def quotient_with_section(
         rows = [rep.mats[a.name][j] for j in free[a.source]]
         mats[a.name] = linalg.mat_mul(rows, proj[a.target], dims[a.target], F)
     quot = Representation._unchecked(rep.algebra, dims, mats)
-    return quot, ModuleMap._unchecked(rep, quot, proj), free
-
-
-def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
-    """Quotient representation by a submodule, with its projection map."""
-    return quotient_with_section(rep, _checked_rows(rep, rows_by_vertex))[:2]
+    return quot, ModuleMap._unchecked(rep, quot, proj)
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -608,31 +606,50 @@ class HeartParts:
     quot_by_minus_map: ModuleMap
 
 
-def heart_parts(c: Representation, heart: FullSubquiver) -> HeartParts:
-    """C plus-part and minus-part for a full subquiver of c's quiver.
+def _convex_split(alg: FiniteDimAlgebra, heart: FullSubquiver, what: str) -> BoundarySplit:
+    """The boundary split of a convex full subquiver of alg's quiver.  A subquiver of
+    another quiver is refused first, then one with a vertex both plus and minus."""
+    _require_subquiver(alg, heart, what)
+    split = alg.quiver.boundary_split(heart)
+    if between := alg.quiver.sort_vertices(split.plus & split.minus):
+        raise InputError(f"the subquiver is not convex: {list(between)} lie on paths between its vertices")
+    return split
 
-    The plus and minus vertices are the heart's boundary split.  The plus
-    part is the largest submodule supported on the plus vertices; the minus
-    part is the submodule generated by all components away from the minus
-    vertices.
-    """
-    _require_subquiver(c.algebra, heart, "heart parts")
-    split = c.algebra.quiver.boundary_split(heart)
-    F = c.field
-    plus_rows = largest_submodule_supported(c, split.plus)
-    plus_rep, plus_incl = embed_submodule(c, plus_rows)
-    qp_rep, qp_map = quotient_by_submodule(c, plus_rows)
-    seed = {
-        v: linalg.identity(c.dims[v], F)
-        for v in c.algebra.quiver.vertices
-        if v not in split.minus
-    }
-    minus_rows = submodule_closure(c, seed)
-    minus_rep, minus_incl = embed_submodule(c, minus_rows)
-    qm_rep, qm_map = quotient_by_submodule(c, minus_rows)
-    return HeartParts(
-        plus_rep, plus_incl, qp_rep, qp_map, minus_rep, minus_incl, qm_rep, qm_map
+
+def _coordinate_split(
+    c: Representation, closed
+) -> tuple[Representation, ModuleMap, Representation, ModuleMap]:
+    """c's components on a vertex set closed under successors, a submodule with
+    its inclusion, and on the rest, the quotient with its projection: no arrow
+    leaves the closed set, so both maps are identities on what they keep."""
+    q, F, d = c.algebra.quiver, c.field, c.dims
+    sub, quot = (
+        Representation._unchecked(
+            c.algebra,
+            {v: d[v] if v in keep else 0 for v in q.vertices},
+            # an arrow from keep to the rest keeps its rows, with no columns left
+            {a.name: [r if a.target in keep else [] for r in c.mats[a.name]] if a.source in keep else []
+             for a in q.arrows},
+        )
+        for keep in (closed, frozenset(q.vertices) - closed)
     )
+    incl = {v: linalg.identity(d[v], F) if v in closed else [] for v in q.vertices}
+    proj = {v: [[] for _ in range(d[v])] if v in closed else linalg.identity(d[v], F) for v in q.vertices}
+    return sub, ModuleMap._unchecked(sub, c, incl), quot, ModuleMap._unchecked(c, quot, proj)
+
+
+def heart_parts(c: Representation, heart: FullSubquiver) -> HeartParts:
+    """C plus-part and minus-part for a convex full subquiver of c's quiver.
+
+    The plus part is the largest submodule supported on the heart's plus
+    vertices, and the minus part is the submodule generated by all components
+    away from its minus vertices.  Both vertex sets are closed under
+    successors, so each part is c's components there.  A subquiver that is
+    not convex is refused.
+    """
+    split = _convex_split(c.algebra, heart, "heart parts")
+    off_minus = frozenset(c.algebra.vertices) - split.minus
+    return HeartParts(*_coordinate_split(c, split.plus), *_coordinate_split(c, off_minus))
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class Quiver:
         return tuple(sorted(vs, key=self.vertex_index.__getitem__))
 
     def check_vertices(self, vs) -> frozenset[str]:
-        out = frozenset(vs)
+        out = frozenset(_collection(vs))
         for v in out:
             if v not in self.vertex_index:
                 raise DanglingIdError(f"unknown vertex id {v!r}")
@@ -106,7 +106,7 @@ class Quiver:
     def _walk(self, starts, forward: bool) -> set[str]:
         # one walk along the arrows (or against them), each vertex visited once
         arrows_at = self.out_arrows if forward else self.in_arrows
-        seen = set(starts)
+        seen = set(_collection(starts))
         todo = list(seen)
         try:
             while todo:
@@ -122,7 +122,7 @@ class Quiver:
     # -- subquiver calculus ------------------------------------------------
 
     def full_subquiver(self, vertex_set) -> "FullSubquiver":
-        return FullSubquiver(self, frozenset(vertex_set))
+        return FullSubquiver(self, frozenset(_collection(vertex_set)))
 
     def boundary_split(self, sub: "FullSubquiver") -> "BoundarySplit":
         _check_parent(self, sub)
@@ -138,7 +138,7 @@ class Quiver:
         return self.reachable_from(inside) & self.reaching(inside) == inside
 
     def convex_closure(self, vertex_set) -> "FullSubquiver":
-        s = frozenset(vertex_set)
+        s = frozenset(_collection(vertex_set))
         return FullSubquiver(self, frozenset(self.reachable_from(s) & self.reaching(s)))
 
     # -- components and condensation ----------------------------------------
@@ -374,6 +374,13 @@ class ComponentsReport:
     @property
     def nontrivial_count(self) -> int:
         return sum(1 for f in self.nontrivial_flags if f)
+
+
+def _collection(vs):
+    """vs, once it is not a string, which names one vertex, not a set of its characters."""
+    if isinstance(vs, str):
+        raise InputError(f"a vertex set is a collection of vertex ids, not the string {vs!r}")
+    return vs
 
 
 def _check_parent(q: Quiver, sub: "FullSubquiver") -> None:

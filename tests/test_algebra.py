@@ -181,7 +181,7 @@ def test_elements_hold_only_nonzero_canonical_values(F):
 @pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
 def test_from_images_reads_its_images_as_canonical_elements(F, cycle_tail_quiver, cycle_tail_ideal):
     alg = build_algebra(cycle_tail_quiver, cycle_tail_ideal, F)
-    corner = corner_algebra(alg, cycle_tail_quiver.full_subquiver("12"))
+    corner = corner_algebra(alg, cycle_tail_quiver.full_subquiver({"1", "2"}))
     pos = {g: i for i, g in enumerate(corner.parent_indices)}
 
     def flags(images):
@@ -210,7 +210,7 @@ def test_quotient_drops_products_that_fall_into_the_ideal(F):
     a = alg.elements.index(Path("1", ("a",), "2"))
     b = alg.elements.index(Path("2", ("b",), "4"))
     assert alg.table[a][b]
-    quo = quotient_by_idempotent(alg, q.full_subquiver("124"))
+    quo = quotient_by_idempotent(alg, q.full_subquiver({"1", "2", "4"}))
     assert quo.dim == 5
     qa, qb = quo.parent_indices.index(a), quo.parent_indices.index(b)
     assert qb not in quo.table[qa]

@@ -1,0 +1,164 @@
+"""The heart parts and the transport's quotients against elimination.
+
+``heart_parts`` and ``transport_resolution`` read every part off vertex
+components.  That is exact because around a convex subquiver the plus
+vertices, and the vertices off minus, are closed under successors.  Here the
+parts are rebuilt as they are defined, by elimination: C+ is the largest
+submodule supported on the plus vertices, embedded and divided out; C- is
+the submodule generated by the components off minus; and each transported
+differential is lifted through the quotient's coordinate section (its free
+columns) and projected.  Both constructions must agree exactly, in
+dimensions, matrices and entry types, over QQ, GF(2) and GF(3), on the
+homological heart and on convex closures of random vertex sets of lab
+quivers.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+
+from quiverhom import (
+    QQ,
+    PrimeField,
+    build_algebra,
+    embed_submodule,
+    heart_parts,
+    largest_submodule_supported,
+    quotient_by_submodule,
+    resolution,
+    restrict,
+    restricted_algebra,
+    submodule_closure,
+    transport_resolution,
+)
+from quiverhom import linalg
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
+from quiverhom.modules import HeartParts, ModuleMap
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+def typed(rows):
+    """A matrix with each entry paired with its type."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def same_module(got, want):
+    return (
+        got.algebra is want.algebra
+        and got.dims == want.dims
+        and {a: typed(m) for a, m in got.mats.items()} == {a: typed(m) for a, m in want.mats.items()}
+    )
+
+
+def same_map(got, want):
+    return (
+        same_module(got.source, want.source)
+        and same_module(got.target, want.target)
+        and {v: typed(b) for v, b in got.blocks.items()} == {v: typed(b) for v, b in want.blocks.items()}
+    )
+
+
+def reference_heart_parts(c, heart):
+    """The eight parts by elimination, as they are defined."""
+    q, F = c.algebra.quiver, c.field
+    split = q.boundary_split(heart)
+    plus_rows = largest_submodule_supported(c, split.plus)
+    seed = {v: linalg.identity(c.dims[v], F) for v in q.vertices if v not in split.minus}
+    minus_rows = submodule_closure(c, seed)
+    return HeartParts(
+        *embed_submodule(c, plus_rows),
+        *quotient_by_submodule(c, plus_rows),
+        *embed_submodule(c, minus_rows),
+        *quotient_by_submodule(c, minus_rows),
+    )
+
+
+def reference_transport(a, k, heart):
+    """Restricted terms and differentials of the transport, each term divided
+    by its largest submodule supported on the plus vertices and each
+    differential lifted through the free columns and projected."""
+    alg, F = a.algebra, a.field
+    gamma = restricted_algebra(alg, heart)
+    plus = alg.quiver.boundary_split(heart).plus
+    res = resolution(a, k)
+    quots, projs, secs = [], [], []
+    for rep in (a, *res.reps):
+        rows = largest_submodule_supported(rep, plus)
+        quot, proj = quotient_by_submodule(rep, rows)
+        quots.append(quot)
+        projs.append(proj)
+        secs.append({
+            v: [j for j in range(d) if j not in linalg.rref(rows[v], d, F)[1]] for v, d in rep.dims.items()
+        })
+    r_quots = [restrict(quot, gamma) for quot in quots]
+    r_diffs = []
+    for i, d in enumerate(res.diffs):
+        blocks = {}
+        for v in gamma.quiver.vertices:
+            lifted = [d.blocks[v][j] for j in secs[i + 1][v]]
+            blocks[v] = linalg.mat_mul(lifted, projs[i].blocks[v], quots[i].dims[v], F)
+        r_diffs.append(ModuleMap(r_quots[i + 1], r_quots[i], blocks))
+    return r_quots, r_diffs
+
+
+def cases(F, count):
+    """(module, heart) pairs over lab algebras: each drawn module and its
+    second syzygy on the homological heart and on the convex closure of a
+    random vertex set; per heart also the submodule generated at the
+    vertices the heart reaches, which the transport takes."""
+    rng = random.Random(3800)
+    made = 0
+    while made < count:
+        q = _gen_quiver(rng, 5, 7)
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed"), F)
+        if alg.dim > ALGEBRA_DIM_CAP:
+            continue
+        made += 1
+        m = _gen_module(rng, alg, 6)
+        hearts = [q.homological_heart().heart, q.convex_closure(v for v in q.vertices if rng.random() < 0.5)]
+        for heart in hearts:
+            reach = q.reachable_from(heart.vertex_set)
+            seed = {v: linalg.identity(m.dims[v], F) for v in reach}
+            inner = embed_submodule(m, submodule_closure(m, seed))[0]
+            yield alg, heart, [m, resolution(m, 2).syzygy(2)], inner
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_coordinate_parts_equal_the_elimination_construction(F):
+    seen = set()
+    for alg, heart, modules, inner in cases(F, 40):
+        q = alg.quiver
+        split = q.boundary_split(heart)
+        # both vertex sets the parts are read off are closed under successors
+        for a in q.arrows:
+            assert a.source not in split.plus or a.target in split.plus
+            assert a.source in split.minus or a.target not in split.minus
+        for c in (*modules, inner):
+            got, want = heart_parts(c, heart), reference_heart_parts(c, heart)
+            for name in HeartParts.__dataclass_fields__:
+                part, ref = getattr(got, name), getattr(want, name)
+                assert (same_map if isinstance(ref, ModuleMap) else same_module)(part, ref), name
+            for part in (got.plus_part, got.quot_by_plus, got.minus_part, got.quot_by_minus):
+                if 0 < part.total_dim < c.total_dim:
+                    seen.add("proper part")
+        moved = transport_resolution(inner, 2, heart)
+        terms, diffs = reference_transport(inner, 2, heart)
+        assert same_module(moved.module, terms[0])
+        assert all(map(same_module, moved.reps, terms[1:]))
+        assert all(map(same_map, moved.diffs, diffs))
+        if any(not d.is_zero for d in diffs):
+            seen.add("nonzero transported differential")
+        seen.add("empty heart" if heart.is_empty else "heart")
+    assert seen == {"proper part", "nonzero transported differential", "empty heart", "heart"}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_heart_parts_make_no_elimination(F):
+    rref = mock.Mock(wraps=linalg.rref)
+    for alg, heart, modules, inner in cases(F, 10):
+        with mock.patch.object(linalg, "rref", rref):
+            for c in (*modules, inner):
+                heart_parts(c, heart)
+        assert rref.call_count == 0

@@ -465,6 +465,35 @@ def test_the_heart_functions_refuse_a_subquiver_of_another_quiver(cycle_tail_alg
                 call()
 
 
+@pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_the_heart_functions_refuse_a_subquiver_that_is_not_convex(F, cycle_tail_algebra):
+    # on 1 -> 2 -> 3 the arrow 2 -> 3 re-enters {1, 3}: 2 is both plus and
+    # minus, and P_1's plus part is 0, not its components at 2
+    line = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    p1 = standard_module(build_algebra(line, IdealSpec.zero(3), F), "projective", "1")
+    gap = line.full_subquiver({"1", "3"})
+    calls = (
+        lambda: heart_parts(p1, gap),
+        lambda: transport_resolution(p1, 2, gap),
+        lambda: heart_shift_pair(p1, p1, gap, 1),
+    )
+    with no_chain_walks():
+        for call in calls:
+            with pytest.raises(InputError, match=r"^the subquiver is not convex: \['2'\] lie on paths between"):
+                call()
+    # a subquiver of another quiver is refused as such first, convex or not
+    s1 = standard_module(cycle_tail_algebra, "simple", "1")
+    calls = (
+        lambda: heart_parts(s1, gap),
+        lambda: transport_resolution(s1, 2, gap),
+        lambda: heart_shift_pair(s1, s1, gap, 1),
+    )
+    with no_chain_walks():
+        for call in calls:
+            with pytest.raises(InputError, match="^the subquiver is not a full subquiver of the algebra's quiver$"):
+                call()
+
+
 def test_exactness_certificate_turns_false_on_a_planted_differential(cycle_tail_algebra):
     # S_1 -> P_2 -> P_1 -> S_1 is periodic here, so every differential is nonzero
     res = resolution(standard_module(cycle_tail_algebra, "simple", "1"), 3)

@@ -50,7 +50,6 @@ from quiverhom import (
 from quiverhom import linalg
 from quiverhom.homology import ext_dims, materialize_term, projective_cover_and_syzygy
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
-from quiverhom.modules import quotient_with_section
 
 from test_cover_step import path_product
 from test_elimination_oracle import oracle_left_kernel
@@ -396,14 +395,35 @@ def test_rows_a_caller_hands_in_are_checked_where_they_enter(F, call):
 
 
 @pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
+def test_a_row_or_matrix_that_is_not_a_list_is_a_shape_error(F):
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), F)
+    p1 = standard_module(alg, "projective", "1")
+    for call, message in (
+        (lambda: Representation(alg, {"1": 1, "2": 1}, {"a": [5]}), "matrix for arrow 'a' has wrong shape, want 1x1"),
+        (lambda: Representation(alg, {"1": 1, "2": 1}, {"a": 5}), "matrix for arrow 'a' has wrong shape, want 1x1"),
+        (lambda: ModuleMap(p1, p1, {"1": [5]}), "block at vertex '1' has wrong shape"),
+        (lambda: ModuleMap(p1, p1, {"1": 5}), "block at vertex '1' has wrong shape"),
+        (lambda: submodule_closure(p1, {"1": [5]}), "rows at vertex '1' have wrong length, want 1"),
+        (lambda: quotient_by_submodule(p1, {"1": 5}), "rows at vertex '1' have wrong length, want 1"),
+        (lambda: embed_submodule(p1, {"2": [5]}), "rows at vertex '2' have wrong length, want 1"),
+    ):
+        with pytest.raises(ModuleValidationError) as caught:
+            call()
+        assert str(caught.value) == message
+    # rows given as tuples are still read as rows
+    assert submodule_closure(p1, {"1": ((1,),)}) == {"1": [[1]], "2": [[1]]}
+
+
+@pytest.mark.parametrize("F", [QQ, GF5], ids=["QQ", "GF5"])
 def test_largest_supported_submodule_refuses_an_unknown_vertex(F):
     alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), F)
     p1 = standard_module(alg, "projective", "1")
     with pytest.raises(DanglingIdError, match="unknown vertex id 'nope'"):
         largest_submodule_supported(p1, {"2", "nope"})
-    # a string is read as its characters, none of them a vertex here
-    with pytest.raises(DanglingIdError, match="unknown vertex id '[nope]'"):
-        largest_submodule_supported(p1, "nope")
+    # a string names one vertex, so it is refused, not read as its characters
+    for text in ("nope", "12"):
+        with pytest.raises(InputError, match=f"^a vertex set is a collection of vertex ids, not the string '{text}'$"):
+            largest_submodule_supported(p1, text)
     assert largest_submodule_supported(p1, {"2"}) == {"1": [], "2": [[1]]}
 
 
@@ -752,7 +772,7 @@ def test_socle_is_the_oracle_kernel_of_the_out_arrows(F):
 
 
 @pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
-def test_quotient_with_section_splits_the_projection(F):
+def test_quotient_projection_is_the_identity_on_free_columns(F):
     rng = random.Random(408)
     shapes = set()
     for _ in range(20):
@@ -764,7 +784,7 @@ def test_quotient_with_section_splits_the_projection(F):
             if m.dims[v] and rng.random() < 0.6
         }
         rows = reference_closure(m, seeds)
-        quot, pmap, section = quotient_with_section(m, rows)
+        quot, pmap = quotient_by_submodule(m, rows)
         pmap.validate()
         for v in alg.vertices:
             pivots = linalg.rref(rows[v], m.dims[v], F)[1]
@@ -772,7 +792,6 @@ def test_quotient_with_section_splits_the_projection(F):
             if free != list(range(len(free))):
                 shapes.add("pivot before a free column")
             assert quot.dims[v] == len(free)
-            assert section[v] == free
             assert [pmap.blocks[v][j] for j in free] == linalg.identity(quot.dims[v], F)
             killed = linalg.mat_mul(rows[v], pmap.blocks[v], quot.dims[v], F)
             assert not any(map(any, killed))

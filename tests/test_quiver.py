@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from quiverhom import DanglingIdError, InputError, Quiver
+from quiverhom import DanglingIdError, FullSubquiver, InputError, Quiver
 from quiverhom.lab import MAX_ARROWS, MAX_VERTICES
 
 
@@ -131,6 +131,16 @@ def test_unknown_vertex_ids_are_refused_and_known_sets_checked_once(cycle_tail_q
     assert q.convex_closure(sub.vertex_set).vertex_set == {"1", "2", "3"}
     assert q.homological_heart().heart.vertex_set == {"1", "2"}
     assert calls == [{"1", "3"}, {"1", "2", "3"}, {"1", "2"}]
+
+
+def test_a_string_is_refused_where_a_vertex_set_is_expected(cycle_tail_quiver):
+    # "12" names one vertex; read as its characters it would be {"1", "2"}
+    q = cycle_tail_quiver
+    for call in (q.reachable_from, q.reaching, q.full_subquiver, q.convex_closure, q.check_vertices):
+        with pytest.raises(InputError, match="^a vertex set is a collection of vertex ids, not the string '12'$"):
+            call("12")
+    with pytest.raises(InputError, match="not the string '12'"):
+        FullSubquiver(q, "12")
 
 
 def test_full_subquiver_collects_inner_arrows(cycle_tail_quiver):
