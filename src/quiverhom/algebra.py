@@ -246,8 +246,10 @@ class ProjectiveLayout(NamedTuple):
     lists those ending at w in index order (only the w that some reach),
     local[i] is the position of element i in its block, and dims[v] is dim P_v.
     walks[v] lists the elements from v in index order, and prefix[i] is
-    (target, pre, arrows): element i's path is element pre's, its longest
-    earlier prefix (the empty path when pre < 0), followed by arrows.
+    (target, pre, arrow): element i's path is element pre's and one arrow,
+    the arrow alone (pre < 0), or trivial (arrow None).  Prefixes of basis
+    paths are basis paths, and so are suffixes (an opposite's prefixes): a
+    relation span's leading path times an arrow is one too, or too long.
     terms[v] is P_v's own TermInfo, kept by ``modules.term_info`` when first
     built, so a one-generator term is never built twice."""
 
@@ -255,7 +257,7 @@ class ProjectiveLayout(NamedTuple):
     local: tuple[int, ...]
     dims: dict[str, int]
     walks: dict[str, tuple[int, ...]]
-    prefix: tuple[tuple[str, int, tuple[str, ...]], ...]
+    prefix: tuple[tuple[str, int, str | None], ...]
     terms: dict[str, object]  # vertex -> modules.TermInfo
 
 
@@ -334,9 +336,10 @@ class FiniteDimAlgebra:
 
     @cached_property
     def projective_layout(self) -> ProjectiveLayout:
+        _require_presented(self, "a projective layout")
         blocks: dict[str, dict[str, list[int]]] = {v: {} for v in self.vertices}
         walks: dict[str, list[int]] = {v: [] for v in self.vertices}
-        at: dict[tuple[str, ...], int] = {}  # each nonempty path's element index
+        at: dict[tuple[str, ...], int] = {}  # each path's element index, read at nonempty ones
         local, prefix = [], []
         for i, el in enumerate(self.elements):
             block = blocks[el.source].setdefault(el.target, [])
@@ -344,11 +347,8 @@ class FiniteDimAlgebra:
             block.append(i)
             walks[el.source].append(i)
             path = el.arrows
-            k = max(len(path) - 1, 0)
-            while k and path[:k] not in at:
-                k -= 1
             at[path] = i
-            prefix.append((el.target, at[path[:k]] if k else -1, path[k:]))
+            prefix.append((el.target, at[path[:-1]] if len(path) > 1 else -1, path[-1] if path else None))
         dims = {v: sum(map(len, row.values())) for v, row in blocks.items()}
         blocks = {v: {w: tuple(b) for w, b in row.items()} for v, row in blocks.items()}
         walks = {v: tuple(walk) for v, walk in walks.items()}

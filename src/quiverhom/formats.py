@@ -35,7 +35,8 @@ as ``3`` or ``-1/2``, read by ``fields.parse_exact``: decimal literals (exponent
 included) and ones with over ``fields.MAX_DIGITS`` digits a side are rejected.
 A module matrix is row-major with one ``row`` line per source basis vector;
 matrices whose shape has a zero side are omitted.  Serialization writes the
-same syntax back, so load/serialize round-trips are identities.
+same syntax back, so load/serialize round-trips are identities; it refuses
+an id that would not read back as one token.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
 from .fields import QQ, _literal, parse_exact
-from .modules import Representation
+from .modules import Representation, _module_work
 from .quiver import FullSubquiver, HeartProfile, Quiver
 
 # ---------------------------------------------------------------------------
@@ -281,10 +282,7 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
                 f"unknown module entry {child.keyword!r}", child.line, child.tokens[0].column
             )
     full_dims = {v: dims.get(v, 0) for v in q.vertices}
-    # cells of the identity and arrow matrices the module builds and validates
-    work = sum(d * d for d in full_dims.values())
-    work += sum(full_dims[a.source] * full_dims[a.target] for a in q.arrows)
-    if work > MAX_WORK:
+    if _module_work(q, full_dims) > MAX_WORK:
         raise ParseError(f"module matrices exceed {MAX_WORK} units of work", node.line)
     mats = {}
     for a in q.arrows:
@@ -409,12 +407,20 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
 # serialization
 
 
+def _ids(*ids) -> str:
+    """The ids joined by spaces, once each is a str that reads back as one token."""
+    for name in ids:
+        if not isinstance(name, str) or name.splitlines() != [name] or any(c in name for c in " \t#"):
+            raise InputError(f"id {name!r} cannot be written: it is empty or holds a space, tab, # or line break")
+    return " ".join(ids)
+
+
 def serialize_quiver(q: Quiver) -> str:
     lines = ["quiver"]
     if q.vertices:
-        lines.append("  vertices " + " ".join(q.vertices))
+        lines.append("  vertices " + _ids(*q.vertices))
     for a in q.arrows:
-        lines.append(f"  arrow {a.name} {a.source} {a.target}")
+        lines.append("  arrow " + _ids(a.name, a.source, a.target))
     return "\n".join(lines) + "\n"
 
 
@@ -427,24 +433,22 @@ def serialize_ideal(ideal: IdealSpec) -> str:
     for rel in ideal.relations:
         lines.append("  relation")
         for coeff, arrows in rel:
-            lines.append(f"    term {_coeff_str(coeff)} " + " ".join(arrows))
+            lines.append(f"    term {_coeff_str(coeff)} " + _ids(*arrows))
     return "\n".join(lines) + "\n"
 
 
 def serialize_module(m: Representation, name: str | None = None) -> str:
     q = m.algebra.quiver
     F = m.field
-    lines = ["module" if name is None else f"module {name}"]
+    lines = ["module" if name is None else f"module {_ids(name)}"]
     for v in q.vertices:
         if m.dims[v]:
-            lines.append(f"  dim {v} {m.dims[v]}")
+            lines.append(f"  dim {_ids(v)} {m.dims[v]}")
     for a in q.arrows:
         block = m.mats[a.name]
-        if not block or not block[0]:
+        if not any(map(any, block)):  # zero, or a side is zero
             continue
-        if not any(map(any, block)):
-            continue
-        lines.append(f"  matrix {a.name}")
+        lines.append(f"  matrix {_ids(a.name)}")
         for row in block:
             lines.append("    row " + " ".join(F.to_str(x) for x in row))
     return "\n".join(lines) + "\n"
@@ -453,7 +457,7 @@ def serialize_module(m: Representation, name: str | None = None) -> str:
 def serialize_subquiver(vertex_set, q: Quiver) -> str:
     lines = ["subquiver"]
     if vertex_set:
-        lines.append("  vertices " + " ".join(q.sort_vertices(vertex_set)))
+        lines.append("  vertices " + _ids(*q.sort_vertices(vertex_set)))
     return "\n".join(lines) + "\n"
 
 

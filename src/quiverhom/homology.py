@@ -217,19 +217,19 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     cover_rows: dict[str, list[list]] = {}
     for v, c in info.generators:
         # the lift row times each basis path's matrix, along the layout's
-        # prefix record: one vector times matrix per arrow past the path's
-        # longest earlier prefix, and none past a prefix whose row is zero
+        # prefix record: the basis is closed under prefixes, so each row is
+        # its prefix's row times one arrow, taken only where that row is nonzero
         unit = [F.zero] * m.dims[v]
         unit[lifts[v][c]] = F.one
         walked: dict[int, list] = {}  # each element's row, by element index
         for i in layout.walks[v]:
-            w, pre, arrows = prefix[i]
-            row = walked[pre] if pre >= 0 else unit
-            if pre < 0 and arrows:  # the unit row times an arrow: its matrix row at the lift
-                row, arrows = m.mats[arrows[0]][lifts[v][c]], arrows[1:]
-            if any(row):
-                for name in arrows:
-                    row = linalg.vec_mat(row, m.mats[name], m.dims[q.arrow_by_name[name].target], F)
+            w, pre, arrow = prefix[i]
+            if arrow is None:
+                row = unit
+            elif pre < 0:  # the unit row times an arrow: its matrix row at the lift
+                row = m.mats[arrow][lifts[v][c]]
+            elif any(walked[pre]):
+                row = linalg.vec_mat(walked[pre], m.mats[arrow], m.dims[w], F)
             else:
                 row = [F.zero] * m.dims[w]
             walked[i] = row
@@ -665,8 +665,8 @@ def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> Tran
     r_quots = [restrict(_coordinate_split(rep, plus)[2], gamma) for rep in (a, *res.reps)]
     F = a.field
     g_vertices = gamma.quiver.vertices
-    # a map into gamma's modules reads its blocks at gamma's vertices only
-    r_diffs = [ModuleMap(r_quots[i + 1], r_quots[i], res.diffs[i].blocks) for i in range(k + 1)]
+    r_blocks = [{v: res.diffs[i].blocks[v] for v in g_vertices} for i in range(k + 1)]
+    r_diffs = [ModuleMap(r_quots[i + 1], r_quots[i], r_blocks[i]) for i in range(k + 1)]
     exact = _certify_exact(r_quots[0], r_quots[1:], r_diffs)
     minimal = True
     for i in range(1, k + 1):

@@ -20,7 +20,7 @@ and kernels computed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 
@@ -693,43 +693,32 @@ def decompose(alg: FiniteDimAlgebra) -> DecompositionTree:
 
     Each stage restricts the algebra to its homological heart, picks a source
     component of the heart's condensation, verifies the vanishing corner that
-    makes the split triangular, emits the block, and recurses on the algebra
-    of the rest.  A stage without nontrivial components is the acyclic leaf.
+    makes the split triangular, emits the block, and goes on with the algebra
+    of the rest.  A stage without nontrivial components is the acyclic leaf;
+    the nodes are linked from it up, so no stage recurses.
     """
     _require_presented(alg, "decompose")
-    blocks: list[Block] = []
-    root = _decompose_stage(alg, blocks)
-    return DecompositionTree(root, tuple(blocks), len(blocks))
-
-
-def _decompose_stage(alg: FiniteDimAlgebra, blocks: list[Block]) -> DecompositionNode:
-    q = alg.quiver
-    rep = q.components()
-    if rep.nontrivial_count == 0:
-        return DecompositionNode("acyclic", tuple(q.vertices))
-    hp = q.homological_heart()
-    heart_alg = restricted_algebra(alg, hp.heart)
-    hq = heart_alg.quiver
-    hrep = hq.components()
-    source = hrep.components[0]
-    if not hrep.nontrivial_flags[0]:
-        raise InvariantViolation("heart condensation source is a trivial component")
-    sub = hq.full_subquiver(source)
-    tb = triangular_blocks(heart_alg, sub)
-    if tb.dim_eprime_e != 0:
-        raise InvariantViolation("claimed source block admits incoming paths")
-    # the corner eAe is spanned by the basis elements with both ends in e; the
-    # source, a nontrivial component of hq, is a simple cycle iff |arrows| = |vertices|
-    block = Block(hq.sort_vertices(source), tb.dim_ee, len(sub.arrows) == len(source))
-    blocks.append(block)
-    rest = hq.full_subquiver(frozenset(hp.heart.vertex_set) - source)
-    child = _decompose_stage(restricted_algebra(heart_alg, rest), blocks)
-    return DecompositionNode(
-        "split",
-        tuple(q.vertices),
-        tuple(hp.heart.vertices),
-        hp.t,
-        block,
-        tb.dim_eprime_e,
-        child,
-    )
+    splits = []  # each split node without its child, root first
+    while (q := alg.quiver).components().nontrivial_count:
+        hp = q.homological_heart()
+        heart_alg = restricted_algebra(alg, hp.heart)
+        hq = heart_alg.quiver
+        hrep = hq.components()
+        source = hrep.components[0]
+        if not hrep.nontrivial_flags[0]:
+            raise InvariantViolation("heart condensation source is a trivial component")
+        sub = hq.full_subquiver(source)
+        tb = triangular_blocks(heart_alg, sub)
+        if tb.dim_eprime_e != 0:
+            raise InvariantViolation("claimed source block admits incoming paths")
+        # the corner eAe is spanned by the basis elements with both ends in e; the
+        # source, a nontrivial component of hq, is a simple cycle iff |arrows| = |vertices|
+        block = Block(hq.sort_vertices(source), tb.dim_ee, len(sub.arrows) == len(source))
+        splits.append(
+            DecompositionNode("split", tuple(q.vertices), tuple(hp.heart.vertices), hp.t, block, tb.dim_eprime_e)
+        )
+        alg = restricted_algebra(heart_alg, hq.full_subquiver(frozenset(hp.heart.vertex_set) - source))
+    node = DecompositionNode("acyclic", tuple(q.vertices))
+    for split in reversed(splits):
+        node = replace(split, child=node)
+    return DecompositionTree(node, tuple(split.block for split in splits), len(splits))

@@ -4,7 +4,7 @@ A representation assigns each vertex an exact vector space (stored only as a
 dimension) and each arrow a matrix from its source component to its target
 component.  Row vectors act on the right, so the matrix for a path is the
 product of its arrow matrices read left to right; a basis element's is its
-longest earlier prefix's times the arrows past it, kept per element.
+prefix's times its last arrow's, kept per element.
 
 Validity means the defining ideal acts as zero: every relation's matrix
 vanishes and the radical chain M, MJ, MJ^2, ... dies by the truncation
@@ -57,6 +57,11 @@ def _has_shape(rows, nrows: int | None, ncols: int) -> bool:
     return counted and all(isinstance(r, (list, tuple)) and len(r) == ncols for r in rows)
 
 
+def _module_work(q, dims: dict[str, int]) -> int:
+    """Cells of the identity and arrow matrices a module over q of these dims builds and validates."""
+    return sum(d * d for d in dims.values()) + sum(dims[a.source] * dims[a.target] for a in q.arrows)
+
+
 def _checked_rows(rep: Representation, rows_by_vertex) -> dict[str, list[list]]:
     """A copy of caller-supplied rows per vertex of rep, once every vertex is
     rep's, every row has dim rep_v entries and every entry is canonical."""
@@ -90,6 +95,8 @@ class Representation:
                 raise ModuleValidationError(f"dimension {d!r} at vertex {v!r} is not an int >= 0")
         self.dims: dict[str, int] = dict.fromkeys(q.vertices, 0)
         self.dims.update(dims)
+        if _module_work(q, self.dims) > MAX_WORK:
+            raise InputError(f"module matrices exceed {MAX_WORK} units of work")
         self.mats: dict[str, list[list]] = {}
         for a in q.arrows:
             m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
@@ -132,8 +139,9 @@ class Representation:
 
     def element_matrix(self, idx: int) -> list[list]:
         """Matrix of a basis element's action, along the layout's prefix
-        record: its longest earlier prefix's matrix times the arrows past it.
-        Prefixes not yet built are built first, each once, and all are kept."""
+        record: the identity, an arrow's own matrix, or its prefix's matrix
+        times its last arrow's.  Prefixes not yet built are built first, each
+        once, and all are kept."""
         built = self._element_mats
         if idx not in built:
             prefix = self.algebra.projective_layout.prefix
@@ -141,19 +149,14 @@ class Representation:
             while i >= 0 and i not in built:
                 todo.append(i)
                 i = prefix[i][1]
-            arrow_by_name, F = self.algebra.quiver.arrow_by_name, self.field
             for i in reversed(todo):
-                w, pre, arrows = prefix[i]
-                if pre >= 0:
-                    mat = built[pre]
-                elif arrows:
-                    # no nonempty prefix: start from the first arrow's own matrix
-                    mat, arrows = self.mats[arrows[0]], arrows[1:]
+                w, pre, arrow = prefix[i]
+                if arrow is None:
+                    built[i] = linalg.identity(self.dims[w], self.field)
+                elif pre < 0:
+                    built[i] = self.mats[arrow]
                 else:
-                    mat = linalg.identity(self.dims[w], F)
-                for name in arrows:
-                    mat = linalg.mat_mul(mat, self.mats[name], self.dims[arrow_by_name[name].target], F)
-                built[i] = mat
+                    built[i] = linalg.mat_mul(built[pre], self.mats[arrow], self.dims[w], self.field)
         return built[idx]
 
     def top_lifts(self) -> dict[str, list[int]]:
@@ -227,7 +230,8 @@ class Representation:
 
 class ModuleMap:
     """A homomorphism of representations, stored as per-vertex blocks, which
-    the constructor checks and copies; a missing block is zero."""
+    the constructor checks and copies; a missing block is zero, and one at a
+    vertex outside the quiver is refused."""
 
     def __init__(self, source: Representation, target: Representation, blocks):
         if source.algebra is not target.algebra:
@@ -235,6 +239,9 @@ class ModuleMap:
         self.source = source
         self.target = target
         q = source.algebra.quiver
+        if not blocks.keys() <= q.vertex_index.keys():
+            v = next(v for v in blocks if v not in q.vertex_index)
+            raise DanglingIdError(f"map names unknown vertex {v!r}")
         self.blocks: dict[str, list[list]] = {}
         for v in q.vertices:
             b = blocks.get(v)

@@ -447,6 +447,9 @@ def test_a_split_needs_the_algebras_own_presented_quiver(cycle_tail_algebra, lin
         for call in SPLIT_CALLS:
             with pytest.raises(InputError, match="needs a presented algebra"):
                 call(derived, sub)
+        # a table-backed algebra has no relation span to close its basis under prefixes
+        with pytest.raises(InputError, match="^a projective layout needs a presented algebra"):
+            derived.projective_layout
     other = line_quiver.full_subquiver({"v"})
     for call in SPLIT_CALLS:
         with pytest.raises(InputError, match="not a full subquiver of the algebra's quiver"):
@@ -585,3 +588,33 @@ def test_path_count_walk_stops_at_the_budget():
     # without a cycle the walk ends by itself, far below the truncation
     edge = Quiver.build(["1", "2"], [("a", "1", "2")])
     assert build_algebra(edge, IdealSpec.zero(10**9), QQ).dim == 3
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), GF3], ids=["QQ", "GF2", "GF3"])
+def test_the_basis_is_closed_under_prefixes_and_each_layout_record_is_one_arrow(F):
+    """Every prefix and every suffix of a basis path is a basis path, on drawn
+    presentations, their opposites and their restrictions to convex closures,
+    and each layout record is its element's prefix followed by one arrow."""
+    rng = random.Random(419)
+    checked = 0
+    while checked < 600:
+        q = _gen_quiver(rng, 5, 7)
+        alg = build_algebra(q, _gen_ideal(rng, q, rng.choice(["mixed", "monomial"])), F)
+        hull = q.convex_closure({v for v in q.vertices if rng.random() < 0.5})
+        if alg.dim_exceeds(ALGEBRA_DIM_CAP):
+            continue
+        checked += 1
+        for derived in (alg, opposite_algebra(alg), restricted_algebra(alg, hull)):
+            paths = {(el.source, el.arrows) for el in derived.elements}
+            layout = derived.projective_layout
+            for i, el in enumerate(derived.elements):
+                if el.arrows:
+                    assert (el.source, el.arrows[:-1]) in paths
+                    assert (derived.quiver.arrow_by_name[el.arrows[0]].target, el.arrows[1:]) in paths
+                w, pre, arrow = layout.prefix[i]
+                assert w == el.target and arrow == (el.arrows[-1] if el.arrows else None)
+                if len(el.arrows) > 1:
+                    assert 0 <= pre < i and derived.elements[pre].arrows == el.arrows[:-1]
+                    assert derived.elements[pre].source == el.source
+                else:
+                    assert pre == -1

@@ -117,10 +117,15 @@ def assert_step_matches(m):
     """The cover step of m equals the reference; returns its syzygy, or None
     when the cover is past the term budget (refused by both)."""
     try:
-        step = projective_cover_and_syzygy(m)
+        with mock.patch.object(linalg, "vec_mat", wraps=linalg.vec_mat) as vec_mat:
+            step = projective_cover_and_syzygy(m)
     except InputError:
         assert cover_width(m) > MAX_TERM_WIDTH
         return None
+    # the lift walk takes one product per element of length >= 2, and none past a zero row
+    walks, elements = m.algebra.projective_layout.walks, m.algebra.elements
+    longer = sum(len(elements[i].arrows) >= 2 for v, _ in step.info.generators for i in walks[v])
+    assert vec_mat.call_count <= longer
     mults, term, info, cover, syz, incl, minimal = reference_step(m)
     # the certificate, the term, the cover and the inclusion are built only when read
     assert not {"minimal", "term", "cover", "syzygy_inclusion"} & set(vars(step))

@@ -4,6 +4,7 @@ Error positions are asserted exactly so editors can jump to the offending
 line.  Round-trips reload the serialized text and compare structures.
 """
 
+import random
 import re
 
 import pytest
@@ -14,10 +15,14 @@ from quiverhom import (
     QQ,
     CompositionError,
     DanglingIdError,
+    IdealSpec,
     InputError,
     ModuleValidationError,
     ParseError,
     PrimeField,
+    Quiver,
+    Representation,
+    build_algebra,
     export_dot,
     load_bundle,
     serialize_ideal,
@@ -27,6 +32,7 @@ from quiverhom import (
     standard_module,
 )
 from quiverhom.fields import MAX_DIGITS
+from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 
 GOOD = """\
 quiver
@@ -93,6 +99,48 @@ def test_round_trips(tmp_path, cycle_tail_quiver, cycle_tail_ideal, cycle_tail_a
     assert serialize_quiver(bundle.quiver) == q_text
     assert serialize_ideal(bundle.ideal) == i_text
     assert serialize_module(bundle.modules[0], "P1") == m_text
+
+
+@pytest.mark.parametrize("bad", ["a b", "v#1", "p q", "", "x\ty", "x\ny", "x\r", "x\u2028y"])
+def test_serializers_refuse_an_id_that_would_not_read_back(bad):
+    """Each serializer refuses, naming it, an id that the parser would read as
+    no token, as two, or as the start of a comment or of another line."""
+    refused = pytest.raises(InputError, match=f"^id {re.escape(repr(bad))} cannot be written")
+    # the id as a vertex, as the source of an arrow, with a dimension, in a subquiver
+    q = Quiver.build([bad, "c"], [("x", bad, "c")])
+    with refused:
+        serialize_quiver(q)
+    with refused:
+        serialize_module(standard_module(build_algebra(q, IdealSpec.zero(2), QQ), "simple", bad))
+    with refused:
+        serialize_subquiver({bad}, q)
+    # the id as an arrow with a nonzero matrix, in a relation, and as a module's name
+    q = Quiver.build(["1", "2", "3"], [(bad, "1", "2"), ("b", "2", "3")])
+    alg = build_algebra(q, IdealSpec.monomial([(bad, "b")], 3), QQ)
+    with refused:
+        serialize_quiver(q)
+    with refused:
+        serialize_ideal(alg.ideal)
+    with refused:
+        serialize_module(Representation(alg, {"1": 1, "2": 1}, {bad: [[QQ.one]]}))
+    with refused:
+        serialize_module(standard_module(alg, "simple", "1"), bad)
+
+
+def test_lab_ids_round_trip(tmp_path):
+    rng = random.Random(39)
+    for k in range(20):
+        q = _gen_quiver(rng, 5, 7)
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed"), QQ)
+        if alg.dim_exceeds(ALGEBRA_DIM_CAP):
+            continue
+        m = _gen_module(rng, alg, 6)
+        sub = {v for v in q.vertices if rng.random() < 0.5}
+        text = serialize_quiver(q) + serialize_ideal(alg.ideal) + serialize_module(m, f"M{k}")
+        bundle = load_bundle([write(tmp_path, text + serialize_subquiver(sub, q))])
+        assert bundle.quiver == q and bundle.ideal == alg.ideal and bundle.module_names == (f"M{k}",)
+        assert bundle.modules[0].dims == m.dims and bundle.modules[0].mats == m.mats
+        assert bundle.subquiver == sub
 
 
 def test_module_with_fraction_entries(tmp_path):

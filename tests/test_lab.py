@@ -5,9 +5,11 @@ byte-identical report, and generated instances respect the documented size
 caps.  Decomposition is pinned against the three fixtures.
 """
 
+import inspect
 import json
 import random
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -261,6 +263,22 @@ def test_decompose_of_a_table_backed_algebra_is_input_error(cycle_tail_algebra):
     corner = corner_algebra(cycle_tail_algebra, sub)
     with pytest.raises(InputError, match="needs a presented algebra"):
         decompose(corner)
+
+
+def test_decompose_a_long_chain_of_blocks_takes_no_stack_per_block():
+    """120 loops along a line are 120 blocks; the decomposition runs with the
+    recursion limit 60 frames above the caller's depth."""
+    vs = [str(i) for i in range(1, 121)]
+    arrows = [(f"l{v}", v, v) for v in vs] + [(f"a{v}", v, w) for v, w in zip(vs, vs[1:])]
+    alg = build_algebra(Quiver.build(vs, arrows), IdealSpec.zero(2), QQ)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        tree = decompose(alg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tree.splits == 120 and tree.blocks == tuple(Block((v,), 2, True) for v in vs)
+    assert tree.render().splitlines()[-1] == "  " * 120 + "acyclic vertices=-"
 
 
 def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):

@@ -8,6 +8,7 @@ arguments, kernels and images obey rank-nullity vertexwise.
 import gc
 import random
 import re
+import time
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -551,6 +552,9 @@ def _compose_mismatched(alg, line):
         (lambda alg, line: ModuleMap(standard_module(alg, "simple", "1"), standard_module(alg, "simple", "1"),
                                      {"1": [[QQ.one], [QQ.one]]}),
          ModuleValidationError, "block at vertex '1' has wrong shape"),
+        (lambda alg, line: ModuleMap(standard_module(alg, "simple", "1"), standard_module(alg, "simple", "1"),
+                                     {"9": [[QQ.one]], "1": [[QQ.one]]}),
+         DanglingIdError, "map names unknown vertex '9'"),
         (_compose_mismatched, InputError, "composition shapes do not match"),
         (lambda alg, line: materialize_term(alg, {"9": 1}), InputError,
          "unknown vertex id '9' in projective term"),
@@ -560,7 +564,8 @@ def _compose_mismatched(alg, line):
          InputError, "hom endpoints live over different algebras"),
     ],
     ids=["unknown vertex", "unknown arrow", "arrow matrix shape",
-         "map block shape", "compose shapes", "term vertex", "inflate vertex", "hom across algebras"],
+         "map block shape", "map vertex",
+         "compose shapes", "term vertex", "inflate vertex", "hom across algebras"],
 )
 def test_module_layer_refusals_name_the_culprit(cycle_tail_algebra, line_algebra, call, error, message):
     with pytest.raises(InputError) as caught:
@@ -652,6 +657,21 @@ def test_hom_basis_refuses_a_system_past_the_work_budget_before_building_it():
     with mock.patch.object(linalg, "zeros", side_effect=AssertionError):
         with pytest.raises(InputError, match="Hom system of 2560000 cells exceeds 1000000"):
             hom_basis(big, big)
+
+
+def test_a_module_past_the_work_budget_is_refused_before_anything_is_allocated():
+    """The constructor counts the parser's cells, sum d_v^2 + sum d_s d_t: on
+    one vertex with no arrows, dim 1 000 (10^6 cells) is built and 1 001 is
+    refused, as is 10^6, at once and with no matrix allocated."""
+    point = build_algebra(Quiver.build(["1"], []), IdealSpec.zero(2), QQ)
+    assert Representation(point, {"1": 1000}, {}).total_dim == 1000
+    for d in (1001, 10**6):
+        t0 = time.perf_counter()
+        with mock.patch.object(linalg, "zeros", side_effect=AssertionError), \
+                mock.patch.object(linalg, "identity", side_effect=AssertionError):
+            with pytest.raises(InputError, match="^module matrices exceed 1000000 units of work$"):
+                Representation(point, {"1": d}, {})
+        assert time.perf_counter() - t0 < 0.1
 
 
 def reference_closure(rep, seed_rows):
