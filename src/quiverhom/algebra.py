@@ -47,11 +47,12 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation, require_int
-from .quiver import Arrow, FullSubquiver, Path, Quiver
+from .quiver import Arrow, FullSubquiver, Path, Quiver, _collection
 
 # work budget of one presentation's span and table, decided from path counts
 # before any path is listed: suites stay under 40 000, the budget edge takes 0.3 s
 MAX_WORK = 1_000_000
+_PATH = "a relation path is a sequence of arrow names"
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class IdealSpec:
 
     @staticmethod
     def monomial(paths, truncation: int) -> "IdealSpec":
-        rels = tuple(((1, tuple(p)),) for p in paths)
+        rels = tuple(((1, tuple(_collection(p, _PATH))),) for p in paths)
         return IdealSpec(rels, truncation)
 
     @staticmethod
@@ -88,7 +89,7 @@ class IdealSpec:
         for rel in self.relations:
             groups: dict[tuple[str, str], list] = {}
             for coeff, arrows in rel:
-                if len(arrows) < 2:
+                if len(_collection(arrows, _PATH)) < 2:
                     raise InputError(f"relation path {arrows!r} has length < 2")
                 for name in arrows:
                     if name not in q.arrow_by_name:

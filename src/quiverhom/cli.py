@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .algebra import verify_convex_isos
 from .errors import InputError, InvariantViolation
@@ -108,9 +109,7 @@ def _cmd_components(args) -> int:
 def _cmd_algebra(args) -> int:
     bundle = _load(args)
     alg = _require_algebra(bundle)
-    by_len: dict[int, int] = {}
-    for el in alg.elements:
-        by_len[el.length] = by_len.get(el.length, 0) + 1
+    by_len = Counter(el.length for el in alg.elements)
     out = [
         f"field {alg.field.name}",
         f"dim {alg.dim}",

@@ -358,7 +358,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         for root in _parse_tree(text):
             if root.keyword not in ("quiver", "ideal", "module", "subquiver"):

@@ -20,7 +20,8 @@ and kernels computed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
@@ -656,69 +657,64 @@ class DecompositionNode:
     t: int = 0
     block: Block | None = None
     eprime_e_dim: int = 0
-    child: "DecompositionNode | None" = None
 
 
 @dataclass(frozen=True)
 class DecompositionTree:
-    root: DecompositionNode
-    blocks: tuple[Block, ...]
-    splits: int
+    """The stages of a decomposition: the splits, root first, then the acyclic leaf."""
+
+    nodes: tuple[DecompositionNode, ...]
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(node.block for node in self.nodes[:-1])
+
+    @property
+    def splits(self) -> int:
+        return len(self.nodes) - 1
 
     def render(self) -> str:
-        lines: list[str] = []
-        node = self.root
-        depth = 0
-        while node is not None:
-            pad = "  " * depth
-            if node.kind == "acyclic":
-                lines.append(f"{pad}acyclic vertices={','.join(node.vertices) or '-'}")
-                node = None
-            else:
-                b = node.block
-                lines.append(
-                    f"{pad}split vertices={','.join(node.vertices)} "
-                    f"heart={','.join(node.heart_vertices)} t={node.t} "
-                    f"block={','.join(b.vertices)} block_dim={b.dim} "
-                    f"simple_cycle={'yes' if b.simple_cycle else 'no'} "
-                    f"eprime_e={node.eprime_e_dim}"
+        out = []
+        for depth, node in enumerate(self.nodes):
+            out.append(f"{'  ' * depth}{node.kind} vertices={','.join(node.vertices) or '-'}")
+            if b := node.block:
+                out[-1] += (
+                    f" heart={','.join(node.heart_vertices)} t={node.t} block={','.join(b.vertices)}"
+                    f" block_dim={b.dim} simple_cycle={'yes' if b.simple_cycle else 'no'} eprime_e={node.eprime_e_dim}"
                 )
-                node = node.child
-                depth += 1
-        return "\n".join(lines) + "\n"
+        return "\n".join(out) + "\n"
 
 
 def decompose(alg: FiniteDimAlgebra) -> DecompositionTree:
     """Peel path-connected blocks off the heart of a presented algebra.
 
-    Each stage restricts the algebra to its homological heart, picks a source
-    component of the heart's condensation, verifies the vanishing corner that
-    makes the split triangular, emits the block, and goes on with the algebra
-    of the rest.  A stage without nontrivial components is the acyclic leaf;
-    the nodes are linked from it up, so no stage recurses.
+    Each stage takes the heart H of what is left, emits a source component S
+    of H's condensation as a block and goes on with H minus S, until no cycle
+    is left.  Every stage and heart is convex in alg's quiver (H is a convex
+    closure, no arrow enters S from H minus S, and convexity is transitive),
+    so it holds every path of alg between its vertices: its restricted algebra
+    has alg's count of basis elements s -> t, and both corners, eAe and the
+    vanishing e'Ae, are read off one count of alg's basis by its ends.
     """
     _require_presented(alg, "decompose")
-    splits = []  # each split node without its child, root first
-    while (q := alg.quiver).components().nontrivial_count:
+    q = alg.quiver
+    into: dict[str, Counter] = {v: Counter() for v in q.vertices}  # into[t][s]: basis elements s -> t
+    for el in () if q.is_acyclic else alg.elements:  # an acyclic algebra builds no span
+        into[el.target][el.source] += 1
+    nodes = []
+    while not q.is_acyclic:
         hp = q.homological_heart()
-        heart_alg = restricted_algebra(alg, hp.heart)
-        hq = heart_alg.quiver
-        hrep = hq.components()
-        source = hrep.components[0]
-        if not hrep.nontrivial_flags[0]:
+        hq = hp.heart.as_quiver()
+        source = hq.scc_list[0]
+        arrows = hq.full_subquiver(source).arrows  # a simple cycle iff as many as its vertices
+        if not arrows:
             raise InvariantViolation("heart condensation source is a trivial component")
-        sub = hq.full_subquiver(source)
-        tb = triangular_blocks(heart_alg, sub)
-        if tb.dim_eprime_e != 0:
+        ends = [(s, c) for t in source for s, c in into[t].items()]
+        rest = hp.heart.vertex_set - source
+        if eprime_e := sum(c for s, c in ends if s in rest):
             raise InvariantViolation("claimed source block admits incoming paths")
-        # the corner eAe is spanned by the basis elements with both ends in e; the
-        # source, a nontrivial component of hq, is a simple cycle iff |arrows| = |vertices|
-        block = Block(hq.sort_vertices(source), tb.dim_ee, len(sub.arrows) == len(source))
-        splits.append(
-            DecompositionNode("split", tuple(q.vertices), tuple(hp.heart.vertices), hp.t, block, tb.dim_eprime_e)
-        )
-        alg = restricted_algebra(heart_alg, hq.full_subquiver(frozenset(hp.heart.vertex_set) - source))
-    node = DecompositionNode("acyclic", tuple(q.vertices))
-    for split in reversed(splits):
-        node = replace(split, child=node)
-    return DecompositionTree(node, tuple(split.block for split in splits), len(splits))
+        block = Block(hq.sort_vertices(source), sum(c for s, c in ends if s in source), len(arrows) == len(source))
+        nodes.append(DecompositionNode("split", q.vertices, hq.vertices, hp.t, block, eprime_e))
+        q = hq.full_subquiver(rest).as_quiver()
+    nodes.append(DecompositionNode("acyclic", q.vertices))
+    return DecompositionTree(tuple(nodes))

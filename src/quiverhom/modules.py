@@ -36,7 +36,7 @@ from itertools import repeat
 from . import linalg
 from .algebra import MAX_WORK, FiniteDimAlgebra, _require_presented, _require_subquiver, opposite_algebra
 from .errors import DanglingIdError, InputError, ModuleValidationError
-from .quiver import BoundarySplit, FullSubquiver
+from .quiver import BoundarySplit, FullSubquiver, Quiver
 
 
 def _checked_copy(rows: list[list], F, where: str) -> list[list]:
@@ -671,17 +671,9 @@ def inflate(m: Representation, big: FiniteDimAlgebra) -> Representation:
     convex subquiver this is the pullback along the canonical surjection.
     """
     _require_presented(big)
-    small_q = m.algebra.quiver
-    big_q = big.quiver
-    for v in small_q.vertices:
-        if v not in big_q.vertex_index:
-            raise DanglingIdError(f"vertex {v!r} missing from the ambient quiver")
-    dims = {v: m.dims.get(v, 0) for v in big_q.vertices}
-    mats = {}
-    for a in big_q.arrows:
-        if a.name in small_q.arrow_by_name:
-            mats[a.name] = m.mats[a.name]
-    return Representation(big, dims, mats)
+    _require_full_subquiver(m.algebra.quiver, big.quiver)
+    dims = {v: m.dims.get(v, 0) for v in big.quiver.vertices}
+    return Representation(big, dims, {a.name: m.mats[a.name] for a in m.algebra.quiver.arrows})
 
 
 def restrict(m: Representation, small: FiniteDimAlgebra) -> Representation:
@@ -693,12 +685,24 @@ def restrict(m: Representation, small: FiniteDimAlgebra) -> Representation:
     """
     _require_presented(small)
     small_q = small.quiver
+    _require_full_subquiver(small_q, m.algebra.quiver)
     for v in m.support:
         if v not in small_q.vertex_index:
             raise InputError(f"module has support at {v!r} outside the subquiver")
     dims = {v: m.dims[v] for v in small_q.vertices}
-    mats = {a.name: m.mats[a.name] for a in small_q.arrows}
-    return Representation(small, dims, mats)
+    return Representation(small, dims, {a.name: m.mats[a.name] for a in small_q.arrows})
+
+
+def _require_full_subquiver(small: Quiver, big: Quiver) -> None:
+    """Refuse unless small is the full subquiver of big on its vertices, under the same names."""
+    for v in small.vertices:
+        if v not in big.vertex_index:
+            raise DanglingIdError(f"vertex {v!r} missing from the ambient quiver")
+    inside = small.vertex_index
+    for a in small.arrows + big.arrows:
+        if a.source in inside and a.target in inside:
+            if not small.arrow_by_name.get(a.name) == a == big.arrow_by_name.get(a.name):
+                raise InputError(f"arrow {a.name!r} is not the same arrow in the subquiver and the ambient quiver")
 
 
 def left_module_over_opposite(quotient: FiniteDimAlgebra) -> Representation:

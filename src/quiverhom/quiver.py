@@ -376,10 +376,10 @@ class ComponentsReport:
         return sum(1 for f in self.nontrivial_flags if f)
 
 
-def _collection(vs):
-    """vs, once it is not a string, which names one vertex, not a set of its characters."""
+def _collection(vs, what: str = "a vertex set is a collection of vertex ids"):
+    """vs, once it is not a string, which names one id, not a collection of its characters."""
     if isinstance(vs, str):
-        raise InputError(f"a vertex set is a collection of vertex ids, not the string {vs!r}")
+        raise InputError(f"{what}, not the string {vs!r}")
     return vs
 
 

@@ -192,16 +192,14 @@ def test_criterion_decomposition(stamp):
         tree = decompose(build_algebra(q3, i3, QQ))
         assert tree.splits == 2
         assert len(tree.blocks) == 2
-        node = tree.root
-        while node.kind == "split":
-            assert node.eprime_e_dim == 0
-            node = node.child
-        assert node.kind == "acyclic"
+        *splits, leaf = tree.nodes
+        assert all(node.kind == "split" and node.eprime_e_dim == 0 for node in splits)
+        assert leaf.kind == "acyclic"
         nontrivial = q3.components().nontrivial_count
         assert tree.splits == nontrivial
         q1, i1 = _line()
         line_tree = decompose(build_algebra(q1, i1, QQ))
-        assert line_tree.root.kind == "acyclic" and line_tree.splits == 0
+        assert line_tree.nodes[0].kind == "acyclic" and line_tree.splits == 0
         assert time.perf_counter() - t0 < 1.0
 
     _check(stamp, "decomposition-blocks", body)

@@ -348,6 +348,18 @@ def test_relation_validation_errors(cycle_tail_quiver):
         build_algebra(cycle_tail_quiver, non_composable, QQ)
 
 
+def test_a_relation_path_given_as_a_string_is_refused():
+    # read as its characters, "ab" would be the path a*b and "a1a2" would name arrow a
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("a1", "1", "2"), ("a2", "2", "3")])
+    for word in ("ab", "a1a2"):
+        message = f"^a relation path is a sequence of arrow names, not the string '{word}'$"
+        with pytest.raises(InputError, match=message):
+            IdealSpec.monomial([word], 3)
+        with pytest.raises(InputError, match=message):
+            build_algebra(q, IdealSpec((((1, word),),), 3), QQ)
+    assert build_algebra(q, IdealSpec.monomial([("a", "b")], 3), QQ).dim == 10
+
+
 def test_corner_quotient_restricted_agree_on_convex(cycle_tail_quiver, cycle_tail_ideal):
     sub = cycle_tail_quiver.full_subquiver({"1", "2"})
     report = verify_convex_isos(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)

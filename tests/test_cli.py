@@ -209,6 +209,14 @@ def test_missing_file_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_workspace_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qh"
+    bad.write_bytes(b"quiver\n  vertices 1\xff\n")
+    assert cli.main(["heart", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}" in err and "utf-8" in err
+
+
 def test_unknown_subquiver_vertex_is_input_error(ws, capsys):
     assert cli.main(["convex", ws, "--subquiver", "1,99"]) == 2
     assert "99" in capsys.readouterr().err

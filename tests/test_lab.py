@@ -23,6 +23,7 @@ import quiverhom.lab as lab
 import quiverhom.modules as modules
 from quiverhom import (
     build_algebra,
+    DecompositionNode,
     DecompositionTree,
     IdealSpec,
     InputError,
@@ -193,7 +194,7 @@ def test_decompose_line_is_acyclic_leaf(line_quiver, line_ideal):
     assert isinstance(tree, DecompositionTree)
     assert tree.splits == 0
     assert tree.blocks == ()
-    assert tree.root.kind == "acyclic"
+    assert [node.kind for node in tree.nodes] == ["acyclic"]
     text = tree.render()
     assert "acyclic" in text and "split" not in text
 
@@ -206,9 +207,8 @@ def test_decompose_cycle_tail(cycle_tail_quiver, cycle_tail_ideal):
     assert block.vertices == ("1", "2")
     assert block.dim == 4
     assert block.simple_cycle
-    assert tree.root.kind == "split"
-    assert tree.root.eprime_e_dim == 0
-    assert tree.root.child is not None and tree.root.child.kind == "acyclic"
+    assert [node.kind for node in tree.nodes] == ["split", "acyclic"]
+    assert tree.nodes[0].eprime_e_dim == 0
     text = tree.render()
     assert "simple_cycle=yes" in text and "eprime_e=0" in text
 
@@ -219,12 +219,7 @@ def test_decompose_two_cycles(two_cycles_quiver, two_cycles_ideal):
     assert [b.vertices for b in tree.blocks] == [("1", "2"), ("3", "4")]
     assert all(b.dim == 4 and b.simple_cycle for b in tree.blocks)
     # final stage is an acyclic leaf on whatever remains
-    node = tree.root
-    depth = 0
-    while node.kind == "split":
-        node = node.child
-        depth += 1
-    assert depth == 2 and node.kind == "acyclic"
+    assert [node.kind for node in tree.nodes] == ["split", "split", "acyclic"]
 
 
 def test_decompose_tells_simple_cycle_blocks_from_others():
@@ -242,7 +237,7 @@ def test_decompose_where_a_vertex_id_holds_a_plus():
     q = Quiver.build(["1", "2", "1+2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "2", "1+2")])
     tree = decompose(build_algebra(q, IdealSpec.zero(3), QQ))
     assert tree.blocks == (Block(("1", "2"), 6, True),)
-    assert tree.root.heart_vertices == ("1", "2") and tree.root.child.kind == "acyclic"
+    assert tree.nodes[0].heart_vertices == ("1", "2") and tree.nodes[1].kind == "acyclic"
 
 
 def test_decompose_over_prime_field(two_cycles_quiver, two_cycles_ideal):
@@ -266,19 +261,66 @@ def test_decompose_of_a_table_backed_algebra_is_input_error(cycle_tail_algebra):
 
 
 def test_decompose_a_long_chain_of_blocks_takes_no_stack_per_block():
-    """120 loops along a line are 120 blocks; the decomposition runs with the
-    recursion limit 60 frames above the caller's depth."""
-    vs = [str(i) for i in range(1, 121)]
+    """400 loops along a line are 400 blocks; the decomposition, and the repr,
+    == and hash of its tree and of its root, run with the recursion limit 60
+    frames above the caller's depth."""
+    vs = [str(i) for i in range(1, 401)]
     arrows = [(f"l{v}", v, v) for v in vs] + [(f"a{v}", v, w) for v, w in zip(vs, vs[1:])]
     alg = build_algebra(Quiver.build(vs, arrows), IdealSpec.zero(2), QQ)
+    twin = decompose(alg)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
         tree = decompose(alg)
+        for x, y in ((tree, twin), (tree.nodes[0], twin.nodes[0])):
+            assert x is not y and x == y and hash(x) == hash(y) and repr(x) == repr(y)
     finally:
         sys.setrecursionlimit(limit)
-    assert tree.splits == 120 and tree.blocks == tuple(Block((v,), 2, True) for v in vs)
-    assert tree.render().splitlines()[-1] == "  " * 120 + "acyclic vertices=-"
+    assert tree.splits == 400 and tree.blocks == tuple(Block((v,), 2, True) for v in vs)
+    assert tree.render().splitlines()[-1] == "  " * 400 + "acyclic vertices=-"
+
+
+def _decompose_stage_by_stage(alg):
+    """The nodes and rendered text of the decomposition built one algebra per
+    stage: the restricted heart algebra, its triangular blocks at the first
+    component, and the restricted algebra of the rest."""
+    nodes, lines = [], []
+    while not (q := alg.quiver).is_acyclic:
+        hp = q.homological_heart()
+        heart_alg = algebra.restricted_algebra(alg, hp.heart)
+        hq = heart_alg.quiver
+        source = hq.components().components[0]
+        sub = hq.full_subquiver(source)
+        tb = algebra.triangular_blocks(heart_alg, sub)
+        b = Block(hq.sort_vertices(source), tb.dim_ee, len(sub.arrows) == len(source))
+        nodes.append(DecompositionNode("split", q.vertices, hp.heart.vertices, hp.t, b, tb.dim_eprime_e))
+        lines.append(
+            f"{'  ' * len(lines)}split vertices={','.join(q.vertices)} heart={','.join(hp.heart.vertices)} "
+            f"t={hp.t} block={','.join(b.vertices)} block_dim={b.dim} "
+            f"simple_cycle={'yes' if b.simple_cycle else 'no'} eprime_e={tb.dim_eprime_e}"
+        )
+        alg = algebra.restricted_algebra(heart_alg, hq.full_subquiver(hp.heart.vertex_set - source))
+    nodes.append(DecompositionNode("acyclic", q.vertices))
+    lines.append(f"{'  ' * len(lines)}acyclic vertices={','.join(q.vertices) or '-'}")
+    return nodes, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(5)], ids=["QQ", "GF2", "GF5"])
+def test_decompose_matches_an_algebra_per_stage(F):
+    """Drawn quivers with loops added at half or more of their vertices, so
+    that most cases peel 3 or more blocks; every node and the rendered text
+    agree with the stage-by-stage construction."""
+    rng = random.Random(40)
+    deep = 0
+    for _ in range(150):
+        q = _gen_quiver(rng, 10, 10)
+        looped = rng.sample(q.vertices, rng.randint(len(q.vertices) // 2, len(q.vertices)))
+        q = Quiver.build(q.vertices, q.arrows + tuple((f"l{v}", v, v) for v in looped))
+        alg = build_algebra(q, _gen_ideal(rng, q, "mixed"), F)
+        tree = decompose(alg)
+        assert (list(tree.nodes), tree.render()) == _decompose_stage_by_stage(alg)
+        deep += tree.splits >= 3
+    assert deep > 75
 
 
 def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):
@@ -295,6 +337,11 @@ def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):
     pair = mock.Mock(wraps=lab.heart_shift_pair)
     monkeypatch.setattr(lab, "verify_convex_isos", isos)
     monkeypatch.setattr(lab, "heart_shift_pair", pair)
+    per_stage = {name: mock.Mock(wraps=getattr(lab, name)) for name in ("restricted_algebra", "triangular_blocks")}
+    for name, wrapped in per_stage.items():
+        monkeypatch.setattr(lab, name, wrapped)
+    per_stage["components"] = mock.Mock(wraps=Quiver.components)
+    monkeypatch.setattr(Quiver, "components", lambda q: per_stage["components"](q))
     ws = tmp_path / "cycle_tail.qh"
     ws.write_text(CYCLE_TAIL)
     spec = InstanceSpec(seed=1)
@@ -311,12 +358,17 @@ def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):
     empty = {}
     for name, run in runs.items():
         built.clear()
+        for wrapped in per_stage.values():
+            wrapped.reset_mock()
         assert not run(), name
         assert len(set(built)) == len(built) > 0, name
         empty[name] = any(not q.vertices for q, _, _ in built)
+        if name == "cli decompose":
+            # decompose counts the workspace algebra's basis and builds no algebra per stage
+            assert len(built) == 1 and built[0][0].vertices == ("1", "2", "3", "4")
+            assert not any(wrapped.called for wrapped in per_stage.values())
     assert isos.call_count == 1 and pair.call_count == 2
-    # the acyclic case reads the algebra of its empty heart; decompose builds the algebra
-    # of what is left of {1, 2}, an acyclic leaf that reads nothing, so no span is built
+    # the acyclic case reads the algebra of its empty heart
     assert empty == {name: name == "acyclic heart" for name in runs}
 
 

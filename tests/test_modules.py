@@ -500,6 +500,35 @@ def test_restrict_inflate_roundtrip(cycle_tail_quiver, cycle_tail_ideal, cycle_t
         restrict(p1, gamma)  # support sticks out at 3 and 4
 
 
+def test_inflate_and_restrict_refuse_a_quiver_that_is_no_full_subquiver():
+    # on 1 -> 2, an arrow z of the module's quiver that the ambient quiver lacks was
+    # dropped by inflate; a vertex or an arrow restrict could not find was a KeyError
+    def algebra_on(vertices, arrows):
+        return build_algebra(Quiver.build(vertices, arrows), IdealSpec.zero(2), QQ)
+
+    big = algebra_on(["1", "2"], [("a", "1", "2")])
+    small = algebra_on(["1", "2"], [("z", "1", "2")])
+    turned = algebra_on(["1", "2"], [("a", "2", "1")])
+    bare = algebra_on(["1", "2"], [])
+    m = Representation(small, {"1": 1, "2": 1}, {"z": [[QQ.one]]})
+    s1 = standard_module(big, "simple", "1")
+    cases = [
+        (lambda: inflate(m, big), InputError, "arrow 'z' is not the same arrow in the subquiver and the ambient quiver"),
+        (lambda: inflate(standard_module(bare, "simple", "1"), big), InputError,
+         "arrow 'a' is not the same arrow in the subquiver and the ambient quiver"),
+        (lambda: restrict(s1, small), InputError, "arrow 'z' is not the same arrow in the subquiver and the ambient quiver"),
+        (lambda: restrict(s1, turned), InputError, "arrow 'a' is not the same arrow in the subquiver and the ambient quiver"),
+        (lambda: restrict(s1, algebra_on(["1", "9"], [])), DanglingIdError, "vertex '9' missing from the ambient quiver"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(InputError) as caught:
+            call()
+        assert type(caught.value) is error and str(caught.value) == message
+    # the full subquiver on {1} passes both ways
+    one = algebra_on(["1"], [])
+    assert inflate(restrict(s1, one), big).equal_to(s1)
+
+
 def test_quotient_algebra_as_left_module(cycle_tail_algebra, line_algebra):
     quo = quotient_by_idempotent(cycle_tail_algebra, cycle_tail_algebra.quiver.full_subquiver({"1", "2"}))
     gamma_left = left_module_over_opposite(quo)

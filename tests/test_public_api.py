@@ -116,8 +116,8 @@ SIGNATURES = {
     "CompositionError": None,
     "ConvexIsoReport": ("convex", "corner_dim", "quotient_dim", "restricted_dim", "entries"),
     "DanglingIdError": None,
-    "DecompositionNode": ("kind", "vertices", "heart_vertices", "t", "block", "eprime_e_dim", "child"),
-    "DecompositionTree": ("root", "blocks", "splits"),
+    "DecompositionNode": ("kind", "vertices", "heart_vertices", "t", "block", "eprime_e_dim"),
+    "DecompositionTree": ("nodes",),
     "DimBound": ("kind", "value"),
     "ExtTable": ("dims", "cutoff", "side"),
     "FiniteDimAlgebra": ("field", "vertices", "elements", "table", "quiver", "ideal", "dim_floor"),
