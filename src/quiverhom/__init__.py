@@ -85,7 +85,6 @@ from .modules import (
     hom_basis,
     inflate,
     kernel_of_map,
-    largest_submodule_supported,
     left_module_over_opposite,
     quotient_by_submodule,
     restrict,

@@ -73,11 +73,13 @@ class IdealSpec:
         require_int(self.truncation, "truncation")
         if self.truncation < 2:
             raise InputError(f"truncation must be >= 2, got {self.truncation}")
+        # kept as tuples however given, so equal specs compare equal and hash
+        rels = tuple(tuple((c, tuple(_collection(p, _PATH))) for c, p in rel) for rel in self.relations)
+        object.__setattr__(self, "relations", rels)
 
     @staticmethod
     def monomial(paths, truncation: int) -> "IdealSpec":
-        rels = tuple(((1, tuple(_collection(p, _PATH))),) for p in paths)
-        return IdealSpec(rels, truncation)
+        return IdealSpec(tuple(((1, p),) for p in paths), truncation)
 
     @staticmethod
     def zero(truncation: int) -> "IdealSpec":
@@ -89,7 +91,7 @@ class IdealSpec:
         for rel in self.relations:
             groups: dict[tuple[str, str], list] = {}
             for coeff, arrows in rel:
-                if len(_collection(arrows, _PATH)) < 2:
+                if len(arrows) < 2:
                     raise InputError(f"relation path {arrows!r} has length < 2")
                 for name in arrows:
                     if name not in q.arrow_by_name:
@@ -100,7 +102,7 @@ class IdealSpec:
                         raise CompositionError(f"arrows {x!r} and {y!r} do not compose")
                 src = q.arrow_by_name[arrows[0]].source
                 tgt = q.arrow_by_name[arrows[-1]].target
-                groups.setdefault((src, tgt), []).append((coeff, tuple(arrows)))
+                groups.setdefault((src, tgt), []).append((coeff, arrows))
             for (src, tgt), terms in groups.items():
                 out.append((src, tgt, terms))
         return out

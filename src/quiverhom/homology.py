@@ -10,18 +10,19 @@ minimality certificate, dense kernel, term, cover map and syzygy inclusion
 are built when first read, which the syzygy walk, the Ext tables and the
 gates never do: only ``resolution`` reads the certificate.  Its work follows
 the term and the module, not the quiver: it eliminates only where the
-radical has rows or the term has rows over a nonzero component, and builds
-syzygy arrow matrices only out of vertices with kernel rows.  M is
+term has rows and the module a radical, the top deciding the rest, and
+builds syzygy arrow matrices only out of vertices with kernel rows.  M is
 projective iff its cover P(M) -> M is an isomorphism, i.e. dim P(M) = dim M,
 which ``is_projective_module`` reads off the top with no step.
 One ``SyzygyTable`` per case or command keys modules by content (algebra,
-dims and matrices); every ``SyzygyChain`` minted from it reads the same
-nodes, so no content is stepped twice, and a syzygy equal to one already on
-its chain closes the chain into a lasso.  Equal modules are isomorphic, so a
-nonzero repeat certifies an infinite projective dimension, reported as
-``Infinite`` by ``proj_dim``, ``inj_dim`` and ``gl_dim``, which looks past a
-simple that only reaches its cutoff.  Isomorphic syzygies of different
-content go unnoticed, so a lasso may be missed but is never false.  Terms
+dims and, for a dimension vector two modules share, matrices); every
+``SyzygyChain`` minted from it reads the same nodes, so no content is
+stepped twice, and a syzygy equal to one already on its chain closes the
+chain into a lasso.  Equal modules are isomorphic, so a nonzero repeat
+certifies an infinite projective dimension, reported as ``Infinite`` by
+``proj_dim``, ``inj_dim`` and ``gl_dim``, which looks past a simple that
+only reaches its cutoff.  Isomorphic syzygies of different content go
+unnoticed, so a lasso may be missed but is never false.  Terms
 wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and ``check_cutoff``
 refuses a cutoff not an int, below 0 or past ``MAX_CUTOFF``.  A prefix's
 minimality comes from its cover steps; its exactness is recomputed from
@@ -181,9 +182,8 @@ def cover_width(m: Representation) -> int:
     return sum(len(lifts[v]) * dims[v] for v in m.algebra.vertices)
 
 
-def _refuse_wide_cover(m: Representation) -> None:
-    """Refuse a module whose projective cover is wider than MAX_TERM_WIDTH."""
-    width = cover_width(m)
+def _refuse_wide_cover(width: int) -> None:
+    """Refuse a projective cover wider than MAX_TERM_WIDTH."""
     if width > MAX_TERM_WIDTH:
         raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
 
@@ -197,22 +197,24 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     At a vertex w the cover surjects iff its rows there have rank dim M_w.
     Where M_w is zero the kernel is the whole term component, its rows unit
     pairs and its coordinates the term positions (a vertex with no term
-    rows either is skipped); where there are dim M_w rows, one rank-only
-    rref decides it, and full rank leaves the kernel zero; only where there
-    are more does a RowSpace eliminate, its kernel pivots the coordinates.
-    An arrow out of a vertex with kernel rows acts on their pairs through
-    the product table, read only at the coordinates at its target; other
-    arrows get the empty matrix.  Images are summed as plain ints or
-    Fractions, and over GF(p) each row is reduced once, at the end.  The
-    step's minimality certificate is computed only when read.
+    rows either is skipped).  Where M_w has no radical, every arrow into w
+    acts by zero, so the rows are the units at w's generators (the
+    identity) and zero rows, the kernel's pivots, with no rank taken.
+    Elsewhere dim M_w rows take one rank-only rref, full rank leaving the
+    kernel zero, and only more rows a RowSpace, whose kernel pivots are the
+    coordinates.  An arrow out of a vertex with kernel rows acts on their
+    pairs through the product table, read only at the coordinates at its
+    target; other arrows get the empty matrix.  Images are summed as plain
+    ints or Fractions, and over GF(p) each row is reduced once, at the end.
+    The step's minimality certificate is computed only when read.
     """
     alg = m.algebra
     q, F = alg.quiver, alg.field
     lifts = m.top_lifts()
     mults = dict(zip(lifts, map(len, lifts.values())))
-    _refuse_wide_cover(m)
-    info = term_info(alg, mults)
     layout = alg.projective_layout
+    _refuse_wide_cover(sum(n * layout.dims[v] for v, n in mults.items()))
+    info = term_info(alg, mults)
     prefix = layout.prefix
     cover_rows: dict[str, list[list]] = {}
     for v, c in info.generators:
@@ -242,15 +244,21 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
             if rows:  # the whole term component, whose positions are the coordinates
                 kernel[w], coords[w] = [[(c, F.one)] for c in range(len(rows))], range(len(rows))
             continue
-        if len(rows) > d:
-            space = linalg.RowSpace(rows, d, F)
-            kernel[w], rank, coords[w] = space.kernel_entries, space.rank, [None] * len(rows)
-            for r, c in enumerate(space.kernel_pivots):
+        if len(lifts[w]) == d:  # no radical: the kernel is the zero rows
+            pivots = [c for c, row in enumerate(rows) if not any(row)]
+            entries = [[(c, F.one)] for c in pivots]
+        else:  # a radical at w: the rows must have rank d
+            if len(rows) > d:
+                space = linalg.RowSpace(rows, d, F)
+                entries, rank, pivots = space.kernel_entries, space.rank, space.kernel_pivots
+            else:
+                pivots, rank = (), linalg.rank(rows, d, F) if rows else 0
+            if rank != d:
+                raise InvariantViolation(f"projective cover fails to surject at {w!r}")
+        if pivots:
+            kernel[w], coords[w] = entries, [None] * len(rows)
+            for r, c in enumerate(pivots):
                 coords[w][c] = r
-        else:
-            rank = linalg.rank(rows, d, F) if rows else 0
-        if rank != d:
-            raise InvariantViolation(f"projective cover fails to surject at {w!r}")
     table, local, p = alg.table, layout.local, None if isinstance(F, Rationals) else F.p
     mats: dict[str, list[list]] = {name: [] for name in q.arrow_by_name}
     for v, rows in kernel.items():
@@ -272,6 +280,12 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     return CoverStep(mults, info, syz, m, cover_rows, kernel)
 
 
+def _entries(module: Representation) -> tuple:
+    """The matrix entries, which the dims shape, in one flat tuple: a tuple
+    per row would, once its table is dropped, stay in CPython's free lists."""
+    return tuple(chain.from_iterable(chain.from_iterable(module.mats.values())))
+
+
 class SyzygyTable:
     """The syzygies read in one case or command, one node per module content.
 
@@ -285,25 +299,23 @@ class SyzygyTable:
 
     def __init__(self):
         self.modules: list[Representation] = []
-        self.index: dict[tuple, int] = {}
+        self.index: dict[tuple, int | dict[tuple, int]] = {}
         self.steps: dict[int, CoverStep] = {}
         self.succ: dict[int, int] = {}
         self.duals: dict[int, int] = {}
 
     def node(self, module: Representation) -> int:
-        """The node of the module's content, added when new."""
-        # the dims fix each matrix's shape, so the entries go in one flat tuple:
-        # a tuple per row would, once the table is dropped, stay in CPython's
-        # tuple free lists
-        content = (
-            module.algebra,
-            tuple(module.dims.values()),
-            tuple(chain.from_iterable(chain.from_iterable(module.mats.values()))),
-        )
-        i = self.index.setdefault(content, len(self.modules))
-        if i == len(self.modules):
+        """The node of the module's content, added when new: indexed by
+        algebra and dims, and once a second module has those, by entries."""
+        key, new = (module.algebra, tuple(module.dims.values())), len(self.modules)
+        found = self.index.setdefault(key, new)
+        if found != new:
+            if isinstance(found, int):
+                found = self.index[key] = {_entries(self.modules[found]): found}
+            found = found.setdefault(_entries(module), new)
+        if found == new:
             self.modules.append(module)
-        return i
+        return found
 
     def chain(self, module: Representation) -> SyzygyChain:
         return SyzygyChain(self, self.node(module))
@@ -507,7 +519,9 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     The generators of P_i are the top lifts of Omega^i, so P_(k+1) is read
     off the top of Omega^(k+1) and that module takes no cover step.  The
     generator at lift j of Omega^i_u maps in P_(i-1) to row j of the
-    inclusion of Omega^i at u, read as that kernel row's pairs.
+    inclusion of Omega^i at u, read as that kernel row's pairs.  Entries
+    of the complex are summed as plain numbers: only ``linalg.rank`` reads
+    them, and over GF(p) it reduces an entry out of range first.
 
     When every arrow of N acts by zero (N.J = 0), the complex is not built:
     the resolution is minimal, so each differential maps P_i into the
@@ -519,7 +533,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     table, vertices = m.table, n.algebra.vertices
     if not any(map(any, chain.from_iterable(n.mats.values()))):
         path = list(islice(table.walk(m.node), k + 1))
-        _refuse_wide_cover(table.modules[path[-1]])  # as its cover step would
+        _refuse_wide_cover(cover_width(table.modules[path[-1]]))  # as its cover step would
         support = [(v, d) for v, d in n.dims.items() if d]
         tops = (table.modules[i].top_lifts() for i in path)
         return tuple(sum(len(lifts[v]) * d for v, d in support) for lifts in tops)
@@ -557,7 +571,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
                     row = delta[row0 + a]
                     for b, x in enumerate(mrow):
                         if x:
-                            row[col0 + b] = F.add(row[col0 + b], F.mul(coeff, x))
+                            row[col0 + b] += coeff * x
         ranks.append(linalg.rank(delta, ncols, F))
     dims = [hom_dims[0] - ranks[1]]
     for i in range(1, k + 1):
@@ -673,7 +687,7 @@ def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> Tran
         target = r_quots[i]
         rad_rows = radical_rows(target)
         for v in g_vertices:
-            echelon, pivots = linalg.rref(rad_rows[v], target.dims[v], F)
+            echelon, pivots = linalg.rref(rad_rows.get(v, []), target.dims[v], F)
             for row in r_diffs[i].blocks[v]:
                 if any(linalg.reduce_mod_rowspace(row, echelon, pivots, F)):
                     minimal = False

@@ -17,8 +17,9 @@ Its kernel rows are kept as their nonzero (column, entry) pairs, dense on read.
 
 ``rref`` is one Gauss-Jordan loop for both fields, which differ in three
 places, each chosen per input or per pivot, never per row.  Input: over
-GF(p) entries are ints in [0, p), and a row with one outside is reduced
-first; over QQ they are taken as given, ints or Fractions.  Pivot scaling:
+GF(p) entries are ints, and a row with one outside [0, p) is reduced first,
+so sums of products may come in unreduced, as the Ext tables' Hom complex
+does; over QQ they are taken as given, ints or Fractions.  Pivot scaling:
 a row not led by 1 is multiplied by the pivot's inverse, over QQ
 ``Fraction(1) / pivot``, so no int division makes a float.  Row update: over
 GF(p) each row the pivot row clears is written anew; over QQ it is copied

@@ -165,7 +165,7 @@ class Representation:
             rad_rows = radical_rows(self)
             self._top_lifts = {}
             for v, d in self.dims.items():
-                rows = rad_rows[v] if d else ()
+                rows = rad_rows.get(v, ())
                 if len(rows) > 1:
                     pivots = set(linalg.rref(rows, d, self.field)[1])
                     self._top_lifts[v] = [j for j in range(d) if j not in pivots]
@@ -508,33 +508,13 @@ def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return _embed_echelon(f.source, echelons)
 
 
-def largest_submodule_supported(rep: Representation, allowed) -> dict[str, list[list]]:
-    """Largest submodule whose support lies inside the allowed vertex set.
-
-    At an allowed vertex v it is the common left kernel of the basis elements
-    x : v -> w with w outside, and 0 elsewhere.  This is arrow-stable since
-    x·a for an arrow a lies in the span of basis elements that end where a
-    ends: for m in the kernel at v and y ending outside, (m·a)·y = m·(a·y) = 0.
-    A submodule supported inside has m·x = 0 for all such x, so none is larger.
-    """
-    F = rep.field
-    allowed = rep.algebra.quiver.check_vertices(allowed)
-    spaces: dict[str, list[list]] = {v: [] for v in rep.algebra.quiver.vertices}
-    outward = {v: [] for v in spaces if v in allowed}
-    for i, el in enumerate(rep.algebra.elements):
-        if el.source in outward and el.target not in allowed and rep.dims[el.target]:
-            outward[el.source].append(rep.element_matrix(i))
-    for v, mats in outward.items():
-        stacked = [sum((m[r] for m in mats), []) for r in range(rep.dims[v])]
-        spaces[v] = linalg.RowSpace(stacked, len(stacked[0]) if stacked else 0, F).kernel
-    return spaces
-
-
 def radical_rows(m: Representation) -> dict[str, list[list]]:
-    """Rows spanning the radical MJ at each vertex: all arrow images there."""
-    rows: dict[str, list[list]] = {v: [] for v in m.algebra.quiver.vertices}
+    """Rows spanning the radical MJ at each vertex where it may be nonzero:
+    the images of the arrows whose source and target are nonzero there."""
+    rows: dict[str, list[list]] = {}
     for a in m.algebra.quiver.arrows:
-        rows[a.target].extend(m.mats[a.name])
+        if m.dims[a.source] and m.dims[a.target]:
+            rows.setdefault(a.target, []).extend(m.mats[a.name])
     return rows
 
 

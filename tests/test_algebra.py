@@ -360,6 +360,15 @@ def test_a_relation_path_given_as_a_string_is_refused():
     assert build_algebra(q, IdealSpec.monomial([("a", "b")], 3), QQ).dim == 10
 
 
+def test_a_relation_path_given_as_a_list_is_kept_as_a_tuple():
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    listed = IdealSpec([[(1, ["a", "b"])]], 3)
+    tupled = IdealSpec((((1, ("a", "b")),),), 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert repr(listed) == repr(tupled) == "IdealSpec(relations=(((1, ('a', 'b')),),), truncation=3)"
+    assert build_algebra(q, listed, QQ).dim == build_algebra(q, tupled, QQ).dim == 5
+
+
 def test_corner_quotient_restricted_agree_on_convex(cycle_tail_quiver, cycle_tail_ideal):
     sub = cycle_tail_quiver.full_subquiver({"1", "2"})
     report = verify_convex_isos(build_algebra(cycle_tail_quiver, cycle_tail_ideal, QQ), sub)

@@ -340,19 +340,48 @@ def test_a_cover_step_eliminates_only_where_the_term_or_the_radical_is(F, monkey
     gap = gap_module(F)
     calls = counted_eliminations(monkeypatch)
     step = projective_cover_and_syzygy(simple)
-    # rank only at 0 (one row for one dimension), decided without rref; 1..3
-    # have rows and no dimension, so their kernel is every row, taken without
-    # a RowSpace
+    # 0 has no radical, so its one row, the unit, needs no rank; 1..3 have
+    # rows and no dimension, so their kernel is every row, taken without a
+    # RowSpace
     assert calls == []
     assert step.syzygy.dims == {str(v): int(v in (1, 2, 3)) for v in range(7)}
     calls.clear()
     step = projective_cover_and_syzygy(gap)
     # top lifts at 4, the only vertex with radical rows, read its one row's
-    # pivot; the cover at 1 (the unit row) and at 4 (the path 3 -> 4) has one
-    # row, whose rank is decided without rref; at 2 the path 1 -> 2 runs into
-    # a zero component, which is all kernel
-    assert calls == [("RowSpace", 2, 1)]  # at 3: the path 1 -> 3 and the unit row of P_3
+    # pivot; at 4 the cover has one row (the path 3 -> 4), whose rank is
+    # decided without rref; at 2 the path 1 -> 2 runs into a zero component,
+    # which is all kernel; 1 and 3 have no radical, so their rows are the
+    # units at their generators and zero rows, the kernel read off with no
+    # elimination: at 3 the path 1 -> 3 (zero) beside the unit row of P_3
+    assert calls == []
     assert step.syzygy.dims == {"1": 0, "2": 1, "3": 1, "4": 0}
+
+
+def all_top_module(F):
+    """On 1 => 2 -> 3 (arrows a and a2 from 1 to 2, b from 2 to 3) with
+    J^3 = 0: k^2 at each vertex, a and a2 acting by zero and b invertible.
+    M_2 has no radical (d = 2) and its cover has six rows, the units of its
+    two generators after the zero rows of a and a2 from the two at 1; M_3 is
+    all radical, its six rows of rank 2."""
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("a2", "1", "2"), ("b", "2", "3")])
+    alg = build_algebra(q, IdealSpec.zero(3), F)
+    zero, one = F.zero, F.one
+    mats = {"a": [[zero, zero]] * 2, "a2": [[zero, zero]] * 2, "b": [[one, zero], [one, one]]}
+    return Representation(alg, {"1": 2, "2": 2, "3": 2}, mats)
+
+
+@pytest.mark.parametrize("F", [QQ, GF], ids=["QQ", "GF"])
+def test_a_vertex_without_radical_takes_its_kernel_with_no_elimination(F, monkeypatch):
+    m = all_top_module(F)
+    assert m.top_lifts() == {"1": [0, 1], "2": [0, 1], "3": []}
+    calls = counted_eliminations(monkeypatch)
+    step = projective_cover_and_syzygy(m)
+    assert (len(step.cover_rows["2"]), len(step.cover_rows["3"])) == (6, 6)
+    # only the vertex with a radical eliminates; at 2 the zero rows are the kernel
+    assert calls == [("RowSpace", 6, 2)]
+    assert step.kernel_entries["2"] == [[(c, F.one)] for c in range(4)]
+    assert step.syzygy.dims == {"1": 0, "2": 4, "3": 4}
+    assert_chain_matches(m, 4)
 
 
 def test_resolving_the_nakayama_simples_eliminates_pinned_cells(monkeypatch):
@@ -371,8 +400,9 @@ def test_resolving_the_nakayama_simples_eliminates_pinned_cells(monkeypatch):
     for v in alg.vertices:
         resolution(standard_module(alg, "simple", v), 8)
     # each kernel eliminates the d x r reversed transpose of its r x d block,
-    # not the r x (d + r) matrix [rows | I], which made 416 cells
-    assert (len(cells), sum(cells)) == (96, 288)
+    # not the r x (d + r) matrix [rows | I], which made 416 cells; and a
+    # vertex with no radical eliminates nothing, which made (96, 288)
+    assert (len(cells), sum(cells)) == (80, 256)
 
 
 def test_cover_steps_keep_kernel_rows_as_pairs_and_build_dense_rows_only_when_read(monkeypatch):

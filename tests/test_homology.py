@@ -752,3 +752,28 @@ def test_dropped_table_of_two_roots_leaves_no_cyclic_garbage(cycle_tail_algebra)
     assert n.dual.table is table and len(table.modules) > 3
     del table, m, n
     assert gc.collect() == 0
+
+
+def test_syzygy_table_keys_content_only_for_a_repeated_dimension_vector(monkeypatch):
+    # on 1 -> 2: P_1 and S_1 + S_2 share the dimension vector (1, 1) and
+    # differ in their matrix, and S_1, S_2 have vectors of their own
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), IdealSpec.zero(2), QQ)
+    p1 = standard_module(alg, "projective", "1")
+    s1, s2 = (standard_module(alg, "simple", v) for v in ("1", "2"))
+
+    def split():
+        return Representation(alg, {"1": 1, "2": 1}, {"a": [[0]]})
+
+    entries = mock.Mock(wraps=homology._entries)
+    monkeypatch.setattr(homology, "_entries", entries)
+    table = SyzygyTable()
+    assert [table.node(m) for m in (p1, s1, s2)] == [0, 1, 2]
+    # distinct vectors are told apart by their dims alone
+    assert entries.call_count == 0
+    # a second module of P_1's vector takes its own node, once both are keyed by content
+    assert table.node(split()) == 3 and entries.call_count == 2
+    # equal content returns the earlier node, on the vector now keyed
+    copy = Representation(alg, {"1": 1, "2": 1}, {"a": [[1]]})
+    assert (table.node(copy), table.node(split())) == (0, 3)
+    assert len(table.modules) == 4 and table.modules[0] is p1
+    assert entries.call_count == 4

@@ -73,7 +73,6 @@ PUBLIC_NAMES = {
     "inj_dim",
     "is_projective_module",
     "kernel_of_map",
-    "largest_submodule_supported",
     "left_module_over_opposite",
     "load_bundle",
     "opposite_algebra",
@@ -167,7 +166,6 @@ SIGNATURES = {
     "inj_dim": ("m", "cutoff"),
     "is_projective_module": ("m",),
     "kernel_of_map": ("f",),
-    "largest_submodule_supported": ("rep", "allowed"),
     "left_module_over_opposite": ("quotient",),
     "load_bundle": ("paths", "field"),
     "opposite_algebra": ("alg",),

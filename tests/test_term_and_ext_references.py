@@ -162,3 +162,17 @@ def test_terms_and_ext_match_the_references_on_nakayama_simples(F, n, L):
         for t in simples:
             assert_ext_matches(s, t, seen)
     assert seen == {("projective", True), ("injective", True)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ext_matches_the_reference_where_a_hom_complex_entry_cancels_mod_p(p):
+    # on the Kronecker quiver M has k at both vertices and both arrows the
+    # identity, so its first syzygy is spanned by a - b, and each diagonal
+    # entry of the 2 x 2 delta_1 into N = M + M is 1 * 1 + (p - 1) * 1 = p:
+    # summed as plain ints, it is zero only once rref reduces its input
+    F = PrimeField(p)
+    alg = build_algebra(Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), IdealSpec.zero(2), F)
+    m = Representation(alg, {"1": 1, "2": 1}, {"a": [[1]], "b": [[1]]})
+    n = Representation(alg, {"1": 2, "2": 2}, {"a": linalg.identity(2, F), "b": linalg.identity(2, F)})
+    assert ext_dims(m, n, CUTOFF).dims == (2, 2, 0, 0)
+    assert_ext_matches(m, n, set())
