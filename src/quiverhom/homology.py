@@ -182,8 +182,9 @@ def cover_width(m: Representation) -> int:
     return sum(len(lifts[v]) * dims[v] for v in m.algebra.vertices)
 
 
-def _refuse_wide_cover(width: int) -> None:
-    """Refuse a projective cover wider than MAX_TERM_WIDTH."""
+def _refuse_wide_cover(m: Representation) -> None:
+    """Refuse a module whose projective cover is wider than MAX_TERM_WIDTH."""
+    width = cover_width(m)
     if width > MAX_TERM_WIDTH:
         raise InputError(f"projective cover of dim {width} exceeds budget {MAX_TERM_WIDTH}")
 
@@ -212,9 +213,9 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     q, F = alg.quiver, alg.field
     lifts = m.top_lifts()
     mults = dict(zip(lifts, map(len, lifts.values())))
-    layout = alg.projective_layout
-    _refuse_wide_cover(sum(n * layout.dims[v] for v, n in mults.items()))
+    _refuse_wide_cover(m)
     info = term_info(alg, mults)
+    layout = alg.projective_layout
     prefix = layout.prefix
     cover_rows: dict[str, list[list]] = {}
     for v, c in info.generators:
@@ -533,7 +534,7 @@ def _ext_dims_projective(m: SyzygyChain, n: Representation, k: int) -> tuple[int
     table, vertices = m.table, n.algebra.vertices
     if not any(map(any, chain.from_iterable(n.mats.values()))):
         path = list(islice(table.walk(m.node), k + 1))
-        _refuse_wide_cover(cover_width(table.modules[path[-1]]))  # as its cover step would
+        _refuse_wide_cover(table.modules[path[-1]])  # as its cover step would
         support = [(v, d) for v, d in n.dims.items() if d]
         tops = (table.modules[i].top_lifts() for i in path)
         return tuple(sum(len(lifts[v]) * d for v, d in support) for lifts in tops)
@@ -687,7 +688,7 @@ def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> Tran
         target = r_quots[i]
         rad_rows = radical_rows(target)
         for v in g_vertices:
-            echelon, pivots = linalg.rref(rad_rows.get(v, []), target.dims[v], F)
+            echelon, pivots = linalg.rref(rad_rows[v], target.dims[v], F)
             for row in r_diffs[i].blocks[v]:
                 if any(linalg.reduce_mod_rowspace(row, echelon, pivots, F)):
                     minimal = False

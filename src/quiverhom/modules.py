@@ -165,7 +165,7 @@ class Representation:
             rad_rows = radical_rows(self)
             self._top_lifts = {}
             for v, d in self.dims.items():
-                rows = rad_rows.get(v, ())
+                rows = rad_rows[v] if d else ()
                 if len(rows) > 1:
                     pivots = set(linalg.rref(rows, d, self.field)[1])
                     self._top_lifts[v] = [j for j in range(d) if j not in pivots]
@@ -509,12 +509,10 @@ def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 
 def radical_rows(m: Representation) -> dict[str, list[list]]:
-    """Rows spanning the radical MJ at each vertex where it may be nonzero:
-    the images of the arrows whose source and target are nonzero there."""
-    rows: dict[str, list[list]] = {}
+    """Rows spanning the radical MJ at each vertex: all arrow images there."""
+    rows: dict[str, list[list]] = {v: [] for v in m.algebra.quiver.vertices}
     for a in m.algebra.quiver.arrows:
-        if m.dims[a.source] and m.dims[a.target]:
-            rows.setdefault(a.target, []).extend(m.mats[a.name])
+        rows[a.target].extend(m.mats[a.name])
     return rows
 
 

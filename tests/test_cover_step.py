@@ -400,8 +400,8 @@ def test_resolving_the_nakayama_simples_eliminates_pinned_cells(monkeypatch):
     for v in alg.vertices:
         resolution(standard_module(alg, "simple", v), 8)
     # each kernel eliminates the d x r reversed transpose of its r x d block,
-    # not the r x (d + r) matrix [rows | I], which made 416 cells; and a
-    # vertex with no radical eliminates nothing, which made (96, 288)
+    # not the r x (d + r) matrix [rows | I], which made 416 cells; a vertex
+    # with no radical eliminates nothing
     assert (len(cells), sum(cells)) == (80, 256)
 
 

@@ -35,6 +35,8 @@ from quiverhom import linalg
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import HeartParts, ModuleMap
 
+from test_modules import reference_supported
+
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 
 
@@ -59,28 +61,11 @@ def same_map(got, want):
     )
 
 
-def largest_supported(rep, allowed):
-    """The largest submodule supported on the allowed vertices: at an allowed
-    vertex v the common left kernel of the basis elements x : v -> w with w
-    outside, and 0 elsewhere (m in it has (m.a).y = m.(a.y) = 0 for every y
-    ending outside, so it is arrow-stable, and none is larger)."""
-    F = rep.field
-    spaces = {v: [] for v in rep.algebra.quiver.vertices}
-    outward = {v: [] for v in spaces if v in allowed}
-    for i, el in enumerate(rep.algebra.elements):
-        if el.source in outward and el.target not in allowed and rep.dims[el.target]:
-            outward[el.source].append(rep.element_matrix(i))
-    for v, mats in outward.items():
-        stacked = [sum((m[r] for m in mats), []) for r in range(rep.dims[v])]
-        spaces[v] = linalg.RowSpace(stacked, len(stacked[0]) if stacked else 0, F).kernel
-    return spaces
-
-
 def reference_heart_parts(c, heart):
     """The eight parts by elimination, as they are defined."""
     q, F = c.algebra.quiver, c.field
     split = q.boundary_split(heart)
-    plus_rows = largest_supported(c, split.plus)
+    plus_rows = reference_supported(c, split.plus)
     seed = {v: linalg.identity(c.dims[v], F) for v in q.vertices if v not in split.minus}
     minus_rows = submodule_closure(c, seed)
     return HeartParts(
@@ -101,7 +86,7 @@ def reference_transport(a, k, heart):
     res = resolution(a, k)
     quots, projs, secs = [], [], []
     for rep in (a, *res.reps):
-        rows = largest_supported(rep, plus)
+        rows = reference_supported(rep, plus)
         quot, proj = quotient_by_submodule(rep, rows)
         quots.append(quot)
         projs.append(proj)
