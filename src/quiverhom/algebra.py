@@ -16,7 +16,10 @@ rest, and refuse a subquiver of another quiver:
 
 * corner algebra eAe;
 * quotient A/<e'> by the two-sided ideal generated by e', computed by
-  linear closure, not path inspection;
+  linear closure, not path inspection.  The corner and the quotient each
+  keep some of the algebra's basis elements and come from one builder,
+  which maps every stored product of two kept elements into the kept
+  numbering: the corner's by renumbering, the quotient's by projecting;
 * restricted algebra: the path algebra of the subquiver modulo the
   intersection of the ideal with it, read off the kept span;
 * opposite algebra: the same basis with paths reversed and the product
@@ -473,6 +476,25 @@ def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dic
     return tuple(table)
 
 
+def _kept_basis_algebra(alg: FiniteDimAlgebra, pos: dict[int, int], e, entry) -> FiniteDimAlgebra:
+    """The table-backed algebra on the vertices in e and the basis elements of
+    alg that pos numbers, in pos's order, with alg as its parent.  A stored
+    product of two kept elements, as a dict, is stored as entry(product): an
+    element in the kept numbering, left out when it is zero."""
+    table = []
+    for gi in pos:
+        row = {}
+        for gj, product in alg.table[gi].items():
+            if gj in pos and (image := entry(dict(product))):
+                row[pos[gj]] = tuple(image.items())
+        table.append(row)
+    vertices = tuple(v for v in alg.vertices if v in e)
+    out = FiniteDimAlgebra(alg.field, vertices, tuple(alg.elements[g] for g in pos), tuple(table))
+    out.parent = alg
+    out.parent_indices = tuple(pos)
+    return out
+
+
 def corner_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebra:
     """The corner eAe, e the sum of sub's vertex idempotents, spanned by the
     basis elements with both endpoints in sub."""
@@ -482,22 +504,13 @@ def corner_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebr
         return alg
     keep = [i for i, el in enumerate(alg.elements) if el.source in e and el.target in e]
     pos = {g: i for i, g in enumerate(keep)}
-    elements = tuple(alg.elements[g] for g in keep)
-    table = []
-    for gi in keep:
-        row = {}
-        for gj, entry in alg.table[gi].items():
-            if gj not in pos:
-                continue
-            if any(k not in pos for k, _ in entry):
-                raise InvariantViolation("corner product escaped the corner")
-            row[pos[gj]] = tuple((pos[k], c) for k, c in entry)
-        table.append(row)
-    vertices = tuple(v for v in alg.vertices if v in e)
-    out = FiniteDimAlgebra(alg.field, vertices, elements, tuple(table))
-    out.parent = alg
-    out.parent_indices = tuple(keep)
-    return out
+
+    def inside(x: dict[int, object]) -> dict[int, object]:
+        if not x.keys() <= pos.keys():
+            raise InvariantViolation("corner product escaped the corner")
+        return {pos[k]: c for k, c in x.items()}
+
+    return _kept_basis_algebra(alg, pos, e, inside)
 
 
 def quotient_by_idempotent(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebra:
@@ -528,27 +541,13 @@ def quotient_by_idempotent(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteD
                     rows.append(alg.dense(dict(entry)))
     echelon, pivots = linalg.rref(rows, d, F)
     pivot_set = set(pivots)
-    keep = [i for i in range(d) if i not in pivot_set]
-    pos = {g: i for i, g in enumerate(keep)}
+    pos = {g: i for i, g in enumerate(j for j in range(d) if j not in pivot_set)}
 
     def project(x: dict[int, object]) -> dict[int, object]:
         vec = linalg.reduce_mod_rowspace(alg.dense(x), echelon, pivots, F)
         return {pos[i]: c for i, c in enumerate(vec) if c and i in pos}
 
-    elements = tuple(alg.elements[g] for g in keep)
-    table = []
-    for gi in keep:
-        row = {}
-        for gj, entry in alg.table[gi].items():
-            if gj in pos:
-                reduced = tuple(project(dict(entry)).items())
-                if reduced:
-                    row[pos[gj]] = reduced
-        table.append(row)
-    vertices = tuple(v for v in alg.vertices if v not in eprime)
-    out = FiniteDimAlgebra(F, vertices, elements, tuple(table))
-    out.parent = alg
-    out.parent_indices = tuple(keep)
+    out = _kept_basis_algebra(alg, pos, e, project)
     out.parent_projection = project
     return out
 

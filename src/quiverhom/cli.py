@@ -165,10 +165,7 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    bundle = _load(args)
-    if bundle.algebra is None:
-        raise InputError("decompose needs an ideal section")
-    tree = decompose(bundle.algebra)
+    tree = decompose(_require_algebra(_load(args)))
     sys.stdout.write(tree.render())
     out = [f"splits {tree.splits}"]
     for i, b in enumerate(tree.blocks, start=1):

@@ -41,6 +41,7 @@ an id that would not read back as one token.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,27 +75,19 @@ class _Node:
         return self.tokens[1:]
 
 
+_WORD = re.compile("[^ ]+")  # a token runs between spaces
+
+
 def _tokenize(raw: str, number: int) -> tuple[int, list[_Token]]:
     tab = raw.find("\t")
     if tab >= 0:
         raise ParseError("tab character in input; indent with spaces", number, tab + 1)
-    body = raw.split("#", 1)[0]
-    stripped = body.lstrip(" ")
-    if not stripped:
+    tokens = [_Token(w.group(), w.start() + 1) for w in _WORD.finditer(raw.split("#", 1)[0])]
+    if not tokens:
         return 0, []
-    indent_spaces = len(body) - len(stripped)
+    indent_spaces = tokens[0].column - 1
     if indent_spaces % 2:
         raise ParseError("indentation must be a multiple of two spaces", number, indent_spaces)
-    tokens = []
-    col = indent_spaces
-    rest = stripped
-    while rest:
-        chunk = rest.split(" ", 1)
-        word = chunk[0]
-        if word:
-            tokens.append(_Token(word, col + 1))
-        col += len(word) + 1
-        rest = chunk[1] if len(chunk) > 1 else ""
     return indent_spaces // 2, tokens
 
 
@@ -353,7 +346,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
     is required, the ideal and subquiver sections may appear at most once,
     and modules require an ideal (their validation needs the algebra).
     """
-    sections: list[tuple[str, _Node]] = []
+    sections: list[_Node] = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -365,14 +358,14 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
                 raise ParseError(
                     f"unknown section {root.keyword!r}", root.line, root.tokens[0].column
                 )
-            sections.append((str(path), root))
+            sections.append(root)
 
-    quiver_nodes = [n for _, n in sections if n.keyword == "quiver"]
+    quiver_nodes = [n for n in sections if n.keyword == "quiver"]
     if len(quiver_nodes) != 1:
         raise InputError(f"expected exactly one quiver section, found {len(quiver_nodes)}")
     q = parse_quiver_section(quiver_nodes[0])
 
-    ideal_nodes = [n for _, n in sections if n.keyword == "ideal"]
+    ideal_nodes = [n for n in sections if n.keyword == "ideal"]
     if len(ideal_nodes) > 1:
         raise InputError("more than one ideal section")
     ideal = parse_ideal_section(ideal_nodes[0], q) if ideal_nodes else None
@@ -381,7 +374,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
     modules: list[Representation] = []
     names: list[str] = []
     counter = 0
-    for _, node in sections:
+    for node in sections:
         if node.keyword != "module":
             continue
         if alg is None:
@@ -395,7 +388,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
     if len(set(names)) != len(names):
         raise InputError("duplicate module names in bundle")
 
-    sub_nodes = [n for _, n in sections if n.keyword == "subquiver"]
+    sub_nodes = [n for n in sections if n.keyword == "subquiver"]
     if len(sub_nodes) > 1:
         raise InputError("more than one subquiver section")
     sub = parse_subquiver_section(sub_nodes[0], q) if sub_nodes else None

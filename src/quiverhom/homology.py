@@ -58,8 +58,8 @@ from .modules import (
     HeartParts,
     ModuleMap,
     Representation,
+    _components,
     _convex_split,
-    _coordinate_split,
     dual_module,
     heart_parts,
     materialize_term,
@@ -671,13 +671,13 @@ def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> Tran
     """
     a_chain = _chain(a)
     a = a_chain.module
-    plus = _convex_split(a.algebra, heart, "a transported resolution").plus
+    off_plus = frozenset(a.algebra.vertices) - _convex_split(a.algebra, heart, "a transported resolution").plus
     gamma = restricted_algebra(a.algebra, heart)
-    outside = sorted(a.support - heart.vertex_set - plus)
+    outside = sorted(a.support & off_plus - heart.vertex_set)
     if outside:
         raise InputError(f"module has support outside the heart closure: {outside}")
     res = resolution(a_chain, k)
-    r_quots = [restrict(_coordinate_split(rep, plus)[2], gamma) for rep in (a, *res.reps)]
+    r_quots = [restrict(_components(rep, off_plus), gamma) for rep in (a, *res.reps)]
     F = a.field
     g_vertices = gamma.quiver.vertices
     r_blocks = [{v: res.diffs[i].blocks[v] for v in g_vertices} for i in range(k + 1)]

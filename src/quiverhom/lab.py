@@ -27,6 +27,7 @@ from itertools import islice
 
 from . import linalg
 from .algebra import (
+    MAX_WORK,
     FiniteDimAlgebra,
     IdealSpec,
     _require_presented,
@@ -562,7 +563,7 @@ def _heart_case(spec: InstanceSpec, idx: int, cutoff: int | None) -> list[Witnes
     F = lam.field
     for v in q.vertices:
         same = linalg.rowspaces_equal(
-            traced[v], hparts.plus_inclusion.blocks[v], omega.dims[v], F
+            traced[v], linalg.identity(hparts.plus_part.dims[v], F), omega.dims[v], F
         )
         ck.require(f"plus_part_is_trace_{v}", same)
     eprime_seed = {
@@ -695,9 +696,16 @@ def decompose(alg: FiniteDimAlgebra) -> DecompositionTree:
     so it holds every path of alg between its vertices: its restricted algebra
     has alg's count of basis elements s -> t, and both corners, eAe and the
     vanishing e'Ae, are read off one count of alg's basis by its ends.
+
+    Each nontrivial strongly connected component is peeled once and each node
+    lists the vertices left, so a quiver whose blocks x vertices pass
+    ``MAX_WORK`` is refused before the first stage.
     """
     _require_presented(alg, "decompose")
     q = alg.quiver
+    splits = q.components().nontrivial_count
+    if splits * len(q.vertices) > MAX_WORK:
+        raise InputError(f"decompose: {splits} blocks x {len(q.vertices)} vertices exceed {MAX_WORK} units of work")
     into: dict[str, Counter] = {v: Counter() for v in q.vertices}  # into[t][s]: basis elements s -> t
     for el in () if q.is_acyclic else alg.elements:  # an acyclic algebra builds no span
         into[el.target][el.source] += 1

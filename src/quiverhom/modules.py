@@ -16,15 +16,16 @@ unchecked builder per type, ``_unchecked``, which keeps the lists it is given.
 
 Submodules are handed around as per-vertex canonical row bases inside the
 ambient components; the embed/quotient helpers turn those into honest
-representations with inclusion or projection maps.  Two have closed forms
-over the algebra's basis, one elimination per vertex: the submodule
-generated by seed rows is spanned at w by seed_v · x over the basis elements
-x : v -> w, and the largest submodule supported on a vertex set is, at each
-vertex v in it, the common left kernel of the basis elements from v to
-vertices outside.  A quotient reads its arrow matrices off the free rows.
-The heart parts take no elimination: around a convex subquiver each is a
-module's components on a vertex set closed under successors.  Every kernel
-here, Hom spaces included, is a ``RowSpace``'s.  Duals live over
+representations with inclusion or projection maps.  The submodule
+generated by seed rows has a closed form over the algebra's basis, one
+elimination per vertex: it is spanned at w by seed_v · x over the basis
+elements x : v -> w.  A quotient reads its arrow matrices off the free rows.
+The heart parts take no elimination.  Around a convex subquiver the plus
+vertices, and the vertices off minus, are closed under successors: no arrow
+leaves them, so a module's components there are a submodule holding every
+submodule supported there, and its components on the rest are the quotient
+by it.  ``_components`` reads each part off.  Every kernel here, Hom spaces
+included, is a ``RowSpace``'s.  Duals live over
 ``algebra.opposite_algebra``, which the algebra keeps; nothing is cached here.
 """
 
@@ -579,16 +580,13 @@ def trace_submodule(c: Representation, generators) -> dict[str, list[list]]:
 
 @dataclass(frozen=True)
 class HeartParts:
-    """The canonical pieces of a module relative to a heart."""
+    """The plus part C+, the quotient C/C+ and the minus part C- of a module
+    around a convex heart: its components on the plus vertices, off them and
+    off the minus vertices, exact since no arrow leaves plus or enters minus."""
 
     plus_part: Representation
-    plus_inclusion: ModuleMap
     quot_by_plus: Representation
-    quot_by_plus_map: ModuleMap
     minus_part: Representation
-    minus_inclusion: ModuleMap
-    quot_by_minus: Representation
-    quot_by_minus_map: ModuleMap
 
 
 def _convex_split(alg: FiniteDimAlgebra, heart: FullSubquiver, what: str) -> BoundarySplit:
@@ -601,40 +599,34 @@ def _convex_split(alg: FiniteDimAlgebra, heart: FullSubquiver, what: str) -> Bou
     return split
 
 
-def _coordinate_split(
-    c: Representation, closed
-) -> tuple[Representation, ModuleMap, Representation, ModuleMap]:
-    """c's components on a vertex set closed under successors, a submodule with
-    its inclusion, and on the rest, the quotient with its projection: no arrow
-    leaves the closed set, so both maps are identities on what they keep."""
-    q, F, d = c.algebra.quiver, c.field, c.dims
-    sub, quot = (
-        Representation._unchecked(
-            c.algebra,
-            {v: d[v] if v in keep else 0 for v in q.vertices},
-            # an arrow from keep to the rest keeps its rows, with no columns left
-            {a.name: [r if a.target in keep else [] for r in c.mats[a.name]] if a.source in keep else []
-             for a in q.arrows},
-        )
-        for keep in (closed, frozenset(q.vertices) - closed)
+def _components(c: Representation, keep) -> Representation:
+    """c's components on keep.  When no arrow leaves keep this is a submodule,
+    and when none enters it, the quotient by the components off keep; either
+    way the arrow matrices are c's, cut to keep."""
+    q, d = c.algebra.quiver, c.dims
+    return Representation._unchecked(
+        c.algebra,
+        {v: d[v] if v in keep else 0 for v in q.vertices},
+        # an arrow from keep to the rest keeps its rows, with no columns left
+        {a.name: [r if a.target in keep else [] for r in c.mats[a.name]] if a.source in keep else []
+         for a in q.arrows},
     )
-    incl = {v: linalg.identity(d[v], F) if v in closed else [] for v in q.vertices}
-    proj = {v: [[] for _ in range(d[v])] if v in closed else linalg.identity(d[v], F) for v in q.vertices}
-    return sub, ModuleMap._unchecked(sub, c, incl), quot, ModuleMap._unchecked(c, quot, proj)
 
 
 def heart_parts(c: Representation, heart: FullSubquiver) -> HeartParts:
-    """C plus-part and minus-part for a convex full subquiver of c's quiver.
+    """C plus-part, C/C+ and minus-part for a convex full subquiver of c's quiver.
 
     The plus part is the largest submodule supported on the heart's plus
     vertices, and the minus part is the submodule generated by all components
     away from its minus vertices.  Both vertex sets are closed under
-    successors, so each part is c's components there.  A subquiver that is
-    not convex is refused.
+    successors, so each part is c's components there, and C/C+ is c's
+    components off the plus vertices.  A subquiver that is not convex is
+    refused.
     """
     split = _convex_split(c.algebra, heart, "heart parts")
+    off_plus = frozenset(c.algebra.vertices) - split.plus
     off_minus = frozenset(c.algebra.vertices) - split.minus
-    return HeartParts(*_coordinate_split(c, split.plus), *_coordinate_split(c, off_minus))
+    return HeartParts(_components(c, split.plus), _components(c, off_plus), _components(c, off_minus))
 
 
 # ---------------------------------------------------------------------------

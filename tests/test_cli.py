@@ -188,6 +188,27 @@ def test_decompose_command(ws, capsys):
     assert "block 1 vertices=1,2 dim=4 simple_cycle=yes" in out
 
 
+def test_decompose_without_an_ideal_exits_2_with_the_shared_message(tmp_path, capsys):
+    bare = tmp_path / "bare.qh"
+    bare.write_text(CYCLE_TAIL.split("\nideal")[0])
+    assert cli.main(["decompose", str(bare)]) == 2
+    assert capsys.readouterr().err.strip() == "error: this command needs an ideal section (algebra data)"
+
+
+def test_decompose_past_the_work_budget_exits_2_at_once(tmp_path, capsys):
+    # 1 001 loops along a line: 1 001 blocks x 1 001 vertices, one past MAX_WORK
+    vs = range(1, 1002)
+    lines = ["quiver", "  vertices " + " ".join(map(str, vs))]
+    lines += [f"  arrow l{v} {v} {v}" for v in vs] + [f"  arrow a{v} {v} {v + 1}" for v in vs[:-1]]
+    chain = tmp_path / "chain.qh"
+    chain.write_text("\n".join(lines + ["", "ideal", "  truncation 2", ""]))
+    t0 = time.perf_counter()
+    assert cli.main(["decompose", str(chain)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "1001 blocks x 1001 vertices exceed 1000000 units of work" in err
+
+
 def test_verify_command_passes(capsys):
     assert cli.main(["verify", "subquiver", "--cases", "10", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -5,9 +5,11 @@ The references are kept here as they were written before: a draw built the
 whole sum of projectives densely and took the generated submodule with
 ``submodule_closure`` and the quotient with ``quotient_by_submodule``; the
 product table looked each product up as a ``Path``; ``from_images`` checked
-every pair of basis elements.  Results are compared exactly: dimensions,
-matrices with the type of every nonzero entry, table entries with theirs,
-and after a draw the state of the random generator.
+every pair of basis elements; the corner and the quotient by an idempotent
+each built their own table on the kept basis elements.  Results are
+compared exactly: dimensions, matrices with the type of every nonzero
+entry, table entries with theirs, and after a draw the state of the random
+generator.
 """
 
 import random
@@ -15,7 +17,15 @@ import random
 import pytest
 
 from quiverhom import QQ, IdealSpec, PrimeField, Quiver, build_algebra, linalg
-from quiverhom.algebra import AlgebraHom, _apply_images, _RelationSpan
+from quiverhom.algebra import (
+    AlgebraHom,
+    FiniteDimAlgebra,
+    _apply_images,
+    _RelationSpan,
+    corner_algebra,
+    quotient_by_idempotent,
+)
+from quiverhom.errors import InvariantViolation
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import (
     materialize_term,
@@ -188,3 +198,121 @@ def test_from_images_flags_match_the_check_of_every_pair(F):
             seen[want] += 1
     # both verdicts are exercised
     assert seen[True] >= 60 and seen[False] >= 20
+
+
+def reference_corner(alg, sub):
+    """eAe as corner_algebra built it, with a table of its own."""
+    e = sub.vertex_set
+    if len(e) == len(alg.vertices):
+        return alg
+    keep = [i for i, el in enumerate(alg.elements) if el.source in e and el.target in e]
+    pos = {g: i for i, g in enumerate(keep)}
+    elements = tuple(alg.elements[g] for g in keep)
+    table = []
+    for gi in keep:
+        row = {}
+        for gj, entry in alg.table[gi].items():
+            if gj not in pos:
+                continue
+            if any(k not in pos for k, _ in entry):
+                raise InvariantViolation("corner product escaped the corner")
+            row[pos[gj]] = tuple((pos[k], c) for k, c in entry)
+        table.append(row)
+    vertices = tuple(v for v in alg.vertices if v in e)
+    out = FiniteDimAlgebra(alg.field, vertices, elements, tuple(table))
+    out.parent = alg
+    out.parent_indices = tuple(keep)
+    return out
+
+
+def reference_quotient(alg, sub):
+    """A/<e'> as quotient_by_idempotent built it, with a table of its own."""
+    eprime = sub.complement()
+    if not eprime:
+        return alg
+    F = alg.field
+    d = alg.dim
+    rows = []
+    for i, el in enumerate(alg.elements):
+        if el.source in eprime or el.target in eprime:
+            rows.append(alg.dense({i: F.one}))
+    e = sub.vertex_set
+    for i, el in enumerate(alg.elements):
+        if el.source in e and el.target in eprime:
+            for j, entry in alg.table[i].items():
+                if alg.elements[j].target in e:
+                    rows.append(alg.dense(dict(entry)))
+    echelon, pivots = linalg.rref(rows, d, F)
+    pivot_set = set(pivots)
+    keep = [i for i in range(d) if i not in pivot_set]
+    pos = {g: i for i, g in enumerate(keep)}
+
+    def project(x):
+        vec = linalg.reduce_mod_rowspace(alg.dense(x), echelon, pivots, F)
+        return {pos[i]: c for i, c in enumerate(vec) if c and i in pos}
+
+    elements = tuple(alg.elements[g] for g in keep)
+    table = []
+    for gi in keep:
+        row = {}
+        for gj, entry in alg.table[gi].items():
+            if gj in pos:
+                reduced = tuple(project(dict(entry)).items())
+                if reduced:
+                    row[pos[gj]] = reduced
+        table.append(row)
+    vertices = tuple(v for v in alg.vertices if v not in eprime)
+    out = FiniteDimAlgebra(F, vertices, elements, tuple(table))
+    out.parent = alg
+    out.parent_indices = tuple(keep)
+    out.parent_projection = project
+    return out
+
+
+def typed_element(x):
+    return [(k, type(c), c) for k, c in x.items()]
+
+
+def kept_basis_cases(F):
+    """(algebra, subquiver) pairs: a commutative square without vertex 3,
+    where a*b = c*d lies in <e_3>, and the whole square, then per random
+    algebra a random vertex set, its convex closure and its complement."""
+    rng = random.Random(43)
+    square = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")])
+    alg = build_algebra(square, IdealSpec((((1, ("a", "b")), (-1, ("c", "d"))),), 3), F)
+    yield alg, square.full_subquiver({"1", "2", "4"})
+    yield alg, square.full_subquiver(square.vertices)
+    for alg in random_algebras(F, 100, 47):
+        q = alg.quiver
+        picked = {v for v in q.vertices if rng.random() < 0.5}
+        for sub in (q.full_subquiver(picked), q.convex_closure(picked), q.full_subquiver(set(q.vertices) - picked)):
+            yield alg, sub
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(2**31 - 1)], ids=["QQ", "GF2", "GF2^31-1"])
+def test_corner_and_quotient_match_their_own_table_builders(F):
+    seen = set()
+    for alg, sub in kept_basis_cases(F):
+        split = alg.quiver.boundary_split(sub)
+        seen.add("not convex" if split.plus & split.minus else "convex")
+        for build, reference in ((corner_algebra, reference_corner), (quotient_by_idempotent, reference_quotient)):
+            got, want = build(alg, sub), reference(alg, sub)
+            assert (got is alg) == (want is alg)
+            if want is alg:
+                continue
+            assert got.vertices == want.vertices and got.elements == want.elements
+            assert got.parent is alg and got.parent_indices == want.parent_indices
+            assert typed_table(got.table) == typed_table(want.table)
+            if build is quotient_by_idempotent:
+                units = [{i: F.one} for i in range(alg.dim)]
+                assert [typed_element(got.parent_projection(u)) for u in units] == [
+                    typed_element(want.parent_projection(u)) for u in units
+                ]
+                kept = set(want.parent_indices)
+                if any(
+                    j in kept and not want.parent_projection(dict(entry))
+                    for i in kept
+                    for j, entry in alg.table[i].items()
+                ):
+                    seen.add("product reduced to zero")
+    assert seen == {"convex", "not convex", "product reduced to zero"}

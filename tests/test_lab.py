@@ -10,6 +10,7 @@ import json
 import random
 import re
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -280,6 +281,31 @@ def test_decompose_a_long_chain_of_blocks_takes_no_stack_per_block():
     assert tree.render().splitlines()[-1] == "  " * 400 + "acyclic vertices=-"
 
 
+def test_decompose_refuses_a_chain_past_the_work_budget_at_once():
+    """1 001 loops along a line are 1 001 blocks, and each of their nodes
+    lists up to 1 001 vertices: one past MAX_WORK, so no stage is taken."""
+    vs = [str(i) for i in range(1, 1002)]
+    arrows = [(f"l{v}", v, v) for v in vs] + [(f"a{v}", v, w) for v, w in zip(vs, vs[1:])]
+    alg = build_algebra(Quiver.build(vs, arrows), IdealSpec.zero(2), QQ)
+    heart = mock.Mock(side_effect=AssertionError("a stage was taken"))
+    t0 = time.perf_counter()
+    with mock.patch.object(Quiver, "homological_heart", heart), pytest.raises(InputError) as exc:
+        decompose(alg)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value) == "decompose: 1001 blocks x 1001 vertices exceed 1000000 units of work"
+
+
+def test_decompose_budget_counts_nontrivial_components_times_vertices(monkeypatch):
+    # three loops and a tail vertex: 3 blocks x 4 vertices = 12 units
+    q = Quiver.build(["1", "2", "3", "4"], [(f"l{v}", v, v) for v in "123"] + [("a", "3", "4")])
+    alg = build_algebra(q, IdealSpec.zero(2), QQ)
+    monkeypatch.setattr(lab, "MAX_WORK", 12)
+    assert decompose(alg).splits == 3
+    monkeypatch.setattr(lab, "MAX_WORK", 11)
+    with pytest.raises(InputError, match="3 blocks x 4 vertices exceed 11 units"):
+        decompose(alg)
+
+
 def _decompose_stage_by_stage(alg):
     """The nodes and rendered text of the decomposition built one algebra per
     stage: the restricted heart algebra, its triangular blocks at the first
@@ -364,9 +390,11 @@ def test_no_relation_span_is_built_twice(monkeypatch, tmp_path):
         assert len(set(built)) == len(built) > 0, name
         empty[name] = any(not q.vertices for q, _, _ in built)
         if name == "cli decompose":
-            # decompose counts the workspace algebra's basis and builds no algebra per stage
+            # decompose counts the workspace algebra's basis and builds no algebra per stage;
+            # it counts the components of the whole quiver once, for its work bound, and no stage's
             assert len(built) == 1 and built[0][0].vertices == ("1", "2", "3", "4")
-            assert not any(wrapped.called for wrapped in per_stage.values())
+            assert [c.args[0].vertices for c in per_stage["components"].call_args_list] == [("1", "2", "3", "4")]
+            assert not per_stage["restricted_algebra"].called and not per_stage["triangular_blocks"].called
     assert isos.call_count == 1 and pair.call_count == 2
     # the acyclic case reads the algebra of its empty heart
     assert empty == {name: name == "acyclic heart" for name in runs}

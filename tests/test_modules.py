@@ -464,11 +464,8 @@ def test_heart_parts_on_cycle_tail(cycle_tail_algebra, cycle_tail_quiver):
     parts = heart_parts(p1, hp.heart)
     assert parts.plus_part.dims == {"1": 0, "2": 0, "3": 1, "4": 1}
     assert parts.quot_by_plus.dims == {"1": 1, "2": 1, "3": 0, "4": 0}
-    parts.plus_inclusion.validate()
-    parts.quot_by_plus_map.validate()
     # with no minus vertices the minus part is everything
     assert parts.minus_part.dims == p1.dims
-    assert parts.quot_by_minus.is_zero
 
 
 def test_restrict_inflate_roundtrip(cycle_tail_quiver, cycle_tail_ideal, cycle_tail_algebra):
