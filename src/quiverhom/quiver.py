@@ -5,9 +5,10 @@ allowed.  Everything downstream keys off vertex subsets: full subquivers,
 the plus/minus/zero boundary split, convexity, strongly connected
 components with their condensation, and the homological heart.
 Reachability is one walk over the arrows from the given set, and one cached
-component pass (Tarjan, then Kahn's sort of the condensation) feeds the
-components, acyclicity and the heart's cycles, so every query is linear in
-the size of the quiver, in time and in memory.
+component pass (Kosaraju's search, whose topological order is not the
+first-declared one, then Kahn's sort keyed by first-declared vertex) feeds
+the components, acyclicity and the heart's cycles, so every query is linear
+in the size of the quiver, in time and in memory.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -43,23 +44,33 @@ class Quiver:
     def __post_init__(self):
         seen = set()
         for v in self.vertices:
+            if not isinstance(v, str):
+                raise InputError(f"a vertex id is a string, not {v!r}")
             if v in seen:
                 raise InputError(f"duplicate vertex id {v!r}")
             seen.add(v)
         names = set()
         for a in self.arrows:
+            if not (isinstance(a, Arrow) and isinstance(a.name, str)):
+                raise InputError(f"an arrow is an Arrow with a string name, not {a!r}")
             if a.name in names:
                 raise InputError(f"duplicate arrow id {a.name!r}")
             names.add(a.name)
             for end in (a.source, a.target):
-                if end not in seen:
+                if not isinstance(end, str) or end not in seen:
                     raise DanglingIdError(f"arrow {a.name!r} references unknown vertex {end!r}")
 
     @staticmethod
     def build(vertices, arrows) -> "Quiver":
-        """Arrows may be Arrow objects or (name, source, target) triples."""
-        arr = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
-        return Quiver(tuple(vertices), arr)
+        """Arrows may be Arrow objects or (name, source, target) tuples or lists."""
+        arr = []
+        for a in arrows:
+            if not isinstance(a, Arrow):
+                if not (isinstance(a, (tuple, list)) and len(a) == 3):
+                    raise InputError(f"an arrow is an Arrow or a (name, source, target) triple, not {a!r}")
+                a = Arrow(*a)
+            arr.append(a)
+        return Quiver(tuple(_collection(vertices, "the vertices are a collection of vertex ids")), tuple(arr))
 
     @cached_property
     def vertex_index(self) -> dict[str, int]:
@@ -88,9 +99,9 @@ class Quiver:
 
     def check_vertices(self, vs) -> frozenset[str]:
         out = frozenset(_collection(vs))
-        for v in out:
-            if v not in self.vertex_index:
-                raise DanglingIdError(f"unknown vertex id {v!r}")
+        unknown = out.difference(self.vertex_index)
+        if unknown:
+            raise DanglingIdError(f"unknown vertex id {min(unknown, key=repr)!r}")
         return out
 
     # -- reachability ------------------------------------------------------
@@ -115,8 +126,9 @@ class Quiver:
                     if w not in seen:
                         seen.add(w)
                         todo.append(w)
-        except KeyError as err:
-            raise DanglingIdError(f"unknown vertex id {err.args[0]!r}") from None
+        except KeyError:
+            # only starts can be unknown; the least by repr is named under every hash seed
+            raise DanglingIdError(f"unknown vertex id {min(seen.difference(arrows_at), key=repr)!r}") from None
         return seen
 
     # -- subquiver calculus ------------------------------------------------
@@ -148,12 +160,43 @@ class Quiver:
         """The components in `scc_list` order, each vertex's position in it,
         and the number of arrows inside each component.
 
-        One pass over the arrows counts the inner arrows and the condensation
-        in-degrees; Kahn's sort then always takes the ready component whose
+        Kosaraju's search finds the components: a forward walk records the
+        post-order, and backward walks from its end collect them in a
+        topological order, but not the first-declared one.  So one pass over
+        the arrows counts the inner arrows and the condensation in-degrees,
+        and Kahn's sort then always takes the ready component whose
         first-declared vertex comes first.
         """
-        comps = _tarjan(self.vertices, self.out_arrows)
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        out_arrows, in_arrows = self.out_arrows, self.in_arrows
+        post: list[str] = []
+        seen: set[str] = set()
+        for root in self.vertices:
+            if root not in seen:
+                seen.add(root)
+                work = [(root, iter(out_arrows[root]))]
+                while work:
+                    v, it = work[-1]
+                    for a in it:
+                        if a.target not in seen:
+                            seen.add(a.target)
+                            work.append((a.target, iter(out_arrows[a.target])))
+                            break
+                    else:
+                        work.pop()
+                        post.append(v)
+        comps: list[list[str]] = []
+        comp_of: dict[str, int] = {}
+        for root in reversed(post):
+            if root not in comp_of:
+                comp_of[root] = len(comps)
+                comp, todo = [root], [root]
+                while todo:
+                    for a in in_arrows[todo.pop()]:
+                        if a.source not in comp_of:
+                            comp_of[a.source] = len(comps)
+                            comp.append(a.source)
+                            todo.append(a.source)
+                comps.append(comp)
         inner = [0] * len(comps)
         indeg = [0] * len(comps)
         succ: list[list[int]] = [[] for _ in comps]
@@ -386,51 +429,3 @@ def _collection(vs, what: str = "a vertex set is a collection of vertex ids"):
 def _check_parent(q: Quiver, sub: "FullSubquiver") -> None:
     if sub.parent is not q and sub.parent != q:
         raise InputError("subquiver belongs to a different quiver")
-
-
-def _tarjan(vertices, out_arrows) -> list[list[str]]:
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    out: list[list[str]] = []
-    counter = 0
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(out_arrows[root]))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for a in it:
-                w = a.target
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(out_arrows[w])))
-                    advanced = True
-                    break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    out.reverse()
-    return out

@@ -7,14 +7,20 @@ checked against logic that shares no code with them.  Chains and cycles of
 20 000 vertices hold every query to linear memory.
 """
 
+import collections
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from quiverhom import DanglingIdError, FullSubquiver, InputError, Quiver
+import quiverhom
+from quiverhom import Arrow, DanglingIdError, FullSubquiver, InputError, Quiver
 from quiverhom.lab import MAX_ARROWS, MAX_VERTICES
+from test_cli import LINE
 
 
 def random_quiver(rng, max_v=6, max_a=10):
@@ -110,6 +116,52 @@ def test_build_rejects_bad_input():
         Quiver.build(["v"], [("a", "v", "nope")])
     with pytest.raises(InputError):
         Quiver.build(["v", "w"], [("a", "v", "w"), ("a", "w", "v")])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Quiver.build(["1"], [("a", "1")]), r"triple, not \('a', '1'\)$"),
+        (lambda: Quiver(("1",), (("a", "1", "1"),)), r"string name, not \('a', '1', '1'\)$"),
+        (lambda: Quiver.build([1, 2], [("a", 1, 2)]), "^a vertex id is a string, not 1$"),
+        (lambda: Quiver.build("12", []), "^the vertices are a collection of vertex ids, not the string '12'$"),
+        (lambda: Quiver.build(["1"], ["ab1"]), "triple, not 'ab1'$"),
+        (lambda: Quiver.build(["1"], [("a", ["1"], "1")]), r"^arrow 'a' references unknown vertex \['1'\]$"),
+        (lambda: Quiver.build(["1"], [Arrow(1, "1", "1")]), "string name, not Arrow"),
+    ],
+    ids=["short-triple", "tuple-arrow", "int-ids", "string-vertices", "string-arrow", "list-end", "int-name"],
+)
+def test_a_malformed_quiver_is_an_input_error(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+UNKNOWN_IDS = """\
+import sys
+from quiverhom import DanglingIdError, Quiver, cli
+q = Quiver.build(["v", "w", "x"], [("alpha", "v", "w"), ("beta", "w", "x")])
+for call in (q.reachable_from, q.reaching, q.full_subquiver, q.convex_closure, q.check_vertices):
+    try:
+        call(["p", "q"])
+    except DanglingIdError as err:
+        print(err)
+cli.main(["convex", sys.argv[1], "--subquiver", "1,2"])
+"""
+
+
+def test_unknown_id_refusals_do_not_hang_on_the_hash_seed(tmp_path):
+    # a set yields its members in an order that the hash seed decides
+    ws = tmp_path / "line.qh"
+    ws.write_text(LINE)
+    src = os.path.dirname(os.path.dirname(quiverhom.__file__))
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", UNKNOWN_IDS, str(ws)], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add((run.stdout, run.stderr))
+    assert outputs == {("unknown vertex id 'p'\n" * 5, "error: unknown vertex id '1'\n")}
 
 
 def test_unknown_vertex_ids_are_refused_and_known_sets_checked_once(cycle_tail_quiver, monkeypatch):
@@ -249,11 +301,39 @@ def oracle_scc_list(q):
 
 
 def test_scc_list_order_matches_oracle():
-    # Tarjan alone lists {3}, {2}, {1} here
+    # Kosaraju's search alone lists {3}, {2}, {1} here
     q = Quiver.build(["1", "2", "3"], [("a", "3", "2")])
     assert list(q.scc_list) == [{"1"}, {"3"}, {"2"}] == oracle_scc_list(q)
     for q, _ in lab_scale_cases(107):
         assert list(q.scc_list) == oracle_scc_list(q)
+
+
+def component_outputs(q):
+    """What the component pass feeds: scc_list, components() and the heart."""
+    rep, hp = q.components(), q.homological_heart()
+    cond = rep.condensation
+    return (
+        q.scc_list,
+        (rep.components, rep.nontrivial_flags, rep.simple_cycle_type, cond.vertices),
+        collections.Counter(cond.arrows),
+        (hp.cycle_vertices, hp.heart.vertex_set, hp.t),
+    )
+
+
+def test_arrow_order_cannot_reach_the_component_order():
+    # the search's post-order follows the arrow order; nothing it feeds may
+    rng = random.Random(108)
+    quivers = [q for q, _ in lab_scale_cases(108, 300)]
+    quivers += [random_quiver(rng, max_v=5, max_a=12) for _ in range(300)]
+    ends = [[(a.source, a.target) for a in q.arrows] for q in quivers]
+    assert sum(any(s == t for s, t in e) for e in ends) >= 100
+    assert sum(len(set(e)) < len(e) for e in ends) >= 100
+    for q in quivers:
+        want = component_outputs(q)
+        for _ in range(3):
+            arrows = list(q.arrows)
+            rng.shuffle(arrows)
+            assert component_outputs(Quiver(q.vertices, tuple(arrows))) == want
 
 
 def test_heart_is_smallest_convex_superset_of_cycles():
