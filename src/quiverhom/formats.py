@@ -2,11 +2,17 @@
 
 One line-oriented format covers every input kind.  Rules:
 
-  - ``#`` starts a comment (whole line); blank lines are ignored.
+  - ``#`` starts a comment that runs to the end of the line; blank lines are
+    ignored.
   - Nesting is two spaces per level; tab characters are rejected.
   - A section starts with an unindented keyword line: ``quiver``, ``ideal``,
-    ``module`` (optionally followed by a name), or ``subquiver``.
+    ``module`` (optionally followed by a name), or ``subquiver``; no other
+    section header takes an argument.
   - Tokens are separated by single or repeated spaces.
+
+The table ``_GRAMMAR`` is the whole grammar: each keyword's usage line and
+the keywords its nested lines may use.  Every parsed file is checked against
+it, so the section readers only read values and cross-references.
 
 Example sections::
 
@@ -112,22 +118,54 @@ def _parse_tree(text: str) -> list[_Node]:
                 raise ParseError("indentation jumps more than one level", number, tokens[0].column)
             stack[-1][1].children.append(node)
         stack.append((depth, node))
+    _check(roots, ("quiver", "ideal", "module", "subquiver"), "section")
     return roots
 
 
-def _expect_args(node: _Node, count: int, usage: str) -> list[_Token]:
-    args = node.arg_tokens()
-    if len(args) != count:
-        raise ParseError(f"expected '{usage}'", node.line, node.tokens[0].column)
-    return args
+# keyword -> (usage, the keywords its nested lines may use).  A usage writes
+# a required argument <x>, an optional one [x]; a trailing ... repeats the last.
+_GRAMMAR = {
+    "quiver": ("quiver", ("vertices", "arrow")),
+    "vertices": ("vertices [id] ...", ()),
+    "arrow": ("arrow <name> <source> <target>", ()),
+    "ideal": ("ideal", ("truncation", "relation")),
+    "truncation": ("truncation <n>", ()),
+    "relation": ("relation", ("term",)),
+    "term": ("term <coeff> <arrow> <arrow> ...", ()),
+    "module": ("module [name]", ("dim", "matrix")),
+    "dim": ("dim <vertex> <n>", ()),
+    "matrix": ("matrix <arrow>", ("row",)),
+    "row": ("row [entry] ...", ()),
+    "subquiver": ("subquiver", ("vertices",)),
+}
 
 
-def _no_children(node: _Node) -> None:
-    if node.children:
-        child = node.children[0]
-        raise ParseError(
-            f"'{node.keyword}' takes no nested lines", child.line, child.tokens[0].column
-        )
+def _check(nodes: list[_Node], allowed, where: str) -> None:
+    """Refuse the first line whose keyword, arguments or nesting break _GRAMMAR."""
+    for node in nodes:
+        head = node.tokens[0]
+        if node.keyword not in allowed:
+            raise ParseError(f"unknown {where} {node.keyword!r}", node.line, head.column)
+        usage, nested = _GRAMMAR[node.keyword]
+        if node.children and not nested:
+            child = node.children[0]
+            raise ParseError(
+                f"'{node.keyword}' takes no nested lines", child.line, child.tokens[0].column
+            )
+        words, args = usage.split()[1:], node.arg_tokens()
+        most = len(args) if words[-1:] == ["..."] else len(words)
+        if len(args) < sum(w.startswith("<") for w in words):
+            raise ParseError(f"expected '{usage}'", node.line, head.column)
+        if len(args) > most:
+            raise ParseError(f"expected '{usage}'", node.line, args[most].column)
+        _check(node.children, nested, f"{node.keyword} entry")
+
+
+def _known(tok: _Token, ids, what: str, line: int) -> str:
+    """tok's text once it is one of ids; else DanglingIdError "<what> '<tok>' (line <line>)"."""
+    if tok.text not in ids:
+        raise DanglingIdError(f"{what} {tok.text!r} (line {line})")
+    return tok.text
 
 
 def _parse_exact(tok: _Token, line: int) -> Fraction:
@@ -145,7 +183,7 @@ def _parse_int(tok: _Token, line: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# section interpreters
+# section readers, each on a tree that _check has passed
 
 
 def parse_quiver_section(node: _Node) -> Quiver:
@@ -155,29 +193,19 @@ def parse_quiver_section(node: _Node) -> Quiver:
     seen_a: set[str] = set()
     for child in node.children:
         if child.keyword == "vertices":
-            _no_children(child)
             for tok in child.arg_tokens():
                 if tok.text in seen_v:
                     raise ParseError(f"duplicate vertex id {tok.text!r}", child.line, tok.column)
                 seen_v.add(tok.text)
                 vertices.append(tok.text)
-        elif child.keyword == "arrow":
-            _no_children(child)
-            name, src, tgt = _expect_args(child, 3, "arrow <name> <source> <target>")
+        else:
+            name, src, tgt = child.arg_tokens()
             if name.text in seen_a:
                 raise ParseError(f"duplicate arrow id {name.text!r}", child.line, name.column)
             seen_a.add(name.text)
-            for tok in (src, tgt):
-                if tok.text not in seen_v:
-                    raise DanglingIdError(
-                        f"arrow {name.text!r} references unknown vertex {tok.text!r} "
-                        f"(line {child.line})"
-                    )
-            arrows.append((name.text, src.text, tgt.text))
-        else:
-            raise ParseError(
-                f"unknown quiver entry {child.keyword!r}", child.line, child.tokens[0].column
-            )
+            what = f"arrow {name.text!r} references unknown vertex"
+            ends = [_known(tok, seen_v, what, child.line) for tok in (src, tgt)]
+            arrows.append((name.text, *ends))
     return Quiver.build(vertices, arrows)
 
 
@@ -186,47 +214,20 @@ def parse_ideal_section(node: _Node, q: Quiver) -> IdealSpec:
     relations: list[tuple[tuple[object, tuple[str, ...]], ...]] = []
     for child in node.children:
         if child.keyword == "truncation":
-            _no_children(child)
-            (tok,) = _expect_args(child, 1, "truncation <n>")
+            (tok,) = child.arg_tokens()
             if truncation is not None:
                 raise ParseError("duplicate truncation line", child.line, tok.column)
             truncation = _parse_int(tok, child.line)
-        elif child.keyword == "relation":
-            if child.arg_tokens():
-                extra = child.arg_tokens()[0]
-                raise ParseError(
-                    "relation takes no inline arguments; nest 'term' lines",
-                    child.line,
-                    extra.column,
-                )
-            terms = []
-            for term in child.children:
-                if term.keyword != "term":
-                    raise ParseError(
-                        f"expected 'term', got {term.keyword!r}", term.line, term.tokens[0].column
-                    )
-                _no_children(term)
-                args = term.arg_tokens()
-                if len(args) < 3:
-                    raise ParseError(
-                        "expected 'term <coeff> <arrow> <arrow> ...'",
-                        term.line,
-                        term.tokens[0].column,
-                    )
-                coeff = _parse_exact(args[0], term.line)
-                for tok in args[1:]:
-                    if tok.text not in q.arrow_by_name:
-                        raise DanglingIdError(
-                            f"relation references unknown arrow {tok.text!r} (line {term.line})"
-                        )
-                terms.append((coeff, tuple(tok.text for tok in args[1:])))
-            if not terms:
-                raise ParseError("relation with no terms", child.line, child.tokens[0].column)
-            relations.append(tuple(terms))
-        else:
-            raise ParseError(
-                f"unknown ideal entry {child.keyword!r}", child.line, child.tokens[0].column
-            )
+            continue
+        if not child.children:
+            raise ParseError("relation with no terms", child.line, child.tokens[0].column)
+        what = "relation references unknown arrow"
+        terms = []
+        for term in child.children:
+            coeff, *path = term.arg_tokens()
+            c = _parse_exact(coeff, term.line)
+            terms.append((c, tuple(_known(tok, q.arrow_by_name, what, term.line) for tok in path)))
+        relations.append(tuple(terms))
     if truncation is None:
         raise ParseError("ideal section is missing its truncation line", node.line)
     ideal = IdealSpec(tuple(relations), truncation)
@@ -238,42 +239,27 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
     q = alg.quiver
     F = alg.field
     dims: dict[str, int] = {}
-    raw_mats: dict[str, tuple[_Node, list[list]]] = {}
+    raw_mats: dict[str, tuple[tuple[int, int], list[list]]] = {}
     for child in node.children:
         if child.keyword == "dim":
-            _no_children(child)
-            vtok, ntok = _expect_args(child, 2, "dim <vertex> <n>")
-            if vtok.text not in q.vertex_index:
-                raise DanglingIdError(
-                    f"module references unknown vertex {vtok.text!r} (line {child.line})"
-                )
-            if vtok.text in dims:
-                raise ParseError(f"duplicate dim for vertex {vtok.text!r}", child.line, vtok.column)
+            vtok, ntok = child.arg_tokens()
+            v = _known(vtok, q.vertex_index, "module references unknown vertex", child.line)
+            if v in dims:
+                raise ParseError(f"duplicate dim for vertex {v!r}", child.line, vtok.column)
             n = _parse_int(ntok, child.line)
             if n < 0:
                 raise ParseError("dimension must be nonnegative", child.line, ntok.column)
-            dims[vtok.text] = n
-        elif child.keyword == "matrix":
-            (atok,) = _expect_args(child, 1, "matrix <arrow>")
-            if atok.text not in q.arrow_by_name:
-                raise DanglingIdError(
-                    f"module references unknown arrow {atok.text!r} (line {child.line})"
-                )
-            if atok.text in raw_mats:
-                raise ParseError(f"duplicate matrix for arrow {atok.text!r}", child.line, atok.column)
-            rows = []
-            for rnode in child.children:
-                if rnode.keyword != "row":
-                    raise ParseError(
-                        f"expected 'row', got {rnode.keyword!r}", rnode.line, rnode.tokens[0].column
-                    )
-                _no_children(rnode)
-                rows.append([F.of(_parse_exact(tok, rnode.line)) for tok in rnode.arg_tokens()])
-            raw_mats[atok.text] = (child, rows)
-        else:
-            raise ParseError(
-                f"unknown module entry {child.keyword!r}", child.line, child.tokens[0].column
-            )
+            dims[v] = n
+            continue
+        (atok,) = child.arg_tokens()
+        a = _known(atok, q.arrow_by_name, "module references unknown arrow", child.line)
+        if a in raw_mats:
+            raise ParseError(f"duplicate matrix for arrow {a!r}", child.line, atok.column)
+        rows = [
+            [F.of(_parse_exact(tok, row.line)) for tok in row.arg_tokens()]
+            for row in child.children
+        ]
+        raw_mats[a] = ((child.line, child.tokens[0].column), rows)
     full_dims = {v: dims.get(v, 0) for v in q.vertices}
     if _module_work(q, full_dims) > MAX_WORK:
         raise ParseError(f"module matrices exceed {MAX_WORK} units of work", node.line)
@@ -282,40 +268,24 @@ def parse_module_section(node: _Node, alg: FiniteDimAlgebra) -> Representation:
         if a.name not in raw_mats:
             continue
         nrows, ncols = full_dims[a.source], full_dims[a.target]
-        mnode, rows = raw_mats[a.name]
+        at, rows = raw_mats[a.name]
         if nrows == 0 or ncols == 0:
             if rows:
-                raise ParseError(
-                    f"matrix for {a.name!r} must be omitted when a side is zero",
-                    mnode.line,
-                    mnode.tokens[0].column,
-                )
+                raise ParseError(f"matrix for {a.name!r} must be omitted when a side is zero", *at)
             continue
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            raise ParseError(
-                f"matrix for {a.name!r} must be {nrows}x{ncols}",
-                mnode.line,
-                mnode.tokens[0].column,
-            )
+            raise ParseError(f"matrix for {a.name!r} must be {nrows}x{ncols}", *at)
         mats[a.name] = rows
     return Representation(alg, full_dims, mats)
 
 
 def parse_subquiver_section(node: _Node, q: Quiver) -> frozenset[str]:
-    chosen: set[str] = set()
-    for child in node.children:
-        if child.keyword != "vertices":
-            raise ParseError(
-                f"unknown subquiver entry {child.keyword!r}", child.line, child.tokens[0].column
-            )
-        _no_children(child)
-        for tok in child.arg_tokens():
-            if tok.text not in q.vertex_index:
-                raise DanglingIdError(
-                    f"subquiver references unknown vertex {tok.text!r} (line {child.line})"
-                )
-            chosen.add(tok.text)
-    return frozenset(chosen)
+    what = "subquiver references unknown vertex"
+    return frozenset(
+        _known(tok, q.vertex_index, what, child.line)
+        for child in node.children
+        for tok in child.arg_tokens()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +323,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
-        for root in _parse_tree(text):
-            if root.keyword not in ("quiver", "ideal", "module", "subquiver"):
-                raise ParseError(
-                    f"unknown section {root.keyword!r}", root.line, root.tokens[0].column
-                )
-            sections.append(root)
+        sections.extend(_parse_tree(text))
 
     quiver_nodes = [n for n in sections if n.keyword == "quiver"]
     if len(quiver_nodes) != 1:
@@ -381,8 +346,6 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
             raise InputError("module sections require an ideal section")
         counter += 1
         args = node.arg_tokens()
-        if len(args) > 1:
-            raise ParseError("expected 'module [name]'", node.line, args[1].column)
         names.append(args[0].text if args else f"m{counter}")
         modules.append(parse_module_section(node, alg))
     if len(set(names)) != len(names):
@@ -449,8 +412,9 @@ def serialize_module(m: Representation, name: str | None = None) -> str:
 
 def serialize_subquiver(vertex_set, q: Quiver) -> str:
     lines = ["subquiver"]
-    if vertex_set:
-        lines.append("  vertices " + _ids(*q.sort_vertices(vertex_set)))
+    vertices = q.sort_vertices(q.check_vertices(vertex_set))
+    if vertices:
+        lines.append("  vertices " + _ids(*vertices))
     return "\n".join(lines) + "\n"
 
 

@@ -620,6 +620,7 @@ def gl_dim(alg: FiniteDimAlgebra, cutoff: int) -> DimBound:
     a simple that only reaches the cutoff does not hide a later simple's
     lasso: the first Infinite decides, and otherwise any AtLeast does.
     """
+    check_cutoff(cutoff, "cutoff")
     return _gl_dim(SyzygyTable(), alg, cutoff)
 
 

@@ -5,7 +5,9 @@ workspace loading, and the printed report formats end to end.
 """
 
 import random
+import re
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +20,7 @@ from quiverhom import (
     dual_module,
     gen_instance,
     get_opposite,
+    load_bundle,
     serialize_ideal,
     serialize_module,
     serialize_quiver,
@@ -88,6 +91,26 @@ def line_ws(tmp_path):
     p = tmp_path / "line.qh"
     p.write_text(LINE)
     return str(p)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["heart"], ["components"], ["algebra"], ["resolve", "--cutoff", "3"], ["decompose"], ["convex"]],
+)
+def test_the_readme_workspace_example_runs(tmp_path, capsys, command):
+    """The fenced example under "Workspace file format" loads and runs, so the
+    documented format cannot drift away from the parser."""
+    section = README.read_text(encoding="utf-8").split("## Workspace file format", 1)[1]
+    example = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    p = tmp_path / "readme.qh"
+    p.write_text(example)
+    bundle = load_bundle([p])
+    assert bundle.module_names == ("S1",) and bundle.subquiver == {"1", "2"}
+    assert cli.main([command[0], str(p), *command[1:]]) == 0
+    assert capsys.readouterr().out
 
 
 def test_heart_command(ws, capsys):

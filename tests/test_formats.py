@@ -32,6 +32,7 @@ from quiverhom import (
     standard_module,
 )
 from quiverhom.fields import MAX_DIGITS
+from quiverhom.formats import _GRAMMAR
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 
 GOOD = """\
@@ -410,6 +411,112 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     text = "# leading comment\n\nquiver\n  # inner comment\n  vertices 1\n"
     bundle = load_bundle([write(tmp_path, text)])
     assert bundle.quiver.vertices == ("1",)
+
+
+GRAMMAR_BASE = """\
+quiver
+  vertices 1 2
+  arrow a 1 2
+  arrow b 2 1
+ideal
+  truncation 3
+  relation
+    term 1 a b
+module M
+  dim 1 1
+  dim 2 1
+  matrix a
+    row 1
+subquiver
+  vertices 1
+""".splitlines()
+
+# (keyword, what breaks, line number in GRAMMAR_BASE, its replacement, message, (line, column))
+GRAMMAR_CASES = [
+    # one argument too few: the keyword's own position
+    ("arrow", "few", 3, "  arrow a 1", "expected 'arrow <name> <source> <target>'", (3, 3)),
+    ("truncation", "few", 6, "  truncation", "expected 'truncation <n>'", (6, 3)),
+    ("term", "few", 8, "    term 1 a", "expected 'term <coeff> <arrow> <arrow> ...'", (8, 5)),
+    ("dim", "few", 10, "  dim 1", "expected 'dim <vertex> <n>'", (10, 3)),
+    ("matrix", "few", 12, "  matrix", "expected 'matrix <arrow>'", (12, 3)),
+    # one argument too many: the first surplus token
+    ("quiver", "many", 1, "quiver junk", "expected 'quiver'", (1, 8)),
+    ("arrow", "many", 3, "  arrow a 1 2 3", "expected 'arrow <name> <source> <target>'", (3, 15)),
+    ("ideal", "many", 5, "ideal 7", "expected 'ideal'", (5, 7)),
+    ("truncation", "many", 6, "  truncation 3 4", "expected 'truncation <n>'", (6, 16)),
+    ("relation", "many", 7, "  relation x", "expected 'relation'", (7, 12)),
+    ("module", "many", 9, "module M N", "expected 'module [name]'", (9, 10)),
+    ("dim", "many", 10, "  dim 1 1 1", "expected 'dim <vertex> <n>'", (10, 11)),
+    ("matrix", "many", 12, "  matrix a b", "expected 'matrix <arrow>'", (12, 12)),
+    ("subquiver", "many", 14, "subquiver extra", "expected 'subquiver'", (14, 11)),
+    # a nested line under a keyword that takes none: the nested line
+    ("vertices", "nested", 2, "  vertices 1 2\n    zz", "'vertices' takes no nested lines", (3, 5)),
+    ("arrow", "nested", 3, "  arrow a 1 2\n    zz", "'arrow' takes no nested lines", (4, 5)),
+    ("truncation", "nested", 6, "  truncation 3\n    zz", "'truncation' takes no nested lines", (7, 5)),
+    ("term", "nested", 8, "    term 1 a b\n      zz", "'term' takes no nested lines", (9, 7)),
+    ("dim", "nested", 10, "  dim 1 1\n    zz", "'dim' takes no nested lines", (11, 5)),
+    ("row", "nested", 13, "    row 1\n      zz", "'row' takes no nested lines", (14, 7)),
+    ("vertices", "nested", 15, "  vertices 1\n    zz", "'vertices' takes no nested lines", (16, 5)),
+    # an unknown keyword, at the top or nested: that keyword
+    ("section", "unknown", 14, "zz", "unknown section 'zz'", (14, 1)),
+    ("quiver", "unknown", 4, "  zz b 2 1", "unknown quiver entry 'zz'", (4, 3)),
+    ("quiver", "unknown", 4, "  row 1", "unknown quiver entry 'row'", (4, 3)),
+    ("ideal", "unknown", 6, "  zz 3", "unknown ideal entry 'zz'", (6, 3)),
+    ("relation", "unknown", 8, "    zz 1 a b", "unknown relation entry 'zz'", (8, 5)),
+    ("module", "unknown", 10, "  zz 1 1", "unknown module entry 'zz'", (10, 3)),
+    ("matrix", "unknown", 13, "    zz 1", "unknown matrix entry 'zz'", (13, 5)),
+    ("subquiver", "unknown", 15, "  zz 1", "unknown subquiver entry 'zz'", (15, 3)),
+]
+
+
+def grammar_text(number, line):
+    lines = list(GRAMMAR_BASE)
+    lines[number - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+def test_grammar_base_loads(tmp_path):
+    bundle = load_bundle([write(tmp_path, "\n".join(GRAMMAR_BASE) + "\n")])
+    assert bundle.module_names == ("M",) and bundle.subquiver == {"1"}
+
+
+def test_grammar_cases_cover_every_keyword():
+    assert {case[0] for case in GRAMMAR_CASES} == set(_GRAMMAR) | {"section"}
+
+
+@pytest.mark.parametrize(
+    "number, line, message, at",
+    [pytest.param(*case[2:], id=f"{case[1]}-{case[0]}-{case[2]}") for case in GRAMMAR_CASES],
+)
+def test_grammar_refusals_name_the_line_and_column(tmp_path, number, line, message, at):
+    with pytest.raises(ParseError) as exc:
+        load_bundle([write(tmp_path, grammar_text(number, line))])
+    assert str(exc.value) == f"{message} (line {at[0]}, column {at[1]})"
+    assert (exc.value.line, exc.value.column) == at
+
+
+def test_grammar_keeps_empty_vertices_and_row_lines(tmp_path):
+    assert load_bundle([write(tmp_path, "quiver\n  vertices\n")]).quiver.vertices == ()
+    # an empty row is read, and then refused as the wrong shape
+    with pytest.raises(ParseError, match=r"^matrix for 'a' must be 1x1 \(line 12, column 3\)$"):
+        load_bundle([write(tmp_path, grammar_text(13, "    row"))])
+
+
+def test_grammar_errors_come_before_dangling_ids(tmp_path):
+    # the unknown vertex on line 3 is read only after the whole file's grammar passes
+    text = grammar_text(3, "  arrow a 1 9").replace("truncation 3", "truncation 3 3")
+    with pytest.raises(ParseError, match=r"^expected 'truncation <n>' \(line 6, column 16\)$"):
+        load_bundle([write(tmp_path, text)])
+
+
+def test_serialize_subquiver_refuses_unknown_ids_and_a_string():
+    q = Quiver.build(["1", "2"], [])
+    with pytest.raises(DanglingIdError, match="^unknown vertex id 'yy'$"):
+        serialize_subquiver({"zz", "yy"}, q)
+    with pytest.raises(InputError, match="not the string '12'$"):
+        serialize_subquiver("12", q)
+    assert serialize_subquiver(["2", "1"], q) == "subquiver\n  vertices 1 2\n"
+    assert serialize_subquiver(set(), q) == "subquiver\n"
 
 
 def test_dot_export_highlights_heart(cycle_tail_quiver):

@@ -205,6 +205,17 @@ def test_a_cutoff_that_is_not_an_int_is_input_error(line_algebra, bad):
                 call()
 
 
+@pytest.mark.parametrize(
+    "bad, message", [(-5, "^cutoff must be nonnegative$"), ("x", "^cutoff must be an int, got 'x'$")]
+)
+def test_gl_dim_refuses_a_bad_cutoff_on_an_algebra_without_vertices(bad, message):
+    # with no simple to resolve, proj_dim's own check was never reached
+    empty = build_algebra(Quiver.build([], []), IdealSpec.zero(2), QQ)
+    with pytest.raises(InputError, match=message):
+        gl_dim(empty, bad)
+    assert gl_dim(empty, 3) == DimBound.finite(0)
+
+
 def test_syzygy_index_outside_prefix_is_input_error(line_algebra):
     res = resolution(standard_module(line_algebra, "simple", "v"), 2)
     assert res.syzygy(0) is res.module
