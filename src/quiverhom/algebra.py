@@ -16,12 +16,16 @@ rest, and refuse a subquiver of another quiver:
 
 * corner algebra eAe;
 * quotient A/<e'> by the two-sided ideal generated by e', computed by
-  linear closure, not path inspection.  The corner and the quotient each
-  keep some of the algebra's basis elements and come from one builder,
-  which maps every stored product of two kept elements into the kept
-  numbering: the corner's by renumbering, the quotient's by projecting;
+  linear closure, not path inspection, and eliminated only in the corner's
+  coordinates: the basis elements with an end in e' lie in the ideal
+  outright.  The corner and the quotient each keep some of the algebra's
+  basis elements and come from one builder, which maps every stored
+  product of two kept elements into the kept numbering: the corner's by
+  renumbering, the quotient's by projecting;
 * restricted algebra: the path algebra of the subquiver modulo the
-  intersection of the ideal with it, read off the kept span;
+  intersection of the ideal with it, read off the kept span one bucket at
+  a time as a left kernel, and presented by the rows whose leading path
+  holds no other's;
 * opposite algebra: the same basis with paths reversed and the product
   table transposed; a presented algebra's opposite also carries the
   reversed quiver and relations, so module machinery works on it unchanged.
@@ -62,11 +66,11 @@ _PATH = "a relation path is a sequence of arrow names"
 class IdealSpec:
     """Relations plus a truncation exponent n; the ideal is <relations> + J^n.
 
-    Each relation is a tuple of terms (coefficient, arrow name sequence);
-    coefficients are exact numeric literals (int or Fraction, read from text
-    by ``fields.parse_exact`` within ``fields.MAX_DIGITS`` digits) coerced
-    into the base field when an algebra is built.  Every term path must be
-    composable and have length >= 2.
+    Each relation is a tuple of terms (coefficient, arrow name sequence), and
+    any other shape is an InputError; coefficients are exact numeric
+    literals (int or Fraction, read from text by ``fields.parse_exact``
+    within ``fields.MAX_DIGITS`` digits) coerced into the base field when an
+    algebra is built.  Every term path must be composable and have length >= 2.
     """
 
     relations: tuple[tuple[tuple[object, tuple[str, ...]], ...], ...]
@@ -77,7 +81,10 @@ class IdealSpec:
         if self.truncation < 2:
             raise InputError(f"truncation must be >= 2, got {self.truncation}")
         # kept as tuples however given, so equal specs compare equal and hash
-        rels = tuple(tuple((c, tuple(_collection(p, _PATH))) for c, p in rel) for rel in self.relations)
+        rels = tuple(
+            tuple(map(_term, _listed(rel, "a relation is a collection of terms")))
+            for rel in _listed(self.relations, "the relations are a collection of relations")
+        )
         object.__setattr__(self, "relations", rels)
 
     @staticmethod
@@ -117,11 +124,17 @@ class IdealSpec:
         return IdealSpec(rels, self.truncation)
 
 
-def _path_vertices(q: Quiver, path: Path) -> list[str]:
-    vs = [path.source]
-    for name in path.arrows:
-        vs.append(q.arrow_by_name[name].target)
-    return vs
+def _listed(items, what: str) -> tuple:
+    """items as a tuple; what is not iterable, or is a string (``_collection``), is refused."""
+    if not hasattr(items, "__iter__"):
+        raise InputError(f"{what}, not {items!r}")
+    return tuple(_collection(items, what))
+
+
+def _term(term) -> tuple[object, tuple[str, ...]]:
+    if not (isinstance(term, (tuple, list)) and len(term) == 2):
+        raise InputError(f"a relation term is a (coefficient, path) pair, not {term!r}")
+    return term[0], _listed(term[1], _PATH)
 
 
 def _counted_budgets(q: Quiver, ideal: IdealSpec, field) -> int:
@@ -225,24 +238,31 @@ class _RelationSpan:
     def relations_inside(self, sub: FullSubquiver) -> tuple:
         """The ideal's span on the paths lying inside sub, as IdealSpec relations.
 
-        Per bucket, one relation for each row of the echelon basis of the
-        span's vectors supported on inside paths, with its nonzero terms.
+        In a bucket with both ends inside, a path lies inside iff every arrow
+        on it ends inside.  The span's vectors there are y * E, E the bucket's
+        echelon basis, for y in the left kernel of E cut to its outside
+        columns.  A row of their echelon basis is a relation only if no other
+        row's pivot path is a proper subpath of its own: ``paths_up_to`` order
+        is multiplicative in a bucket, so subtracting u * h * v cancels a
+        dropped row's pivot and leaves later paths, and the kept rows generate
+        the same truncated ideal, as a reduced Groebner basis does.
         """
-        inside = sub.vertex_set
-        rels = []
+        inside, F = sub.vertex_set, self.field
+        ends_outside = {a.name for a in self.q.arrows if a.target not in inside}
+        rows = []  # (pivot path, echelon row, the bucket's path indices)
         for (s, t), (echelon, _) in sorted(self.bucket_rref.items()):
             if s not in inside or t not in inside:
                 continue
             local = self.buckets[(s, t)]
-            keep = {
-                pos
-                for pos, g in enumerate(local)
-                if all(v in inside for v in _path_vertices(self.q, self.paths[g]))
-            }
-            if not keep:
-                continue
-            rows, _ = linalg.rowspace_intersect_coords(echelon, len(local), keep, self.field)
-            for row in rows:
+            out = [pos for pos, g in enumerate(local) if ends_outside.intersection(self.paths[g].arrows)]
+            kernel = linalg.RowSpace([[row[j] for j in out] for row in echelon], len(out), F).kernel
+            vecs = [linalg.vec_mat(y, echelon, len(local), F) for y in kernel]
+            for row, c in zip(*linalg.rref(vecs, len(local), F)):
+                rows.append((self.paths[local[c]].arrows, row, local))
+        leads, rels = {lead for lead, _, _ in rows}, []
+        for lead, row, local in rows:
+            n = len(lead)
+            if not any(lead[i:j] in leads for i in range(n) for j in range(i + 2, n + 1) if j - i < n):
                 rels.append(tuple((c, self.paths[local[pos]].arrows) for pos, c in enumerate(row) if c))
         return tuple(rels)
 
@@ -515,39 +535,36 @@ def corner_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebr
 
 def quotient_by_idempotent(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAlgebra:
     """The quotient A/<e'> by the ideal generated by the idempotent e' of the
-    vertices outside sub.
+    vertices outside sub, computed by linear closure, not path inspection.
 
-    The ideal is computed by linear closure: every basis element with an
-    endpoint in the e' block lies in it outright, and products x*y running
-    through an e' vertex (target of x in e', equal to source of y) fill in
-    the rest.  One echelon pass gives the span; no path inspection is used.
+    A basis element with an end in e' lies in the ideal, so only the corner's
+    can survive; the rest of the ideal is spanned by the products x_i * x_j
+    through e' (x_i from e to e', x_j back to e), which lie in the corner.
+    One echelon pass over them in the corner's coordinates gives the kept
+    elements, and the projection reduces only an element's corner coordinates.
     """
     _require_subquiver(alg, sub, "a quotient algebra")
     eprime = sub.complement()
     if not eprime:
         return alg
-    F = alg.field
-    d = alg.dim
-    rows = []
-    for i, el in enumerate(alg.elements):
-        if el.source in eprime or el.target in eprime:
-            rows.append(alg.dense({i: F.one}))
-    e = sub.vertex_set
-    for i, el in enumerate(alg.elements):
-        if el.source in e and el.target in eprime:
-            # a stored product x_i * x_j already runs through el.target
-            for j, entry in alg.table[i].items():
-                if alg.elements[j].target in e:
-                    rows.append(alg.dense(dict(entry)))
-    echelon, pivots = linalg.rref(rows, d, F)
-    pivot_set = set(pivots)
-    pos = {g: i for i, g in enumerate(j for j in range(d) if j not in pivot_set)}
+    F, e = alg.field, sub.vertex_set
+    corner = [i for i, el in enumerate(alg.elements) if el.source in e and el.target in e]
+    at, d = {g: k for k, g in enumerate(corner)}, len(corner)
+    # a stored product x_i * x_j already runs through x_i's target
+    through = [i for i, el in enumerate(alg.elements) if el.source in e and el.target in eprime]
+    rows = [
+        [(at[g], c) for g, c in entry]
+        for i in through for j, entry in alg.table[i].items() if alg.elements[j].target in e
+    ]
+    echelon, pivots = linalg.rref(linalg.from_entries(rows, d, F), d, F)
+    free = {k: i for i, k in enumerate(sorted(set(range(d)).difference(pivots)))}
 
     def project(x: dict[int, object]) -> dict[int, object]:
-        vec = linalg.reduce_mod_rowspace(alg.dense(x), echelon, pivots, F)
-        return {pos[i]: c for i, c in enumerate(vec) if c and i in pos}
+        vec = linalg.from_entries([[(at[g], c) for g, c in x.items() if g in at]], d, F)[0]
+        vec = linalg.reduce_mod_rowspace(vec, echelon, pivots, F)
+        return {free[k]: c for k, c in enumerate(vec) if c and k in free}
 
-    out = _kept_basis_algebra(alg, pos, e, project)
+    out = _kept_basis_algebra(alg, {corner[k]: i for k, i in free.items()}, e, project)
     out.parent_projection = project
     return out
 
@@ -556,7 +573,8 @@ def restricted_algebra(alg: FiniteDimAlgebra, sub: FullSubquiver) -> FiniteDimAl
     """The algebra of a full subquiver of alg's quiver, bound by the intersected ideal.
 
     The intersection of the ideal with the subquiver's path space is read
-    off alg's relation span bucket by bucket, then fed back in as relations,
+    off alg's relation span bucket by bucket, and the rows that generate it
+    are fed back in as relations (see ``_RelationSpan.relations_inside``),
     so the result is a presented algebra and carries modules.  alg keeps
     each restriction, and its restriction to the whole quiver is alg itself.
     """

@@ -233,29 +233,5 @@ def quotient_projection(echelon: list[list], pivots: list[int], ncols: int, fiel
     ]
 
 
-def rowspace_intersect_coords(
-    rows: list[list], ncols: int, keep: set[int], field
-) -> tuple[list[list], list[int]]:
-    """Canonical basis of {v in rowspace : v supported on the keep columns}.
-
-    Columns outside keep are moved to the front; echelon rows whose pivot
-    falls inside the keep block are exactly the supported vectors.
-    """
-    outside = [j for j in range(ncols) if j not in keep]
-    inside = [j for j in range(ncols) if j in keep]
-    order = outside + inside
-    permuted = [[row[j] for j in order] for row in rows]
-    echelon, pivots = rref(permuted, ncols, field)
-    cut = len(outside)
-    picked = []
-    for row, c in zip(echelon, pivots):
-        if c >= cut:
-            back = [field.zero] * ncols
-            for pos, j in enumerate(order):
-                back[j] = row[pos]
-            picked.append(back)
-    return rref(picked, ncols, field)
-
-
 def rowspaces_equal(A: list[list], B: list[list], ncols: int, field) -> bool:
     return rref(A, ncols, field) == rref(B, ncols, field)

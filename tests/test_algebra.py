@@ -7,6 +7,7 @@ code with the echelon-based construction.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -360,6 +361,26 @@ def test_a_relation_path_given_as_a_string_is_refused():
     assert build_algebra(q, IdealSpec.monomial([("a", "b")], 3), QQ).dim == 10
 
 
+@pytest.mark.parametrize(
+    "relations, message",
+    [
+        (None, "the relations are a collection of relations, not None"),
+        (5, "the relations are a collection of relations, not 5"),
+        ("ab", "the relations are a collection of relations, not the string 'ab'"),
+        ((5,), "a relation is a collection of terms, not 5"),
+        (((1, ("a", "b")),), "a relation term is a (coefficient, path) pair, not 1"),
+        ((((1, 2, ("a", "b")),),), "a relation term is a (coefficient, path) pair, not (1, 2, ('a', 'b'))"),
+        ((((1,),),), "a relation term is a (coefficient, path) pair, not (1,)"),
+        ((((1, 5),),), "a relation path is a sequence of arrow names, not 5"),
+    ],
+    ids=["none", "int", "string", "bare-relation", "bare-term", "long-term", "short-term", "int-path"],
+)
+def test_a_malformed_ideal_spec_is_an_input_error(relations, message):
+    # each of these used to raise TypeError or ValueError while it was unpacked
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        IdealSpec(relations, 3)
+
+
 def test_a_relation_path_given_as_a_list_is_kept_as_a_tuple():
     q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
     listed = IdealSpec([[(1, ["a", "b"])]], 3)
@@ -448,6 +469,18 @@ def test_restricted_algebra_intersects_relations(two_cycles_quiver, two_cycles_i
     assert gamma.dim == 4
     labels = {el.label() for el in gamma.elements}
     assert labels == {"e_3", "e_4", "c", "d"}
+
+
+def test_a_restriction_is_presented_by_the_rows_whose_pivot_holds_no_other():
+    # two loops a, b at 1 and c: 1 -> 2, bound by aa and J^9: the restriction
+    # to {1} is the words in a, b avoiding aa, and aa alone presents it; fed
+    # every echelon row of the span again, the rebuild was refused past MAX_WORK
+    q = Quiver.build(["1", "2"], [("a", "1", "1"), ("b", "1", "1"), ("c", "1", "2")])
+    alg = build_algebra(q, IdealSpec.monomial([("a", "a")], 9), QQ)
+    assert alg.dim == 230
+    gamma = restricted_algebra(alg, q.full_subquiver({"1"}))
+    assert gamma.dim == 142 == monomial_dim_oracle(gamma.quiver, [("a", "a")], 9)
+    assert gamma.ideal.relations == (((1, ("a", "a")),),)
 
 
 def test_restricted_algebra_is_kept_by_the_algebra(cycle_tail_quiver, cycle_tail_ideal):
@@ -639,3 +672,45 @@ def test_the_basis_is_closed_under_prefixes_and_each_layout_record_is_one_arrow(
                     assert derived.elements[pre].source == el.source
                 else:
                     assert pre == -1
+
+
+def relabelled(alg, rng):
+    """alg presented again with its vertex and arrow orders shuffled and every
+    name replaced, the ideal carried over; with the map on vertex names."""
+    q = alg.quiver
+    vname = dict(zip(q.vertices, rng.sample([f"w{k}" for k in range(len(q.vertices))], len(q.vertices))))
+    aname = dict(zip([a.name for a in q.arrows], rng.sample([f"x{k}" for k in range(len(q.arrows))], len(q.arrows))))
+    vertices = rng.sample([vname[v] for v in q.vertices], len(q.vertices))
+    arrows = rng.sample([(aname[a.name], vname[a.source], vname[a.target]) for a in q.arrows], len(q.arrows))
+    rels = tuple(tuple((c, tuple(aname[x] for x in p)) for c, p in rel) for rel in alg.ideal.relations)
+    return build_algebra(Quiver.build(vertices, arrows), IdealSpec(rels, alg.ideal.truncation), alg.field), vname
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), GF3], ids=["QQ", "GF2", "GF3"])
+def test_relabelling_leaves_the_subquiver_comparison_alone(F):
+    """The corner, quotient and restricted dimensions are invariants of the
+    algebra and the vertex set, so they survive a relabelling, and on a
+    convex subquiver so does every check.  On one that is not convex the
+    tables are paired by basis paths, which follow the arrow order, so a
+    table check may pass in one labelling and fail in another: only the
+    dimensions and ``ok`` are compared there."""
+    rng = random.Random(71)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 180:
+        q = _gen_quiver(rng, *rng.choice([(4, 6), (8, 12)]))
+        alg = build_algebra(q, _gen_ideal(rng, q, rng.choice(["mixed", "monomial"])), F)
+        if alg.dim_exceeds(ALGEBRA_DIM_CAP):
+            continue
+        other, vname = relabelled(alg, rng)
+        picked = {v for v in q.vertices if rng.random() < 0.5}
+        for sub in (q.full_subquiver(picked), q.convex_closure(picked), q.full_subquiver(set(q.vertices) - picked)):
+            got = verify_convex_isos(alg, sub)
+            moved = verify_convex_isos(other, other.quiver.full_subquiver({vname[v] for v in sub.vertex_set}))
+            assert moved.convex == got.convex
+            assert (moved.corner_dim, moved.quotient_dim, moved.restricted_dim, moved.ok) == (
+                got.corner_dim, got.quotient_dim, got.restricted_dim, got.ok
+            )
+            if got.convex:
+                assert moved.entries == got.entries
+            seen[got.convex] += 1
+    assert seen[False] >= 20

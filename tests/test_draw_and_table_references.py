@@ -6,7 +6,11 @@ whole sum of projectives densely and took the generated submodule with
 ``submodule_closure`` and the quotient with ``quotient_by_submodule``; the
 product table looked each product up as a ``Path``; ``from_images`` checked
 every pair of basis elements; the corner and the quotient by an idempotent
-each built their own table on the kept basis elements.  Results are
+each built their own table on the kept basis elements; the quotient
+eliminated one unit row per basis element with an end outside, and the
+restricted algebra took the span's vectors on inside paths by one
+elimination with the outside columns first, fed back as relations every
+row of their echelon basis.  Results are
 compared exactly: dimensions, matrices with the type of every nonzero
 entry, table entries with theirs, and after a draw the state of the random
 generator.
@@ -24,6 +28,7 @@ from quiverhom.algebra import (
     _RelationSpan,
     corner_algebra,
     quotient_by_idempotent,
+    restricted_algebra,
 )
 from quiverhom.errors import InvariantViolation
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
@@ -269,6 +274,46 @@ def reference_quotient(alg, sub):
     return out
 
 
+def reference_intersect_coords(rows, ncols, keep, field):
+    """Canonical basis of the row space's vectors supported on the keep
+    columns: those columns last, one rref, the rows with a pivot among them
+    moved back and eliminated again."""
+    outside = [j for j in range(ncols) if j not in keep]
+    order = outside + [j for j in range(ncols) if j in keep]
+    echelon, pivots = linalg.rref([[row[j] for j in order] for row in rows], ncols, field)
+    picked = []
+    for row, c in zip(echelon, pivots):
+        if c >= len(outside):
+            back = [field.zero] * ncols
+            for pos, j in enumerate(order):
+                back[j] = row[pos]
+            picked.append(back)
+    return linalg.rref(picked, ncols, field)
+
+
+def path_vertices(q, path):
+    return [path.source] + [q.arrow_by_name[name].target for name in path.arrows]
+
+
+def reference_restricted(alg, sub):
+    """KQ'/(I meet KQ') as restricted_algebra built it, every echelon row of
+    the span's vectors on inside paths given as a relation."""
+    if len(sub.vertex_set) == len(alg.vertices):
+        return alg
+    span, F, inside = alg._span, alg.field, sub.vertex_set
+    rels = []
+    for (s, t), (echelon, _) in sorted(span.bucket_rref.items()):
+        if s not in inside or t not in inside:
+            continue
+        local = span.buckets[(s, t)]
+        keep = {pos for pos, g in enumerate(local) if set(path_vertices(alg.quiver, span.paths[g])) <= inside}
+        if not keep:
+            continue
+        for row in reference_intersect_coords(echelon, len(local), keep, F)[0]:
+            rels.append(tuple((c, span.paths[local[pos]].arrows) for pos, c in enumerate(row) if c))
+    return build_algebra(sub.as_quiver(), IdealSpec(tuple(rels), alg.ideal.truncation), F)
+
+
 def typed_element(x):
     return [(k, type(c), c) for k, c in x.items()]
 
@@ -316,3 +361,43 @@ def test_corner_and_quotient_match_their_own_table_builders(F):
                 ):
                     seen.add("product reduced to zero")
     assert seen == {"convex", "not convex", "product reduced to zero"}
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(2**31 - 1)], ids=["QQ", "GF2", "GF2^31-1"])
+def test_restricted_algebra_matches_the_permuted_elimination(F):
+    fewer = 0
+    for alg, sub in kept_basis_cases(F):
+        got, want = restricted_algebra(alg, sub), reference_restricted(alg, sub)
+        assert (got is alg) == (want is alg)
+        if want is alg:
+            continue
+        assert got.quiver == want.quiver and got.ideal.truncation == want.ideal.truncation
+        assert got.vertices == want.vertices and got.elements == want.elements
+        assert typed_table(got.table) == typed_table(want.table)
+        # the presentation keeps some of the reference's relations, and only those
+        assert set(got.ideal.relations) <= set(want.ideal.relations)
+        fewer += len(got.ideal.relations) < len(want.ideal.relations)
+    assert fewer >= 10
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(2), PrimeField(2**31 - 1)], ids=["QQ", "GF2", "GF2^31-1"])
+def test_restricted_basis_counts_are_inside_paths_less_the_inside_rank(F):
+    # per bucket with both ends inside, with E its echelon basis and E_out that
+    # cut to the columns of paths leaving sub: the span's vectors on inside
+    # paths have dimension rank E - rank E_out, and the rest of the inside
+    # paths are the restriction's basis there
+    for alg, sub in kept_basis_cases(F):
+        gamma, span, inside = restricted_algebra(alg, sub), alg._span, sub.vertex_set
+        counts = {}
+        for el in gamma.elements:
+            counts[(el.source, el.target)] = counts.get((el.source, el.target), 0) + 1
+        expected = {}
+        for (s, t), local in span.buckets.items():
+            if s not in inside or t not in inside:
+                continue
+            out = [pos for pos, g in enumerate(local) if not set(path_vertices(alg.quiver, span.paths[g])) <= inside]
+            echelon = span.bucket_rref.get((s, t), ([], []))[0]
+            cut = [[row[j] for j in out] for row in echelon]
+            drop = linalg.rank(echelon, len(local), F) - linalg.rank(cut, len(out), F)
+            expected[(s, t)] = len(local) - len(out) - drop
+        assert counts == {key: c for key, c in expected.items() if c}

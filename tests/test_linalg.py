@@ -158,19 +158,6 @@ def test_rowspace_membership_and_kernel(data):
     assert space.rank + len(space.kernel) == len(rows)
 
 
-@given(matrix_and_field())
-def test_rowspace_intersection_with_coordinate_block(data):
-    F, rows, ncols = data
-    keep_set = set(range(ncols // 2))
-    inter, _ = linalg.rowspace_intersect_coords(rows, ncols, keep_set, F)
-    rank = linalg.rank(rows, ncols, F)
-    for v in inter:
-        assert linalg.rank(rows + [v], ncols, F) == rank
-        for j, x in enumerate(v):
-            if j not in keep_set:
-                assert not x
-
-
 def test_rref_canonical_form_small_case():
     # pivots are 1 with cleared columns, rows ordered by pivot position
     rows = [
