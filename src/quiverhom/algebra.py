@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation, require_int
-from .quiver import Arrow, FullSubquiver, Path, Quiver, _collection
+from .quiver import Arrow, FullSubquiver, Path, Quiver, _check_parent, _collection
 
 # work budget of one presentation's span and table, decided from path counts
 # before any path is listed: suites stay under 40 000, the budget edge takes 0.3 s
@@ -395,23 +395,13 @@ class FiniteDimAlgebra:
         return {self.idempotent_index[v]: self.field.one for v in vs if v in self.idempotent_index}
 
     def mul(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        F = self.field
-        table = self.table
+        F, table = self.field, self.table
         out: dict[int, object] = {}
         for i, ci in x.items():
-            if not ci:
-                continue
             row = table[i]
             for j, cj in y.items():
-                if j not in row or not cj:
-                    continue
-                c = F.mul(ci, cj)
-                for k, ck in row[j]:
-                    v = F.add(out.get(k, F.zero), F.mul(c, ck))
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
+                if j in row:
+                    _add_scaled(out, F.mul(ci, cj), row[j], F)
         return out
 
     def dense(self, x: dict[int, object]) -> list:
@@ -419,10 +409,6 @@ class FiniteDimAlgebra:
         for i, c in x.items():
             vec[i] = c
         return vec
-
-    def describe(self) -> str:
-        kind = "presented" if self.is_presented else "table-backed"
-        return f"{kind} algebra over {self.field.name}, dim {self.dim}, vertices {list(self.vertices)}"
 
 
 def _require_presented(alg: FiniteDimAlgebra, what: str = "module theory") -> None:
@@ -433,8 +419,7 @@ def _require_presented(alg: FiniteDimAlgebra, what: str = "module theory") -> No
 def _require_subquiver(alg: FiniteDimAlgebra, sub: FullSubquiver, what: str) -> None:
     """Refuse a subquiver that is not a full subquiver of alg's own quiver."""
     _require_presented(alg, what)
-    if sub.parent != alg.quiver:
-        raise InputError("the subquiver is not a full subquiver of the algebra's quiver")
+    _check_parent(alg.quiver, sub, "the subquiver is not a full subquiver of the algebra's quiver")
 
 
 def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
@@ -694,13 +679,18 @@ def _apply_images(images, F, x: dict[int, object]) -> dict[int, object]:
     """Image of x under the linear map sending basis element i to images[i]."""
     out: dict[int, object] = {}
     for i, c in x.items():
-        for k, ck in images[i].items():
-            v = F.add(out.get(k, F.zero), F.mul(c, ck))
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+        _add_scaled(out, c, images[i].items(), F)
     return out
+
+
+def _add_scaled(out: dict[int, object], c, pairs, F) -> None:
+    """Add c times the (index, coefficient) pairs into the element out, dropping zeros."""
+    for k, ck in pairs:
+        v = F.add(out.get(k, F.zero), F.mul(c, ck))
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ consistency check failed on data that was supposed to be correct by
 construction; it is a bug indicator, never a user error.
 """
 
+from collections.abc import Mapping
+
 
 class QuiverHomError(Exception):
     """Base class for all package errors."""
@@ -48,3 +50,9 @@ def require_int(value, what: str) -> None:
     """Refuse anything but an int (a bool is refused too), naming it as `what`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an int, got {value!r}")
+
+
+def require_mapping(value, what: str) -> None:
+    """Refuse anything but a mapping, naming it as `what` and the value by its type."""
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a mapping, not {type(value).__name__}")

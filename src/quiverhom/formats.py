@@ -55,7 +55,7 @@ from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
 from .fields import QQ, _literal, parse_exact
 from .modules import Representation, _module_work
-from .quiver import FullSubquiver, HeartProfile, Quiver
+from .quiver import HeartProfile, Quiver
 
 # ---------------------------------------------------------------------------
 # low-level line parsing
@@ -380,16 +380,12 @@ def serialize_quiver(q: Quiver) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coeff_str(c) -> str:
-    return str(Fraction(c)) if not isinstance(c, int) else str(c)
-
-
 def serialize_ideal(ideal: IdealSpec) -> str:
     lines = ["ideal", f"  truncation {ideal.truncation}"]
     for rel in ideal.relations:
         lines.append("  relation")
         for coeff, arrows in rel:
-            lines.append(f"    term {_coeff_str(coeff)} " + _ids(*arrows))
+            lines.append(f"    term {QQ.of(coeff)} " + _ids(*arrows))
     return "\n".join(lines) + "\n"
 
 
@@ -440,8 +436,6 @@ def export_dot(q: Quiver, highlight=None) -> str:
     classes: dict[str, str] = {}
     if highlight is not None:
         sub = highlight.heart if isinstance(highlight, HeartProfile) else highlight
-        if not isinstance(sub, FullSubquiver):
-            raise InputError("highlight must be a heart profile or a full subquiver")
         split = q.boundary_split(sub)
         for v in sub.vertex_set:
             classes[v] = "inside"

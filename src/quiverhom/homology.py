@@ -14,22 +14,22 @@ term has rows and the module a radical, the top deciding the rest, and
 builds syzygy arrow matrices only out of vertices with kernel rows.  M is
 projective iff its cover P(M) -> M is an isomorphism, i.e. dim P(M) = dim M,
 which ``is_projective_module`` reads off the top with no step.
-One ``SyzygyTable`` per case or command keys modules by content (algebra,
-dims and, for a dimension vector two modules share, matrices); every
-``SyzygyChain`` minted from it reads the same nodes, so no content is
-stepped twice, and a syzygy equal to one already on its chain closes the
-chain into a lasso.  Equal modules are isomorphic, so a nonzero repeat
-certifies an infinite projective dimension, reported as ``Infinite`` by
-``proj_dim``, ``inj_dim`` and ``gl_dim``, which looks past a simple that
-only reaches its cutoff.  Isomorphic syzygies of different content go
-unnoticed, so a lasso may be missed but is never false.  Terms
-wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and ``check_cutoff``
-refuses a cutoff not an int, below 0 or past ``MAX_CUTOFF``.  A prefix's
-minimality comes from its cover steps; its exactness is recomputed from
-ranks of the complex it holds each time it is read.  Prefixes are projective
-only.  The injective side is the chain's ``dual``: the ell-th cosyzygy of a
-module is the dual of the ell-th syzygy of its dual over the opposite
-algebra, and has the same dimension vector.
+One ``SyzygyTable`` per case or command keeps one node per module content:
+it lists the nodes of each (algebra, dimension vector) and tells them apart
+by ``Representation.equal_to``.  Every ``SyzygyChain`` minted from it reads
+the same nodes, so no content is stepped twice, and a syzygy equal to one
+already on its chain closes the chain into a lasso.  Equal modules are
+isomorphic, so a nonzero repeat certifies an infinite projective dimension,
+reported as ``Infinite`` by ``proj_dim``, ``inj_dim`` and ``gl_dim``, which
+looks past a simple that only reaches its cutoff.  Isomorphic syzygies of
+different content go unnoticed, so a lasso may be missed but is never
+false.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and
+``check_cutoff`` refuses a cutoff not an int, below 0 or past
+``MAX_CUTOFF``.  A prefix's minimality comes from its cover steps; its
+exactness is recomputed from ranks of the complex it holds each time it is
+read.  Prefixes are projective only.  The injective side is the chain's
+``dual``: the ell-th cosyzygy of a module is the dual of the ell-th syzygy
+of its dual over the opposite algebra, and has the same dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
@@ -59,6 +59,7 @@ from .modules import (
     ModuleMap,
     Representation,
     _components,
+    _check_multiplicities,
     _convex_split,
     dual_module,
     heart_parts,
@@ -281,42 +282,38 @@ def projective_cover_and_syzygy(m: Representation) -> CoverStep:
     return CoverStep(mults, info, syz, m, cover_rows, kernel)
 
 
-def _entries(module: Representation) -> tuple:
-    """The matrix entries, which the dims shape, in one flat tuple: a tuple
-    per row would, once its table is dropped, stay in CPython's free lists."""
-    return tuple(chain.from_iterable(chain.from_iterable(module.mats.values())))
-
-
 class SyzygyTable:
     """The syzygies read in one case or command, one node per module content.
 
     Content includes the algebra, so nodes over an algebra, its opposite and
-    its restrictions sit side by side.  Per node, steps holds the cover step,
-    succ the node of its syzygy and duals the node of its dual, each made when
-    first read.  Nothing here refers to a view, so a dropped table leaves no cycle.
+    its restrictions sit side by side.  index lists the nodes of each
+    (algebra, dimension vector) in the order they were made.  Per node, steps
+    holds the cover step, succ the node of its syzygy and duals the node of
+    its dual, each made when first read.  Nothing here refers to a view, so
+    a dropped table leaves no cycle.
     """
 
     __slots__ = ("modules", "index", "steps", "succ", "duals")
 
     def __init__(self):
         self.modules: list[Representation] = []
-        self.index: dict[tuple, int | dict[tuple, int]] = {}
+        self.index: dict[tuple, list[int]] = {}
         self.steps: dict[int, CoverStep] = {}
         self.succ: dict[int, int] = {}
         self.duals: dict[int, int] = {}
 
     def node(self, module: Representation) -> int:
-        """The node of the module's content, added when new: indexed by
-        algebra and dims, and once a second module has those, by entries."""
-        key, new = (module.algebra, tuple(module.dims.values())), len(self.modules)
-        found = self.index.setdefault(key, new)
-        if found != new:
-            if isinstance(found, int):
-                found = self.index[key] = {_entries(self.modules[found]): found}
-            found = found.setdefault(_entries(module), new)
-        if found == new:
-            self.modules.append(module)
-        return found
+        """The first node of the module's algebra and dims whose module is
+        ``equal_to`` it, or a new node appended there.  A lookup costs one
+        comparison per earlier node of its vector, each stopping at the first
+        entry that differs."""
+        nodes = self.index.setdefault((module.algebra, tuple(module.dims.values())), [])
+        for i in nodes:
+            if self.modules[i].equal_to(module):
+                return i
+        nodes.append(len(self.modules))
+        self.modules.append(module)
+        return nodes[-1]
 
     def chain(self, module: Representation) -> SyzygyChain:
         return SyzygyChain(self, self.node(module))
@@ -463,9 +460,11 @@ def check_term_reachability(q: Quiver, terms: Sequence[dict[str, int]]) -> bool:
     terms holds the multiplicities of P_0..P_depth by vertex.  The ends of
     the paths of length >= 0 from term 0 are one walk from it, and those of
     length >= k+1 are the targets of arrows out of those of length >= k, so
-    depth passes over the arrows decide the property.
+    depth passes over the arrows decide the property.  Each term must map
+    vertex ids of q to ints >= 0.
     """
     for term in terms:
+        _check_multiplicities(term)
         q.check_vertices(term)
     if not terms:
         return True
@@ -693,19 +692,12 @@ def transport_resolution(a: ModuleOrChain, k: int, heart: FullSubquiver) -> Tran
             for row in r_diffs[i].blocks[v]:
                 if any(linalg.reduce_mod_rowspace(row, echelon, pivots, F)):
                     minimal = False
-    terms = []
-    terms_projective = True
-    for i, mults in enumerate(res.terms):
-        gm = {v: mults.get(v, 0) for v in g_vertices if mults.get(v, 0) > 0}
-        terms.append(gm)
-        model = materialize_term(gamma, gm)
-        got = r_quots[i + 1]
-        if model.dims != got.dims or model.mats != got.mats:
-            terms_projective = False
+    terms = tuple({v: mults[v] for v in g_vertices if mults.get(v, 0) > 0} for mults in res.terms)
+    terms_projective = all(materialize_term(gamma, gm).equal_to(got) for gm, got in zip(terms, r_quots[1:]))
     return TransportedResolution(
         gamma,
         r_quots[0],
-        tuple(terms),
+        terms,
         tuple(r_quots[1:]),
         tuple(r_diffs),
         exact,

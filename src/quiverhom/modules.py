@@ -36,7 +36,7 @@ from itertools import repeat
 
 from . import linalg
 from .algebra import MAX_WORK, FiniteDimAlgebra, _require_presented, _require_subquiver, opposite_algebra
-from .errors import DanglingIdError, InputError, ModuleValidationError
+from .errors import DanglingIdError, InputError, ModuleValidationError, require_mapping
 from .quiver import BoundarySplit, FullSubquiver, Quiver
 
 
@@ -87,6 +87,8 @@ class Representation:
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, mats):
         _require_presented(algebra)
+        require_mapping(dims, "module dims")
+        require_mapping(mats, "module matrices")
         self.algebra = algebra
         q, F = algebra.quiver, algebra.field
         for v, d in dims.items():
@@ -218,15 +220,10 @@ class Representation:
             )
 
     def equal_to(self, other: "Representation") -> bool:
-        return (
-            self.algebra is other.algebra
-            and self.dims == other.dims
-            and self.mats == other.mats
-        )
-
-    def describe(self) -> str:
-        dims = ", ".join(f"{v}:{self.dims[v]}" for v in self.algebra.quiver.vertices)
-        return f"module dims ({dims})"
+        """Equal content: the same algebra object, dims and arrow matrices, the
+        package's one test of it; the matrices compare row by row and stop
+        at the first entry that differs."""
+        return self.algebra is other.algebra and self.dims == other.dims and self.mats == other.mats
 
 
 class ModuleMap:
@@ -237,6 +234,7 @@ class ModuleMap:
     def __init__(self, source: Representation, target: Representation, blocks):
         if source.algebra is not target.algebra:
             raise InputError("module map endpoints live over different algebras")
+        require_mapping(blocks, "map blocks")
         self.source = source
         self.target = target
         q = source.algebra.quiver
@@ -354,17 +352,24 @@ def term_info(alg: FiniteDimAlgebra, mults: dict[str, int]) -> TermInfo:
     return info
 
 
+def _check_multiplicities(mults) -> None:
+    """Refuse projective term multiplicities that are not a mapping to ints >= 0."""
+    require_mapping(mults, "a projective term")
+    for v, c in mults.items():
+        if type(c) is not int or c < 0:
+            raise InputError(f"multiplicity {c!r} of vertex {v!r} in projective term is not an int >= 0")
+
+
 def materialize_term(alg: FiniteDimAlgebra, mults: dict[str, int]) -> Representation:
     """Build the sum of projectives P_v^{mults[v]}, laid out as term_info says.
 
     The component of P_v at w is spanned by the basis elements from v to w,
     and an arrow acts by right multiplication through the product table.
     """
-    for v, c in mults.items():
+    _check_multiplicities(mults)
+    for v in mults:
         if v not in alg.idempotent_index:
             raise InputError(f"unknown vertex id {v!r} in projective term")
-        if type(c) is not int or c < 0:
-            raise InputError(f"multiplicity {c!r} of vertex {v!r} in projective term is not an int >= 0")
     info = term_info(alg, mults)
     dims = {w: len(b) for w, b in info.basis.items()}
     mats = {

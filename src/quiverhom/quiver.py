@@ -426,6 +426,10 @@ def _collection(vs, what: str = "a vertex set is a collection of vertex ids"):
     return vs
 
 
-def _check_parent(q: Quiver, sub: "FullSubquiver") -> None:
+def _check_parent(q: Quiver, sub, refusal: str = "subquiver belongs to a different quiver") -> None:
+    """Refuse sub unless it is a FullSubquiver of q, one of another quiver
+    with the message `refusal`."""
+    if not isinstance(sub, FullSubquiver):
+        raise InputError(f"a subquiver is a FullSubquiver from Quiver.full_subquiver, not {type(sub).__name__}")
     if sub.parent is not q and sub.parent != q:
-        raise InputError("subquiver belongs to a different quiver")
+        raise InputError(refusal)

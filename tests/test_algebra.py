@@ -32,7 +32,7 @@ from quiverhom import (
     verify_convex_isos,
 )
 from quiverhom import linalg
-from quiverhom.algebra import _RelationSpan
+from quiverhom.algebra import _RelationSpan, _tables_match
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_quiver
 
 GF3 = PrimeField(3)
@@ -493,6 +493,52 @@ def test_restricted_algebra_is_kept_by_the_algebra(cycle_tail_quiver, cycle_tail
 SPLIT_CALLS = (
     corner_algebra, quotient_by_idempotent, triangular_blocks, restricted_algebra, verify_convex_isos
 )
+
+
+def test_a_vertex_set_in_place_of_a_subquiver_is_an_input_error(cycle_tail_algebra):
+    q = cycle_tail_algebra.quiver
+    calls = [lambda vs, call=call: call(cycle_tail_algebra, vs) for call in SPLIT_CALLS]
+    for vs, kind in ((frozenset({"1"}), "frozenset"), ({"1"}, "set"), (["1"], "list"), ("1", "str")):
+        for call in (*calls, q.boundary_split, q.is_convex):
+            with pytest.raises(InputError) as caught:
+                call(vs)
+            assert type(caught.value) is InputError
+            assert str(caught.value) == f"a subquiver is a FullSubquiver from Quiver.full_subquiver, not {kind}"
+
+
+def test_the_table_comparison_names_a_basis_path_one_side_lacks():
+    # found by search over lab-drawn algebras: the loop l at 1, x: 1 -> 2 and
+    # y: 2 -> 1, bound by y*l, l*x and l*l + x*y; {1} is not convex, and its
+    # corner keeps x*y where the restriction, which never sees x*y, keeps l*l
+    q = Quiver.build(["1", "2"], [("y", "2", "1"), ("l", "1", "1"), ("x", "1", "2")])
+    ideal = IdealSpec((((1, ("y", "l")),), ((1, ("l", "x")),), ((1, ("l", "l")), (1, ("x", "y")))), 3)
+    for F in (QQ, PrimeField(2)):
+        report = verify_convex_isos(build_algebra(q, ideal, F), q.full_subquiver({"1"}))
+        assert not report.convex and report.ok
+        assert (report.corner_dim, report.quotient_dim, report.restricted_dim) == (3, 2, 3)
+        entries = {e.name: e for e in report.entries}
+        assert not entries["corner_restricted_tables"].passed
+        assert entries["corner_restricted_tables"].detail == "basis paths differ, e.g. l*l"
+        assert entries["corner_quotient_tables"].detail == "dimension 3 != 2"
+
+
+@pytest.mark.parametrize("F", [QQ, GF3], ids=["QQ", "GF3"])
+def test_the_table_comparison_names_the_first_product_that_disagrees(F):
+    """Inside ``verify_convex_isos`` equal basis paths force equal products:
+    the restriction's ideal lies in the ambient one, and a quotient that keeps
+    every corner path kills nothing there.  So two algebras are compared
+    directly: loops c, d at one vertex with cc = dd = 0, one bound by cd = dc
+    and one by cd = -dc, share the basis e_1, c, d, d*c."""
+    one = Quiver.build(["1"], [("c", "1", "1"), ("d", "1", "1")])
+
+    def bound(sign):
+        rels = (((1, ("c", "c")),), ((1, ("d", "d")),), ((1, ("c", "d")), (sign, ("d", "c"))))
+        return build_algebra(one, IdealSpec(rels, 3), F)
+
+    commuting, anti = bound(-1), bound(1)
+    assert [el.label() for el in commuting.elements] == [el.label() for el in anti.elements] == ["e_1", "c", "d", "d*c"]
+    assert _tables_match(commuting, anti) == (False, "product c * d disagrees")
+    assert _tables_match(commuting, commuting) == (True, "")
 
 
 def test_a_split_needs_the_algebras_own_presented_quiver(cycle_tail_algebra, line_quiver):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhom import QQ, IdealSpec, InputError, PrimeField, Quiver, build_algebra
+from quiverhom import QQ, IdealSpec, InputError, PrimeField, Quiver, build_algebra, field_from_descriptor
 from quiverhom.fields import _is_prime
 
 FIELDS = [QQ, PrimeField(5), PrimeField(2**31 - 1)]
@@ -153,3 +153,19 @@ def test_float_relation_coefficient_is_input_error(field):
         build_algebra(q, ideal, field)
     half = IdealSpec((((1, ("a", "b")), (Fraction(1, 2), ("c", "b"))),), 3)
     assert build_algebra(q, half, field).dim == 7
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        ("p:x", "bad field descriptor 'p:x'"),
+        ("p:", "bad field descriptor 'p:'"),
+        ("z", "bad field descriptor 'z' (expected 'q' or 'p:<prime>')"),
+        ("", "bad field descriptor '' (expected 'q' or 'p:<prime>')"),
+    ],
+)
+def test_a_bad_field_descriptor_is_named(desc, message):
+    with pytest.raises(InputError) as caught:
+        field_from_descriptor(desc)
+    assert type(caught.value) is InputError and str(caught.value) == message
+    assert field_from_descriptor(" QQ ") is QQ and field_from_descriptor("p:7") == PrimeField(7)

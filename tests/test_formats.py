@@ -6,6 +6,7 @@ line.  Round-trips reload the serialized text and compare structures.
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,21 @@ def test_serializers_refuse_an_id_that_would_not_read_back(bad):
         serialize_module(Representation(alg, {"1": 1, "2": 1}, {bad: [[QQ.one]]}))
     with refused:
         serialize_module(standard_module(alg, "simple", "1"), bad)
+
+
+def test_ideal_coefficients_are_written_so_they_read_back(tmp_path):
+    # on 1 -> 2 -> 3: a bool coefficient is the int it equals, and a float is refused
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    for coeff, written in ((True, "1"), (Fraction(-1, 2), "-1/2"), (3, "3")):
+        ideal = IdealSpec((((coeff, ("a", "b")),),), 3)
+        assert build_algebra(q, ideal, QQ).dim == 5
+        text = serialize_ideal(ideal)
+        assert f"    term {written} a b\n" in text
+        bundle = load_bundle([write(tmp_path, serialize_quiver(q) + text)])
+        assert bundle.ideal == IdealSpec((((Fraction(written), ("a", "b")),),), 3)
+        assert bundle.algebra.dim == 5
+    with pytest.raises(InputError, match="^coefficient 0.5 is not an int or a Fraction$"):
+        serialize_ideal(IdealSpec((((0.5, ("a", "b")),),), 3))
 
 
 def test_lab_ids_round_trip(tmp_path):
@@ -398,6 +414,15 @@ def test_section_count_errors(tmp_path):
         load_bundle([write(tmp_path, two_modules)])
 
 
+def test_a_second_ideal_section_and_a_second_matrix_are_refused(tmp_path):
+    with pytest.raises(InputError, match="^more than one ideal section$"):
+        load_bundle([write(tmp_path, GOOD + "\nideal\n  truncation 3\n")])
+    text = GOOD.replace("  dim 2 0\n", "  dim 2 1\n  matrix a\n    row 0\n  matrix a\n    row 0\n")
+    with pytest.raises(ParseError) as exc:
+        load_bundle([write(tmp_path, text)])
+    assert str(exc.value) == "duplicate matrix for arrow 'a' (line 20, column 10)"
+
+
 def test_default_module_names(tmp_path):
     text = (
         "quiver\n  vertices 1\n\nideal\n  truncation 2\n\n"
@@ -529,6 +554,16 @@ def test_dot_export_highlights_heart(cycle_tail_quiver):
     assert '"3" [class="plus"' in dot
     assert '"4" [class="plus"' in dot
     assert '"2" -> "3" [label="c"];' in dot
+
+
+def test_dot_export_marks_a_vertex_off_every_path_through_the_highlight():
+    q = Quiver.build(["v", "w", "x", "z"], [("alpha", "v", "w"), ("beta", "w", "x")])
+    dot = export_dot(q, q.full_subquiver({"w"}))
+    assert '"v" [class="minus", style="filled", fillcolor="lightsalmon", shape="circle"];' in dot
+    assert '"x" [class="plus", style="filled", fillcolor="palegreen", shape="circle"];' in dot
+    assert '"z" [class="zero", style="filled,dashed", fillcolor="gray92", shape="circle"];' in dot
+    with pytest.raises(InputError, match="^a subquiver is a FullSubquiver from Quiver.full_subquiver, not set$"):
+        export_dot(q, {"w"})
 
 
 def test_dot_export_plain_and_empty(line_quiver):

@@ -44,8 +44,11 @@ from quiverhom import (
     restricted_algebra,
     standard_module,
     transport_resolution,
+    verify_convex_epi,
+    verify_ext_cross,
+    verify_heart_theorem,
 )
-from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy
+from quiverhom.homology import SyzygyTable, projective_cover_and_syzygy, term_label
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 
 from test_modules import random_module
@@ -379,6 +382,26 @@ def test_term_reachability_flags_unreachable_terms(line_quiver):
             check_term_reachability(q, terms)
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([{"v": "x"}], "multiplicity 'x' of vertex 'v' in projective term is not an int >= 0"),
+        ([{"v": 1}, {"w": -1}], "multiplicity -1 of vertex 'w' in projective term is not an int >= 0"),
+        ([[("v", 1)]], "a projective term must be a mapping, not list"),
+    ],
+    ids=["str multiplicity", "negative multiplicity", "list term"],
+)
+def test_term_reachability_refuses_a_malformed_term(line_quiver, terms, message):
+    with pytest.raises(InputError) as caught:
+        check_term_reachability(line_quiver, terms)
+    assert type(caught.value) is InputError and str(caught.value) == message
+
+
+def test_term_labels_name_each_projective_with_its_multiplicity(cycle_tail_algebra):
+    assert term_label(cycle_tail_algebra, {"3": 1, "1": 2, "2": 0}) == "P_1^2 + P_3"
+    assert term_label(cycle_tail_algebra, {"4": 0}) == "0"
+
+
 def test_term_reachability_goes_round_a_cycle_past_the_exact_length():
     # 1 -> 2 <-> 3, 2 -> 4: from 1, the paths of length exactly 3 end at 2 only,
     # but 1 2 3 2 4 has length 4 >= 3
@@ -474,6 +497,28 @@ def test_the_heart_functions_refuse_a_subquiver_of_another_quiver(cycle_tail_alg
         for call in calls:
             with pytest.raises(InputError, match=refusal):
                 call()
+
+
+def test_the_heart_functions_refuse_a_vertex_set_in_place_of_a_subquiver(cycle_tail_algebra):
+    s1 = standard_module(cycle_tail_algebra, "simple", "1")
+    calls = (
+        lambda: heart_parts(s1, frozenset({"1", "2"})),
+        lambda: transport_resolution(s1, 2, {"1", "2"}),
+        lambda: heart_shift_pair(s1, s1, ["1", "2"], 1),
+    )
+    with no_chain_walks():
+        for call, kind in zip(calls, ("frozenset", "set", "list")):
+            with pytest.raises(InputError) as caught:
+                call()
+            assert str(caught.value) == f"a subquiver is a FullSubquiver from Quiver.full_subquiver, not {kind}"
+
+
+def test_a_shift_pair_refuses_endpoints_over_different_algebras(cycle_tail_algebra, line_algebra):
+    s1 = standard_module(cycle_tail_algebra, "simple", "1")
+    sv = standard_module(line_algebra, "simple", "v")
+    heart = cycle_tail_algebra.quiver.full_subquiver({"1", "2"})
+    with no_chain_walks(), pytest.raises(InputError, match="^shift pair endpoints live over different algebras$"):
+        heart_shift_pair(s1, sv, heart, 1)
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
@@ -775,16 +820,47 @@ def test_syzygy_table_keys_content_only_for_a_repeated_dimension_vector(monkeypa
     def split():
         return Representation(alg, {"1": 1, "2": 1}, {"a": [[0]]})
 
-    entries = mock.Mock(wraps=homology._entries)
-    monkeypatch.setattr(homology, "_entries", entries)
+    compared = []
+    real = Representation.equal_to
+    monkeypatch.setattr(Representation, "equal_to", lambda m, other: compared.append(m) or real(m, other))
     table = SyzygyTable()
     assert [table.node(m) for m in (p1, s1, s2)] == [0, 1, 2]
     # distinct vectors are told apart by their dims alone
-    assert entries.call_count == 0
-    # a second module of P_1's vector takes its own node, once both are keyed by content
-    assert table.node(split()) == 3 and entries.call_count == 2
-    # equal content returns the earlier node, on the vector now keyed
+    assert compared == []
+    # a second module of P_1's vector is compared with P_1 and takes its own node
+    assert table.node(split()) == 3 and len(compared) == 1
+    # equal content returns the first equal node of the vector, comparing in node order
     copy = Representation(alg, {"1": 1, "2": 1}, {"a": [[1]]})
-    assert (table.node(copy), table.node(split())) == (0, 3)
+    assert table.node(copy) == 0 and len(compared) == 2
+    assert table.node(split()) == 3 and len(compared) == 4
+    assert compared[2:] == [p1, table.modules[3]]
     assert len(table.modules) == 4 and table.modules[0] is p1
-    assert entries.call_count == 4
+    assert table.index == {(alg, (1, 1)): [0, 3], (alg, (1, 0)): [1], (alg, (0, 1)): [2]}
+
+
+def test_a_seed_1_pass_finds_most_repeated_vectors_equal_in_content(monkeypatch):
+    """The lookups of one seed-1 pass of the epi, heart and ext-cross suites
+    at acceptance scale: how many there are, how many land on a dimension
+    vector already listed, how many of those find an equal module, and how
+    many nodes a vector lists at most."""
+    seen = []  # per lookup: the nodes listed for its vector before it, and whether it found one
+    real = SyzygyTable.node
+
+    def node(table, module):
+        listed = list(table.index.get((module.algebra, tuple(module.dims.values())), ()))
+        found = real(table, module)
+        seen.append((len(listed), found in listed))
+        return found
+
+    monkeypatch.setattr(SyzygyTable, "node", node)
+    spec = InstanceSpec(seed=1)
+    reports = (
+        verify_convex_epi(spec, cases=200, cutoff=6),
+        verify_heart_theorem(spec, cases=100),
+        verify_ext_cross(spec, cases=100, cutoff=3),
+    )
+    assert all(r.all_passed for r in reports)
+    assert len(seen) == 5387
+    assert sum(1 for listed, _ in seen if listed) == 1783
+    assert sum(1 for _, found in seen if found) == 1732
+    assert max(listed + (not found) for listed, found in seen) == 3

@@ -28,6 +28,7 @@ from quiverhom import (
     Quiver,
     Representation,
     build_algebra,
+    corner_algebra,
     dual_map,
     dual_module,
     embed_submodule,
@@ -574,10 +575,25 @@ def _compose_mismatched(alg, line):
          "vertex 'v' missing from the ambient quiver"),
         (lambda alg, line: hom_basis(standard_module(line, "simple", "v"), standard_module(alg, "simple", "1")),
          InputError, "hom endpoints live over different algebras"),
+        (lambda alg, line: ModuleMap(standard_module(line, "simple", "v"), standard_module(alg, "simple", "1"), {}),
+         InputError, "module map endpoints live over different algebras"),
+        (lambda alg, line: Representation(alg, [("1", 1)], {}), InputError, "module dims must be a mapping, not list"),
+        (lambda alg, line: Representation(alg, {"1": 1}, [[1]]), InputError,
+         "module matrices must be a mapping, not list"),
+        (lambda alg, line: ModuleMap(standard_module(alg, "simple", "1"), standard_module(alg, "simple", "1"), [[1]]),
+         InputError, "map blocks must be a mapping, not list"),
+        (lambda alg, line: materialize_term(alg, [("1", 1)]), InputError,
+         "a projective term must be a mapping, not list"),
+        (lambda alg, line: left_module_over_opposite(alg), InputError,
+         "need a quotient algebra with parent projection data"),
+        (lambda alg, line: left_module_over_opposite(corner_algebra(alg, alg.quiver.full_subquiver({"1", "2"}))),
+         InputError, "need a quotient algebra with parent projection data"),
     ],
     ids=["unknown vertex", "unknown arrow", "arrow matrix shape",
          "map block shape", "map vertex",
-         "compose shapes", "term vertex", "inflate vertex", "hom across algebras"],
+         "compose shapes", "term vertex", "inflate vertex", "hom across algebras",
+         "map across algebras", "dims not a mapping", "matrices not a mapping", "blocks not a mapping",
+         "term not a mapping", "left module of no quotient", "left module of a corner"],
 )
 def test_module_layer_refusals_name_the_culprit(cycle_tail_algebra, line_algebra, call, error, message):
     with pytest.raises(InputError) as caught:

@@ -1,13 +1,15 @@
 """The public names of the package.
 
 A literal snapshot of every non-module name that ``quiverhom/__init__.py``
-binds, and of the parameter names of each exported function and class.  A
-name may leave, or a signature change, only with a written-down removal, so
-a dropped or renamed export or parameter fails here instead of in a user's
-call.  The module and map constructors always check, with no parameter that
+binds, of the parameter names of each exported function and class, and of
+the public methods and properties of each exported class.  A name may
+leave, or a signature change, only with a written-down removal, so a
+dropped or renamed export, parameter or method fails here instead of in a
+user's call.  The module and map constructors always check, with no parameter that
 skips it, and a malformed module is an ``InputError``.
 """
 
+import functools
 import inspect
 import types
 
@@ -193,6 +195,69 @@ SIGNATURES = {
 }
 
 
+# The public method and property names of every exported class, its
+# package bases' included; fields and plain class attributes are not listed.
+MEMBERS = {
+    "AlgebraHom": ("from_images",),
+    "Arrow": (),
+    "Block": (),
+    "BoundarySplit": (),
+    "ComponentsReport": ("nontrivial_count",),
+    "CompositionError": (),
+    "ConvexIsoReport": ("dims_agree", "failed_entries", "ok"),
+    "DanglingIdError": (),
+    "DecompositionNode": (),
+    "DecompositionTree": ("blocks", "render", "splits"),
+    "DimBound": ("at_least", "finite", "infinite", "is_finite"),
+    "ExtTable": ("describe",),
+    "FiniteDimAlgebra": (
+        "arrow_index", "dense", "dim", "dim_exceeds", "elements", "idempotent_index", "is_presented", "mul",
+        "projective_layout", "radical_indices", "table", "unit", "vertex_idempotent",
+    ),
+    "FullSubquiver": ("arrows", "as_quiver", "complement", "is_empty", "vertices"),
+    "HeartProfile": (),
+    "HeartShiftPair": (),
+    "IdealSpec": ("monomial", "opposite", "uniform_relations", "zero"),
+    "InputError": (),
+    "InstanceSpec": (),
+    "InvariantViolation": (),
+    "ModuleMap": ("compose", "field", "is_zero", "validate"),
+    "ModuleValidationError": (),
+    "ParseError": (),
+    "Path": ("label", "length"),
+    "PrimeField": ("add", "mul", "name", "neg", "of", "parse", "sub", "to_str"),
+    "Quiver": (
+        "arrow_by_name", "boundary_split", "build", "check_vertices", "components", "convex_closure",
+        "full_subquiver", "homological_heart", "in_arrows", "is_acyclic", "is_convex", "out_arrows",
+        "path_at", "path_counts", "paths_up_to", "reachable_from", "reaching", "scc_list", "sort_vertices",
+        "vertex_index",
+    ),
+    "QuiverHomError": (),
+    "Rationals": ("add", "mul", "neg", "of", "parse", "sub", "to_str"),
+    "Representation": (
+        "element_matrix", "equal_to", "field", "is_zero", "support", "top_lifts", "total_dim", "validate"
+    ),
+    "ResolutionPrefix": ("exact", "syzygy", "term_labels"),
+    "SuiteReport": ("all_passed", "render"),
+    "TransportedResolution": (),
+    "TriangularBlocks": ("total",),
+    "Witness": (),
+    "WorkspaceBundle": (),
+}
+
+_MEMBER_KINDS = (types.FunctionType, property, functools.cached_property, staticmethod, classmethod)
+
+
+def _members(klass) -> tuple[str, ...]:
+    """The public methods and properties that klass and its package bases define."""
+    return tuple(sorted({
+        name
+        for base in klass.__mro__ if base.__module__.startswith("quiverhom")
+        for name, value in vars(base).items()
+        if not name.startswith("_") and isinstance(value, _MEMBER_KINDS)
+    }))
+
+
 def _parameters(value):
     try:
         return tuple(inspect.signature(value).parameters)
@@ -218,6 +283,12 @@ def test_public_signatures_are_unchanged():
         if inspect.isfunction(value) or inspect.isclass(value)
     }
     assert got == SIGNATURES
+
+
+def test_public_methods_are_unchanged():
+    exported = {name: getattr(quiverhom, name) for name in PUBLIC_NAMES}
+    got = {name: _members(value) for name, value in exported.items() if inspect.isclass(value)}
+    assert got == MEMBERS
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,16 @@ def test_a_string_is_refused_where_a_vertex_set_is_expected(cycle_tail_quiver):
         FullSubquiver(q, "12")
 
 
+def test_a_subquiver_of_another_quiver_is_refused(cycle_tail_quiver, line_quiver):
+    other = line_quiver.full_subquiver({"v"})
+    # an equal quiver built apart is the same quiver
+    twin = Quiver.build(["v", "w", "x"], [("alpha", "v", "w"), ("beta", "w", "x")])
+    assert twin.is_convex(other) and twin.boundary_split(other).plus == {"w", "x"}
+    for call in (cycle_tail_quiver.boundary_split, cycle_tail_quiver.is_convex):
+        with pytest.raises(InputError, match="^subquiver belongs to a different quiver$"):
+            call(other)
+
+
 def test_full_subquiver_collects_inner_arrows(cycle_tail_quiver):
     sub = cycle_tail_quiver.full_subquiver({"1", "2"})
     assert sub.vertices == ("1", "2")
