@@ -380,10 +380,6 @@ class FiniteDimAlgebra:
         walks = {v: tuple(walk) for v, walk in walks.items()}
         return ProjectiveLayout(blocks, tuple(local), dims, walks, tuple(prefix), {})
 
-    @cached_property
-    def radical_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, el in enumerate(self.elements) if el.length >= 1)
-
     @property
     def is_presented(self) -> bool:
         return self.quiver is not None
@@ -392,7 +388,10 @@ class FiniteDimAlgebra:
         return {i: self.field.one for i in self.idempotent_index.values()}
 
     def vertex_idempotent(self, vs) -> dict[int, object]:
-        return {self.idempotent_index[v]: self.field.one for v in vs if v in self.idempotent_index}
+        try:
+            return {self.idempotent_index[v]: self.field.one for v in _collection(vs)}
+        except KeyError as exc:
+            raise DanglingIdError(f"unknown vertex id {exc.args[0]!r}") from None
 
     def mul(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
         F, table = self.field, self.table
@@ -403,12 +402,6 @@ class FiniteDimAlgebra:
                 if j in row:
                     _add_scaled(out, F.mul(ci, cj), row[j], F)
         return out
-
-    def dense(self, x: dict[int, object]) -> list:
-        vec = [self.field.zero] * self.dim
-        for i, c in x.items():
-            vec[i] = c
-        return vec
 
 
 def _require_presented(alg: FiniteDimAlgebra, what: str = "module theory") -> None:
@@ -435,27 +428,21 @@ def build_algebra(q: Quiver, ideal: IdealSpec, field) -> FiniteDimAlgebra:
 def _product_table(span: _RelationSpan, elements: tuple[Path, ...]) -> tuple[dict, ...]:
     """Row i maps j to the normal form of x_i * x_j where it is nonzero.  A product
     with a vertex idempotent is the other factor; any other is looked up by its
-    arrows in the span.  A pivot path's normal form is minus its reduced echelon
-    row off the pivot, whose other entries all sit at basis paths."""
+    arrows in the span.  The table is the one store of normal forms: a basis
+    path's is its unit, and a pivot path's, minus its reduced echelon row off
+    the pivot (whose other entries all sit at basis paths), is built each
+    time a product reaches it."""
     field, n = span.field, span.ideal.truncation
     basis = (g for g in range(len(span.paths)) if g not in span.pivot_rows)
     basis_pos = {g: pos for pos, g in enumerate(basis)}
     units = tuple(((pos, field.one),) for pos in range(len(elements)))
 
-    nf_cache: dict[int, tuple[tuple[int, object], ...]] = {}
-
     def nf(g: int) -> tuple[tuple[int, object], ...]:
-        got = nf_cache.get(g)
-        if got is not None:
-            return got
         if g in basis_pos:
-            out = units[basis_pos[g]]
-        else:
-            p = span.paths[g]
-            local, row = span.buckets[(p.source, p.target)], span.pivot_rows[g]
-            out = tuple((basis_pos[local[h]], field.neg(c)) for h, c in enumerate(row) if c and local[h] != g)
-        nf_cache[g] = out
-        return out
+            return units[basis_pos[g]]
+        p = span.paths[g]
+        local, row = span.buckets[(p.source, p.target)], span.pivot_rows[g]
+        return tuple((basis_pos[local[h]], field.neg(c)) for h, c in enumerate(row) if c and local[h] != g)
 
     by_source: dict[str, list[int]] = {v: [] for v in span.q.vertices}
     for j, pj in enumerate(elements):
@@ -614,10 +601,6 @@ class TriangularBlocks:
     lower_triangular: bool
     upper_triangular: bool
 
-    @property
-    def total(self) -> int:
-        return self.dim_ee + self.dim_e_eprime + self.dim_eprime_e + self.dim_eprime_eprime
-
 
 def triangular_blocks(alg: FiniteDimAlgebra, sub: FullSubquiver) -> TriangularBlocks:
     """Count the basis elements in each corner, e from sub and e' from the rest."""
@@ -666,7 +649,7 @@ class AlgebraHom:
         u = _apply_images(images, F, source.unit())
         unital = u == target.unit()
         unit_image_idempotent = target.mul(u, u) == u
-        mat = [target.dense(im) for im in images]
+        mat = linalg.from_entries([im.items() for im in images], target.dim, F)
         r = linalg.rank(mat, target.dim, F)
         surjective = r == target.dim
         injective = r == source.dim
@@ -721,9 +704,6 @@ class ConvexIsoReport:
             return True
         return all(e.passed for e in self.entries)
 
-    def failed_entries(self) -> list[CheckEntry]:
-        return [e for e in self.entries if not e.passed]
-
 
 def _tables_match(a: FiniteDimAlgebra, b: FiniteDimAlgebra) -> tuple[bool, str]:
     """Compare two algebras under the correspondence matching basis paths."""
@@ -754,8 +734,10 @@ def verify_convex_isos(alg: FiniteDimAlgebra, sub: FullSubquiver) -> ConvexIsoRe
     For a convex subquiver the three must agree under the canonical basis
     correspondences and the corner map and quotient splitting must be
     multiplicative; a non-convex subquiver may break any of these, and the
-    report records exactly which.  It takes dense rows as long as dim and
-    pairs of basis elements, so dim**2 past MAX_WORK is refused before them.
+    report records exactly which.  There the table entries pair basis paths,
+    which follow the arrow order, so a relabelling can flip them; ``ok`` holds
+    either way.  It takes dense rows as long as dim and pairs of basis
+    elements, so dim**2 past MAX_WORK is refused before them.
     """
     if alg.dim**2 > MAX_WORK:
         raise InputError(f"comparing algebras of dim {alg.dim} exceeds {MAX_WORK} units of work")

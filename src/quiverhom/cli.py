@@ -115,7 +115,7 @@ def _cmd_algebra(args) -> int:
         f"dim {alg.dim}",
         f"vertices {len(alg.vertices)}",
         f"arrows {len(alg.quiver.arrows)}",
-        f"radical_dim {len(alg.radical_indices)}",
+        f"radical_dim {alg.dim - by_len[0]}",
     ]
     for length in sorted(by_len):
         out.append(f"basis_length {length} count {by_len[length]}")

@@ -85,6 +85,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
 class Rationals:
     """The field of rational numbers; elements are ints or ``Fraction``s."""
 
@@ -112,15 +113,6 @@ class Rationals:
 
     def to_str(self, a) -> str:
         return str(a)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("Q")
-
-    def __repr__(self) -> str:
-        return "Rationals()"
 
 
 @dataclass(frozen=True)
@@ -175,6 +167,8 @@ QQ = Rationals()
 
 def field_from_descriptor(desc: str):
     """Parse a CLI-style field descriptor: ``q`` or ``p:<prime>``."""
+    if not isinstance(desc, str):
+        raise InputError(f"bad field descriptor {desc!r}")
     d = desc.strip().lower()
     if d in ("q", "qq", "rational", "rationals"):
         return QQ

@@ -55,7 +55,7 @@ from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
 from .fields import QQ, _literal, parse_exact
 from .modules import Representation, _module_work
-from .quiver import HeartProfile, Quiver
+from .quiver import HeartProfile, Quiver, _collection
 
 # ---------------------------------------------------------------------------
 # low-level line parsing
@@ -317,7 +317,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
     and modules require an ideal (their validation needs the algebra).
     """
     sections: list[_Node] = []
-    for path in paths:
+    for path in _collection(paths, "the workspace paths are a collection of file paths"):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -408,7 +408,7 @@ def serialize_module(m: Representation, name: str | None = None) -> str:
 
 def serialize_subquiver(vertex_set, q: Quiver) -> str:
     lines = ["subquiver"]
-    vertices = q.sort_vertices(q.check_vertices(vertex_set))
+    vertices = q.sort_vertices(vertex_set)
     if vertices:
         lines.append("  vertices " + _ids(*vertices))
     return "\n".join(lines) + "\n"

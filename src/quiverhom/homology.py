@@ -28,8 +28,9 @@ false.  Terms wider than ``MAX_TERM_WIDTH`` are refused unbuilt, and
 ``MAX_CUTOFF``.  A prefix's minimality comes from its cover steps; its
 exactness is recomputed from ranks of the complex it holds each time it is
 read.  Prefixes are projective only.  The injective side is the chain's
-``dual``: the ell-th cosyzygy of a module is the dual of the ell-th syzygy
-of its dual over the opposite algebra, and has the same dimension vector.
+``dual``, whose node the table finds by content like any other: the ell-th
+cosyzygy of a module is the dual of the ell-th syzygy of its dual over the
+opposite algebra, and has the same dimension vector.
 
 Ext dimensions come from the Hom complex of a minimal resolution, read off
 the cover steps of a chain, using the evaluation isomorphism Hom(P, N) = sum
@@ -288,19 +289,19 @@ class SyzygyTable:
     Content includes the algebra, so nodes over an algebra, its opposite and
     its restrictions sit side by side.  index lists the nodes of each
     (algebra, dimension vector) in the order they were made.  Per node, steps
-    holds the cover step, succ the node of its syzygy and duals the node of
-    its dual, each made when first read.  Nothing here refers to a view, so
-    a dropped table leaves no cycle.
+    holds the cover step and succ the node of its syzygy, each made when
+    first read.  No dual is kept: a dual module is found by its content,
+    like every other node.  Nothing here refers to a view, so a dropped table
+    leaves no cycle.
     """
 
-    __slots__ = ("modules", "index", "steps", "succ", "duals")
+    __slots__ = ("modules", "index", "steps", "succ")
 
     def __init__(self):
         self.modules: list[Representation] = []
         self.index: dict[tuple, list[int]] = {}
         self.steps: dict[int, CoverStep] = {}
         self.succ: dict[int, int] = {}
-        self.duals: dict[int, int] = {}
 
     def node(self, module: Representation) -> int:
         """The first node of the module's algebra and dims whose module is
@@ -335,8 +336,8 @@ class SyzygyTable:
 
 class SyzygyChain(NamedTuple):
     """A view of one node of a table: module, step (its cover step), dual (the
-    chain of its dual over the opposite algebra) and drop(k) (the chain of
-    its k-th syzygy), each read through the table, which makes it on first use."""
+    chain of its dual, found by content) and drop(k) (the chain of its k-th
+    syzygy), each read through the table, which makes it on first use."""
 
     table: SyzygyTable
     node: int
@@ -351,10 +352,7 @@ class SyzygyChain(NamedTuple):
 
     @property
     def dual(self) -> SyzygyChain:
-        duals = self.table.duals
-        if self.node not in duals:
-            duals[self.node] = self.table.node(dual_module(self.module))
-        return SyzygyChain(self.table, duals[self.node])
+        return SyzygyChain(self.table, self.table.node(dual_module(self.module)))
 
     def drop(self, k: int) -> SyzygyChain:
         """The chain of the k-th syzygy."""
@@ -463,6 +461,8 @@ def check_term_reachability(q: Quiver, terms: Sequence[dict[str, int]]) -> bool:
     depth passes over the arrows decide the property.  Each term must map
     vertex ids of q to ints >= 0.
     """
+    if not isinstance(terms, Sequence):
+        raise InputError(f"terms must be a sequence, not {type(terms).__name__}")
     for term in terms:
         _check_multiplicities(term)
         q.check_vertices(term)
@@ -491,16 +491,13 @@ class ExtTable:
     def __getitem__(self, i: int) -> int:
         return self.dims[i]
 
-    def describe(self) -> str:
-        return " ".join(f"ext^{i}={d}" for i, d in enumerate(self.dims))
-
 
 def ext_dims(m: ModuleOrChain, n: ModuleOrChain, k: int, side: str = "projective") -> ExtTable:
     """Dimensions of Ext^i(m, n) for i = 0..k.
 
     The projective side resolves m and takes cohomology of the evaluated Hom
     complex; the injective side coresolves n, which is the same computation
-    over the opposite algebra applied to the duals in reversed order.
+    over the opposite algebra applied to the dual modules in reversed order.
     """
     m, n = _chain(m), _chain(n)
     if m.module.algebra is not n.module.algebra:

@@ -11,11 +11,12 @@ vanishes and the radical chain M, MJ, MJ^2, ... dies by the truncation
 exponent.  The public constructors always check their input (names, ints
 >= 0 as dimensions, shapes, canonical entries, then validity or commutation)
 and copy it.  Results built inside the package (terms, submodules, quotients,
-duals, kernels, Hom bases) are valid by construction and go through one
+dual modules, kernels, Hom bases) are valid by construction and go through one
 unchecked builder per type, ``_unchecked``, which keeps the lists it is given.
 
 Submodules are handed around as per-vertex canonical row bases inside the
-ambient components; the embed/quotient helpers turn those into honest
+ambient components; ``embed_submodule``, the one embed (``kernel_of_map``
+goes through it), and ``quotient_by_submodule`` turn those into honest
 representations with inclusion or projection maps.  The submodule
 generated by seed rows has a closed form over the algebra's basis, one
 elimination per vertex: it is spanned at w by seed_v · x over the basis
@@ -81,8 +82,9 @@ class Representation:
 
     Not mutated after construction, so each basis element's matrix and the
     top lifts are memoized on it (nothing per path); callers must not mutate
-    what is handed out.  The constructor checks and copies its input;
-    results built inside the package come from ``_unchecked``.
+    what is handed out.  The constructor checks and copies its input (only
+    a missing matrix is zero, and a None one is refused); results built
+    inside the package come from ``_unchecked``.
     """
 
     def __init__(self, algebra: FiniteDimAlgebra, dims, mats):
@@ -102,10 +104,9 @@ class Representation:
             raise InputError(f"module matrices exceed {MAX_WORK} units of work")
         self.mats: dict[str, list[list]] = {}
         for a in q.arrows:
-            m, nrows, ncols = mats.get(a.name), self.dims[a.source], self.dims[a.target]
-            if m is None:
-                m = linalg.zeros(nrows, ncols, F)
-            elif not _has_shape(m, nrows, ncols):
+            nrows, ncols = self.dims[a.source], self.dims[a.target]
+            m = mats[a.name] if a.name in mats else linalg.zeros(nrows, ncols, F)
+            if not _has_shape(m, nrows, ncols):
                 raise ModuleValidationError(
                     f"matrix for arrow {a.name!r} has wrong shape, want {nrows}x{ncols}"
                 )
@@ -228,8 +229,8 @@ class Representation:
 
 class ModuleMap:
     """A homomorphism of representations, stored as per-vertex blocks, which
-    the constructor checks and copies; a missing block is zero, and one at a
-    vertex outside the quiver is refused."""
+    the constructor checks and copies; a missing block is zero, and a None
+    block or one at a vertex outside the quiver is refused."""
 
     def __init__(self, source: Representation, target: Representation, blocks):
         if source.algebra is not target.algebra:
@@ -243,9 +244,7 @@ class ModuleMap:
             raise DanglingIdError(f"map names unknown vertex {v!r}")
         self.blocks: dict[str, list[list]] = {}
         for v in q.vertices:
-            b = blocks.get(v)
-            if b is None:
-                b = linalg.zeros(source.dims[v], target.dims[v], source.field)
+            b = blocks[v] if v in blocks else linalg.zeros(source.dims[v], target.dims[v], source.field)
             if not _has_shape(b, source.dims[v], target.dims[v]):
                 raise ModuleValidationError(f"block at vertex {v!r} has wrong shape")
             self.blocks[v] = _checked_copy(b, source.field, f"vertex {v!r}")
@@ -294,8 +293,7 @@ class ModuleMap:
 def standard_module(alg: FiniteDimAlgebra, kind: str, v: str) -> Representation:
     """The simple, indecomposable projective, or indecomposable injective at v."""
     _require_presented(alg)
-    if v not in alg.idempotent_index:
-        raise DanglingIdError(f"unknown vertex id {v!r}")
+    alg.quiver.check_vertices((v,))
     if kind == "simple":
         dims = {w: int(w == v) for w in alg.vertices}
         mats = {a.name: linalg.zeros(dims[a.source], dims[a.target], alg.field) for a in alg.quiver.arrows}
@@ -442,39 +440,26 @@ def submodule_closure(rep: Representation, seed_rows) -> dict[str, list[list]]:
 
 
 def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
-    """Representation structure on a submodule, with its inclusion map.
+    """Representation structure on a submodule, with its inclusion map; the
+    package's one embed, kernels included.
 
     The rows must already span a submodule (closed under the arrow actions);
     an arrow image that leaves a nonzero remainder modulo the target's
-    echelon basis raises ModuleValidationError.
+    echelon basis raises ModuleValidationError.  Echelon basis rows have unit
+    pivots and zeros in the other pivot columns, so the coordinates of a
+    member are its entries at the pivot columns.
     """
     F, rows_by_vertex = rep.field, _checked_rows(rep, rows_by_vertex)
     echelons = {
         v: linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
         for v in rep.algebra.quiver.vertices
     }
+    mats = {}
     for a in rep.algebra.quiver.arrows:
         basis, pivots = echelons[a.target]
         images = linalg.mat_mul(echelons[a.source][0], rep.mats[a.name], rep.dims[a.target], F)
         if any(any(linalg.reduce_mod_rowspace(img, basis, pivots, F)) for img in images):
             raise ModuleValidationError(f"rows are not arrow-stable at {a.name!r}; not a submodule")
-    return _embed_echelon(rep, echelons)
-
-
-def _embed_echelon(rep: Representation, echelons) -> tuple[Representation, ModuleMap]:
-    """Embed per-vertex (rref basis, pivots) pairs that span a submodule.
-
-    Basis rows have unit pivots and zeros in the other pivot columns, so the
-    coordinates of a member are its entries at the pivot columns.  Arrow
-    stability is the caller's: embed_submodule checks it, and a kernel has it
-    by construction.
-    """
-    F = rep.field
-    mats = {}
-    for a in rep.algebra.quiver.arrows:
-        basis, pivots = echelons[a.source][0], echelons[a.target][1]
-        # an arrow with an empty target has the empty matrix of its shape: no product
-        images = linalg.mat_mul(basis, rep.mats[a.name], rep.dims[a.target], F) if pivots else basis
         mats[a.name] = [[img[c] for c in pivots] for img in images]
     bases = {v: basis for v, (basis, _) in echelons.items()}
     sub = Representation._unchecked(rep.algebra, {v: len(b) for v, b in bases.items()}, mats)
@@ -504,14 +489,12 @@ def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Represen
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Kernel of a module map as an embedded submodule of the source, from
-    a RowSpace per vertex: the kernel's canonical echelon basis and pivots."""
-    F = f.field
-    echelons = {}
-    for v in f.source.algebra.quiver.vertices:
-        space = linalg.RowSpace(f.blocks[v], f.target.dims[v], F)
-        echelons[v] = (space.kernel, space.kernel_pivots)
-    return _embed_echelon(f.source, echelons)
+    """Kernel of a module map as a submodule of the source: each vertex's
+    RowSpace kernel, embedded (and checked arrow-stable) by embed_submodule."""
+    return embed_submodule(f.source, {
+        v: linalg.RowSpace(f.blocks[v], f.target.dims[v], f.field).kernel
+        for v in f.source.algebra.quiver.vertices
+    })
 
 
 def radical_rows(m: Representation) -> dict[str, list[list]]:

@@ -95,10 +95,10 @@ class Quiver:
         return {v: tuple(lst) for v, lst in inc.items()}
 
     def sort_vertices(self, vs) -> tuple[str, ...]:
-        return tuple(sorted(vs, key=self.vertex_index.__getitem__))
+        return tuple(sorted(self.check_vertices(vs), key=self.vertex_index.__getitem__))
 
     def check_vertices(self, vs) -> frozenset[str]:
-        out = frozenset(_collection(vs))
+        out = _id_set(vs, frozenset)
         unknown = out.difference(self.vertex_index)
         if unknown:
             raise DanglingIdError(f"unknown vertex id {min(unknown, key=repr)!r}")
@@ -117,7 +117,7 @@ class Quiver:
     def _walk(self, starts, forward: bool) -> set[str]:
         # one walk along the arrows (or against them), each vertex visited once
         arrows_at = self.out_arrows if forward else self.in_arrows
-        seen = set(_collection(starts))
+        seen = _id_set(starts, set)
         todo = list(seen)
         try:
             while todo:
@@ -134,7 +134,7 @@ class Quiver:
     # -- subquiver calculus ------------------------------------------------
 
     def full_subquiver(self, vertex_set) -> "FullSubquiver":
-        return FullSubquiver(self, frozenset(_collection(vertex_set)))
+        return FullSubquiver(self, _id_set(vertex_set, frozenset))
 
     def boundary_split(self, sub: "FullSubquiver") -> "BoundarySplit":
         _check_parent(self, sub)
@@ -150,7 +150,7 @@ class Quiver:
         return self.reachable_from(inside) & self.reaching(inside) == inside
 
     def convex_closure(self, vertex_set) -> "FullSubquiver":
-        s = frozenset(_collection(vertex_set))
+        s = _id_set(vertex_set, frozenset)
         return FullSubquiver(self, frozenset(self.reachable_from(s) & self.reaching(s)))
 
     # -- components and condensation ----------------------------------------
@@ -424,6 +424,18 @@ def _collection(vs, what: str = "a vertex set is a collection of vertex ids"):
     if isinstance(vs, str):
         raise InputError(f"{what}, not the string {vs!r}")
     return vs
+
+
+def _id_set(vs, kind):
+    """The ids of the collection vs (``_collection``) as a set of this kind;
+    only if that fails are they read again, to name the first non-string."""
+    try:
+        return kind(_collection(vs))
+    except TypeError:
+        if not hasattr(vs, "__iter__"):
+            raise InputError(f"a vertex set is a collection of vertex ids, not {vs!r}") from None
+        bad = next((v for v in vs if not isinstance(v, str)), vs)
+        raise InputError(f"a vertex id is a string, not {bad!r}") from None
 
 
 def _check_parent(q: Quiver, sub, refusal: str = "subquiver belongs to a different quiver") -> None:

@@ -259,17 +259,39 @@ def test_products_respect_endpoint_idempotents(cycle_tail_algebra):
         assert alg.mul(eu, alg.mul(x, ev)) == x
 
 
+def test_a_vertex_idempotent_refuses_an_unknown_id_and_a_string(cycle_tail_algebra):
+    alg = cycle_tail_algebra
+    with pytest.raises(DanglingIdError, match="^unknown vertex id 'x'$"):
+        alg.vertex_idempotent(["x"])
+    with pytest.raises(DanglingIdError, match="^unknown vertex id 'x'$"):
+        alg.vertex_idempotent(["1", "x"])
+    # "12" names one id, not the vertices 1 and 2
+    with pytest.raises(InputError, match="^a vertex set is a collection of vertex ids, not the string '12'$"):
+        alg.vertex_idempotent("12")
+    assert alg.vertex_idempotent(["1", "2"]) == {alg.idempotent_index["1"]: 1, alg.idempotent_index["2"]: 1}
+    assert alg.vertex_idempotent([]) == {}
+
+
+def test_a_one_arrow_relation_path_is_refused_when_the_algebra_is_built():
+    # the workspace grammar refuses such a path before any algebra is built
+    q = Quiver.build(["1", "2"], [("a", "1", "2")])
+    for ideal in (IdealSpec((((1, ("a",)),),), 3), IdealSpec.monomial([("a",)], 3)):
+        with pytest.raises(InputError, match=r"^relation path \('a',\) has length < 2$"):
+            build_algebra(q, ideal, QQ)
+
+
 def test_radical_chain_vanishes_at_truncation():
     rng = random.Random(302)
     for _ in range(20):
         q, paths, trunc = random_monomial_setup(rng, max_v=4, max_a=6)
         alg = build_algebra(q, IdealSpec.monomial(paths, trunc), QQ)
-        layer = [{i: QQ.one} for i in alg.radical_indices]
+        radical = [i for i, el in enumerate(alg.elements) if el.length >= 1]
+        layer = [{i: QQ.one} for i in radical]
         for _ in range(trunc - 1):
             layer = [
                 alg.mul(x, {j: QQ.one})
                 for x in layer
-                for j in alg.radical_indices
+                for j in radical
             ]
             # dropping exact zeros keeps the product count bounded
             layer = [x for x in layer if x]
@@ -406,7 +428,7 @@ def test_nonconvex_corner_quotient_mismatch(line_quiver, line_ideal):
     assert report.corner_dim == 3
     assert report.quotient_dim == 2
     assert not report.dims_agree
-    failed = {e.name for e in report.failed_entries()}
+    failed = {e.name for e in report.entries if not e.passed}
     assert "corner_quotient_dims" in failed
 
 
@@ -416,7 +438,7 @@ def test_triangular_blocks_on_one_sided_split(cycle_tail_quiver, cycle_tail_idea
     tb = triangular_blocks(alg, sub)
     assert tb.dim_eprime_e == 0
     assert tb.upper_triangular
-    assert tb.total == alg.dim
+    assert tb.dim_ee + tb.dim_e_eprime + tb.dim_eprime_e + tb.dim_eprime_eprime == alg.dim
     assert tb.dim_ee == 4
     assert tb.dim_ee + tb.dim_e_eprime + tb.dim_eprime_eprime == 11
 

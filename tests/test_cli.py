@@ -203,6 +203,23 @@ def test_ext_command(ws, capsys):
     assert dims == ["1", "0", "1", "0", "1", "0", "1"]
 
 
+def test_ext_with_one_module_section_is_input_error(tmp_path, capsys):
+    p = tmp_path / "one.qh"
+    p.write_text(CYCLE_TAIL.split("module S1b", 1)[0])
+    assert cli.main(["ext", str(p), "--cutoff", "2"]) == 2
+    assert capsys.readouterr().err == "error: ext needs two module sections\n"
+
+
+def test_convex_dot_output_classes_every_vertex(tmp_path, capsys):
+    # m -> i -> p, and z off every path through i
+    p = tmp_path / "split.qh"
+    p.write_text("quiver\n  vertices m i p z\n  arrow a m i\n  arrow b i p\n")
+    assert cli.main(["convex", str(p), "--subquiver", "i", "--dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("digraph") and out.rstrip().endswith("}")
+    classes = dict(re.findall(r'^  "(\w)" \[class="(\w+)"', out, re.M))
+    assert classes == {"m": "minus", "i": "inside", "p": "plus", "z": "zero"}
+
 def test_decompose_command(ws, capsys):
     assert cli.main(["decompose", ws]) == 0
     out = capsys.readouterr().out

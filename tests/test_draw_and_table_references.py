@@ -237,23 +237,27 @@ def reference_quotient(alg, sub):
         return alg
     F = alg.field
     d = alg.dim
+
+    def dense(x):
+        return linalg.from_entries([x.items()], d, F)[0]
+
     rows = []
     for i, el in enumerate(alg.elements):
         if el.source in eprime or el.target in eprime:
-            rows.append(alg.dense({i: F.one}))
+            rows.append(dense({i: F.one}))
     e = sub.vertex_set
     for i, el in enumerate(alg.elements):
         if el.source in e and el.target in eprime:
             for j, entry in alg.table[i].items():
                 if alg.elements[j].target in e:
-                    rows.append(alg.dense(dict(entry)))
+                    rows.append(dense(dict(entry)))
     echelon, pivots = linalg.rref(rows, d, F)
     pivot_set = set(pivots)
     keep = [i for i in range(d) if i not in pivot_set]
     pos = {g: i for i, g in enumerate(keep)}
 
     def project(x):
-        vec = linalg.reduce_mod_rowspace(alg.dense(x), echelon, pivots, F)
+        vec = linalg.reduce_mod_rowspace(dense(x), echelon, pivots, F)
         return {pos[i]: c for i, c in enumerate(vec) if c and i in pos}
 
     elements = tuple(alg.elements[g] for g in keep)

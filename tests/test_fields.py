@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhom import QQ, IdealSpec, InputError, PrimeField, Quiver, build_algebra, field_from_descriptor
+from quiverhom import QQ, IdealSpec, InputError, PrimeField, Quiver, Rationals, build_algebra, field_from_descriptor
 from quiverhom.fields import _is_prime
 
 FIELDS = [QQ, PrimeField(5), PrimeField(2**31 - 1)]
@@ -169,3 +169,16 @@ def test_a_bad_field_descriptor_is_named(desc, message):
         field_from_descriptor(desc)
     assert type(caught.value) is InputError and str(caught.value) == message
     assert field_from_descriptor(" QQ ") is QQ and field_from_descriptor("p:7") == PrimeField(7)
+
+
+def test_the_rationals_are_one_value_with_a_fixed_repr():
+    assert repr(QQ) == "Rationals()"
+    assert QQ == Rationals() and hash(QQ) == hash(Rationals())
+    assert QQ != PrimeField(2) and PrimeField(2) != QQ
+    assert len({QQ, Rationals(), PrimeField(2), PrimeField(2)}) == 2
+
+
+@pytest.mark.parametrize("desc", [None, 5, ["q"]])
+def test_a_field_descriptor_that_is_not_a_string_is_an_input_error(desc):
+    with pytest.raises(InputError, match=f"^bad field descriptor {re.escape(repr(desc))}$"):
+        field_from_descriptor(desc)

@@ -103,6 +103,28 @@ def test_round_trips(tmp_path, cycle_tail_quiver, cycle_tail_ideal, cycle_tail_a
     assert serialize_module(bundle.modules[0], "P1") == m_text
 
 
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_a_module_over_a_prime_field_round_trips(tmp_path, p):
+    # entries are written mod p, so a minus one comes back as p - 1
+    F = PrimeField(p)
+    q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    alg = build_algebra(q, IdealSpec.zero(2), F)
+    m = Representation(alg, {"1": 2, "2": 1}, {"a": [[F.of(-1)], [F.one]], "b": [[F.of(3)], [F.zero]]})
+    text = serialize_module(m, "M")
+    assert f"row {p - 1}" in text
+    bundle = load_bundle([write(tmp_path, serialize_quiver(q) + serialize_ideal(alg.ideal) + text)], F)
+    assert bundle.modules[0].dims == m.dims and bundle.modules[0].mats == m.mats
+    assert serialize_module(bundle.modules[0], "M") == text
+
+
+def test_a_string_of_paths_is_refused(tmp_path):
+    # iterated, "ws.qh" would be read as the files w, s, . and so on
+    with pytest.raises(InputError, match="^the workspace paths are a collection of file paths, not the string 'ws.qh'$"):
+        load_bundle("ws.qh")
+    with pytest.raises(InputError, match="^the workspace paths are a collection of file paths, not the string "):
+        load_bundle(str(write(tmp_path, GOOD)))
+
 @pytest.mark.parametrize("bad", ["a b", "v#1", "p q", "", "x\ty", "x\ny", "x\r", "x\u2028y"])
 def test_serializers_refuse_an_id_that_would_not_read_back(bad):
     """Each serializer refuses, naming it, an id that the parser would read as

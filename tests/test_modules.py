@@ -295,9 +295,7 @@ def test_kernel_of_map_matches_left_kernel(F, which, seed):
         ModuleMap(zero, n, {}),
     ]
     for f in maps:
-        # a kernel is a submodule by construction: no arrow-stability re-check
-        with mock.patch.object(linalg, "reduce_mod_rowspace", side_effect=AssertionError):
-            ker, incl = kernel_of_map(f)
+        ker, incl = kernel_of_map(f)
         for v in alg.vertices:
             want = oracle_left_kernel(f.blocks[v], f.target.dims[v], None if F == QQ else F.p)
             assert incl.blocks[v] == want[0]
@@ -584,6 +582,13 @@ def _compose_mismatched(alg, line):
          InputError, "map blocks must be a mapping, not list"),
         (lambda alg, line: materialize_term(alg, [("1", 1)]), InputError,
          "a projective term must be a mapping, not list"),
+        (lambda alg, line: Representation(alg, {"1": 1}, {"a": None}), ModuleValidationError,
+         "matrix for arrow 'a' has wrong shape, want 1x0"),
+        (lambda alg, line: ModuleMap(standard_module(alg, "simple", "1"), standard_module(alg, "simple", "1"),
+                                     {"1": None}),
+         ModuleValidationError, "block at vertex '1' has wrong shape"),
+        (lambda alg, line: standard_module(alg, "simple", ["1"]), InputError, "a vertex id is a string, not ['1']"),
+        (lambda alg, line: standard_module(alg, "simple", "9"), DanglingIdError, "unknown vertex id '9'"),
         (lambda alg, line: left_module_over_opposite(alg), InputError,
          "need a quotient algebra with parent projection data"),
         (lambda alg, line: left_module_over_opposite(corner_algebra(alg, alg.quiver.full_subquiver({"1", "2"}))),
@@ -593,7 +598,8 @@ def _compose_mismatched(alg, line):
          "map block shape", "map vertex",
          "compose shapes", "term vertex", "inflate vertex", "hom across algebras",
          "map across algebras", "dims not a mapping", "matrices not a mapping", "blocks not a mapping",
-         "term not a mapping", "left module of no quotient", "left module of a corner"],
+         "term not a mapping", "None matrix", "None block", "unhashable standard vertex",
+         "unknown standard vertex", "left module of no quotient", "left module of a corner"],
 )
 def test_module_layer_refusals_name_the_culprit(cycle_tail_algebra, line_algebra, call, error, message):
     with pytest.raises(InputError) as caught:

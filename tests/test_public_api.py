@@ -204,15 +204,15 @@ MEMBERS = {
     "BoundarySplit": (),
     "ComponentsReport": ("nontrivial_count",),
     "CompositionError": (),
-    "ConvexIsoReport": ("dims_agree", "failed_entries", "ok"),
+    "ConvexIsoReport": ("dims_agree", "ok"),
     "DanglingIdError": (),
     "DecompositionNode": (),
     "DecompositionTree": ("blocks", "render", "splits"),
     "DimBound": ("at_least", "finite", "infinite", "is_finite"),
-    "ExtTable": ("describe",),
+    "ExtTable": (),
     "FiniteDimAlgebra": (
-        "arrow_index", "dense", "dim", "dim_exceeds", "elements", "idempotent_index", "is_presented", "mul",
-        "projective_layout", "radical_indices", "table", "unit", "vertex_idempotent",
+        "arrow_index", "dim", "dim_exceeds", "elements", "idempotent_index", "is_presented", "mul",
+        "projective_layout", "table", "unit", "vertex_idempotent",
     ),
     "FullSubquiver": ("arrows", "as_quiver", "complement", "is_empty", "vertices"),
     "HeartProfile": (),
@@ -240,7 +240,7 @@ MEMBERS = {
     "ResolutionPrefix": ("exact", "syzygy", "term_labels"),
     "SuiteReport": ("all_passed", "render"),
     "TransportedResolution": (),
-    "TriangularBlocks": ("total",),
+    "TriangularBlocks": (),
     "Witness": (),
     "WorkspaceBundle": (),
 }

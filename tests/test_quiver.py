@@ -195,6 +195,21 @@ def test_a_string_is_refused_where_a_vertex_set_is_expected(cycle_tail_quiver):
         FullSubquiver(q, "12")
 
 
+def test_an_unhashable_or_unknown_vertex_id_is_an_input_error(cycle_tail_quiver):
+    # the set is built before the walk, so a list inside it is refused as an id
+    q = cycle_tail_quiver
+    for call in (q.reachable_from, q.reaching, q.full_subquiver, q.convex_closure, q.check_vertices):
+        with pytest.raises(InputError, match=r"^a vertex id is a string, not \['1'\]$"):
+            call([["1"]])
+        with pytest.raises(InputError, match="^a vertex set is a collection of vertex ids, not 5$"):
+            call(5)
+    with pytest.raises(DanglingIdError, match="^unknown vertex id 'x'$"):
+        q.sort_vertices(["x"])
+    with pytest.raises(InputError, match=r"^a vertex id is a string, not \['1'\]$"):
+        q.sort_vertices([["1"]])
+    assert q.sort_vertices({"4", "1", "3"}) == ("1", "3", "4")
+
+
 def test_a_subquiver_of_another_quiver_is_refused(cycle_tail_quiver, line_quiver):
     other = line_quiver.full_subquiver({"v"})
     # an equal quiver built apart is the same quiver
