@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import CompositionError, DanglingIdError, InputError, InvariantViolation, require_int
-from .quiver import Arrow, FullSubquiver, Path, Quiver, _check_parent, _collection
+from .quiver import Arrow, FullSubquiver, Path, Quiver, _check_parent, _collection, _id_set
 
 # work budget of one presentation's span and table, decided from path counts
 # before any path is listed: suites stay under 40 000, the budget edge takes 0.3 s
@@ -388,10 +388,10 @@ class FiniteDimAlgebra:
         return {i: self.field.one for i in self.idempotent_index.values()}
 
     def vertex_idempotent(self, vs) -> dict[int, object]:
-        try:
-            return {self.idempotent_index[v]: self.field.one for v in _collection(vs)}
-        except KeyError as exc:
-            raise DanglingIdError(f"unknown vertex id {exc.args[0]!r}") from None
+        ids = _id_set(vs, frozenset)
+        if unknown := ids.difference(self.idempotent_index):
+            raise DanglingIdError(f"unknown vertex id {min(unknown, key=repr)!r}")
+        return {self.idempotent_index[v]: self.field.one for v in ids}
 
     def mul(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
         F, table = self.field, self.table

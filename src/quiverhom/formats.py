@@ -51,11 +51,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, build_algebra
+from .algebra import MAX_WORK, FiniteDimAlgebra, IdealSpec, _listed, build_algebra
 from .errors import DanglingIdError, InputError, ParseError
 from .fields import QQ, _literal, parse_exact
 from .modules import Representation, _module_work
-from .quiver import HeartProfile, Quiver, _collection
+from .quiver import HeartProfile, Quiver
 
 # ---------------------------------------------------------------------------
 # low-level line parsing
@@ -317,7 +317,7 @@ def load_bundle(paths, field=QQ) -> WorkspaceBundle:
     and modules require an ideal (their validation needs the algebra).
     """
     sections: list[_Node] = []
-    for path in _collection(paths, "the workspace paths are a collection of file paths"):
+    for path in _listed(paths, "the workspace paths are a collection of file paths"):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -53,13 +53,13 @@ from .homology import (
 )
 from .modules import (
     Representation,
+    _closure_rows,
+    _quotient_by_rows,
     inflate,
     left_module_over_opposite,
     materialize_term,
     standard_module,
     submodule_closure,
-    term_action,
-    term_info,
     trace_submodule,
 )
 from .quiver import Quiver
@@ -192,10 +192,11 @@ def _gen_ideal(rng: random.Random, q: Quiver, style: str) -> IdealSpec:
 def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Representation:
     """Random nonzero quotient of a random sum P of projectives, within bound.
 
-    Each action on P is read off the product table (``term_action``): a draw's
-    seed rows generate, at w, the span of each seed times the basis elements to
-    w from its vertex, and the quotient's arrow matrices are P's free rows times
-    the quotient projection.  P is built only if all six quotients vanish.
+    P is built first (``materialize_term``).  Each of up to six attempts
+    seeds one random row at some vertices and divides P by the submodule the
+    seeds generate, through the unchecked closure and quotient of ``modules``
+    that ``submodule_closure`` and ``quotient_by_submodule`` check their input
+    for.  The first nonzero quotient is returned, or P if all six vanish.
     """
     verts = list(alg.vertices)
     F = alg.field
@@ -209,36 +210,14 @@ def _gen_module(rng: random.Random, alg: FiniteDimAlgebra, bound: int) -> Repres
             total += pdim[v]
     if not mults:
         return standard_module(alg, "simple", verts[rng.randrange(len(verts))])
-    info = term_info(alg, mults)
-    dims = {w: len(b) for w, b in info.basis.items()}
+    term = materialize_term(alg, mults)
     for _ in range(6):
-        seeds = {}
-        for v in verts:
-            if dims[v] and rng.random() < 0.4:
-                seeds[v] = [F.of(rng.randint(-1, 1)) for _ in range(dims[v])]
-        rows: dict[str, list[list]] = {v: [] for v in verts}
-        for x, el in enumerate(alg.elements):
-            v, w = el.source, el.target
-            if v in seeds and dims[w]:
-                act = term_action(alg, info, v, x, w)
-                rows[w].append(linalg.vec_mat(seeds[v], act, dims[w], F))
-        proj, free = {}, {}
-        for v in verts:
-            free[v] = range(dims[v])
-            if rows[v]:
-                echelon, pivots = linalg.rref(rows[v], dims[v], F)
-                proj[v] = linalg.quotient_projection(echelon, pivots, dims[v], F)
-                free[v] = [j for j in free[v] if j not in pivots]
-        if any(free.values()):
-            mats = {}
-            for a in alg.quiver.arrows:
-                w = a.target
-                act = term_action(alg, info, a.source, alg.arrow_index[a.name], w)
-                lifted = [act[p] for p in free[a.source]]
-                # where no seed reached, the projection is the identity and keeps the rows as they are
-                mats[a.name] = linalg.mat_mul(lifted, proj[w], len(free[w]), F) if w in proj else lifted
-            return Representation._unchecked(alg, dict(zip(free, map(len, free.values()))), mats)
-    return materialize_term(alg, mults)
+        seeds = {v: [[F.of(rng.randint(-1, 1)) for _ in range(d)]]
+                 for v, d in term.dims.items() if d and rng.random() < 0.4}
+        quot, _ = _quotient_by_rows(term, _closure_rows(term, seeds))
+        if quot.total_dim:
+            return quot
+    return term
 
 
 def gen_instance(spec: InstanceSpec):

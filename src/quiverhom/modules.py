@@ -21,6 +21,8 @@ representations with inclusion or projection maps.  The submodule
 generated by seed rows has a closed form over the algebra's basis, one
 elimination per vertex: it is spanned at w by seed_v · x over the basis
 elements x : v -> w.  A quotient reads its arrow matrices off the free rows.
+Both check their rows and call an unchecked core, ``_closure_rows`` or
+``_quotient_by_rows``, which the lab's module draws call on their terms.
 The heart parts take no elimination.  Around a convex subquiver the plus
 vertices, and the vertices off minus, are closed under successors: no arrow
 leaves them, so a module's components there are a submodule holding every
@@ -362,31 +364,26 @@ def materialize_term(alg: FiniteDimAlgebra, mults: dict[str, int]) -> Representa
     """Build the sum of projectives P_v^{mults[v]}, laid out as term_info says.
 
     The component of P_v at w is spanned by the basis elements from v to w,
-    and an arrow acts by right multiplication through the product table.
+    and an arrow acts by right multiplication, read off the product table:
+    the element (g, i) at its source goes to x_i * x_arrow in g's block at
+    its target.  The module draws build their sums of projectives here too.
     """
     _check_multiplicities(mults)
     for v in mults:
         if v not in alg.idempotent_index:
             raise InputError(f"unknown vertex id {v!r} in projective term")
     info = term_info(alg, mults)
+    table, local = alg.table, alg.projective_layout.local
     dims = {w: len(b) for w, b in info.basis.items()}
-    mats = {
-        a.name: term_action(alg, info, a.source, alg.arrow_index[a.name], a.target)
-        for a in alg.quiver.arrows
-    }
+    mats = {}
+    for a in alg.quiver.arrows:
+        j, starts = alg.arrow_index[a.name], info.offsets.get(a.target)
+        mat = mats[a.name] = linalg.zeros(dims[a.source], dims[a.target], alg.field)
+        # a product lands in a block that the term has, so its offsets exist then
+        for row, (g, i) in zip(mat, info.basis[a.source]):
+            for k, c in table[i].get(j, ()):
+                row[starts[g] + local[k]] = c
     return Representation._unchecked(alg, dims, mats)
-
-
-def term_action(alg: FiniteDimAlgebra, info: TermInfo, v: str, j: int, w: str) -> list[list]:
-    """Matrix of basis element j : v -> w on a term with bookkeeping from
-    term_info: its element (g, i) at v goes to x_i * x_j in g's block at w."""
-    table, local, starts = alg.table, alg.projective_layout.local, info.offsets.get(w)
-    mat = linalg.zeros(len(info.basis[v]), len(info.basis[w]), alg.field)
-    # a product lands in a block that the term has, so its offsets exist then
-    for row, (g, i) in zip(mat, info.basis[v]):
-        for k, c in table[i].get(j, ()):
-            row[starts[g] + local[k]] = c
-    return mat
 
 
 def dual_module(m: Representation) -> Representation:
@@ -421,22 +418,24 @@ def _canonical(rep: Representation, rows_by_vertex) -> dict[str, list[list]]:
     }
 
 
-def submodule_closure(rep: Representation, seed_rows) -> dict[str, list[list]]:
-    """Smallest submodule containing the seed rows, as canonical bases.
-
-    At w it is spanned by seed_v · x over the basis elements x : v -> w; the
-    idempotent at w contributes the seeds at w themselves.
-    """
-    F, seed_rows = rep.field, _checked_rows(rep, seed_rows)
+def _closure_rows(rep: Representation, seed_rows: dict) -> dict[str, list[list]]:
+    """Unchecked, unreduced rows of the submodule the seeds generate: at w,
+    seed_v · x over the basis elements x : v -> w, the idempotent at w
+    contributing the seeds at w themselves."""
+    F = rep.field
     rows: dict[str, list[list]] = {v: [] for v in rep.algebra.quiver.vertices}
     for i, el in enumerate(rep.algebra.elements):
         seed = seed_rows.get(el.source)
         if seed and rep.dims[el.target]:
             w = el.target
-            rows[w].extend(
-                linalg.mat_mul(seed, rep.element_matrix(i), rep.dims[w], F) if el.arrows else seed
-            )
-    return _canonical(rep, rows)
+            rows[w].extend(linalg.mat_mul(seed, rep.element_matrix(i), rep.dims[w], F) if el.arrows else seed)
+    return rows
+
+
+def submodule_closure(rep: Representation, seed_rows) -> dict[str, list[list]]:
+    """Smallest submodule containing the seed rows, as canonical bases: the
+    checked rows' ``_closure_rows``, reduced."""
+    return _canonical(rep, _closure_rows(rep, _checked_rows(rep, seed_rows)))
 
 
 def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
@@ -466,26 +465,34 @@ def embed_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation
     return sub, ModuleMap._unchecked(sub, rep, bases)
 
 
-def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
-    """Quotient representation by a submodule, with its projection map.
-
-    Coordinates on the quotient are each vertex's free columns, and an arrow
-    acts on it by the free rows of its matrix followed by the projection.
-    """
-    q = rep.algebra.quiver
-    F, rows_by_vertex = rep.field, _checked_rows(rep, rows_by_vertex)
-    proj, free = {}, {}
-    for v in q.vertices:
-        echelon, pivots = linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
-        proj[v] = linalg.quotient_projection(echelon, pivots, rep.dims[v], F)
-        free[v] = sorted(set(range(rep.dims[v])) - set(pivots))
-    dims = {v: len(cols) for v, cols in free.items()}
+def _quotient_by_rows(rep: Representation, rows_by_vertex: dict) -> tuple[Representation, dict[str, list[list]]]:
+    """Unchecked quotient of rep by the span of its rows, with the projection
+    at each vertex that has rows, read off one rref there with the free
+    columns.  An arrow acts by its free rows, then the projection where its
+    target has one: into a vertex with no rows they are kept as they are."""
+    F, proj, free = rep.field, {}, {}
+    for v in rep.algebra.quiver.vertices:
+        d = rep.dims[v]
+        free[v] = range(d)
+        if rows := rows_by_vertex.get(v):
+            echelon, pivots = linalg.rref(rows, d, F)
+            proj[v] = linalg.quotient_projection(echelon, pivots, d, F)
+            free[v] = [j for j in free[v] if j not in pivots]
     mats = {}
-    for a in q.arrows:
-        rows = [rep.mats[a.name][j] for j in free[a.source]]
-        mats[a.name] = linalg.mat_mul(rows, proj[a.target], dims[a.target], F)
-    quot = Representation._unchecked(rep.algebra, dims, mats)
-    return quot, ModuleMap._unchecked(rep, quot, proj)
+    for a in rep.algebra.quiver.arrows:
+        w, lifted = a.target, [rep.mats[a.name][j] for j in free[a.source]]
+        mats[a.name] = linalg.mat_mul(lifted, proj[w], len(free[w]), F) if w in proj else lifted
+    quot = Representation._unchecked(rep.algebra, {v: len(cols) for v, cols in free.items()}, mats)
+    return quot, proj
+
+
+def quotient_by_submodule(rep: Representation, rows_by_vertex) -> tuple[Representation, ModuleMap]:
+    """Quotient representation by a submodule, with its projection map: the
+    checked rows' ``_quotient_by_rows``, its projection the identity at a
+    vertex with no rows."""
+    quot, proj = _quotient_by_rows(rep, _checked_rows(rep, rows_by_vertex))
+    blocks = {v: proj[v] if v in proj else linalg.identity(d, rep.field) for v, d in rep.dims.items()}
+    return quot, ModuleMap._unchecked(rep, quot, blocks)
 
 
 def kernel_of_map(f: ModuleMap) -> tuple[Representation, ModuleMap]:

@@ -265,11 +265,24 @@ def test_a_vertex_idempotent_refuses_an_unknown_id_and_a_string(cycle_tail_algeb
         alg.vertex_idempotent(["x"])
     with pytest.raises(DanglingIdError, match="^unknown vertex id 'x'$"):
         alg.vertex_idempotent(["1", "x"])
+    # of several unknown ids the least by repr is named, under every hash seed
+    with pytest.raises(DanglingIdError, match="^unknown vertex id 'x'$"):
+        alg.vertex_idempotent(["y", "1", "x"])
     # "12" names one id, not the vertices 1 and 2
     with pytest.raises(InputError, match="^a vertex set is a collection of vertex ids, not the string '12'$"):
         alg.vertex_idempotent("12")
     assert alg.vertex_idempotent(["1", "2"]) == {alg.idempotent_index["1"]: 1, alg.idempotent_index["2"]: 1}
     assert alg.vertex_idempotent([]) == {}
+
+
+def test_a_vertex_idempotent_refuses_what_is_not_a_collection_of_ids(cycle_tail_algebra):
+    # the refusals of Quiver's id sets, not a TypeError from iterating or hashing
+    alg = cycle_tail_algebra
+    for bad in (5, None):
+        with pytest.raises(InputError, match=f"^a vertex set is a collection of vertex ids, not {bad}$"):
+            alg.vertex_idempotent(bad)
+    with pytest.raises(InputError, match=r"^a vertex id is a string, not \['1'\]$"):
+        alg.vertex_idempotent([["1"]])
 
 
 def test_a_one_arrow_relation_path_is_refused_when_the_algebra_is_built():

@@ -3,7 +3,8 @@
 The reference builds the whole term densely (the product-table construction
 written out below, with no projective layout), maps each term basis element
 to the lift row of its element's matrix, the product of its path's arrow
-matrices taken here, and takes the syzygy with ``kernel_of_map``.
+matrices taken here, and takes the syzygy as the kernel of the cover, a
+``RowSpace`` kernel per vertex embedded here.
 ``projective_cover_and_syzygy`` must agree with it exactly: syzygy
 dimensions and matrices, kernel bases, term bookkeeping, and the minimality
 certificate, term, cover and inclusion it builds on first read.
@@ -36,7 +37,7 @@ from quiverhom import (
 )
 from quiverhom.homology import MAX_TERM_WIDTH, SyzygyTable, cover_width, projective_cover_and_syzygy, resolution
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver, _widths_ok
-from quiverhom.modules import TermInfo, kernel_of_map, materialize_term
+from quiverhom.modules import TermInfo, materialize_term
 
 GF = PrimeField(2**31 - 1)
 # the (vertices, relation length) shapes of the benchmark's self-injective Nakayama algebras
@@ -81,6 +82,21 @@ def path_product(m, i):
     return mat
 
 
+def kernel(f):
+    """The kernel of a module map and its inclusion: each vertex's RowSpace
+    kernel, whose rows are an echelon basis, so a member's coordinates are
+    its entries at the kernel's pivot columns."""
+    q, F, source = f.source.algebra.quiver, f.field, f.source
+    spaces = {v: linalg.RowSpace(f.blocks[v], f.target.dims[v], F) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        images = linalg.mat_mul(spaces[a.source].kernel, source.mats[a.name], source.dims[a.target], F)
+        mats[a.name] = [[img[c] for c in spaces[a.target].kernel_pivots] for img in images]
+    bases = {v: space.kernel for v, space in spaces.items()}
+    syz = Representation._unchecked(source.algebra, {v: len(b) for v, b in bases.items()}, mats)
+    return syz, ModuleMap._unchecked(syz, source, bases)
+
+
 def reference_step(m):
     """(mults, term, info, cover, syzygy, inclusion, minimal) of the dense construction."""
     lifts = m.top_lifts()
@@ -95,7 +111,7 @@ def reference_step(m):
             rows.append(list(mats[i][lifts[v][c]]))
         blocks[w] = rows
     cover = ModuleMap._unchecked(term, m, blocks)
-    syz, incl = kernel_of_map(cover)
+    syz, incl = kernel(cover)
     # each generator's unit, found by its idempotent in the basis
     idem = m.algebra.idempotent_index
     units = [(v, info.basis[v].index((g, idem[v]))) for g, (v, _) in enumerate(info.generators)]

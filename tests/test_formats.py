@@ -125,6 +125,12 @@ def test_a_string_of_paths_is_refused(tmp_path):
     with pytest.raises(InputError, match="^the workspace paths are a collection of file paths, not the string "):
         load_bundle(str(write(tmp_path, GOOD)))
 
+
+def test_paths_that_are_not_a_collection_are_refused():
+    with pytest.raises(InputError, match="^the workspace paths are a collection of file paths, not 5$"):
+        load_bundle(5)
+
+
 @pytest.mark.parametrize("bad", ["a b", "v#1", "p q", "", "x\ty", "x\ny", "x\r", "x\u2028y"])
 def test_serializers_refuse_an_id_that_would_not_read_back(bad):
     """Each serializer refuses, naming it, an id that the parser would read as

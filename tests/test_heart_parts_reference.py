@@ -7,10 +7,12 @@ parts are rebuilt as they are defined, by elimination: C+ is the largest
 submodule supported on the plus vertices, embedded and divided out; C- is
 the submodule generated by the components off minus; and each transported
 differential is lifted through the quotient's coordinate section (its free
-columns) and projected.  Both constructions must agree exactly, in
-dimensions, matrices and entry types, over QQ, GF(2) and GF(3), on the
-homological heart and on convex closures of random vertex sets of lab
-quivers.
+columns) and projected.  The generated submodule, the embed and the
+quotient are written out here as the package wrote them before, so the
+reference shares none of them with the package.  Both constructions must
+agree exactly, in dimensions, matrices and entry types, over QQ, GF(2) and
+GF(3), on the homological heart and on convex closures of random vertex
+sets of lab quivers.
 """
 
 import random
@@ -21,20 +23,19 @@ import pytest
 from quiverhom import (
     QQ,
     PrimeField,
+    Representation,
     build_algebra,
-    embed_submodule,
     heart_parts,
-    quotient_by_submodule,
     resolution,
     restrict,
     restricted_algebra,
-    submodule_closure,
     transport_resolution,
 )
 from quiverhom import linalg
 from quiverhom.lab import ALGEBRA_DIM_CAP, _gen_ideal, _gen_module, _gen_quiver
 from quiverhom.modules import HeartParts, ModuleMap
 
+from test_cover_step import path_product
 from test_modules import reference_supported
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
@@ -61,18 +62,57 @@ def same_map(got, want):
     )
 
 
+def closure(rep, seed_rows):
+    """The submodule the seed rows generate, as canonical bases: at w the
+    span of seed_v times the matrix of each basis element v -> w."""
+    F, q = rep.field, rep.algebra.quiver
+    rows = {v: [] for v in q.vertices}
+    for i, el in enumerate(rep.algebra.elements):
+        seed, w = seed_rows.get(el.source), el.target
+        if seed and rep.dims[w]:
+            rows[w].extend(linalg.mat_mul(seed, path_product(rep, i), rep.dims[w], F) if el.arrows else seed)
+    return {v: linalg.rref(rows[v], rep.dims[v], F)[0] for v in q.vertices}
+
+
+def embed(rep, rows_by_vertex):
+    """The submodule that the rows span, in the coordinates of each vertex's
+    echelon basis: a member's entries at its pivot columns."""
+    F, q = rep.field, rep.algebra.quiver
+    echelons = {v: linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        basis, pivots = echelons[a.target]
+        images = linalg.mat_mul(echelons[a.source][0], rep.mats[a.name], rep.dims[a.target], F)
+        assert not any(any(linalg.reduce_mod_rowspace(img, basis, pivots, F)) for img in images)
+        mats[a.name] = [[img[c] for c in pivots] for img in images]
+    return Representation._unchecked(rep.algebra, {v: len(b) for v, (b, _) in echelons.items()}, mats)
+
+
+def quotient(rep, rows_by_vertex):
+    """The quotient by the submodule that the rows span, with its projection
+    block at every vertex: the free columns of each vertex's echelon basis
+    are its coordinates, and an arrow acts by its free rows, projected."""
+    F, q = rep.field, rep.algebra.quiver
+    proj, free = {}, {}
+    for v in q.vertices:
+        echelon, pivots = linalg.rref(rows_by_vertex.get(v, []), rep.dims[v], F)
+        proj[v] = linalg.quotient_projection(echelon, pivots, rep.dims[v], F)
+        free[v] = [j for j in range(rep.dims[v]) if j not in pivots]
+    mats = {}
+    for a in q.arrows:
+        rows = [rep.mats[a.name][j] for j in free[a.source]]
+        mats[a.name] = linalg.mat_mul(rows, proj[a.target], len(free[a.target]), F)
+    return Representation._unchecked(rep.algebra, {v: len(cols) for v, cols in free.items()}, mats), proj
+
+
 def reference_heart_parts(c, heart):
     """The three parts by elimination, as they are defined."""
     q, F = c.algebra.quiver, c.field
     split = q.boundary_split(heart)
     plus_rows = reference_supported(c, split.plus)
     seed = {v: linalg.identity(c.dims[v], F) for v in q.vertices if v not in split.minus}
-    minus_rows = submodule_closure(c, seed)
-    return HeartParts(
-        embed_submodule(c, plus_rows)[0],
-        quotient_by_submodule(c, plus_rows)[0],
-        embed_submodule(c, minus_rows)[0],
-    )
+    minus_rows = closure(c, seed)
+    return HeartParts(embed(c, plus_rows), quotient(c, plus_rows)[0], embed(c, minus_rows))
 
 
 def reference_transport(a, k, heart):
@@ -86,7 +126,7 @@ def reference_transport(a, k, heart):
     quots, projs, secs = [], [], []
     for rep in (a, *res.reps):
         rows = reference_supported(rep, plus)
-        quot, proj = quotient_by_submodule(rep, rows)
+        quot, proj = quotient(rep, rows)
         quots.append(quot)
         projs.append(proj)
         secs.append({
@@ -98,7 +138,7 @@ def reference_transport(a, k, heart):
         blocks = {}
         for v in gamma.quiver.vertices:
             lifted = [d.blocks[v][j] for j in secs[i + 1][v]]
-            blocks[v] = linalg.mat_mul(lifted, projs[i].blocks[v], quots[i].dims[v], F)
+            blocks[v] = linalg.mat_mul(lifted, projs[i][v], quots[i].dims[v], F)
         r_diffs.append(ModuleMap(r_quots[i + 1], r_quots[i], blocks))
     return r_quots, r_diffs
 
@@ -121,7 +161,7 @@ def cases(F, count):
         for heart in hearts:
             reach = q.reachable_from(heart.vertex_set)
             seed = {v: linalg.identity(m.dims[v], F) for v in reach}
-            inner = embed_submodule(m, submodule_closure(m, seed))[0]
+            inner = embed(m, closure(m, seed))
             yield alg, heart, [m, resolution(m, 2).syzygy(2)], inner
 
 

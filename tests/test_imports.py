@@ -166,3 +166,22 @@ def test_the_package_reads_every_private_name_it_defines():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_reads_every_name_it_imports(name):
     assert unread_imports((SRC / name).read_text()) == [], name
+
+
+def test_the_module_draws_go_through_the_module_layer():
+    # lab builds its modules with the functions of modules: it imports no
+    # term bookkeeping and reads no product table, and no module keeps a
+    # builder of a term's action beside materialize_term.  The one table lab
+    # reads is a chain's syzygy table, m.table
+    lab = ast.parse((SRC / "lab.py").read_text())
+    imported = {alias.name for node in ast.walk(lab) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"term_info", "TermInfo", "term_action"}
+    tables = {ast.unparse(node) for node in ast.walk(lab) if isinstance(node, ast.Attribute) and node.attr == "table"}
+    assert tables <= {"m.table"}, tables
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "term_action" not in defined
